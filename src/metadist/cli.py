@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from . import jacobi, moments, scaling, sim
 from .quadrature import QuadratureError
 from .specfun import reg_inc_beta
 
-__all__ = ["main", "build_parser", "db_to_linear", "dbm_to_mw", "mw_to_dbm"]
+__all__ = ["main", "build_parser", "db_to_linear", "mw_to_dbm"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,13 +34,8 @@ EXIT_IO = 4
 
 
 def db_to_linear(db: float) -> float:
-    """dB ratio to linear; -inf dB maps to 0."""
+    """dB ratio to linear (dBm to mW); -inf dB maps to 0."""
     return 10.0 ** (db / 10.0)
-
-
-def dbm_to_mw(dbm: float) -> float:
-    """dBm to milliwatts; -inf dBm maps to 0 mW."""
-    return 10.0 ** (dbm / 10.0)
 
 
 def mw_to_dbm(mw: float) -> float:
@@ -69,23 +65,19 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_params(args: argparse.Namespace) -> moments.SystemParams:
+    """The scenario the flags describe, in linear units.
+
+    `power` sweeps lambda and solves for the transmit power, so its scenario
+    starts at --lambda-min with a 1 mW placeholder that min_power ignores.
+    """
+    sweep = args.command == "power"
     return moments.SystemParams(
-        lambda_bs=args.lambda_bs,
+        lambda_bs=args.lambda_min if sweep else args.lambda_bs,
         gamma_pl=args.gamma,
         theta=db_to_linear(args.theta_db),
-        power=dbm_to_mw(args.power_dbm),
-        noise=dbm_to_mw(args.noise_dbm),
+        power=1.0 if sweep else db_to_linear(args.power_dbm),
+        noise=db_to_linear(args.noise_dbm),
     )
-
-
-def _scenario_meta(params: moments.SystemParams) -> dict[str, float]:
-    return {
-        "lambda_bs": params.lambda_bs,
-        "gamma_pl": params.gamma_pl,
-        "theta": params.theta,
-        "power_mw": params.power,
-        "noise_mw": params.noise,
-    }
 
 
 def _emit_table(
@@ -121,7 +113,7 @@ def _fmt(value: float) -> str:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    params = _scenario_params(args)
+    params = args.params
     rows = []
     for n in range(1, args.n_max + 1):
         if args.method == "exact":
@@ -141,7 +133,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
         "approx": ("n", "mu_approx"),
         "both": ("n", "mu_exact", "mu_approx", "abs_diff", "error_bound"),
     }[args.method]
-    _emit_table(columns, rows, {"scenario": _scenario_meta(params)}, args)
+    _emit_table(columns, rows, {"scenario": sim.scenario_to_dict(params)}, args)
     return EXIT_OK
 
 
@@ -159,7 +151,7 @@ def _reconstruction(args: argparse.Namespace) -> jacobi.ReconstructedDistributio
     if args.moments_file is not None:
         seq = _load_moment_file(args.moments_file)
     else:
-        seq = moments.moment_sequence(_scenario_params(args), args.order)
+        seq = moments.moment_sequence(args.params, args.order)
     if args.basis == "explicit":
         if args.alpha is None or args.beta is None:
             raise ValueError("--basis explicit requires --alpha and --beta")
@@ -173,11 +165,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     xs = np.linspace(0.0, 1.0, args.grid_points)
     cdf = jacobi.eval_cdf(dist, xs)
     rel = jacobi.meta_reliability(dist, xs)
-    rows = []
-    for i, x in enumerate(xs):
-        # The endpoint PDF can be singular (alpha or beta < 0); leave it blank.
-        pdf = _fmt(jacobi.eval_pdf(dist, float(x))) if 0.0 < x < 1.0 else ""
-        rows.append([_fmt(x), pdf, _fmt(cdf[i]), _fmt(rel[i])])
+    # The endpoint PDF can be singular (alpha or beta < 0); leave it blank.
+    interior = (xs > 0.0) & (xs < 1.0)
+    pdf = np.full(xs.shape, "", dtype=object)
+    pdf[interior] = [_fmt(v) for v in jacobi.eval_pdf(dist, xs[interior])]
+    rows = [[_fmt(x), p, _fmt(c), _fmt(r)] for x, p, c, r in zip(xs, pdf, cdf, rel)]
     report = jacobi.convergence_diagnostic(dist)
     meta = {
         "basis": {"alpha": dist.basis.alpha, "beta": dist.basis.beta,
@@ -193,9 +185,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    params = _scenario_params(args)
     config = sim.SimConfig(
-        params=params,
+        params=args.params,
         num_realizations=args.realizations,
         region_radius=args.radius_m,
         fading_mode=args.mode,
@@ -204,19 +195,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     emp = sim.run_campaign(config)
     sim.write_samples_csv(emp, args.out)
-    emp_moments = sim.empirical_moments(emp, 10)
     xs = np.linspace(0.0, 1.0, 101)
     summary = {
-        "scenario": _scenario_meta(params),
-        "config": {
-            "num_realizations": config.num_realizations,
-            "region_radius_m": config.region_radius,
-            "fading_mode": config.fading_mode,
-            "num_channel_draws": config.num_channel_draws,
-            "rng_seed": config.rng_seed,
-        },
-        "diagnostics": {"redraws": emp.redraws},
-        "empirical_moments": list(emp_moments.values),
+        **sim.campaign_to_dict(emp),
+        "empirical_moments": list(sim.empirical_moments(emp, 10).values),
         "reliability_grid": {
             "x": [float(x) for x in xs],
             "reliability": [float(v) for v in sim.empirical_reliability(emp, xs)],
@@ -229,15 +211,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    params = _scenario_params(args)
+    params = args.params
     samples = sim.read_samples_csv(args.samples)
     emp = sim.EmpiricalMeta(
         ccp_samples=samples,
-        config=sim.SimConfig(
-            params=params,
-            num_realizations=len(samples),
-            rng_seed=0,
-        ),
+        config=sim.SimConfig(params=params, num_realizations=len(samples)),
     )
     if params.theta == 0.0:
         # Degenerate scenario: the CCP is identically 1 (point mass), so the
@@ -251,27 +229,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
     xs = np.linspace(0.01, 0.99, 99)
     emp_rel = sim.empirical_reliability(emp, xs)
     keep = emp_rel >= 0.02
-    rows = []
-    for x, er in zip(xs[keep], emp_rel[keep]):
-        if dist is None:
-            beta_rel = 1.0
-            fj_rel = 1.0
-        else:
-            # Leading series term alone: the moment-matched beta approximation.
-            beta_rel = 1.0 - reg_inc_beta(
-                float(x), dist.basis.beta + 1.0, dist.basis.alpha + 1.0
-            )
-            fj_rel = float(jacobi.meta_reliability(dist, float(x)))
-        rows.append([
-            _fmt(x), _fmt(er), _fmt(beta_rel), _fmt(fj_rel),
-            _fmt(abs(beta_rel - er) / er), _fmt(abs(fj_rel - er) / er),
-        ])
-    emp_moments = sim.empirical_moments(emp, 10)
+    xs, emp_rel = xs[keep], emp_rel[keep]
+    if dist is None:
+        beta_rel = fj_rel = np.ones_like(xs)
+    else:
+        # Leading series term alone: the moment-matched beta approximation.
+        a, b = dist.basis.alpha, dist.basis.beta
+        beta_rel = np.array([1.0 - reg_inc_beta(float(x), b + 1.0, a + 1.0) for x in xs])
+        fj_rel = jacobi.meta_reliability(dist, xs)
+    rows = [
+        [_fmt(x), _fmt(er), _fmt(br), _fmt(fr),
+         _fmt(abs(br - er) / er), _fmt(abs(fr - er) / er)]
+        for x, er, br, fr in zip(xs, emp_rel, beta_rel, fj_rel)
+    ]
     meta = {
-        "scenario": _scenario_meta(params),
+        "scenario": sim.scenario_to_dict(params),
         "order": args.order,
         "basis": basis_meta,
-        "empirical_moments": list(emp_moments.values),
+        "empirical_moments": list(sim.empirical_moments(emp, 10).values),
         "num_samples": len(samples),
     }
     _emit_table(
@@ -282,23 +257,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    qos = scaling.QosSpec(x_rel=args.x_rel, epsilon=args.epsilon)
+    qos = args.qos
     lams = np.logspace(
         math.log10(args.lambda_min), math.log10(args.lambda_max), args.lambda_steps
     )
-    rows = []
-    powers = []
-    for lam in lams:
-        params = moments.SystemParams(
-            lambda_bs=float(lam),
-            gamma_pl=args.gamma,
-            theta=db_to_linear(args.theta_db),
-            power=1.0,  # ignored by min_power
-            noise=dbm_to_mw(args.noise_dbm),
-        )
-        p = scaling.min_power(params, qos)
-        powers.append(p)
-        rows.append([_fmt(lam), _fmt(p), _fmt(mw_to_dbm(p))])
+    powers = [
+        scaling.min_power(dataclasses.replace(args.params, lambda_bs=float(lam)), qos)
+        for lam in lams
+    ]
+    rows = [[_fmt(lam), _fmt(p), _fmt(mw_to_dbm(p))] for lam, p in zip(lams, powers)]
     meta: dict[str, Any] = {"x_rel": qos.x_rel, "epsilon": qos.epsilon,
                             "gamma_pl": args.gamma}
     if all(p > 0.0 for p in powers) and len(powers) >= 2:
@@ -378,20 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Validate user-supplied physics/QoS up front so bad arguments exit with
-    # the usage code rather than the math-failure code.
+    # Build and validate the user-supplied physics/QoS once, up front, so bad
+    # arguments exit with the usage code rather than the math-failure code.
     try:
-        if hasattr(args, "lambda_bs"):
-            _scenario_params(args)
+        args.params = _scenario_params(args)
         if args.command == "power":
-            moments.SystemParams(
-                lambda_bs=args.lambda_min,
-                gamma_pl=args.gamma,
-                theta=db_to_linear(args.theta_db),
-                power=1.0,
-                noise=dbm_to_mw(args.noise_dbm),
-            )
-            scaling.QosSpec(x_rel=args.x_rel, epsilon=args.epsilon)
+            args.qos = scaling.QosSpec(x_rel=args.x_rel, epsilon=args.epsilon)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ mu_2 zeroes the first two correction terms, making the leading term the
 familiar beta approximation and the rest a systematic refinement of it.
 
 Polynomials are evaluated by the three-term recurrence (the explicit
-binomial-sum form cancels badly beyond n ~ 15 and is kept only as a test
+binomial-sum form cancels badly beyond n ~ 15 and lives in the tests as an
 oracle); moment combinations use exact compensated summation since the
 alternating sums lose roughly a digit per order.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "ConvergenceReport",
     "DegenerateMomentsError",
     "jacobi_poly",
-    "jacobi_poly_explicit",
     "norm_h",
     "modified_moments",
     "fourier_jacobi_coeffs",
@@ -135,19 +133,6 @@ def jacobi_poly(alpha: float, beta: float, n: int, x):
     return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
 
 
-def jacobi_poly_explicit(alpha: float, beta: float, n: int, x: float) -> float:
-    """Explicit binomial-sum form of P_n^(alpha,beta); test oracle only.
-
-    P_n(x) = sum_l C(n+alpha, l) C(n+beta, n-l) x^l (x-1)^(n-l).  Cancels
-    badly for n >~ 15; the recurrence is the production path.
-    """
-    terms = [
-        binom(n + alpha, ell) * binom(n + beta, n - ell) * x**ell * (x - 1.0) ** (n - ell)
-        for ell in range(n + 1)
-    ]
-    return math.fsum(terms)
-
-
 def norm_h(alpha: float, beta: float, n: int) -> float:
     """Orthogonality normalization h_n = int_0^1 P_n^2 w dx.
 
@@ -169,13 +154,7 @@ def norm_h(alpha: float, beta: float, n: int) -> float:
     return math.exp(log_h) * (n + a + b + 1.0) / (2.0 * n + a + b + 1.0)
 
 
-def _moment_values(moments: MomentSequence | Sequence[float]) -> tuple[float, ...]:
-    if isinstance(moments, MomentSequence):
-        return moments.values
-    return tuple(float(v) for v in moments)
-
-
-def modified_moments(moments: MomentSequence | Sequence[float], n: int, ell: int) -> float:
+def modified_moments(moments: MomentSequence, n: int, ell: int) -> float:
     """Modified moment mu_hat_{n,l} = int x^l (x-1)^(n-l) f(x) dx.
 
     Equal to the alternating binomial combination
@@ -184,7 +163,7 @@ def modified_moments(moments: MomentSequence | Sequence[float], n: int, ell: int
     """
     if not 0 <= ell <= n:
         raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
-    values = _moment_values(moments)
+    values = moments.values
     if len(values) <= n:
         raise ValueError(
             f"moment index {n} requested but only mu_0..mu_{len(values) - 1} available"
@@ -244,19 +223,15 @@ def moment_match_basis(mu1: float, mu2: float, order: int = DEFAULT_ORDER) -> Ja
 
 
 def reconstruct(
-    moments: MomentSequence,
-    order: int = DEFAULT_ORDER,
-    basis: JacobiBasis | None = None,
+    moments: MomentSequence, order: int = DEFAULT_ORDER
 ) -> ReconstructedDistribution:
     """Moment-matched reconstruction (the default entry point).
 
-    Pass an explicit basis to override the moment-matching choice of
-    (alpha, beta); its order wins over the order argument.
+    For a basis of your own choosing, call fourier_jacobi_coeffs directly.
     """
-    if basis is None:
-        if len(moments.values) < 3:
-            raise ValueError("moment matching needs mu_1 and mu_2")
-        basis = moment_match_basis(moments.values[1], moments.values[2], order=order)
+    if len(moments.values) < 3:
+        raise ValueError("moment matching needs mu_1 and mu_2")
+    basis = moment_match_basis(moments.values[1], moments.values[2], order=order)
     return fourier_jacobi_coeffs(moments, basis)
 
 

@@ -195,26 +195,22 @@ def integrate_semi_infinite_decaying(
     f: Callable[[np.ndarray], np.ndarray],
     decay_rate: float,
     tol: float = DEFAULT_TOL,
-    amplitude: float = 1.0,
     max_intervals: int = DEFAULT_MAX_INTERVALS,
 ) -> QuadResult:
-    """Integrate f over [0, inf) given an eventual bound f(z) <= C exp(-a z).
+    """Integrate f over [0, inf) given an eventual bound f(z) <= exp(-a z).
 
-    The tail is truncated analytically: with a = decay_rate and C = amplitude,
-    z_max is chosen so that the discarded mass C exp(-a z_max)/a is below
-    tol/10.  The finite part starts from a dyadic ladder of panels between 0
-    and z_max so that integrands whose mass sits many orders of magnitude
-    below z_max (sharp noise-driven decay) cannot be missed by a first coarse
-    panel.
+    The tail is truncated analytically: with a = decay_rate, z_max is chosen
+    so that the discarded mass exp(-a z_max)/a is below tol/10.  The finite
+    part starts from a dyadic ladder of panels between 0 and z_max so that
+    integrands whose mass sits many orders of magnitude below z_max (sharp
+    noise-driven decay) cannot be missed by a first coarse panel.
     """
     if not decay_rate > 0.0:
         raise ValueError(f"decay_rate must be positive, got {decay_rate}")
-    if not amplitude > 0.0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
-    z_max = math.log(10.0 * amplitude / (decay_rate * tol)) / decay_rate
+    z_max = math.log(10.0 / (decay_rate * tol)) / decay_rate
     if not z_max > 0.0:
         # Tail already below tolerance at z = 0: the integral is within tol of 0.
         return QuadResult(value=0.0, abs_error_estimate=tol / 10.0, evaluations=0)

@@ -36,6 +36,7 @@ __all__ = [
     "empirical_reliability",
     "write_samples_csv",
     "read_samples_csv",
+    "scenario_to_dict",
     "campaign_to_dict",
     "write_campaign_json",
     "read_campaign_json",
@@ -215,31 +216,43 @@ def read_samples_csv(path: str | Path) -> np.ndarray:
         return np.array([float(row[0]) for row in reader if row])
 
 
+# The one key table for every scenario and campaign record: (JSON key, attribute).
+_SCENARIO_KEYS = (
+    ("lambda_bs", "lambda_bs"),
+    ("gamma_pl", "gamma_pl"),
+    ("theta", "theta"),
+    ("power_mw", "power"),
+    ("noise_mw", "noise"),
+)
+_CONFIG_KEYS = (
+    ("num_realizations", "num_realizations"),
+    ("region_radius_m", "region_radius"),
+    ("fading_mode", "fading_mode"),
+    ("num_channel_draws", "num_channel_draws"),
+    ("rng_seed", "rng_seed"),
+)
+
+
+def scenario_to_dict(params: SystemParams) -> dict:
+    """JSON-ready view of a scenario, in linear units (mW, per m^2)."""
+    return {key: getattr(params, attr) for key, attr in _SCENARIO_KEYS}
+
+
 def campaign_to_dict(emp: EmpiricalMeta) -> dict:
-    """JSON-ready view of a campaign: config, samples, diagnostics."""
+    """JSON-ready view of a campaign: scenario, config, diagnostics."""
     cfg = emp.config
-    p = cfg.params
     return {
-        "config": {
-            "lambda_bs": p.lambda_bs,
-            "gamma_pl": p.gamma_pl,
-            "theta": p.theta,
-            "power_mw": p.power,
-            "noise_mw": p.noise,
-            "region_radius_m": cfg.region_radius,
-            "num_realizations": cfg.num_realizations,
-            "fading_mode": cfg.fading_mode,
-            "num_channel_draws": cfg.num_channel_draws,
-            "rng_seed": cfg.rng_seed,
-        },
-        "samples": [float(v) for v in emp.ccp_samples],
+        "scenario": scenario_to_dict(cfg.params),
+        "config": {key: getattr(cfg, attr) for key, attr in _CONFIG_KEYS},
         "diagnostics": {"redraws": emp.redraws},
     }
 
 
 def write_campaign_json(emp: EmpiricalMeta, path: str | Path) -> None:
+    """campaign_to_dict plus the CCP samples."""
+    doc = {**campaign_to_dict(emp), "samples": [float(v) for v in emp.ccp_samples]}
     with open(path, "w") as fh:
-        json.dump(campaign_to_dict(emp), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
@@ -247,21 +260,9 @@ def read_campaign_json(path: str | Path) -> EmpiricalMeta:
     """Rebuild an EmpiricalMeta from write_campaign_json output."""
     with open(path) as fh:
         doc = json.load(fh)
-    cfg = doc["config"]
-    config = SimConfig(
-        params=SystemParams(
-            lambda_bs=cfg["lambda_bs"],
-            gamma_pl=cfg["gamma_pl"],
-            theta=cfg["theta"],
-            power=cfg["power_mw"],
-            noise=cfg["noise_mw"],
-        ),
-        num_realizations=cfg["num_realizations"],
-        region_radius=cfg["region_radius_m"],
-        fading_mode=cfg["fading_mode"],
-        num_channel_draws=cfg["num_channel_draws"],
-        rng_seed=cfg["rng_seed"],
-    )
+    params = SystemParams(**{attr: doc["scenario"][key] for key, attr in _SCENARIO_KEYS})
+    config = SimConfig(params=params,
+                       **{attr: doc["config"][key] for key, attr in _CONFIG_KEYS})
     return EmpiricalMeta(
         ccp_samples=np.array(doc["samples"], dtype=float),
         config=config,

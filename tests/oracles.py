@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code path it is used to check:
 rho_quadrature integrates the defining y-integral instead of evaluating the
-hypergeometric identity, beta_moments is the exact product formula, and
+hypergeometric identity, beta_moments is the exact product formula,
 max_exp_neg_f maximizes by grid search plus golden-section refinement rather
-than using the closed-form minimum.
+than using the closed-form minimum, and jacobi_poly_explicit sums the
+binomial form of the polynomial instead of running the three-term recurrence.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from metadist.quadrature import integrate_finite
+from metadist.specfun import binom
 
 
 def rho_quadrature(n: int, gamma_pl: float, theta: float, tol: float = 1e-11) -> float:
@@ -27,6 +29,19 @@ def rho_quadrature(n: int, gamma_pl: float, theta: float, tol: float = 1e-11) ->
         return 2.0 * (-np.expm1(-n * np.log1p(theta * y**gamma_pl))) * y**-3.0
 
     return integrate_finite(f, 0.0, 1.0, tol).value
+
+
+def jacobi_poly_explicit(alpha: float, beta: float, n: int, x: float) -> float:
+    """Explicit binomial-sum form of the shifted Jacobi polynomial P_n^(alpha,beta).
+
+    P_n(x) = sum_l C(n+alpha, l) C(n+beta, n-l) x^l (x-1)^(n-l).  Cancels
+    badly for n >~ 15; the recurrence is the production path.
+    """
+    terms = [
+        binom(n + alpha, ell) * binom(n + beta, n - ell) * x**ell * (x - 1.0) ** (n - ell)
+        for ell in range(n + 1)
+    ]
+    return math.fsum(terms)
 
 
 def beta_moments(p: float, q: float, n_max: int) -> tuple[float, ...]:

@@ -3,9 +3,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, dbm_to_mw, main, mw_to_dbm
+from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, main, mw_to_dbm
+from metadist.jacobi import eval_pdf, meta_reliability, reconstruct
+from metadist.moments import SystemParams, moment_sequence
+from metadist.sim import SimConfig, campaign_to_dict, empirical_reliability, run_campaign
 from metadist.specfun import reg_inc_beta
 
 from oracles import beta_moments
@@ -17,6 +21,12 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _default_scenario():
+    """The scenario the CLI's default flags describe."""
+    return SystemParams(lambda_bs=1e-3, gamma_pl=5.0, theta=db_to_linear(0.0),
+                        power=db_to_linear(0.0), noise=db_to_linear(-100.0))
+
+
 class TestUnitConversions:
     def test_db(self):
         assert db_to_linear(0.0) == 1.0
@@ -24,8 +34,8 @@ class TestUnitConversions:
         assert db_to_linear(float("-inf")) == 0.0
 
     def test_dbm(self):
-        assert dbm_to_mw(0.0) == 1.0
-        assert dbm_to_mw(-100.0) == pytest.approx(1e-10, rel=1e-12)
+        assert db_to_linear(0.0) == 1.0
+        assert db_to_linear(-100.0) == pytest.approx(1e-10, rel=1e-12)
         assert mw_to_dbm(1.0) == 0.0
         assert mw_to_dbm(0.0) == float("-inf")
 
@@ -123,6 +133,18 @@ class TestReconstructCommand:
     def test_explicit_basis_requires_parameters(self):
         assert main(["reconstruct", "--basis", "explicit"]) == EXIT_MATH
 
+    def test_pdf_column_is_eval_pdf(self, tmp_path):
+        out = tmp_path / "rec.csv"
+        rc = main(["reconstruct", "--order", "10", "--grid-points", "41", "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        assert rows[0][0] == "0.0" and rows[0][1] == ""
+        assert rows[-1][0] == "1.0" and rows[-1][1] == ""
+        xs = np.array([float(row[0]) for row in rows[1:-1]])
+        pdf = np.array([float(row[1]) for row in rows[1:-1]])
+        dist = reconstruct(moment_sequence(_default_scenario(), 10), order=10)
+        np.testing.assert_allclose(pdf, eval_pdf(dist, xs), rtol=1e-12, atol=0.0)
+
 
 class TestSimulateCommand:
     def test_deterministic_output_files(self, tmp_path):
@@ -150,6 +172,17 @@ class TestSimulateCommand:
         assert summary["empirical_moments"][0] == 1.0
         assert len(summary["reliability_grid"]["x"]) == 101
 
+    def test_summary_is_campaign_record(self, tmp_path):
+        out = tmp_path / "c.csv"
+        rc = main(["simulate", "--realizations", "100", "--seed", "4", "--out", str(out)])
+        assert rc == EXIT_OK
+        summary = json.loads((tmp_path / "c.json").read_text())
+        assert list(summary) == ["scenario", "config", "diagnostics",
+                                 "empirical_moments", "reliability_grid"]
+        cfg = SimConfig(params=_default_scenario(), num_realizations=100, rng_seed=4)
+        record = campaign_to_dict(run_campaign(cfg))
+        assert {key: summary[key] for key in record} == record
+
 
 class TestCompareCommand:
     def test_round_trip_moments(self, tmp_path):
@@ -164,6 +197,30 @@ class TestCompareCommand:
         assert len(meta["empirical_moments"]) == len(recorded)
         for a, b in zip(meta["empirical_moments"], recorded):
             assert abs(a - b) <= 1e-12
+
+    def test_columns_match_library(self, tmp_path):
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", "--realizations", "300", "--seed", "2",
+                     "--out", str(samples)]) == EXIT_OK
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--samples", str(samples), "--order", "8",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        cols = np.array([[float(v) for v in row] for row in rows])
+        xs, emp_rel, beta_rel, fj_rel = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+        # The printed grid is the 0.01..0.99 grid where the empirical curve is >= 0.02.
+        grid = np.linspace(0.01, 0.99, 99)
+        cfg = SimConfig(params=_default_scenario(), num_realizations=300, rng_seed=2)
+        grid_rel = empirical_reliability(run_campaign(cfg), grid)
+        np.testing.assert_array_equal(xs, grid[grid_rel >= 0.02])
+        np.testing.assert_array_equal(emp_rel, grid_rel[grid_rel >= 0.02])
+        dist = reconstruct(moment_sequence(_default_scenario(), 8), order=8)
+        a, b = dist.basis.alpha, dist.basis.beta
+        meta = json.loads((tmp_path / "cmp.csv.meta.json").read_text())
+        assert meta["basis"] == {"alpha": a, "beta": b}
+        np.testing.assert_allclose(fj_rel, meta_reliability(dist, xs), rtol=1e-12, atol=0.0)
+        expected_beta = [1.0 - reg_inc_beta(x, b + 1.0, a + 1.0) for x in xs]
+        np.testing.assert_allclose(beta_rel, expected_beta, rtol=1e-12, atol=0.0)
 
     def test_zero_threshold_degenerate(self, tmp_path):
         samples = tmp_path / "s.csv"

@@ -13,7 +13,6 @@ from metadist.jacobi import (
     eval_pdf,
     fourier_jacobi_coeffs,
     jacobi_poly,
-    jacobi_poly_explicit,
     meta_reliability,
     modified_moments,
     moment_match_basis,
@@ -24,7 +23,7 @@ from metadist.moments import METHOD_EMPIRICAL, MomentSequence, SystemParams, mom
 from metadist.quadrature import integrate_finite
 from metadist.specfun import reg_inc_beta, rising_factorial
 
-from oracles import beta_moments
+from oracles import beta_moments, jacobi_poly_explicit
 
 BASES = [(0.0, 0.0), (-0.4354, 0.1118), (0.3, 1.7), (2.0, 0.5)]
 

@@ -113,5 +113,3 @@ class TestSemiInfinite:
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 0.0, 1e-10)
         with pytest.raises(ValueError):
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, -1e-10)
-        with pytest.raises(ValueError):
-            integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, 1e-10, amplitude=0.0)
