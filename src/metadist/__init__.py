@@ -50,7 +50,7 @@ from .sim import (
     empirical_reliability,
     run_campaign,
 )
-from .specfun import gauss_2f1, ln_gamma, reg_inc_beta, rising_factorial
+from .specfun import gauss_2f1, ln_gamma, reg_inc_beta
 
 __version__ = "0.1.0"
 
@@ -96,6 +96,5 @@ __all__ = [
     "reconstruct",
     "reg_inc_beta",
     "rho_n",
-    "rising_factorial",
     "run_campaign",
 ]

@@ -185,15 +185,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = sim.SimConfig(
-        params=args.params,
-        num_realizations=args.realizations,
-        region_radius=args.radius_m,
-        fading_mode=args.mode,
-        num_channel_draws=args.channel_draws,
-        rng_seed=args.seed,
-    )
-    emp = sim.run_campaign(config)
+    emp = sim.run_campaign(args.config)
     sim.write_samples_csv(emp, args.out)
     xs = np.linspace(0.0, 1.0, 101)
     summary = {
@@ -204,9 +196,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "reliability": [float(v) for v in sim.empirical_reliability(emp, xs)],
         },
     }
-    summary_path = args.out.with_suffix(".json")
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {args.out} and {summary_path}", file=sys.stderr)
+    args.summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    print(f"wrote {args.out} and {args.summary_path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -261,19 +252,20 @@ def cmd_power(args: argparse.Namespace) -> int:
     lams = np.logspace(
         math.log10(args.lambda_min), math.log10(args.lambda_max), args.lambda_steps
     )
-    powers = [
+    powers = np.array([
         scaling.min_power(dataclasses.replace(args.params, lambda_bs=float(lam)), qos)
         for lam in lams
-    ]
+    ])
     rows = [[_fmt(lam), _fmt(p), _fmt(mw_to_dbm(p))] for lam, p in zip(lams, powers)]
     meta: dict[str, Any] = {"x_rel": qos.x_rel, "epsilon": qos.epsilon,
                             "gamma_pl": args.gamma}
-    if all(p > 0.0 for p in powers) and len(powers) >= 2:
-        slope = float(np.polyfit(np.log(lams), np.log(powers), 1)[0])
+    positive = powers > 0.0
+    if np.count_nonzero(positive) >= 2:
+        slope = float(np.polyfit(np.log(lams[positive]), np.log(powers[positive]), 1)[0])
         meta["loglog_slope"] = slope
         print(f"fitted log-log slope: {slope:.9f} (expected {-args.gamma / 2})",
               file=sys.stderr)
-    else:
+    if not positive.all():
         print("interference/noise-free scenario: any positive power satisfies "
               "the bound (reported as 0 mW)", file=sys.stderr)
     _emit_table(("lambda", "p_mw", "p_dbm"), rows, meta, args)
@@ -345,12 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Build and validate the user-supplied physics/QoS once, up front, so bad
-    # arguments exit with the usage code rather than the math-failure code.
+    # Build and validate the user-supplied physics/QoS/campaign once, up front,
+    # so bad arguments exit with the usage code rather than the math-failure code.
     try:
         args.params = _scenario_params(args)
+        if args.command == "simulate":
+            args.config = sim.SimConfig(
+                params=args.params, num_realizations=args.realizations,
+                region_radius=args.radius_m, fading_mode=args.mode,
+                num_channel_draws=args.channel_draws, rng_seed=args.seed,
+            )
+            args.summary_path = args.out.with_suffix(".json")
+            if args.summary_path == args.out:
+                raise ValueError(f"--out {args.out}: the summary JSON would overwrite "
+                                 "the samples; use another suffix")
         if args.command == "power":
             args.qos = scaling.QosSpec(x_rel=args.x_rel, epsilon=args.epsilon)
+            if not args.lambda_max > 0.0:
+                raise ValueError(f"--lambda-max must be positive, got {args.lambda_max}")
+            if args.lambda_steps < 1:
+                raise ValueError(f"--lambda-steps must be at least 1, got {args.lambda_steps}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

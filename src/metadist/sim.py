@@ -9,9 +9,14 @@ instead estimates it as the fraction of independent channel draws whose
 SINR clears the threshold, reproducing the classic two-stage protocol and
 serving as a cross-check on the analytic path.
 
+A realization is the vector of BS distances from the user: both paths
+depend on the geometry only through it, so no angles are drawn.
+
 Determinism: every realization derives its own generator from
 (seed, realization index, redraw attempt), so campaigns are reproducible
-bit-for-bit regardless of execution order.
+bit-for-bit regardless of execution order.  Sampled-mode channel draws
+follow the distance draws on that generator; earlier versions also drew BS
+angles there, so their sampled-mode values for a given seed differ.
 """
 from __future__ import annotations
 
@@ -92,27 +97,26 @@ class EmpiricalMeta:
 
 
 def draw_ppp(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """One PPP realization on the disk: (N, 2) array of BS coordinates in m.
+    """One PPP realization on the disk: 1-D array of N BS distances in m.
 
-    N is Poisson with mean lambda pi R^2; positions are independent and
-    uniform over the disk.
+    N is Poisson with mean lambda pi R^2.  Positions uniform over the disk
+    have distances with P(r <= t) = (t/R)^2, drawn as R sqrt(U).  Their
+    angles are not drawn: the coverage probability does not depend on them.
     """
     lam = config.params.lambda_bs
     radius = config.region_radius
     count = rng.poisson(lam * math.pi * radius * radius)
-    r = radius * np.sqrt(rng.uniform(size=count))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
+    return radius * np.sqrt(rng.uniform(size=count))
 
 
-def _distances(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
+def _nonempty(distances: np.ndarray) -> np.ndarray:
+    r = np.asarray(distances, dtype=float)
+    if r.size == 0:
         raise ValueError("empty realization: no base station to serve the user")
-    return np.hypot(pts[:, 0], pts[:, 1])
+    return r
 
 
-def ccp_analytic(points: np.ndarray, params: SystemParams) -> float:
+def ccp_analytic(distances: np.ndarray, params: SystemParams) -> float:
     """Coverage probability conditioned on the geometry, averaged over fading.
 
     With the serving BS at distance r0 (nearest) and interferers at r_i,
@@ -122,7 +126,7 @@ def ccp_analytic(points: np.ndarray, params: SystemParams) -> float:
     evaluated in log space so thousands of interferers cannot underflow the
     product to zero.
     """
-    r = _distances(points)
+    r = _nonempty(distances)
     serving = int(np.argmin(r))
     r0 = r[serving]
     others = np.delete(r, serving)
@@ -134,7 +138,7 @@ def ccp_analytic(points: np.ndarray, params: SystemParams) -> float:
 
 
 def ccp_sampled(
-    points: np.ndarray,
+    distances: np.ndarray,
     params: SystemParams,
     num_draws: int,
     rng: np.random.Generator,
@@ -142,7 +146,7 @@ def ccp_sampled(
     """Fraction of i.i.d. Rayleigh channel draws with SINR above threshold."""
     if num_draws < 1:
         raise ValueError(f"need at least one channel draw, got {num_draws}")
-    r = _distances(points)
+    r = _nonempty(distances)
     serving = int(np.argmin(r))
     gains = rng.exponential(1.0, size=(num_draws, r.size))
     received = gains * (r ** -params.gamma_pl * params.power)
@@ -169,15 +173,15 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
         attempt = 0
         while True:
             rng = _realization_rng(config, i, attempt)
-            points = draw_ppp(config, rng)
-            if len(points) > 0:
+            distances = draw_ppp(config, rng)
+            if len(distances) > 0:
                 break
             redraws += 1
             attempt += 1
         if config.fading_mode == FADING_ANALYTIC:
-            samples[i] = ccp_analytic(points, config.params)
+            samples[i] = ccp_analytic(distances, config.params)
         else:
-            samples[i] = ccp_sampled(points, config.params, config.num_channel_draws, rng)
+            samples[i] = ccp_sampled(distances, config.params, config.num_channel_draws, rng)
     return EmpiricalMeta(ccp_samples=samples, config=config, redraws=redraws)
 
 

@@ -1,9 +1,9 @@
 """Scalar special functions used throughout the toolkit.
 
-Everything here is a pure function over Python floats: log-gamma, rising
-factorial, generalized binomial coefficients, the Gauss hypergeometric
-function 2F1 restricted to non-positive real argument, and the regularized
-incomplete beta function.  The 2F1 restriction is deliberate: the only
+Everything here is a pure function over Python floats: log-gamma,
+generalized binomial coefficients, the Gauss hypergeometric function 2F1
+restricted to non-positive real argument, and the regularized incomplete
+beta function.  The 2F1 restriction is deliberate: the only
 regime the rest of the package needs is z = -theta with theta >= 0.
 """
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 
 __all__ = [
     "ln_gamma",
-    "rising_factorial",
     "binom",
     "gauss_2f1",
     "reg_inc_beta",
@@ -30,16 +29,6 @@ def ln_gamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def rising_factorial(a: float, n: int) -> float:
-    """Pochhammer symbol (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0:
-        raise ValueError(f"rising_factorial requires n >= 0, got {n}")
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
 
 
 def binom(r: float, k: int) -> float:

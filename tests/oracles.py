@@ -6,6 +6,8 @@ hypergeometric identity, beta_moments is the exact product formula,
 max_exp_neg_f maximizes by grid search plus golden-section refinement rather
 than using the closed-form minimum, and jacobi_poly_explicit sums the
 binomial form of the polynomial instead of running the three-term recurrence.
+rising_factorial is the plain Pochhammer product, which the package itself
+never needs.
 """
 from __future__ import annotations
 
@@ -29,6 +31,16 @@ def rho_quadrature(n: int, gamma_pl: float, theta: float, tol: float = 1e-11) ->
         return 2.0 * (-np.expm1(-n * np.log1p(theta * y**gamma_pl))) * y**-3.0
 
     return integrate_finite(f, 0.0, 1.0, tol).value
+
+
+def rising_factorial(a: float, n: int) -> float:
+    """Pochhammer symbol (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+    if n < 0:
+        raise ValueError(f"rising_factorial requires n >= 0, got {n}")
+    out = 1.0
+    for k in range(n):
+        out *= a + k
+    return out
 
 
 def jacobi_poly_explicit(alpha: float, beta: float, n: int, x: float) -> float:

@@ -184,6 +184,24 @@ class TestSimulateCommand:
         assert {key: summary[key] for key in record} == record
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--realizations", "0"),
+        ("--radius-m", "0"),
+        ("--channel-draws", "0"),
+        ("--seed", "-1"),
+    ])
+    def test_invalid_campaign_is_usage_error(self, tmp_path, flag, value):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_out_would_overwrite_samples(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--realizations", "5", "--out", str(out)]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+        assert "wrote" not in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_round_trip_moments(self, tmp_path):
         samples = tmp_path / "s.csv"
@@ -277,3 +295,31 @@ class TestPowerCommand:
         assert main(["power", "--x-rel", "1.5", "--epsilon", "0.5"]) == EXIT_USAGE
         assert main(["power", "--x-rel", "0.5", "--epsilon", "0.5",
                      "--gamma", "2.0"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda-max", "-1"),
+        ("--lambda-max", "0"),
+        ("--lambda-steps", "0"),
+    ])
+    def test_invalid_sweep_is_usage_error(self, flag, value, capsys):
+        assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_single_step_has_no_slope_and_no_zero_note(self, capsys):
+        assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
+                     "--lambda-steps", "1", "--format", "json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert len(doc["rows"]) == 1 and float(doc["rows"][0][1]) > 0.0
+        assert "loglog_slope" not in doc["meta"]
+        assert captured.err == ""
+
+    def test_noise_free_notes_zero_power(self, capsys):
+        assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
+                     "--noise-dbm=-inf", "--format", "json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert all(float(row[1]) == 0.0 for row in doc["rows"])
+        assert "loglog_slope" not in doc["meta"]
+        assert "reported as 0 mW" in captured.err
+        assert "slope" not in captured.err

@@ -21,9 +21,9 @@ from metadist.jacobi import (
 )
 from metadist.moments import METHOD_EMPIRICAL, MomentSequence, SystemParams, moment_sequence
 from metadist.quadrature import integrate_finite
-from metadist.specfun import reg_inc_beta, rising_factorial
+from metadist.specfun import reg_inc_beta
 
-from oracles import beta_moments, jacobi_poly_explicit
+from oracles import beta_moments, jacobi_poly_explicit, rising_factorial
 
 BASES = [(0.0, 0.0), (-0.4354, 0.1118), (0.3, 1.7), (2.0, 0.5)]
 

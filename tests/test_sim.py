@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact
 from metadist.sim import (
@@ -55,8 +55,17 @@ class TestDrawPpp:
 
     def test_points_inside_disk(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1)
-        pts = draw_ppp(cfg, np.random.default_rng(3))
-        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= cfg.region_radius)
+        r = draw_ppp(cfg, np.random.default_rng(3))
+        assert r.ndim == 1 and r.size > 0
+        assert np.all((r >= 0.0) & (r <= cfg.region_radius))
+
+    def test_radial_law(self, paper_params):
+        # Uniform positions on the disk: P(r <= t) = (t/R)^2.
+        cfg = SimConfig(params=paper_params, num_realizations=1)
+        r = np.concatenate([draw_ppp(cfg, np.random.default_rng([0, i])) for i in range(20)])
+        radius = cfg.region_radius
+        assert r.size > 10_000
+        assert kstest(r, lambda t: np.clip(t / radius, 0.0, 1.0) ** 2).pvalue > 0.01
 
     def test_vanishing_density_gives_empty(self):
         p = SystemParams(1e-9, 5.0, 1.0, 1.0, 1e-10)
@@ -76,61 +85,55 @@ class TestDrawPpp:
 class TestCcpAnalytic:
     def test_zero_threshold(self):
         p = SystemParams(1e-3, 5.0, 0.0, 1.0, 1e-10)
-        pts = np.array([[10.0, 0.0], [0.0, 30.0], [40.0, 40.0]])
-        assert ccp_analytic(pts, p) == 1.0
+        r = np.array([10.0, 30.0, 40.0 * math.sqrt(2.0)])
+        assert ccp_analytic(r, p) == 1.0
 
     def test_single_station_noise_only(self):
         p = SystemParams(1e-3, 4.0, 2.0, 1.0, 1e-8)
         r0 = 120.0
         expected = math.exp(-2.0 * 1e-8 * r0**4 / 1.0)
-        assert ccp_analytic(np.array([[r0, 0.0]]), p) == pytest.approx(expected, rel=1e-12)
+        assert ccp_analytic(np.array([r0]), p) == pytest.approx(expected, rel=1e-12)
 
     def test_two_station_closed_form(self):
         p = SystemParams(1e-3, 4.0, 1.0, 1.0, 0.0)
-        pts = np.array([[100.0, 0.0], [0.0, 200.0]])
-        assert ccp_analytic(pts, p) == pytest.approx(16.0 / 17.0, rel=1e-12)
+        r = np.array([100.0, 200.0])
+        assert ccp_analytic(r, p) == pytest.approx(16.0 / 17.0, rel=1e-12)
 
-    def test_rotation_and_permutation_invariance(self, paper_params):
+    def test_permutation_invariance(self, paper_params):
         rng = np.random.default_rng(5)
-        pts = rng.uniform(-400, 400, size=(50, 2))
-        base = ccp_analytic(pts, paper_params)
-        perm = ccp_analytic(pts[rng.permutation(50)], paper_params)
-        angle = 1.234
-        rot = np.array(
-            [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-        )
-        rotated = ccp_analytic(pts @ rot.T, paper_params)
+        r = rng.uniform(1.0, 500.0, size=50)
+        base = ccp_analytic(r, paper_params)
+        perm = ccp_analytic(r[rng.permutation(50)], paper_params)
         assert perm == pytest.approx(base, rel=1e-12)
-        assert rotated == pytest.approx(base, rel=1e-12)
 
     def test_no_underflow_with_1e5_interferers(self):
         # ~1e5-point realization: the log-space product must stay positive.
         p = SystemParams(0.13, 5.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1, region_radius=500.0)
-        pts = draw_ppp(cfg, np.random.default_rng(1))
-        assert len(pts) > 90_000
-        val = ccp_analytic(pts, p)
+        r = draw_ppp(cfg, np.random.default_rng(1))
+        assert len(r) > 90_000
+        val = ccp_analytic(r, p)
         assert 0.0 < val <= 1.0
 
     def test_empty_realization_rejected(self, paper_params):
         with pytest.raises(ValueError):
-            ccp_analytic(np.empty((0, 2)), paper_params)
+            ccp_analytic(np.empty(0), paper_params)
 
 
 class TestCcpSampled:
     def test_zero_threshold(self):
         p = SystemParams(1e-3, 5.0, 0.0, 1.0, 1e-10)
-        pts = np.array([[10.0, 0.0], [0.0, 30.0]])
-        assert ccp_sampled(pts, p, 100, np.random.default_rng(0)) == 1.0
+        r = np.array([10.0, 30.0])
+        assert ccp_sampled(r, p, 100, np.random.default_rng(0)) == 1.0
 
     def test_binomial_concentration_vs_analytic(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1, rng_seed=42)
         violations = 0
         for i in range(100):
             rng = _realization_rng(cfg, i, 0)
-            pts = draw_ppp(cfg, rng)
-            exact = ccp_analytic(pts, paper_params)
-            sampled = ccp_sampled(pts, paper_params, 700, rng)
+            r = draw_ppp(cfg, rng)
+            exact = ccp_analytic(r, paper_params)
+            sampled = ccp_sampled(r, paper_params, 700, rng)
             se = math.sqrt(exact * (1.0 - exact) / 700.0)
             if abs(sampled - exact) > 4.0 * se:
                 violations += 1

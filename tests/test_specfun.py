@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from metadist.specfun import binom, gauss_2f1, ln_gamma, reg_inc_beta, rising_factorial
+from metadist.specfun import binom, gauss_2f1, ln_gamma, reg_inc_beta
 
-from oracles import jacobi_poly_explicit, rho_quadrature
+from oracles import jacobi_poly_explicit, rho_quadrature, rising_factorial
 
 
 class TestLnGamma:
