@@ -226,7 +226,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         # Leading series term alone: the moment-matched beta approximation.
         a, b = dist.basis.alpha, dist.basis.beta
-        beta_rel = np.array([1.0 - reg_inc_beta(float(x), b + 1.0, a + 1.0) for x in xs])
+        beta_rel = 1.0 - reg_inc_beta(xs, b + 1.0, a + 1.0)
         fj_rel = jacobi.meta_reliability(dist, xs)
     rows = [
         [_fmt(x), _fmt(er), _fmt(br), _fmt(fr),
@@ -341,6 +341,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     # so bad arguments exit with the usage code rather than the math-failure code.
     try:
         args.params = _scenario_params(args)
+        if args.command == "moments" and args.n_max < 1:
+            raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+        if args.command in ("reconstruct", "compare") and not (
+            0 <= args.order <= jacobi.ORDER_HARD_CAP
+        ):
+            raise ValueError(
+                f"--order must be in [0, {jacobi.ORDER_HARD_CAP}], got {args.order}"
+            )
+        if args.command == "reconstruct" and args.grid_points < 1:
+            raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
         if args.command == "simulate":
             args.config = sim.SimConfig(
                 params=args.params, num_realizations=args.realizations,

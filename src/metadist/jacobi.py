@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 10
-_ORDER_HARD_CAP = 20
+ORDER_HARD_CAP = 20
 _ORDER_PRECISION_WARN = 12
 
 
@@ -69,9 +69,9 @@ class JacobiBasis:
             raise ValueError(f"beta must exceed -1, got {self.beta}")
         if self.order < 0:
             raise ValueError(f"order must be nonnegative, got {self.order}")
-        if self.order > _ORDER_HARD_CAP:
+        if self.order > ORDER_HARD_CAP:
             raise ValueError(
-                f"order {self.order} exceeds the cap of {_ORDER_HARD_CAP}; the "
+                f"order {self.order} exceeds the cap of {ORDER_HARD_CAP}; the "
                 "alternating moment sums are meaningless in float64 beyond it"
             )
         if self.order > _ORDER_PRECISION_WARN:
@@ -264,8 +264,9 @@ def eval_cdf(dist: ReconstructedDistribution, x):
                - sum_{n>=1} (a_n / n) (1-x)^(alpha+1) x^(beta+1)
                                       P_{n-1}^(alpha+1, beta+1)(x)
 
-    so F(0) = 0 and F(1) = 1 exactly.  Values are not clamped; the
-    reliability accessor clamps at the output boundary.
+    so F(0) = 0 and F(1) = 1 exactly.  The leading term is one array call
+    of reg_inc_beta over all of x.  Values are not clamped; the reliability
+    accessor clamps at the output boundary.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any((arr < 0.0) | (arr > 1.0)):
@@ -273,8 +274,7 @@ def eval_cdf(dist: ReconstructedDistribution, x):
     basis = dist.basis
     a, b = basis.alpha, basis.beta
     lead = norm_h(a, b, 0) * dist.coefficients[0]
-    base = np.array([reg_inc_beta(float(xi), b + 1.0, a + 1.0) for xi in arr])
-    out = lead * base
+    out = lead * reg_inc_beta(arr, b + 1.0, a + 1.0)
     if basis.order >= 1:
         polys = _jacobi_all(a + 1.0, b + 1.0, basis.order - 1, arr)
         wgt = (1.0 - arr) ** (a + 1.0) * arr ** (b + 1.0)

@@ -2,9 +2,10 @@
 
 The engine is the "exact" oracle for every integral in the package: it is a
 7/15-point nested pair with bisection of whichever interval currently carries
-the largest error estimate.  Integrands are evaluated on ndarrays of
-abscissae (one call per 15-node panel), so plain numpy expressions are fast
-enough for oracle use.
+the largest error estimate.  Integrands are evaluated on 1-D ndarrays of
+abscissae, many 15-node panels per call: all opening panels in one call,
+then both halves of each bisection in one call.  Plain numpy expressions
+are therefore fast enough for oracle use.
 
 Endpoints are never sampled, which makes integrable endpoint singularities
 (weight functions with alpha, beta in (-1, 0), the y -> 0 behaviour of the
@@ -92,33 +93,41 @@ class QuadResult:
     evaluations: int
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel on [lo, hi]: (value, error estimate).
+def _gk15(
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod panels on [lo[i], hi[i]]: (values, error estimates).
 
-    Error model follows the classic QUADPACK rescaling of |K15 - G7| by the
-    panel's total variation, which keeps the estimate honest next to
-    singularities where the raw difference is overly optimistic.
+    All panels' nodes go to f in one flat 1-D call.  Weighted sums are
+    reduced row by row, so a panel's result does not depend on the panels
+    it was batched with.  Error model follows the classic QUADPACK
+    rescaling of |K15 - G7| by the panel's total variation, which keeps the
+    estimate honest next to singularities where the raw difference is
+    overly optimistic.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x = mid + half * _XK
+    x = mid[:, None] + half[:, None] * _XK
     # Keep abscissae strictly interior: panels hugging an endpoint can round
     # nodes onto it, which integrable endpoint singularities cannot tolerate.
+    # A panel only one ulp wide has no interior and is left unclipped.
     lo_in = np.nextafter(lo, hi)
     hi_in = np.nextafter(hi, lo)
-    if lo_in <= hi_in:
-        np.clip(x, lo_in, hi_in, out=x)
-    fx = np.asarray(f(x), dtype=float)
-    sk = float(_WK @ fx)
-    sg = float(_WG @ fx[_GAUSS_IDX])
+    wide = lo_in <= hi_in
+    lo_in = np.where(wide, lo_in, -np.inf)
+    hi_in = np.where(wide, hi_in, np.inf)
+    np.clip(x, lo_in[:, None], hi_in[:, None], out=x)
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    sk = (fx * _WK).sum(axis=1)
+    sg = (fx[:, _GAUSS_IDX] * _WG).sum(axis=1)
     value = sk * half
-    resabs = float(_WK @ np.abs(fx)) * half
-    resasc = float(_WK @ np.abs(fx - 0.5 * sk)) * half
-    err = abs(sk - sg) * half
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, _EPS50 * resabs)
-    return value, err
+    resabs = (np.abs(fx) * _WK).sum(axis=1) * half
+    resasc = (np.abs(fx - 0.5 * sk[:, None]) * _WK).sum(axis=1) * half
+    err = np.abs(sk - sg) * half
+    scaled = (resasc != 0.0) & (err != 0.0)
+    ratio = 200.0 * err[scaled] / resasc[scaled]
+    err[scaled] = resasc[scaled] * np.minimum(1.0, ratio**1.5)
+    return value, np.maximum(err, _EPS50 * resabs)
 
 
 def _adapt(
@@ -128,16 +137,13 @@ def _adapt(
     max_intervals: int,
 ) -> QuadResult:
     """Refine the worst interval until the summed error estimate meets tol."""
-    heap: list[tuple[float, float, float, float, float]] = []
-    total = 0.0
-    total_err = 0.0
-    evals = 0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        val, err = _gk15(f, lo, hi)
-        evals += 15
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, lo, hi, val, err))
+    los = np.array(breakpoints[:-1], dtype=float)
+    his = np.array(breakpoints[1:], dtype=float)
+    vals, errs = _gk15(f, los, his)
+    evals = 15 * len(los)
+    heap = list(zip((-errs).tolist(), los.tolist(), his.tolist(), vals.tolist(), errs.tolist()))
+    heapq.heapify(heap)
+    total_err = sum(errs.tolist())
 
     n_intervals = len(heap)
     while total_err > tol and n_intervals < max_intervals:
@@ -149,24 +155,23 @@ def _adapt(
             if all(item[0] == 0.0 for item in heap):
                 break
             continue
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
+        halves, half_errs = _gk15(f, np.array([lo, mid]), np.array([mid, hi]))
+        (v1, v2), (e1, e2) = halves.tolist(), half_errs.tolist()
         evals += 30
-        total += v1 + v2 - val
         total_err += e1 + e2 - err
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
         n_intervals += 1
 
-    # Recompute the totals from the heap to shed accumulated cancellation.
-    total = math.fsum(item[3] for item in heap)
+    # Re-sum from the heap to shed the running total's accumulated cancellation.
     total_err = math.fsum(item[4] for item in heap)
     if total_err > tol:
         raise QuadratureError(
             f"tolerance {tol:g} not reached: error estimate {total_err:g} "
             f"after {n_intervals} intervals"
         )
-    return QuadResult(value=total, abs_error_estimate=total_err, evaluations=evals)
+    value = math.fsum(item[3] for item in heap)
+    return QuadResult(value=value, abs_error_estimate=total_err, evaluations=evals)
 
 
 def integrate_finite(

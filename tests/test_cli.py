@@ -71,6 +71,11 @@ class TestMomentsCommand:
     def test_invalid_gamma_is_usage_error(self):
         assert main(["moments", "--gamma", "1.5"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_invalid_n_max_is_usage_error(self, value, capsys):
+        assert main(["moments", "--n-max", value]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_json_format(self, capsys):
         rc = main(["moments", "--n-max", "2", "--format", "json"])
         assert rc == EXIT_OK
@@ -132,6 +137,16 @@ class TestReconstructCommand:
 
     def test_explicit_basis_requires_parameters(self):
         assert main(["reconstruct", "--basis", "explicit"]) == EXIT_MATH
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-points", "-3"),
+        ("--grid-points", "0"),
+        ("--order", "-1"),
+        ("--order", "21"),
+    ])
+    def test_invalid_grid_or_order_is_usage_error(self, flag, value, capsys):
+        assert main(["reconstruct", flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_pdf_column_is_eval_pdf(self, tmp_path):
         out = tmp_path / "rec.csv"
@@ -239,6 +254,13 @@ class TestCompareCommand:
         np.testing.assert_allclose(fj_rel, meta_reliability(dist, xs), rtol=1e-12, atol=0.0)
         expected_beta = [1.0 - reg_inc_beta(x, b + 1.0, a + 1.0) for x in xs]
         np.testing.assert_allclose(beta_rel, expected_beta, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("value", ["-1", "21"])
+    def test_invalid_order_is_usage_error(self, tmp_path, value, capsys):
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", "--realizations", "20", "--out", str(samples)]) == EXIT_OK
+        assert main(["compare", "--samples", str(samples), "--order", value]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_zero_threshold_degenerate(self, tmp_path):
         samples = tmp_path / "s.csv"

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate as si
 from scipy.special import erfc
 
+from metadist import moments
 from metadist.quadrature import (
     QuadratureError,
     integrate_finite,
@@ -113,3 +114,46 @@ class TestSemiInfinite:
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 0.0, 1e-10)
         with pytest.raises(ValueError):
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, -1e-10)
+
+
+class TestBatchedPanels:
+    """Many panels per integrand call, with the same panel ladder and counts."""
+
+    def _recording(self, f, shapes):
+        def g(x):
+            shapes.append(np.shape(x))
+            return f(x)
+        return g
+
+    def test_integrand_gets_1d_arrays(self):
+        shapes = []
+        integrate_finite(self._recording(lambda x: x**-0.5, shapes), 0.0, 1.0, 1e-10)
+        integrate_semi_infinite_decaying(self._recording(lambda z: np.exp(-z), shapes),
+                                         1.0, 1e-10)
+        assert shapes and all(len(shape) == 1 for shape in shapes)
+        # Opening panels in one call, then both halves of a bisection per call.
+        assert shapes[0] == (15,)
+        assert set(shapes[1:-2]) == {(30,)}
+        assert shapes[-2:] == [(53 * 15,), (30,)]
+
+    def test_ladder_evaluation_count(self):
+        # The 53-panel dyadic ladder alone meets 1e-9; 1e-10 takes one bisection.
+        f = lambda z: np.exp(-z)
+        assert integrate_semi_infinite_decaying(f, 1.0, 1e-9).evaluations == 53 * 15
+        assert integrate_semi_infinite_decaying(f, 1.0, 1e-10).evaluations == 53 * 15 + 30
+
+    def test_moment_ladder_evaluation_count(self, paper_params, monkeypatch):
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(integrate_semi_infinite_decaying(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", spy)
+        moments.moment_exact(paper_params, 1)
+        assert [r.evaluations for r in results] == [795]
+
+    def test_refined_evaluation_count(self):
+        # 67 bisections of the singular left end: 15 + 67 * 30 evaluations.
+        res = integrate_finite(lambda x: x**-0.5, 0.0, 1.0, 1e-10)
+        assert res.evaluations == 2025

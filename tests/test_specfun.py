@@ -174,3 +174,50 @@ class TestRegIncBeta:
             reg_inc_beta(0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             reg_inc_beta(0.5, 1.0, -2.0)
+
+
+class TestRegIncBetaArray:
+    @settings(max_examples=200)
+    @given(
+        st.floats(0.05, 30.0),
+        st.floats(0.05, 30.0),
+        st.lists(st.floats(0.0, 1.0), max_size=20),
+        st.floats(1e-9, 0.2),
+    )
+    def test_against_scipy(self, a, b, xs, gap):
+        # The endpoints, the continued-fraction split (a+1)/(a+b+2) and
+        # points just either side of it, plus arbitrary lanes.
+        split = (a + 1.0) / (a + b + 2.0)
+        x = np.array([0.0, 1.0, split, max(split - gap, 0.0), min(split + gap, 1.0), *xs])
+        np.testing.assert_allclose(reg_inc_beta(x, a, b), sp.betainc(a, b, x),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        for a, b in [(0.3, 0.7), (2.7, 1.3), (12.0, 40.0)]:
+            split = (a + 1.0) / (a + b + 2.0)
+            xs = np.concatenate([[0.0, 1.0, split, np.nextafter(split, 0.0)],
+                                 rng.uniform(0.0, 1.0, 60), 2.0 ** -np.arange(1.0, 50.0)])
+            vals = reg_inc_beta(xs, a, b)
+            assert vals.shape == xs.shape
+            np.testing.assert_array_equal(vals, [reg_inc_beta(float(x), a, b) for x in xs])
+            np.testing.assert_array_equal(reg_inc_beta(xs[:112].reshape(-1, 4), a, b),
+                                          vals[:112].reshape(-1, 4))
+
+    def test_scalar_in_scalar_out(self):
+        assert type(reg_inc_beta(0.25, 2.0, 3.0)) is float
+        assert reg_inc_beta(np.empty(0), 2.0, 3.0).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_any_bad_lane_raises(self, bad):
+        with pytest.raises(ValueError):
+            reg_inc_beta(np.array([0.2, bad, 0.7]), 2.0, 3.0)
+
+    def test_one_unconverged_lane_raises(self):
+        # At a = b = 1e6 the fraction converges at x = 0.3 but needs far more
+        # than the 500-step cap at x = 0.5.
+        assert reg_inc_beta(0.3, 1e6, 1e6) == 0.0
+        with pytest.raises(ArithmeticError):
+            reg_inc_beta(0.5, 1e6, 1e6)
+        with pytest.raises(ArithmeticError):
+            reg_inc_beta(np.array([0.3, 0.5]), 1e6, 1e6)
