@@ -39,7 +39,7 @@ from .quadrature import (
     integrate_finite,
     integrate_semi_infinite_decaying,
 )
-from .scaling import InfeasibleQosError, QosSpec, markov_lower_bound, min_power
+from .scaling import InfeasibleQosError, QosSpec, min_power
 from .sim import (
     EmpiricalMeta,
     SimConfig,
@@ -50,7 +50,7 @@ from .sim import (
     empirical_reliability,
     run_campaign,
 )
-from .specfun import gauss_2f1, ln_gamma, reg_inc_beta
+from .specfun import gauss_2f1, reg_inc_beta
 
 __version__ = "0.1.0"
 
@@ -84,8 +84,6 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite_decaying",
     "jacobi_poly",
-    "ln_gamma",
-    "markov_lower_bound",
     "meta_reliability",
     "min_power",
     "moment_approx",

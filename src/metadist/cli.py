@@ -151,7 +151,9 @@ def _reconstruction(args: argparse.Namespace) -> jacobi.ReconstructedDistributio
     if args.moments_file is not None:
         seq = _load_moment_file(args.moments_file)
     else:
-        seq = moments.moment_sequence(args.params, args.order)
+        # Moment matching needs mu_1 and mu_2, even below order 2.
+        n_max = args.order if args.basis == "explicit" else max(args.order, 2)
+        seq = moments.moment_sequence(args.params, n_max)
     if args.basis == "explicit":
         if args.alpha is None or args.beta is None:
             raise ValueError("--basis explicit requires --alpha and --beta")
@@ -186,14 +188,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     emp = sim.run_campaign(args.config)
-    sim.write_samples_csv(emp, args.out)
+    samples = emp.ccp_samples
+    sim.write_samples_csv(samples, args.out)
     xs = np.linspace(0.0, 1.0, 101)
     summary = {
         **sim.campaign_to_dict(emp),
-        "empirical_moments": list(sim.empirical_moments(emp, 10).values),
+        "empirical_moments": list(sim.empirical_moments(samples, 10).values),
         "reliability_grid": {
             "x": [float(x) for x in xs],
-            "reliability": [float(v) for v in sim.empirical_reliability(emp, xs)],
+            "reliability": [float(v) for v in sim.empirical_reliability(samples, xs)],
         },
     }
     args.summary_path.write_text(json.dumps(summary, indent=2) + "\n")
@@ -204,21 +207,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     params = args.params
     samples = sim.read_samples_csv(args.samples)
-    emp = sim.EmpiricalMeta(
-        ccp_samples=samples,
-        config=sim.SimConfig(params=params, num_realizations=len(samples)),
-    )
     if params.theta == 0.0:
         # Degenerate scenario: the CCP is identically 1 (point mass), so the
         # reliability is 1 on [0, 1) with no basis to match.
         dist = None
         basis_meta = None
     else:
-        seq = moments.moment_sequence(params, args.order)
+        # Moment matching needs mu_1 and mu_2, even below order 2.
+        seq = moments.moment_sequence(params, max(args.order, 2))
         dist = jacobi.reconstruct(seq, order=args.order)
         basis_meta = {"alpha": dist.basis.alpha, "beta": dist.basis.beta}
     xs = np.linspace(0.01, 0.99, 99)
-    emp_rel = sim.empirical_reliability(emp, xs)
+    emp_rel = sim.empirical_reliability(samples, xs)
     keep = emp_rel >= 0.02
     xs, emp_rel = xs[keep], emp_rel[keep]
     if dist is None:
@@ -237,7 +237,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "scenario": sim.scenario_to_dict(params),
         "order": args.order,
         "basis": basis_meta,
-        "empirical_moments": list(sim.empirical_moments(emp, 10).values),
+        "empirical_moments": list(sim.empirical_moments(samples, 10).values),
         "num_samples": len(samples),
     }
     _emit_table(

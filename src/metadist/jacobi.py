@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import MomentSequence
-from .specfun import binom, ln_gamma, reg_inc_beta
+from .specfun import binom, reg_inc_beta
 
 __all__ = [
     "JacobiBasis",
@@ -144,12 +144,12 @@ def norm_h(alpha: float, beta: float, n: int) -> float:
         raise ValueError(f"norm_h requires n >= 0, got {n}")
     a, b = alpha, beta
     if n == 0:
-        return math.exp(ln_gamma(a + 1.0) + ln_gamma(b + 1.0) - ln_gamma(a + b + 2.0))
+        return math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
     log_h = (
-        ln_gamma(n + a + 1.0)
-        + ln_gamma(n + b + 1.0)
-        - ln_gamma(n + 1.0)
-        - ln_gamma(n + a + b + 2.0)
+        math.lgamma(n + a + 1.0)
+        + math.lgamma(n + b + 1.0)
+        - math.lgamma(n + 1.0)
+        - math.lgamma(n + a + b + 2.0)
     )
     return math.exp(log_h) * (n + a + b + 1.0) / (2.0 * n + a + b + 1.0)
 
@@ -250,7 +250,7 @@ def eval_pdf(dist: ReconstructedDistribution, x):
         raise ValueError("pdf is defined on the open interval (0, 1)")
     basis = dist.basis
     polys = _jacobi_all(basis.alpha, basis.beta, basis.order, arr)
-    series = np.asarray(dist.coefficients) @ polys
+    series = np.tensordot(dist.coefficients, polys, axes=1)
     vals = _weight(basis.alpha, basis.beta, arr) * series
     return float(vals[0]) if np.asarray(x).ndim == 0 else vals
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_TOL, integrate_semi_infinite_decaying
-from .specfun import gauss_2f1, ln_gamma
+from .specfun import gauss_2f1
 
 __all__ = [
     "SystemParams",
@@ -111,13 +111,10 @@ class MomentSequence:
     values[0] is always 1; subsequent values lie in (0, 1] and are
     nonincreasing.  `method` records provenance: exact quadrature, the
     closed-form approximation, or empirical averages from the simulator.
-    `params` is None for sequences that did not come from the Poisson model
-    (e.g. reference beta moments in tests).
     """
 
     values: tuple[float, ...]
     method: str
-    params: SystemParams | None = None
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
@@ -146,8 +143,6 @@ def rho_n(params: SystemParams, n: int) -> float:
     """Interference scaling rho_n = 2F1(n, -2/gamma; 1-2/gamma; -theta) - 1."""
     if n < 1:
         raise ValueError(f"rho_n requires n >= 1, got {n}")
-    if params.theta == 0.0:
-        return 0.0
     g = params.gamma_pl
     return gauss_2f1(float(n), -2.0 / g, 1.0 - 2.0 / g, -params.theta) - 1.0
 
@@ -190,11 +185,9 @@ def moment_approx(params: SystemParams, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"moment_approx requires n >= 1, got {n}")
-    if params.theta == 0.0:
-        return 1.0
     c = coeffs(params, n)
     g = params.gamma_pl
-    denom = c.a_coef + g * c.b_coef ** (2.0 / g) / (2.0 * math.exp(ln_gamma(2.0 / g)))
+    denom = c.a_coef + g * c.b_coef ** (2.0 / g) / (2.0 * math.gamma(2.0 / g))
     return math.pi * params.lambda_bs / denom
 
 
@@ -213,7 +206,7 @@ def moment_sequence(
         values = [1.0] + [moment_approx(params, n) for n in range(1, n_max + 1)]
     else:
         raise ValueError(f"moment_sequence cannot compute method {method!r}")
-    return MomentSequence(values=tuple(values), method=method, params=params)
+    return MomentSequence(values=tuple(values), method=method)
 
 
 def big_m_constant(gamma_pl: float) -> float:
@@ -225,7 +218,7 @@ def big_m_constant(gamma_pl: float) -> float:
     if not gamma_pl > 2.0:
         raise ValueError(f"big_m_constant requires gamma_pl > 2, got {gamma_pl}")
     g = gamma_pl
-    min_f = (1.0 - g / 2.0) / math.exp(ln_gamma(2.0 / g)) ** (g / (g - 2.0))
+    min_f = (1.0 - g / 2.0) / math.gamma(2.0 / g) ** (g / (g - 2.0))
     return math.exp(-min_f)
 
 
@@ -250,9 +243,9 @@ def approx_error_bound(a_coef: float, b_coef: float, gamma_pl: float) -> float:
     if b_coef == 0.0:
         return 0.0
     g = gamma_pl
-    gamma_2g = math.exp(ln_gamma(2.0 / g))
+    gamma_2g = math.gamma(2.0 / g)
     b_pow = b_coef ** (2.0 / g)
     k = a_coef + g * b_pow / (2.0 * gamma_2g)
     m = big_m_constant(g)
-    bracket = b_pow / (gamma_2g * k) + math.exp(ln_gamma(g / 2.0)) * (b_pow / k) ** (g / 2.0)
+    bracket = b_pow / (gamma_2g * k) + math.gamma(g / 2.0) * (b_pow / k) ** (g / 2.0)
     return g * m / (2.0 * k) * bracket

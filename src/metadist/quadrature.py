@@ -81,7 +81,11 @@ _EPS50 = 50.0 * np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the requested tolerance is unreachable within budget."""
+    """Raised when the requested tolerance is unreachable within budget.
+
+    A NaN or infinite integrand value makes the error estimate NaN, which
+    never meets the tolerance, so it raises this too.
+    """
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ def _adapt(
 
     # Re-sum from the heap to shed the running total's accumulated cancellation.
     total_err = math.fsum(item[4] for item in heap)
-    if total_err > tol:
+    if not total_err <= tol:
         raise QuadratureError(
             f"tolerance {tol:g} not reached: error estimate {total_err:g} "
             f"after {n_intervals} intervals"
@@ -187,7 +191,8 @@ def integrate_finite(
     integrable singularities at the endpoints (they are never sampled).
 
     Raises:
-        QuadratureError: tolerance unmet after the subdivision budget.
+        QuadratureError: tolerance unmet after the subdivision budget, or a
+            NaN or infinite integrand value.
     """
     if not lo < hi:
         raise ValueError(f"integrate_finite requires lo < hi, got [{lo}, {hi}]")

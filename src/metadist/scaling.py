@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .moments import SystemParams, rho_n
-from .specfun import ln_gamma
 
-__all__ = ["QosSpec", "InfeasibleQosError", "markov_lower_bound", "min_power"]
+__all__ = ["QosSpec", "InfeasibleQosError", "min_power"]
 
 
 class InfeasibleQosError(ValueError):
@@ -37,18 +36,6 @@ class QosSpec:
             raise ValueError(f"x_rel must lie in (0, 1), got {self.x_rel}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-
-
-def markov_lower_bound(mu2: float, x: float) -> float:
-    """Lower Markov bound P(C >= x) >= mu_2 - x^2 for C supported on [0, 1].
-
-    Vacuous (negative) when mu_2 < x^2; the raw value is returned either way.
-    """
-    if not 0.0 <= mu2 <= 1.0:
-        raise ValueError(f"mu2 must lie in [0, 1], got {mu2}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return mu2 - x * x
 
 
 def min_power(params: SystemParams, qos: QosSpec) -> float:
@@ -80,7 +67,7 @@ def min_power(params: SystemParams, qos: QosSpec) -> float:
     if params.theta == 0.0 or params.noise == 0.0:
         return 0.0
     g = params.gamma_pl
-    gamma_2g = math.exp(ln_gamma(2.0 / g))
+    gamma_2g = math.gamma(2.0 / g)
     c = (
         2.0
         * math.pi

@@ -12,6 +12,10 @@ serving as a cross-check on the analytic path.
 A realization is the vector of BS distances from the user: both paths
 depend on the geometry only through it, so no angles are drawn.
 
+The statistics (empirical moments and reliability) and the samples CSV work
+on the array of CCP samples alone, wherever it came from.  A campaign is
+stored as that CSV plus the JSON record of `campaign_to_dict`.
+
 Determinism: every realization derives its own generator from
 (seed, realization index, redraw attempt), so campaigns are reproducible
 bit-for-bit regardless of execution order.  Sampled-mode channel draws
@@ -21,7 +25,6 @@ angles there, so their sampled-mode values for a given seed differ.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,8 +46,6 @@ __all__ = [
     "read_samples_csv",
     "scenario_to_dict",
     "campaign_to_dict",
-    "write_campaign_json",
-    "read_campaign_json",
 ]
 
 FADING_ANALYTIC = "analytic"
@@ -185,39 +186,47 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     return EmpiricalMeta(ccp_samples=samples, config=config, redraws=redraws)
 
 
-def empirical_moments(emp: EmpiricalMeta, max_n: int) -> MomentSequence:
-    """Sample moments mu_hat_n = mean(c^n) for n = 0..max_n."""
+def empirical_moments(samples: np.ndarray, max_n: int) -> MomentSequence:
+    """Sample moments mu_hat_n = mean(c^n) of CCP samples c, for n = 0..max_n."""
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    c = emp.ccp_samples
-    values = tuple(float(np.mean(c**n)) for n in range(max_n + 1))
-    return MomentSequence(values=values, method=METHOD_EMPIRICAL, params=emp.config.params)
+    values = tuple(float(np.mean(samples**n)) for n in range(max_n + 1))
+    return MomentSequence(values=values, method=METHOD_EMPIRICAL)
 
 
-def empirical_reliability(emp: EmpiricalMeta, x) -> float | np.ndarray:
-    """Fraction of realizations with CCP strictly above x; scalar or ndarray."""
+def empirical_reliability(samples: np.ndarray, x) -> float | np.ndarray:
+    """Fraction of CCP samples strictly above x; scalar or ndarray x."""
     xs = np.asarray(x, dtype=float)
-    result = np.mean(emp.ccp_samples > xs[..., None], axis=-1)
+    result = np.mean(samples > xs[..., None], axis=-1)
     return float(result) if xs.ndim == 0 else result
 
 
-def write_samples_csv(emp: EmpiricalMeta, path: str | Path) -> None:
+def write_samples_csv(samples: np.ndarray, path: str | Path) -> None:
     """One CCP sample per row under a single `ccp` header column."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ccp"])
-        for value in emp.ccp_samples:
+        for value in samples:
             writer.writerow([repr(float(value))])
 
 
 def read_samples_csv(path: str | Path) -> np.ndarray:
-    """Read a samples file written by write_samples_csv."""
+    """Read a samples file written by write_samples_csv.
+
+    Raises:
+        ValueError: no `ccp` header, no samples, or a sample outside [0, 1].
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[0] != "ccp":
             raise ValueError(f"{path}: not a CCP samples file (missing 'ccp' header)")
-        return np.array([float(row[0]) for row in reader if row])
+        samples = np.array([float(row[0]) for row in reader if row])
+    if samples.size == 0:
+        raise ValueError("need at least one realization, got 0")
+    if np.any((samples < 0.0) | (samples > 1.0)):
+        raise ValueError("CCP samples must lie in [0, 1]")
+    return samples
 
 
 # The one key table for every scenario and campaign record: (JSON key, attribute).
@@ -250,25 +259,3 @@ def campaign_to_dict(emp: EmpiricalMeta) -> dict:
         "config": {key: getattr(cfg, attr) for key, attr in _CONFIG_KEYS},
         "diagnostics": {"redraws": emp.redraws},
     }
-
-
-def write_campaign_json(emp: EmpiricalMeta, path: str | Path) -> None:
-    """campaign_to_dict plus the CCP samples."""
-    doc = {**campaign_to_dict(emp), "samples": [float(v) for v in emp.ccp_samples]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def read_campaign_json(path: str | Path) -> EmpiricalMeta:
-    """Rebuild an EmpiricalMeta from write_campaign_json output."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    params = SystemParams(**{attr: doc["scenario"][key] for key, attr in _SCENARIO_KEYS})
-    config = SimConfig(params=params,
-                       **{attr: doc["config"][key] for key, attr in _CONFIG_KEYS})
-    return EmpiricalMeta(
-        ccp_samples=np.array(doc["samples"], dtype=float),
-        config=config,
-        redraws=doc["diagnostics"]["redraws"],
-    )

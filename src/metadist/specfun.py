@@ -1,9 +1,9 @@
 """Special functions used throughout the toolkit.
 
-Everything here is a pure function: log-gamma, generalized binomial
-coefficients and the Gauss hypergeometric function 2F1 (restricted to
-non-positive real argument) over Python floats, and the regularized
-incomplete beta function over a scalar or ndarray x.  The 2F1 restriction
+Everything here is a pure function: generalized binomial coefficients and
+the Gauss hypergeometric function 2F1 (restricted to non-positive real
+argument) over Python floats, and the regularized incomplete beta function
+over a scalar or ndarray x.  Gamma and log-gamma come straight from `math`.  The 2F1 restriction
 is deliberate: the only regime the rest of the package needs is z = -theta
 with theta >= 0.
 """
@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "ln_gamma",
     "binom",
     "gauss_2f1",
     "reg_inc_beta",
@@ -22,16 +21,6 @@ __all__ = [
 
 _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 10_000
-
-
-def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Relative error is at machine level (<= 1e-13 over [1e-3, 1e3]).
-    """
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def binom(r: float, k: int) -> float:

@@ -142,7 +142,7 @@ def test_criterion_5_reliability_curve_reproduction():
     emp = sim.run_campaign(sim.SimConfig(params=PAPER, num_realizations=2000,
                                          rng_seed=42))
     xs = np.linspace(0.05, 0.95, 19)
-    emp_rel = sim.empirical_reliability(emp, xs)
+    emp_rel = sim.empirical_reliability(emp.ccp_samples, xs)
     fj_rel = np.array([float(jacobi.meta_reliability(dist, float(x))) for x in xs])
     beta_rel = np.array(
         [1.0 - reg_inc_beta(float(x), basis.beta + 1.0, basis.alpha + 1.0) for x in xs]
@@ -208,7 +208,7 @@ def test_criterion_7_power_scaling_law():
     inversion_dev = abs(mu2 - target) / target
     emp = sim.run_campaign(sim.SimConfig(params=tuned, num_realizations=2000,
                                          rng_seed=7))
-    reliability = float(sim.empirical_reliability(emp, qos.x_rel))
+    reliability = float(sim.empirical_reliability(emp.ccp_samples, qos.x_rel))
     ok = worst_slope <= 1e-6 and inversion_dev <= 1e-9 and reliability >= 1.0 - qos.epsilon
     _finish(7, "power scaling law", t0, 120.0, ok,
             f"slope dev {worst_slope:.2e} (<=1e-6), "
@@ -220,7 +220,7 @@ def test_criterion_8_simulator_self_consistency():
     t0 = time.perf_counter()
     cfg = sim.SimConfig(params=PAPER, num_realizations=5000, rng_seed=42)
     emp = sim.run_campaign(cfg)
-    seq = sim.empirical_moments(emp, 2)
+    seq = sim.empirical_moments(emp.ccp_samples, 2)
     devs = []
     for n in (1, 2):
         exact = moments.moment_exact(PAPER, n, 1e-12)

@@ -148,6 +148,22 @@ class TestReconstructCommand:
         assert main(["reconstruct", flag, value]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_low_order_succeeds(self, order, capsys):
+        assert main(["reconstruct", "--order", order, "--grid-points", "3"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_order_zero_is_matched_beta(self, tmp_path):
+        out = tmp_path / "rec.csv"
+        rc = main(["reconstruct", "--order", "0", "--grid-points", "21", "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        basis = json.loads((tmp_path / "rec.csv.meta.json").read_text())["basis"]
+        xs = np.array([float(row[0]) for row in rows])
+        cdf = np.array([float(row[2]) for row in rows])
+        expected = reg_inc_beta(xs, basis["beta"] + 1.0, basis["alpha"] + 1.0)
+        np.testing.assert_allclose(cdf, expected, rtol=0.0, atol=1e-12)
+
     def test_pdf_column_is_eval_pdf(self, tmp_path):
         out = tmp_path / "rec.csv"
         rc = main(["reconstruct", "--order", "10", "--grid-points", "41", "--out", str(out)])
@@ -244,7 +260,7 @@ class TestCompareCommand:
         # The printed grid is the 0.01..0.99 grid where the empirical curve is >= 0.02.
         grid = np.linspace(0.01, 0.99, 99)
         cfg = SimConfig(params=_default_scenario(), num_realizations=300, rng_seed=2)
-        grid_rel = empirical_reliability(run_campaign(cfg), grid)
+        grid_rel = empirical_reliability(run_campaign(cfg).ccp_samples, grid)
         np.testing.assert_array_equal(xs, grid[grid_rel >= 0.02])
         np.testing.assert_array_equal(emp_rel, grid_rel[grid_rel >= 0.02])
         dist = reconstruct(moment_sequence(_default_scenario(), 8), order=8)
@@ -260,6 +276,35 @@ class TestCompareCommand:
         samples = tmp_path / "s.csv"
         assert main(["simulate", "--realizations", "20", "--out", str(samples)]) == EXIT_OK
         assert main(["compare", "--samples", str(samples), "--order", value]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_low_order_succeeds(self, tmp_path, order):
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", "--realizations", "50", "--out", str(samples)]) == EXIT_OK
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--samples", str(samples), "--order", order,
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        assert len(rows) > 0
+
+    def test_order_zero_fj_is_beta(self, tmp_path):
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", "--realizations", "300", "--seed", "2",
+                     "--out", str(samples)]) == EXIT_OK
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--samples", str(samples), "--order", "0",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        beta_rel = np.array([float(row[2]) for row in rows])
+        fj_rel = np.array([float(row[3]) for row in rows])
+        np.testing.assert_allclose(fj_rel, beta_rel, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("content", ["ccp\n", "ccp\n0.5\n1.5\n", "ccp\n-0.1\n"])
+    def test_invalid_samples_is_math_error(self, tmp_path, content, capsys):
+        samples = tmp_path / "s.csv"
+        samples.write_text(content)
+        assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
         assert capsys.readouterr().out == ""
 
     def test_zero_threshold_degenerate(self, tmp_path):

@@ -252,6 +252,13 @@ class TestPdf:
         ).value
         assert mass == pytest.approx(1.0, abs=1e-8)
 
+    def test_2d_input_matches_flat_call(self, paper_params):
+        dist = reconstruct(moment_sequence(paper_params, 6), order=6)
+        xs = np.array([[0.1, 0.35, 0.5], [0.62, 0.8, 0.97]])
+        vals = eval_pdf(dist, xs)
+        assert vals.shape == (2, 3)
+        np.testing.assert_array_equal(vals, eval_pdf(dist, xs.ravel()).reshape(2, 3))
+
     def test_open_interval_only(self):
         dist = _beta_27_13_distribution()
         with pytest.raises(ValueError):

@@ -65,6 +65,11 @@ class TestFinite:
         with pytest.raises(ValueError):
             integrate_finite(lambda x: x, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_integrand_raises(self, value):
+        with np.errstate(invalid="ignore"), pytest.raises(QuadratureError):
+            integrate_finite(lambda x: np.full_like(x, value), 0.0, 1.0)
+
 
 class TestSemiInfinite:
     def test_plain_exponential(self):
@@ -114,6 +119,13 @@ class TestSemiInfinite:
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 0.0, 1e-10)
         with pytest.raises(ValueError):
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, -1e-10)
+
+
+    def test_nan_tail_raises(self):
+        with np.errstate(invalid="ignore"), pytest.raises(QuadratureError):
+            integrate_semi_infinite_decaying(
+                lambda z: np.where(z > 1.0, np.nan, np.exp(-z)), 1.0
+            )
 
 
 class TestBatchedPanels:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from metadist.moments import SystemParams, moment_approx, rho_n
-from metadist.scaling import InfeasibleQosError, QosSpec, markov_lower_bound, min_power
+from metadist.scaling import InfeasibleQosError, QosSpec, min_power
 
 
 class TestQosSpec:
@@ -16,21 +16,6 @@ class TestQosSpec:
             QosSpec(x_rel=0.5, epsilon=0.0)
         with pytest.raises(ValueError):
             QosSpec(x_rel=0.5, epsilon=1.0)
-
-
-class TestMarkovBound:
-    def test_examples(self):
-        assert markov_lower_bound(1.0, 0.0) == 1.0
-        assert markov_lower_bound(0.5, 0.6) == pytest.approx(0.14)
-
-    def test_vacuous_allowed(self):
-        assert markov_lower_bound(0.1, 0.9) < 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            markov_lower_bound(1.5, 0.5)
-        with pytest.raises(ValueError):
-            markov_lower_bound(0.5, 1.5)
 
 
 class TestMinPower:

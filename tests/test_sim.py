@@ -15,10 +15,8 @@ from metadist.sim import (
     draw_ppp,
     empirical_moments,
     empirical_reliability,
-    read_campaign_json,
     read_samples_csv,
     run_campaign,
-    write_campaign_json,
     write_samples_csv,
 )
 from metadist.sim import _realization_rng
@@ -193,29 +191,29 @@ class TestEmpiricalStatistics:
     def test_all_ones(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=3)
         emp = EmpiricalMeta(ccp_samples=np.ones(3), config=cfg)
-        seq = empirical_moments(emp, 4)
+        seq = empirical_moments(emp.ccp_samples, 4)
         assert seq.method == METHOD_EMPIRICAL
         assert all(v == 1.0 for v in seq.values)
 
     def test_hand_arithmetic(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=2)
         emp = EmpiricalMeta(ccp_samples=np.array([0.2, 0.8]), config=cfg)
-        seq = empirical_moments(emp, 2)
+        seq = empirical_moments(emp.ccp_samples, 2)
         assert seq[1] == pytest.approx(0.5)
         assert seq[2] == pytest.approx(0.34)
-        assert empirical_reliability(emp, 0.5) == 0.5
-        assert empirical_reliability(emp, 0.0) == 1.0
-        assert empirical_reliability(emp, 1.0) == 0.0
+        assert empirical_reliability(emp.ccp_samples, 0.5) == 0.5
+        assert empirical_reliability(emp.ccp_samples, 0.0) == 1.0
+        assert empirical_reliability(emp.ccp_samples, 1.0) == 0.0
 
     def test_reliability_strictness(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=2)
         emp = EmpiricalMeta(ccp_samples=np.array([0.5, 0.7]), config=cfg)
-        assert empirical_reliability(emp, 0.5) == 0.5
+        assert empirical_reliability(emp.ccp_samples, 0.5) == 0.5
 
     def test_vectorized_reliability(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=4)
         emp = EmpiricalMeta(ccp_samples=np.array([0.1, 0.4, 0.6, 0.9]), config=cfg)
-        grid = empirical_reliability(emp, np.array([0.0, 0.5, 0.95]))
+        grid = empirical_reliability(emp.ccp_samples, np.array([0.0, 0.5, 0.95]))
         assert grid == pytest.approx([1.0, 0.5, 0.0])
 
 
@@ -223,7 +221,7 @@ class TestSerialization:
     def test_csv_round_trip(self, paper_params, tmp_path):
         emp = run_campaign(SimConfig(params=paper_params, num_realizations=100, rng_seed=8))
         path = tmp_path / "samples.csv"
-        write_samples_csv(emp, path)
+        write_samples_csv(emp.ccp_samples, path)
         back = read_samples_csv(path)
         assert np.array_equal(back, emp.ccp_samples)
 
@@ -233,13 +231,9 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_samples_csv(path)
 
-    def test_json_round_trip(self, paper_params, tmp_path):
-        emp = run_campaign(SimConfig(params=paper_params, num_realizations=50,
-                                     rng_seed=13, fading_mode="sampled",
-                                     num_channel_draws=50))
-        path = tmp_path / "campaign.json"
-        write_campaign_json(emp, path)
-        back = read_campaign_json(path)
-        assert np.array_equal(back.ccp_samples, emp.ccp_samples)
-        assert back.config == emp.config
-        assert back.redraws == emp.redraws
+    @pytest.mark.parametrize("content", ["ccp\n", "ccp\n0.5\n1.5\n", "ccp\n-0.1\n"])
+    def test_samples_checked(self, tmp_path, content):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with pytest.raises(ValueError):
+            read_samples_csv(path)

@@ -9,27 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from metadist.specfun import binom, gauss_2f1, ln_gamma, reg_inc_beta
+from metadist.specfun import binom, gauss_2f1, reg_inc_beta
 
 from oracles import jacobi_poly_explicit, rho_quadrature, rising_factorial
-
-
-class TestLnGamma:
-    def test_known_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_accuracy_over_range(self):
-        for x in np.logspace(-3, 3, 200):
-            ref = sp.gammaln(x)
-            scale = max(1.0, abs(ref))
-            assert abs(ln_gamma(float(x)) - ref) <= 1e-13 * scale
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain_error(self, x):
-        with pytest.raises(ValueError):
-            ln_gamma(x)
 
 
 class TestRisingFactorial:
