@@ -336,7 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse exits on bad arguments and --help; in-process callers get the code.
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     # Build and validate the user-supplied physics/QoS/campaign once, up front,
     # so bad arguments exit with the usage code rather than the math-failure code.
     try:

@@ -240,8 +240,6 @@ def approx_error_bound(a_coef: float, b_coef: float, gamma_pl: float) -> float:
         raise ValueError(f"b_coef must be nonnegative, got {b_coef}")
     if not gamma_pl > 2.0:
         raise ValueError(f"gamma_pl must exceed 2, got {gamma_pl}")
-    if b_coef == 0.0:
-        return 0.0
     g = gamma_pl
     gamma_2g = math.gamma(2.0 / g)
     b_pow = b_coef ** (2.0 / g)

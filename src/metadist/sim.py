@@ -19,8 +19,7 @@ stored as that CSV plus the JSON record of `campaign_to_dict`.
 Determinism: every realization derives its own generator from
 (seed, realization index, redraw attempt), so campaigns are reproducible
 bit-for-bit regardless of execution order.  Sampled-mode channel draws
-follow the distance draws on that generator; earlier versions also drew BS
-angles there, so their sampled-mode values for a given seed differ.
+follow the distance draws on that generator.
 """
 from __future__ import annotations
 
@@ -133,8 +132,7 @@ def ccp_analytic(distances: np.ndarray, params: SystemParams) -> float:
     others = np.delete(r, serving)
     g = params.gamma_pl
     log_c = -params.theta * params.noise * r0**g / params.power
-    if others.size:
-        log_c -= float(np.sum(np.log1p(params.theta * (r0 / others) ** g)))
+    log_c -= float(np.sum(np.log1p(params.theta * (r0 / others) ** g)))
     return float(np.exp(log_c))
 
 
@@ -144,17 +142,20 @@ def ccp_sampled(
     num_draws: int,
     rng: np.random.Generator,
 ) -> float:
-    """Fraction of i.i.d. Rayleigh channel draws with SINR above threshold."""
+    """Fraction of i.i.d. Rayleigh channel draws with SINR above threshold.
+
+    A draw is covered when S > theta (I + sigma2), which needs no division:
+    a lone noise-free BS (I + sigma2 = 0) covers every draw.
+    """
     if num_draws < 1:
         raise ValueError(f"need at least one channel draw, got {num_draws}")
     r = _nonempty(distances)
     serving = int(np.argmin(r))
     gains = rng.exponential(1.0, size=(num_draws, r.size))
-    received = gains * (r ** -params.gamma_pl * params.power)
-    signal = received[:, serving]
-    interference = received.sum(axis=1) - signal
-    sinr = signal / (interference + params.noise)
-    return float(np.mean(sinr > params.theta))
+    weights = params.power * r ** -params.gamma_pl
+    signal = gains[:, serving] * weights[serving]
+    weights[serving] = 0.0
+    return float(np.mean(signal > params.theta * (gains @ weights + params.noise)))
 
 
 def _realization_rng(config: SimConfig, index: int, attempt: int) -> np.random.Generator:
@@ -229,26 +230,15 @@ def read_samples_csv(path: str | Path) -> np.ndarray:
     return samples
 
 
-# The one key table for every scenario and campaign record: (JSON key, attribute).
-_SCENARIO_KEYS = (
-    ("lambda_bs", "lambda_bs"),
-    ("gamma_pl", "gamma_pl"),
-    ("theta", "theta"),
-    ("power_mw", "power"),
-    ("noise_mw", "noise"),
-)
-_CONFIG_KEYS = (
-    ("num_realizations", "num_realizations"),
-    ("region_radius_m", "region_radius"),
-    ("fading_mode", "fading_mode"),
-    ("num_channel_draws", "num_channel_draws"),
-    ("rng_seed", "rng_seed"),
-)
-
-
 def scenario_to_dict(params: SystemParams) -> dict:
     """JSON-ready view of a scenario, in linear units (mW, per m^2)."""
-    return {key: getattr(params, attr) for key, attr in _SCENARIO_KEYS}
+    return {
+        "lambda_bs": params.lambda_bs,
+        "gamma_pl": params.gamma_pl,
+        "theta": params.theta,
+        "power_mw": params.power,
+        "noise_mw": params.noise,
+    }
 
 
 def campaign_to_dict(emp: EmpiricalMeta) -> dict:
@@ -256,6 +246,12 @@ def campaign_to_dict(emp: EmpiricalMeta) -> dict:
     cfg = emp.config
     return {
         "scenario": scenario_to_dict(cfg.params),
-        "config": {key: getattr(cfg, attr) for key, attr in _CONFIG_KEYS},
+        "config": {
+            "num_realizations": cfg.num_realizations,
+            "region_radius_m": cfg.region_radius,
+            "fading_mode": cfg.fading_mode,
+            "num_channel_draws": cfg.num_channel_draws,
+            "rng_seed": cfg.rng_seed,
+        },
         "diagnostics": {"redraws": emp.redraws},
     }

@@ -26,18 +26,11 @@ _SERIES_MAX_TERMS = 10_000
 def binom(r: float, k: int) -> float:
     """Generalized binomial coefficient C(r, k) for real r and integer k >= 0.
 
-    Computed as Gamma(r+1) / (Gamma(k+1) Gamma(r-k+1)) in log space when all
-    gamma arguments are positive, falling back to the defining product
-    prod_{j<k} (r-j)/(j+1) otherwise (r may be any real).
+    The defining product prod_{j<k} (r-j)/(j+1), valid for every real r,
+    including the negative integers where a gamma ratio has poles.
     """
     if k < 0:
         raise ValueError(f"binom requires k >= 0, got {k}")
-    if k == 0:
-        return 1.0
-    if r + 1.0 > 0.0 and r - k + 1.0 > 0.0:
-        return math.exp(
-            math.lgamma(r + 1.0) - math.lgamma(k + 1.0) - math.lgamma(r - k + 1.0)
-        )
     out = 1.0
     for j in range(k):
         out *= (r - j) / (j + 1.0)

@@ -7,11 +7,14 @@ max_exp_neg_f maximizes by grid search plus golden-section refinement rather
 than using the closed-form minimum, and jacobi_poly_explicit sums the
 binomial form of the polynomial instead of running the three-term recurrence.
 rising_factorial is the plain Pochhammer product, which the package itself
-never needs.
+never needs.  binom_exact is the binomial coefficient in exact rational
+arithmetic, and ccp_sampled_reference sums each draw's interference over the
+other base stations one by one instead of taking a matrix-vector product.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,6 +44,33 @@ def rising_factorial(a: float, n: int) -> float:
     for k in range(n):
         out *= a + k
     return out
+
+
+def binom_exact(r: float, k: int) -> Fraction:
+    """C(r, k) = prod_{j<k} (r-j)/(j+1) in exact rationals, for the float r."""
+    out = Fraction(1)
+    for j in range(k):
+        out *= (Fraction(r) - j) / (j + 1)
+    return out
+
+
+def ccp_sampled_reference(distances, params, num_draws: int, rng) -> float:
+    """Sampled CCP with each draw's interference summed over the other BSs.
+
+    Draws the same (num_draws, N) exponential gains as `sim.ccp_sampled` from
+    `rng`, and counts the draws with S > theta (I + sigma2), where S is the
+    nearest BS's received power and I the exactly rounded (`math.fsum`) sum of
+    the others'.  No division, so a single noise-free BS covers every draw.
+    """
+    r = np.asarray(distances, dtype=float)
+    gains = rng.exponential(1.0, size=(num_draws, r.size))
+    serving = int(np.argmin(r))
+    covered = 0
+    for row in gains:
+        received = row * params.power * r**-params.gamma_pl
+        interference = math.fsum(np.delete(received, serving))
+        covered += received[serving] > params.theta * (interference + params.noise)
+    return covered / num_draws
 
 
 def jacobi_poly_explicit(alpha: float, beta: float, n: int, x: float) -> float:

@@ -139,7 +139,7 @@ def test_criterion_5_reliability_curve_reproduction():
     seq = moments.moment_sequence(PAPER, 10)
     dist = jacobi.reconstruct(seq, order=10)
     basis = dist.basis
-    emp = sim.run_campaign(sim.SimConfig(params=PAPER, num_realizations=2000,
+    emp = sim.run_campaign(sim.SimConfig(params=PAPER, num_realizations=100_000,
                                          rng_seed=42))
     xs = np.linspace(0.05, 0.95, 19)
     emp_rel = sim.empirical_reliability(emp.ccp_samples, xs)

@@ -40,6 +40,23 @@ class TestUnitConversions:
         assert mw_to_dbm(0.0) == float("-inf")
 
 
+class TestArgumentParsing:
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--method", "bogus"],
+        ["moments", "--n-max", "x"],
+        [],
+    ])
+    def test_parse_error_returns_usage_code(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_help_returns_ok(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: metadist")
+
+
 class TestMomentsCommand:
     def test_zero_threshold_all_ones(self, tmp_path):
         out = tmp_path / "m.csv"

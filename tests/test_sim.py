@@ -1,6 +1,7 @@
 """Point-process simulator: geometry, per-realization coverage, campaign
 determinism, and statistical agreement with the analytic moments."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from metadist.sim import (
     write_samples_csv,
 )
 from metadist.sim import _realization_rng
+
+from oracles import ccp_sampled_reference
 
 
 class TestConfigValidation:
@@ -136,6 +139,33 @@ class TestCcpSampled:
             if abs(sampled - exact) > 4.0 * se:
                 violations += 1
         assert violations == 0
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0])
+    def test_matches_explicit_interference_sum(self, theta):
+        p = SystemParams(1e-3, 5.0, theta, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=1, rng_seed=42)
+        for i in range(4):
+            r = draw_ppp(cfg, _realization_rng(cfg, i, 0))
+            got = ccp_sampled(r, p, 700, np.random.default_rng([42, i]))
+            assert got == ccp_sampled_reference(r, p, 700, np.random.default_rng([42, i]))
+
+    def test_single_station_noise_only(self):
+        # At r = 100 m the mean SNR is 100^-5 / 1e-10 = 1, so about e^-1 of
+        # the draws clear theta = 1.
+        p = SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
+        r = np.array([100.0])
+        got = ccp_sampled(r, p, 500, np.random.default_rng(8))
+        assert got == ccp_sampled_reference(r, p, 500, np.random.default_rng(8))
+        assert 0.25 < got < 0.5
+
+    def test_single_station_noise_free(self):
+        p = SystemParams(1e-3, 5.0, 1.0, 1.0, 0.0)
+        r = np.array([100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ccp_sampled(r, p, 500, np.random.default_rng(8))
+        assert got == 1.0
+        assert ccp_sampled_reference(r, p, 500, np.random.default_rng(8)) == 1.0
 
     def test_standard_error_budget(self):
         # se = sqrt(p(1-p)/700) is maximized at p = 1/2.

@@ -2,6 +2,7 @@
 integrals (dual-route: our series/continued-fraction code vs independent
 oracles)."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import special as sp
 
 from metadist.specfun import binom, gauss_2f1, reg_inc_beta
 
-from oracles import jacobi_poly_explicit, rho_quadrature, rising_factorial
+from oracles import binom_exact, jacobi_poly_explicit, rho_quadrature, rising_factorial
 
 
 class TestRisingFactorial:
@@ -52,6 +53,18 @@ class TestBinom:
         # Product form: C(-1, 0) = 1, C(-2, 3) = (-2)(-3)(-4)/3! = -4.
         assert binom(-1.0, 0) == 1.0
         assert binom(-2.0, 3) == pytest.approx(-4.0, rel=1e-14)
+
+    def test_exact_on_jacobi_arguments(self):
+        # The Fourier-Jacobi coefficients call binom(n + alpha, k) with
+        # k <= n <= 20 and alpha > -1; compare with exact rationals there.
+        worst = 0.0
+        for a in np.linspace(-0.99, 40.0, 40):
+            for n in range(21):
+                r = n + float(a)
+                for k in range(n + 1):
+                    exact = binom_exact(r, k)
+                    worst = max(worst, float(abs(Fraction(binom(r, k)) - exact) / exact))
+        assert worst <= 4e-15
 
 
 class TestGauss2F1:
