@@ -10,6 +10,9 @@ rising_factorial is the plain Pochhammer product, which the package itself
 never needs.  binom_exact is the binomial coefficient in exact rational
 arithmetic, and ccp_sampled_reference sums each draw's interference over the
 other base stations one by one instead of taking a matrix-vector product.
+ccp_analytic_reference is the defining product over interferers in plain
+distances, one Python term at a time, where the simulator's kernel works on
+squared normalised distances a block of realizations at a time.
 """
 from __future__ import annotations
 
@@ -52,6 +55,24 @@ def binom_exact(r: float, k: int) -> Fraction:
     for j in range(k):
         out *= (Fraction(r) - j) / (j + 1)
     return out
+
+
+def ccp_analytic_reference(distances, params) -> float:
+    """C = exp(-theta sigma2 r0^gamma / p) prod_i 1 / (1 + theta (r0/r_i)^gamma).
+
+    r0 is the nearest distance and the product runs over every other BS.  The
+    logs of the factors are added with `math.fsum`, so the only rounding left
+    is in each factor and in the final exp.
+    """
+    r = [float(v) for v in distances]
+    serving = min(range(len(r)), key=r.__getitem__)
+    r0 = r[serving]
+    g = params.gamma_pl
+    logs = [-params.theta * params.noise * r0**g / params.power]
+    for i, ri in enumerate(r):
+        if i != serving:
+            logs.append(-math.log1p(params.theta * (r0 / ri) ** g))
+    return math.exp(math.fsum(logs))
 
 
 def ccp_sampled_reference(distances, params, num_draws: int, rng) -> float:

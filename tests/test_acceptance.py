@@ -229,7 +229,7 @@ def test_criterion_8_simulator_self_consistency():
     moments_ok = all(d <= 3.0 for d in devs)
     violations = 0
     for i in range(100):
-        rng = sim._realization_rng(cfg, i, 0)
+        rng = np.random.default_rng([cfg.rng_seed, i, 0])
         points = sim.draw_ppp(cfg, rng)
         exact_c = sim.ccp_analytic(points, PAPER)
         sampled_c = sim.ccp_sampled(points, PAPER, 700, rng)

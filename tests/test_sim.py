@@ -8,7 +8,9 @@ import pytest
 from scipy.stats import ks_2samp, kstest
 
 from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact
+from metadist import sim
 from metadist.sim import (
+    BLOCK_SIZE,
     EmpiricalMeta,
     SimConfig,
     ccp_analytic,
@@ -20,9 +22,8 @@ from metadist.sim import (
     run_campaign,
     write_samples_csv,
 )
-from metadist.sim import _realization_rng
 
-from oracles import ccp_sampled_reference
+from oracles import ccp_analytic_reference, ccp_sampled_reference
 
 
 class TestConfigValidation:
@@ -120,6 +121,30 @@ class TestCcpAnalytic:
         with pytest.raises(ValueError):
             ccp_analytic(np.empty(0), paper_params)
 
+    @pytest.mark.parametrize("theta", [1e-2, 1.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("gamma", [2.5, 4.0, 6.0])
+    def test_block_kernel_matches_reference(self, theta, gamma):
+        # Five realizations of 1..30 BSs in one block, on a 50 m disk with
+        # faint noise, so that no CCP underflows even at theta = 1e6.
+        p = SystemParams(1e-3, gamma, theta, 1.0, 1e-16)
+        radius = 50.0
+        sizes = np.array([1, 2, 5, 12, 30])
+        starts = np.cumsum(sizes) - sizes
+        u = np.random.default_rng([4, int(gamma * 10), int(math.log10(theta) + 2)]).uniform(
+            size=int(sizes.sum())
+        )
+        got = sim._ccp_rows(u, starts, p, radius)
+        rows = np.split(radius * np.sqrt(u), starts[1:])
+        expected = np.array([ccp_analytic_reference(r, p) for r in rows])
+        assert np.all(expected > 0.0)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert [ccp_analytic(r, p) for r in rows] == pytest.approx(expected, rel=1e-12)
+
+    def test_station_on_the_user(self):
+        # r0 = 0: the serving ratio is 0/0, read as 1; interferers see ratio 0.
+        p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
+        assert ccp_analytic(np.array([0.0, 30.0, 80.0]), p) == 1.0
+
 
 class TestCcpSampled:
     def test_zero_threshold(self):
@@ -131,7 +156,7 @@ class TestCcpSampled:
         cfg = SimConfig(params=paper_params, num_realizations=1, rng_seed=42)
         violations = 0
         for i in range(100):
-            rng = _realization_rng(cfg, i, 0)
+            rng = np.random.default_rng([cfg.rng_seed, i, 0])
             r = draw_ppp(cfg, rng)
             exact = ccp_analytic(r, paper_params)
             sampled = ccp_sampled(r, paper_params, 700, rng)
@@ -145,7 +170,7 @@ class TestCcpSampled:
         p = SystemParams(1e-3, 5.0, theta, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1, rng_seed=42)
         for i in range(4):
-            r = draw_ppp(cfg, _realization_rng(cfg, i, 0))
+            r = draw_ppp(cfg, np.random.default_rng([cfg.rng_seed, i, 0]))
             got = ccp_sampled(r, p, 700, np.random.default_rng([42, i]))
             assert got == ccp_sampled_reference(r, p, 700, np.random.default_rng([42, i]))
 
@@ -191,11 +216,49 @@ class TestCampaign:
         assert abs(float(np.mean(emp.ccp_samples)) - mu1) <= 3.0 * se
 
     def test_empty_realizations_redrawn(self):
-        p = SystemParams(1e-9, 5.0, 1.0, 1.0, 1e-10)
+        # Noise-free, so every CCP is a finite product of factors in (0, 1]:
+        # with noise, a lone BS far out underflows exp(-theta sigma2 r0^gamma / p).
+        p = SystemParams(1e-9, 5.0, 1.0, 1.0, 0.0)
         emp = run_campaign(SimConfig(params=p, num_realizations=2, rng_seed=0))
         assert emp.redraws > 0
         assert len(emp.ccp_samples) == 2
         assert np.all((emp.ccp_samples > 0.0) & (emp.ccp_samples <= 1.0))
+
+    def test_redraws_counted_across_block_boundary(self):
+        p = SystemParams(1e-9, 5.0, 1.0, 1.0, 0.0)
+        one = run_campaign(SimConfig(params=p, num_realizations=BLOCK_SIZE, rng_seed=0))
+        two = run_campaign(SimConfig(params=p, num_realizations=BLOCK_SIZE + 1, rng_seed=0))
+        assert one.redraws > 0
+        assert two.redraws > one.redraws
+        assert np.array_equal(two.ccp_samples[:BLOCK_SIZE], one.ccp_samples)
+        assert np.all((two.ccp_samples > 0.0) & (two.ccp_samples <= 1.0))
+
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_whole_blocks_are_a_prefix(self, mode):
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+
+        def campaign(n):
+            cfg = SimConfig(params=p, num_realizations=n, fading_mode=mode,
+                            num_channel_draws=20, rng_seed=11)
+            return run_campaign(cfg).ccp_samples
+
+        short, long = campaign(2 * BLOCK_SIZE), campaign(3 * BLOCK_SIZE)
+        assert np.array_equal(long[: 2 * BLOCK_SIZE], short)
+
+    def test_block_stream_layout(self):
+        # Block b is seeded with (seed, b) and draws its counts, then its radii.
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=BLOCK_SIZE + 2, rng_seed=6)
+        emp = run_campaign(cfg)
+        mean = p.lambda_bs * math.pi * cfg.region_radius**2
+        expected = []
+        for block, size in enumerate((BLOCK_SIZE, 2)):
+            rng = np.random.default_rng([cfg.rng_seed, block])
+            counts = rng.poisson(mean, size=size)
+            r = cfg.region_radius * np.sqrt(rng.uniform(size=int(counts.sum())))
+            expected += [ccp_analytic_reference(x, p) for x in np.split(r, np.cumsum(counts)[:-1])]
+        assert emp.redraws == 0
+        assert emp.ccp_samples == pytest.approx(expected, rel=1e-12)
 
     def test_edge_effects_negligible_at_500m(self, paper_params):
         base = run_campaign(
