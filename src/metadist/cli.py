@@ -116,14 +116,14 @@ def cmd_moments(args: argparse.Namespace) -> int:
     params = args.params
     rows = []
     for n in range(1, args.n_max + 1):
+        c = moments.coeffs(params, n)
         if args.method == "exact":
-            rows.append([n, _fmt(moments.moment_exact(params, n))])
+            rows.append([n, _fmt(moments._moment_exact(params, c))])
         elif args.method == "approx":
-            rows.append([n, _fmt(moments.moment_approx(params, n))])
+            rows.append([n, _fmt(moments._moment_approx(params, c))])
         else:
-            exact = moments.moment_exact(params, n)
-            approx = moments.moment_approx(params, n)
-            c = moments.coeffs(params, n)
+            exact = moments._moment_exact(params, c)
+            approx = moments._moment_approx(params, c)
             bound = math.pi * params.lambda_bs * moments.approx_error_bound(
                 c.a_coef, c.b_coef, params.gamma_pl
             )

@@ -165,9 +165,13 @@ def moment_exact(params: SystemParams, n: int, tol: float = DEFAULT_TOL) -> floa
     """
     if n < 1:
         raise ValueError(f"moment_exact requires n >= 1, got {n}")
+    return _moment_exact(params, coeffs(params, n), tol)
+
+
+def _moment_exact(params: SystemParams, c: IntegralCoeffs, tol: float = DEFAULT_TOL) -> float:
+    """moment_exact from the coefficients of its n."""
     if params.theta == 0.0:
         return 1.0
-    c = coeffs(params, n)
     a, b, half_g = c.a_coef, c.b_coef, params.gamma_pl / 2.0
 
     def integrand(z: np.ndarray) -> np.ndarray:
@@ -185,7 +189,11 @@ def moment_approx(params: SystemParams, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"moment_approx requires n >= 1, got {n}")
-    c = coeffs(params, n)
+    return _moment_approx(params, coeffs(params, n))
+
+
+def _moment_approx(params: SystemParams, c: IntegralCoeffs) -> float:
+    """moment_approx from the coefficients of its n."""
     g = params.gamma_pl
     denom = c.a_coef + g * c.b_coef ** (2.0 / g) / (2.0 * math.gamma(2.0 / g))
     return math.pi * params.lambda_bs / denom

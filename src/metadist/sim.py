@@ -64,6 +64,10 @@ _FADING_MODES = (FADING_ANALYTIC, FADING_SAMPLED)
 # Realizations per block: the unit of seeding and of vectorised work.
 BLOCK_SIZE = 256
 
+# Smallest accepted probability that the disk holds a BS: below it a
+# realization needs more than 1e5 Poisson draws on average to be nonempty.
+MIN_NONEMPTY_PROB = 1e-5
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -79,6 +83,14 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.region_radius > 0.0:
             raise ValueError(f"region_radius must be positive, got {self.region_radius}")
+        nonempty = -math.expm1(
+            -self.params.lambda_bs * math.pi * self.region_radius * self.region_radius
+        )
+        if not nonempty >= MIN_NONEMPTY_PROB:
+            raise ValueError(
+                f"the disk holds a BS with probability {nonempty:.3g}, below "
+                f"{MIN_NONEMPTY_PROB:g}: raise the density or region_radius"
+            )
         if self.num_realizations < 1:
             raise ValueError(f"need at least one realization, got {self.num_realizations}")
         if self.num_channel_draws < 1:
@@ -206,7 +218,9 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
 
     Realizations with no BS in the disk are redrawn (the model conditions on
     a serving BS existing); the redraw count is reported.  At physical
-    densities this never triggers - the empty probability is exp(-lambda pi R^2).
+    densities this never triggers - the empty probability is exp(-lambda pi R^2),
+    and SimConfig rejects a disk that is nonempty with probability below
+    MIN_NONEMPTY_PROB.
     Realizations run in blocks of BLOCK_SIZE, seeded as the module docstring
     describes.
     """

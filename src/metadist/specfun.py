@@ -6,6 +6,13 @@ argument) over Python floats, and the regularized incomplete beta function
 over a scalar or ndarray x.  Gamma and log-gamma come straight from `math`.  The 2F1 restriction
 is deliberate: the only regime the rest of the package needs is z = -theta
 with theta >= 0.
+
+The 2F1 series sums a short scalar prefix in a Python loop, which is all a
+low threshold needs, and continues in numpy chunks whose sequential
+accumulates round exactly as that loop would: the result is the same float
+as summing every term in Python.  Its 10,000-term cap still returns
+silently; ROADMAP's first correctness item replaces the series with the
+incomplete beta.
 """
 from __future__ import annotations
 
@@ -21,6 +28,8 @@ __all__ = [
 
 _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 10_000
+_SERIES_PREFIX_TERMS = 128
+_SERIES_FIRST_CHUNK = 1024
 
 
 def binom(r: float, k: int) -> float:
@@ -47,7 +56,14 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     which sends z in (-inf, 0] to w = z/(z-1) in [0, 1) where the series
     converges.  Summation stops once a term contributes less than 1e-16
-    relatively, with a hard cap of 10,000 terms.
+    relatively, with a hard cap of 10,000 terms that returns the partial
+    sum without raising (see ROADMAP, the incomplete-beta item).
+
+    The first 128 terms are summed in a Python loop; the rest in numpy
+    chunks of 1024, 2048, ... terms.  A chunk's term ratios are multiplied
+    onto the carried term, and its terms added onto the carried total, by
+    sequential accumulates, so each partial sum is the float the loop would
+    produce and the result does not depend on the chunking.
     """
     if z > 0.0:
         raise ValueError(f"gauss_2f1 supports z <= 0 only, got z={z}")
@@ -62,12 +78,31 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     term = 1.0
     total = 1.0
-    for k in range(_SERIES_MAX_TERMS):
+    for k in range(_SERIES_PREFIX_TERMS):
         term *= (a + k) * (b2 + k) / ((c + k) * (k + 1.0)) * w
         total += term
         if abs(term) <= _SERIES_RTOL * abs(total):
-            break
-    return prefactor * total
+            return prefactor * total
+
+    start, size = _SERIES_PREFIX_TERMS, _SERIES_FIRST_CHUNK
+    # Overflow to inf stays silent, as it is for the Python floats above; a
+    # chunk also computes the terms past its stop, which are never read.
+    with np.errstate(all="ignore"):
+        while start < _SERIES_MAX_TERMS:
+            k = np.arange(start, min(start + size, _SERIES_MAX_TERMS), dtype=float)
+            terms = (a + k) * (b2 + k) / ((c + k) * (k + 1.0)) * w
+            terms[0] *= term
+            terms = np.multiply.accumulate(terms)
+            totals = terms.copy()
+            totals[0] += total
+            totals = np.add.accumulate(totals)
+            stop = np.abs(terms) <= _SERIES_RTOL * np.abs(totals)
+            first = int(stop.argmax())
+            if stop[first]:
+                return prefactor * float(totals[first])
+            term, total = terms[-1], totals[-1]
+            start, size = start + size, 2 * size
+    return prefactor * float(total)
 
 
 def _beta_cont_frac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

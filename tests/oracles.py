@@ -13,6 +13,8 @@ other base stations one by one instead of taking a matrix-vector product.
 ccp_analytic_reference is the defining product over interferers in plain
 distances, one Python term at a time, where the simulator's kernel works on
 squared normalised distances a block of realizations at a time.
+gauss_2f1_series_reference is the Pfaff-mapped 2F1 series as one scalar
+Python loop, the form the package's chunked series must match bit for bit.
 """
 from __future__ import annotations
 
@@ -37,6 +39,33 @@ def rho_quadrature(n: int, gamma_pl: float, theta: float, tol: float = 1e-11) ->
         return 2.0 * (-np.expm1(-n * np.log1p(theta * y**gamma_pl))) * y**-3.0
 
     return integrate_finite(f, 0.0, 1.0, tol).value
+
+
+def gauss_2f1_series_reference(a: float, b: float, c: float, z: float) -> float:
+    """2F1(a, b; c; z) for z <= 0: the Pfaff-mapped series, one term at a time.
+
+    Same domain checks, stopping rule (term <= 1e-16 of the total) and
+    silent 10,000-term cap as specfun.gauss_2f1.
+    """
+    if z > 0.0:
+        raise ValueError(f"gauss_2f1 supports z <= 0 only, got z={z}")
+    if c <= 0.0 and c == math.floor(c):
+        raise ValueError(f"gauss_2f1 undefined for non-positive integer c={c}")
+    if z == 0.0:
+        return 1.0
+
+    w = z / (z - 1.0)
+    b2 = c - b
+    prefactor = (1.0 - z) ** (-a)
+
+    term = 1.0
+    total = 1.0
+    for k in range(10_000):
+        term *= (a + k) * (b2 + k) / ((c + k) * (k + 1.0)) * w
+        total += term
+        if abs(term) <= 1e-16 * abs(total):
+            break
+    return prefactor * total
 
 
 def rising_factorial(a: float, n: int) -> float:

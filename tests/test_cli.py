@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from metadist import moments
 from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, main, mw_to_dbm
 from metadist.jacobi import eval_pdf, meta_reliability, reconstruct
 from metadist.moments import SystemParams, moment_sequence
@@ -105,6 +106,20 @@ class TestMomentsCommand:
         assert main(["moments", "--method", "exact", "--n-max", "2", "--out", str(out)]) == EXIT_OK
         header, _ = _read_csv(out)
         assert header == ["n", "mu_exact"]
+
+    @pytest.mark.parametrize("method", ["exact", "approx", "both"])
+    def test_one_gauss_2f1_call_per_n(self, method, monkeypatch):
+        calls = []
+        real = moments.gauss_2f1
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(moments, "gauss_2f1", counted)
+        assert main(["moments", "--n-max", "10", "--method", method]) == EXIT_OK
+        assert len(calls) == 10
+        assert len(set(calls)) == 10
 
 
 class TestReconstructCommand:
@@ -241,6 +256,13 @@ class TestSimulateCommand:
     def test_invalid_campaign_is_usage_error(self, tmp_path, flag, value):
         out = tmp_path / "s.csv"
         assert main(["simulate", flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    def test_almost_surely_empty_disk_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        rc = main(["simulate", "--lambda", "1e-15", "--realizations", "1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "probability" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_json_out_would_overwrite_samples(self, tmp_path, capsys):

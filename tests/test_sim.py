@@ -11,6 +11,7 @@ from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact
 from metadist import sim
 from metadist.sim import (
     BLOCK_SIZE,
+    MIN_NONEMPTY_PROB,
     EmpiricalMeta,
     SimConfig,
     ccp_analytic,
@@ -38,6 +39,19 @@ class TestConfigValidation:
             SimConfig(params=paper_params, num_realizations=1, fading_mode="psychic")
         with pytest.raises(ValueError):
             SimConfig(params=paper_params, num_realizations=1, rng_seed=-1)
+
+    def test_almost_surely_empty_disk_rejected(self):
+        # The floor is on P(disk nonempty) = 1 - exp(-lambda pi R^2).
+        def config(lam, radius=500.0):
+            p = SystemParams(lam, 5.0, 1.0, 1.0, 0.0)
+            return SimConfig(params=p, num_realizations=1, region_radius=radius)
+
+        per_lambda = math.pi * 500.0**2
+        config(2.0 * MIN_NONEMPTY_PROB / per_lambda)
+        for lam in (0.5 * MIN_NONEMPTY_PROB / per_lambda, 1e-12, 1e-15):
+            with pytest.raises(ValueError, match="probability"):
+                config(lam)
+        config(1e-12, radius=1e4)
 
     def test_empirical_meta_validation(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=2)

@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from metadist import specfun
 from metadist.specfun import binom, gauss_2f1, reg_inc_beta
 
-from oracles import binom_exact, jacobi_poly_explicit, rho_quadrature, rising_factorial
+from oracles import (
+    binom_exact,
+    gauss_2f1_series_reference,
+    jacobi_poly_explicit,
+    rho_quadrature,
+    rising_factorial,
+)
 
 
 class TestRisingFactorial:
@@ -113,6 +120,86 @@ class TestGauss2F1:
             gauss_2f1(1.0, 1.0, 0.0, -1.0)
         with pytest.raises(ValueError):
             gauss_2f1(1.0, 1.0, -3.0, -1.0)
+
+
+def _same_float(got, want) -> bool:
+    return type(got) is type(want) and (got == want or (math.isnan(got) and math.isnan(want)))
+
+
+def _stop_term(a, b, c, z):
+    """Index of the term the reference series stops on; None at the cap."""
+    w = z / (z - 1.0)
+    term = total = 1.0
+    for k in range(specfun._SERIES_MAX_TERMS):
+        term *= (a + k) * (c - b + k) / ((c + k) * (k + 1.0)) * w
+        total += term
+        if abs(term) <= specfun._SERIES_RTOL * abs(total):
+            return k
+    return None
+
+
+class TestGauss2F1BitIdentical:
+    """The chunked series returns exactly the scalar loop's float."""
+
+    def test_rho_grid(self):
+        # theta every 0.5 dB over the CLI range and n = 1..20: short series,
+        # every chunk size, and the silent cap from about 24 dB up.  A capped
+        # reference call costs ~3 ms, so each (theta, n) point takes one of
+        # six gammas in turn rather than all of them.
+        gammas = (2.05, 2.5, 3.0, 4.0, 5.0, 8.0)
+        for i, theta_db in enumerate(np.arange(-20.0, 60.25, 0.5)):
+            theta = 10.0 ** (float(theta_db) / 10.0)
+            for n in range(1, 21):
+                g = gammas[(i + n) % len(gammas)]
+                args = (float(n), -2.0 / g, 1.0 - 2.0 / g, -theta)
+                assert _same_float(gauss_2f1(*args), gauss_2f1_series_reference(*args)), args
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-30.0, 30.0),
+        st.floats(-30.0, 30.0),
+        st.floats(-30.0, 30.0),
+        st.floats(-1e6, 0.0),
+    )
+    def test_random_arguments(self, a, b, c, z):
+        try:
+            want = gauss_2f1_series_reference(a, b, c, z)
+        except ValueError:
+            with pytest.raises(ValueError):
+                gauss_2f1(a, b, c, z)
+            return
+        assert _same_float(gauss_2f1(a, b, c, z), want)
+
+    @pytest.mark.parametrize(
+        ("theta", "stop"),
+        [
+            (2.965, specfun._SERIES_PREFIX_TERMS - 1),
+            (2.993, specfun._SERIES_PREFIX_TERMS),
+            (32.52, specfun._SERIES_PREFIX_TERMS + specfun._SERIES_FIRST_CHUNK - 1),
+            (32.55, specfun._SERIES_PREFIX_TERMS + specfun._SERIES_FIRST_CHUNK),
+        ],
+    )
+    def test_stops_either_side_of_a_boundary(self, theta, stop):
+        # 2F1(1, -0.4; 0.6; -theta): gamma 5, n 1.  The last prefix term,
+        # the first chunk term, and the last and first terms of two chunks.
+        args = (1.0, -0.4, 0.6, -theta)
+        assert _stop_term(*args) == stop
+        assert _same_float(gauss_2f1(*args), gauss_2f1_series_reference(*args))
+
+    def test_silent_cap(self):
+        # n = 10 at 40 dB runs all 10,000 terms and returns without raising.
+        args = (10.0, -0.4, 0.6, -1e4)
+        assert _stop_term(*args) is None
+        assert _same_float(gauss_2f1(*args), gauss_2f1_series_reference(*args))
+
+    def test_nan_overflow_and_terminating(self):
+        for args in [
+            (1.0, -0.4, 0.6, math.nan),
+            (400.0, 300.0, 1.5, -1e6),
+            (0.0, -0.5, 0.5, -1.0),
+            (-3.0, 2.0, 1.5, -1e6),
+        ]:
+            assert _same_float(gauss_2f1(*args), gauss_2f1_series_reference(*args)), args
 
 
 class TestRegIncBeta:
