@@ -24,7 +24,9 @@ realizations is the prefix of any longer campaign under the same seed (a
 final partial block draws a different stream).  A block draws its
 Poisson counts in one call (empty realizations are redrawn from the same
 generator and counted), then all its radii in one call; sampled-mode
-channel draws follow on that generator, one realization after another.
+channel draws follow on that generator, one realization after another,
+each in row chunks of at most _DRAW_CHUNK gains that take the same stream
+as one (draws x BS) matrix.
 This stream replaced the earlier per-realization generators (seeded with
 (seed, realization, redraw attempt)), so campaigns drawn before it give
 different samples for the same seed.  A block holds its squared distances
@@ -63,6 +65,10 @@ _FADING_MODES = (FADING_ANALYTIC, FADING_SAMPLED)
 
 # Realizations per block: the unit of seeding and of vectorised work.
 BLOCK_SIZE = 256
+
+# Elements per chunk of sampled-mode channel gains (256 KiB of float64):
+# small enough to stay in L2 cache while it is refilled, chunk after chunk.
+_DRAW_CHUNK = 1 << 15
 
 # Smallest accepted probability that the disk holds a BS: below it a
 # realization needs more than 1e5 Poisson draws on average to be nonempty.
@@ -117,7 +123,7 @@ class EmpiricalMeta:
             raise ValueError(
                 f"{len(samples)} samples for {self.config.num_realizations} realizations"
             )
-        if np.any((samples < 0.0) | (samples > 1.0)):
+        if not np.all((samples >= 0.0) & (samples <= 1.0)):  # NaN fails both
             raise ValueError("CCP samples must lie in [0, 1]")
 
 
@@ -189,16 +195,32 @@ def ccp_sampled(
 
     A draw is covered when S > theta (I + sigma2), which needs no division:
     a lone noise-free BS (I + sigma2 = 0) covers every draw.
+
+    The (num_draws, N) exponential gains are drawn in row chunks of at most
+    _DRAW_CHUNK elements (one row when N exceeds it) into one buffer of this
+    call, so the memory held stays at the chunk size.  The generator fills
+    the chunks in the same order as one `rng.exponential(1.0, size=(num_draws,
+    N))` matrix, so the gains are that matrix's, bit for bit, and the
+    generator ends in the same state.  A row's interference sum may round
+    differently in the last place (BLAS groups the rows of a product), so
+    only a draw within an ulp of the threshold could be counted differently.
     """
     if num_draws < 1:
         raise ValueError(f"need at least one channel draw, got {num_draws}")
     r = _nonempty(distances)
     serving = int(np.argmin(r))
-    gains = rng.exponential(1.0, size=(num_draws, r.size))
     weights = params.power * r ** -params.gamma_pl
-    signal = gains[:, serving] * weights[serving]
+    w0 = weights[serving]
     weights[serving] = 0.0
-    return float(np.mean(signal > params.theta * (gains @ weights + params.noise)))
+    rows = max(1, _DRAW_CHUNK // r.size)
+    buf = np.empty((min(rows, num_draws), r.size))
+    covered = 0
+    for first in range(0, num_draws, rows):
+        gains = buf[: min(rows, num_draws - first)]
+        rng.standard_exponential(out=gains)
+        signal = gains[:, serving] * w0
+        covered += int(np.count_nonzero(signal > params.theta * (gains @ weights + params.noise)))
+    return covered / num_draws
 
 
 def _block_counts(mean: float, size: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -273,7 +295,8 @@ def read_samples_csv(path: str | Path) -> np.ndarray:
     """Read a samples file written by write_samples_csv.
 
     Raises:
-        ValueError: no `ccp` header, no samples, or a sample outside [0, 1].
+        ValueError: no `ccp` header, no samples, or a sample outside [0, 1]
+            (NaN included).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -283,7 +306,7 @@ def read_samples_csv(path: str | Path) -> np.ndarray:
         samples = np.array([float(row[0]) for row in reader if row])
     if samples.size == 0:
         raise ValueError("need at least one realization, got 0")
-    if np.any((samples < 0.0) | (samples > 1.0)):
+    if not np.all((samples >= 0.0) & (samples <= 1.0)):  # NaN fails both
         raise ValueError("CCP samples must lie in [0, 1]")
     return samples
 

@@ -346,6 +346,14 @@ class TestCompareCommand:
         assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
         assert capsys.readouterr().out == ""
 
+    def test_nan_sample_is_reported_as_such(self, tmp_path, capsys):
+        samples = tmp_path / "s.csv"
+        samples.write_text("ccp\n0.5\nnan\n0.7\n")
+        assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CCP samples must lie in [0, 1]" in captured.err
+
     def test_zero_threshold_degenerate(self, tmp_path):
         samples = tmp_path / "s.csv"
         assert main(["simulate", "--theta-db=-inf", "--realizations", "50",

@@ -1,6 +1,7 @@
 """Point-process simulator: geometry, per-realization coverage, campaign
 determinism, and statistical agreement with the analytic moments."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -59,6 +60,8 @@ class TestConfigValidation:
             EmpiricalMeta(ccp_samples=np.array([0.5]), config=cfg)
         with pytest.raises(ValueError):
             EmpiricalMeta(ccp_samples=np.array([0.5, 1.5]), config=cfg)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            EmpiricalMeta(ccp_samples=np.array([0.5, math.nan]), config=cfg)
 
 
 class TestDrawPpp:
@@ -206,6 +209,33 @@ class TestCcpSampled:
         assert got == 1.0
         assert ccp_sampled_reference(r, p, 500, np.random.default_rng(8)) == 1.0
 
+    @pytest.mark.parametrize("draws", [1, 7, 700])
+    @pytest.mark.parametrize("size", [
+        1,
+        sim._DRAW_CHUNK // 700 - 1, sim._DRAW_CHUNK // 700, sim._DRAW_CHUNK // 700 + 1,
+        sim._DRAW_CHUNK - 1, sim._DRAW_CHUNK, sim._DRAW_CHUNK + 1,
+    ])
+    def test_chunk_boundaries_match_one_matrix(self, size, draws):
+        # Around the size where 700 draws stop fitting in one chunk, and where
+        # a chunk shrinks to one row; the oracle draws one (draws, N) matrix.
+        p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
+        r = 500.0 * np.sqrt(np.random.default_rng([5, size]).uniform(size=size))
+        got = ccp_sampled(r, p, draws, np.random.default_rng([3, size, draws]))
+        assert got == ccp_sampled_reference(r, p, draws, np.random.default_rng([3, size, draws]))
+
+    def test_memory_stays_at_the_chunk_size(self):
+        # One (700, 20000) gains matrix would be 107 MiB; numpy reports its
+        # buffers to tracemalloc.
+        p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
+        r = 500.0 * np.sqrt(np.random.default_rng(2).uniform(size=20_000))
+        tracemalloc.start()
+        try:
+            ccp_sampled(r, p, 700, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_standard_error_budget(self):
         # se = sqrt(p(1-p)/700) is maximized at p = 1/2.
         assert math.sqrt(0.25 / 700.0) <= 0.019
@@ -274,6 +304,22 @@ class TestCampaign:
         assert emp.redraws == 0
         assert emp.ccp_samples == pytest.approx(expected, rel=1e-12)
 
+    def test_sampled_block_stream_layout(self):
+        # The sampled twin: after the radii, each realization's channel draws
+        # in turn, on the block's generator.  About 7850 BSs per realization,
+        # so 20 draws take five chunks each.
+        p = SystemParams(1e-2, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=3, fading_mode="sampled",
+                        num_channel_draws=20, rng_seed=6)
+        emp = run_campaign(cfg)
+        rng = np.random.default_rng([cfg.rng_seed, 0])
+        counts = rng.poisson(p.lambda_bs * math.pi * cfg.region_radius**2, size=3)
+        r = cfg.region_radius * np.sqrt(rng.uniform(size=int(counts.sum())))
+        assert np.all(sim._DRAW_CHUNK // counts <= 5)  # rows per chunk: 4+ chunks each
+        expected = [ccp_sampled_reference(x, p, 20, rng) for x in np.split(r, np.cumsum(counts)[:-1])]
+        assert emp.redraws == 0
+        assert emp.ccp_samples.tolist() == expected
+
     def test_edge_effects_negligible_at_500m(self, paper_params):
         base = run_campaign(
             SimConfig(params=paper_params, num_realizations=2000, rng_seed=29,
@@ -338,7 +384,9 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_samples_csv(path)
 
-    @pytest.mark.parametrize("content", ["ccp\n", "ccp\n0.5\n1.5\n", "ccp\n-0.1\n"])
+    @pytest.mark.parametrize(
+        "content", ["ccp\n", "ccp\n0.5\n1.5\n", "ccp\n-0.1\n", "ccp\n0.5\nnan\n0.7\n"]
+    )
     def test_samples_checked(self, tmp_path, content):
         path = tmp_path / "bad.csv"
         path.write_text(content)
