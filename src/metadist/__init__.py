@@ -36,7 +36,6 @@ from .moments import (
 from .quadrature import (
     QuadratureError,
     QuadResult,
-    integrate_finite,
     integrate_semi_infinite_decaying,
 )
 from .scaling import InfeasibleQosError, QosSpec, min_power
@@ -81,7 +80,6 @@ __all__ = [
     "eval_pdf",
     "fourier_jacobi_coeffs",
     "gauss_2f1",
-    "integrate_finite",
     "integrate_semi_infinite_decaying",
     "jacobi_poly",
     "meta_reliability",

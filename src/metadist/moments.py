@@ -203,13 +203,12 @@ def moment_sequence(
     params: SystemParams,
     n_max: int,
     method: str = METHOD_EXACT,
-    tol: float = DEFAULT_TOL,
 ) -> MomentSequence:
     """mu_0..mu_n_max with the requested provenance (exact or closed form)."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if method == METHOD_EXACT:
-        values = [1.0] + [moment_exact(params, n, tol) for n in range(1, n_max + 1)]
+        values = [1.0] + [moment_exact(params, n) for n in range(1, n_max + 1)]
     elif method == METHOD_CLOSED_FORM:
         values = [1.0] + [moment_approx(params, n) for n in range(1, n_max + 1)]
     else:

@@ -1,15 +1,12 @@
-"""Adaptive Gauss-Kronrod quadrature.
+"""Adaptive Gauss-Kronrod quadrature of the exact moment integral.
 
-The engine is the "exact" oracle for every integral in the package: it is a
-7/15-point nested pair with bisection of whichever interval currently carries
-the largest error estimate.  Integrands are evaluated on 1-D ndarrays of
-abscissae, many 15-node panels per call: all opening panels in one call,
-then both halves of each bisection in one call.  Plain numpy expressions
-are therefore fast enough for oracle use.
-
-Endpoints are never sampled, which makes integrable endpoint singularities
-(weight functions with alpha, beta in (-1, 0), the y -> 0 behaviour of the
-interference integral) safe without special casing.
+The package integrates one kind of function: the moment integrand
+exp(-(A z + B z^(gamma/2))) over [0, inf), smooth and eventually bounded by
+exp(-A z).  The engine is a 7/15-point nested pair with bisection of
+whichever interval currently carries the largest error estimate.  Integrands
+are evaluated on 1-D ndarrays of abscissae, many 15-node panels per call:
+all opening panels in one call, then both halves of each bisection in one
+call.
 """
 from __future__ import annotations
 
@@ -23,12 +20,12 @@ import numpy as np
 __all__ = [
     "QuadResult",
     "QuadratureError",
-    "integrate_finite",
     "integrate_semi_infinite_decaying",
 ]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_INTERVALS = 2000
+# Interval budget of one integral: opening panels plus bisections.
+_MAX_INTERVALS = 2000
 
 # 15-point Kronrod abscissae on [-1, 1] and their weights; the 7-point Gauss
 # subrule lives on nodes 1, 3, 5, ..., 13.
@@ -105,22 +102,11 @@ def _gk15(
     All panels' nodes go to f in one flat 1-D call.  Weighted sums are
     reduced row by row, so a panel's result does not depend on the panels
     it was batched with.  Error model follows the classic QUADPACK
-    rescaling of |K15 - G7| by the panel's total variation, which keeps the
-    estimate honest next to singularities where the raw difference is
-    overly optimistic.
+    rescaling of |K15 - G7| by the panel's total variation.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid[:, None] + half[:, None] * _XK
-    # Keep abscissae strictly interior: panels hugging an endpoint can round
-    # nodes onto it, which integrable endpoint singularities cannot tolerate.
-    # A panel only one ulp wide has no interior and is left unclipped.
-    lo_in = np.nextafter(lo, hi)
-    hi_in = np.nextafter(hi, lo)
-    wide = lo_in <= hi_in
-    lo_in = np.where(wide, lo_in, -np.inf)
-    hi_in = np.where(wide, hi_in, np.inf)
-    np.clip(x, lo_in[:, None], hi_in[:, None], out=x)
     fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     sk = (fx * _WK).sum(axis=1)
     sg = (fx[:, _GAUSS_IDX] * _WG).sum(axis=1)
@@ -138,7 +124,6 @@ def _adapt(
     f: Callable[[np.ndarray], np.ndarray],
     breakpoints: list[float],
     tol: float,
-    max_intervals: int,
 ) -> QuadResult:
     """Refine the worst interval until the summed error estimate meets tol."""
     los = np.array(breakpoints[:-1], dtype=float)
@@ -150,7 +135,7 @@ def _adapt(
     total_err = sum(errs.tolist())
 
     n_intervals = len(heap)
-    while total_err > tol and n_intervals < max_intervals:
+    while total_err > tol and n_intervals < _MAX_INTERVALS:
         _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -178,34 +163,10 @@ def _adapt(
     return QuadResult(value=value, abs_error_estimate=total_err, evaluations=evals)
 
 
-def integrate_finite(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
-) -> QuadResult:
-    """Integrate f over [lo, hi] to absolute tolerance tol.
-
-    f must map an ndarray of abscissae to an ndarray of values and may have
-    integrable singularities at the endpoints (they are never sampled).
-
-    Raises:
-        QuadratureError: tolerance unmet after the subdivision budget, or a
-            NaN or infinite integrand value.
-    """
-    if not lo < hi:
-        raise ValueError(f"integrate_finite requires lo < hi, got [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return _adapt(f, [lo, hi], tol, max_intervals)
-
-
 def integrate_semi_infinite_decaying(
     f: Callable[[np.ndarray], np.ndarray],
     decay_rate: float,
     tol: float = DEFAULT_TOL,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
 ) -> QuadResult:
     """Integrate f over [0, inf) given an eventual bound f(z) <= exp(-a z).
 
@@ -226,7 +187,7 @@ def integrate_semi_infinite_decaying(
         return QuadResult(value=0.0, abs_error_estimate=tol / 10.0, evaluations=0)
 
     breakpoints = [0.0] + [z_max * 2.0 ** (-k) for k in range(52, -1, -1)]
-    result = _adapt(f, breakpoints, tol, max_intervals)
+    result = _adapt(f, breakpoints, tol)
     return QuadResult(
         value=result.value,
         abs_error_estimate=result.abs_error_estimate + tol / 10.0,

@@ -19,7 +19,7 @@ stored as that CSV plus the JSON record of `campaign_to_dict`.
 Determinism: a campaign runs in blocks of BLOCK_SIZE realizations, and
 block b draws everything from its own generator, seeded with (seed, b).
 Realization i lives in block i // BLOCK_SIZE, so with the block size fixed
-a campaign is reproducible bit-for-bit, and one of k * BLOCK_SIZE
+every draw is reproducible bit-for-bit, and a campaign of k * BLOCK_SIZE
 realizations is the prefix of any longer campaign under the same seed (a
 final partial block draws a different stream).  A block draws its
 Poisson counts in one call (empty realizations are redrawn from the same
@@ -27,11 +27,12 @@ generator and counted), then all its radii in one call; sampled-mode
 channel draws follow on that generator, one realization after another,
 each in row chunks of at most _DRAW_CHUNK gains that take the same stream
 as one (draws x BS) matrix.
-This stream replaced the earlier per-realization generators (seeded with
-(seed, realization, redraw attempt)), so campaigns drawn before it give
-different samples for the same seed.  A block holds its squared distances
-and one work array of the same length: at lambda 1e-2 on the 500 m disk
-that is about 2M points, 32 MB.
+Analytic campaigns are therefore bit-reproducible.  Sampled campaigns are
+too, except for a draw whose SINR lands within an ulp of the threshold:
+ccp_sampled sums each draw's interference with a BLAS product, whose
+rounding depends on the chunk shape and on the BLAS build.  A block holds
+its squared distances and one work array of the same length: at lambda
+1e-2 on the 500 m disk that is about 2M points, 32 MB.
 """
 from __future__ import annotations
 
@@ -201,9 +202,10 @@ def ccp_sampled(
     call, so the memory held stays at the chunk size.  The generator fills
     the chunks in the same order as one `rng.exponential(1.0, size=(num_draws,
     N))` matrix, so the gains are that matrix's, bit for bit, and the
-    generator ends in the same state.  A row's interference sum may round
-    differently in the last place (BLAS groups the rows of a product), so
-    only a draw within an ulp of the threshold could be counted differently.
+    generator ends in the same state.  The interference of a chunk is one
+    BLAS product, `gains @ weights`, and BLAS rounding depends on the chunk
+    shape and on the BLAS build.  So the result is bit-reproducible only up
+    to a draw whose SINR lands within an ulp of the threshold.
     """
     if num_draws < 1:
         raise ValueError(f"need at least one channel draw, got {num_draws}")

@@ -1,11 +1,13 @@
 """Independent numerical oracles shared by the test modules.
 
 Everything here deliberately avoids the code path it is used to check:
-rho_quadrature integrates the defining y-integral instead of evaluating the
-hypergeometric identity, beta_moments is the exact product formula,
-max_exp_neg_f maximizes by grid search plus golden-section refinement rather
-than using the closed-form minimum, and jacobi_poly_explicit sums the
-binomial form of the polynomial instead of running the three-term recurrence.
+rho_quadrature integrates the defining y-integral with scipy.integrate.quad
+instead of evaluating the hypergeometric identity, gauss_jacobi_integral
+takes its Gauss-Jacobi nodes and weights from scipy, beta_moments is the
+exact product formula, max_exp_neg_f maximizes by grid search plus
+golden-section refinement rather than using the closed-form minimum, and
+jacobi_poly_explicit sums the binomial form of the polynomial instead of
+running the three-term recurrence.
 rising_factorial is the plain Pochhammer product, which the package itself
 never needs.  binom_exact is the binomial coefficient in exact rational
 arithmetic, and ccp_sampled_reference sums each draw's interference over the
@@ -22,8 +24,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
-from metadist.quadrature import integrate_finite
 from metadist.specfun import binom
 
 
@@ -35,10 +38,20 @@ def rho_quadrature(n: int, gamma_pl: float, theta: float, tol: float = 1e-11) ->
     it by y^-3.
     """
 
-    def f(y: np.ndarray) -> np.ndarray:
-        return 2.0 * (-np.expm1(-n * np.log1p(theta * y**gamma_pl))) * y**-3.0
+    def f(y: float) -> float:
+        return 2.0 * -math.expm1(-n * math.log1p(theta * y**gamma_pl)) * y**-3.0
 
-    return integrate_finite(f, 0.0, 1.0, tol).value
+    return quad(f, 0.0, 1.0, epsabs=tol, epsrel=0.0)[0]
+
+
+def gauss_jacobi_integral(f, alpha: float, beta: float, nodes: int = 16) -> float:
+    """int_0^1 f(x) (1-x)^alpha x^beta dx by scipy's Gauss-Jacobi rule.
+
+    Exact, up to rounding, for a polynomial f of degree below 2 * nodes; f
+    takes an ndarray.  The rule lives on [-1, 1], so x = (1 + t) / 2.
+    """
+    t, w = roots_jacobi(nodes, alpha, beta)
+    return 2.0 ** -(alpha + beta + 1.0) * math.fsum(w * f(0.5 * (1.0 + t)))
 
 
 def gauss_2f1_series_reference(a: float, b: float, c: float, z: float) -> float:
@@ -115,11 +128,12 @@ def ccp_sampled_reference(distances, params, num_draws: int, rng) -> float:
     r = np.asarray(distances, dtype=float)
     gains = rng.exponential(1.0, size=(num_draws, r.size))
     serving = int(np.argmin(r))
+    path_gain = r**-params.gamma_pl
     covered = 0
     for row in gains:
-        received = row * params.power * r**-params.gamma_pl
-        interference = math.fsum(np.delete(received, serving))
-        covered += received[serving] > params.theta * (interference + params.noise)
+        received = (row * params.power * path_gain).tolist()
+        signal = received.pop(serving)
+        covered += signal > params.theta * (math.fsum(received) + params.noise)
     return covered / num_draws
 
 

@@ -9,12 +9,13 @@ import math
 import time
 
 import numpy as np
+from scipy.integrate import quad
 
 from metadist import jacobi, moments, scaling, sim
-from metadist.quadrature import integrate_finite, integrate_semi_infinite_decaying
+from metadist.quadrature import integrate_semi_infinite_decaying
 from metadist.specfun import gauss_2f1, reg_inc_beta
 
-from oracles import beta_moments
+from oracles import beta_moments, gauss_jacobi_integral
 
 PAPER = moments.SystemParams(lambda_bs=1e-3, gamma_pl=5.0, theta=1.0, power=1.0,
                              noise=1e-10)
@@ -87,13 +88,8 @@ def test_criterion_3_jacobi_machinery():
     for al, be in ORTHO_BASES:
         for m in range(13):
             for n in range(m, 13):
-                f = (
-                    lambda x: jacobi.jacobi_poly(al, be, m, x)
-                    * jacobi.jacobi_poly(al, be, n, x)
-                    * (1.0 - x) ** al
-                    * x**be
-                )
-                val = integrate_finite(f, 0.0, 1.0, 2e-9, max_intervals=4000).value
+                f = lambda x: jacobi.jacobi_poly(al, be, m, x) * jacobi.jacobi_poly(al, be, n, x)
+                val = gauss_jacobi_integral(f, al, be)
                 expected = jacobi.norm_h(al, be, n) if m == n else 0.0
                 worst_orth = max(worst_orth, abs(val - expected))
     worst_legendre = max(
@@ -103,8 +99,8 @@ def test_criterion_3_jacobi_machinery():
     for al, be in ORTHO_BASES:
         for n in range(1, 9):
             for x in (0.2, 0.5, 0.8):
-                f = lambda t: (1.0 - t) ** al * t**be * jacobi.jacobi_poly(al, be, n, t)
-                lhs = integrate_finite(f, 0.0, x, 1e-10, max_intervals=4000).value
+                f = lambda t: (1.0 - t) ** al * jacobi.jacobi_poly(al, be, n, t)
+                lhs = quad(f, 0.0, x, weight="alg", wvar=(be, 0.0), epsabs=1e-10, epsrel=0.0)[0]
                 rhs = (
                     -(1.0 / n)
                     * (1.0 - x) ** (al + 1.0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from metadist.jacobi import (
     DegenerateMomentsError,
@@ -20,10 +21,9 @@ from metadist.jacobi import (
     reconstruct,
 )
 from metadist.moments import METHOD_EMPIRICAL, MomentSequence, SystemParams, moment_sequence
-from metadist.quadrature import integrate_finite
 from metadist.specfun import reg_inc_beta
 
-from oracles import beta_moments, jacobi_poly_explicit, rising_factorial
+from oracles import beta_moments, gauss_jacobi_integral, jacobi_poly_explicit, rising_factorial
 
 BASES = [(0.0, 0.0), (-0.4354, 0.1118), (0.3, 1.7), (2.0, 0.5)]
 
@@ -91,8 +91,7 @@ class TestNormH:
     def test_against_quadrature(self):
         for al, be in [(0.3, 1.7), (1.0, 0.0)]:
             for n in (1, 4, 8):
-                f = lambda x: jacobi_poly(al, be, n, x) ** 2 * (1 - x) ** al * x**be
-                val = integrate_finite(f, 0.0, 1.0, 1e-11, max_intervals=4000).value
+                val = gauss_jacobi_integral(lambda x: jacobi_poly(al, be, n, x) ** 2, al, be)
                 assert val == pytest.approx(norm_h(al, be, n), rel=1e-9)
 
 
@@ -101,28 +100,17 @@ class TestOrthogonality:
         for al, be in [(0.0, 0.0), (0.3, 1.7)]:
             for m in range(7):
                 for n in range(m + 1, 8):
-                    f = (
-                        lambda x: jacobi_poly(al, be, m, x)
-                        * jacobi_poly(al, be, n, x)
-                        * (1 - x) ** al
-                        * x**be
-                    )
-                    val = integrate_finite(f, 0.0, 1.0, 1e-10, max_intervals=4000).value
-                    assert abs(val) <= 1e-9
+                    f = lambda x: jacobi_poly(al, be, m, x) * jacobi_poly(al, be, n, x)
+                    assert abs(gauss_jacobi_integral(f, al, be)) <= 1e-9
 
     def test_chebyshev_pair_at_float_floor(self):
-        # (1-x)^(-1/2) mass within one ulp of x = 1 is ~2e-8 and cannot be
-        # resolved in float64, so this singular pair is checked at 1e-7.
+        # The Gauss-Jacobi rule carries the singular (1-x)^(-1/2) x^(-1/2)
+        # weight itself, so no mass next to an endpoint is lost.
         al = be = -0.5
         for m in range(5):
             for n in range(m, 5):
-                f = (
-                    lambda x: jacobi_poly(al, be, m, x)
-                    * jacobi_poly(al, be, n, x)
-                    * (1 - x) ** al
-                    * x**be
-                )
-                val = integrate_finite(f, 0.0, 1.0, 1e-7, max_intervals=4000).value
+                f = lambda x: jacobi_poly(al, be, m, x) * jacobi_poly(al, be, n, x)
+                val = gauss_jacobi_integral(f, al, be)
                 expected = norm_h(al, be, n) if m == n else 0.0
                 assert val == pytest.approx(expected, abs=2e-7)
 
@@ -132,8 +120,10 @@ class TestRodriguesAntiderivative:
         for al, be in BASES:
             for n in range(1, 9):
                 for x in (0.2, 0.5, 0.8):
-                    f = lambda t: (1 - t) ** al * t**be * jacobi_poly(al, be, n, t)
-                    lhs = integrate_finite(f, 0.0, x, 1e-11, max_intervals=4000).value
+                    # weight="alg" carries t^be on [0, x], so quad sees no singularity.
+                    f = lambda t: (1 - t) ** al * jacobi_poly(al, be, n, t)
+                    lhs = quad(f, 0.0, x, weight="alg", wvar=(be, 0.0),
+                               epsabs=1e-11, epsrel=0.0)[0]
                     rhs = (
                         -(1.0 / n)
                         * (1.0 - x) ** (al + 1.0)
@@ -247,9 +237,7 @@ class TestPdf:
     def test_unit_mass(self, paper_params):
         seq = moment_sequence(paper_params, 10)
         dist = reconstruct(seq, order=10)
-        mass = integrate_finite(
-            lambda x: eval_pdf(dist, x), 0.0, 1.0, 1e-9, max_intervals=4000
-        ).value
+        mass = quad(lambda x: eval_pdf(dist, x), 0.0, 1.0, epsabs=1e-9, epsrel=0.0)[0]
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_2d_input_matches_flat_call(self, paper_params):
@@ -320,9 +308,7 @@ class TestReliability:
     def test_integral_recovers_mean_coverage(self, paper_params):
         seq = moment_sequence(paper_params, 10)
         dist = reconstruct(seq, order=10)
-        integral = integrate_finite(
-            lambda x: meta_reliability(dist, x), 0.0, 1.0, 1e-8, max_intervals=4000
-        ).value
+        integral = quad(lambda x: meta_reliability(dist, x), 0.0, 1.0, epsabs=1e-8, epsrel=0.0)[0]
         assert integral == pytest.approx(seq[1], abs=2e-3)
 
     def test_clamped_to_unit_interval(self):
@@ -336,11 +322,15 @@ class TestProjectionConsistency:
     def test_coefficients_are_fixed_point(self, paper_params):
         seq = moment_sequence(paper_params, 10)
         dist = reconstruct(seq, order=10)
+        # pdf / weight is a polynomial of degree 10, so the Gauss-Jacobi rule
+        # integrates x^k pdf exactly.  The order-10 coefficient map amplifies
+        # raw-moment errors about 6e6-fold: scalar quad at 1e-10 misses the
+        # bound by 9e-5.
+        al, be = dist.basis.alpha, dist.basis.beta
         raw = [
-            integrate_finite(
-                lambda x, k=k: x**k * eval_pdf(dist, x), 0.0, 1.0, 1e-10,
-                max_intervals=4000,
-            ).value
+            gauss_jacobi_integral(
+                lambda x, k=k: x**k * eval_pdf(dist, x) / ((1 - x) ** al * x**be), al, be
+            )
             for k in range(11)
         ]
         seq2 = MomentSequence(tuple(m / raw[0] for m in raw), METHOD_EMPIRICAL)

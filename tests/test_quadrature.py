@@ -9,66 +9,52 @@ from scipy.special import erfc
 
 from metadist import moments
 from metadist.quadrature import (
+    _MAX_INTERVALS,
     QuadratureError,
-    integrate_finite,
     integrate_semi_infinite_decaying,
 )
-from metadist.specfun import gauss_2f1
 
 from oracles import riemann_semi_infinite
 
 
 class TestFinite:
+    """A finite value within the tolerance, or an error."""
+
     def test_constant(self):
-        res = integrate_finite(lambda x: np.ones_like(x), 0.0, 1.0, 1e-12)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-        assert res.abs_error_estimate >= 0.0
-        assert res.evaluations == 15
-
-    def test_endpoint_singularity(self):
-        res = integrate_finite(lambda x: x**-0.5, 0.0, 1.0, 1e-10)
-        assert res.value == pytest.approx(2.0, abs=1e-10)
-
-    def test_rho_identity_integrand(self):
-        # 2 int_0^1 (1 - (1+y^5)^-1) y^-3 dy = 2F1(1, -2/5; 3/5; -1) - 1
-        res = integrate_finite(
-            lambda y: 2.0 * (1.0 - (1.0 + y**5) ** -1.0) * y**-3.0, 0.0, 1.0, 1e-8
-        )
-        expected = gauss_2f1(1.0, -0.4, 0.6, -1.0) - 1.0
-        assert res.value == pytest.approx(expected, abs=1e-8)
+        # Zero on every panel: the tail allowance is the whole error estimate.
+        res = integrate_semi_infinite_decaying(np.zeros_like, 1.0, 1e-10)
+        assert res.value == 0.0
+        assert res.abs_error_estimate == 1e-10 / 10.0
+        assert res.evaluations == 53 * 15
 
     def test_linearity(self):
         tol = 1e-10
-        f = lambda x: np.sin(3.0 * x)
-        g = lambda x: np.exp(-x) * x
-        combined = integrate_finite(lambda x: 2.0 * f(x) - 5.0 * g(x), 0.0, 2.0, tol)
+        f = lambda z: np.exp(-z) * np.sin(3.0 * z)
+        g = lambda z: np.exp(-z) * z
+        combined = integrate_semi_infinite_decaying(lambda z: 2.0 * f(z) - 5.0 * g(z), 0.5, tol)
         separate = (
-            2.0 * integrate_finite(f, 0.0, 2.0, tol).value
-            - 5.0 * integrate_finite(g, 0.0, 2.0, tol).value
+            2.0 * integrate_semi_infinite_decaying(f, 0.5, tol).value
+            - 5.0 * integrate_semi_infinite_decaying(g, 0.5, tol).value
         )
         assert abs(combined.value - separate) <= 2.0 * tol
 
     def test_agrees_with_scipy_on_smooth_kernel(self):
-        f = lambda x: np.exp(-(x**2)) * np.cos(5.0 * x)
-        res = integrate_finite(f, 0.0, 3.0, 1e-12)
-        ref, _ = si.quad(lambda x: math.exp(-(x**2)) * math.cos(5.0 * x), 0.0, 3.0,
+        f = lambda z: np.exp(-(z**2)) * np.cos(5.0 * z)
+        res = integrate_semi_infinite_decaying(f, 1.0, 1e-12)
+        ref, _ = si.quad(lambda z: math.exp(-(z**2)) * math.cos(5.0 * z), 0.0, np.inf,
                          epsabs=1e-14)
         assert res.value == pytest.approx(ref, abs=1e-12)
 
     def test_nonconvergence_raises(self):
-        with pytest.raises(QuadratureError):
-            integrate_finite(lambda x: x**-0.5, 0.0, 1.0, 1e-10, max_intervals=5)
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            integrate_finite(lambda x: x, 1.0, 0.0, 1e-10)
-        with pytest.raises(ValueError):
-            integrate_finite(lambda x: x, 0.0, 1.0, 0.0)
+        # Each panel's error estimate is floored at 50 eps times its mass, so
+        # a tolerance below that floor spends the whole interval budget.
+        with pytest.raises(QuadratureError, match=f"after {_MAX_INTERVALS} intervals"):
+            integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, 1e-18)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_integrand_raises(self, value):
         with np.errstate(invalid="ignore"), pytest.raises(QuadratureError):
-            integrate_finite(lambda x: np.full_like(x, value), 0.0, 1.0)
+            integrate_semi_infinite_decaying(lambda z: np.full_like(z, value), 1.0)
 
 
 class TestSemiInfinite:
@@ -119,6 +105,8 @@ class TestSemiInfinite:
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 0.0, 1e-10)
         with pytest.raises(ValueError):
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, -1e-10)
+        with pytest.raises(ValueError):
+            integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, 0.0)
 
 
     def test_nan_tail_raises(self):
@@ -139,14 +127,10 @@ class TestBatchedPanels:
 
     def test_integrand_gets_1d_arrays(self):
         shapes = []
-        integrate_finite(self._recording(lambda x: x**-0.5, shapes), 0.0, 1.0, 1e-10)
         integrate_semi_infinite_decaying(self._recording(lambda z: np.exp(-z), shapes),
                                          1.0, 1e-10)
-        assert shapes and all(len(shape) == 1 for shape in shapes)
         # Opening panels in one call, then both halves of a bisection per call.
-        assert shapes[0] == (15,)
-        assert set(shapes[1:-2]) == {(30,)}
-        assert shapes[-2:] == [(53 * 15,), (30,)]
+        assert shapes == [(53 * 15,), (30,)]
 
     def test_ladder_evaluation_count(self):
         # The 53-panel dyadic ladder alone meets 1e-9; 1e-10 takes one bisection.
@@ -164,8 +148,3 @@ class TestBatchedPanels:
         monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", spy)
         moments.moment_exact(paper_params, 1)
         assert [r.evaluations for r in results] == [795]
-
-    def test_refined_evaluation_count(self):
-        # 67 bisections of the singular left end: 15 + 67 * 30 evaluations.
-        res = integrate_finite(lambda x: x**-0.5, 0.0, 1.0, 1e-10)
-        assert res.evaluations == 2025
