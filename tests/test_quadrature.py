@@ -51,6 +51,14 @@ class TestFinite:
         with pytest.raises(QuadratureError, match=f"after {_MAX_INTERVALS} intervals"):
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, 1e-18)
 
+    def test_invalid_interval(self):
+        # The finite part [0, z_max] is set by decay_rate and tol; a NaN rate
+        # or a zero tolerance leaves it undefined.
+        with pytest.raises(ValueError):
+            integrate_semi_infinite_decaying(lambda z: np.exp(-z), np.nan, 1e-10)
+        with pytest.raises(ValueError):
+            integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, 0.0)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_integrand_raises(self, value):
         with np.errstate(invalid="ignore"), pytest.raises(QuadratureError):
@@ -105,8 +113,6 @@ class TestSemiInfinite:
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 0.0, 1e-10)
         with pytest.raises(ValueError):
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, -1e-10)
-        with pytest.raises(ValueError):
-            integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, 0.0)
 
 
     def test_nan_tail_raises(self):
