@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 infeasible or degenerate math,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -87,25 +88,21 @@ def _emit_table(
     args: argparse.Namespace,
 ) -> None:
     """CSV table (+ JSON sidecar when writing to a file) or one JSON document."""
-    if args.format == "json":
-        doc = {"columns": list(columns), "rows": [list(r) for r in rows], "meta": meta}
-        text = json.dumps(doc, indent=2)
-        if args.out is None:
-            print(text)
-        else:
-            args.out.write_text(text + "\n")
-        return
     if args.out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(columns)
-        writer.writerows(rows)
-        return
-    with open(args.out, "w", newline="") as fh:
+        stream = contextlib.nullcontext(sys.stdout)
+    else:
+        stream = open(args.out, "w", newline="")
+    with stream as fh:
+        if args.format == "json":
+            doc = {"columns": list(columns), "rows": [list(r) for r in rows], "meta": meta}
+            fh.write(json.dumps(doc, indent=2) + "\n")
+            return
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
-    sidecar = args.out.with_suffix(args.out.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2) + "\n")
+    if args.out is not None:
+        sidecar = args.out.with_suffix(args.out.suffix + ".meta.json")
+        sidecar.write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -141,7 +138,7 @@ def _load_moment_file(path: Path) -> moments.MomentSequence:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0] != "mu":
+        if not header or header[0] != "mu":
             raise ValueError(f"{path}: expected a one-column CSV with 'mu' header")
         values = tuple(float(row[0]) for row in reader if row)
     return moments.MomentSequence(values=values, method=moments.METHOD_EMPIRICAL)
@@ -213,9 +210,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         dist = None
         basis_meta = None
     else:
-        # Moment matching needs mu_1 and mu_2, even below order 2.
-        seq = moments.moment_sequence(params, max(args.order, 2))
-        dist = jacobi.reconstruct(seq, order=args.order)
+        dist = _reconstruction(args)
         basis_meta = {"alpha": dist.basis.alpha, "beta": dist.basis.beta}
     xs = np.linspace(0.01, 0.99, 99)
     emp_rel = sim.empirical_reliability(samples, xs)
@@ -317,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.add_argument("--samples", type=Path, required=True, help="samples CSV from simulate")
     p.add_argument("--order", type=int, default=10)
-    p.set_defaults(func=cmd_compare)
+    # compare reconstructs from the scenario's moments in the matched basis.
+    p.set_defaults(func=cmd_compare, moments_file=None, basis="match")
 
     p = sub.add_parser("power", help="minimum power vs density (scaling law)")
     p.add_argument("--gamma", type=float, default=5.0)

@@ -21,12 +21,12 @@ block b draws everything from its own generator, seeded with (seed, b).
 Realization i lives in block i // BLOCK_SIZE, so with the block size fixed
 every draw is reproducible bit-for-bit, and a campaign of k * BLOCK_SIZE
 realizations is the prefix of any longer campaign under the same seed (a
-final partial block draws a different stream).  A block draws its
-Poisson counts in one call (empty realizations are redrawn from the same
-generator and counted), then all its radii in one call; sampled-mode
-channel draws follow on that generator, one realization after another,
-each in row chunks of at most _DRAW_CHUNK gains that take the same stream
-as one (draws x BS) matrix.
+final partial block draws a different stream).  draw_ppp is the one PPP
+draw: it gives a block's Poisson counts in one call (empty realizations are
+redrawn from the same generator and counted), then all its squared distances
+in one call.  Sampled-mode channel draws follow on that generator, one
+realization after another, each in row chunks of at most _DRAW_CHUNK gains
+that take the same stream as one (draws x BS) matrix.
 Analytic campaigns are therefore bit-reproducible.  Sampled campaigns are
 too, except for a draw whose SINR lands within an ulp of the threshold:
 ccp_sampled sums each draw's interference with a BLAS product, whose
@@ -128,17 +128,30 @@ class EmpiricalMeta:
             raise ValueError("CCP samples must lie in [0, 1]")
 
 
-def draw_ppp(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """One PPP realization on the disk: 1-D array of N BS distances in m.
+def draw_ppp(
+    config: SimConfig, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """A block of `size` PPP realizations on the disk, none of them empty.
 
-    N is Poisson with mean lambda pi R^2.  Positions uniform over the disk
-    have distances with P(r <= t) = (t/R)^2, drawn as R sqrt(U).  Their
-    angles are not drawn: the coverage probability does not depend on them.
+    Returns (u, starts, redraws).  Realization k owns u[starts[k]:starts[k+1]]
+    (the last runs to the end): the squared distances of its BSs over R^2.
+    Its BS count is Poisson with mean lambda pi R^2, all counts in one call;
+    an empty realization is redrawn from the same generator, and redraws
+    counts those draws.  Positions uniform over the disk have P(r <= t) =
+    (t/R)^2, so u is uniform on [0, 1), all of it in one call after the
+    counts.  Angles are not drawn: the coverage probability does not depend
+    on them.
     """
-    lam = config.params.lambda_bs
     radius = config.region_radius
-    count = rng.poisson(lam * math.pi * radius * radius)
-    return radius * np.sqrt(rng.uniform(size=count))
+    mean = config.params.lambda_bs * math.pi * radius * radius
+    counts = rng.poisson(mean, size=size)
+    empty = np.flatnonzero(counts == 0)
+    redraws = 0
+    while empty.size:
+        redraws += empty.size
+        counts[empty] = rng.poisson(mean, size=empty.size)
+        empty = empty[counts[empty] == 0]
+    return rng.uniform(size=int(counts.sum())), np.cumsum(counts) - counts, redraws
 
 
 def _nonempty(distances: np.ndarray) -> np.ndarray:
@@ -225,18 +238,6 @@ def ccp_sampled(
     return covered / num_draws
 
 
-def _block_counts(mean: float, size: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Poisson BS counts of a block, empty realizations redrawn until nonempty."""
-    counts = rng.poisson(mean, size=size)
-    empty = np.flatnonzero(counts == 0)
-    redraws = 0
-    while empty.size:
-        redraws += empty.size
-        counts[empty] = rng.poisson(mean, size=empty.size)
-        empty = empty[counts[empty] == 0]
-    return counts, redraws
-
-
 def run_campaign(config: SimConfig) -> EmpiricalMeta:
     """Full campaign: one CCP sample per realization.
 
@@ -250,16 +251,13 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     """
     params = config.params
     radius = config.region_radius
-    mean = params.lambda_bs * math.pi * radius * radius
     samples = np.empty(config.num_realizations)
     redraws = 0
     for block, first in enumerate(range(0, config.num_realizations, BLOCK_SIZE)):
         size = min(BLOCK_SIZE, config.num_realizations - first)
         rng = np.random.default_rng([config.rng_seed, block])
-        counts, empties = _block_counts(mean, size, rng)
+        u, starts, empties = draw_ppp(config, size, rng)
         redraws += empties
-        u = rng.uniform(size=int(counts.sum()))
-        starts = np.cumsum(counts) - counts
         rows = samples[first:first + size]
         if config.fading_mode == FADING_ANALYTIC:
             rows[:] = _ccp_rows(u, starts, params, radius)
@@ -303,7 +301,7 @@ def read_samples_csv(path: str | Path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0] != "ccp":
+        if not header or header[0] != "ccp":
             raise ValueError(f"{path}: not a CCP samples file (missing 'ccp' header)")
         samples = np.array([float(row[0]) for row in reader if row])
     if samples.size == 0:

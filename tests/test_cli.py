@@ -156,6 +156,14 @@ class TestReconstructCommand:
         rc = main(["reconstruct", "--moments-file", str(mfile), "--order", "10"])
         assert rc == EXIT_MATH
 
+    def test_blank_first_line_is_math_error(self, tmp_path, capsys):
+        mfile = tmp_path / "mu.csv"
+        mfile.write_text("\nmu\n1.0\n0.5\n")
+        assert main(["reconstruct", "--moments-file", str(mfile)]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_explicit_basis(self, tmp_path):
         out = tmp_path / "rec.csv"
         rc = main([
@@ -345,6 +353,14 @@ class TestCompareCommand:
         samples.write_text(content)
         assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
         assert capsys.readouterr().out == ""
+
+    def test_blank_first_line_is_math_error(self, tmp_path, capsys):
+        samples = tmp_path / "s.csv"
+        samples.write_text("\nccp\n0.5\n")
+        assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_nan_sample_is_reported_as_such(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metadist.moments import (
     METHOD_CLOSED_FORM,
@@ -165,6 +167,30 @@ class TestMomentApprox:
         for k in range(1, 5):
             diffs = np.diff(diffs)
             assert np.all((-1.0) ** k * diffs >= -1e-9)
+
+
+class TestThetaMonotonicity:
+    # theta stays at or below 20 dB: from 28 dB up, gauss_2f1's series stops
+    # at its term cap before it converges, so rho_n and both moments are
+    # wrong there (ROADMAP item 1).
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta_db=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=2),
+        gamma=st.floats(2.0, 6.0, exclude_min=True),
+        log10_lambda=st.floats(-4.0, -2.0),
+        noise_dbm=st.one_of(st.none(), st.floats(-120.0, -80.0)),
+    )
+    def test_mu1_does_not_increase_with_theta(self, theta_db, gamma, log10_lambda, noise_dbm):
+        noise = 0.0 if noise_dbm is None else 10.0 ** (noise_dbm / 10.0)
+
+        def params(t_db):
+            return SystemParams(10.0**log10_lambda, gamma, 10.0 ** (t_db / 10.0), 1.0, noise)
+
+        lo, hi = (params(t) for t in sorted(theta_db))
+        # Slack for rounding only: thetas a few ulps apart move either value
+        # by up to about 3e-14.
+        assert moment_exact(hi, 1) <= moment_exact(lo, 1) + 1e-12
+        assert moment_approx(hi, 1) <= moment_approx(lo, 1) + 1e-12
 
 
 class TestErrorBound:

@@ -28,6 +28,11 @@ from metadist.sim import (
 from oracles import ccp_analytic_reference, ccp_sampled_reference
 
 
+def one_realization(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """BS distances in m of a one-realization block."""
+    return cfg.region_radius * np.sqrt(draw_ppp(cfg, 1, rng)[0])
+
+
 class TestConfigValidation:
     def test_bad_values_rejected(self, paper_params):
         with pytest.raises(ValueError):
@@ -67,38 +72,43 @@ class TestConfigValidation:
 class TestDrawPpp:
     def test_mean_count(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1, rng_seed=0)
-        counts = [len(draw_ppp(cfg, np.random.default_rng([0, i]))) for i in range(1000)]
+        u, starts, redraws = draw_ppp(cfg, 1000, np.random.default_rng(0))
+        counts = np.diff(starts, append=u.size)
+        assert starts[0] == 0 and redraws == 0
         mean = 1e-3 * math.pi * 500.0**2
         sigma = math.sqrt(mean / 1000.0)
         assert abs(np.mean(counts) - mean) <= 3.0 * sigma
 
     def test_points_inside_disk(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1)
-        r = draw_ppp(cfg, np.random.default_rng(3))
+        u, starts, redraws = draw_ppp(cfg, 1, np.random.default_rng(3))
+        assert starts.tolist() == [0] and redraws == 0
+        r = cfg.region_radius * np.sqrt(u)
         assert r.ndim == 1 and r.size > 0
         assert np.all((r >= 0.0) & (r <= cfg.region_radius))
 
     def test_radial_law(self, paper_params):
         # Uniform positions on the disk: P(r <= t) = (t/R)^2.
         cfg = SimConfig(params=paper_params, num_realizations=1)
-        r = np.concatenate([draw_ppp(cfg, np.random.default_rng([0, i])) for i in range(20)])
+        r = np.concatenate([one_realization(cfg, np.random.default_rng([0, i])) for i in range(20)])
         radius = cfg.region_radius
         assert r.size > 10_000
         assert kstest(r, lambda t: np.clip(t / radius, 0.0, 1.0) ** 2).pvalue > 0.01
 
     def test_vanishing_density_gives_empty(self):
+        # The disk is empty with probability 0.9992: the block redraws its
+        # empty realizations until each holds a BS, and counts the redraws.
         p = SystemParams(1e-9, 5.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1)
-        empties = sum(
-            len(draw_ppp(cfg, np.random.default_rng(seed))) == 0 for seed in range(20)
-        )
-        assert empties >= 19
+        u, starts, redraws = draw_ppp(cfg, 20, np.random.default_rng(0))
+        assert np.all(np.diff(starts, append=u.size) > 0)
+        assert redraws >= 19
 
     def test_deterministic_under_seed(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1)
-        a = draw_ppp(cfg, np.random.default_rng(11))
-        b = draw_ppp(cfg, np.random.default_rng(11))
-        assert np.array_equal(a, b)
+        a = draw_ppp(cfg, 3, np.random.default_rng(11))
+        b = draw_ppp(cfg, 3, np.random.default_rng(11))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
 
 
 class TestCcpAnalytic:
@@ -129,7 +139,7 @@ class TestCcpAnalytic:
         # ~1e5-point realization: the log-space product must stay positive.
         p = SystemParams(0.13, 5.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1, region_radius=500.0)
-        r = draw_ppp(cfg, np.random.default_rng(1))
+        r = one_realization(cfg, np.random.default_rng(1))
         assert len(r) > 90_000
         val = ccp_analytic(r, p)
         assert 0.0 < val <= 1.0
@@ -174,7 +184,7 @@ class TestCcpSampled:
         violations = 0
         for i in range(100):
             rng = np.random.default_rng([cfg.rng_seed, i, 0])
-            r = draw_ppp(cfg, rng)
+            r = one_realization(cfg, rng)
             exact = ccp_analytic(r, paper_params)
             sampled = ccp_sampled(r, paper_params, 700, rng)
             se = math.sqrt(exact * (1.0 - exact) / 700.0)
@@ -187,7 +197,7 @@ class TestCcpSampled:
         p = SystemParams(1e-3, 5.0, theta, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1, rng_seed=42)
         for i in range(4):
-            r = draw_ppp(cfg, np.random.default_rng([cfg.rng_seed, i, 0]))
+            r = one_realization(cfg, np.random.default_rng([cfg.rng_seed, i, 0]))
             got = ccp_sampled(r, p, 700, np.random.default_rng([42, i]))
             assert got == ccp_sampled_reference(r, p, 700, np.random.default_rng([42, i]))
 
