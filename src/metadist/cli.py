@@ -111,20 +111,22 @@ def _fmt(value: float) -> str:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     params = args.params
-    rows = []
-    for n in range(1, args.n_max + 1):
-        c = moments.coeffs(params, n)
-        if args.method == "exact":
-            rows.append([n, _fmt(moments._moment_exact(params, c))])
-        elif args.method == "approx":
-            rows.append([n, _fmt(moments._moment_approx(params, c))])
-        else:
-            exact = moments._moment_exact(params, c)
-            approx = moments._moment_approx(params, c)
+    ns = range(1, args.n_max + 1)
+    if args.method != "approx":
+        exact = moments.moment_sequence(params, args.n_max).values[1:]
+    if args.method == "exact":
+        rows = [[n, _fmt(mu)] for n, mu in zip(ns, exact)]
+    elif args.method == "approx":
+        rows = [[n, _fmt(moments.moment_approx(params, n))] for n in ns]
+    else:
+        rows = []
+        for n, mu in zip(ns, exact):
+            c = moments.coeffs(params, n)
+            approx = moments.moment_approx(params, n)
             bound = math.pi * params.lambda_bs * moments.approx_error_bound(
                 c.a_coef, c.b_coef, params.gamma_pl
             )
-            rows.append([n, _fmt(exact), _fmt(approx), _fmt(abs(exact - approx)), _fmt(bound)])
+            rows.append([n, _fmt(mu), _fmt(approx), _fmt(abs(mu - approx)), _fmt(bound)])
     columns = {
         "exact": ("n", "mu_exact"),
         "approx": ("n", "mu_approx"),

@@ -11,22 +11,29 @@ of the conditional coverage probability is
 with A_n = pi lambda (1 + rho_n), B_n = n theta sigma2 / p, and
 1 + rho_n = 2F1(n, -2/gamma; 1 - 2/gamma; -theta).
 
-The module provides the exact moment (adaptive quadrature of the integral
-above), a closed-form approximation
+The module provides the exact moments (adaptive quadrature of the integral
+above: mu_1..mu_N are the rows of one integrand on one shared panel set,
+each plus a bound on its tail beyond the panels), a closed-form
+approximation
 
     mu_n ~= pi lambda / (A_n + gamma B_n^(2/gamma) / (2 Gamma(2/gamma))),
 
 and an analytic bound on the approximation error that is exact in the
 limits theta = 0, sigma2 = 0, or gamma -> 2.
+
+A SystemParams object memoises 1 + rho_n per n, so the exact moments, the
+closed form, the bound and the power law evaluate each 2F1 once per
+scenario object.  A new object, including one from dataclasses.replace,
+starts with an empty memo.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import DEFAULT_TOL, integrate_semi_infinite_decaying
+from .quadrature import DEFAULT_TOL, _tail_cutoff, integrate_semi_infinite_decaying
 from .specfun import gauss_2f1
 
 __all__ = [
@@ -73,6 +80,10 @@ class SystemParams:
     theta: float
     power: float
     noise: float
+    # 1 + rho_n by n, filled by rho_n; not part of the scenario's identity.
+    _one_plus_rho: dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.lambda_bs > 0.0:
@@ -140,11 +151,17 @@ class MomentSequence:
 
 
 def rho_n(params: SystemParams, n: int) -> float:
-    """Interference scaling rho_n = 2F1(n, -2/gamma; 1-2/gamma; -theta) - 1."""
+    """Interference scaling rho_n = 2F1(n, -2/gamma; 1-2/gamma; -theta) - 1.
+
+    The 2F1 runs once per n and params object; later calls read its memo.
+    """
     if n < 1:
         raise ValueError(f"rho_n requires n >= 1, got {n}")
-    g = params.gamma_pl
-    return gauss_2f1(float(n), -2.0 / g, 1.0 - 2.0 / g, -params.theta) - 1.0
+    memo = params._one_plus_rho
+    if n not in memo:
+        g = params.gamma_pl
+        memo[n] = gauss_2f1(float(n), -2.0 / g, 1.0 - 2.0 / g, -params.theta)
+    return memo[n] - 1.0
 
 
 def coeffs(params: SystemParams, n: int) -> IntegralCoeffs:
@@ -165,21 +182,35 @@ def moment_exact(params: SystemParams, n: int, tol: float = DEFAULT_TOL) -> floa
     """
     if n < 1:
         raise ValueError(f"moment_exact requires n >= 1, got {n}")
-    return _moment_exact(params, coeffs(params, n), tol)
+    return float(_moments_exact(params, [n], tol)[0])
 
 
-def _moment_exact(params: SystemParams, c: IntegralCoeffs, tol: float = DEFAULT_TOL) -> float:
-    """moment_exact from the coefficients of its n."""
-    if params.theta == 0.0:
-        return 1.0
-    a, b, half_g = c.a_coef, c.b_coef, params.gamma_pl / 2.0
+def _moments_exact(params: SystemParams, ns, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """mu_n for each n in ns: one quadrature, one integrand row per n.
+
+    Each row adds its tail beyond the engine's cutoff z_max.  The exponent
+    phi = A z + B z^(gamma/2) is convex, so exp(-phi(z_max)) / phi'(z_max)
+    bounds that tail from above, and equals it when B = 0.
+    """
+    if params.theta == 0.0 or not ns:
+        return np.ones(len(ns))
+    cs = [coeffs(params, n) for n in ns]
+    a = np.array([c.a_coef for c in cs])[:, None]
+    b = np.array([c.b_coef for c in cs])[:, None]
+    half_g = params.gamma_pl / 2.0
+
+    def phi(z: np.ndarray) -> np.ndarray:
+        return a * z + b * z**half_g
 
     def integrand(z: np.ndarray) -> np.ndarray:
-        return np.exp(-(a * z + b * z**half_g))
+        return np.exp(-phi(z))
 
     scale = math.pi * params.lambda_bs
-    result = integrate_semi_infinite_decaying(integrand, a, tol / scale)
-    return scale * result.value
+    rate, tol_z = float(a.min()), tol / scale
+    result = integrate_semi_infinite_decaying(integrand, rate, tol_z)
+    z_max = np.float64(max(_tail_cutoff(rate, tol_z), 0.0))
+    tail = np.exp(-phi(z_max)) / (a + half_g * b * z_max ** (half_g - 1.0))
+    return scale * (result.value + tail[:, 0])
 
 
 def moment_approx(params: SystemParams, n: int) -> float:
@@ -189,11 +220,7 @@ def moment_approx(params: SystemParams, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"moment_approx requires n >= 1, got {n}")
-    return _moment_approx(params, coeffs(params, n))
-
-
-def _moment_approx(params: SystemParams, c: IntegralCoeffs) -> float:
-    """moment_approx from the coefficients of its n."""
+    c = coeffs(params, n)
     g = params.gamma_pl
     denom = c.a_coef + g * c.b_coef ** (2.0 / g) / (2.0 * math.gamma(2.0 / g))
     return math.pi * params.lambda_bs / denom
@@ -204,13 +231,17 @@ def moment_sequence(
     n_max: int,
     method: str = METHOD_EXACT,
 ) -> MomentSequence:
-    """mu_0..mu_n_max with the requested provenance (exact or closed form)."""
+    """mu_0..mu_n_max with the requested provenance (exact or closed form).
+
+    The exact moments come from one quadrature call for all n.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    ns = range(1, n_max + 1)
     if method == METHOD_EXACT:
-        values = [1.0] + [moment_exact(params, n) for n in range(1, n_max + 1)]
+        values = [1.0] + _moments_exact(params, ns).tolist()
     elif method == METHOD_CLOSED_FORM:
-        values = [1.0] + [moment_approx(params, n) for n in range(1, n_max + 1)]
+        values = [1.0] + [moment_approx(params, n) for n in ns]
     else:
         raise ValueError(f"moment_sequence cannot compute method {method!r}")
     return MomentSequence(values=tuple(values), method=method)

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature of the exact moment integral.
+"""Adaptive Gauss-Kronrod quadrature of the exact moment integrals.
 
 The package integrates one kind of function: the moment integrand
 exp(-(A z + B z^(gamma/2))) over [0, inf), smooth and eventually bounded by
@@ -7,6 +7,13 @@ whichever interval currently carries the largest error estimate.  Integrands
 are evaluated on 1-D ndarrays of abscissae, many 15-node panels per call:
 all opening panels in one call, then both halves of each bisection in one
 call.
+
+An integrand may return one row of values, shape (m,), or several rows,
+shape (rows, m): the moments mu_1..mu_N are N rows on the same abscissae.
+All rows share one panel set.  An interval's priority is its largest row
+error, and refinement stops once every row's summed error meets the
+tolerance.  A one-row integrand gets a float value and error estimate; a
+multi-row one gets arrays of shape (rows,).
 """
 from __future__ import annotations
 
@@ -87,10 +94,15 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Integral value with an a-posteriori error estimate."""
+    """Integral value with an a-posteriori error estimate.
 
-    value: float
-    abs_error_estimate: float
+    value and abs_error_estimate are floats for a one-row integrand and
+    arrays of shape (rows,) otherwise; evaluations counts abscissae, once
+    for all rows.
+    """
+
+    value: float | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
 
 
@@ -99,20 +111,23 @@ def _gk15(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Kronrod panels on [lo[i], hi[i]]: (values, error estimates).
 
-    All panels' nodes go to f in one flat 1-D call.  Weighted sums are
-    reduced row by row, so a panel's result does not depend on the panels
-    it was batched with.  Error model follows the classic QUADPACK
-    rescaling of |K15 - G7| by the panel's total variation.
+    All panels' nodes go to f in one flat 1-D call.  Both results have
+    shape (panels,) for a one-row integrand and (rows, panels) otherwise.
+    Weighted sums are reduced panel by panel, so a panel's result does not
+    depend on the panels or rows it was batched with.  Error model follows
+    the classic QUADPACK rescaling of |K15 - G7| by the panel's total
+    variation.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid[:, None] + half[:, None] * _XK
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    sk = (fx * _WK).sum(axis=1)
-    sg = (fx[:, _GAUSS_IDX] * _WG).sum(axis=1)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
+    sk = (fx * _WK).sum(axis=-1)
+    sg = (fx[..., _GAUSS_IDX] * _WG).sum(axis=-1)
     value = sk * half
-    resabs = (np.abs(fx) * _WK).sum(axis=1) * half
-    resasc = (np.abs(fx - 0.5 * sk[:, None]) * _WK).sum(axis=1) * half
+    resabs = (np.abs(fx) * _WK).sum(axis=-1) * half
+    resasc = (np.abs(fx - 0.5 * sk[..., None]) * _WK).sum(axis=-1) * half
     err = np.abs(sk - sg) * half
     scaled = (resasc != 0.0) & (err != 0.0)
     ratio = 200.0 * err[scaled] / resasc[scaled]
@@ -125,17 +140,25 @@ def _adapt(
     breakpoints: list[float],
     tol: float,
 ) -> QuadResult:
-    """Refine the worst interval until the summed error estimate meets tol."""
+    """Refine the worst interval until every row's summed error meets tol.
+
+    Heap entries are (-largest row error, lo, hi, row values, row errors).
+    """
     los = np.array(breakpoints[:-1], dtype=float)
     his = np.array(breakpoints[1:], dtype=float)
     vals, errs = _gk15(f, los, his)
+    one_row = vals.ndim == 1
+    vals, errs = vals.reshape(-1, len(los)), errs.reshape(-1, len(los))
     evals = 15 * len(los)
-    heap = list(zip((-errs).tolist(), los.tolist(), his.tolist(), vals.tolist(), errs.tolist()))
+    heap = list(zip((-errs.max(axis=0)).tolist(), los.tolist(), his.tolist(), vals.T, errs.T))
     heapq.heapify(heap)
-    total_err = sum(errs.tolist())
+    # Left-to-right sums: numpy's pairwise sum would round differently and
+    # could move the stopping decision of a one-row integrand.
+    total_err = np.array([sum(row) for row in errs.tolist()])
 
     n_intervals = len(heap)
-    while total_err > tol and n_intervals < _MAX_INTERVALS:
+    # max() is NaN once any row is, which ends refinement as for one row.
+    while total_err.max() > tol and n_intervals < _MAX_INTERVALS:
         _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -145,22 +168,33 @@ def _adapt(
                 break
             continue
         halves, half_errs = _gk15(f, np.array([lo, mid]), np.array([mid, hi]))
-        (v1, v2), (e1, e2) = halves.tolist(), half_errs.tolist()
+        (v1, v2), (e1, e2) = halves.reshape(-1, 2).T, half_errs.reshape(-1, 2).T
         evals += 30
         total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
+        heapq.heappush(heap, (-float(e1.max()), lo, mid, v1, e1))
+        heapq.heappush(heap, (-float(e2.max()), mid, hi, v2, e2))
         n_intervals += 1
 
-    # Re-sum from the heap to shed the running total's accumulated cancellation.
-    total_err = math.fsum(item[4] for item in heap)
-    if not total_err <= tol:
+    # Re-sum from the heap to shed the running totals' accumulated cancellation.
+    total_err = np.array([math.fsum(row) for row in zip(*(item[4] for item in heap))])
+    if not (total_err <= tol).all():
         raise QuadratureError(
-            f"tolerance {tol:g} not reached: error estimate {total_err:g} "
+            f"tolerance {tol:g} not reached: error estimate {total_err.max():g} "
             f"after {n_intervals} intervals"
         )
-    value = math.fsum(item[3] for item in heap)
+    value = np.array([math.fsum(row) for row in zip(*(item[3] for item in heap))])
+    if one_row:
+        value, total_err = float(value[0]), float(total_err[0])
     return QuadResult(value=value, abs_error_estimate=total_err, evaluations=evals)
+
+
+def _tail_cutoff(decay_rate: float, tol: float) -> float:
+    """z_max with exp(-a z_max)/a = tol/10 for a = decay_rate.
+
+    The tail of an integrand bounded by exp(-a z) beyond z_max is then
+    below tol/10.
+    """
+    return math.log(10.0 / (decay_rate * tol)) / decay_rate
 
 
 def integrate_semi_infinite_decaying(
@@ -171,19 +205,20 @@ def integrate_semi_infinite_decaying(
     """Integrate f over [0, inf) given an eventual bound f(z) <= exp(-a z).
 
     The tail is truncated analytically: with a = decay_rate, z_max is chosen
-    so that the discarded mass exp(-a z_max)/a is below tol/10.  The finite
-    part starts from a dyadic ladder of panels between 0 and z_max so that
-    integrands whose mass sits many orders of magnitude below z_max (sharp
-    noise-driven decay) cannot be missed by a first coarse panel.
+    so that the discarded mass exp(-a z_max)/a is below tol/10.  For a
+    multi-row f, a is the slowest row's rate.  The finite part starts from a
+    dyadic ladder of panels between 0 and z_max so that integrands whose
+    mass sits many orders of magnitude below z_max (sharp noise-driven
+    decay) cannot be missed by a first coarse panel.
     """
     if not decay_rate > 0.0:
         raise ValueError(f"decay_rate must be positive, got {decay_rate}")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
-    z_max = math.log(10.0 / (decay_rate * tol)) / decay_rate
+    z_max = _tail_cutoff(decay_rate, tol)
     if not z_max > 0.0:
-        # Tail already below tolerance at z = 0: the integral is within tol of 0.
+        # Tail already below tolerance at z = 0: every row is within tol of 0.
         return QuadResult(value=0.0, abs_error_estimate=tol / 10.0, evaluations=0)
 
     breakpoints = [0.0] + [z_max * 2.0 ** (-k) for k in range(52, -1, -1)]

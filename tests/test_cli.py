@@ -107,6 +107,28 @@ class TestMomentsCommand:
         header, _ = _read_csv(out)
         assert header == ["n", "mu_exact"]
 
+    @pytest.mark.parametrize("scenario", [
+        [],
+        ["--gamma", "3", "--theta-db=-10"],
+        ["--gamma", "2.001", "--theta-db", "20"],
+    ])
+    def test_noise_free_exact_equals_closed_form(self, scenario, capsys):
+        # With no noise the closed form is exact, and so is the tail the
+        # quadrature adds beyond its last panel.
+        argv = ["moments", "--noise-dbm=-inf", "--n-max", "10", "--format", "json"]
+        assert main(argv + scenario) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [float(r[4]) for r in rows] == [0.0] * 10
+        assert max(float(r[3]) for r in rows) <= 1e-15
+
+    def test_exact_column_is_moment_sequence(self, capsys):
+        argv = ["--gamma", "4", "--theta-db", "5", "--noise-dbm=-90"]
+        assert main(["moments", *argv, "--n-max", "10", "--method", "exact",
+                     "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        params = SystemParams(1e-3, 4.0, db_to_linear(5.0), 1.0, db_to_linear(-90.0))
+        assert [float(r[1]) for r in rows] == list(moment_sequence(params, 10).values[1:])
+
     @pytest.mark.parametrize("method", ["exact", "approx", "both"])
     def test_one_gauss_2f1_call_per_n(self, method, monkeypatch):
         calls = []

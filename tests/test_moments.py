@@ -1,5 +1,6 @@
 """Moment machinery: exact quadrature vs closed-form approximation vs the
 analytic error bound, plus the exactness limits."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import hyp2f1
 
+from metadist import moments
 from metadist.moments import (
     METHOD_CLOSED_FORM,
     METHOD_EXACT,
@@ -21,6 +24,8 @@ from metadist.moments import (
     moment_sequence,
     rho_n,
 )
+from metadist.quadrature import DEFAULT_TOL
+from metadist.scaling import QosSpec, min_power
 
 from oracles import max_exp_neg_f, rho_quadrature
 
@@ -279,3 +284,89 @@ class TestMomentSequenceBuilder:
     def test_empirical_not_computable(self, paper_params):
         with pytest.raises(ValueError):
             moment_sequence(paper_params, 3, method="empirical")
+
+
+class TestOneQuadraturePerSequence:
+    """The exact mu_1..mu_N are the rows of one engine call."""
+
+    def test_one_engine_call(self, paper_params, monkeypatch):
+        calls = []
+        real = moments.integrate_semi_infinite_decaying
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", spy)
+        moment_sequence(paper_params, 10)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("theta_db, gamma, noise", [
+        (-10.0, 3.0, 1e-10),
+        (0.0, 5.0, 1e-10),
+        (10.0, 4.0, 1e-8),
+        (20.0, 2.5, 1e-12),
+        (20.0, 5.0, 1e-9),
+    ])
+    def test_each_moment_against_scipy(self, theta_db, gamma, noise):
+        # At or below 20 dB the package's 2F1 agrees with scipy's, so the
+        # reference is built from scipy alone.
+        lam, theta, d = 1e-3, 10.0 ** (theta_db / 10.0), 2.0 / gamma
+        seq = moment_sequence(SystemParams(lam, gamma, theta, 1.0, noise), 10)
+        for n in range(1, 11):
+            a_coef = math.pi * lam * hyp2f1(n, -d, 1.0 - d, -theta)
+            # u = A_n z scales the integral to (0, 1].
+            k = n * theta * noise / a_coef ** (gamma / 2.0)
+            ref, _ = si.quad(lambda u: math.exp(-u - k * u ** (gamma / 2.0)), 0.0, np.inf,
+                             epsabs=1e-15, epsrel=1e-13, limit=400)
+            assert abs(seq[n] - math.pi * lam * ref / a_coef) <= DEFAULT_TOL
+
+
+class TestRhoMemo:
+    """Each 2F1 runs once per order and SystemParams object."""
+
+    SCENARIO = (1e-3, 5.0, 1.0, 1.0, 1e-10)
+
+    def _counted(self, monkeypatch):
+        calls = []
+        real = moments.gauss_2f1
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(moments, "gauss_2f1", counted)
+        return calls
+
+    def test_one_call_per_order(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        p = SystemParams(*self.SCENARIO)
+        moment_sequence(p, 10)
+        moment_sequence(p, 10, method=METHOD_CLOSED_FORM)
+        for n in range(1, 11):
+            coeffs(p, n)
+        min_power(p, QosSpec(x_rel=0.1, epsilon=0.6))
+        assert len(calls) == 10
+        assert len(set(calls)) == 10
+        # An equal but separate object computes its own.
+        coeffs(SystemParams(*self.SCENARIO), 1)
+        assert len(calls) == 11
+
+    def test_memo_is_not_part_of_the_scenario(self):
+        p, fresh = SystemParams(*self.SCENARIO), SystemParams(*self.SCENARIO)
+        moment_sequence(p, 4)
+        assert p == fresh
+        assert hash(p) == hash(fresh)
+        assert repr(p) == repr(fresh) == (
+            "SystemParams(lambda_bs=0.001, gamma_pl=5.0, theta=1.0, power=1.0, noise=1e-10)"
+        )
+
+    def test_replace_starts_empty(self, monkeypatch):
+        p = SystemParams(*self.SCENARIO)
+        rho_n(p, 2)
+        calls = self._counted(monkeypatch)
+        rho_n(dataclasses.replace(p, lambda_bs=2e-3), 2)
+        rho_n(dataclasses.replace(p), 2)
+        assert len(calls) == 2
+        rho_n(p, 2)
+        assert len(calls) == 2

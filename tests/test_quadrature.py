@@ -154,3 +154,53 @@ class TestBatchedPanels:
         monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", spy)
         moments.moment_exact(paper_params, 1)
         assert [r.evaluations for r in results] == [795]
+
+
+class TestRows:
+    """Several integrand rows on one shared panel set."""
+
+    RATES = (0.5, 2.0, 7.0)
+    NOISE = (1e-3, 0.0, 0.4)
+
+    def _rows(self, z):
+        a = np.array(self.RATES)[:, None]
+        b = np.array(self.NOISE)[:, None]
+        return np.exp(-(a * z + b * z**2.5))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_each_row_within_tol_of_scipy(self, tol):
+        res = integrate_semi_infinite_decaying(self._rows, min(self.RATES), tol)
+        assert res.value.shape == res.abs_error_estimate.shape == (3,)
+        assert (res.abs_error_estimate <= tol).all()
+        for value, a, b in zip(res.value, self.RATES, self.NOISE):
+            ref, _ = si.quad(lambda z: math.exp(-(a * z + b * z**2.5)), 0.0, np.inf,
+                             epsabs=1e-14, epsrel=1e-13, limit=200)
+            assert abs(value - ref) <= tol
+
+    def test_one_row_matrix_matches_vector(self):
+        f = lambda z: np.exp(-(0.3 * z + 0.01 * z**2.5))
+        vector = integrate_semi_infinite_decaying(f, 0.3, 1e-12)
+        matrix = integrate_semi_infinite_decaying(lambda z: f(z)[None, :], 0.3, 1e-12)
+        assert matrix.value.tolist() == [vector.value]
+        assert matrix.abs_error_estimate.tolist() == [vector.abs_error_estimate]
+        assert matrix.evaluations == vector.evaluations
+
+    def test_nan_row_raises(self):
+        def f(z):
+            rows = self._rows(z)
+            rows[1] = np.nan
+            return rows
+
+        with pytest.raises(QuadratureError):
+            integrate_semi_infinite_decaying(f, min(self.RATES), 1e-10)
+
+    def test_integrand_gets_1d_arrays(self):
+        shapes = []
+
+        def f(z):
+            shapes.append(np.shape(z))
+            return self._rows(z)
+
+        res = integrate_semi_infinite_decaying(f, min(self.RATES), 1e-12)
+        assert shapes[0] == (53 * 15,) and set(shapes[1:]) <= {(30,)}
+        assert res.evaluations == sum(s[0] for s in shapes)
