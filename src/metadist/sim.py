@@ -27,17 +27,21 @@ redrawn from the same generator and counted), then all its squared distances
 in one call.  Sampled-mode channel draws follow on that generator, one
 realization after another, each in row chunks of at most _DRAW_CHUNK gains
 that take the same stream as one (draws x BS) matrix.
-Analytic campaigns are therefore bit-reproducible.  Sampled campaigns are
-too, except for a draw whose SINR lands within an ulp of the threshold:
-ccp_sampled sums each draw's interference with a BLAS product, whose
-rounding depends on the chunk shape and on the BLAS build.  A block holds
-its squared distances and one work array of the same length: at lambda
-1e-2 on the 500 m disk that is about 2M points, 32 MB.
+Blocks run concurrently, one thread per CPU the process may run on; each
+writes only its own slice of the samples, so no draw and no sample depends
+on the thread count.  Analytic campaigns are therefore bit-reproducible.
+Sampled campaigns are too, except for a draw whose SINR lands within an
+ulp of the threshold: ccp_sampled sums each draw's interference with a
+BLAS product, whose rounding depends on the chunk shape and on the BLAS
+build.  A block holds its squared distances and one work array of the same
+length: at lambda 1e-2 on the 500 m disk that is about 2M points, 32 MB,
+and a campaign holds one block per thread: about 64 MB on two CPUs.
 """
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,7 +155,7 @@ def draw_ppp(
         redraws += empty.size
         counts[empty] = rng.poisson(mean, size=empty.size)
         empty = empty[counts[empty] == 0]
-    return rng.uniform(size=int(counts.sum())), np.cumsum(counts) - counts, redraws
+    return rng.random(int(counts.sum())), np.cumsum(counts) - counts, redraws
 
 
 def _nonempty(distances: np.ndarray) -> np.ndarray:
@@ -238,6 +242,13 @@ def ccp_sampled(
     return covered / num_draws
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_campaign(config: SimConfig) -> EmpiricalMeta:
     """Full campaign: one CCP sample per realization.
 
@@ -247,23 +258,35 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     and SimConfig rejects a disk that is nonempty with probability below
     MIN_NONEMPTY_PROB.
     Realizations run in blocks of BLOCK_SIZE, seeded as the module docstring
-    describes.
+    describes.  Blocks run concurrently, one thread per CPU the process may
+    run on (numpy releases the GIL in the block's heavy calls); with one CPU
+    or one block they run inline.  An exception in any block is raised here.
     """
     params = config.params
     radius = config.region_radius
     samples = np.empty(config.num_realizations)
-    redraws = 0
-    for block, first in enumerate(range(0, config.num_realizations, BLOCK_SIZE)):
+
+    def run_block(first: int) -> int:
         size = min(BLOCK_SIZE, config.num_realizations - first)
-        rng = np.random.default_rng([config.rng_seed, block])
-        u, starts, empties = draw_ppp(config, size, rng)
-        redraws += empties
+        rng = np.random.default_rng([config.rng_seed, first // BLOCK_SIZE])
+        u, starts, redraws = draw_ppp(config, size, rng)
         rows = samples[first:first + size]
         if config.fading_mode == FADING_ANALYTIC:
             rows[:] = _ccp_rows(u, starts, params, radius)
         else:
             for k, r in enumerate(np.split(radius * np.sqrt(u), starts[1:])):
                 rows[k] = ccp_sampled(r, params, config.num_channel_draws, rng)
+        return redraws
+
+    firsts = range(0, config.num_realizations, BLOCK_SIZE)
+    workers = min(_cpu_count(), len(firsts))
+    if workers == 1:
+        redraws = sum(map(run_block, firsts))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            redraws = sum(pool.map(run_block, firsts))
     return EmpiricalMeta(ccp_samples=samples, config=config, redraws=redraws)
 
 
@@ -283,12 +306,14 @@ def empirical_reliability(samples: np.ndarray, x) -> float | np.ndarray:
 
 
 def write_samples_csv(samples: np.ndarray, path: str | Path) -> None:
-    """One CCP sample per row under a single `ccp` header column."""
+    """One CCP sample per row under a single `ccp` header column.
+
+    The bytes are csv.writer's (CRLF line ends, no quoting: a float's repr
+    holds no delimiter), written in one call.
+    """
+    rows = "".join(f"{value!r}\r\n" for value in np.asarray(samples, dtype=float).tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ccp"])
-        for value in samples:
-            writer.writerow([repr(float(value))])
+        fh.write("ccp\r\n" + rows)
 
 
 def read_samples_csv(path: str | Path) -> np.ndarray:

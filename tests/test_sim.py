@@ -1,6 +1,10 @@
 """Point-process simulator: geometry, per-realization coverage, campaign
 determinism, and statistical agreement with the analytic moments."""
+import csv
+import io
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -330,6 +334,74 @@ class TestCampaign:
         assert emp.redraws == 0
         assert emp.ccp_samples.tolist() == expected
 
+    # Three blocks, the last one partial, so every worker count splits them
+    # differently: one inline, two with a worker taking a second block, four
+    # capped at one worker per block.
+    CONCURRENT_REALIZATIONS = 2 * BLOCK_SIZE + 37
+
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_samples_independent_of_worker_count(self, mode, monkeypatch):
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
+                        fading_mode=mode, num_channel_draws=20, rng_seed=11)
+        draw_ppp_inner = sim.draw_ppp
+        threads = set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return draw_ppp_inner(*args)
+
+        monkeypatch.setattr(sim, "draw_ppp", spy)
+        runs = {}
+        # A short switch interval interleaves the block threads often, so a
+        # block writing outside its own slice would show as changed samples.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+                threads.clear()
+                runs[workers] = run_campaign(cfg).ccp_samples
+                # One worker runs the blocks inline; more run them in the pool.
+                assert (threads == {threading.get_ident()}) == (workers == 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1].tobytes() == runs[2].tobytes() == runs[4].tobytes()
+
+    def test_redraws_summed_over_concurrent_blocks(self, monkeypatch):
+        # About 92% of realizations are empty at first draw at this density.
+        p = SystemParams(1e-7, 5.0, 1.0, 1.0, 0.0)
+        cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS, rng_seed=4)
+        expected = sum(
+            draw_ppp(cfg, min(BLOCK_SIZE, cfg.num_realizations - first),
+                     np.random.default_rng([cfg.rng_seed, block]))[2]
+            for block, first in enumerate(range(0, cfg.num_realizations, BLOCK_SIZE))
+        )
+        assert expected > 0
+        runs = {}
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+            runs[workers] = run_campaign(cfg)
+            assert runs[workers].redraws == expected
+        assert runs[1].ccp_samples.tobytes() == runs[4].ccp_samples.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_block_exception_is_raised(self, workers, monkeypatch):
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS, rng_seed=2)
+        fresh_block_2 = np.random.default_rng([cfg.rng_seed, 2]).bit_generator.state
+        draw_ppp_inner = sim.draw_ppp
+
+        def failing(config, size, rng):
+            if rng.bit_generator.state == fresh_block_2:
+                raise RuntimeError("block 2 failed")
+            return draw_ppp_inner(config, size, rng)
+
+        monkeypatch.setattr(sim, "draw_ppp", failing)
+        monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            run_campaign(cfg)
+
     def test_edge_effects_negligible_at_500m(self, paper_params):
         base = run_campaign(
             SimConfig(params=paper_params, num_realizations=2000, rng_seed=29,
@@ -387,6 +459,17 @@ class TestSerialization:
         write_samples_csv(emp.ccp_samples, path)
         back = read_samples_csv(path)
         assert np.array_equal(back, emp.ccp_samples)
+
+    def test_csv_bytes_are_csv_writers(self, tmp_path):
+        samples = np.array([0.0, 1.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 1.0 - 2.0**-53])
+        path = tmp_path / "samples.csv"
+        write_samples_csv(samples, path)
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["ccp"])
+        for value in samples:
+            writer.writerow([repr(float(value))])
+        assert path.read_bytes() == reference.getvalue().encode()
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
