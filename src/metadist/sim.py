@@ -27,15 +27,16 @@ redrawn from the same generator and counted), then all its squared distances
 in one call.  Sampled-mode channel draws follow on that generator, one
 realization after another, each in row chunks of at most _DRAW_CHUNK gains
 that take the same stream as one (draws x BS) matrix.
-Blocks run concurrently, one thread per CPU the process may run on; each
-writes only its own slice of the samples, so no draw and no sample depends
-on the thread count.  Analytic campaigns are therefore bit-reproducible.
-Sampled campaigns are too, except for a draw whose SINR lands within an
-ulp of the threshold: ccp_sampled sums each draw's interference with a
-BLAS product, whose rounding depends on the chunk shape and on the BLAS
-build.  A block holds its squared distances and one work array of the same
-length: at lambda 1e-2 on the 500 m disk that is about 2M points, 32 MB,
-and a campaign holds one block per thread: about 64 MB on two CPUs.
+Blocks run on a thread pool, one worker per CPU the process may run on, at
+most _MAX_WORKERS; each writes only its own slice of the samples, so no
+draw and no sample depends on the thread count.  Analytic campaigns are
+therefore bit-reproducible.  Sampled campaigns are too, except for a draw
+whose SINR lands within an ulp of the threshold: ccp_sampled sums each
+draw's interference with a BLAS product, whose rounding depends on the
+chunk shape and on the BLAS build.  A block holds its squared distances
+and one work array of the same length: at lambda 1e-2 on the 500 m disk
+that is about 2M points, 32 MB, and a campaign holds one block per worker:
+at most 64 MB, whatever the host's CPU count.
 """
 from __future__ import annotations
 
@@ -74,6 +75,11 @@ BLOCK_SIZE = 256
 # Elements per chunk of sampled-mode channel gains (256 KiB of float64):
 # small enough to stay in L2 cache while it is refilled, chunk after chunk.
 _DRAW_CHUNK = 1 << 15
+
+# Most blocks a campaign runs at once, whatever the host's CPU count: each
+# holds up to 32 MB at lambda 1e-2, so this bounds a campaign's block memory
+# at 64 MB there.  Two is the count the concurrent campaigns were measured at.
+_MAX_WORKERS = 2
 
 # Smallest accepted probability that the disk holds a BS: below it a
 # realization needs more than 1e5 Poisson draws on average to be nonempty.
@@ -258,9 +264,10 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     and SimConfig rejects a disk that is nonempty with probability below
     MIN_NONEMPTY_PROB.
     Realizations run in blocks of BLOCK_SIZE, seeded as the module docstring
-    describes.  Blocks run concurrently, one thread per CPU the process may
-    run on (numpy releases the GIL in the block's heavy calls); with one CPU
-    or one block they run inline.  An exception in any block is raised here.
+    describes.  Blocks run on a thread pool (numpy releases the GIL in the
+    block's heavy calls) of one worker per CPU the process may run on, at
+    most _MAX_WORKERS and at most one per block.  An exception in any block
+    is raised here.
     """
     params = config.params
     radius = config.region_radius
@@ -278,15 +285,12 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
                 rows[k] = ccp_sampled(r, params, config.num_channel_draws, rng)
         return redraws
 
-    firsts = range(0, config.num_realizations, BLOCK_SIZE)
-    workers = min(_cpu_count(), len(firsts))
-    if workers == 1:
-        redraws = sum(map(run_block, firsts))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    # Imported here, not at module level, to keep it out of the import time.
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            redraws = sum(pool.map(run_block, firsts))
+    firsts = range(0, config.num_realizations, BLOCK_SIZE)
+    with ThreadPoolExecutor(min(_MAX_WORKERS, _cpu_count(), len(firsts))) as pool:
+        redraws = sum(pool.map(run_block, firsts))
     return EmpiricalMeta(ccp_samples=samples, config=config, redraws=redraws)
 
 

@@ -5,6 +5,7 @@ import io
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -335,23 +336,36 @@ class TestCampaign:
         assert emp.ccp_samples.tolist() == expected
 
     # Three blocks, the last one partial, so every worker count splits them
-    # differently: one inline, two with a worker taking a second block, four
+    # differently: one worker takes all three, two share them, four are
     # capped at one worker per block.
     CONCURRENT_REALIZATIONS = 2 * BLOCK_SIZE + 37
+
+    @staticmethod
+    def force_workers(monkeypatch, workers):
+        """Run campaigns on `workers` threads (fewer if there are fewer blocks)."""
+        monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(sim, "_MAX_WORKERS", workers)
+
+    @staticmethod
+    def spy_draw_ppp(monkeypatch, delay=0.0):
+        """Patch sim.draw_ppp to record the thread of each call; returns the set."""
+        draw_ppp_inner = sim.draw_ppp
+        threads = set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            time.sleep(delay)
+            return draw_ppp_inner(*args)
+
+        monkeypatch.setattr(sim, "draw_ppp", spy)
+        return threads
 
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
     def test_samples_independent_of_worker_count(self, mode, monkeypatch):
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
                         fading_mode=mode, num_channel_draws=20, rng_seed=11)
-        draw_ppp_inner = sim.draw_ppp
-        threads = set()
-
-        def spy(*args):
-            threads.add(threading.get_ident())
-            return draw_ppp_inner(*args)
-
-        monkeypatch.setattr(sim, "draw_ppp", spy)
+        threads = self.spy_draw_ppp(monkeypatch)
         runs = {}
         # A short switch interval interleaves the block threads often, so a
         # block writing outside its own slice would show as changed samples.
@@ -359,14 +373,23 @@ class TestCampaign:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 4):
-                monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+                self.force_workers(monkeypatch, workers)
                 threads.clear()
                 runs[workers] = run_campaign(cfg).ccp_samples
-                # One worker runs the blocks inline; more run them in the pool.
-                assert (threads == {threading.get_ident()}) == (workers == 1)
+                assert threading.get_ident() not in threads
+                assert len(threads) <= min(workers, 3)
         finally:
             sys.setswitchinterval(interval)
         assert runs[1].tobytes() == runs[2].tobytes() == runs[4].tobytes()
+
+    def test_worker_count_capped_on_many_cpus(self, monkeypatch):
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 16)
+        # Every block waits a little, so an uncapped pool would have started
+        # a thread for each of the eight blocks before any block finished.
+        threads = self.spy_draw_ppp(monkeypatch, delay=0.01)
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        run_campaign(SimConfig(params=p, num_realizations=8 * BLOCK_SIZE, rng_seed=5))
+        assert 1 <= len(threads) <= sim._MAX_WORKERS
 
     def test_redraws_summed_over_concurrent_blocks(self, monkeypatch):
         # About 92% of realizations are empty at first draw at this density.
@@ -380,7 +403,7 @@ class TestCampaign:
         assert expected > 0
         runs = {}
         for workers in (1, 2, 4):
-            monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+            self.force_workers(monkeypatch, workers)
             runs[workers] = run_campaign(cfg)
             assert runs[workers].redraws == expected
         assert runs[1].ccp_samples.tobytes() == runs[4].ccp_samples.tobytes()
@@ -398,7 +421,7 @@ class TestCampaign:
             return draw_ppp_inner(config, size, rng)
 
         monkeypatch.setattr(sim, "draw_ppp", failing)
-        monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+        self.force_workers(monkeypatch, workers)
         with pytest.raises(RuntimeError, match="block 2 failed"):
             run_campaign(cfg)
 
