@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +89,11 @@ class ReconstructedDistribution:
     basis: JacobiBasis
     coefficients: tuple[float, ...]
     source_moments: MomentSequence
+    # The last grid eval_cdf evaluated, (shape, bytes) -> CDF; not part of
+    # the distribution's identity.
+    _last_cdf: dict[tuple, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -267,8 +272,24 @@ def eval_cdf(dist: ReconstructedDistribution, x):
     so F(0) = 0 and F(1) = 1 exactly.  The leading term is one array call
     of reg_inc_beta over all of x.  Values are not clamped; the reliability
     accessor clamps at the output boundary.
+
+    The distribution keeps the CDF of the last grid evaluated, keyed by the
+    grid's shape and bytes, so a second call on the same grid (such as
+    meta_reliability after eval_cdf) runs no incomplete beta; every call
+    returns a fresh array.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
+    key = (arr.shape, arr.tobytes())
+    out = dist._last_cdf.get(key)
+    if out is None:
+        out = _series_cdf(dist, arr)
+        dist._last_cdf.clear()
+        dist._last_cdf[key] = out
+    return float(out[0]) if np.asarray(x).ndim == 0 else out.copy()
+
+
+def _series_cdf(dist: ReconstructedDistribution, arr: np.ndarray) -> np.ndarray:
+    """eval_cdf's series at every point of arr, computed afresh."""
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValueError("cdf is defined on [0, 1]")
     basis = dist.basis
@@ -282,7 +303,7 @@ def eval_cdf(dist: ReconstructedDistribution, x):
         for n in range(1, basis.order + 1):
             corr += dist.coefficients[n] / n * polys[n - 1]
         out -= wgt * corr
-    return float(out[0]) if np.asarray(x).ndim == 0 else out
+    return out
 
 
 def meta_reliability(dist: ReconstructedDistribution, x):

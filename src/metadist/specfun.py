@@ -13,6 +13,13 @@ accumulates round exactly as that loop would: the result is the same float
 as summing every term in Python.  Its 10,000-term cap still returns
 silently; ROADMAP's first correctness item replaces the series with the
 incomplete beta.
+
+The incomplete beta's continued fraction runs over all lanes of x at once,
+two partial numerators per step (its even contraction) as a three-term
+recurrence renormalised every step.  Its coefficients are tabulated once
+per (a, b) pair, not per lane, and each lane freezes in the step its own
+convergence test passes, so an array call gives every element the float
+a scalar call would.
 """
 from __future__ import annotations
 
@@ -30,6 +37,8 @@ _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 10_000
 _SERIES_PREFIX_TERMS = 128
 _SERIES_FIRST_CHUNK = 1024
+_CF_RTOL = 1e-16
+_CF_MAX_STEPS = 500
 
 
 def binom(r: float, k: int) -> float:
@@ -105,45 +114,78 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     return prefactor * float(total)
 
 
-def _beta_cont_frac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta function (modified Lentz).
+def _beta_cont_frac(
+    a: np.ndarray, b: np.ndarray, pair: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Continued fraction for the incomplete beta function, lane by lane.
 
-    Runs over every lane (a[i], b[i], x[i]) at once; a lane drops out in the
-    step its own convergence test passes.  Valid and rapidly convergent for
-    x < (a+1)/(a+b+2).
+    Lane i evaluates the fraction of the pair (a[k], b[k]), k = pair[i], at
+    x[i]; a and b hold the distinct pairs only.  Valid and rapidly
+    convergent for x < (a+1)/(a+b+2).  The fraction
+
+        1/(1+ d_1/(1+ d_2/(1+ ...))),
+        d_2m = m(b-m) x / ((a+2m-1)(a+2m)),
+        d_2m+1 = -(a+m)(a+b+m) x / ((a+2m)(a+2m+1)),
+
+    is taken two partial numerators at a time (its even contraction).  The
+    denominators of successive convergents then obey the three-term
+    recurrence B_m = (1 + d_2m + d_2m+1) B_m-1 - d_2m d_2m-1 B_m-2, with
+    d_2m + d_2m+1 = p_m x and d_2m d_2m-1 = q_m x^2.  The coefficients p_m
+    and q_m are tabulated once per pair and spread over the lanes each
+    step.  The recurrence is renormalised every step: w = x B_m-1 / B_m
+    stays O(x), and the convergent h moves by
+
+        h_m - h_m-1 = q_m w_m-1 w_m (h_m-1 - h_m-2),
+        x / w_m = 1 + x (p_m - q_m w_m-1).
+
+    A lane freezes in the first step where |h_m / h_m-1 - 1| < 1e-16.  A
+    zero or non-finite denominator turns the lane's step into inf or NaN,
+    which never passes that test, so it raises with the unconverged lanes.
     """
-    tiny = 1e-300
-
-    def clamp(v: np.ndarray) -> np.ndarray:
-        return np.where(np.abs(v) < tiny, tiny, v)
+    if not x.size:
+        return np.empty_like(x)
+    m = np.arange(_CF_MAX_STEPS, dtype=float)
+    ac, bc = a[:, None], b[:, None]
+    # odd[:, m] = d_2m+1 / x and even[:, m-1] = d_2m / x, per pair.
+    odd = -(ac + m) * (ac + bc + m) / ((ac + 2.0 * m) * (ac + 1.0 + 2.0 * m))
+    m = m[1:]
+    even = m * (bc - m) / ((ac - 1.0 + 2.0 * m) * (ac + 2.0 * m))
+    # Row m-1 holds step m's coefficient of every pair.
+    p_tab = (even + odd[:, 1:]).T.copy()
+    q_tab = (even * odd[:, :-1]).T.copy()
 
     out = np.empty_like(x)
-    idx = np.arange(x.size)
-    c = np.ones_like(x)
-    d = 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((a - 1.0 + m2) * (a + m2))
-        d = 1.0 / clamp(1.0 + aa * d)
-        c = clamp(1.0 + aa / c)
-        h = h * (d * c)
-        # odd step
-        aa = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))
-        d = 1.0 / clamp(1.0 + aa * d)
-        c = clamp(1.0 + aa / c)
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < 1e-16
-        out[idx[done]] = h[done]
-        live = ~done
-        idx, a, b, x, c, d, h = (v[live] for v in (idx, a, b, x, c, d, h))
-        if not idx.size:
-            return out
+    live = np.ones(x.shape, dtype=bool)
+    newly = np.empty_like(live)
+    den, t, ratio = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    with np.errstate(all="ignore"):
+        h = 1.0 / (1.0 + odd[:, 0].take(pair) * x)
+        step = h.copy()
+        w = x * h
+        for p_m, q_m in zip(p_tab, q_tab):
+            p_m.take(pair, out=den)
+            q_m.take(pair, out=t)
+            t *= w
+            den -= t
+            den *= x
+            den += 1.0
+            np.divide(x, den, out=w)
+            t *= w
+            step *= t
+            np.divide(step, h, out=ratio)
+            h += step
+            np.abs(ratio, out=ratio)
+            np.less(ratio, _CF_RTOL, out=newly)
+            newly &= live
+            if newly.any():
+                np.copyto(out, h, where=newly)
+                live ^= newly
+                if not live.any():
+                    return out
+    i = int(np.flatnonzero(live)[0])
     raise ArithmeticError(
         "incomplete beta continued fraction failed to converge "
-        f"(a={a[0]}, b={b[0]}, x={x[0]})"
+        f"(a={a[pair[i]]}, b={b[pair[i]]}, x={x[i]})"
     )
 
 
@@ -157,9 +199,15 @@ def reg_inc_beta(x, a: float, b: float):
     that I_x(a,b) + I_{1-x}(b,a) = 1 holds to machine precision.  Absolute
     error <= 1e-12.
 
+    The two sides are one call of the continued fraction with two pairs,
+    (a, b) for the direct lanes and (b, a) for the swapped ones; it steps
+    the even contraction's three-term recurrence (see _beta_cont_frac), at
+    most 499 steps.
+
     Raises:
         ValueError: a or b not positive, or any x outside [0, 1] (or NaN).
-        ArithmeticError: the continued fraction fails to converge at any x.
+        ArithmeticError: the continued fraction fails to converge at any x
+            within 499 steps, or meets a zero or non-finite denominator.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
@@ -179,7 +227,9 @@ def reg_inc_beta(x, a: float, b: float):
     )
     front = np.exp(ln_prefactor)
     swap = xi >= (a + 1.0) / (a + b + 2.0)
-    p = np.where(swap, b, a)
-    part = front * _beta_cont_frac(p, np.where(swap, a, b), np.where(swap, 1.0 - xi, xi)) / p
+    frac = _beta_cont_frac(
+        np.array([a, b]), np.array([b, a]), swap.astype(np.intp), np.where(swap, 1.0 - xi, xi)
+    )
+    part = front * frac / np.where(swap, b, a)
     out[inner] = np.where(swap, 1.0 - part, part)
     return float(out) if out.ndim == 0 else out

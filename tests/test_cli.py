@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from metadist import moments
+from metadist import cli, moments
 from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, main, mw_to_dbm
 from metadist.jacobi import eval_pdf, meta_reliability, reconstruct
 from metadist.moments import SystemParams, moment_sequence
@@ -56,6 +56,20 @@ class TestArgumentParsing:
     def test_help_returns_ok(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: metadist")
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["moments", "--method", "bogus"]) == EXIT_USAGE
+            assert main(["--help"]) == EXIT_OK
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert real() is not real()
 
 
 class TestMomentsCommand:

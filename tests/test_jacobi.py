@@ -1,10 +1,12 @@
 """Jacobi polynomial machinery and the moment-to-distribution round trip."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from metadist import jacobi
 from metadist.jacobi import (
     DegenerateMomentsError,
     JacobiBasis,
@@ -296,6 +298,69 @@ class TestCdf:
             eval_cdf(dist, -0.01)
         with pytest.raises(ValueError):
             eval_cdf(dist, 1.01)
+
+
+class TestCdfMemo:
+    """A distribution keeps the CDF of the last grid eval_cdf evaluated."""
+
+    GRID = np.linspace(0.0, 1.0, 1001)
+
+    @pytest.fixture
+    def inc_beta_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reg_inc_beta(*args)
+
+        monkeypatch.setattr(jacobi, "reg_inc_beta", counted)
+        return calls
+
+    def test_reliability_after_cdf_is_one_incomplete_beta(self, inc_beta_calls):
+        dist = _beta_27_13_distribution()
+        cdf = eval_cdf(dist, self.GRID)
+        rel = meta_reliability(dist, self.GRID)
+        assert len(inc_beta_calls) == 1
+        np.testing.assert_array_equal(rel, np.clip(1.0 - cdf, 0.0, 1.0))
+        fresh = _beta_27_13_distribution()
+        np.testing.assert_array_equal(meta_reliability(fresh, self.GRID), rel)
+
+    def test_another_grid_is_evaluated_again(self, inc_beta_calls):
+        dist = _beta_27_13_distribution()
+        grids = [self.GRID, self.GRID[::-1], self.GRID.reshape(7, 143), self.GRID]
+        expected = [eval_cdf(_beta_27_13_distribution(), grid) for grid in grids]
+        inc_beta_calls.clear()
+        for k, (grid, ref) in enumerate(zip(grids, expected), start=1):
+            np.testing.assert_array_equal(eval_cdf(dist, grid), ref)
+            assert len(inc_beta_calls) == k
+        # The same array, changed in place, is another grid.
+        grid = self.GRID.copy()
+        eval_cdf(dist, grid)
+        grid[500] = 0.25
+        assert eval_cdf(dist, grid)[500] == eval_cdf(dist, 0.25)
+        assert len(inc_beta_calls) == 6
+
+    def test_returned_arrays_are_copies(self, inc_beta_calls):
+        dist = _beta_27_13_distribution()
+        first = eval_cdf(dist, self.GRID)
+        expected = first.copy()
+        first[:] = 7.0
+        second = eval_cdf(dist, self.GRID)
+        np.testing.assert_array_equal(second, expected)
+        second[:] = -1.0
+        np.testing.assert_array_equal(eval_cdf(dist, self.GRID), expected)
+        assert len(inc_beta_calls) == 1
+
+    def test_memo_is_not_part_of_the_identity(self, inc_beta_calls):
+        dist, twin = _beta_27_13_distribution(), _beta_27_13_distribution()
+        before = (repr(dist), hash(dist))
+        eval_cdf(dist, self.GRID)
+        assert dist == twin
+        assert (repr(dist), hash(dist)) == before == (repr(twin), hash(twin))
+        copy = dataclasses.replace(dist)
+        assert copy == dist and copy._last_cdf == {}
+        eval_cdf(copy, self.GRID)
+        assert len(inc_beta_calls) == 2
 
 
 class TestReliability:

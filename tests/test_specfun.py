@@ -258,6 +258,34 @@ class TestRegIncBeta:
             reg_inc_beta(0.5, 1.0, -2.0)
 
 
+class TestBetaContFrac:
+    def test_lanes_of_many_pairs_equal_one_pair_calls(self):
+        # The pairs of 1 + rho_n, (1 - delta, n + delta), in one call.
+        a = np.full(4, 0.6)
+        b = np.array([1.4, 2.4, 5.4, 10.4])
+        rng = np.random.default_rng(2)
+        pair = rng.integers(0, 4, 200)
+        x = rng.uniform(0.0, 0.12, 200)
+        vals = specfun._beta_cont_frac(a, b, pair, x)
+        for k in range(4):
+            lanes = pair == k
+            one = specfun._beta_cont_frac(a[k:k + 1], b[k:k + 1], pair[lanes] * 0, x[lanes])
+            np.testing.assert_array_equal(vals[lanes], one)
+            ref = sp.betainc(a[k], b[k], x[lanes]) * a[k] / (
+                x[lanes] ** a[k] * (1.0 - x[lanes]) ** b[k] / sp.beta(a[k], b[k]))
+            np.testing.assert_allclose(one, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("a, b, bad", [
+        (1.0, 1.0, 1.0),  # 1 + d_1 = 1 - (a+b) x / (a+1) is zero at x = 1
+        (2.0, 3.0, np.nan),
+        (2.0, 3.0, np.inf),
+    ])
+    def test_zero_or_non_finite_denominator_raises(self, a, b, bad):
+        with pytest.raises(ArithmeticError):
+            specfun._beta_cont_frac(np.array([a]), np.array([b]), np.zeros(2, np.intp),
+                                    np.array([0.2, bad]))
+
+
 class TestRegIncBetaArray:
     @settings(max_examples=200)
     @given(
@@ -294,6 +322,18 @@ class TestRegIncBetaArray:
     def test_any_bad_lane_raises(self, bad):
         with pytest.raises(ValueError):
             reg_inc_beta(np.array([0.2, bad, 0.7]), 2.0, 3.0)
+
+    def test_against_scipy_on_the_reconstruction_range(self):
+        # eval_cdf's leading term is I_x(beta+1, alpha+1) on a 1001-point
+        # grid.  Sweep bases at -20 dB reach beta ~ 106, where the slowest
+        # lanes take about 50 steps.
+        xs = np.linspace(0.0, 1.0, 1001)
+        rng = np.random.default_rng(11)
+        cases = [(1.0, 2.0), (1.0, 1e-3), (107.0, 1.5), (200.0, 2.0), (200.0, 1e-3),
+                 *zip(rng.uniform(1.0, 200.0, 30), rng.uniform(1e-3, 2.0, 30))]
+        for a, b in cases:
+            np.testing.assert_allclose(reg_inc_beta(xs, a, b), sp.betainc(a, b, xs),
+                                       rtol=0.0, atol=1e-12, err_msg=f"a={a}, b={b}")
 
     def test_one_unconverged_lane_raises(self):
         # At a = b = 1e6 the fraction converges at x = 0.3 but needs far more
