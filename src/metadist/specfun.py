@@ -16,10 +16,11 @@ incomplete beta.
 
 The incomplete beta's continued fraction runs over all lanes of x at once,
 two partial numerators per step (its even contraction) as a three-term
-recurrence renormalised every step.  Its coefficients are tabulated once
-per (a, b) pair, not per lane, and each lane freezes in the step its own
-convergence test passes, so an array call gives every element the float
-a scalar call would.
+recurrence renormalised every step.  Its coefficients are tabulated per
+(a, b) pair, not per lane, a range of steps at a time as far as the
+slowest lane needs.  Each lane freezes in the step its own convergence
+test passes, so an array call gives every element the float a scalar call
+would.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ _SERIES_PREFIX_TERMS = 128
 _SERIES_FIRST_CHUNK = 1024
 _CF_RTOL = 1e-16
 _CF_MAX_STEPS = 500
+_CF_FIRST_STOP = 16
 
 
 def binom(r: float, k: int) -> float:
@@ -114,6 +116,23 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     return prefactor * float(total)
 
 
+def _cf_coefficients(
+    a: np.ndarray, b: np.ndarray, first: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The even contraction's coefficients of steps m = first..stop-1.
+
+    Returns (odd, p, q): odd[0] = d_2m+1 / x at m = first - 1, and row
+    m - first of p and q holds step m's p_m and q_m, one column per pair.
+    Every element is the same float whatever the range it is tabulated in.
+    """
+    m = np.arange(first - 1, stop, dtype=float)[:, None]
+    # odd[i] = d_2m+1 / x at m = first - 1 + i, even[i] = d_2m / x at m = first + i.
+    odd = -(a + m) * (a + b + m) / ((a + 2.0 * m) * (a + 1.0 + 2.0 * m))
+    m = m[1:]
+    even = m * (b - m) / ((a - 1.0 + 2.0 * m) * (a + 2.0 * m))
+    return odd, even + odd[1:], even * odd[:-1]
+
+
 def _beta_cont_frac(
     a: np.ndarray, b: np.ndarray, pair: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
@@ -131,9 +150,10 @@ def _beta_cont_frac(
     denominators of successive convergents then obey the three-term
     recurrence B_m = (1 + d_2m + d_2m+1) B_m-1 - d_2m d_2m-1 B_m-2, with
     d_2m + d_2m+1 = p_m x and d_2m d_2m-1 = q_m x^2.  The coefficients p_m
-    and q_m are tabulated once per pair and spread over the lanes each
-    step.  The recurrence is renormalised every step: w = x B_m-1 / B_m
-    stays O(x), and the convergent h moves by
+    and q_m are tabulated per pair, steps 1-15 first and then in doubling
+    ranges (16-31, 32-63, ...) only while some lane is still live, and
+    spread over the lanes each step.  The recurrence is renormalised every
+    step: w = x B_m-1 / B_m stays O(x), and the convergent h moves by
 
         h_m - h_m-1 = q_m w_m-1 w_m (h_m-1 - h_m-2),
         x / w_m = 1 + x (p_m - q_m w_m-1).
@@ -144,44 +164,41 @@ def _beta_cont_frac(
     """
     if not x.size:
         return np.empty_like(x)
-    m = np.arange(_CF_MAX_STEPS, dtype=float)
-    ac, bc = a[:, None], b[:, None]
-    # odd[:, m] = d_2m+1 / x and even[:, m-1] = d_2m / x, per pair.
-    odd = -(ac + m) * (ac + bc + m) / ((ac + 2.0 * m) * (ac + 1.0 + 2.0 * m))
-    m = m[1:]
-    even = m * (bc - m) / ((ac - 1.0 + 2.0 * m) * (ac + 2.0 * m))
-    # Row m-1 holds step m's coefficient of every pair.
-    p_tab = (even + odd[:, 1:]).T.copy()
-    q_tab = (even * odd[:, :-1]).T.copy()
-
     out = np.empty_like(x)
     live = np.ones(x.shape, dtype=bool)
     newly = np.empty_like(live)
     den, t, ratio = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    first, stop = 1, _CF_FIRST_STOP
     with np.errstate(all="ignore"):
-        h = 1.0 / (1.0 + odd[:, 0].take(pair) * x)
+        odd, p_tab, q_tab = _cf_coefficients(a, b, first, stop)
+        h = 1.0 / (1.0 + odd[0].take(pair) * x)
         step = h.copy()
         w = x * h
-        for p_m, q_m in zip(p_tab, q_tab):
-            p_m.take(pair, out=den)
-            q_m.take(pair, out=t)
-            t *= w
-            den -= t
-            den *= x
-            den += 1.0
-            np.divide(x, den, out=w)
-            t *= w
-            step *= t
-            np.divide(step, h, out=ratio)
-            h += step
-            np.abs(ratio, out=ratio)
-            np.less(ratio, _CF_RTOL, out=newly)
-            newly &= live
-            if newly.any():
-                np.copyto(out, h, where=newly)
-                live ^= newly
-                if not live.any():
-                    return out
+        while True:
+            for p_m, q_m in zip(p_tab, q_tab):
+                p_m.take(pair, out=den)
+                q_m.take(pair, out=t)
+                t *= w
+                den -= t
+                den *= x
+                den += 1.0
+                np.divide(x, den, out=w)
+                t *= w
+                step *= t
+                np.divide(step, h, out=ratio)
+                h += step
+                np.abs(ratio, out=ratio)
+                np.less(ratio, _CF_RTOL, out=newly)
+                newly &= live
+                if newly.any():
+                    np.copyto(out, h, where=newly)
+                    live ^= newly
+                    if not live.any():
+                        return out
+            if stop == _CF_MAX_STEPS:
+                break
+            first, stop = stop, min(2 * stop, _CF_MAX_STEPS)
+            _, p_tab, q_tab = _cf_coefficients(a, b, first, stop)
     i = int(np.flatnonzero(live)[0])
     raise ArithmeticError(
         "incomplete beta continued fraction failed to converge "

@@ -319,21 +319,32 @@ class TestCampaign:
         assert emp.redraws == 0
         assert emp.ccp_samples == pytest.approx(expected, rel=1e-12)
 
-    def test_sampled_block_stream_layout(self):
-        # The sampled twin: after the radii, each realization's channel draws
-        # in turn, on the block's generator.  About 7850 BSs per realization,
-        # so 20 draws take five chunks each.
+    def test_sampled_block_stream_layout(self, monkeypatch):
+        # The sampled twin: the block's generator draws the same counts and
+        # radii, and realization k draws its channel gains from child k of
+        # the block's seed.  About 7850 BSs per realization, so 20 draws
+        # take five chunks each.
         p = SystemParams(1e-2, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=3, fading_mode="sampled",
                         num_channel_draws=20, rng_seed=6)
+        seen = self.spy_calls(monkeypatch, "ccp_sampled")
         emp = run_campaign(cfg)
         rng = np.random.default_rng([cfg.rng_seed, 0])
         counts = rng.poisson(p.lambda_bs * math.pi * cfg.region_radius**2, size=3)
         r = cfg.region_radius * np.sqrt(rng.uniform(size=int(counts.sum())))
         assert np.all(sim._DRAW_CHUNK // counts <= 5)  # rows per chunk: 4+ chunks each
-        expected = [ccp_sampled_reference(x, p, 20, rng) for x in np.split(r, np.cumsum(counts)[:-1])]
+        children = np.random.SeedSequence([cfg.rng_seed, 0]).spawn(3)
+        expected = [ccp_sampled_reference(x, p, 20, np.random.default_rng(child))
+                    for x, child in zip(np.split(r, np.cumsum(counts)[:-1]), children)]
         assert emp.redraws == 0
         assert emp.ccp_samples.tolist() == expected
+        # The radii each realization's channel draws saw are the analytic
+        # campaign's under the same seed, bit for bit.
+        geometry = self.spy_calls(monkeypatch, "draw_ppp")
+        run_campaign(SimConfig(params=p, num_realizations=3, rng_seed=6))
+        (_, (u, starts, _)), = geometry
+        analytic = np.split(cfg.region_radius * np.sqrt(u), starts[1:])
+        assert sorted(args[0].tolist() for args, _ in seen) == sorted(x.tolist() for x in analytic)
 
     # Three blocks, the last one partial, so every worker count splits them
     # differently: one worker takes all three, two share them, four are
@@ -347,17 +358,31 @@ class TestCampaign:
         monkeypatch.setattr(sim, "_MAX_WORKERS", workers)
 
     @staticmethod
-    def spy_draw_ppp(monkeypatch, delay=0.0):
-        """Patch sim.draw_ppp to record the thread of each call; returns the set."""
-        draw_ppp_inner = sim.draw_ppp
+    def spy_calls(monkeypatch, name):
+        """Patch sim.<name> to record (args, result) of each call; returns the list."""
+        inner = getattr(sim, name)
+        calls = []
+
+        def spy(*args):
+            result = inner(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(sim, name, spy)
+        return calls
+
+    @staticmethod
+    def spy_threads(monkeypatch, name, delay=0.0):
+        """Patch sim.<name> to record the thread of each call; returns the set."""
+        inner = getattr(sim, name)
         threads = set()
 
         def spy(*args):
             threads.add(threading.get_ident())
             time.sleep(delay)
-            return draw_ppp_inner(*args)
+            return inner(*args)
 
-        monkeypatch.setattr(sim, "draw_ppp", spy)
+        monkeypatch.setattr(sim, name, spy)
         return threads
 
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
@@ -365,10 +390,16 @@ class TestCampaign:
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
                         fading_mode=mode, num_channel_draws=20, rng_seed=11)
-        threads = self.spy_draw_ppp(monkeypatch)
+        # Analytic blocks draw their geometry on the workers, at most one per
+        # block; a sampled block draws it on the calling thread and deals its
+        # channel draws out to the workers.
+        if mode == "analytic":
+            threads = self.spy_threads(monkeypatch, "draw_ppp")
+        else:
+            threads = self.spy_threads(monkeypatch, "ccp_sampled")
         runs = {}
-        # A short switch interval interleaves the block threads often, so a
-        # block writing outside its own slice would show as changed samples.
+        # A short switch interval interleaves the worker threads often, so a
+        # task writing outside its own samples would show as changed samples.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -377,16 +408,75 @@ class TestCampaign:
                 threads.clear()
                 runs[workers] = run_campaign(cfg).ccp_samples
                 assert threading.get_ident() not in threads
-                assert len(threads) <= min(workers, 3)
+                assert len(threads) <= (min(workers, 3) if mode == "analytic" else workers)
         finally:
             sys.setswitchinterval(interval)
         assert runs[1].tobytes() == runs[2].tobytes() == runs[4].tobytes()
+
+    def test_one_sampled_block_runs_on_every_worker(self, monkeypatch):
+        # Ten realizations are one block.  Each channel draw waits a little,
+        # so the first part is still running when the second is submitted and
+        # the pool starts a second thread for it.
+        p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=10, fading_mode="sampled",
+                        num_channel_draws=20, rng_seed=12)
+        threads = self.spy_threads(monkeypatch, "ccp_sampled", delay=0.01)
+        runs = {}
+        for workers in (1, 2, 4):
+            self.force_workers(monkeypatch, workers)
+            threads.clear()
+            runs[workers] = run_campaign(cfg).ccp_samples
+            assert threading.get_ident() not in threads
+            if workers == 2:
+                assert len(threads) == 2
+            else:
+                assert 1 <= len(threads) <= workers
+        assert runs[1].tobytes() == runs[2].tobytes() == runs[4].tobytes()
+
+    def test_sampled_geometry_is_drawn_one_block_ahead(self, monkeypatch):
+        # Block b + 1 is drawn while block b runs, so no worker waits for it;
+        # block b + 2 only once every realization of block b has run, so a
+        # campaign holds at most two blocks' geometry.  Each channel draw
+        # waits a little, so a block runs long enough to overlap the next.
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=4 * BLOCK_SIZE, fading_mode="sampled",
+                        num_channel_draws=20, rng_seed=9)
+        draw_ppp_inner, ccp_sampled_inner = sim.draw_ppp, sim.ccp_sampled
+        # A realization is told by its first radius, the block's own sqrt.
+        block_of, events = {}, []
+
+        def drawing(config, size, rng):
+            block = sum(kind == "draw" for kind, _ in events)
+            events.append(("draw", block))
+            u, starts, redraws = draw_ppp_inner(config, size, rng)
+            block_of.update(dict.fromkeys((config.region_radius * np.sqrt(u[starts])).tolist(), block))
+            return u, starts, redraws
+
+        def sampling(distances, params, num_draws, rng):
+            events.append(("ccp", block_of[float(distances[0])]))
+            time.sleep(0.0005)
+            return ccp_sampled_inner(distances, params, num_draws, rng)
+
+        monkeypatch.setattr(sim, "draw_ppp", drawing)
+        monkeypatch.setattr(sim, "ccp_sampled", sampling)
+        self.force_workers(monkeypatch, 2)
+        run_campaign(cfg)
+        drawn, overlapped = 0, set()
+        for kind, block in events:
+            if kind == "draw":
+                drawn += 1
+            else:
+                assert drawn <= block + 2
+                if drawn == block + 2:
+                    overlapped.add(block)
+        assert drawn == 4 and len(events) == 4 + cfg.num_realizations
+        assert overlapped == {0, 1, 2}
 
     def test_worker_count_capped_on_many_cpus(self, monkeypatch):
         monkeypatch.setattr(sim, "_cpu_count", lambda: 16)
         # Every block waits a little, so an uncapped pool would have started
         # a thread for each of the eight blocks before any block finished.
-        threads = self.spy_draw_ppp(monkeypatch, delay=0.01)
+        threads = self.spy_threads(monkeypatch, "draw_ppp", delay=0.01)
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         run_campaign(SimConfig(params=p, num_realizations=8 * BLOCK_SIZE, rng_seed=5))
         assert 1 <= len(threads) <= sim._MAX_WORKERS
@@ -423,6 +513,27 @@ class TestCampaign:
         monkeypatch.setattr(sim, "draw_ppp", failing)
         self.force_workers(monkeypatch, workers)
         with pytest.raises(RuntimeError, match="block 2 failed"):
+            run_campaign(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_sampled_part_exception_is_raised(self, workers, monkeypatch):
+        # Realization 7 of the one block fails; the part that holds it
+        # differs with the worker count.
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=10, fading_mode="sampled",
+                        num_channel_draws=20, rng_seed=2)
+        child_7 = np.random.SeedSequence([cfg.rng_seed, 0]).spawn(8)[7]
+        fresh_7 = np.random.default_rng(child_7).bit_generator.state
+        ccp_sampled_inner = sim.ccp_sampled
+
+        def failing(distances, params, num_draws, rng):
+            if rng.bit_generator.state == fresh_7:
+                raise RuntimeError("realization 7 failed")
+            return ccp_sampled_inner(distances, params, num_draws, rng)
+
+        monkeypatch.setattr(sim, "ccp_sampled", failing)
+        self.force_workers(monkeypatch, workers)
+        with pytest.raises(RuntimeError, match="realization 7 failed"):
             run_campaign(cfg)
 
     def test_edge_effects_negligible_at_500m(self, paper_params):
