@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.add_argument("--n-max", type=int, default=10, help="highest moment order")
     p.add_argument("--method", choices=("exact", "approx", "both"), default="both")
-    p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("reconstruct", help="meta-distribution PDF/CDF from moments")
     _add_scenario_args(p)
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--grid-points", type=int, default=101)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("simulate", help="Monte Carlo campaign; writes samples CSV + summary JSON")
     _add_scenario_args(p)
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel-draws", type=int, default=700)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="samples CSV path")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="empirical vs beta vs Fourier-Jacobi reliability")
     _add_scenario_args(p)
@@ -316,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=Path, required=True, help="samples CSV from simulate")
     p.add_argument("--order", type=int, default=10)
     # compare reconstructs from the scenario's moments in the matched basis.
-    p.set_defaults(func=cmd_compare, moments_file=None, basis="match")
+    p.set_defaults(moments_file=None, basis="match")
 
     p = sub.add_parser("power", help="minimum power vs density (scaling law)")
     p.add_argument("--gamma", type=float, default=5.0)
@@ -328,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", type=float, default=1e-4)
     p.add_argument("--lambda-max", type=float, default=1e-2)
     p.add_argument("--lambda-steps", type=int, default=9)
-    p.set_defaults(func=cmd_power)
 
     return parser
 
@@ -379,7 +375,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        # Looked up at call time, so a patched cmd_<command> is the one run.
+        return globals()[f"cmd_{args.command}"](args)
     except (jacobi.DegenerateMomentsError, scaling.InfeasibleQosError,
             QuadratureError, ArithmeticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

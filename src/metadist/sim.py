@@ -5,9 +5,12 @@ user at the origin; the user attaches to the nearest one.  Conditioned on
 the geometry, Rayleigh fading makes the coverage probability available in
 closed form (the product over interferers), so the default "analytic" mode
 evaluates it directly - one number per realization.  The "sampled" mode
-instead estimates it as the fraction of independent channel draws whose
-SINR clears the threshold, reproducing the classic two-stage protocol and
-serving as a cross-check on the analytic path.
+instead reports the fraction of M independent channel draws whose SINR
+clears the threshold, the classic two-stage protocol.  Given the geometry
+each draw is covered with probability exactly the analytic CCP, so that
+fraction is Binomial(M, CCP) / M, and a campaign samples it as such: the
+analytic CCP thinned by one binomial draw per realization.  ccp_sampled,
+which draws the fading itself, is the independent check on that law.
 
 A realization is the vector of BS distances from the user: both paths
 depend on the geometry only through it, so no angles are drawn.
@@ -17,37 +20,27 @@ on the array of CCP samples alone, wherever it came from.  A campaign is
 stored as that CSV plus the JSON record of `campaign_to_dict`.
 
 Determinism: a campaign runs in blocks of BLOCK_SIZE realizations, and
-block b draws its geometry from its own generator, seeded with (seed, b).
-Realization i lives in block i // BLOCK_SIZE, so with the block size fixed
-every draw is reproducible bit-for-bit, and a campaign of k * BLOCK_SIZE
-realizations is the prefix of any longer campaign under the same seed (a
-final partial block draws a different stream).  draw_ppp is the one PPP
-draw: it gives a block's Poisson counts in one call (empty realizations are
-redrawn from the same generator and counted), then all its squared distances
-in one call.  In sampled mode, realization k of block b draws its channel
-gains from a stream of its own, child k of the block's seed:
-default_rng(SeedSequence([seed, b], spawn_key=(k,))), the generator
-default_rng([seed, b]).spawn(size)[k] would give.  It draws them in row
-chunks of at most _DRAW_CHUNK gains that take the same stream as one
-(draws x BS) matrix.  The geometry is drawn as in analytic mode, so a
-sampled realization sees exactly the radii of the analytic one under the
-same seed.
-The work runs on a thread pool of one worker per CPU the process may run
-on, at most _MAX_WORKERS.  Analytic blocks are its tasks, at most one worker
-per block.  A sampled block's geometry is drawn on the calling thread while
-the workers run the block before, then its realizations are dealt to the
-workers in interleaved parts, at most one worker per realization.  Every
-task writes only its own samples, and no draw depends on which thread made
-it, so no sample depends on the thread count.
-Analytic campaigns are therefore bit-reproducible.  Sampled campaigns are
-too, except for a draw whose SINR lands within an ulp of the threshold:
-ccp_sampled sums each draw's interference with a BLAS product, whose
-rounding depends on the chunk shape and on the BLAS build.  An analytic
-block holds its squared distances and one work array of the same length: at
-lambda 1e-2 on the 500 m disk that is about 2M points, 32 MB, and a campaign
-holds one block per worker: at most 64 MB, whatever the host's CPU count.  A
-sampled campaign holds at most two blocks' squared distances (32 MB there)
-and one chunk buffer of 256 KiB per worker.
+block b draws from its own generator, seeded with (seed, b).  Realization i
+lives in block i // BLOCK_SIZE, so with the block size fixed every draw is
+reproducible bit-for-bit, and a campaign of k * BLOCK_SIZE realizations is
+the prefix of any longer campaign under the same seed (a final partial
+block draws a different stream).  draw_ppp is the one PPP draw: it gives a
+block's Poisson counts in one call (empty realizations are redrawn from the
+same generator and counted), then all its squared distances in one call.
+In sampled mode the block's generator then makes one binomial call, M
+draws for each realization's analytic CCP.  The geometry is drawn as in
+analytic mode, so a sampled realization sees exactly the radii of the
+analytic one under the same seed.
+The blocks run on a thread pool of one worker per CPU the process may run
+on, at most _MAX_WORKERS, and at most one worker per block.  Every block
+writes only its own samples, and no draw depends on which thread made it,
+so no sample depends on the thread count.  No sum meets the coverage
+threshold, so campaigns in both modes are bit-reproducible across thread
+counts and BLAS builds.  A block holds its squared distances and one work
+array of the same length: at lambda 1e-2 on the 500 m disk that is about
+2M points, 32 MB, and a campaign holds one block per worker: at most 64 MB,
+whatever the host's CPU count.  A sampled block adds only its BLOCK_SIZE
+binomial counts.
 """
 from __future__ import annotations
 
@@ -83,13 +76,13 @@ _FADING_MODES = (FADING_ANALYTIC, FADING_SAMPLED)
 # Realizations per block: the unit of seeding and of vectorised work.
 BLOCK_SIZE = 256
 
-# Elements per chunk of sampled-mode channel gains (256 KiB of float64):
+# Elements per chunk of ccp_sampled's channel gains (256 KiB of float64):
 # small enough to stay in L2 cache while it is refilled, chunk after chunk.
 _DRAW_CHUNK = 1 << 15
 
-# Most workers a campaign runs on, whatever the host's CPU count: an analytic
-# block holds up to 32 MB at lambda 1e-2, so this bounds an analytic
-# campaign's block memory at 64 MB there.  Two is the count the concurrent
+# Most workers a campaign runs on, whatever the host's CPU count: a block
+# holds up to 32 MB at lambda 1e-2, so this bounds a campaign's block memory
+# at 64 MB there.  Two is the count the concurrent
 # campaigns were measured at.
 _MAX_WORKERS = 2
 
@@ -241,6 +234,11 @@ def ccp_sampled(
     BLAS product, `gains @ weights`, and BLAS rounding depends on the chunk
     shape and on the BLAS build.  So the result is bit-reproducible only up
     to a draw whose SINR lands within an ulp of the threshold.
+
+    Campaigns do not call this: the covered count it returns has the law
+    Binomial(num_draws, ccp_analytic), which run_campaign samples directly.
+    It stays public as the independent check of that law, drawing the
+    Rayleigh fading that the analytic product integrates out.
     """
     if num_draws < 1:
         raise ValueError(f"need at least one channel draw, got {num_draws}")
@@ -276,62 +274,37 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     and SimConfig rejects a disk that is nonempty with probability below
     MIN_NONEMPTY_PROB.
     Realizations run in blocks of BLOCK_SIZE, seeded as the module docstring
-    describes.  The work runs on a thread pool (numpy releases the GIL in
-    the heavy calls) of one worker per CPU the process may run on, at most
-    _MAX_WORKERS.  In analytic mode each block is one task, at most one
-    worker per block.  In sampled mode the calling thread draws one block's
-    geometry after another, each while the workers run the block before;
-    each worker then takes an interleaved part of the block's realizations
-    (part j of w holds k = j, j + w, ...), each realization on its own
-    channel stream; at most one worker per realization.  An exception in
-    any block or part is raised here.
+    describes.  Each block, in either mode, draws its geometry with
+    draw_ppp and evaluates its analytic CCPs with one kernel call; in
+    sampled mode the block's generator then thins them into the covered
+    fraction of num_channel_draws draws, one binomial call for the block.
+    The blocks are the tasks of a thread pool (numpy releases the GIL in the
+    heavy calls) of one worker per CPU the process may run on, at most
+    _MAX_WORKERS, and at most one worker per block.  An exception in any
+    block is raised here.
     """
     params = config.params
     radius = config.region_radius
     total = config.num_realizations
+    draws = config.num_channel_draws
+    sampled = config.fading_mode == FADING_SAMPLED
     samples = np.empty(total)
     firsts = range(0, total, BLOCK_SIZE)
 
-    def geometry(first: int) -> tuple[np.ndarray, np.ndarray, int]:
-        rng = np.random.default_rng([config.rng_seed, first // BLOCK_SIZE])
-        return draw_ppp(config, min(BLOCK_SIZE, total - first), rng)
-
     def run_block(first: int) -> int:
-        u, starts, redraws = geometry(first)
-        samples[first:first + starts.size] = _ccp_rows(u, starts, params, radius)
+        rng = np.random.default_rng([config.rng_seed, first // BLOCK_SIZE])
+        u, starts, redraws = draw_ppp(config, min(BLOCK_SIZE, total - first), rng)
+        ccp = _ccp_rows(u, starts, params, radius)
+        if sampled:
+            ccp = rng.binomial(draws, ccp) / draws
+        samples[first:first + starts.size] = ccp
         return redraws
-
-    def run_part(first: int, rows: list[np.ndarray], part: int, parts: int) -> None:
-        seed = [config.rng_seed, first // BLOCK_SIZE]
-        for k in range(part, len(rows), parts):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-            r = radius * np.sqrt(rows[k])
-            samples[first + k] = ccp_sampled(r, params, config.num_channel_draws, rng)
 
     # Imported here, not at module level, to keep it out of the import time.
     from concurrent.futures import ThreadPoolExecutor
 
-    if config.fading_mode == FADING_ANALYTIC:
-        with ThreadPoolExecutor(min(_MAX_WORKERS, _cpu_count(), len(firsts))) as pool:
-            redraws = sum(pool.map(run_block, firsts))
-    else:
-        workers = min(_MAX_WORKERS, _cpu_count(), total)
-        redraws = 0
-        running = []
-        with ThreadPoolExecutor(workers) as pool:
-            # Each block is drawn while the workers run the one before, and
-            # its parts queue behind that block's: no worker waits between
-            # blocks, and at most two blocks' geometry are held.
-            for first in firsts:
-                u, starts, block_redraws = geometry(first)
-                redraws += block_redraws
-                rows = np.split(u, starts[1:])
-                queued = [pool.submit(run_part, first, rows, j, workers) for j in range(workers)]
-                for future in running:
-                    future.result()
-                running = queued
-            for future in running:
-                future.result()
+    with ThreadPoolExecutor(min(_MAX_WORKERS, _cpu_count(), len(firsts))) as pool:
+        redraws = sum(pool.map(run_block, firsts))
     return EmpiricalMeta(ccp_samples=samples, config=config, redraws=redraws)
 
 

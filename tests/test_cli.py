@@ -71,6 +71,16 @@ class TestArgumentParsing:
         assert built == [1]
         assert real() is not real()
 
+    def test_subcommand_is_looked_up_at_call_time(self, monkeypatch, capsys):
+        # The cached parser must not pin the cmd_* function of its first call.
+        argv = ["power", "--x-rel", "0.2", "--epsilon", "0.5", "--gamma", "4", "--theta-db", "-10",
+                "--lambda-steps", "1"]
+        assert main(argv) == EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli, "cmd_power", lambda args: calls.append(args.command) or 7)
+        assert main(argv) == 7
+        assert calls == ["power"]
+
 
 class TestMomentsCommand:
     def test_zero_threshold_all_ones(self, tmp_path):

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest
+from scipy.stats import binom, chisquare, ks_2samp, kstest
 
 from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact
 from metadist import sim
@@ -36,6 +36,22 @@ from oracles import ccp_analytic_reference, ccp_sampled_reference
 def one_realization(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     """BS distances in m of a one-realization block."""
     return cfg.region_radius * np.sqrt(draw_ppp(cfg, 1, rng)[0])
+
+
+def pooled_bins(observed: np.ndarray, expected: np.ndarray, floor: float = 5.0):
+    """Adjacent bins merged left to right until each expects at least `floor`;
+    a short remainder joins the last bin.  Returns (observed, expected)."""
+    obs, exp = [], []
+    o = e = 0.0
+    for ok, ek in zip(observed, expected):
+        o, e = o + ok, e + ek
+        if e >= floor:
+            obs.append(o)
+            exp.append(e)
+            o = e = 0.0
+    obs[-1] += o
+    exp[-1] += e
+    return np.array(obs), np.array(exp)
 
 
 class TestConfigValidation:
@@ -251,6 +267,30 @@ class TestCcpSampled:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_law_is_binomial_of_the_analytic_ccp(self):
+        # Given the geometry a Rayleigh draw is covered with probability
+        # exactly the analytic CCP, so M draws cover Binomial(M, CCP) of them.
+        # The first two geometries of seeds (7, i) with a CCP in 0.2-0.8;
+        # tail bins are pooled until each expects at least five counts.
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=1)
+        draws, reps = 50, 2000
+        geometries = (one_realization(cfg, np.random.default_rng([7, i])) for i in range(20))
+        tested = 0
+        for r in geometries:
+            exact = ccp_analytic(r, p)
+            if not 0.2 <= exact <= 0.8:
+                continue
+            rng = np.random.default_rng([8, tested])
+            covered = [round(ccp_sampled(r, p, draws, rng) * draws) for _ in range(reps)]
+            observed = np.bincount(covered, minlength=draws + 1)
+            expected = reps * binom.pmf(np.arange(draws + 1), draws, exact)
+            assert chisquare(*pooled_bins(observed, expected)).pvalue > 1e-3
+            tested += 1
+            if tested == 2:
+                break
+        assert tested == 2
+
     def test_standard_error_budget(self):
         # se = sqrt(p(1-p)/700) is maximized at p = 1/2.
         assert math.sqrt(0.25 / 700.0) <= 0.019
@@ -292,6 +332,21 @@ class TestCampaign:
         assert np.array_equal(two.ccp_samples[:BLOCK_SIZE], one.ccp_samples)
         assert np.all((two.ccp_samples > 0.0) & (two.ccp_samples <= 1.0))
 
+    def test_sampled_factorial_moments_match_exact(self):
+        # K = M * sample covered draws of M: E[K(K-1)] = M(M-1) mu_2 and
+        # E[K] = M mu_1, so the thinned campaign checks against the exact
+        # moments with no widened standard error.  Few draws make the
+        # binomial term (mu_1 - mu_2) / M of E[sample^2] about 3 SE here.
+        p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
+        draws, n = 20, 20_000
+        emp = run_campaign(SimConfig(params=p, num_realizations=n, fading_mode="sampled",
+                                     num_channel_draws=draws, rng_seed=1))
+        k = np.rint(emp.ccp_samples * draws)
+        assert np.array_equal(k / draws, emp.ccp_samples)
+        for values, n_moment in ((emp.ccp_samples, 1), (k * (k - 1) / (draws * (draws - 1)), 2)):
+            se = float(np.std(values, ddof=1)) / math.sqrt(n)
+            assert abs(float(np.mean(values)) - moment_exact(p, n_moment)) <= 4.0 * se
+
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
     def test_whole_blocks_are_a_prefix(self, mode):
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
@@ -321,30 +376,24 @@ class TestCampaign:
 
     def test_sampled_block_stream_layout(self, monkeypatch):
         # The sampled twin: the block's generator draws the same counts and
-        # radii, and realization k draws its channel gains from child k of
-        # the block's seed.  About 7850 BSs per realization, so 20 draws
-        # take five chunks each.
+        # radii, then thins the analytic CCPs with one binomial call of M
+        # draws each, on the same generator.
         p = SystemParams(1e-2, 4.0, 1.0, 1.0, 1e-10)
+        draws = 20
         cfg = SimConfig(params=p, num_realizations=3, fading_mode="sampled",
-                        num_channel_draws=20, rng_seed=6)
-        seen = self.spy_calls(monkeypatch, "ccp_sampled")
+                        num_channel_draws=draws, rng_seed=6)
+        seen = self.spy_calls(monkeypatch, "draw_ppp")
         emp = run_campaign(cfg)
+        analytic = run_campaign(SimConfig(params=p, num_realizations=3, rng_seed=6))
         rng = np.random.default_rng([cfg.rng_seed, 0])
-        counts = rng.poisson(p.lambda_bs * math.pi * cfg.region_radius**2, size=3)
-        r = cfg.region_radius * np.sqrt(rng.uniform(size=int(counts.sum())))
-        assert np.all(sim._DRAW_CHUNK // counts <= 5)  # rows per chunk: 4+ chunks each
-        children = np.random.SeedSequence([cfg.rng_seed, 0]).spawn(3)
-        expected = [ccp_sampled_reference(x, p, 20, np.random.default_rng(child))
-                    for x, child in zip(np.split(r, np.cumsum(counts)[:-1]), children)]
-        assert emp.redraws == 0
-        assert emp.ccp_samples.tolist() == expected
-        # The radii each realization's channel draws saw are the analytic
-        # campaign's under the same seed, bit for bit.
-        geometry = self.spy_calls(monkeypatch, "draw_ppp")
-        run_campaign(SimConfig(params=p, num_realizations=3, rng_seed=6))
-        (_, (u, starts, _)), = geometry
-        analytic = np.split(cfg.region_radius * np.sqrt(u), starts[1:])
-        assert sorted(args[0].tolist() for args, _ in seen) == sorted(x.tolist() for x in analytic)
+        u, starts, redraws = draw_ppp(cfg, 3, rng)
+        expected = rng.binomial(draws, analytic.ccp_samples) / draws
+        assert redraws == emp.redraws == 0
+        assert emp.ccp_samples.tolist() == expected.tolist()
+        # The radii the sampled block saw are the analytic campaign's under
+        # the same seed, bit for bit.
+        (_, (u_sampled, _, _)), (_, (u_analytic, _, _)) = seen
+        assert u_sampled.tobytes() == u_analytic.tobytes() == u.tobytes()
 
     # Three blocks, the last one partial, so every worker count splits them
     # differently: one worker takes all three, two share them, four are
@@ -390,13 +439,8 @@ class TestCampaign:
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
                         fading_mode=mode, num_channel_draws=20, rng_seed=11)
-        # Analytic blocks draw their geometry on the workers, at most one per
-        # block; a sampled block draws it on the calling thread and deals its
-        # channel draws out to the workers.
-        if mode == "analytic":
-            threads = self.spy_threads(monkeypatch, "draw_ppp")
-        else:
-            threads = self.spy_threads(monkeypatch, "ccp_sampled")
+        # Every block draws its geometry on a worker, at most one per block.
+        threads = self.spy_threads(monkeypatch, "draw_ppp")
         runs = {}
         # A short switch interval interleaves the worker threads often, so a
         # task writing outside its own samples would show as changed samples.
@@ -408,69 +452,10 @@ class TestCampaign:
                 threads.clear()
                 runs[workers] = run_campaign(cfg).ccp_samples
                 assert threading.get_ident() not in threads
-                assert len(threads) <= (min(workers, 3) if mode == "analytic" else workers)
+                assert len(threads) <= min(workers, 3)
         finally:
             sys.setswitchinterval(interval)
         assert runs[1].tobytes() == runs[2].tobytes() == runs[4].tobytes()
-
-    def test_one_sampled_block_runs_on_every_worker(self, monkeypatch):
-        # Ten realizations are one block.  Each channel draw waits a little,
-        # so the first part is still running when the second is submitted and
-        # the pool starts a second thread for it.
-        p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=10, fading_mode="sampled",
-                        num_channel_draws=20, rng_seed=12)
-        threads = self.spy_threads(monkeypatch, "ccp_sampled", delay=0.01)
-        runs = {}
-        for workers in (1, 2, 4):
-            self.force_workers(monkeypatch, workers)
-            threads.clear()
-            runs[workers] = run_campaign(cfg).ccp_samples
-            assert threading.get_ident() not in threads
-            if workers == 2:
-                assert len(threads) == 2
-            else:
-                assert 1 <= len(threads) <= workers
-        assert runs[1].tobytes() == runs[2].tobytes() == runs[4].tobytes()
-
-    def test_sampled_geometry_is_drawn_one_block_ahead(self, monkeypatch):
-        # Block b + 1 is drawn while block b runs, so no worker waits for it;
-        # block b + 2 only once every realization of block b has run, so a
-        # campaign holds at most two blocks' geometry.  Each channel draw
-        # waits a little, so a block runs long enough to overlap the next.
-        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=4 * BLOCK_SIZE, fading_mode="sampled",
-                        num_channel_draws=20, rng_seed=9)
-        draw_ppp_inner, ccp_sampled_inner = sim.draw_ppp, sim.ccp_sampled
-        # A realization is told by its first radius, the block's own sqrt.
-        block_of, events = {}, []
-
-        def drawing(config, size, rng):
-            block = sum(kind == "draw" for kind, _ in events)
-            events.append(("draw", block))
-            u, starts, redraws = draw_ppp_inner(config, size, rng)
-            block_of.update(dict.fromkeys((config.region_radius * np.sqrt(u[starts])).tolist(), block))
-            return u, starts, redraws
-
-        def sampling(distances, params, num_draws, rng):
-            events.append(("ccp", block_of[float(distances[0])]))
-            time.sleep(0.0005)
-            return ccp_sampled_inner(distances, params, num_draws, rng)
-
-        monkeypatch.setattr(sim, "draw_ppp", drawing)
-        monkeypatch.setattr(sim, "ccp_sampled", sampling)
-        self.force_workers(monkeypatch, 2)
-        run_campaign(cfg)
-        drawn, overlapped = 0, set()
-        for kind, block in events:
-            if kind == "draw":
-                drawn += 1
-            else:
-                assert drawn <= block + 2
-                if drawn == block + 2:
-                    overlapped.add(block)
-        assert drawn == 4 and len(events) == 4 + cfg.num_realizations
-        assert overlapped == {0, 1, 2}
 
     def test_worker_count_capped_on_many_cpus(self, monkeypatch):
         monkeypatch.setattr(sim, "_cpu_count", lambda: 16)
@@ -501,8 +486,7 @@ class TestCampaign:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_block_exception_is_raised(self, workers, monkeypatch):
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS, rng_seed=2)
-        fresh_block_2 = np.random.default_rng([cfg.rng_seed, 2]).bit_generator.state
+        fresh_block_2 = np.random.default_rng([2, 2]).bit_generator.state
         draw_ppp_inner = sim.draw_ppp
 
         def failing(config, size, rng):
@@ -512,29 +496,11 @@ class TestCampaign:
 
         monkeypatch.setattr(sim, "draw_ppp", failing)
         self.force_workers(monkeypatch, workers)
-        with pytest.raises(RuntimeError, match="block 2 failed"):
-            run_campaign(cfg)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sampled_part_exception_is_raised(self, workers, monkeypatch):
-        # Realization 7 of the one block fails; the part that holds it
-        # differs with the worker count.
-        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=10, fading_mode="sampled",
-                        num_channel_draws=20, rng_seed=2)
-        child_7 = np.random.SeedSequence([cfg.rng_seed, 0]).spawn(8)[7]
-        fresh_7 = np.random.default_rng(child_7).bit_generator.state
-        ccp_sampled_inner = sim.ccp_sampled
-
-        def failing(distances, params, num_draws, rng):
-            if rng.bit_generator.state == fresh_7:
-                raise RuntimeError("realization 7 failed")
-            return ccp_sampled_inner(distances, params, num_draws, rng)
-
-        monkeypatch.setattr(sim, "ccp_sampled", failing)
-        self.force_workers(monkeypatch, workers)
-        with pytest.raises(RuntimeError, match="realization 7 failed"):
-            run_campaign(cfg)
+        for mode in ("analytic", "sampled"):
+            cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
+                            fading_mode=mode, num_channel_draws=20, rng_seed=2)
+            with pytest.raises(RuntimeError, match="block 2 failed"):
+                run_campaign(cfg)
 
     def test_edge_effects_negligible_at_500m(self, paper_params):
         base = run_campaign(
