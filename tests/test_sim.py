@@ -1,6 +1,7 @@
 """Point-process simulator: geometry, per-realization coverage, campaign
 determinism, and statistical agreement with the analytic moments."""
 import csv
+import dataclasses
 import io
 import math
 import sys
@@ -501,6 +502,31 @@ class TestCampaign:
                             fading_mode=mode, num_channel_draws=20, rng_seed=2)
             with pytest.raises(RuntimeError, match="block 2 failed"):
                 run_campaign(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_sampled_part_exception_is_raised(self, workers, monkeypatch):
+        # Block 2 (the only one of 37 realizations) hands its binomial thinning
+        # a CCP above 1, so only the sampled part of that block raises.
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
+                        fading_mode="sampled", num_channel_draws=20, rng_seed=2)
+        last_size = self.CONCURRENT_REALIZATIONS - 2 * BLOCK_SIZE
+        ccp_rows_inner = sim._ccp_rows
+
+        def corrupt(u, starts, params, scale):
+            ccp = ccp_rows_inner(u, starts, params, scale)
+            if starts.size == last_size:
+                ccp[0] = 2.0
+            return ccp
+
+        monkeypatch.setattr(sim, "_ccp_rows", corrupt)
+        self.force_workers(monkeypatch, workers)
+        with pytest.raises(ValueError, match="p > 1"):
+            run_campaign(cfg)
+        # The analytic campaign runs every block through and only its result
+        # check rejects the sample.
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            run_campaign(dataclasses.replace(cfg, fading_mode="analytic"))
 
     def test_edge_effects_negligible_at_500m(self, paper_params):
         base = run_campaign(
