@@ -250,10 +250,9 @@ def cmd_power(args: argparse.Namespace) -> int:
     lams = np.logspace(
         math.log10(args.lambda_min), math.log10(args.lambda_max), args.lambda_steps
     )
-    powers = np.array([
-        scaling.min_power(dataclasses.replace(args.params, lambda_bs=float(lam)), qos)
-        for lam in lams
-    ])
+    # p = c lambda^(-gamma/2): min_power at lambda = 1 returns c exactly.
+    c = scaling.min_power(dataclasses.replace(args.params, lambda_bs=1.0), qos)
+    powers = np.array([c * float(lam) ** (-args.params.gamma_pl / 2.0) for lam in lams])
     rows = [[_fmt(lam), _fmt(p), _fmt(mw_to_dbm(p))] for lam, p in zip(lams, powers)]
     meta: dict[str, Any] = {"x_rel": qos.x_rel, "epsilon": qos.epsilon,
                             "gamma_pl": args.gamma}

@@ -31,16 +31,18 @@ In sampled mode the block's generator then makes one binomial call, M
 draws for each realization's analytic CCP.  The geometry is drawn as in
 analytic mode, so a sampled realization sees exactly the radii of the
 analytic one under the same seed.
-The blocks run on a thread pool of one worker per CPU the process may run
-on, at most _MAX_WORKERS, and at most one worker per block.  Every block
-writes only its own samples, and no draw depends on which thread made it,
-so no sample depends on the thread count.  No sum meets the coverage
-threshold, so campaigns in both modes are bit-reproducible across thread
-counts and BLAS builds.  A block holds its squared distances and one work
-array of the same length: at lambda 1e-2 on the 500 m disk that is about
-2M points, 32 MB, and a campaign holds one block per worker: at most 64 MB,
-whatever the host's CPU count.  A sampled block adds only its BLOCK_SIZE
-binomial counts.
+The blocks run on one worker per CPU the process may run on, at most
+_MAX_WORKERS, and at most one worker per block.  A single worker is the
+calling thread, so a one-block campaign starts no thread; more workers are
+a thread pool.  Every block writes only its own samples, and no draw
+depends on which thread made it, so no sample depends on the thread count.
+No sum meets the coverage threshold, so campaigns in both modes are
+bit-reproducible across thread counts and BLAS builds.  A block holds its
+squared distances and one work array of the same length: at lambda 1e-2 on
+the 500 m disk that is about 2M points, 32 MB, and a campaign holds one
+block per worker: at most 64 MB, whatever the host's CPU count.  A sampled
+block adds only its BLOCK_SIZE binomial counts.  ccp_sampled holds its
+whole (draws, N) gains matrix: 8 * draws * N bytes.
 """
 from __future__ import annotations
 
@@ -75,10 +77,6 @@ _FADING_MODES = (FADING_ANALYTIC, FADING_SAMPLED)
 
 # Realizations per block: the unit of seeding and of vectorised work.
 BLOCK_SIZE = 256
-
-# Elements per chunk of ccp_sampled's channel gains (256 KiB of float64):
-# small enough to stay in L2 cache while it is refilled, chunk after chunk.
-_DRAW_CHUNK = 1 << 15
 
 # Most workers a campaign runs on, whatever the host's CPU count: a block
 # holds up to 32 MB at lambda 1e-2, so this bounds a campaign's block memory
@@ -225,15 +223,12 @@ def ccp_sampled(
     A draw is covered when S > theta (I + sigma2), which needs no division:
     a lone noise-free BS (I + sigma2 = 0) covers every draw.
 
-    The (num_draws, N) exponential gains are drawn in row chunks of at most
-    _DRAW_CHUNK elements (one row when N exceeds it) into one buffer of this
-    call, so the memory held stays at the chunk size.  The generator fills
-    the chunks in the same order as one `rng.exponential(1.0, size=(num_draws,
-    N))` matrix, so the gains are that matrix's, bit for bit, and the
-    generator ends in the same state.  The interference of a chunk is one
-    BLAS product, `gains @ weights`, and BLAS rounding depends on the chunk
-    shape and on the BLAS build.  So the result is bit-reproducible only up
-    to a draw whose SINR lands within an ulp of the threshold.
+    The exponential gains are one (num_draws, N) matrix, 8 * num_draws * N
+    bytes, the same draws as `rng.exponential(1.0, size=(num_draws, N))`.
+    The interference of every draw is one BLAS product, `gains @ weights`,
+    whose rounding depends on the matrix shape and on the BLAS build.  So
+    the result is bit-reproducible only up to a draw whose SINR lands within
+    an ulp of the threshold.
 
     Campaigns do not call this: the covered count it returns has the law
     Binomial(num_draws, ccp_analytic), which run_campaign samples directly.
@@ -247,15 +242,9 @@ def ccp_sampled(
     weights = params.power * r ** -params.gamma_pl
     w0 = weights[serving]
     weights[serving] = 0.0
-    rows = max(1, _DRAW_CHUNK // r.size)
-    buf = np.empty((min(rows, num_draws), r.size))
-    covered = 0
-    for first in range(0, num_draws, rows):
-        gains = buf[: min(rows, num_draws - first)]
-        rng.standard_exponential(out=gains)
-        signal = gains[:, serving] * w0
-        covered += int(np.count_nonzero(signal > params.theta * (gains @ weights + params.noise)))
-    return covered / num_draws
+    gains = rng.standard_exponential((num_draws, r.size))
+    covered = gains[:, serving] * w0 > params.theta * (gains @ weights + params.noise)
+    return int(np.count_nonzero(covered)) / num_draws
 
 
 def _cpu_count() -> int:
@@ -278,9 +267,10 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     draw_ppp and evaluates its analytic CCPs with one kernel call; in
     sampled mode the block's generator then thins them into the covered
     fraction of num_channel_draws draws, one binomial call for the block.
-    The blocks are the tasks of a thread pool (numpy releases the GIL in the
-    heavy calls) of one worker per CPU the process may run on, at most
-    _MAX_WORKERS, and at most one worker per block.  An exception in any
+    The blocks run on one worker per CPU the process may run on, at most
+    _MAX_WORKERS, and at most one worker per block.  One worker is the
+    calling thread, which runs the blocks in order; more are the threads of
+    a pool (numpy releases the GIL in the heavy calls).  An exception in any
     block is raised here.
     """
     params = config.params
@@ -300,11 +290,15 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
         samples[first:first + starts.size] = ccp
         return redraws
 
-    # Imported here, not at module level, to keep it out of the import time.
-    from concurrent.futures import ThreadPoolExecutor
+    workers = min(_MAX_WORKERS, _cpu_count(), len(firsts))
+    if workers == 1:
+        redraws = sum(map(run_block, firsts))
+    else:
+        # Imported here, not at module level, to keep it out of the import time.
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(min(_MAX_WORKERS, _cpu_count(), len(firsts))) as pool:
-        redraws = sum(pool.map(run_block, firsts))
+        with ThreadPoolExecutor(workers) as pool:
+            redraws = sum(pool.map(run_block, firsts))
     return EmpiricalMeta(ccp_samples=samples, config=config, redraws=redraws)
 
 

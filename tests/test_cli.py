@@ -1,5 +1,6 @@
 """CLI behaviour: unit conversion, table output, exit codes, file round trips."""
 import csv
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from metadist import cli, moments
 from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, main, mw_to_dbm
 from metadist.jacobi import eval_pdf, meta_reliability, reconstruct
 from metadist.moments import SystemParams, moment_sequence
+from metadist.scaling import QosSpec, min_power
 from metadist.sim import SimConfig, campaign_to_dict, empirical_reliability, run_campaign
 from metadist.specfun import reg_inc_beta
 
@@ -461,6 +463,23 @@ class TestPowerCommand:
         assert rc == EXIT_OK
         meta = json.loads((tmp_path / "p.csv.meta.json").read_text())
         assert abs(meta["loglog_slope"] + 2.5) <= 1e-6
+
+    def test_one_2f1_per_run(self, monkeypatch, capsys):
+        # rho_2 does not depend on lambda: p = c lambda^(-gamma/2) with c
+        # solved once, and every row is still that density's min_power.
+        calls = []
+        real = moments.gauss_2f1
+        monkeypatch.setattr(moments, "gauss_2f1", lambda *a: calls.append(a) or real(*a))
+        assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
+                     "--format", "json"]) == EXIT_OK
+        assert len(calls) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 9
+        params = dataclasses.replace(_default_scenario(), theta=db_to_linear(-10.0))
+        qos = QosSpec(x_rel=0.2, epsilon=0.5)
+        for lam, p_mw, _ in rows:
+            scenario = dataclasses.replace(params, lambda_bs=float(lam))
+            assert float(p_mw) == min_power(scenario, qos)
 
     def test_infeasible_exit(self):
         rc = main(["power", "--x-rel", "0.9", "--epsilon", "0.05", "--gamma", "5",

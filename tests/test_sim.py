@@ -7,7 +7,6 @@ import math
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -223,6 +222,17 @@ class TestCcpSampled:
             got = ccp_sampled(r, p, 700, np.random.default_rng([42, i]))
             assert got == ccp_sampled_reference(r, p, 700, np.random.default_rng([42, i]))
 
+    @pytest.mark.parametrize("draws", [1, 7, 700])
+    @pytest.mark.parametrize("size", [1, 46, 47, 785])
+    def test_matches_explicit_interference_sum_on_a_disk(self, size, draws):
+        # N BSs uniform on the 500 m disk, from a lone BS to the reference
+        # scenario's mean count; both draw one (draws, N) gains matrix.
+        p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
+        r = 500.0 * np.sqrt(np.random.default_rng([5, size]).uniform(size=size))
+        rng, oracle_rng = (np.random.default_rng([3, size, draws]) for _ in range(2))
+        assert ccp_sampled(r, p, draws, rng) == ccp_sampled_reference(r, p, draws, oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     def test_single_station_noise_only(self):
         # At r = 100 m the mean SNR is 100^-5 / 1e-10 = 1, so about e^-1 of
         # the draws clear theta = 1.
@@ -240,33 +250,6 @@ class TestCcpSampled:
             got = ccp_sampled(r, p, 500, np.random.default_rng(8))
         assert got == 1.0
         assert ccp_sampled_reference(r, p, 500, np.random.default_rng(8)) == 1.0
-
-    @pytest.mark.parametrize("draws", [1, 7, 700])
-    @pytest.mark.parametrize("size", [
-        1,
-        sim._DRAW_CHUNK // 700 - 1, sim._DRAW_CHUNK // 700, sim._DRAW_CHUNK // 700 + 1,
-        sim._DRAW_CHUNK - 1, sim._DRAW_CHUNK, sim._DRAW_CHUNK + 1,
-    ])
-    def test_chunk_boundaries_match_one_matrix(self, size, draws):
-        # Around the size where 700 draws stop fitting in one chunk, and where
-        # a chunk shrinks to one row; the oracle draws one (draws, N) matrix.
-        p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
-        r = 500.0 * np.sqrt(np.random.default_rng([5, size]).uniform(size=size))
-        got = ccp_sampled(r, p, draws, np.random.default_rng([3, size, draws]))
-        assert got == ccp_sampled_reference(r, p, draws, np.random.default_rng([3, size, draws]))
-
-    def test_memory_stays_at_the_chunk_size(self):
-        # One (700, 20000) gains matrix would be 107 MiB; numpy reports its
-        # buffers to tracemalloc.
-        p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
-        r = 500.0 * np.sqrt(np.random.default_rng(2).uniform(size=20_000))
-        tracemalloc.start()
-        try:
-            ccp_sampled(r, p, 700, np.random.default_rng(4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
 
     def test_law_is_binomial_of_the_analytic_ccp(self):
         # Given the geometry a Rayleigh draw is covered with probability
@@ -440,7 +423,8 @@ class TestCampaign:
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
                         fading_mode=mode, num_channel_draws=20, rng_seed=11)
-        # Every block draws its geometry on a worker, at most one per block.
+        # One worker is the calling thread; more are pool threads, at most
+        # one per block.
         threads = self.spy_threads(monkeypatch, "draw_ppp")
         runs = {}
         # A short switch interval interleaves the worker threads often, so a
@@ -452,11 +436,24 @@ class TestCampaign:
                 self.force_workers(monkeypatch, workers)
                 threads.clear()
                 runs[workers] = run_campaign(cfg).ccp_samples
-                assert threading.get_ident() not in threads
-                assert len(threads) <= min(workers, 3)
+                if workers == 1:
+                    assert threads == {threading.get_ident()}
+                else:
+                    assert threading.get_ident() not in threads
+                    assert len(threads) <= min(workers, 3)
         finally:
             sys.setswitchinterval(interval)
         assert runs[1].tobytes() == runs[2].tobytes() == runs[4].tobytes()
+
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_one_block_runs_on_the_caller(self, mode, monkeypatch):
+        # One block needs one worker whatever the CPU count, and one worker
+        # is the calling thread.
+        self.force_workers(monkeypatch, 4)
+        threads = self.spy_threads(monkeypatch, "draw_ppp")
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        run_campaign(SimConfig(params=p, num_realizations=10, fading_mode=mode, rng_seed=3))
+        assert threads == {threading.get_ident()}
 
     def test_worker_count_capped_on_many_cpus(self, monkeypatch):
         monkeypatch.setattr(sim, "_cpu_count", lambda: 16)
