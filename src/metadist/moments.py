@@ -11,10 +11,9 @@ of the conditional coverage probability is
 with A_n = pi lambda (1 + rho_n), B_n = n theta sigma2 / p, and
 1 + rho_n = 2F1(n, -2/gamma; 1 - 2/gamma; -theta).
 
-The module provides the exact moments (adaptive quadrature of the integral
-above: mu_1..mu_N are the rows of one integrand on one shared panel set,
-each plus a bound on its tail beyond the panels), a closed-form
-approximation
+The module provides the exact moments (double-exponential quadrature of
+the integral above: mu_1..mu_N are the rows of one integrand on one shared
+set of abscissae), a closed-form approximation
 
     mu_n ~= pi lambda / (A_n + gamma B_n^(2/gamma) / (2 Gamma(2/gamma))),
 
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import DEFAULT_TOL, _tail_cutoff, integrate_semi_infinite_decaying
+from .quadrature import DEFAULT_TOL, integrate_semi_infinite_decaying
 from .specfun import gauss_2f1
 
 __all__ = [
@@ -175,7 +174,7 @@ def coeffs(params: SystemParams, n: int) -> IntegralCoeffs:
 
 
 def moment_exact(params: SystemParams, n: int, tol: float = DEFAULT_TOL) -> float:
-    """mu_n by adaptive quadrature of the moment integral, to tolerance tol.
+    """mu_n by quadrature of the moment integral, to tolerance tol.
 
     theta = 0 short-circuits to 1 exactly (the integrand is the nearest-BS
     distance density, which integrates to one).
@@ -188,29 +187,26 @@ def moment_exact(params: SystemParams, n: int, tol: float = DEFAULT_TOL) -> floa
 def _moments_exact(params: SystemParams, ns, tol: float = DEFAULT_TOL) -> np.ndarray:
     """mu_n for each n in ns: one quadrature, one integrand row per n.
 
-    Each row adds its tail beyond the engine's cutoff z_max.  The exponent
-    phi = A z + B z^(gamma/2) is convex, so exp(-phi(z_max)) / phi'(z_max)
-    bounds that tail from above, and equals it when B = 0.
+    With c_n = B_n^(2/gamma) the exponent is A_n z + (c_n z)^(gamma/2), so
+    row n decays on the length 1 / (A_n + c_n); the rule is scaled to the
+    geometric mean of these lengths over the rows.  (c_n z)^(gamma/2) is 0,
+    not 0 * inf, when B_n = 0 and z^(gamma/2) overflows.
     """
     if params.theta == 0.0 or not ns:
         return np.ones(len(ns))
     cs = [coeffs(params, n) for n in ns]
-    a = np.array([c.a_coef for c in cs])[:, None]
-    b = np.array([c.b_coef for c in cs])[:, None]
+    a = np.array([cf.a_coef for cf in cs])[:, None]
     half_g = params.gamma_pl / 2.0
-
-    def phi(z: np.ndarray) -> np.ndarray:
-        return a * z + b * z**half_g
+    c = np.array([cf.b_coef for cf in cs])[:, None] ** (1.0 / half_g)
 
     def integrand(z: np.ndarray) -> np.ndarray:
-        return np.exp(-phi(z))
+        # Far out in the tail (c z)^(gamma/2) may overflow to inf; exp gives 0.
+        with np.errstate(over="ignore"):
+            return np.exp(-(a * z + (c * z) ** half_g))
 
-    scale = math.pi * params.lambda_bs
-    rate, tol_z = float(a.min()), tol / scale
-    result = integrate_semi_infinite_decaying(integrand, rate, tol_z)
-    z_max = np.float64(max(_tail_cutoff(rate, tol_z), 0.0))
-    tail = np.exp(-phi(z_max)) / (a + half_g * b * z_max ** (half_g - 1.0))
-    return scale * (result.value + tail[:, 0])
+    scale = float(np.exp(-np.log(a + c).mean()))
+    pi_lambda = math.pi * params.lambda_bs
+    return pi_lambda * integrate_semi_infinite_decaying(integrand, scale, tol / pi_lambda).value
 
 
 def moment_approx(params: SystemParams, n: int) -> float:

@@ -17,12 +17,15 @@ distances, one Python term at a time, where the simulator's kernel works on
 squared normalised distances a block of realizations at a time.
 gauss_2f1_series_reference is the Pfaff-mapped 2F1 series as one scalar
 Python loop, the form the package's chunked series must match bit for bit.
+moment_integral_mpmath is the moment integral in 30-digit arithmetic by
+mpmath's tanh-sinh rule, not the package's exp-sinh rule in doubles.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
@@ -190,7 +193,20 @@ def max_exp_neg_f(gamma_pl: float, b_coef: float) -> float:
     return math.exp(-f(0.5 * (a + b)))
 
 
-def riemann_semi_infinite(f, z_hi: float, steps: int = 2_000_000) -> float:
-    """Midpoint Riemann sum on [0, z_hi]; crude but fully independent."""
-    z = (np.arange(steps) + 0.5) * (z_hi / steps)
-    return float(np.sum(f(z)) * (z_hi / steps))
+def moment_integral_mpmath(a_coef: float, b_coef: float, gamma_pl: float) -> float:
+    """int_0^inf exp(-(A z + B z^(gamma/2))) dz by mpmath at 30 digits.
+
+    mpmath's tanh-sinh rule on [0, L/100, L, 100 L, inf], where
+    L = 1/(A + B^(2/gamma)) is the length on which the integrand decays;
+    raises if mpmath's own error estimate exceeds 1e-20 of the value.
+    """
+    with mpmath.workdps(30):
+        a, b, half_g = mpmath.mpf(a_coef), mpmath.mpf(b_coef), mpmath.mpf(gamma_pl) / 2
+        length = 1 / (a + b ** (1 / half_g))
+        value, error = mpmath.quad(
+            lambda z: mpmath.exp(-(a * z + b * z**half_g)),
+            [0, length / 100, length, 100 * length, mpmath.inf], error=True,
+        )
+        if not error <= 1e-20 * value:
+            raise ArithmeticError(f"mpmath error estimate {error} for value {value}")
+        return float(value)

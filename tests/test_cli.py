@@ -139,8 +139,8 @@ class TestMomentsCommand:
         ["--gamma", "2.001", "--theta-db", "20"],
     ])
     def test_noise_free_exact_equals_closed_form(self, scenario, capsys):
-        # With no noise the closed form is exact, and so is the tail the
-        # quadrature adds beyond its last panel.
+        # With no noise the closed form 1/(1 + rho_n) is exact, and the
+        # quadrature of exp(-A_n z) lands within rounding of it.
         argv = ["moments", "--noise-dbm=-inf", "--n-max", "10", "--format", "json"]
         assert main(argv + scenario) == EXIT_OK
         rows = json.loads(capsys.readouterr().out)["rows"]

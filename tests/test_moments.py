@@ -212,12 +212,8 @@ class TestErrorBound:
         assert approx_error_bound(1.0, 1.0, 4.0) == pytest.approx(expected, rel=1e-12)
 
     def test_bounds_true_error_at_gamma_four(self):
-        from metadist.quadrature import integrate_semi_infinite_decaying
-
         k = 1.0 + 4.0 / (2.0 * math.gamma(0.5))
-        i = integrate_semi_infinite_decaying(
-            lambda z: np.exp(-(z + z * z)), 1.0, 1e-12
-        ).value
+        i = si.quad(lambda z: math.exp(-(z + z * z)), 0.0, np.inf, epsabs=1e-12, epsrel=0.0)[0]
         assert abs(i - 1.0 / k) <= approx_error_bound(1.0, 1.0, 4.0)
 
     def test_vanishes_for_large_a(self):
@@ -320,6 +316,27 @@ class TestOneQuadraturePerSequence:
             ref, _ = si.quad(lambda u: math.exp(-u - k * u ** (gamma / 2.0)), 0.0, np.inf,
                              epsabs=1e-15, epsrel=1e-13, limit=400)
             assert abs(seq[n] - math.pi * lam * ref / a_coef) <= DEFAULT_TOL
+
+    def test_sequence_against_scipy_over_the_cli_range(self):
+        # gamma in (2, 20], theta -60..20 dB, lambda 1e-10..1e2 per m^2,
+        # noise 0 or -250..-10 dBm at p = 1 mW, n_max 1..40.
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            g, theta = rng.uniform(2.001, 20.0), 10.0 ** rng.uniform(-6.0, 2.0)
+            lam = 10.0 ** rng.uniform(-10.0, 2.0)
+            noise = 10.0 ** rng.uniform(-25.0, -1.0) if rng.random() < 0.8 else 0.0
+            n_max = int(rng.integers(1, 41))
+            seq = moment_sequence(SystemParams(lam, g, theta, 1.0, noise), n_max)
+            for n in range(1, n_max + 1):
+                a_coef = math.pi * lam * hyp2f1(n, -2.0 / g, 1.0 - 2.0 / g, -theta)
+                b_coef = n * theta * noise
+                # u = z / L with L = 1 / (A_n + B_n^(2/g)), the length on which
+                # the integrand decays: the integral in u is of order 1.
+                length = 1.0 / (a_coef + b_coef ** (2.0 / g))
+                al, bl = a_coef * length, b_coef * length ** (g / 2.0)
+                ref, _ = si.quad(lambda u: math.exp(-(al * u + bl * u ** (g / 2.0))),
+                                 0.0, np.inf, epsabs=1e-15, epsrel=1e-13, limit=400)
+                assert abs(seq[n] - math.pi * lam * length * ref) <= DEFAULT_TOL, (g, theta, lam)
 
 
 class TestRhoMemo:

@@ -1,40 +1,38 @@
-"""Quadrature engine against closed forms, an independent Riemann sum, and
-scipy.integrate.quad."""
+"""Quadrature engine against closed forms, scipy.integrate.quad and mpmath."""
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate as si
-from scipy.special import erfc
+from scipy.special import erfc, hyp2f1
 
 from metadist import moments
 from metadist.quadrature import (
-    _MAX_INTERVALS,
     QuadratureError,
     integrate_semi_infinite_decaying,
 )
 
-from oracles import riemann_semi_infinite
+from oracles import moment_integral_mpmath
 
 
 class TestFinite:
     """A finite value within the tolerance, or an error."""
 
     def test_constant(self):
-        # Zero on every panel: the tail allowance is the whole error estimate.
+        # I_h and I_2h are both exactly 0, so the base rule stops.
         res = integrate_semi_infinite_decaying(np.zeros_like, 1.0, 1e-10)
         assert res.value == 0.0
-        assert res.abs_error_estimate == 1e-10 / 10.0
-        assert res.evaluations == 53 * 15
+        assert res.abs_error_estimate == 0.0
+        assert res.evaluations == 321
 
     def test_linearity(self):
         tol = 1e-10
         f = lambda z: np.exp(-z) * np.sin(3.0 * z)
         g = lambda z: np.exp(-z) * z
-        combined = integrate_semi_infinite_decaying(lambda z: 2.0 * f(z) - 5.0 * g(z), 0.5, tol)
+        combined = integrate_semi_infinite_decaying(lambda z: 2.0 * f(z) - 5.0 * g(z), 2.0, tol)
         separate = (
-            2.0 * integrate_semi_infinite_decaying(f, 0.5, tol).value
-            - 5.0 * integrate_semi_infinite_decaying(g, 0.5, tol).value
+            2.0 * integrate_semi_infinite_decaying(f, 2.0, tol).value
+            - 5.0 * integrate_semi_infinite_decaying(g, 2.0, tol).value
         )
         assert abs(combined.value - separate) <= 2.0 * tol
 
@@ -46,14 +44,16 @@ class TestFinite:
         assert res.value == pytest.approx(ref, abs=1e-12)
 
     def test_nonconvergence_raises(self):
-        # Each panel's error estimate is floored at 50 eps times its mass, so
-        # a tolerance below that floor spends the whole interval budget.
-        with pytest.raises(QuadratureError, match=f"after {_MAX_INTERVALS} intervals"):
-            integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, 1e-18)
+        # A kink at z = 1 slows the trapezoid rule to O(h^2): after the last
+        # halving the estimate is still about 3e-6.  (A tolerance below the
+        # rounding of a smooth integral need not raise: its I_h and I_2h
+        # round to the same double, and the estimate is 0.)
+        with pytest.raises(QuadratureError, match="after 4 halvings"):
+            integrate_semi_infinite_decaying(lambda z: np.exp(-np.abs(z - 1.0)), 1.0, 1e-18)
 
     def test_invalid_interval(self):
-        # The finite part [0, z_max] is set by decay_rate and tol; a NaN rate
-        # or a zero tolerance leaves it undefined.
+        # A NaN scale leaves the abscissae undefined; a zero tolerance
+        # cannot be met.
         with pytest.raises(ValueError):
             integrate_semi_infinite_decaying(lambda z: np.exp(-z), np.nan, 1e-10)
         with pytest.raises(ValueError):
@@ -77,43 +77,45 @@ class TestSemiInfinite:
         closed = (math.sqrt(math.pi) / 2.0) * math.exp(0.25) * float(erfc(0.5))
         assert res.value == pytest.approx(closed, abs=1e-11)
         assert closed == pytest.approx(0.5456413, abs=1e-7)
-        # fully independent cross-check
-        assert riemann_semi_infinite(f, 40.0) == pytest.approx(res.value, abs=1e-7)
 
     def test_nearest_distance_density_normalization(self):
         lam = 0.001
         rate = math.pi * lam
         f = lambda z: rate * np.exp(-rate * z)
-        res = integrate_semi_infinite_decaying(f, rate, 1e-10)
+        res = integrate_semi_infinite_decaying(f, 1.0 / rate, 1e-10)
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("a", [1e-6, 1.0, 1e6])
     def test_tail_truncation_bound(self, a):
-        # tolerance scaled so the target stays meaningful in float64 when 1/a
-        # is large; the property under test is that the truncated tail never
-        # shows up above tol.
+        # The window u in [-4.5, 3.5] truncates both ends of (0, inf).  With
+        # scale 1 a hint off by the factor 1/a moves the mass toward one end;
+        # what the window drops, or the coarse step misses, stays below tol.
+        # The tolerance is scaled so the target stays meaningful in float64
+        # when 1/a is large.
         tol = 1e-10 * max(1.0, 1.0 / a)
-        res = integrate_semi_infinite_decaying(lambda z, a=a: np.exp(-a * z), a, tol)
+        res = integrate_semi_infinite_decaying(lambda z, a=a: np.exp(-a * z), 1.0, tol)
+        assert res.abs_error_estimate <= tol
         assert abs(res.value - 1.0 / a) <= tol
 
     def test_sharp_interior_mass_not_missed(self):
-        # Mass concentrated ~1e9 times below the tail cutoff; the dyadic
-        # opening ladder must still see it.
+        # The integrand falls on the length 1 / (a + b^(2/g)), about 1.6e4
+        # times shorter than the slow rate's 1 / a; a scale hint of 1 / a, or
+        # 1e6 times either way from the right one, still finds the mass.
         a, b, g = 1e-3, 1e3, 5.0
         f = lambda z: np.exp(-(a * z + b * z ** (g / 2.0)))
-        res = integrate_semi_infinite_decaying(f, a, 1e-10)
         ref, _ = si.quad(
             lambda z: math.exp(-(a * z + b * z ** (g / 2.0))), 0.0, np.inf,
             epsabs=1e-14, epsrel=1e-14,
         )
-        assert res.value == pytest.approx(ref, abs=1e-10)
+        length = 1.0 / (a + b ** (2.0 / g))
+        for scale in (1.0 / a, 1e-6 * length, length, 1e6 * length):
+            res = integrate_semi_infinite_decaying(f, scale, 1e-10)
+            assert res.value == pytest.approx(ref, abs=1e-10)
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            integrate_semi_infinite_decaying(lambda z: np.exp(-z), 0.0, 1e-10)
-        with pytest.raises(ValueError):
-            integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0, -1e-10)
-
+        for scale, tol in [(0.0, 1e-10), (-1.0, 1e-10), (1.0, -1e-10), (1.0, np.nan)]:
+            with pytest.raises(ValueError):
+                integrate_semi_infinite_decaying(lambda z: np.exp(-z), scale, tol)
 
     def test_nan_tail_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(QuadratureError):
@@ -122,29 +124,29 @@ class TestSemiInfinite:
             )
 
 
-class TestBatchedPanels:
-    """Many panels per integrand call, with the same panel ladder and counts."""
+class TestLevels:
+    """One integrand call per level: the base rule, then each halving's midpoints."""
 
-    def _recording(self, f, shapes):
-        def g(x):
-            shapes.append(np.shape(x))
-            return f(x)
-        return g
+    # Oscillation slows convergence: this needs two halvings at 1e-10.
+    OSCILLATING = staticmethod(lambda z: np.exp(-z) * np.sin(3.0 * z))
 
     def test_integrand_gets_1d_arrays(self):
         shapes = []
-        integrate_semi_infinite_decaying(self._recording(lambda z: np.exp(-z), shapes),
-                                         1.0, 1e-10)
-        # Opening panels in one call, then both halves of a bisection per call.
-        assert shapes == [(53 * 15,), (30,)]
+
+        def f(z):
+            shapes.append(np.shape(z))
+            return self.OSCILLATING(z)
+
+        res = integrate_semi_infinite_decaying(f, 1.0, 1e-10)
+        assert shapes == [(321,), (320,), (640,)]
+        assert res.value == pytest.approx(0.3, abs=1e-10)
 
     def test_ladder_evaluation_count(self):
-        # The 53-panel dyadic ladder alone meets 1e-9; 1e-10 takes one bisection.
-        f = lambda z: np.exp(-z)
-        assert integrate_semi_infinite_decaying(f, 1.0, 1e-9).evaluations == 53 * 15
-        assert integrate_semi_infinite_decaying(f, 1.0, 1e-10).evaluations == 53 * 15 + 30
+        # 321 nodes, then 320 * 2^(k-1) midpoints at the k-th halving.
+        assert integrate_semi_infinite_decaying(lambda z: np.exp(-z), 1.0).evaluations == 321
+        assert integrate_semi_infinite_decaying(self.OSCILLATING, 1.0, 1e-10).evaluations == 1281
 
-    def test_moment_ladder_evaluation_count(self, paper_params, monkeypatch):
+    def test_moment_evaluation_count(self, paper_params, monkeypatch):
         results = []
 
         def spy(*args, **kwargs):
@@ -153,11 +155,12 @@ class TestBatchedPanels:
 
         monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", spy)
         moments.moment_exact(paper_params, 1)
-        assert [r.evaluations for r in results] == [795]
+        moments.moment_sequence(paper_params, 10)
+        assert [r.evaluations for r in results] == [321, 321]
 
 
 class TestRows:
-    """Several integrand rows on one shared panel set."""
+    """Several integrand rows on one shared set of abscissae."""
 
     RATES = (0.5, 2.0, 7.0)
     NOISE = (1e-3, 0.0, 0.4)
@@ -169,7 +172,7 @@ class TestRows:
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-12])
     def test_each_row_within_tol_of_scipy(self, tol):
-        res = integrate_semi_infinite_decaying(self._rows, min(self.RATES), tol)
+        res = integrate_semi_infinite_decaying(self._rows, 1.0, tol)
         assert res.value.shape == res.abs_error_estimate.shape == (3,)
         assert (res.abs_error_estimate <= tol).all()
         for value, a, b in zip(res.value, self.RATES, self.NOISE):
@@ -178,12 +181,15 @@ class TestRows:
             assert abs(value - ref) <= tol
 
     def test_one_row_matrix_matches_vector(self):
+        # A scale hint 1e6 times too long takes two halvings.
         f = lambda z: np.exp(-(0.3 * z + 0.01 * z**2.5))
-        vector = integrate_semi_infinite_decaying(f, 0.3, 1e-12)
-        matrix = integrate_semi_infinite_decaying(lambda z: f(z)[None, :], 0.3, 1e-12)
-        assert matrix.value.tolist() == [vector.value]
-        assert matrix.abs_error_estimate.tolist() == [vector.abs_error_estimate]
-        assert matrix.evaluations == vector.evaluations
+        for scale in (1.0, 1e6):
+            vector = integrate_semi_infinite_decaying(f, scale, 1e-12)
+            matrix = integrate_semi_infinite_decaying(lambda z: f(z)[None, :], scale, 1e-12)
+            assert matrix.value.tolist() == [vector.value]
+            assert matrix.abs_error_estimate.tolist() == [vector.abs_error_estimate]
+            assert matrix.evaluations == vector.evaluations
+        assert vector.evaluations == 1281
 
     def test_nan_row_raises(self):
         def f(z):
@@ -192,7 +198,7 @@ class TestRows:
             return rows
 
         with pytest.raises(QuadratureError):
-            integrate_semi_infinite_decaying(f, min(self.RATES), 1e-10)
+            integrate_semi_infinite_decaying(f, 1.0, 1e-10)
 
     def test_integrand_gets_1d_arrays(self):
         shapes = []
@@ -201,6 +207,59 @@ class TestRows:
             shapes.append(np.shape(z))
             return self._rows(z)
 
-        res = integrate_semi_infinite_decaying(f, min(self.RATES), 1e-12)
-        assert shapes[0] == (53 * 15,) and set(shapes[1:]) <= {(30,)}
+        # A scale hint 1e6 times too short needs two halvings at 1e-12.
+        res = integrate_semi_infinite_decaying(f, 1e-6, 1e-12)
+        assert shapes == [(321,), (320,), (640,)]
         assert res.evaluations == sum(s[0] for s in shapes)
+
+
+class TestMomentRange:
+    """The moment integrand over the package's range, against mpmath."""
+
+    def test_rows_within_1e_13_relative_of_mpmath(self):
+        # gamma in (2, 20], theta -60..20 dB, lambda 1e-10..1e2 per m^2,
+        # noise 0 or -250..-10 dBm at p = 1 mW, n_max 1..40.  A_n = pi lambda
+        # 2F1(n, -2/g; 1-2/g; -theta) from scipy and B_n = n theta sigma2 / p
+        # go to the engine directly, one row per n, at the geometric-mean
+        # scale that moments._moments_exact uses.  A tolerance of 1e-14 of
+        # the shortest decay length asks for about 1e-14 relative in every
+        # row; rows 1 and n_max are checked.
+        rng = np.random.default_rng(20)
+        for _ in range(24):
+            g, theta = rng.uniform(2.001, 20.0), 10.0 ** rng.uniform(-6.0, 2.0)
+            lam = 10.0 ** rng.uniform(-10.0, 2.0)
+            noise = 10.0 ** rng.uniform(-25.0, -1.0) if rng.random() < 0.8 else 0.0
+            n_max = int(rng.integers(1, 41))
+            n = np.arange(1, n_max + 1)
+            a = math.pi * lam * hyp2f1(n, -2.0 / g, 1.0 - 2.0 / g, -theta)
+            b = n * theta * noise
+            lengths = 1.0 / (a + b ** (2.0 / g))
+            res = integrate_semi_infinite_decaying(
+                lambda z: np.exp(-(a[:, None] * z + b[:, None] * z ** (g / 2.0))),
+                float(np.exp(np.log(lengths).mean())), 1e-14 * lengths.min(),
+            )
+            for k in {0, n_max - 1}:
+                ref = moment_integral_mpmath(a[k], b[k], g)
+                assert abs(res.value[k] / ref - 1.0) <= 1e-13, (g, theta, lam, noise, k + 1)
+
+    def test_tiny_moments_within_1e_13_relative_of_mpmath(self):
+        # mu_n ~ 1e-7 at the default tolerance, which alone would allow an
+        # error of 1e-3 relative.
+        p = moments.SystemParams(1e-8, 8.0, 1.0, 1.0, 1e-3)
+        seq = moments.moment_sequence(p, 10)
+        for n in range(1, 11):
+            c = moments.coeffs(p, n)
+            ref = math.pi * p.lambda_bs * moment_integral_mpmath(c.a_coef, c.b_coef, 8.0)
+            assert abs(seq[n] / ref - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-10])
+    def test_steep_path_loss_beyond_the_range(self, noise):
+        # At gamma 80 z^(gamma/2) overflows on the window's far end: with
+        # noise its exp is 0, without it the term is 0, never 0 * inf = NaN.
+        # The suite turns an overflow warning into an error.
+        p = moments.SystemParams(1e-3, 80.0, 1.0, 1.0, noise)
+        seq = moments.moment_sequence(p, 5)
+        for n in (1, 5):
+            c = moments.coeffs(p, n)
+            ref = math.pi * p.lambda_bs * moment_integral_mpmath(c.a_coef, c.b_coef, 80.0)
+            assert abs(seq[n] / ref - 1.0) <= 1e-13
