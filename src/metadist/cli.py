@@ -257,7 +257,8 @@ def cmd_power(args: argparse.Namespace) -> int:
     meta: dict[str, Any] = {"x_rel": qos.x_rel, "epsilon": qos.epsilon,
                             "gamma_pl": args.gamma}
     positive = powers > 0.0
-    if np.count_nonzero(positive) >= 2:
+    # A line needs two distinct densities; --lambda-min = --lambda-max gives one.
+    if np.unique(lams[positive]).size >= 2:
         slope = float(np.polyfit(np.log(lams[positive]), np.log(powers[positive]), 1)[0])
         meta["loglog_slope"] = slope
         print(f"fitted log-log slope: {slope:.9f} (expected {-args.gamma / 2})",
@@ -366,8 +367,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                                  "the samples; use another suffix")
         if args.command == "power":
             args.qos = scaling.QosSpec(x_rel=args.x_rel, epsilon=args.epsilon)
-            if not args.lambda_max > 0.0:
-                raise ValueError(f"--lambda-max must be positive, got {args.lambda_max}")
+            if not 0.0 < args.lambda_max < math.inf:
+                raise ValueError(
+                    f"--lambda-max must be positive and finite, got {args.lambda_max}"
+                )
             if args.lambda_steps < 1:
                 raise ValueError(f"--lambda-steps must be at least 1, got {args.lambda_steps}")
     except ValueError as exc:

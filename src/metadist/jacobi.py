@@ -14,8 +14,10 @@ familiar beta approximation and the rest a systematic refinement of it.
 
 Polynomials are evaluated by the three-term recurrence (the explicit
 binomial-sum form cancels badly beyond n ~ 15 and lives in the tests as an
-oracle); moment combinations use exact compensated summation since the
-alternating sums lose roughly a digit per order.
+oracle).  The map from moments to coefficients is one function,
+fourier_jacobi_coeffs, whose nested sums are exact compensated sums since
+the alternating sums lose roughly a digit per order.  The PDF and the CDF's
+correction term are one weighted series, w(x) sum_k c_k P_k(x), in two bases.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentSequence
-from .specfun import binom, reg_inc_beta
+from .specfun import reg_inc_beta
 
 __all__ = [
     "JacobiBasis",
@@ -35,7 +37,6 @@ __all__ = [
     "DegenerateMomentsError",
     "jacobi_poly",
     "norm_h",
-    "modified_moments",
     "fourier_jacobi_coeffs",
     "moment_match_basis",
     "reconstruct",
@@ -159,43 +160,39 @@ def norm_h(alpha: float, beta: float, n: int) -> float:
     return math.exp(log_h) * (n + a + b + 1.0) / (2.0 * n + a + b + 1.0)
 
 
-def modified_moments(moments: MomentSequence, n: int, ell: int) -> float:
-    """Modified moment mu_hat_{n,l} = int x^l (x-1)^(n-l) f(x) dx.
-
-    Equal to the alternating binomial combination
-    sum_k C(n-l, k) (-1)^k mu_{n-k}; summed with math.fsum because the terms
-    cancel to a result many orders below their magnitude.
-    """
-    if not 0 <= ell <= n:
-        raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
-    values = moments.values
-    if len(values) <= n:
-        raise ValueError(
-            f"moment index {n} requested but only mu_0..mu_{len(values) - 1} available"
-        )
-    return math.fsum(
-        math.comb(n - ell, k) * (-1.0) ** k * values[n - k] for k in range(n - ell + 1)
-    )
-
-
 def fourier_jacobi_coeffs(
     moments: MomentSequence, basis: JacobiBasis
 ) -> ReconstructedDistribution:
     """Expansion coefficients a_0..a_order from the moment sequence.
 
-    a_n = (1/h_n) sum_l C(n+alpha, l) C(n+beta, n-l) mu_hat_{n,l}; a_0 is
-    1/h_0 for any proper moment sequence (mu_0 = 1).
+    a_n = (1/h_n) sum_l C(n+alpha, l) C(n+beta, n-l) mu_hat_{n,l}, with the
+    modified moment
+
+        mu_hat_{n,l} = int x^l (x-1)^(n-l) f(x) dx
+                     = sum_k C(n-l, k) (-1)^k mu_{n-k};
+
+    a_0 is 1/h_0 for any proper moment sequence (mu_0 = 1).  The weights
+    C(r, l) are the running products prod_{j<l} (r-j)/(j+1), valid for every
+    real r.  Each modified moment and each sum over l is one math.fsum,
+    since the terms cancel to a result many orders below their magnitude.
     """
-    if len(moments.values) <= basis.order:
+    mu = moments.values
+    if len(mu) <= basis.order:
         raise ValueError(
             f"reconstruction of order {basis.order} needs moments up to "
-            f"mu_{basis.order}, got {len(moments.values) - 1}"
+            f"mu_{basis.order}, got {len(mu) - 1}"
         )
     a, b = basis.alpha, basis.beta
     coeff = []
     for n in range(basis.order + 1):
+        c_a, c_b = [1.0], [1.0]
+        for j in range(n):
+            c_a.append(c_a[-1] * ((n + a - j) / (j + 1.0)))
+            c_b.append(c_b[-1] * ((n + b - j) / (j + 1.0)))
         inner = math.fsum(
-            binom(n + a, ell) * binom(n + b, n - ell) * modified_moments(moments, n, ell)
+            c_a[ell] * c_b[n - ell] * math.fsum(
+                math.comb(n - ell, k) * (-1.0) ** k * mu[n - k] for k in range(n - ell + 1)
+            )
             for ell in range(n + 1)
         )
         coeff.append(inner / norm_h(a, b, n))
@@ -240,8 +237,10 @@ def reconstruct(
     return fourier_jacobi_coeffs(moments, basis)
 
 
-def _weight(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    return (1.0 - x) ** alpha * x**beta
+def _weighted_series(alpha: float, beta: float, c, x: np.ndarray) -> np.ndarray:
+    """(1-x)^alpha x^beta sum_k c_k P_k^(alpha,beta)(x) at every point of x."""
+    polys = _jacobi_all(alpha, beta, len(c) - 1, x)
+    return (1.0 - x) ** alpha * x**beta * np.tensordot(c, polys, axes=1)
 
 
 def eval_pdf(dist: ReconstructedDistribution, x):
@@ -253,10 +252,7 @@ def eval_pdf(dist: ReconstructedDistribution, x):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValueError("pdf is defined on the open interval (0, 1)")
-    basis = dist.basis
-    polys = _jacobi_all(basis.alpha, basis.beta, basis.order, arr)
-    series = np.tensordot(dist.coefficients, polys, axes=1)
-    vals = _weight(basis.alpha, basis.beta, arr) * series
+    vals = _weighted_series(dist.basis.alpha, dist.basis.beta, dist.coefficients, arr)
     return float(vals[0]) if np.asarray(x).ndim == 0 else vals
 
 
@@ -297,12 +293,8 @@ def _series_cdf(dist: ReconstructedDistribution, arr: np.ndarray) -> np.ndarray:
     lead = norm_h(a, b, 0) * dist.coefficients[0]
     out = lead * reg_inc_beta(arr, b + 1.0, a + 1.0)
     if basis.order >= 1:
-        polys = _jacobi_all(a + 1.0, b + 1.0, basis.order - 1, arr)
-        wgt = (1.0 - arr) ** (a + 1.0) * arr ** (b + 1.0)
-        corr = np.zeros_like(arr)
-        for n in range(1, basis.order + 1):
-            corr += dist.coefficients[n] / n * polys[n - 1]
-        out -= wgt * corr
+        c = [dist.coefficients[n] / n for n in range(1, basis.order + 1)]
+        out -= _weighted_series(a + 1.0, b + 1.0, c, arr)
     return out
 
 

@@ -63,7 +63,7 @@ _MONOTONE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical scenario, all quantities linear (mW, per m^2, meters).
+    """Physical scenario, all quantities linear (mW, per m^2, meters) and finite.
 
     Attributes:
         lambda_bs: base-station density per m^2.
@@ -85,6 +85,9 @@ class SystemParams:
     )
 
     def __post_init__(self) -> None:
+        for name in ("lambda_bs", "gamma_pl", "theta", "power", "noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.lambda_bs > 0.0:
             raise ValueError(f"lambda_bs must be positive, got {self.lambda_bs}")
         if not self.gamma_pl > 2.0:
@@ -118,9 +121,11 @@ class IntegralCoeffs:
 class MomentSequence:
     """Moments mu_0..mu_N of the conditional coverage probability.
 
-    values[0] is always 1; subsequent values lie in (0, 1] and are
-    nonincreasing.  `method` records provenance: exact quadrature, the
-    closed-form approximation, or empirical averages from the simulator.
+    values[0] is always 1; subsequent values lie in [0, 1] and are
+    nonincreasing.  A zero is valid: the sample mean of c^n underflows to it
+    when every CCP sample is tiny.  `method` records provenance: exact
+    quadrature, the closed-form approximation, or empirical averages from
+    the simulator.
     """
 
     values: tuple[float, ...]
@@ -135,8 +140,8 @@ class MomentSequence:
         if abs(self.values[0] - 1.0) > 1e-12:
             raise ValueError(f"mu_0 must equal 1, got {self.values[0]}")
         for n, v in enumerate(self.values):
-            if not 0.0 < v <= 1.0 + 1e-12:
-                raise ValueError(f"mu_{n}={v} outside (0, 1]")
+            if not 0.0 <= v <= 1.0 + 1e-12:
+                raise ValueError(f"mu_{n}={v} outside [0, 1]")
             if n > 0 and v > self.values[n - 1] + _MONOTONE_SLACK:
                 raise ValueError(
                     f"moments must be nonincreasing: mu_{n}={v} > mu_{n-1}={self.values[n-1]}"

@@ -101,8 +101,10 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.region_radius > 0.0:
-            raise ValueError(f"region_radius must be positive, got {self.region_radius}")
+        if not 0.0 < self.region_radius < math.inf:
+            raise ValueError(
+                f"region_radius must be positive and finite, got {self.region_radius}"
+            )
         nonempty = -math.expm1(
             -self.params.lambda_bs * math.pi * self.region_radius * self.region_radius
         )

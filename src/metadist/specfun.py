@@ -1,11 +1,11 @@
 """Special functions used throughout the toolkit.
 
-Everything here is a pure function: generalized binomial coefficients and
-the Gauss hypergeometric function 2F1 (restricted to non-positive real
-argument) over Python floats, and the regularized incomplete beta function
-over a scalar or ndarray x.  Gamma and log-gamma come straight from `math`.  The 2F1 restriction
-is deliberate: the only regime the rest of the package needs is z = -theta
-with theta >= 0.
+Everything here is a pure function: the Gauss hypergeometric function 2F1
+(restricted to non-positive real argument) over Python floats, and the
+regularized incomplete beta function over a scalar or ndarray x.  Gamma and
+log-gamma come straight from `math`.  The 2F1 restriction is deliberate:
+the only regime the rest of the package needs is z = -theta with
+theta >= 0.
 
 The 2F1 series sums a short scalar prefix in a Python loop, which is all a
 low threshold needs, and continues in numpy chunks whose sequential
@@ -29,7 +29,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "binom",
     "gauss_2f1",
     "reg_inc_beta",
 ]
@@ -41,20 +40,6 @@ _SERIES_FIRST_CHUNK = 1024
 _CF_RTOL = 1e-16
 _CF_MAX_STEPS = 500
 _CF_FIRST_STOP = 16
-
-
-def binom(r: float, k: int) -> float:
-    """Generalized binomial coefficient C(r, k) for real r and integer k >= 0.
-
-    The defining product prod_{j<k} (r-j)/(j+1), valid for every real r,
-    including the negative integers where a gamma ratio has poles.
-    """
-    if k < 0:
-        raise ValueError(f"binom requires k >= 0, got {k}")
-    out = 1.0
-    for j in range(k):
-        out *= (r - j) / (j + 1.0)
-    return out
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:

@@ -6,11 +6,12 @@ instead of evaluating the hypergeometric identity, gauss_jacobi_integral
 takes its Gauss-Jacobi nodes and weights from scipy, beta_moments is the
 exact product formula, max_exp_neg_f maximizes by grid search plus
 golden-section refinement rather than using the closed-form minimum, and
-jacobi_poly_explicit sums the binomial form of the polynomial instead of
-running the three-term recurrence.
+jacobi_poly_explicit sums the binomial form of the polynomial, with
+scipy's binomial coefficients, instead of running the three-term recurrence.
 rising_factorial is the plain Pochhammer product, which the package itself
 never needs.  binom_exact is the binomial coefficient in exact rational
-arithmetic, and ccp_sampled_reference sums each draw's interference over the
+arithmetic, which the exact test of the moment-to-coefficient map builds
+on, and ccp_sampled_reference sums each draw's interference over the
 other base stations one by one instead of taking a matrix-vector product.
 ccp_analytic_reference is the defining product over interferers in plain
 distances, one Python term at a time, where the simulator's kernel works on
@@ -28,9 +29,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_jacobi
-
-from metadist.specfun import binom
+from scipy.special import binom, roots_jacobi
 
 
 def rho_quadrature(n: int, gamma_pl: float, theta: float, tol: float = 1e-11) -> float:

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,15 @@ class TestSimulateCommand:
         assert "probability" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_underflowing_moments_still_write_summary(self, tmp_path):
+        # At 60 dB every CCP sample is below 1e-40, so mean(c^n) underflows to 0.0.
+        out = tmp_path / "h.csv"
+        rc = main(["simulate", "--theta-db", "60", "--gamma", "2.5", "--noise-dbm", "-120",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        summary = json.loads((tmp_path / "h.json").read_text())
+        assert summary["empirical_moments"][-1] == 0.0
+
     def test_json_out_would_overwrite_samples(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         assert main(["simulate", "--realizations", "5", "--out", str(out)]) == EXIT_USAGE
@@ -439,6 +449,30 @@ class TestCompareCommand:
         assert rc == EXIT_IO
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--theta-db", "inf"],
+        ["moments", "--lambda", "inf"],
+        ["moments", "--gamma", "inf"],
+        ["moments", "--power-dbm", "inf"],
+        ["moments", "--noise-dbm", "inf"],
+        ["moments", "--lambda", "nan"],
+        ["reconstruct", "--theta-db", "inf"],
+        ["simulate", "--gamma", "inf"],
+        ["simulate", "--radius-m", "inf"],
+        ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--lambda-max", "inf"],
+        ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--lambda-min", "inf"],
+    ])
+    def test_usage_error(self, argv, tmp_path, capsys):
+        if argv[0] == "simulate":
+            argv = argv + ["--out", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestPowerCommand:
     def test_slope_in_meta(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -508,6 +542,19 @@ class TestPowerCommand:
         assert len(doc["rows"]) == 1 and float(doc["rows"][0][1]) > 0.0
         assert "loglog_slope" not in doc["meta"]
         assert captured.err == ""
+
+    def test_equal_densities_have_no_slope(self, capsys):
+        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--lambda-min", "1e-2",
+                "--lambda-max", "1e-2", "--lambda-steps", "3", "--format", "json"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_OK
+        assert caught == []
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert len(doc["rows"]) == 3
+        assert "loglog_slope" not in doc["meta"]
+        assert "slope" not in captured.err
 
     def test_noise_free_notes_zero_power(self, capsys):
         assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",

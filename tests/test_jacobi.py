@@ -1,6 +1,8 @@
 """Jacobi polynomial machinery and the moment-to-distribution round trip."""
 import dataclasses
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from metadist.jacobi import (
     fourier_jacobi_coeffs,
     jacobi_poly,
     meta_reliability,
-    modified_moments,
     moment_match_basis,
     norm_h,
     reconstruct,
@@ -25,7 +26,13 @@ from metadist.jacobi import (
 from metadist.moments import METHOD_EMPIRICAL, MomentSequence, SystemParams, moment_sequence
 from metadist.specfun import reg_inc_beta
 
-from oracles import beta_moments, gauss_jacobi_integral, jacobi_poly_explicit, rising_factorial
+from oracles import (
+    beta_moments,
+    binom_exact,
+    gauss_jacobi_integral,
+    jacobi_poly_explicit,
+    rising_factorial,
+)
 
 BASES = [(0.0, 0.0), (-0.4354, 0.1118), (0.3, 1.7), (2.0, 0.5)]
 
@@ -135,24 +142,6 @@ class TestRodriguesAntiderivative:
                     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
-class TestModifiedMoments:
-    def test_base_cases(self):
-        seq = MomentSequence((1.0, 0.6, 0.4), METHOD_EMPIRICAL)
-        assert modified_moments(seq, 0, 0) == 1.0
-        assert modified_moments(seq, 1, 1) == pytest.approx(0.6)
-        assert modified_moments(seq, 1, 0) == pytest.approx(0.6 - 1.0)
-
-    def test_insufficient_moments(self):
-        seq = MomentSequence((1.0, 0.6), METHOD_EMPIRICAL)
-        with pytest.raises(ValueError):
-            modified_moments(seq, 2, 0)
-
-    def test_invalid_ell(self):
-        seq = MomentSequence((1.0, 0.6, 0.4), METHOD_EMPIRICAL)
-        with pytest.raises(ValueError):
-            modified_moments(seq, 1, 2)
-
-
 class TestCoefficients:
     def test_a0_is_inverse_h0(self):
         seq = MomentSequence(beta_moments(2.0, 3.0, 4), METHOD_EMPIRICAL)
@@ -177,6 +166,54 @@ class TestCoefficients:
             fourier_jacobi_coeffs(seq, JacobiBasis(0.0, 0.0, 5))
 
 
+# Scenarios (lambda, gamma, theta dB, noise dBm) whose moment-matched bases
+# the exact test of the coefficient map runs at orders 2, 10 and 20.
+_MAP_SCENARIOS = [(1e-3, 5.0, 0.0, -100.0), (1e-4, 3.0, 10.0, -90.0), (1e-2, 4.0, -10.0, -120.0)]
+
+
+def _map_case(case):
+    """(moments, basis) of one exact-map case."""
+    if case[0] == "explicit":
+        _, alpha, beta = case
+        return MomentSequence(beta_moments(2.7, 1.3, 20), METHOD_EMPIRICAL), JacobiBasis(alpha, beta, 20)
+    (lam, gamma, theta_db, noise_dbm), order = case
+    params = SystemParams(lam, gamma, 10.0 ** (theta_db / 10.0), 1.0, 10.0 ** (noise_dbm / 10.0))
+    seq = moment_sequence(params, order)
+    return seq, moment_match_basis(seq[1], seq[2], order=order)
+
+
+@pytest.mark.filterwarnings("ignore:truncation order")
+class TestCoefficientMapExact:
+    """Every a_n against the map summed in exact rationals over the same doubles.
+
+    S_n = sum_l sum_k C(n+alpha, l) C(n+beta, n-l) C(n-l, k) (-1)^k mu_{n-k}
+    and T_n is the same sum of the terms' magnitudes.  Two exact sums and a
+    division, each correctly rounded, leave a_n within 2 eps T_n / |h_n| of
+    S_n / h_n, h_n being the double norm_h returns.
+    """
+
+    @pytest.mark.parametrize("case", [
+        *[(scenario, order) for scenario in _MAP_SCENARIOS for order in (2, 10, 20)],
+        ("explicit", -0.5, -0.5),
+        ("explicit", 3.0, 0.2),
+    ])
+    def test_within_two_eps_of_exact(self, case):
+        seq, basis = _map_case(case)
+        mu = [Fraction(v) for v in seq.values]
+        a, b = basis.alpha, basis.beta
+        coeffs = fourier_jacobi_coeffs(seq, basis).coefficients
+        for n, a_n in enumerate(coeffs):
+            exact = total = Fraction(0)
+            for ell in range(n + 1):
+                weight = binom_exact(n + a, ell) * binom_exact(n + b, n - ell)
+                for k in range(n - ell + 1):
+                    term = weight * math.comb(n - ell, k) * (-1) ** k * mu[n - k]
+                    exact += term
+                    total += abs(term)
+            h_n = Fraction(norm_h(a, b, n))
+            assert abs(Fraction(a_n) - exact / h_n) <= 2 * sys.float_info.epsilon * total / abs(h_n)
+
+
 class TestMomentMatching:
     def test_beta22(self):
         basis = moment_match_basis(0.5, 0.3, order=0)
@@ -195,6 +232,8 @@ class TestMomentMatching:
     def test_bad_mu1_rejected(self):
         with pytest.raises(DegenerateMomentsError):
             moment_match_basis(1.0, 0.5)
+        with pytest.raises(DegenerateMomentsError):
+            moment_match_basis(0.0, 0.0)
 
     def test_mu2_above_mu1_rejected(self):
         with pytest.raises(DegenerateMomentsError):

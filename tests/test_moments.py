@@ -13,6 +13,7 @@ from scipy.special import hyp2f1
 from metadist import moments
 from metadist.moments import (
     METHOD_CLOSED_FORM,
+    METHOD_EMPIRICAL,
     METHOD_EXACT,
     MomentSequence,
     SystemParams,
@@ -50,6 +51,14 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["lambda_bs", "gamma_pl", "theta", "power", "noise"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_params_rejected(self, field, value):
+        kwargs = dict(lambda_bs=1e-3, gamma_pl=5.0, theta=1.0, power=1.0, noise=1e-10)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SystemParams(**kwargs)
+
 
 class TestMomentSequence:
     def test_valid_sequence(self):
@@ -65,8 +74,15 @@ class TestMomentSequence:
             MomentSequence((1.0, 0.4, 0.6), METHOD_EXACT)
 
     def test_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             MomentSequence((1.0, -0.1), METHOD_EXACT)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            MomentSequence((1.0, 1.0 + 1e-9), METHOD_EXACT)
+
+    def test_zero_moments_valid(self):
+        # A sample mean of c^n underflows to 0.0 when every sample is tiny.
+        seq = MomentSequence((1.0, 1e-200, 0.0, 0.0), METHOD_EMPIRICAL)
+        assert seq.values == (1.0, 1e-200, 0.0, 0.0)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

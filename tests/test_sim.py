@@ -66,6 +66,8 @@ class TestConfigValidation:
             SimConfig(params=paper_params, num_realizations=1, fading_mode="psychic")
         with pytest.raises(ValueError):
             SimConfig(params=paper_params, num_realizations=1, rng_seed=-1)
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(params=paper_params, num_realizations=1, region_radius=math.inf)
 
     def test_almost_surely_empty_disk_rejected(self):
         # The floor is on P(disk nonempty) = 1 - exp(-lambda pi R^2).
@@ -552,6 +554,16 @@ class TestEmpiricalStatistics:
         seq = empirical_moments(emp.ccp_samples, 4)
         assert seq.method == METHOD_EMPIRICAL
         assert all(v == 1.0 for v in seq.values)
+
+    def test_all_zeros(self):
+        seq = empirical_moments(np.zeros(2), 2)
+        assert seq.values == (1.0, 0.0, 0.0)
+
+    def test_underflowing_samples(self):
+        # c^2 of every sample underflows, so the sample means from mu_2 on are 0.0.
+        seq = empirical_moments(np.array([1e-200, 3e-200, 0.0]), 3)
+        assert seq[1] == pytest.approx(4e-200 / 3.0)
+        assert seq.values[2:] == (0.0, 0.0)
 
     def test_hand_arithmetic(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=2)

@@ -2,7 +2,6 @@
 integrals (dual-route: our series/continued-fraction code vs independent
 oracles)."""
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +10,9 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from metadist import specfun
-from metadist.specfun import binom, gauss_2f1, reg_inc_beta
+from metadist.specfun import gauss_2f1, reg_inc_beta
 
 from oracles import (
-    binom_exact,
     gauss_2f1_series_reference,
     jacobi_poly_explicit,
     rho_quadrature,
@@ -44,34 +42,6 @@ class TestRisingFactorial:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             rising_factorial(1.0, -1)
-
-
-class TestBinom:
-    @given(st.floats(-5.0, 30.0), st.integers(0, 12))
-    def test_matches_scipy(self, r, k):
-        ref = sp.binom(r, k)
-        if not math.isfinite(ref):
-            # scipy returns nan at the negative-integer poles of its gamma
-            # ratio; the defining product is finite there.
-            return
-        assert binom(r, k) == pytest.approx(ref, rel=1e-10, abs=1e-12)
-
-    def test_negative_integer_upper_argument(self):
-        # Product form: C(-1, 0) = 1, C(-2, 3) = (-2)(-3)(-4)/3! = -4.
-        assert binom(-1.0, 0) == 1.0
-        assert binom(-2.0, 3) == pytest.approx(-4.0, rel=1e-14)
-
-    def test_exact_on_jacobi_arguments(self):
-        # The Fourier-Jacobi coefficients call binom(n + alpha, k) with
-        # k <= n <= 20 and alpha > -1; compare with exact rationals there.
-        worst = 0.0
-        for a in np.linspace(-0.99, 40.0, 40):
-            for n in range(21):
-                r = n + float(a)
-                for k in range(n + 1):
-                    exact = binom_exact(r, k)
-                    worst = max(worst, float(abs(Fraction(binom(r, k)) - exact) / exact))
-        assert worst <= 4e-15
 
 
 class TestGauss2F1:
