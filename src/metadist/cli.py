@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -69,15 +68,14 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
 def _scenario_params(args: argparse.Namespace) -> moments.SystemParams:
     """The scenario the flags describe, in linear units.
 
-    `power` sweeps lambda and solves for the transmit power, so its scenario
-    starts at --lambda-min with a 1 mW placeholder that min_power ignores.
+    `power`'s parser fixes lambda = 1, where min_power returns c in
+    p = c lambda^(-gamma/2), and 0 dBm, which min_power ignores.
     """
-    sweep = args.command == "power"
     return moments.SystemParams(
-        lambda_bs=args.lambda_min if sweep else args.lambda_bs,
+        lambda_bs=args.lambda_bs,
         gamma_pl=args.gamma,
         theta=db_to_linear(args.theta_db),
-        power=1.0 if sweep else db_to_linear(args.power_dbm),
+        power=db_to_linear(args.power_dbm),
         noise=db_to_linear(args.noise_dbm),
     )
 
@@ -144,7 +142,9 @@ def _load_moment_file(path: Path) -> moments.MomentSequence:
         if not header or header[0] != "mu":
             raise ValueError(f"{path}: expected a one-column CSV with 'mu' header")
         values = tuple(float(row[0]) for row in reader if row)
-    return moments.MomentSequence(values=values, method=moments.METHOD_EMPIRICAL)
+    seq = moments.MomentSequence(values=values, method=moments.METHOD_EMPIRICAL)
+    moments.check_hausdorff(seq.values)
+    return seq
 
 
 def _reconstruction(args: argparse.Namespace) -> jacobi.ReconstructedDistribution:
@@ -251,7 +251,7 @@ def cmd_power(args: argparse.Namespace) -> int:
         math.log10(args.lambda_min), math.log10(args.lambda_max), args.lambda_steps
     )
     # p = c lambda^(-gamma/2): min_power at lambda = 1 returns c exactly.
-    c = scaling.min_power(dataclasses.replace(args.params, lambda_bs=1.0), qos)
+    c = scaling.min_power(args.params, qos)
     powers = np.array([c * float(lam) ** (-args.params.gamma_pl / 2.0) for lam in lams])
     rows = [[_fmt(lam), _fmt(p), _fmt(mw_to_dbm(p))] for lam, p in zip(lams, powers)]
     meta: dict[str, Any] = {"x_rel": qos.x_rel, "epsilon": qos.epsilon,
@@ -325,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", type=float, default=1e-4)
     p.add_argument("--lambda-max", type=float, default=1e-2)
     p.add_argument("--lambda-steps", type=int, default=9)
+    # power solves on one scenario for c in p = c lambda^(-gamma/2).
+    p.set_defaults(lambda_bs=1.0, power_dbm=0.0)
 
     return parser
 
@@ -367,10 +369,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                                  "the samples; use another suffix")
         if args.command == "power":
             args.qos = scaling.QosSpec(x_rel=args.x_rel, epsilon=args.epsilon)
-            if not 0.0 < args.lambda_max < math.inf:
-                raise ValueError(
-                    f"--lambda-max must be positive and finite, got {args.lambda_max}"
-                )
+            for flag, lam in (("--lambda-min", args.lambda_min),
+                              ("--lambda-max", args.lambda_max)):
+                if not 0.0 < lam < math.inf:
+                    raise ValueError(f"{flag} must be positive and finite, got {lam}")
             if args.lambda_steps < 1:
                 raise ValueError(f"--lambda-steps must be at least 1, got {args.lambda_steps}")
     except ValueError as exc:

@@ -261,13 +261,13 @@ def eval_cdf(dist: ReconstructedDistribution, x):
 
     Termwise antiderivative (via the Rodrigues formula):
 
-        F(x) = I_x(beta+1, alpha+1) (h_0 a_0)
+        F(x) = mu_0 I_x(beta+1, alpha+1)
                - sum_{n>=1} (a_n / n) (1-x)^(alpha+1) x^(beta+1)
                                       P_{n-1}^(alpha+1, beta+1)(x)
 
-    so F(0) = 0 and F(1) = 1 exactly.  The leading term is one array call
-    of reg_inc_beta over all of x.  Values are not clamped; the reliability
-    accessor clamps at the output boundary.
+    (h_0 a_0 = mu_0), so F(0) = 0 and F(1) = mu_0 exactly.  The leading term
+    is one array call of reg_inc_beta over all of x.  Values are not
+    clamped; the reliability accessor clamps at the output boundary.
 
     The distribution keeps the CDF of the last grid evaluated, keyed by the
     grid's shape and bytes, so a second call on the same grid (such as
@@ -290,8 +290,7 @@ def _series_cdf(dist: ReconstructedDistribution, arr: np.ndarray) -> np.ndarray:
         raise ValueError("cdf is defined on [0, 1]")
     basis = dist.basis
     a, b = basis.alpha, basis.beta
-    lead = norm_h(a, b, 0) * dist.coefficients[0]
-    out = lead * reg_inc_beta(arr, b + 1.0, a + 1.0)
+    out = dist.source_moments.values[0] * reg_inc_beta(arr, b + 1.0, a + 1.0)
     if basis.order >= 1:
         c = [dist.coefficients[n] / n for n in range(1, basis.order + 1)]
         out -= _weighted_series(a + 1.0, b + 1.0, c, arr)

@@ -61,6 +61,24 @@ _METHODS = (METHOD_EXACT, METHOD_CLOSED_FORM, METHOD_EMPIRICAL)
 _MONOTONE_SLACK = 1e-9
 
 
+def check_hausdorff(mu) -> None:
+    """Raise ValueError unless mu_0..mu_N are moments of a law on [0, 1].
+
+    Every difference E[C^n (1-C)^k] = sum_j (-1)^j C(k, j) mu_{n+j}, with
+    k >= 1 and n + k <= N, must be nonnegative.  The monotonicity slack
+    (k = 1) lets each value be off by half of it, which moves a k-th
+    difference by up to 2^(k-1) times the slack: that is the margin allowed.
+    """
+    for k in range(1, len(mu)):
+        for n in range(len(mu) - k):
+            diff = math.fsum(math.comb(k, j) * (-1.0) ** j * mu[n + j] for j in range(k + 1))
+            if not diff >= -(2.0 ** (k - 1)) * _MONOTONE_SLACK:
+                raise ValueError(
+                    f"not the moments of a law on [0, 1]: the difference "
+                    f"E[C^n (1-C)^k] at k={k}, n={n} is {diff:.6g} < 0"
+                )
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical scenario, all quantities linear (mW, per m^2, meters) and finite.
@@ -102,19 +120,10 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class IntegralCoeffs:
-    """Coefficients (A_n, B_n, rho_n) of the moment integral for one n."""
+    """Coefficients A_n > 0, B_n >= 0 of the moment integral for one n (see coeffs)."""
 
     a_coef: float
     b_coef: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not self.a_coef > 0.0:
-            raise ValueError(f"a_coef must be positive, got {self.a_coef}")
-        if not self.b_coef >= 0.0:
-            raise ValueError(f"b_coef must be nonnegative, got {self.b_coef}")
-        if not self.rho >= 0.0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -157,25 +166,29 @@ class MomentSequence:
 def rho_n(params: SystemParams, n: int) -> float:
     """Interference scaling rho_n = 2F1(n, -2/gamma; 1-2/gamma; -theta) - 1.
 
-    The 2F1 runs once per n and params object; later calls read its memo.
+    rho_n >= 0 for every scenario, so a 2F1 below 1 (or NaN) is a failed
+    evaluation and raises ValueError; it is not memoised.  The 2F1 runs once
+    per n and params object; later calls read its memo.
     """
     if n < 1:
         raise ValueError(f"rho_n requires n >= 1, got {n}")
     memo = params._one_plus_rho
     if n not in memo:
         g = params.gamma_pl
-        memo[n] = gauss_2f1(float(n), -2.0 / g, 1.0 - 2.0 / g, -params.theta)
+        one_plus_rho = gauss_2f1(float(n), -2.0 / g, 1.0 - 2.0 / g, -params.theta)
+        if not one_plus_rho >= 1.0:
+            raise ValueError(f"1 + rho_{n} must be at least 1, got {one_plus_rho}")
+        memo[n] = one_plus_rho
     return memo[n] - 1.0
 
 
 def coeffs(params: SystemParams, n: int) -> IntegralCoeffs:
-    """A_n = pi lambda (1 + rho_n) and B_n = n theta sigma2 / p."""
+    """A_n = pi lambda (1 + rho_n) > 0 and B_n = n theta sigma2 / p >= 0."""
     if n < 1:
         raise ValueError(f"coeffs requires n >= 1, got {n}")
-    rho = rho_n(params, n)
-    a_coef = math.pi * params.lambda_bs * (1.0 + rho)
+    a_coef = math.pi * params.lambda_bs * (1.0 + rho_n(params, n))
     b_coef = n * params.theta * params.noise / params.power
-    return IntegralCoeffs(a_coef=a_coef, b_coef=b_coef, rho=rho)
+    return IntegralCoeffs(a_coef=a_coef, b_coef=b_coef)
 
 
 def moment_exact(params: SystemParams, n: int, tol: float = DEFAULT_TOL) -> float:

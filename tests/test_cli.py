@@ -213,6 +213,16 @@ class TestReconstructCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_non_hausdorff_moment_file_exits_math(self, tmp_path, capsys):
+        # Monotone and in [0, 1], yet E[C^2 (1-C)^2] = mu_2 - 2 mu_3 + mu_4 = -0.1.
+        mfile = tmp_path / "mu.csv"
+        self._write_moment_file(mfile, [1.0, 0.5, 0.3, 0.2, 0.0])
+        assert main(["reconstruct", "--moments-file", str(mfile), "--order", "4",
+                     "--grid-points", "5"]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k=2, n=2" in captured.err
+
     def test_explicit_basis(self, tmp_path):
         out = tmp_path / "rec.csv"
         rc = main([
@@ -520,6 +530,16 @@ class TestPowerCommand:
                    "--theta-db", "10"])
         assert rc == EXIT_MATH
 
+    @pytest.mark.parametrize("theta_db", ["50", "60"])
+    def test_failed_2f1_exits_math(self, theta_db, capsys):
+        # 1 + rho_2 is 185 at 50 dB and 465 at 60 dB, so the target is
+        # infeasible; the 2F1 series returns values below 1 there.
+        assert main(["power", "--x-rel", "0.3", "--epsilon", "0.7",
+                     "--theta-db", theta_db]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rho_2" in captured.err
+
     def test_invalid_qos_is_usage_error(self):
         assert main(["power", "--x-rel", "1.5", "--epsilon", "0.5"]) == EXIT_USAGE
         assert main(["power", "--x-rel", "0.5", "--epsilon", "0.5",
@@ -528,6 +548,9 @@ class TestPowerCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--lambda-max", "-1"),
         ("--lambda-max", "0"),
+        ("--lambda-min", "-1"),
+        ("--lambda-min", "0"),
+        ("--lambda-min", "nan"),
         ("--lambda-steps", "0"),
     ])
     def test_invalid_sweep_is_usage_error(self, flag, value, capsys):

@@ -303,6 +303,18 @@ class TestCdf:
         assert eval_cdf(dist, 0.0) == 0.0
         assert eval_cdf(dist, 1.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_at_one_on_random_scenarios(self):
+        # The leading term is mu_0 I_x, so F(1) = mu_0 = 1 exactly; through
+        # h_0 (mu_0 / h_0) it missed 1 by an ulp in about one case in six.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            params = SystemParams(10.0 ** rng.uniform(-4.0, -2.0), rng.uniform(2.5, 6.0),
+                                  10.0 ** rng.uniform(-2.0, 2.0), 1.0,
+                                  10.0 ** rng.uniform(-12.0, -8.0))
+            dist = reconstruct(moment_sequence(params, 10), order=10)
+            assert eval_cdf(dist, 1.0) == 1.0
+            assert meta_reliability(dist, 1.0) == 0.0
+
     def test_beta_round_trip(self):
         dist = _beta_27_13_distribution()
         xs = np.linspace(0.0, 1.0, 101)

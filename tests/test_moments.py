@@ -19,6 +19,7 @@ from metadist.moments import (
     SystemParams,
     approx_error_bound,
     big_m_constant,
+    check_hausdorff,
     coeffs,
     moment_approx,
     moment_exact,
@@ -28,7 +29,7 @@ from metadist.moments import (
 from metadist.quadrature import DEFAULT_TOL
 from metadist.scaling import QosSpec, min_power
 
-from oracles import max_exp_neg_f, rho_quadrature
+from oracles import beta_moments, max_exp_neg_f, rho_quadrature
 
 # Regression constant: mu_1 at the reference scenario, frozen from this
 # module's own quadrature at tol 1e-12 and cross-validated below against
@@ -106,6 +107,40 @@ class TestRho:
     def test_requires_positive_n(self, paper_params):
         with pytest.raises(ValueError):
             rho_n(paper_params, 0)
+
+    def test_2f1_below_one_raises(self):
+        # The 2F1 series returns 1.6e-25 here; rho_n >= 0 for every scenario.
+        p = SystemParams(1e-3, 5.0, 1e6, 1.0, 1e-10)
+        with pytest.raises(ValueError, match=r"1 \+ rho_10 must be at least 1"):
+            rho_n(p, 10)
+
+
+class TestHausdorff:
+    def test_beta_moments_pass(self):
+        check_hausdorff(beta_moments(2.7, 1.3, 20))
+
+    def test_point_mass_contradiction_fails(self):
+        # mu_2 - 2 mu_3 + mu_4 = E[C^2 (1-C)^2] = -0.1.
+        with pytest.raises(ValueError, match="k=2, n=2 is -0.1 <"):
+            check_hausdorff((1.0, 0.5, 0.3, 0.2, 0.0))
+
+    def test_slack_doubles_with_k(self):
+        check_hausdorff((1.0, 0.5, 0.5 + 0.9e-9))
+        with pytest.raises(ValueError, match="k=1, n=1"):
+            check_hausdorff((1.0, 0.5, 0.5 + 1.1e-9))
+        # E[(1-C)^2] = mu_0 - 2 mu_1 + mu_2 may reach -2e-9 but not below.
+        check_hausdorff((1.0, 0.5 + 0.9e-9, 0.0))
+        with pytest.raises(ValueError, match="k=2, n=0"):
+            check_hausdorff((1.0, 0.5 + 1.1e-9, 0.0))
+
+    @pytest.mark.parametrize("method", [METHOD_EXACT, METHOD_CLOSED_FORM])
+    def test_scenario_moments_pass(self, method):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            p = SystemParams(10.0 ** rng.uniform(-4.0, -2.0), rng.uniform(2.5, 6.0),
+                             10.0 ** rng.uniform(-2.0, 2.0), 1.0,
+                             10.0 ** rng.uniform(-12.0, -8.0))
+            check_hausdorff(moment_sequence(p, 20, method).values)
 
 
 class TestCoeffs:
