@@ -192,7 +192,7 @@ def coeffs(params: SystemParams, n: int) -> IntegralCoeffs:
 
 
 def moment_exact(params: SystemParams, n: int, tol: float = DEFAULT_TOL) -> float:
-    """mu_n by quadrature of the moment integral, to tolerance tol.
+    """mu_n by quadrature of the moment integral, to relative tolerance tol.
 
     theta = 0 short-circuits to 1 exactly (the integrand is the nearest-BS
     distance density, which integrates to one).
@@ -207,8 +207,9 @@ def _moments_exact(params: SystemParams, ns, tol: float = DEFAULT_TOL) -> np.nda
 
     With c_n = B_n^(2/gamma) the exponent is A_n z + (c_n z)^(gamma/2), so
     row n decays on the length 1 / (A_n + c_n); the rule is scaled to the
-    geometric mean of these lengths over the rows.  (c_n z)^(gamma/2) is 0,
-    not 0 * inf, when B_n = 0 and z^(gamma/2) overflows.
+    geometric mean of these lengths over the rows, and each row meets tol
+    relative to its own mu_n.  (c_n z)^(gamma/2) is 0, not 0 * inf, when
+    B_n = 0 and z^(gamma/2) overflows.
     """
     if params.theta == 0.0 or not ns:
         return np.ones(len(ns))
@@ -224,7 +225,7 @@ def _moments_exact(params: SystemParams, ns, tol: float = DEFAULT_TOL) -> np.nda
 
     scale = float(np.exp(-np.log(a + c).mean()))
     pi_lambda = math.pi * params.lambda_bs
-    return pi_lambda * integrate_semi_infinite_decaying(integrand, scale, tol / pi_lambda).value
+    return pi_lambda * integrate_semi_infinite_decaying(integrand, scale, tol).value
 
 
 def moment_approx(params: SystemParams, n: int) -> float:

@@ -14,7 +14,8 @@ An integrand is evaluated on one 1-D ndarray of abscissae per call and may
 return one row of values, shape (m,), or several rows, shape (rows, m): the
 moments mu_1..mu_N are N rows on the same abscissae.  A one-row integrand
 gets a float value and error estimate; a multi-row one gets arrays of
-shape (rows,).
+shape (rows,).  The tolerance is relative to each row's own value, so a
+moment of 1e-6 is resolved to the same significant digits as one near 1.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ _X, _W = _nodes(np.linspace(_U_LO, _U_HI, round((_U_HI - _U_LO) / _H) + 1))
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the requested tolerance is unreachable within the halvings.
+    """Raised when the relative tolerance is unreachable within the halvings.
 
     A NaN or infinite integrand value makes the value or error estimate
     non-finite, which raises this too.
@@ -72,14 +73,15 @@ def integrate_semi_infinite_decaying(
     scale: float,
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
-    """Integrate f over [0, inf) to absolute tolerance tol in every row.
+    """Integrate f over [0, inf) to relative tolerance tol in every row.
 
     scale is the length on which f decays, e.g. 1 / (A + B^(2/gamma)) for
     the moment integrand.  The error estimate is |I_h - I_2h|, where I_2h
     sums every other node of the same rule.  While a row's estimate exceeds
-    tol the step is halved, evaluating f only at the new midpoints:
-    I_{h/2} = I_h / 2 + (h/2) * (sum over the midpoints).  A non-finite
-    result, or an estimate still above tol after the last halving, raises
+    tol |I_h| the step is halved, evaluating f only at the new midpoints:
+    I_{h/2} = I_h / 2 + (h/2) * (sum over the midpoints).  A row whose value
+    and estimate are both 0 meets any tolerance.  A non-finite result, or an
+    estimate still above tol |I_h| after the last halving, raises
     QuadratureError.
     """
     if not scale > 0.0:
@@ -91,9 +93,9 @@ def integrate_semi_infinite_decaying(
     h, halvings, evaluations = _H, 0, _X.size
     value = h * fw.sum(axis=-1)
     error = np.abs(value - 2.0 * h * fw[..., ::2].sum(axis=-1))
-    # A NaN estimate fails `error > tol` and ends refinement; the check after
-    # the loop raises for it.
-    while (error > tol).any() and halvings < _MAX_HALVINGS:
+    # A NaN estimate fails `error > tol * |value|` and ends refinement; the
+    # check after the loop raises for it.
+    while (error > tol * np.abs(value)).any() and halvings < _MAX_HALVINGS:
         # One midpoint in each of the evaluations - 1 intervals so far.
         x, w = _nodes(_U_LO + h * (np.arange(evaluations - 1) + 0.5))
         h, halvings, evaluations = 0.5 * h, halvings + 1, evaluations + x.size
@@ -101,9 +103,9 @@ def integrate_semi_infinite_decaying(
         value = 0.5 * previous + h * (f(scale * x) * (scale * w)).sum(axis=-1)
         error = np.abs(value - previous)
 
-    if not (np.isfinite(value).all() and (error <= tol).all()):
+    if not (np.isfinite(value).all() and (error <= tol * np.abs(value)).all()):
         raise QuadratureError(
-            f"tolerance {tol:g} not reached: error estimate {np.max(error):g} "
+            f"relative tolerance {tol:g} not reached: error estimate {np.max(error):g} "
             f"after {halvings} halvings ({evaluations} evaluations)"
         )
     if fw.ndim == 1:

@@ -24,9 +24,10 @@ block b draws from its own generator, seeded with (seed, b).  Realization i
 lives in block i // BLOCK_SIZE, so with the block size fixed every draw is
 reproducible bit-for-bit, and a campaign of k * BLOCK_SIZE realizations is
 the prefix of any longer campaign under the same seed (a final partial
-block draws a different stream).  draw_ppp is the one PPP draw: it gives a
+block draws a different stream).  draw_ppp is the one PPP draw: it draws a
 block's Poisson counts in one call (empty realizations are redrawn from the
-same generator and counted), then all its squared distances in one call.
+same generator and counted), then all its squared distances in one call,
+and returns both; the block's CCP kernel reads the counts as drawn.
 In sampled mode the block's generator then makes one binomial call, M
 draws for each realization's analytic CCP.  The geometry is drawn as in
 analytic mode, so a sampled realization sees exactly the radii of the
@@ -148,14 +149,14 @@ def draw_ppp(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """A block of `size` PPP realizations on the disk, none of them empty.
 
-    Returns (u, starts, redraws).  Realization k owns u[starts[k]:starts[k+1]]
-    (the last runs to the end): the squared distances of its BSs over R^2.
-    Its BS count is Poisson with mean lambda pi R^2, all counts in one call;
-    an empty realization is redrawn from the same generator, and redraws
-    counts those draws.  Positions uniform over the disk have P(r <= t) =
-    (t/R)^2, so u is uniform on [0, 1), all of it in one call after the
-    counts.  Angles are not drawn: the coverage probability does not depend
-    on them.
+    Returns (u, counts, redraws).  counts[k] is realization k's BS count,
+    Poisson with mean lambda pi R^2, all counts in one call; an empty
+    realization is redrawn from the same generator, and redraws counts those
+    draws.  Realization k owns the next counts[k] entries of u: the squared
+    distances of its BSs over R^2.  Positions uniform over the disk have
+    P(r <= t) = (t/R)^2, so u is uniform on [0, 1), all of it in one call
+    after the counts.  Angles are not drawn: the coverage probability does
+    not depend on them.
     """
     radius = config.region_radius
     mean = config.params.lambda_bs * math.pi * radius * radius
@@ -166,7 +167,7 @@ def draw_ppp(
         redraws += empty.size
         counts[empty] = rng.poisson(mean, size=empty.size)
         empty = empty[counts[empty] == 0]
-    return rng.random(int(counts.sum())), np.cumsum(counts) - counts, redraws
+    return rng.random(int(counts.sum())), counts, redraws
 
 
 def _nonempty(distances: np.ndarray) -> np.ndarray:
@@ -176,19 +177,20 @@ def _nonempty(distances: np.ndarray) -> np.ndarray:
     return r
 
 
-def _ccp_rows(u: np.ndarray, starts: np.ndarray, params: SystemParams, scale: float) -> np.ndarray:
+def _ccp_rows(u: np.ndarray, counts: np.ndarray, params: SystemParams, scale: float) -> np.ndarray:
     """Analytic CCP of every realization of a block, in one pass.
 
-    Realization k owns the squared distances u[starts[k]:starts[k+1]] (the
-    last runs to the end), in units of scale^2 m^2, so r = scale sqrt(u) and
-    (r0/r_i)^gamma = (u0/u_i)^(gamma/2): no square root is taken.  Every
-    realization must be nonempty.  The log-product over all BSs includes the
-    serving one, whose term is exactly log1p(theta); it is subtracted so that
-    a tie at the minimum still counts the other BS as an interferer.
+    Realization k owns the next counts[k] squared distances of u, in units
+    of scale^2 m^2, so r = scale sqrt(u) and (r0/r_i)^gamma =
+    (u0/u_i)^(gamma/2): no square root is taken.  Every count must be
+    positive.  The log-product over all BSs includes the serving one, whose
+    term is exactly log1p(theta); it is subtracted so that a tie at the
+    minimum still counts the other BS as an interferer.
     """
     half = 0.5 * params.gamma_pl
+    starts = np.cumsum(counts) - counts
     u0 = np.minimum.reduceat(u, starts)
-    terms = np.repeat(u0, np.diff(starts, append=u.size))
+    terms = np.repeat(u0, counts)
     with np.errstate(invalid="ignore"):
         np.divide(terms, u, out=terms)
     np.fmin(terms, 1.0, out=terms)  # 0/0 for a BS on the user: the ratio is 1
@@ -211,7 +213,7 @@ def ccp_analytic(distances: np.ndarray, params: SystemParams) -> float:
     product to zero.  This is the one-row call of the campaign kernel.
     """
     r = _nonempty(distances)
-    return float(_ccp_rows(r * r, np.array([0]), params, 1.0)[0])
+    return float(_ccp_rows(r * r, np.array([r.size]), params, 1.0)[0])
 
 
 def ccp_sampled(
@@ -285,11 +287,11 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
 
     def run_block(first: int) -> int:
         rng = np.random.default_rng([config.rng_seed, first // BLOCK_SIZE])
-        u, starts, redraws = draw_ppp(config, min(BLOCK_SIZE, total - first), rng)
-        ccp = _ccp_rows(u, starts, params, radius)
+        u, counts, redraws = draw_ppp(config, min(BLOCK_SIZE, total - first), rng)
+        ccp = _ccp_rows(u, counts, params, radius)
         if sampled:
             ccp = rng.binomial(draws, ccp) / draws
-        samples[first:first + starts.size] = ccp
+        samples[first:first + counts.size] = ccp
         return redraws
 
     workers = min(_MAX_WORKERS, _cpu_count(), len(firsts))

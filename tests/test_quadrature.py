@@ -89,13 +89,12 @@ class TestSemiInfinite:
     def test_tail_truncation_bound(self, a):
         # The window u in [-4.5, 3.5] truncates both ends of (0, inf).  With
         # scale 1 a hint off by the factor 1/a moves the mass toward one end;
-        # what the window drops, or the coarse step misses, stays below tol.
-        # The tolerance is scaled so the target stays meaningful in float64
-        # when 1/a is large.
-        tol = 1e-10 * max(1.0, 1.0 / a)
+        # what the window drops, or the coarse step misses, stays below tol
+        # relative to the value 1/a.
+        tol = 1e-10
         res = integrate_semi_infinite_decaying(lambda z, a=a: np.exp(-a * z), 1.0, tol)
-        assert res.abs_error_estimate <= tol
-        assert abs(res.value - 1.0 / a) <= tol
+        assert res.abs_error_estimate <= tol * res.value
+        assert abs(res.value - 1.0 / a) <= tol / a
 
     def test_sharp_interior_mass_not_missed(self):
         # The integrand falls on the length 1 / (a + b^(2/g)), about 1.6e4
@@ -221,9 +220,8 @@ class TestMomentRange:
         # noise 0 or -250..-10 dBm at p = 1 mW, n_max 1..40.  A_n = pi lambda
         # 2F1(n, -2/g; 1-2/g; -theta) from scipy and B_n = n theta sigma2 / p
         # go to the engine directly, one row per n, at the geometric-mean
-        # scale that moments._moments_exact uses.  A tolerance of 1e-14 of
-        # the shortest decay length asks for about 1e-14 relative in every
-        # row; rows 1 and n_max are checked.
+        # scale that moments._moments_exact uses, with a tolerance of 1e-14
+        # relative to every row; rows 1 and n_max are checked.
         rng = np.random.default_rng(20)
         for _ in range(24):
             g, theta = rng.uniform(2.001, 20.0), 10.0 ** rng.uniform(-6.0, 2.0)
@@ -236,21 +234,33 @@ class TestMomentRange:
             lengths = 1.0 / (a + b ** (2.0 / g))
             res = integrate_semi_infinite_decaying(
                 lambda z: np.exp(-(a[:, None] * z + b[:, None] * z ** (g / 2.0))),
-                float(np.exp(np.log(lengths).mean())), 1e-14 * lengths.min(),
+                float(np.exp(np.log(lengths).mean())), 1e-14,
             )
             for k in {0, n_max - 1}:
                 ref = moment_integral_mpmath(a[k], b[k], g)
                 assert abs(res.value[k] / ref - 1.0) <= 1e-13, (g, theta, lam, noise, k + 1)
 
     def test_tiny_moments_within_1e_13_relative_of_mpmath(self):
-        # mu_n ~ 1e-7 at the default tolerance, which alone would allow an
-        # error of 1e-3 relative.
+        # mu_n ~ 1e-7: the default tolerance is relative to each moment, so
+        # these get the digits that moments near 1 get.
         p = moments.SystemParams(1e-8, 8.0, 1.0, 1.0, 1e-3)
         seq = moments.moment_sequence(p, 10)
         for n in range(1, 11):
             c = moments.coeffs(p, n)
             ref = math.pi * p.lambda_bs * moment_integral_mpmath(c.a_coef, c.b_coef, 8.0)
             assert abs(seq[n] / ref - 1.0) <= 1e-13
+
+    def test_small_moments_meet_the_tolerance_relative_to_themselves(self):
+        # mu_1 is 1.8e-6 here (gamma 19.9, lambda 2e-9, -33 dB, -213.6 dBm):
+        # the base rule's |I_h - I_2h| is far below an absolute 1e-10, so only
+        # a tolerance relative to each row makes the rule halve its step.
+        p = moments.SystemParams(2e-9, 19.9, 10.0**-3.3, 1.0, 10.0**-21.36)
+        seq = moments.moment_sequence(p, 10)
+        assert seq[1] == pytest.approx(1.8e-6, rel=1e-2)
+        for n in range(1, 11):
+            c = moments.coeffs(p, n)
+            ref = math.pi * p.lambda_bs * moment_integral_mpmath(c.a_coef, c.b_coef, 19.9)
+            assert abs(seq[n] / ref - 1.0) <= 1e-14, n
 
     @pytest.mark.parametrize("noise", [0.0, 1e-10])
     def test_steep_path_loss_beyond_the_range(self, noise):

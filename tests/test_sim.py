@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chisquare, ks_2samp, kstest
 
-from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact
-from metadist import sim
+from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact, moment_sequence
+from metadist import jacobi, sim
 from metadist.sim import (
     BLOCK_SIZE,
     MIN_NONEMPTY_PROB,
@@ -95,17 +95,16 @@ class TestConfigValidation:
 class TestDrawPpp:
     def test_mean_count(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1, rng_seed=0)
-        u, starts, redraws = draw_ppp(cfg, 1000, np.random.default_rng(0))
-        counts = np.diff(starts, append=u.size)
-        assert starts[0] == 0 and redraws == 0
+        u, counts, redraws = draw_ppp(cfg, 1000, np.random.default_rng(0))
+        assert counts.size == 1000 and redraws == 0
         mean = 1e-3 * math.pi * 500.0**2
         sigma = math.sqrt(mean / 1000.0)
         assert abs(np.mean(counts) - mean) <= 3.0 * sigma
 
     def test_points_inside_disk(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1)
-        u, starts, redraws = draw_ppp(cfg, 1, np.random.default_rng(3))
-        assert starts.tolist() == [0] and redraws == 0
+        u, counts, redraws = draw_ppp(cfg, 1, np.random.default_rng(3))
+        assert counts.tolist() == [u.size] and redraws == 0
         r = cfg.region_radius * np.sqrt(u)
         assert r.ndim == 1 and r.size > 0
         assert np.all((r >= 0.0) & (r <= cfg.region_radius))
@@ -123,9 +122,29 @@ class TestDrawPpp:
         # empty realizations until each holds a BS, and counts the redraws.
         p = SystemParams(1e-9, 5.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1)
-        u, starts, redraws = draw_ppp(cfg, 20, np.random.default_rng(0))
-        assert np.all(np.diff(starts, append=u.size) > 0)
+        u, counts, redraws = draw_ppp(cfg, 20, np.random.default_rng(0))
+        assert counts.size == 20 and np.all(counts > 0)
         assert redraws >= 19
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-6])
+    def test_counts_are_the_poisson_draw(self, lam):
+        # The counts are the generator's Poisson draw, each round of redraws
+        # filling the still-empty realizations in order, and the squared
+        # distances follow in one call: counts[k] of them per realization.
+        p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=1)
+        u, counts, redraws = draw_ppp(cfg, 50, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        mean = lam * math.pi * cfg.region_radius**2
+        expected = rng.poisson(mean, size=50)
+        rounds = 0
+        while (empty := expected == 0).any():
+            rounds += int(empty.sum())
+            expected[empty] = rng.poisson(mean, size=int(empty.sum()))
+        assert counts.tolist() == expected.tolist()
+        assert redraws == rounds and (redraws > 0) == (lam < 1e-3)
+        assert counts.sum() == u.size
+        assert u.tobytes() == rng.random(u.size).tobytes()
 
     def test_deterministic_under_seed(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1)
@@ -179,12 +198,11 @@ class TestCcpAnalytic:
         p = SystemParams(1e-3, gamma, theta, 1.0, 1e-16)
         radius = 50.0
         sizes = np.array([1, 2, 5, 12, 30])
-        starts = np.cumsum(sizes) - sizes
         u = np.random.default_rng([4, int(gamma * 10), int(math.log10(theta) + 2)]).uniform(
             size=int(sizes.sum())
         )
-        got = sim._ccp_rows(u, starts, p, radius)
-        rows = np.split(radius * np.sqrt(u), starts[1:])
+        got = sim._ccp_rows(u, sizes, p, radius)
+        rows = np.split(radius * np.sqrt(u), np.cumsum(sizes)[:-1])
         expected = np.array([ccp_analytic_reference(r, p) for r in rows])
         assert np.all(expected > 0.0)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -372,7 +390,7 @@ class TestCampaign:
         emp = run_campaign(cfg)
         analytic = run_campaign(SimConfig(params=p, num_realizations=3, rng_seed=6))
         rng = np.random.default_rng([cfg.rng_seed, 0])
-        u, starts, redraws = draw_ppp(cfg, 3, rng)
+        u, counts, redraws = draw_ppp(cfg, 3, rng)
         expected = rng.binomial(draws, analytic.ccp_samples) / draws
         assert redraws == emp.redraws == 0
         assert emp.ccp_samples.tolist() == expected.tolist()
@@ -512,9 +530,9 @@ class TestCampaign:
         last_size = self.CONCURRENT_REALIZATIONS - 2 * BLOCK_SIZE
         ccp_rows_inner = sim._ccp_rows
 
-        def corrupt(u, starts, params, scale):
-            ccp = ccp_rows_inner(u, starts, params, scale)
-            if starts.size == last_size:
+        def corrupt(u, counts, params, scale):
+            ccp = ccp_rows_inner(u, counts, params, scale)
+            if counts.size == last_size:
                 ccp[0] = 2.0
             return ccp
 
@@ -545,6 +563,31 @@ class TestCampaign:
         d = float(ks_2samp(a.ccp_samples, b.ccp_samples).statistic)
         crit_99 = 1.628 * math.sqrt(2.0 / 5000.0)
         assert d < crit_99
+
+
+class TestReconstructionInDkwBand:
+    # With probability 1 - a, the empirical CDF of n samples is within
+    # sqrt(ln(2/a) / (2n)) of the true CDF everywhere (Dvoretzky-Kiefer-
+    # Wolfowitz): 8.5e-3 at n = 100,000 and a = 1e-6.  The order-10
+    # Fourier-Jacobi series is itself off the true CDF by its truncation
+    # error, up to 4.8e-3 at these gammas against the exact noise-free law,
+    # so the bound adds a margin of 5e-3.  The interval keeps clear of the
+    # endpoint singularities, where the truncation error is larger.  Below
+    # gamma 4 the 500 m disk biases the campaign away from the plane's law.
+    TRUNCATION_MARGIN = 5e-3
+
+    @pytest.mark.parametrize("gamma, theta_db", [(4.0, 0.0), (5.0, 0.0), (4.0, 10.0),
+                                                 (5.0, -10.0)])
+    def test_order_10_cdf_within_the_band(self, gamma, theta_db):
+        p = SystemParams(1e-3, gamma, 10.0 ** (theta_db / 10.0), 1.0, 1e-10)
+        xs = np.linspace(0.05, 0.95, 181)
+        cdf = jacobi.eval_cdf(jacobi.reconstruct(moment_sequence(p, 10), order=10), xs)
+        n = 100_000
+        samples = np.sort(run_campaign(SimConfig(params=p, num_realizations=n,
+                                                 rng_seed=0)).ccp_samples)
+        empirical = np.searchsorted(samples, xs, side="right") / n
+        band = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        assert np.max(np.abs(cdf - empirical)) <= band + self.TRUNCATION_MARGIN
 
 
 class TestEmpiricalStatistics:
