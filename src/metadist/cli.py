@@ -147,23 +147,21 @@ def _load_moment_file(path: Path) -> moments.MomentSequence:
     return seq
 
 
-def _reconstruction(args: argparse.Namespace) -> jacobi.ReconstructedDistribution:
-    if args.moments_file is not None:
-        seq = _load_moment_file(args.moments_file)
+def _reconstruction(params: moments.SystemParams, order: int, moments_file: Path | None = None,
+                    basis: jacobi.JacobiBasis | None = None) -> jacobi.ReconstructedDistribution:
+    """The series in `basis` if one is given, else in the moment-matched basis."""
+    if moments_file is not None:
+        seq = _load_moment_file(moments_file)
     else:
         # Moment matching needs mu_1 and mu_2, even below order 2.
-        n_max = args.order if args.basis == "explicit" else max(args.order, 2)
-        seq = moments.moment_sequence(args.params, n_max)
-    if args.basis == "explicit":
-        if args.alpha is None or args.beta is None:
-            raise ValueError("--basis explicit requires --alpha and --beta")
-        basis = jacobi.JacobiBasis(alpha=args.alpha, beta=args.beta, order=args.order)
+        seq = moments.moment_sequence(params, order if basis is not None else max(order, 2))
+    if basis is not None:
         return jacobi.fourier_jacobi_coeffs(seq, basis)
-    return jacobi.reconstruct(seq, order=args.order)
+    return jacobi.reconstruct(seq, order=order)
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    dist = _reconstruction(args)
+    dist = _reconstruction(args.params, args.order, args.moments_file, args.basis)
     xs = np.linspace(0.0, 1.0, args.grid_points)
     cdf = jacobi.eval_cdf(dist, xs)
     rel = jacobi.meta_reliability(dist, xs)
@@ -207,23 +205,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     params = args.params
     samples = sim.read_samples_csv(args.samples)
-    if params.theta == 0.0:
-        # Degenerate scenario: the CCP is identically 1 (point mass), so the
-        # reliability is 1 on [0, 1) with no basis to match.
-        dist = None
-        basis_meta = None
-    else:
-        dist = _reconstruction(args)
-        basis_meta = {"alpha": dist.basis.alpha, "beta": dist.basis.beta}
     xs = np.linspace(0.01, 0.99, 99)
     emp_rel = sim.empirical_reliability(samples, xs)
     keep = emp_rel >= 0.02
     xs, emp_rel = xs[keep], emp_rel[keep]
-    if dist is None:
+    if params.theta == 0.0:
+        # Degenerate scenario: the CCP is identically 1 (point mass), so the
+        # reliability is 1 on [0, 1) with no basis to match.
+        basis_meta = None
         beta_rel = fj_rel = np.ones_like(xs)
     else:
-        # Leading series term alone: the moment-matched beta approximation.
+        dist = _reconstruction(params, args.order)
         a, b = dist.basis.alpha, dist.basis.beta
+        basis_meta = {"alpha": a, "beta": b}
+        # Leading series term alone: the moment-matched beta approximation.
         beta_rel = 1.0 - reg_inc_beta(xs, b + 1.0, a + 1.0)
         fj_rel = jacobi.meta_reliability(dist, xs)
     rows = [
@@ -291,10 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moments-file", type=Path, default=None,
                    help="one-column CSV (header 'mu') with mu_0..mu_N; "
                         "overrides the scenario moments")
-    p.add_argument("--order", type=int, default=10, help="truncation order")
-    p.add_argument("--basis", choices=("match", "explicit"), default="match")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--order", type=int, default=jacobi.DEFAULT_ORDER, help="truncation order")
+    p.add_argument("--alpha", type=float, help="with --beta, the Jacobi basis used instead of "
+                   "moment matching; give both or neither, each finite and > -1, else exit 2")
+    p.add_argument("--beta", type=float, help="the basis beta; see --alpha")
     p.add_argument("--grid-points", type=int, default=101)
 
     p = sub.add_parser("simulate", help="Monte Carlo campaign; writes samples CSV + summary JSON")
@@ -311,9 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     _add_output_args(p)
     p.add_argument("--samples", type=Path, required=True, help="samples CSV from simulate")
-    p.add_argument("--order", type=int, default=10)
-    # compare reconstructs from the scenario's moments in the matched basis.
-    p.set_defaults(moments_file=None, basis="match")
+    p.add_argument("--order", type=int, default=jacobi.DEFAULT_ORDER)
 
     p = sub.add_parser("power", help="minimum power vs density (scaling law)")
     p.add_argument("--gamma", type=float, default=5.0)
@@ -355,8 +348,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError(
                 f"--order must be in [0, {jacobi.ORDER_HARD_CAP}], got {args.order}"
             )
-        if args.command == "reconstruct" and args.grid_points < 1:
-            raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+        if args.command == "reconstruct":
+            if args.grid_points < 1:
+                raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+            if (args.alpha is None) != (args.beta is None):
+                raise ValueError("--alpha and --beta are given together or not at all")
+            args.basis = None if args.alpha is None else jacobi.JacobiBasis(
+                alpha=args.alpha, beta=args.beta, order=args.order)
         if args.command == "simulate":
             args.config = sim.SimConfig(
                 params=args.params, num_realizations=args.realizations,

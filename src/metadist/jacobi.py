@@ -64,10 +64,10 @@ class JacobiBasis:
     order: int
 
     def __post_init__(self) -> None:
-        if not self.alpha > -1.0:
-            raise ValueError(f"alpha must exceed -1, got {self.alpha}")
-        if not self.beta > -1.0:
-            raise ValueError(f"beta must exceed -1, got {self.beta}")
+        if not -1.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and exceed -1, got {self.alpha}")
+        if not -1.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and exceed -1, got {self.beta}")
         if self.order < 0:
             raise ValueError(f"order must be nonnegative, got {self.order}")
         if self.order > ORDER_HARD_CAP:
@@ -300,9 +300,11 @@ def _series_cdf(dist: ReconstructedDistribution, arr: np.ndarray) -> np.ndarray:
 def meta_reliability(dist: ReconstructedDistribution, x):
     """Fraction of network realizations whose conditional coverage exceeds x.
 
-    1 - F(x), clamped to [0, 1] at this output boundary only.
+    1 - F(x), clamped to [0, 1] at this output boundary only; scalar or
+    ndarray, like x.
     """
-    return np.clip(1.0 - eval_cdf(dist, x), 0.0, 1.0)
+    rel = np.clip(1.0 - eval_cdf(dist, x), 0.0, 1.0)
+    return float(rel) if np.ndim(x) == 0 else rel
 
 
 def convergence_diagnostic(dist: ReconstructedDistribution) -> ConvergenceReport:

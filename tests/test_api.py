@@ -1,10 +1,14 @@
-"""The public surface: every exported name resolves, and the package exports
-exactly the names below."""
+"""The public surface: every exported name resolves, the package exports
+exactly the names below, and the pointwise functions return a float for a
+scalar x and an ndarray of x's shape for an ndarray."""
 import importlib
 
+import numpy as np
 import pytest
 
 import metadist
+from metadist.moments import METHOD_EMPIRICAL
+from oracles import beta_moments
 
 MODULES = [
     "metadist",
@@ -70,3 +74,29 @@ def test_every_exported_name_resolves(name):
 def test_package_exports_exactly_these_names():
     assert len(PACKAGE_NAMES) == 39
     assert metadist.__all__ == PACKAGE_NAMES
+
+
+def _beta_dist():
+    seq = metadist.MomentSequence(beta_moments(2.7, 1.3, 10), METHOD_EMPIRICAL)
+    return metadist.reconstruct(seq, order=10)
+
+
+# Each takes x in (0, 1) as a scalar or an ndarray.
+POINTWISE = {
+    "eval_cdf": lambda x: metadist.eval_cdf(_beta_dist(), x),
+    "eval_pdf": lambda x: metadist.eval_pdf(_beta_dist(), x),
+    "meta_reliability": lambda x: metadist.meta_reliability(_beta_dist(), x),
+    "jacobi_poly": lambda x: metadist.jacobi_poly(0.5, 1.5, 3, x),
+    "reg_inc_beta": lambda x: metadist.reg_inc_beta(x, 2.0, 3.0),
+    "empirical_reliability": lambda x: metadist.empirical_reliability(
+        np.array([0.1, 0.5, 0.9]), x),
+}
+
+
+@pytest.mark.parametrize("name", POINTWISE)
+def test_scalar_gives_float_and_array_gives_same_shape(name):
+    f = POINTWISE[name]
+    assert type(f(0.3)) is float
+    x = np.array([[0.2, 0.4, 0.6], [0.3, 0.5, 0.7]])
+    out = f(x)
+    assert type(out) is np.ndarray and out.shape == x.shape

@@ -10,7 +10,9 @@ import pytest
 
 from metadist import cli, moments
 from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, main, mw_to_dbm
-from metadist.jacobi import eval_pdf, meta_reliability, reconstruct
+from metadist.jacobi import (
+    JacobiBasis, eval_cdf, eval_pdf, fourier_jacobi_coeffs, meta_reliability, reconstruct,
+)
 from metadist.moments import SystemParams, moment_sequence
 from metadist.scaling import QosSpec, min_power
 from metadist.sim import SimConfig, campaign_to_dict, empirical_reliability, run_campaign
@@ -226,16 +228,38 @@ class TestReconstructCommand:
     def test_explicit_basis(self, tmp_path):
         out = tmp_path / "rec.csv"
         rc = main([
-            "reconstruct", "--order", "6", "--basis", "explicit",
-            "--alpha", "0.0", "--beta", "0.0", "--grid-points", "11",
-            "--out", str(out),
+            "reconstruct", "--order", "6", "--alpha", "0.0", "--beta", "0.0",
+            "--grid-points", "11", "--out", str(out),
         ])
         assert rc == EXIT_OK
         meta = json.loads((tmp_path / "rec.csv.meta.json").read_text())
-        assert meta["basis"]["alpha"] == 0.0
+        assert meta["basis"] == {"alpha": 0.0, "beta": 0.0, "order": 6}
+        _, rows = _read_csv(out)
+        xs = np.array([float(row[0]) for row in rows])
+        cdf = np.array([float(row[2]) for row in rows])
+        dist = fourier_jacobi_coeffs(moment_sequence(_default_scenario(), 6),
+                                     JacobiBasis(0.0, 0.0, 6))
+        np.testing.assert_allclose(cdf, eval_cdf(dist, xs), rtol=0.0, atol=1e-12)
 
     def test_explicit_basis_requires_parameters(self):
-        assert main(["reconstruct", "--basis", "explicit"]) == EXIT_MATH
+        # --basis is not an option: the basis is --alpha and --beta together.
+        assert main(["reconstruct", "--basis", "explicit"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "0.5"],
+        ["--beta", "0.5"],
+        ["--alpha", "-2", "--beta", "0"],
+        ["--alpha", "nan", "--beta", "0"],
+        ["--alpha", "0", "--beta", "inf"],
+        ["--basis", "explicit", "--alpha", "0", "--beta", "0"],
+    ])
+    def test_invalid_basis_is_usage_error_before_any_moment(self, argv, monkeypatch, capsys):
+        def no_moments(*args, **kwargs):
+            raise AssertionError("a moment was computed")
+
+        monkeypatch.setattr(moments, "moment_sequence", no_moments)
+        assert main(["reconstruct", "--grid-points", "3", *argv]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flag, value", [
         ("--grid-points", "-3"),

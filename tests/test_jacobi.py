@@ -247,6 +247,11 @@ class TestBasisValidation:
         with pytest.raises(ValueError):
             JacobiBasis(0.0, -1.5, 3)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0)])
+    def test_parameters_are_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="must be finite and exceed -1"):
+            JacobiBasis(alpha, beta, 3)
+
     def test_order_cap(self):
         with pytest.raises(ValueError):
             JacobiBasis(0.0, 0.0, 21)

@@ -126,6 +126,25 @@ class TestDrawPpp:
         assert counts.size == 20 and np.all(counts > 0)
         assert redraws >= 19
 
+    def test_redraw_loop_ends_at_the_density_floor(self):
+        # The redraw loop has no cap: SimConfig bounds it in expectation by
+        # rejecting disks that hold a BS with probability below
+        # MIN_NONEMPTY_PROB.  Here that probability is 1.001e-5.
+        lam = 1.2745e-11
+        p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=1)
+        mean = lam * math.pi * cfg.region_radius**2
+        assert MIN_NONEMPTY_PROB < -math.expm1(-mean) < 1.01 * MIN_NONEMPTY_PROB
+        u, counts, redraws = draw_ppp(cfg, 1, np.random.default_rng([0, 0]))
+        assert counts[0] >= 1 and counts.sum() == u.size
+        rng = np.random.default_rng([0, 0])
+        zeros = 0
+        while rng.poisson(mean, size=1)[0] == 0:
+            zeros += 1
+        assert redraws == zeros > 0
+        with pytest.raises(ValueError, match="holds a BS with probability"):
+            SimConfig(params=dataclasses.replace(p, lambda_bs=0.99 * lam), num_realizations=1)
+
     @pytest.mark.parametrize("lam", [1e-3, 1e-6])
     def test_counts_are_the_poisson_draw(self, lam):
         # The counts are the generator's Poisson draw, each round of redraws
