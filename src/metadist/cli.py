@@ -136,13 +136,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _load_moment_file(path: Path) -> moments.MomentSequence:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "mu":
-            raise ValueError(f"{path}: expected a one-column CSV with 'mu' header")
-        values = tuple(float(row[0]) for row in reader if row)
-    seq = moments.MomentSequence(values=values, method=moments.METHOD_EMPIRICAL)
+    values = sim.read_column_csv(path, "mu", "expected a one-column CSV with 'mu' header")
+    seq = moments.MomentSequence(values=tuple(values), method=moments.METHOD_EMPIRICAL)
     moments.check_hausdorff(seq.values)
     return seq
 
@@ -294,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo campaign; writes samples CSV + summary JSON")
     _add_scenario_args(p)
-    p.add_argument("--radius-m", type=float, default=500.0)
+    p.add_argument("--radius-m", type=float, default=sim.SimConfig.region_radius)
     p.add_argument("--realizations", type=int, default=5000)
     p.add_argument("--mode", choices=(sim.FADING_ANALYTIC, sim.FADING_SAMPLED),
-                   default=sim.FADING_ANALYTIC)
-    p.add_argument("--channel-draws", type=int, default=700)
-    p.add_argument("--seed", type=int, default=0)
+                   default=sim.SimConfig.fading_mode)
+    p.add_argument("--channel-draws", type=int, default=sim.SimConfig.num_channel_draws)
+    p.add_argument("--seed", type=int, default=sim.SimConfig.rng_seed)
     p.add_argument("--out", type=Path, required=True, help="samples CSV path")
 
     p = sub.add_parser("compare", help="empirical vs beta vs Fourier-Jacobi reliability")

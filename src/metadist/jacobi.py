@@ -173,8 +173,8 @@ def fourier_jacobi_coeffs(
 
     a_0 is 1/h_0 for any proper moment sequence (mu_0 = 1).  The weights
     C(r, l) are the running products prod_{j<l} (r-j)/(j+1), valid for every
-    real r.  Each modified moment and each sum over l is one math.fsum,
-    since the terms cancel to a result many orders below their magnitude.
+    real r; one that overflows raises ValueError.  Each modified moment and
+    each sum over l is one math.fsum: the terms cancel far below their size.
     """
     mu = moments.values
     if len(mu) <= basis.order:
@@ -189,11 +189,14 @@ def fourier_jacobi_coeffs(
         for j in range(n):
             c_a.append(c_a[-1] * ((n + a - j) / (j + 1.0)))
             c_b.append(c_b[-1] * ((n + b - j) / (j + 1.0)))
+        weights = [c_a[ell] * c_b[n - ell] for ell in range(n + 1)]
+        if not all(map(math.isfinite, weights)):
+            raise ValueError(f"basis (alpha={a}, beta={b}): the binomial weights of a_{n} overflow")
         inner = math.fsum(
-            c_a[ell] * c_b[n - ell] * math.fsum(
+            w * math.fsum(
                 math.comb(n - ell, k) * (-1.0) ** k * mu[n - k] for k in range(n - ell + 1)
             )
-            for ell in range(n + 1)
+            for ell, w in enumerate(weights)
         )
         coeff.append(inner / norm_h(a, b, n))
     return ReconstructedDistribution(

@@ -17,21 +17,19 @@ depend on the geometry only through it, so no angles are drawn.
 
 The statistics (empirical moments and reliability) and the samples CSV work
 on the array of CCP samples alone, wherever it came from.  A campaign is
-stored as that CSV plus the JSON record of `campaign_to_dict`.
+stored as that CSV plus the JSON record of `campaign_to_dict`; the CSV and
+the CLI's moments file share one format, which read_column_csv parses.
 
 Determinism: a campaign runs in blocks of BLOCK_SIZE realizations, and
 block b draws from its own generator, seeded with (seed, b).  Realization i
 lives in block i // BLOCK_SIZE, so with the block size fixed every draw is
 reproducible bit-for-bit, and a campaign of k * BLOCK_SIZE realizations is
 the prefix of any longer campaign under the same seed (a final partial
-block draws a different stream).  draw_ppp is the one PPP draw: it draws a
-block's Poisson counts in one call (empty realizations are redrawn from the
-same generator and counted), then all its squared distances in one call,
-and returns both; the block's CCP kernel reads the counts as drawn.
-In sampled mode the block's generator then makes one binomial call, M
-draws for each realization's analytic CCP.  The geometry is drawn as in
-analytic mode, so a sampled realization sees exactly the radii of the
-analytic one under the same seed.
+block draws a different stream).  draw_ppp is the one PPP draw, and the
+block's CCP kernel reads its counts as drawn.  In sampled mode the block's
+generator then makes one binomial call, M draws for each realization's
+analytic CCP.  The geometry is drawn as in analytic mode, so a sampled
+realization sees exactly the radii of the analytic one under the same seed.
 The blocks run on one worker per CPU the process may run on, at most
 _MAX_WORKERS, and at most one worker per block.  A single worker is the
 calling thread, so a one-block campaign starts no thread; more workers are
@@ -42,8 +40,7 @@ bit-reproducible across thread counts and BLAS builds.  A block holds its
 squared distances and one work array of the same length: at lambda 1e-2 on
 the 500 m disk that is about 2M points, 32 MB, and a campaign holds one
 block per worker: at most 64 MB, whatever the host's CPU count.  A sampled
-block adds only its BLOCK_SIZE binomial counts.  ccp_sampled holds its
-whole (draws, N) gains matrix: 8 * draws * N bytes.
+block adds only its BLOCK_SIZE binomial counts.
 """
 from __future__ import annotations
 
@@ -140,8 +137,14 @@ class EmpiricalMeta:
             raise ValueError(
                 f"{len(samples)} samples for {self.config.num_realizations} realizations"
             )
-        if not np.all((samples >= 0.0) & (samples <= 1.0)):  # NaN fails both
-            raise ValueError("CCP samples must lie in [0, 1]")
+        _check_samples(samples)
+
+
+def _check_samples(samples: np.ndarray) -> None:
+    if samples.size == 0:
+        raise ValueError("need at least one realization, got 0")
+    if not np.all((samples >= 0.0) & (samples <= 1.0)):  # NaN fails both
+        raise ValueError("CCP samples must lie in [0, 1]")
 
 
 def draw_ppp(
@@ -234,10 +237,8 @@ def ccp_sampled(
     the result is bit-reproducible only up to a draw whose SINR lands within
     an ulp of the threshold.
 
-    Campaigns do not call this: the covered count it returns has the law
-    Binomial(num_draws, ccp_analytic), which run_campaign samples directly.
-    It stays public as the independent check of that law, drawing the
-    Rayleigh fading that the analytic product integrates out.
+    Campaigns sample its law, Binomial(num_draws, ccp_analytic) / num_draws,
+    directly; this is the check of that law (see the module docstring).
     """
     if num_draws < 1:
         raise ValueError(f"need at least one channel draw, got {num_draws}")
@@ -262,20 +263,14 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     """Full campaign: one CCP sample per realization.
 
     Realizations with no BS in the disk are redrawn (the model conditions on
-    a serving BS existing); the redraw count is reported.  At physical
-    densities this never triggers - the empty probability is exp(-lambda pi R^2),
-    and SimConfig rejects a disk that is nonempty with probability below
-    MIN_NONEMPTY_PROB.
-    Realizations run in blocks of BLOCK_SIZE, seeded as the module docstring
-    describes.  Each block, in either mode, draws its geometry with
-    draw_ppp and evaluates its analytic CCPs with one kernel call; in
-    sampled mode the block's generator then thins them into the covered
-    fraction of num_channel_draws draws, one binomial call for the block.
-    The blocks run on one worker per CPU the process may run on, at most
-    _MAX_WORKERS, and at most one worker per block.  One worker is the
-    calling thread, which runs the blocks in order; more are the threads of
-    a pool (numpy releases the GIL in the heavy calls).  An exception in any
-    block is raised here.
+    a serving BS existing) and counted in `redraws`; the empty probability
+    exp(-lambda pi R^2) is negligible at physical densities, and SimConfig
+    rejects a disk that is nonempty with probability below MIN_NONEMPTY_PROB.
+    Each block, in either mode, draws its geometry with draw_ppp and
+    evaluates its analytic CCPs with one kernel call.  The module docstring
+    describes the blocks' seeding, the sampled-mode thinning and the workers
+    (numpy releases the GIL in the heavy calls).  An exception in any block
+    is raised here.
     """
     params = config.params
     radius = config.region_radius
@@ -332,23 +327,29 @@ def write_samples_csv(samples: np.ndarray, path: str | Path) -> None:
         fh.write("ccp\r\n" + rows)
 
 
-def read_samples_csv(path: str | Path) -> np.ndarray:
-    """Read a samples file written by write_samples_csv.
+def read_column_csv(path: str | Path, header: str, wrong_header: str) -> list[float]:
+    """Floats in the first field of each non-empty row below a `header` row.
 
-    Raises:
-        ValueError: no `ccp` header, no samples, or a sample outside [0, 1]
-            (NaN included).
+    csv.reader splits the rows, so LF and CRLF files, quoted fields and extra
+    columns read alike.  A wrong header raises ValueError(f"{path}: {wrong_header}").
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "ccp":
-            raise ValueError(f"{path}: not a CCP samples file (missing 'ccp' header)")
-        samples = np.array([float(row[0]) for row in reader if row])
-    if samples.size == 0:
-        raise ValueError("need at least one realization, got 0")
-    if not np.all((samples >= 0.0) & (samples <= 1.0)):  # NaN fails both
-        raise ValueError("CCP samples must lie in [0, 1]")
+        first = next(reader, None)
+        if not first or first[0] != header:
+            raise ValueError(f"{path}: {wrong_header}")
+        return [float(row[0]) for row in reader if row]
+
+
+def read_samples_csv(path: str | Path) -> np.ndarray:
+    """Read a samples file written by write_samples_csv, via read_column_csv.
+
+    Raises ValueError on a missing `ccp` header, no samples, or a sample
+    outside [0, 1] (NaN included).
+    """
+    not_ccp = "not a CCP samples file (missing 'ccp' header)"
+    samples = np.array(read_column_csv(path, "ccp", not_ccp))
+    _check_samples(samples)
     return samples
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from metadist import cli, moments
+from metadist import cli, moments, sim
 from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, main, mw_to_dbm
 from metadist.jacobi import (
     JacobiBasis, eval_cdf, eval_pdf, fourier_jacobi_coeffs, meta_reliability, reconstruct,
@@ -261,6 +261,15 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--grid-points", "3", *argv]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    def test_overflowing_basis_names_the_coefficient(self, capsys):
+        # C(2 + 1e300, 2) overflows float64: a_2's binomial weights are infinite.
+        assert main(["reconstruct", "--alpha", "1e300", "--beta", "0", "--order", "3",
+                     "--grid-points", "3"]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: basis (alpha=1e+300, beta=0.0): "
+                                "the binomial weights of a_2 overflow\n")
+
     @pytest.mark.parametrize("flag, value", [
         ("--grid-points", "-3"),
         ("--grid-points", "0"),
@@ -337,6 +346,18 @@ class TestSimulateCommand:
         record = campaign_to_dict(run_campaign(cfg))
         assert {key: summary[key] for key in record} == record
 
+    def test_campaign_defaults_are_sim_configs(self, tmp_path):
+        args = cli.build_parser().parse_args(["simulate", "--out", "s.csv"])
+        field = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+        assert args.radius_m == field["region_radius"]
+        assert args.mode == field["fading_mode"]
+        assert args.channel_draws == field["num_channel_draws"]
+        assert args.seed == field["rng_seed"]
+        out = tmp_path / "f.csv"
+        assert main(["simulate", "--out", str(out)]) == EXIT_OK
+        summary = json.loads((tmp_path / "f.json").read_text())
+        cfg = SimConfig(params=_default_scenario(), num_realizations=5000)
+        assert summary["config"] == campaign_to_dict(run_campaign(cfg))["config"]
 
     @pytest.mark.parametrize("flag, value", [
         ("--realizations", "0"),
@@ -481,6 +502,58 @@ class TestCompareCommand:
     def test_missing_samples_is_io_error(self, tmp_path):
         rc = main(["compare", "--samples", str(tmp_path / "absent.csv")])
         assert rc == EXIT_IO
+
+
+# The CLI's two input files, one value per row under a header naming the column:
+# each reader's header and its message for a wrong header.
+_INPUT_FILES = {
+    "samples": (sim.read_samples_csv, "ccp", "not a CCP samples file (missing 'ccp' header)"),
+    "moments": (lambda path: cli._load_moment_file(path).values, "mu",
+                "expected a one-column CSV with 'mu' header"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_INPUT_FILES))
+class TestInputFiles:
+    """Samples and moments files share one format: these pin how it reads."""
+
+    @pytest.mark.parametrize("body", [
+        "{h}\n1\n0.5\n0.25\n0.125\n",
+        "{h}\r\n1\r\n0.5\r\n0.25\r\n0.125\r\n",
+        "{h}\n1\n\n0.5\n0.25\n0.125\n\n",
+        '{h}\n1\n0.5\n"0.25"\n0.125\n',
+        "{h},note\n1,a\n0.5,b\n0.25,c\n0.125,d\n",
+    ], ids=["lf", "crlf", "blank-line", "quoted", "extra-column"])
+    def test_layouts_read_the_same_values(self, kind, body, tmp_path):
+        read, header, _ = _INPUT_FILES[kind]
+        path = tmp_path / "in.csv"
+        path.write_bytes(body.format(h=header).encode())
+        assert list(read(path)) == [1.0, 0.5, 0.25, 0.125]
+
+    def test_header_only(self, kind, tmp_path):
+        read, header, _ = _INPUT_FILES[kind]
+        path = tmp_path / "in.csv"
+        path.write_text(f"{header}\n")
+        message = {"samples": "need at least one realization, got 0",
+                   "moments": "moment sequence must contain at least mu_0"}[kind]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read(path)
+
+    def test_wrong_header(self, kind, tmp_path):
+        read, header, message = _INPUT_FILES[kind]
+        path = tmp_path / "in.csv"
+        path.write_text(f"{header}x\n1\n")
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_non_numeric_field(self, kind, tmp_path):
+        read, header, _ = _INPUT_FILES[kind]
+        path = tmp_path / "in.csv"
+        path.write_text(f"{header}\n1\nabc\n")
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == "could not convert string to float: 'abc'"
 
 
 class TestNonFiniteInputs:
