@@ -44,16 +44,19 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw) if mw > 0.0 else float("-inf")
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_args(parser: argparse.ArgumentParser, *, density_and_power: bool = True) -> None:
+    """The scenario flags; without density_and_power, the parser sets those two."""
     grp = parser.add_argument_group("scenario")
-    grp.add_argument("--lambda", dest="lambda_bs", type=float, default=1e-3,
-                     help="BS density per m^2 (default 1e-3)")
+    if density_and_power:
+        grp.add_argument("--lambda", dest="lambda_bs", type=float, default=1e-3,
+                         help="BS density per m^2 (default 1e-3)")
     grp.add_argument("--gamma", type=float, default=5.0,
                      help="path-loss exponent, > 2 (default 5)")
     grp.add_argument("--theta-db", type=float, default=0.0,
                      help="SINR threshold in dB (default 0 dB; -inf for theta=0)")
-    grp.add_argument("--power-dbm", type=float, default=0.0,
-                     help="transmit power in dBm (default 0 dBm = 1 mW)")
+    if density_and_power:
+        grp.add_argument("--power-dbm", type=float, default=0.0,
+                         help="transmit power in dBm (default 0 dBm = 1 mW)")
     grp.add_argument("--noise-dbm", type=float, default=-100.0,
                      help="noise power in dBm (default -100 dBm)")
 
@@ -304,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=jacobi.DEFAULT_ORDER)
 
     p = sub.add_parser("power", help="minimum power vs density (scaling law)")
-    p.add_argument("--gamma", type=float, default=5.0)
-    p.add_argument("--theta-db", type=float, default=0.0)
-    p.add_argument("--noise-dbm", type=float, default=-100.0)
+    _add_scenario_args(p, density_and_power=False)
     _add_output_args(p)
     p.add_argument("--x-rel", type=float, required=True, help="reliability threshold in (0,1)")
     p.add_argument("--epsilon", type=float, required=True, help="outage tolerance in (0,1)")

@@ -79,7 +79,8 @@ class JacobiBasis:
             warnings.warn(
                 f"truncation order {self.order} > {_ORDER_PRECISION_WARN}: "
                 "expect precision loss in the highest coefficients",
-                stacklevel=2,
+                # Past this frame and the dataclass __init__: the constructor's caller.
+                stacklevel=3,
             )
 
 

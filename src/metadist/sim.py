@@ -25,22 +25,30 @@ block b draws from its own generator, seeded with (seed, b).  Realization i
 lives in block i // BLOCK_SIZE, so with the block size fixed every draw is
 reproducible bit-for-bit, and a campaign of k * BLOCK_SIZE realizations is
 the prefix of any longer campaign under the same seed (a final partial
-block draws a different stream).  draw_ppp is the one PPP draw, and the
-block's CCP kernel reads its counts as drawn.  In sampled mode the block's
-generator then makes one binomial call, M draws for each realization's
-analytic CCP.  The geometry is drawn as in analytic mode, so a sampled
-realization sees exactly the radii of the analytic one under the same seed.
+block draws a different stream).  draw_ppp draws the block's counts, the
+one PPP draw, and the block's CCP kernel reads them as drawn.  In sampled
+mode the block's generator then makes one binomial call, M draws for each
+realization's analytic CCP.  The geometry is drawn as in analytic mode, so
+a sampled realization sees exactly the radii of the analytic one under the
+same seed.
 The blocks run on one worker per CPU the process may run on, at most
 _MAX_WORKERS, and at most one worker per block.  A single worker is the
 calling thread, so a one-block campaign starts no thread; more workers are
 a thread pool.  Every block writes only its own samples, and no draw
 depends on which thread made it, so no sample depends on the thread count.
 No sum meets the coverage threshold, so campaigns in both modes are
-bit-reproducible across thread counts and BLAS builds.  A block holds its
-squared distances and one work array of the same length: at lambda 1e-2 on
-the 500 m disk that is about 2M points, 32 MB, and a campaign holds one
-block per worker: at most 64 MB, whatever the host's CPU count.  A sampled
-block adds only its BLOCK_SIZE binomial counts.
+bit-reproducible across thread counts and BLAS builds.
+
+Memory: a block draws its counts first, then its squared distances and
+CCPs one chunk of whole realizations at a time, each chunk at most
+_CHUNK_POINTS points, or one realization that holds more.  The distances
+are consecutive uniforms of the block's generator whatever the chunking, so
+the samples are those of one draw of the whole block.  A worker holds one
+chunk's distances and one work array of the same length: at most 1 MB
+until a realization alone holds more than _CHUNK_POINTS BSs (lambda above
+about 8e-2 on the 500 m disk), then 16 B per BS of that realization.  A
+block adds its BLOCK_SIZE counts and CCPs, and a sampled block its
+BLOCK_SIZE binomial counts.
 """
 from __future__ import annotations
 
@@ -76,11 +84,13 @@ _FADING_MODES = (FADING_ANALYTIC, FADING_SAMPLED)
 # Realizations per block: the unit of seeding and of vectorised work.
 BLOCK_SIZE = 256
 
-# Most workers a campaign runs on, whatever the host's CPU count: a block
-# holds up to 32 MB at lambda 1e-2, so this bounds a campaign's block memory
-# at 64 MB there.  Two is the count the concurrent
-# campaigns were measured at.
+# Most workers a campaign runs on, whatever the host's CPU count: two is the
+# count the concurrent campaigns were measured at.
 _MAX_WORKERS = 2
+
+# Most BS distances a chunk of a block holds: 512 KB per float64 array, so
+# the CCP kernel's two arrays stay inside a 2 MB L2.
+_CHUNK_POINTS = 1 << 16
 
 # Smallest accepted probability that the disk holds a BS: below it a
 # realization needs more than 1e5 Poisson draws on average to be nonempty.
@@ -149,17 +159,17 @@ def _check_samples(samples: np.ndarray) -> None:
 
 def draw_ppp(
     config: SimConfig, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """A block of `size` PPP realizations on the disk, none of them empty.
+) -> tuple[np.ndarray, int]:
+    """BS counts of a block of `size` PPP realizations on the disk, none empty.
 
-    Returns (u, counts, redraws).  counts[k] is realization k's BS count,
+    Returns (counts, redraws).  counts[k] is realization k's BS count,
     Poisson with mean lambda pi R^2, all counts in one call; an empty
     realization is redrawn from the same generator, and redraws counts those
-    draws.  Realization k owns the next counts[k] entries of u: the squared
-    distances of its BSs over R^2.  Positions uniform over the disk have
-    P(r <= t) = (t/R)^2, so u is uniform on [0, 1), all of it in one call
-    after the counts.  Angles are not drawn: the coverage probability does
-    not depend on them.
+    draws.  The positions follow on the same generator: realization k owns
+    the next counts[k] uniforms of rng.random, the squared distances of its
+    BSs over R^2.  Positions uniform over the disk have P(r <= t) = (t/R)^2,
+    so those are uniform on [0, 1).  Angles are not drawn: the coverage
+    probability does not depend on them.
     """
     radius = config.region_radius
     mean = config.params.lambda_bs * math.pi * radius * radius
@@ -170,7 +180,27 @@ def draw_ppp(
         redraws += empty.size
         counts[empty] = rng.poisson(mean, size=empty.size)
         empty = empty[counts[empty] == 0]
-    return rng.random(int(counts.sum())), counts, redraws
+    return counts, redraws
+
+
+def _chunks(counts: np.ndarray):
+    """(lo, hi, points) of each chunk of whole realizations counts[lo:hi].
+
+    Chunks are greedy: each holds at most _CHUNK_POINTS points, or one
+    realization that holds more.  A block that fits is one chunk, planned
+    with no call beyond counts.sum().
+    """
+    total = int(counts.sum())
+    if total <= _CHUNK_POINTS:
+        yield 0, counts.size, total
+        return
+    ends = np.cumsum(counts)
+    lo, done = 0, 0
+    while lo < counts.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _CHUNK_POINTS, side="right")))
+        points = int(ends[hi - 1]) - done
+        yield lo, hi, points
+        lo, done = hi, done + points
 
 
 def _nonempty(distances: np.ndarray) -> np.ndarray:
@@ -266,11 +296,11 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     a serving BS existing) and counted in `redraws`; the empty probability
     exp(-lambda pi R^2) is negligible at physical densities, and SimConfig
     rejects a disk that is nonempty with probability below MIN_NONEMPTY_PROB.
-    Each block, in either mode, draws its geometry with draw_ppp and
-    evaluates its analytic CCPs with one kernel call.  The module docstring
-    describes the blocks' seeding, the sampled-mode thinning and the workers
-    (numpy releases the GIL in the heavy calls).  An exception in any block
-    is raised here.
+    Each block, in either mode, draws its counts with draw_ppp, then its
+    squared distances and analytic CCPs with one kernel call per chunk.  The
+    module docstring describes the blocks' seeding and chunks, the
+    sampled-mode thinning and the workers (numpy releases the GIL in the
+    heavy calls).  An exception in any block is raised here.
     """
     params = config.params
     radius = config.region_radius
@@ -282,11 +312,12 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
 
     def run_block(first: int) -> int:
         rng = np.random.default_rng([config.rng_seed, first // BLOCK_SIZE])
-        u, counts, redraws = draw_ppp(config, min(BLOCK_SIZE, total - first), rng)
-        ccp = _ccp_rows(u, counts, params, radius)
+        counts, redraws = draw_ppp(config, min(BLOCK_SIZE, total - first), rng)
+        block = samples[first:first + counts.size]
+        for lo, hi, points in _chunks(counts):
+            block[lo:hi] = _ccp_rows(rng.random(points), counts[lo:hi], params, radius)
         if sampled:
-            ccp = rng.binomial(draws, ccp) / draws
-        samples[first:first + counts.size] = ccp
+            block[:] = rng.binomial(draws, block) / draws
         return redraws
 
     workers = min(_MAX_WORKERS, _cpu_count(), len(firsts))

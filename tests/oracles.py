@@ -20,6 +20,9 @@ gauss_2f1_series_reference is the Pfaff-mapped 2F1 series as one scalar
 Python loop, the form the package's chunked series must match bit for bit.
 moment_integral_mpmath is the moment integral in 30-digit arithmetic by
 mpmath's tanh-sinh rule, not the package's exp-sinh rule in doubles.
+campaign_reference draws each campaign block whole, all its positions in one
+call and all its CCPs in one kernel call, where the simulator streams a
+block through the kernel in chunks.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import binom, roots_jacobi
+
+from metadist import sim
 
 
 def rho_quadrature(n: int, gamma_pl: float, theta: float, tol: float = 1e-11) -> float:
@@ -137,6 +142,26 @@ def ccp_sampled_reference(distances, params, num_draws: int, rng) -> float:
         signal = received.pop(serving)
         covered += signal > params.theta * (math.fsum(received) + params.noise)
     return covered / num_draws
+
+
+def campaign_reference(config) -> np.ndarray:
+    """The samples of `sim.run_campaign(config)`, each block drawn whole.
+
+    Block b, on `default_rng([seed, b])`: its counts from `sim.draw_ppp`, then
+    `rng.random(counts.sum())` and one `sim._ccp_rows` call, then in sampled
+    mode one binomial call of `num_channel_draws` per realization.
+    """
+    total, draws = config.num_realizations, config.num_channel_draws
+    blocks = []
+    for block, first in enumerate(range(0, total, sim.BLOCK_SIZE)):
+        rng = np.random.default_rng([config.rng_seed, block])
+        counts, _ = sim.draw_ppp(config, min(sim.BLOCK_SIZE, total - first), rng)
+        ccp = sim._ccp_rows(rng.random(counts.sum()), counts, config.params,
+                            config.region_radius)
+        if config.fading_mode == sim.FADING_SAMPLED:
+            ccp = rng.binomial(draws, ccp) / draws
+        blocks.append(ccp)
+    return np.concatenate(blocks)
 
 
 def jacobi_poly_explicit(alpha: float, beta: float, n: int, x: float) -> float:

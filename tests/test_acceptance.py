@@ -224,7 +224,8 @@ def test_criterion_8_simulator_self_consistency():
     violations = 0
     for i in range(100):
         rng = np.random.default_rng([cfg.rng_seed, i, 0])
-        points = cfg.region_radius * np.sqrt(sim.draw_ppp(cfg, 1, rng)[0])
+        counts, _ = sim.draw_ppp(cfg, 1, rng)
+        points = cfg.region_radius * np.sqrt(rng.random(counts[0]))
         exact_c = sim.ccp_analytic(points, PAPER)
         sampled_c = sim.ccp_sampled(points, PAPER, 700, rng)
         se = math.sqrt(exact_c * (1.0 - exact_c) / 700.0)

@@ -76,6 +76,14 @@ class TestArgumentParsing:
         assert built == [1]
         assert real() is not real()
 
+    def test_power_and_moments_share_the_scenario_defaults(self):
+        parser = cli.build_parser()
+        power = parser.parse_args(["power", "--x-rel", "0.3", "--epsilon", "0.7"])
+        mom = parser.parse_args(["moments"])
+        for name in ("gamma", "theta_db", "noise_dbm"):
+            assert getattr(power, name) == getattr(mom, name)
+        assert (power.gamma, power.theta_db, power.noise_dbm) == (5.0, 0.0, -100.0)
+
     def test_subcommand_is_looked_up_at_call_time(self, monkeypatch, capsys):
         # The cached parser must not pin the cmd_* function of its first call.
         argv = ["power", "--x-rel", "0.2", "--epsilon", "0.5", "--gamma", "4", "--theta-db", "-10",

@@ -257,8 +257,11 @@ class TestBasisValidation:
             JacobiBasis(0.0, 0.0, 21)
 
     def test_precision_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             JacobiBasis(0.0, 0.0, 15)
+        # The warning names the line that built the basis, not the dataclass
+        # __init__ (filename "<string>").
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestPdf:

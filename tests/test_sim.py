@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,12 +31,13 @@ from metadist.sim import (
     write_samples_csv,
 )
 
-from oracles import ccp_analytic_reference, ccp_sampled_reference
+from oracles import campaign_reference, ccp_analytic_reference, ccp_sampled_reference
 
 
 def one_realization(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """BS distances in m of a one-realization block."""
-    return cfg.region_radius * np.sqrt(draw_ppp(cfg, 1, rng)[0])
+    """BS distances in m of a one-realization block: its count, then its positions."""
+    counts, _ = draw_ppp(cfg, 1, rng)
+    return cfg.region_radius * np.sqrt(rng.random(counts[0]))
 
 
 def pooled_bins(observed: np.ndarray, expected: np.ndarray, floor: float = 5.0):
@@ -95,7 +97,7 @@ class TestConfigValidation:
 class TestDrawPpp:
     def test_mean_count(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1, rng_seed=0)
-        u, counts, redraws = draw_ppp(cfg, 1000, np.random.default_rng(0))
+        counts, redraws = draw_ppp(cfg, 1000, np.random.default_rng(0))
         assert counts.size == 1000 and redraws == 0
         mean = 1e-3 * math.pi * 500.0**2
         sigma = math.sqrt(mean / 1000.0)
@@ -103,9 +105,7 @@ class TestDrawPpp:
 
     def test_points_inside_disk(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1)
-        u, counts, redraws = draw_ppp(cfg, 1, np.random.default_rng(3))
-        assert counts.tolist() == [u.size] and redraws == 0
-        r = cfg.region_radius * np.sqrt(u)
+        r = one_realization(cfg, np.random.default_rng(3))
         assert r.ndim == 1 and r.size > 0
         assert np.all((r >= 0.0) & (r <= cfg.region_radius))
 
@@ -122,7 +122,7 @@ class TestDrawPpp:
         # empty realizations until each holds a BS, and counts the redraws.
         p = SystemParams(1e-9, 5.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1)
-        u, counts, redraws = draw_ppp(cfg, 20, np.random.default_rng(0))
+        counts, redraws = draw_ppp(cfg, 20, np.random.default_rng(0))
         assert counts.size == 20 and np.all(counts > 0)
         assert redraws >= 19
 
@@ -135,8 +135,8 @@ class TestDrawPpp:
         cfg = SimConfig(params=p, num_realizations=1)
         mean = lam * math.pi * cfg.region_radius**2
         assert MIN_NONEMPTY_PROB < -math.expm1(-mean) < 1.01 * MIN_NONEMPTY_PROB
-        u, counts, redraws = draw_ppp(cfg, 1, np.random.default_rng([0, 0]))
-        assert counts[0] >= 1 and counts.sum() == u.size
+        counts, redraws = draw_ppp(cfg, 1, np.random.default_rng([0, 0]))
+        assert counts[0] >= 1
         rng = np.random.default_rng([0, 0])
         zeros = 0
         while rng.poisson(mean, size=1)[0] == 0:
@@ -148,11 +148,12 @@ class TestDrawPpp:
     @pytest.mark.parametrize("lam", [1e-3, 1e-6])
     def test_counts_are_the_poisson_draw(self, lam):
         # The counts are the generator's Poisson draw, each round of redraws
-        # filling the still-empty realizations in order, and the squared
-        # distances follow in one call: counts[k] of them per realization.
+        # filling the still-empty realizations in order, and nothing else is
+        # drawn: the generator is left where the positions start.
         p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1)
-        u, counts, redraws = draw_ppp(cfg, 50, np.random.default_rng(8))
+        drawn = np.random.default_rng(8)
+        counts, redraws = draw_ppp(cfg, 50, drawn)
         rng = np.random.default_rng(8)
         mean = lam * math.pi * cfg.region_radius**2
         expected = rng.poisson(mean, size=50)
@@ -162,14 +163,13 @@ class TestDrawPpp:
             expected[empty] = rng.poisson(mean, size=int(empty.sum()))
         assert counts.tolist() == expected.tolist()
         assert redraws == rounds and (redraws > 0) == (lam < 1e-3)
-        assert counts.sum() == u.size
-        assert u.tobytes() == rng.random(u.size).tobytes()
+        assert drawn.bit_generator.state == rng.bit_generator.state
 
     def test_deterministic_under_seed(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1)
         a = draw_ppp(cfg, 3, np.random.default_rng(11))
         b = draw_ppp(cfg, 3, np.random.default_rng(11))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
+        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 class TestCcpAnalytic:
@@ -405,18 +405,53 @@ class TestCampaign:
         draws = 20
         cfg = SimConfig(params=p, num_realizations=3, fading_mode="sampled",
                         num_channel_draws=draws, rng_seed=6)
-        seen = self.spy_calls(monkeypatch, "draw_ppp")
+        seen = self.spy_calls(monkeypatch, "_ccp_rows")
         emp = run_campaign(cfg)
         analytic = run_campaign(SimConfig(params=p, num_realizations=3, rng_seed=6))
         rng = np.random.default_rng([cfg.rng_seed, 0])
-        u, counts, redraws = draw_ppp(cfg, 3, rng)
+        counts, redraws = draw_ppp(cfg, 3, rng)
+        u = rng.random(counts.sum())
         expected = rng.binomial(draws, analytic.ccp_samples) / draws
         assert redraws == emp.redraws == 0
         assert emp.ccp_samples.tolist() == expected.tolist()
         # The radii the sampled block saw are the analytic campaign's under
         # the same seed, bit for bit.
-        (_, (u_sampled, _, _)), (_, (u_analytic, _, _)) = seen
+        ((u_sampled, *_), _), ((u_analytic, *_), _) = seen
         assert u_sampled.tobytes() == u_analytic.tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    @pytest.mark.parametrize("lam, realizations", [
+        # About 2M points in each full block: about 32 chunks of 8 realizations.
+        (1e-2, 2 * BLOCK_SIZE + 3),
+        # About 78,500 points per realization: each is a chunk of its own.
+        (1e-1, 3),
+    ])
+    def test_chunks_draw_the_whole_block_stream(self, mode, lam, realizations):
+        p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=realizations, fading_mode=mode,
+                        num_channel_draws=20, rng_seed=7)
+        assert np.array_equal(run_campaign(cfg).ccp_samples, campaign_reference(cfg))
+
+    def test_chunks_are_greedy_runs_of_whole_realizations(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_POINTS", 6)
+        counts = np.array([3, 4, 10, 2, 2, 1])
+        # The 10-BS realization alone is over the limit, so it is one chunk.
+        assert list(sim._chunks(counts)) == [(0, 1, 3), (1, 2, 4), (2, 3, 10), (3, 6, 5)]
+        assert list(sim._chunks(counts[3:])) == [(0, 3, 5)]
+
+    @pytest.mark.parametrize("lam", [1e-2, 3e-2])
+    def test_campaign_memory_does_not_grow_with_density(self, lam):
+        # A block drawn whole held 16 B per BS of its 256 realizations: a
+        # traced peak of 62.6 MiB and 184 MiB here.  A chunk holds 1 MB.
+        p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=2 * BLOCK_SIZE, rng_seed=1)
+        tracemalloc.start()
+        try:
+            run_campaign(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     # Three blocks, the last one partial, so every worker count splits them
     # differently: one worker takes all three, two share them, four are
@@ -509,7 +544,7 @@ class TestCampaign:
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS, rng_seed=4)
         expected = sum(
             draw_ppp(cfg, min(BLOCK_SIZE, cfg.num_realizations - first),
-                     np.random.default_rng([cfg.rng_seed, block]))[2]
+                     np.random.default_rng([cfg.rng_seed, block]))[1]
             for block, first in enumerate(range(0, cfg.num_realizations, BLOCK_SIZE))
         )
         assert expected > 0
