@@ -137,7 +137,7 @@ def jacobi_poly(alpha: float, beta: float, n: int, x):
         raise ValueError(f"polynomial degree must be nonnegative, got {n}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     vals = _jacobi_all(alpha, beta, n, arr)[n]
-    return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
+    return float(vals[0]) if np.asarray(x).ndim == 0 else vals
 
 
 def norm_h(alpha: float, beta: float, n: int) -> float:

@@ -40,15 +40,15 @@ No sum meets the coverage threshold, so campaigns in both modes are
 bit-reproducible across thread counts and BLAS builds.
 
 Memory: a block draws its counts first, then its squared distances and
-CCPs one chunk of whole realizations at a time, each chunk at most
-_CHUNK_POINTS points, or one realization that holds more.  The distances
-are consecutive uniforms of the block's generator whatever the chunking, so
-the samples are those of one draw of the whole block.  A worker holds one
-chunk's distances and one work array of the same length: at most 1 MB
-until a realization alone holds more than _CHUNK_POINTS BSs (lambda above
-about 8e-2 on the 500 m disk), then 16 B per BS of that realization.  A
-block adds its BLOCK_SIZE counts and CCPs, and a sampled block its
-BLOCK_SIZE binomial counts.
+CCPs one chunk at a time, each chunk a fixed number of whole realizations,
+_CHUNK_POINTS over the mean count lambda pi R^2 (at least one), so a chunk
+holds about _CHUNK_POINTS points.  The distances are consecutive uniforms of
+the block's generator whatever the chunking, so the samples are those of
+one draw of the whole block.  A worker holds one chunk's distances and one
+work array of the same length: about 1 MB until the mean count passes
+_CHUNK_POINTS (lambda above about 8e-2 on the 500 m disk), then 16 B per BS
+of one realization.  A block adds its BLOCK_SIZE counts and CCPs, and a
+sampled block its BLOCK_SIZE binomial counts.
 """
 from __future__ import annotations
 
@@ -88,8 +88,8 @@ BLOCK_SIZE = 256
 # count the concurrent campaigns were measured at.
 _MAX_WORKERS = 2
 
-# Most BS distances a chunk of a block holds: 512 KB per float64 array, so
-# the CCP kernel's two arrays stay inside a 2 MB L2.
+# BS distances a chunk of a block holds on average: 512 KB per float64
+# array, so the CCP kernel's two arrays stay inside a 2 MB L2.
 _CHUNK_POINTS = 1 << 16
 
 # Smallest accepted probability that the disk holds a BS: below it a
@@ -113,9 +113,7 @@ class SimConfig:
             raise ValueError(
                 f"region_radius must be positive and finite, got {self.region_radius}"
             )
-        nonempty = -math.expm1(
-            -self.params.lambda_bs * math.pi * self.region_radius * self.region_radius
-        )
+        nonempty = -math.expm1(-self.mean_count)
         if not nonempty >= MIN_NONEMPTY_PROB:
             raise ValueError(
                 f"the disk holds a BS with probability {nonempty:.3g}, below "
@@ -129,6 +127,11 @@ class SimConfig:
             raise ValueError(f"unknown fading_mode {self.fading_mode!r}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
+
+    @property
+    def mean_count(self) -> float:
+        """Mean BS count of a realization, lambda pi R^2."""
+        return self.params.lambda_bs * math.pi * self.region_radius * self.region_radius
 
 
 @dataclass(frozen=True)
@@ -171,8 +174,7 @@ def draw_ppp(
     so those are uniform on [0, 1).  Angles are not drawn: the coverage
     probability does not depend on them.
     """
-    radius = config.region_radius
-    mean = config.params.lambda_bs * math.pi * radius * radius
+    mean = config.mean_count
     counts = rng.poisson(mean, size=size)
     empty = np.flatnonzero(counts == 0)
     redraws = 0
@@ -181,26 +183,6 @@ def draw_ppp(
         counts[empty] = rng.poisson(mean, size=empty.size)
         empty = empty[counts[empty] == 0]
     return counts, redraws
-
-
-def _chunks(counts: np.ndarray):
-    """(lo, hi, points) of each chunk of whole realizations counts[lo:hi].
-
-    Chunks are greedy: each holds at most _CHUNK_POINTS points, or one
-    realization that holds more.  A block that fits is one chunk, planned
-    with no call beyond counts.sum().
-    """
-    total = int(counts.sum())
-    if total <= _CHUNK_POINTS:
-        yield 0, counts.size, total
-        return
-    ends = np.cumsum(counts)
-    lo, done = 0, 0
-    while lo < counts.size:
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _CHUNK_POINTS, side="right")))
-        points = int(ends[hi - 1]) - done
-        yield lo, hi, points
-        lo, done = hi, done + points
 
 
 def _nonempty(distances: np.ndarray) -> np.ndarray:
@@ -297,10 +279,11 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     exp(-lambda pi R^2) is negligible at physical densities, and SimConfig
     rejects a disk that is nonempty with probability below MIN_NONEMPTY_PROB.
     Each block, in either mode, draws its counts with draw_ppp, then its
-    squared distances and analytic CCPs with one kernel call per chunk.  The
-    module docstring describes the blocks' seeding and chunks, the
-    sampled-mode thinning and the workers (numpy releases the GIL in the
-    heavy calls).  An exception in any block is raised here.
+    squared distances and analytic CCPs with one kernel call per chunk of
+    per_chunk realizations, about _CHUNK_POINTS points.  The module
+    docstring describes the blocks' seeding and chunks, the sampled-mode
+    thinning and the workers (numpy releases the GIL in the heavy calls).
+    An exception in any block is raised here.
     """
     params = config.params
     radius = config.region_radius
@@ -309,13 +292,15 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     sampled = config.fading_mode == FADING_SAMPLED
     samples = np.empty(total)
     firsts = range(0, total, BLOCK_SIZE)
+    per_chunk = max(1, int(_CHUNK_POINTS // config.mean_count))
 
     def run_block(first: int) -> int:
         rng = np.random.default_rng([config.rng_seed, first // BLOCK_SIZE])
         counts, redraws = draw_ppp(config, min(BLOCK_SIZE, total - first), rng)
         block = samples[first:first + counts.size]
-        for lo, hi, points in _chunks(counts):
-            block[lo:hi] = _ccp_rows(rng.random(points), counts[lo:hi], params, radius)
+        for lo in range(0, counts.size, per_chunk):
+            chunk = counts[lo:lo + per_chunk]
+            block[lo:lo + per_chunk] = _ccp_rows(rng.random(chunk.sum()), chunk, params, radius)
         if sampled:
             block[:] = rng.binomial(draws, block) / draws
         return redraws

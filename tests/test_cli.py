@@ -684,6 +684,39 @@ class TestPowerCommand:
         assert "loglog_slope" not in doc["meta"]
         assert "slope" not in captured.err
 
+    @pytest.mark.parametrize("sweep, density", [
+        # lambda^(-gamma/2) underflows to 0 from the fifth of nine densities on.
+        (["--lambda-max", "1e300"], "1e+148"),
+        (["--lambda-max", "1e300", "--lambda-steps", "2"], "1e+300"),
+        # lambda^(-gamma/2) overflows.
+        (["--lambda-min", "1e-300"], "1e-300"),
+    ])
+    def test_power_beyond_the_doubles_is_math_error(self, sweep, density, capsys):
+        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", *sweep]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_MATH
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"minimum power at lambda = {density} is not a positive finite double" in (
+            captured.err)
+        assert "reported as 0 mW" not in captured.err
+
+    def test_noise_free_at_extreme_densities_notes_zero_power(self, capsys):
+        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--noise-dbm=-inf",
+                "--lambda-min", "1e-300", "--lambda-max", "1e300", "--format", "json"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_OK
+        assert caught == []
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert len(doc["rows"]) == 9
+        assert all(row[1:] == ["0.0", "-inf"] for row in doc["rows"])
+        assert "loglog_slope" not in doc["meta"]
+        assert "reported as 0 mW" in captured.err
+
     def test_noise_free_notes_zero_power(self, capsys):
         assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
                      "--noise-dbm=-inf", "--format", "json"]) == EXIT_OK

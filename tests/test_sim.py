@@ -432,12 +432,32 @@ class TestCampaign:
                         num_channel_draws=20, rng_seed=7)
         assert np.array_equal(run_campaign(cfg).ccp_samples, campaign_reference(cfg))
 
-    def test_chunks_are_greedy_runs_of_whole_realizations(self, monkeypatch):
-        monkeypatch.setattr(sim, "_CHUNK_POINTS", 6)
-        counts = np.array([3, 4, 10, 2, 2, 1])
-        # The 10-BS realization alone is over the limit, so it is one chunk.
-        assert list(sim._chunks(counts)) == [(0, 1, 3), (1, 2, 4), (2, 3, 10), (3, 6, 5)]
-        assert list(sim._chunks(counts[3:])) == [(0, 3, 5)]
+    @pytest.mark.parametrize("lam, realizations, per_chunk", [
+        # About 785 BSs per realization: chunks of 83, then a block's rest.
+        (1e-3, BLOCK_SIZE + 37, 83),
+        (1e-2, BLOCK_SIZE + 37, 8),
+        # About 78,500 BSs per realization, more than a chunk's share.
+        (1e-1, 3, 1),
+    ])
+    def test_chunks_hold_a_fixed_number_of_realizations(
+        self, lam, realizations, per_chunk, monkeypatch
+    ):
+        p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=realizations, rng_seed=7)
+        mean = lam * math.pi * cfg.region_radius**2
+        assert per_chunk == max(1, sim._CHUNK_POINTS // mean)
+        # One worker runs the blocks in order, so the calls come block by block.
+        self.force_workers(monkeypatch, 1)
+        seen = self.spy_calls(monkeypatch, "_ccp_rows")
+        run_campaign(cfg)
+        expected = []
+        for first in range(0, realizations, BLOCK_SIZE):
+            size = min(BLOCK_SIZE, realizations - first)
+            full, rest = divmod(size, per_chunk)
+            expected += [per_chunk] * full + [rest] * (rest > 0)
+        assert [counts.size for (_, counts, *_), _ in seen] == expected
+        for (u, counts, *_), _ in seen:
+            assert u.size == counts.sum()
 
     @pytest.mark.parametrize("lam", [1e-2, 3e-2])
     def test_campaign_memory_does_not_grow_with_density(self, lam):
