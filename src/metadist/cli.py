@@ -35,8 +35,11 @@ EXIT_IO = 4
 
 
 def db_to_linear(db: float) -> float:
-    """dB ratio to linear (dBm to mW); -inf dB maps to 0."""
-    return 10.0 ** (db / 10.0)
+    """dB ratio to linear (dBm to mW); -inf dB maps to 0, beyond the doubles to inf."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def mw_to_dbm(mw: float) -> float:
@@ -77,10 +80,19 @@ def _scenario_params(args: argparse.Namespace) -> moments.SystemParams:
     return moments.SystemParams(
         lambda_bs=args.lambda_bs,
         gamma_pl=args.gamma,
-        theta=db_to_linear(args.theta_db),
-        power=db_to_linear(args.power_dbm),
-        noise=db_to_linear(args.noise_dbm),
+        theta=_linear_flag(args, "--theta-db"),
+        power=_linear_flag(args, "--power-dbm"),
+        noise=_linear_flag(args, "--noise-dbm"),
     )
+
+
+def _linear_flag(args: argparse.Namespace, flag: str) -> float:
+    """A dB/dBm flag in linear units; a finite value that underflows to 0 is an error."""
+    db = getattr(args, flag.lstrip("-").replace("-", "_"))
+    value = db_to_linear(db)
+    if value == 0.0 and db != -math.inf:
+        raise ValueError(f"{flag} {db!r} is 0 in linear units; only {flag}=-inf means 0")
+    return value
 
 
 def _emit_table(
@@ -231,43 +243,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _power_at(c: float, lam: float, gamma: float) -> float:
-    """c lambda^(-gamma/2), the minimum power at density lam; 0 when c is 0.
-
-    Raises ValueError when c > 0 but the power is not a positive finite double.
-    """
-    if c == 0.0:
-        return 0.0
-    try:
-        p = c * lam ** (-gamma / 2.0)
-    except OverflowError:
-        p = math.inf
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"the minimum power at lambda = {lam!r} is not a positive "
-                         "finite double: narrow --lambda-min/--lambda-max")
-    return p
-
-
 def cmd_power(args: argparse.Namespace) -> int:
     qos = args.qos
     lams = np.logspace(
         math.log10(args.lambda_min), math.log10(args.lambda_max), args.lambda_steps
     )
-    # p = c lambda^(-gamma/2): min_power at lambda = 1 returns c exactly.
-    c = scaling.min_power(args.params, qos)
-    powers = [_power_at(c, lam, args.params.gamma_pl) for lam in lams.tolist()]
-    rows = [[_fmt(lam), _fmt(p), _fmt(mw_to_dbm(p))] for lam, p in zip(lams, powers)]
     meta: dict[str, Any] = {"x_rel": qos.x_rel, "epsilon": qos.epsilon,
                             "gamma_pl": args.gamma}
-    # A line needs two distinct densities; --lambda-min = --lambda-max gives one.
-    if c > 0.0 and np.unique(lams).size >= 2:
-        slope = float(np.polyfit(np.log(lams), np.log(powers), 1)[0])
-        meta["loglog_slope"] = slope
-        print(f"fitted log-log slope: {slope:.9f} (expected {-args.gamma / 2})",
-              file=sys.stderr)
+    # min_power at lambda = 1 is c in p = c lambda^(-gamma/2); 0 means noise-free.
+    c = scaling.min_power(args.params, qos)
     if c == 0.0:
+        powers = [0.0] * lams.size
         print("interference/noise-free scenario: any positive power satisfies "
               "the bound (reported as 0 mW)", file=sys.stderr)
+    else:
+        powers = [scaling.power_at(c, lam, args.gamma) for lam in lams.tolist()]
+        # A line needs two distinct densities; --lambda-min = --lambda-max gives one.
+        if np.unique(lams).size >= 2:
+            slope = float(np.polyfit(np.log(lams), np.log(powers), 1)[0])
+            meta["loglog_slope"] = slope
+            print(f"fitted log-log slope: {slope:.9f} (expected {-args.gamma / 2})",
+                  file=sys.stderr)
+    rows = [[_fmt(lam), _fmt(p), _fmt(mw_to_dbm(p))] for lam, p in zip(lams, powers)]
     _emit_table(("lambda", "p_mw", "p_dbm"), rows, meta, args)
     return EXIT_OK
 
@@ -347,12 +344,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.params = _scenario_params(args)
         if args.command == "moments" and args.n_max < 1:
             raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
-        if args.command in ("reconstruct", "compare") and not (
-            0 <= args.order <= jacobi.ORDER_HARD_CAP
-        ):
-            raise ValueError(
-                f"--order must be in [0, {jacobi.ORDER_HARD_CAP}], got {args.order}"
-            )
+        if args.command in ("reconstruct", "compare"):
+            jacobi.check_order(args.order)
         if args.command == "reconstruct":
             if args.grid_points < 1:
                 raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import MomentSequence
+from .moments import MomentSequence, moment_difference
 from .specfun import reg_inc_beta
 
 __all__ = [
@@ -55,6 +55,15 @@ class DegenerateMomentsError(ValueError):
     """Moment pair carries no variance (or is otherwise unusable)."""
 
 
+def check_order(order: int) -> None:
+    """Raise ValueError unless 0 <= order <= ORDER_HARD_CAP."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    if order > ORDER_HARD_CAP:
+        raise ValueError(f"order {order} exceeds the cap of {ORDER_HARD_CAP}; the alternating "
+                         "moment sums are meaningless in float64 beyond it")
+
+
 @dataclass(frozen=True)
 class JacobiBasis:
     """Shift parameters and truncation order of the reconstruction basis."""
@@ -68,13 +77,7 @@ class JacobiBasis:
             raise ValueError(f"alpha must be finite and exceed -1, got {self.alpha}")
         if not -1.0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and exceed -1, got {self.beta}")
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
-        if self.order > ORDER_HARD_CAP:
-            raise ValueError(
-                f"order {self.order} exceeds the cap of {ORDER_HARD_CAP}; the "
-                "alternating moment sums are meaningless in float64 beyond it"
-            )
+        check_order(self.order)
         if self.order > _ORDER_PRECISION_WARN:
             warnings.warn(
                 f"truncation order {self.order} > {_ORDER_PRECISION_WARN}: "
@@ -169,13 +172,13 @@ def fourier_jacobi_coeffs(
     a_n = (1/h_n) sum_l C(n+alpha, l) C(n+beta, n-l) mu_hat_{n,l}, with the
     modified moment
 
-        mu_hat_{n,l} = int x^l (x-1)^(n-l) f(x) dx
-                     = sum_k C(n-l, k) (-1)^k mu_{n-k};
+        mu_hat_{n,l} = int x^l (x-1)^(n-l) f(x) dx = (-1)^(n-l) E[C^l (1-C)^(n-l)]
 
     a_0 is 1/h_0 for any proper moment sequence (mu_0 = 1).  The weights
     C(r, l) are the running products prod_{j<l} (r-j)/(j+1), valid for every
-    real r; one that overflows raises ValueError.  Each modified moment and
-    each sum over l is one math.fsum: the terms cancel far below their size.
+    real r; one that overflows raises ValueError.  Each difference
+    E[C^l (1-C)^(n-l)] (moments.moment_difference) and each sum over l is one
+    math.fsum: the terms cancel far below their size.
     """
     mu = moments.values
     if len(mu) <= basis.order:
@@ -194,12 +197,13 @@ def fourier_jacobi_coeffs(
         if not all(map(math.isfinite, weights)):
             raise ValueError(f"basis (alpha={a}, beta={b}): the binomial weights of a_{n} overflow")
         inner = math.fsum(
-            w * math.fsum(
-                math.comb(n - ell, k) * (-1.0) ** k * mu[n - k] for k in range(n - ell + 1)
-            )
+            w * ((-1.0) ** (n - ell) * moment_difference(mu, ell, n - ell))
             for ell, w in enumerate(weights)
         )
-        coeff.append(inner / norm_h(a, b, n))
+        h_n = norm_h(a, b, n)
+        if not h_n > 0.0:
+            raise ValueError(f"basis (alpha={a}, beta={b}): the norm h_{n} underflows to 0")
+        coeff.append(inner / h_n)
     return ReconstructedDistribution(
         basis=basis, coefficients=tuple(coeff), source_moments=moments
     )
@@ -316,18 +320,24 @@ def convergence_diagnostic(dist: ReconstructedDistribution) -> ConvergenceReport
 
     The series converges absolutely and uniformly when these decay summably;
     a last-third average at or above the first-third average is flagged as a
-    warning.  This is a numeric diagnostic, not a convergence proof.
+    warning.  This is a numeric diagnostic, not a convergence proof.  A term
+    that is not a finite double raises ValueError naming its n.
     """
     alpha = dist.basis.alpha
-    coeffs = dist.coefficients
-    if alpha > 0.0:
-        terms = tuple(abs(c) * math.exp(alpha * n) for n, c in enumerate(coeffs))
-    else:
-        terms = tuple(abs(c) * math.exp(alpha) for c in coeffs)
+    terms = []
+    for n, c in enumerate(dist.coefficients):
+        try:
+            term = abs(c) * math.exp(alpha * n if alpha > 0.0 else alpha)
+        except OverflowError:
+            term = math.inf
+        if not math.isfinite(term):
+            raise ValueError(f"basis (alpha={alpha}, beta={dist.basis.beta}): the "
+                             f"decay term of a_{n} is not a finite double")
+        terms.append(term)
     warning = False
     if len(terms) >= 3:
         third = len(terms) // 3
         first = sum(terms[:third]) / third
         last = sum(terms[-third:]) / third
         warning = last >= first
-    return ConvergenceReport(decay_terms=terms, warning=warning)
+    return ConvergenceReport(decay_terms=tuple(terms), warning=warning)

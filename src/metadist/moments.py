@@ -61,17 +61,22 @@ _METHODS = (METHOD_EXACT, METHOD_CLOSED_FORM, METHOD_EMPIRICAL)
 _MONOTONE_SLACK = 1e-9
 
 
+def moment_difference(mu, n: int, k: int) -> float:
+    """E[C^n (1-C)^k] = sum_j (-1)^j C(k, j) mu_{n+j}, one correctly rounded math.fsum."""
+    return math.fsum(math.comb(k, j) * (-1.0) ** j * mu[n + j] for j in range(k + 1))
+
+
 def check_hausdorff(mu) -> None:
     """Raise ValueError unless mu_0..mu_N are moments of a law on [0, 1].
 
-    Every difference E[C^n (1-C)^k] = sum_j (-1)^j C(k, j) mu_{n+j}, with
-    k >= 1 and n + k <= N, must be nonnegative.  The monotonicity slack
-    (k = 1) lets each value be off by half of it, which moves a k-th
-    difference by up to 2^(k-1) times the slack: that is the margin allowed.
+    Every difference E[C^n (1-C)^k] (moment_difference), with k >= 1 and
+    n + k <= N, must be nonnegative.  The monotonicity slack (k = 1) lets
+    each value be off by half of it, which moves a k-th difference by up to
+    2^(k-1) times the slack: that is the margin allowed.
     """
     for k in range(1, len(mu)):
         for n in range(len(mu) - k):
-            diff = math.fsum(math.comb(k, j) * (-1.0) ** j * mu[n + j] for j in range(k + 1))
+            diff = moment_difference(mu, n, k)
             if not diff >= -(2.0 ** (k - 1)) * _MONOTONE_SLACK:
                 raise ValueError(
                     f"not the moments of a law on [0, 1]: the difference "

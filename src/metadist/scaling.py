@@ -8,7 +8,8 @@ for the transmit power gives
     p = c lambda^(-gamma/2),
 
 i.e. the minimum power that holds the QoS constant falls off as the -gamma/2
-power of the base-station density.
+power of the base-station density.  The law and its range check are one
+function, power_at, that min_power and the CLI's power sweep both call.
 """
 from __future__ import annotations
 
@@ -41,15 +42,16 @@ class QosSpec:
 def min_power(params: SystemParams, qos: QosSpec) -> float:
     """Minimum transmit power (mW) meeting the QoS via the Markov bound.
 
-    params.power is ignored; the returned power is the value that makes the
-    approximate second moment hit 1 - eps + x^2 exactly.  Returns 0.0 when
-    theta = 0 or noise = 0 (no noise term: the moment is power-independent,
-    so any positive power works whenever the QoS is feasible at all).
+    params.power is ignored; the returned power, power_at(c, lambda, gamma),
+    makes the approximate second moment hit 1 - eps + x^2 exactly.  Only
+    theta = 0 or noise = 0 returns 0.0: the moment is then power-independent,
+    so any positive power works whenever the QoS is feasible at all.
 
     Raises:
         InfeasibleQosError: the target 1 - eps + x^2 exceeds 1 (the Markov
             bound can never certify it) or exceeds the p -> inf moment limit
             1 / (1 + rho_2).
+        ValueError: the power is not a positive finite double (see power_at).
     """
     target = 1.0 - qos.epsilon + qos.x_rel**2
     if target > 1.0:
@@ -75,4 +77,15 @@ def min_power(params: SystemParams, qos: QosSpec) -> float:
         * gamma_2g
         / (g * target * (2.0 * params.theta * params.noise) ** (2.0 / g))
     ) ** (-g / 2.0)
-    return c * params.lambda_bs ** (-g / 2.0)
+    return power_at(c, params.lambda_bs, g)
+
+
+def power_at(c: float, lam: float, gamma_pl: float) -> float:
+    """c lam^(-gamma/2); ValueError unless that is a positive finite double."""
+    try:
+        p = c * lam ** (-gamma_pl / 2.0)
+    except OverflowError:
+        p = math.inf
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"the minimum power at lambda = {lam!r} is not a positive finite double")
+    return p

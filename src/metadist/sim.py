@@ -113,6 +113,11 @@ class SimConfig:
             raise ValueError(
                 f"region_radius must be positive and finite, got {self.region_radius}"
             )
+        if not self.mean_count < math.inf:
+            raise ValueError(
+                f"the mean BS count lambda pi R^2 is not finite at lambda = "
+                f"{self.params.lambda_bs!r} and region_radius = {self.region_radius!r}"
+            )
         nonempty = -math.expm1(-self.mean_count)
         if not nonempty >= MIN_NONEMPTY_PROB:
             raise ValueError(

@@ -288,6 +288,36 @@ class TestReconstructCommand:
         assert main(["reconstruct", flag, value]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["reconstruct", "compare"])
+    def test_order_above_the_cap_prints_the_basis_message(self, command, tmp_path, capsys):
+        with pytest.raises(ValueError) as raised:
+            JacobiBasis(0.0, 0.0, 21)
+        argv = [command, "--order", "21"]
+        if command == "compare":
+            argv += ["--samples", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {raised.value}\n"
+
+    @pytest.mark.parametrize("basis, message", [
+        # e^(alpha n) overflows from a_13 on.
+        (["--alpha", "50", "--beta", "50", "--order", "20"],
+         "basis (alpha=50.0, beta=50.0): the decay term of a_13 is not a finite double"),
+        (["--alpha", "300", "--beta", "0.5", "--order", "3"],
+         "basis (alpha=300.0, beta=0.5): the decay term of a_3 is not a finite double"),
+        # h_0 = B(alpha+1, beta+1) is below the doubles.
+        (["--alpha", "1e10", "--beta", "1e10", "--order", "2"],
+         "basis (alpha=10000000000.0, beta=10000000000.0): the norm h_0 underflows to 0"),
+    ])
+    def test_extreme_basis_names_its_failure(self, basis, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # order 20's precision warning
+            assert main(["reconstruct", *basis, "--grid-points", "3"]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("order", ["0", "1"])
     def test_low_order_succeeds(self, order, capsys):
         assert main(["reconstruct", "--order", order, "--grid-points", "3"]) == EXIT_OK
@@ -383,6 +413,14 @@ class TestSimulateCommand:
         rc = main(["simulate", "--lambda", "1e-15", "--realizations", "1", "--out", str(out)])
         assert rc == EXIT_USAGE
         assert "probability" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_mean_count_is_usage_error(self, tmp_path, capsys):
+        # lambda pi R^2 overflows to inf at R = 1e300.
+        out = tmp_path / "r.csv"
+        rc = main(["simulate", "--radius-m", "1e300", "--realizations", "2", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "mean BS count lambda pi R^2 is not finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_underflowing_moments_still_write_summary(self, tmp_path):
@@ -577,6 +615,10 @@ class TestNonFiniteInputs:
         ["simulate", "--radius-m", "inf"],
         ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--lambda-max", "inf"],
         ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--lambda-min", "inf"],
+        # Finite dB values whose linear value overflows to inf.
+        ["moments", "--theta-db", "4000"],
+        ["moments", "--power-dbm", "4000"],
+        ["moments", "--noise-dbm", "4000"],
     ])
     def test_usage_error(self, argv, tmp_path, capsys):
         if argv[0] == "simulate":
@@ -586,6 +628,29 @@ class TestNonFiniteInputs:
         assert captured.out == ""
         assert "finite" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDbFlags:
+    FLAGS = ["--theta-db", "--power-dbm", "--noise-dbm"]
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_underflow_to_zero_is_usage_error(self, flag, capsys):
+        # 10^-325 is below the smallest positive double; only -inf asks for 0.
+        assert main(["moments", flag, "-3250", "--n-max", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} -3250.0 is 0 in linear units; only {flag}=-inf means 0\n")
+
+    def test_beyond_the_doubles_is_inf(self):
+        assert db_to_linear(4000.0) == math.inf
+        assert db_to_linear(-4000.0) == 0.0
+
+    def test_subnormal_noise_is_kept(self, capsys):
+        # -3220 dBm is a subnormal but positive noise power: a noisy scenario.
+        assert main(["moments", "--noise-dbm", "-3220", "--n-max", "1", "--format", "json"]) == (
+            EXIT_OK)
+        assert json.loads(capsys.readouterr().out)["meta"]["scenario"]["noise_mw"] > 0.0
 
 
 class TestPowerCommand:
@@ -716,6 +781,16 @@ class TestPowerCommand:
         assert all(row[1:] == ["0.0", "-inf"] for row in doc["rows"])
         assert "loglog_slope" not in doc["meta"]
         assert "reported as 0 mW" in captured.err
+
+    @pytest.mark.parametrize("scenario", [["--noise-dbm", "-3235"], ["--gamma", "1e6"]])
+    def test_underflowing_c_is_math_error(self, scenario, capsys):
+        # c underflows to 0 in these noisy scenarios: no 0 mW table.
+        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", *scenario, "--lambda-steps", "2"]
+        assert main(argv) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "minimum power at lambda = 1.0 is not a positive finite double" in captured.err
+        assert "reported as 0 mW" not in captured.err
 
     def test_noise_free_notes_zero_power(self, capsys):
         assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",

@@ -256,6 +256,14 @@ class TestBasisValidation:
         with pytest.raises(ValueError):
             JacobiBasis(0.0, 0.0, 21)
 
+    def test_check_order_is_the_basis_rule(self):
+        for order in (0, jacobi.ORDER_HARD_CAP):
+            jacobi.check_order(order)
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            jacobi.check_order(-1)
+        with pytest.raises(ValueError, match="order 21 exceeds the cap of 20"):
+            jacobi.check_order(21)
+
     def test_precision_warning(self):
         with pytest.warns(UserWarning) as record:
             JacobiBasis(0.0, 0.0, 15)

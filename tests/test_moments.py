@@ -133,6 +133,17 @@ class TestHausdorff:
         with pytest.raises(ValueError, match="k=2, n=0"):
             check_hausdorff((1.0, 0.5 + 1.1e-9, 0.0))
 
+    def test_difference_is_the_beta_law_value(self):
+        # For Beta(a, b), E[C^n (1-C)^k] = B(a+n, b+k) / B(a, b).
+        a, b = 2.7, 1.3
+        mu = beta_moments(a, b, 12)
+        log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        for n in range(7):
+            for k in range(6):
+                exact = math.exp(math.lgamma(a + n) + math.lgamma(b + k)
+                                 - math.lgamma(a + b + n + k) - log_norm)
+                assert moments.moment_difference(mu, n, k) == pytest.approx(exact, rel=1e-10)
+
     @pytest.mark.parametrize("method", [METHOD_EXACT, METHOD_CLOSED_FORM])
     def test_scenario_moments_pass(self, method):
         rng = np.random.default_rng(24)

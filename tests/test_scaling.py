@@ -1,9 +1,11 @@
 """Markov-bound power scaling law."""
+import re
+
 import numpy as np
 import pytest
 
 from metadist.moments import SystemParams, moment_approx, rho_n
-from metadist.scaling import InfeasibleQosError, QosSpec, min_power
+from metadist.scaling import InfeasibleQosError, QosSpec, min_power, power_at
 
 
 class TestQosSpec:
@@ -77,3 +79,23 @@ class TestMinPower:
     def test_noise_free_still_checks_feasibility(self):
         with pytest.raises(InfeasibleQosError):
             min_power(SystemParams(1e-3, 3.0, 1.0, 1.0, 0.0), QosSpec(0.3, 0.7))
+
+    @pytest.mark.parametrize("lam", [1e300, 1e-300])
+    def test_power_beyond_the_doubles_raises(self, lam):
+        # lambda^(-gamma/2) underflows at 1e300 and overflows at 1e-300.
+        message = f"the minimum power at lambda = {lam!r} is not a positive finite double"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            min_power(SystemParams(lam, 5.0, 1.0, 1.0, 1e-10), QosSpec(0.3, 0.7))
+
+    @pytest.mark.parametrize("gamma, noise", [(5.0, 5e-324), (1e6, 1e-10)])
+    def test_underflowing_c_is_not_noise_free(self, gamma, noise):
+        # The scenario has noise, so 0.0 would claim a noise-free link.
+        with pytest.raises(ValueError, match=re.escape("lambda = 1.0 is not a positive finite")):
+            min_power(SystemParams(1.0, gamma, 1.0, 1.0, noise), QosSpec(0.3, 0.7))
+
+
+class TestPowerAt:
+    @pytest.mark.parametrize("c", [0.0, float("inf"), float("nan")])
+    def test_needs_a_positive_finite_power(self, c):
+        with pytest.raises(ValueError, match="not a positive finite double"):
+            power_at(c, 1e-3, 5.0)

@@ -84,6 +84,12 @@ class TestConfigValidation:
                 config(lam)
         config(1e-12, radius=1e4)
 
+    def test_non_finite_mean_count_rejected(self, paper_params):
+        # lambda pi R^2 overflows although lambda and R are finite.
+        with pytest.raises(ValueError, match=r"mean BS count lambda pi R\^2 is not finite at "
+                                             r"lambda = 0.001 and region_radius = 1e\+300"):
+            SimConfig(params=paper_params, num_realizations=2, region_radius=1e300)
+
     def test_empirical_meta_validation(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=2)
         with pytest.raises(ValueError):
