@@ -72,11 +72,7 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_params(args: argparse.Namespace) -> moments.SystemParams:
-    """The scenario the flags describe, in linear units.
-
-    `power`'s parser fixes lambda = 1, where min_power returns c in
-    p = c lambda^(-gamma/2), and 0 dBm, which min_power ignores.
-    """
+    """The scenario the flags describe, in linear units."""
     return moments.SystemParams(
         lambda_bs=args.lambda_bs,
         gamma_pl=args.gamma,
@@ -250,20 +246,18 @@ def cmd_power(args: argparse.Namespace) -> int:
     )
     meta: dict[str, Any] = {"x_rel": qos.x_rel, "epsilon": qos.epsilon,
                             "gamma_pl": args.gamma}
-    # min_power at lambda = 1 is c in p = c lambda^(-gamma/2); 0 means noise-free.
-    c = scaling.min_power(args.params, qos)
-    if c == 0.0:
-        powers = [0.0] * lams.size
+    # c_1* holds for every density; power_at returns 0.0 only when noise-free.
+    c1 = scaling.max_noise_root(args.params, qos)
+    powers = [scaling.power_at(c1, lam, args.params) for lam in lams.tolist()]
+    if powers[0] == 0.0:
         print("interference/noise-free scenario: any positive power satisfies "
               "the bound (reported as 0 mW)", file=sys.stderr)
-    else:
-        powers = [scaling.power_at(c, lam, args.gamma) for lam in lams.tolist()]
-        # A line needs two distinct densities; --lambda-min = --lambda-max gives one.
-        if np.unique(lams).size >= 2:
-            slope = float(np.polyfit(np.log(lams), np.log(powers), 1)[0])
-            meta["loglog_slope"] = slope
-            print(f"fitted log-log slope: {slope:.9f} (expected {-args.gamma / 2})",
-                  file=sys.stderr)
+    # A line needs two distinct densities; --lambda-min = --lambda-max gives one.
+    elif np.unique(lams).size >= 2:
+        slope = float(np.polyfit(np.log(lams), np.log(powers), 1)[0])
+        meta["loglog_slope"] = slope
+        print(f"fitted log-log slope: {slope:.9f} (expected {-args.gamma / 2})",
+              file=sys.stderr)
     rows = [[_fmt(lam), _fmt(p), _fmt(mw_to_dbm(p))] for lam, p in zip(lams, powers)]
     _emit_table(("lambda", "p_mw", "p_dbm"), rows, meta, args)
     return EXIT_OK
@@ -320,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", type=float, default=1e-4)
     p.add_argument("--lambda-max", type=float, default=1e-2)
     p.add_argument("--lambda-steps", type=int, default=9)
-    # power solves on one scenario for c in p = c lambda^(-gamma/2).
+    # SystemParams needs a density and a power; the solve for c_1* reads neither.
     p.set_defaults(lambda_bs=1.0, power_dbm=0.0)
 
     return parser

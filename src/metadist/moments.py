@@ -9,16 +9,26 @@ of the conditional coverage probability is
     mu_n = pi lambda int_0^inf exp(-(A_n z + B_n z^(gamma/2))) dz,
 
 with A_n = pi lambda (1 + rho_n), B_n = n theta sigma2 / p, and
-1 + rho_n = 2F1(n, -2/gamma; 1 - 2/gamma; -theta).
+1 + rho_n = 2F1(n, -2/gamma; 1 - 2/gamma; -theta).  Substituting
+t = pi lambda z gives
+
+    mu_n = int_0^inf exp(-(a_n t + (c_n t)^(gamma/2))) dt,
+
+with a_n = 1 + rho_n and c_n = n^(2/gamma) c_1, where the noise root
+c_1 = (theta sigma2 / p)^(2/gamma) / (pi lambda) (SystemParams.noise_root)
+is the one place where lambda, p and sigma2 meet.  Scenarios with equal
+gamma, theta and c_1 have equal moments.
 
 The module provides the exact moments (double-exponential quadrature of
-the integral above: mu_1..mu_N are the rows of one integrand on one shared
-set of abscissae), a closed-form approximation
+the t-integral: mu_1..mu_N are the rows of one integrand on one shared set
+of abscissae, and c_1 = 0 gives mu_n = 1 / a_n exactly), a closed-form
+approximation
 
-    mu_n ~= pi lambda / (A_n + gamma B_n^(2/gamma) / (2 Gamma(2/gamma))),
+    mu_n ~= 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))),
 
-and an analytic bound on the approximation error that is exact in the
-limits theta = 0, sigma2 = 0, or gamma -> 2.
+and an analytic bound on the approximation error, in the z-form
+coefficients A_n, B_n (coeffs), that is exact in the limits theta = 0,
+sigma2 = 0, or gamma -> 2.
 
 A SystemParams object memoises 1 + rho_n per n, so the exact moments, the
 closed form, the bound and the power law evaluate each 2F1 once per
@@ -122,6 +132,12 @@ class SystemParams:
         if not self.noise >= 0.0:
             raise ValueError(f"noise must be nonnegative, got {self.noise}")
 
+    @property
+    def noise_root(self) -> float:
+        """c_1 = (theta sigma2 / p)^(2/gamma) / (pi lambda); 0.0 when theta or sigma2 is 0."""
+        return (self.theta * self.noise / self.power) ** (2.0 / self.gamma_pl) / (
+            math.pi * self.lambda_bs)
+
 
 @dataclass(frozen=True)
 class IntegralCoeffs:
@@ -188,7 +204,7 @@ def rho_n(params: SystemParams, n: int) -> float:
 
 
 def coeffs(params: SystemParams, n: int) -> IntegralCoeffs:
-    """A_n = pi lambda (1 + rho_n) > 0 and B_n = n theta sigma2 / p >= 0."""
+    """A_n = pi lambda (1 + rho_n) > 0 and B_n = n theta sigma2 / p >= 0 (the z-form)."""
     if n < 1:
         raise ValueError(f"coeffs requires n >= 1, got {n}")
     a_coef = math.pi * params.lambda_bs * (1.0 + rho_n(params, n))
@@ -196,11 +212,15 @@ def coeffs(params: SystemParams, n: int) -> IntegralCoeffs:
     return IntegralCoeffs(a_coef=a_coef, b_coef=b_coef)
 
 
+def _t_coeffs(params: SystemParams, n: int) -> tuple[float, float]:
+    """a_n = 1 + rho_n and c_n = n^(2/gamma) c_1 of the t-integral."""
+    return 1.0 + rho_n(params, n), n ** (2.0 / params.gamma_pl) * params.noise_root
+
+
 def moment_exact(params: SystemParams, n: int, tol: float = DEFAULT_TOL) -> float:
     """mu_n by quadrature of the moment integral, to relative tolerance tol.
 
-    theta = 0 short-circuits to 1 exactly (the integrand is the nearest-BS
-    distance density, which integrates to one).
+    A noise-free scenario (c_1 = 0) gives 1 / (1 + rho_n) exactly.
     """
     if n < 1:
         raise ValueError(f"moment_exact requires n >= 1, got {n}")
@@ -208,42 +228,40 @@ def moment_exact(params: SystemParams, n: int, tol: float = DEFAULT_TOL) -> floa
 
 
 def _moments_exact(params: SystemParams, ns, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """mu_n for each n in ns: one quadrature, one integrand row per n.
+    """mu_n for each n in ns: one quadrature in t, one integrand row per n.
 
-    With c_n = B_n^(2/gamma) the exponent is A_n z + (c_n z)^(gamma/2), so
-    row n decays on the length 1 / (A_n + c_n); the rule is scaled to the
+    Row n decays on the length 1 / (a_n + c_n); the rule is scaled to the
     geometric mean of these lengths over the rows, and each row meets tol
-    relative to its own mu_n.  (c_n z)^(gamma/2) is 0, not 0 * inf, when
-    B_n = 0 and z^(gamma/2) overflows.
+    relative to its own mu_n.  c_1 = 0 (theta = 0 or sigma2 = 0) gives
+    mu_n = 1 / a_n exactly, and no quadrature runs.  A c_n that overflows
+    gives 0.0: mu_n <= Gamma(1 + 2/gamma) / c_n lies below the normal doubles.
     """
-    if params.theta == 0.0 or not ns:
-        return np.ones(len(ns))
-    cs = [coeffs(params, n) for n in ns]
-    a = np.array([cf.a_coef for cf in cs])[:, None]
-    half_g = params.gamma_pl / 2.0
-    c = np.array([cf.b_coef for cf in cs])[:, None] ** (1.0 / half_g)
+    a, c = np.array([_t_coeffs(params, n) for n in ns]).reshape(-1, 2).T
+    mu = np.where(c == 0.0, 1.0 / a, 0.0)
+    rows = (0.0 < c) & (c < math.inf)
+    if rows.any():
+        a, c, half_g = a[rows, None], c[rows, None], params.gamma_pl / 2.0
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        # Far out in the tail (c z)^(gamma/2) may overflow to inf; exp gives 0.
-        with np.errstate(over="ignore"):
-            return np.exp(-(a * z + (c * z) ** half_g))
+        def integrand(t: np.ndarray) -> np.ndarray:
+            # Far out in the tail (c t)^(gamma/2) may overflow to inf; exp gives 0.
+            with np.errstate(over="ignore"):
+                return np.exp(-(a * t + (c * t) ** half_g))
 
-    scale = float(np.exp(-np.log(a + c).mean()))
-    pi_lambda = math.pi * params.lambda_bs
-    return pi_lambda * integrate_semi_infinite_decaying(integrand, scale, tol).value
+        scale = float(np.exp(-np.log(a + c).mean()))
+        mu[rows] = integrate_semi_infinite_decaying(integrand, scale, tol).value
+    return mu
 
 
 def moment_approx(params: SystemParams, n: int) -> float:
-    """Closed-form approximation of mu_n.
+    """Closed-form approximation 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))) of mu_n.
 
-    Exact when theta = 0 or noise = 0 (B_n = 0) and in the gamma -> 2 limit.
+    Exact when c_1 = 0 (theta = 0 or noise = 0) and in the gamma -> 2 limit.
     """
     if n < 1:
         raise ValueError(f"moment_approx requires n >= 1, got {n}")
-    c = coeffs(params, n)
+    a, c = _t_coeffs(params, n)
     g = params.gamma_pl
-    denom = c.a_coef + g * c.b_coef ** (2.0 / g) / (2.0 * math.gamma(2.0 / g))
-    return math.pi * params.lambda_bs / denom
+    return 1.0 / (a + g * c / (2.0 * math.gamma(2.0 / g)))
 
 
 def moment_sequence(
@@ -294,8 +312,8 @@ def approx_error_bound(a_coef: float, b_coef: float, gamma_pl: float) -> float:
     """
     if not a_coef > 0.0:
         raise ValueError(f"a_coef must be positive, got {a_coef}")
-    if not b_coef >= 0.0:
-        raise ValueError(f"b_coef must be nonnegative, got {b_coef}")
+    if not 0.0 <= b_coef < math.inf:
+        raise ValueError(f"b_coef must be nonnegative and finite, got {b_coef}")
     if not gamma_pl > 2.0:
         raise ValueError(f"gamma_pl must exceed 2, got {gamma_pl}")
     g = gamma_pl

@@ -47,8 +47,9 @@ the block's generator whatever the chunking, so the samples are those of
 one draw of the whole block.  A worker holds one chunk's distances and one
 work array of the same length: about 1 MB until the mean count passes
 _CHUNK_POINTS (lambda above about 8e-2 on the 500 m disk), then 16 B per BS
-of one realization.  A block adds its BLOCK_SIZE counts and CCPs, and a
-sampled block its BLOCK_SIZE binomial counts.
+of one realization, which MAX_MEAN_COUNT caps near 1 GiB.  A block adds its
+BLOCK_SIZE counts and CCPs, and a sampled block its BLOCK_SIZE binomial
+counts.
 """
 from __future__ import annotations
 
@@ -92,6 +93,11 @@ _MAX_WORKERS = 2
 # array, so the CCP kernel's two arrays stay inside a 2 MB L2.
 _CHUNK_POINTS = 1 << 16
 
+# Largest accepted mean BS count lambda pi R^2: a realization of this many
+# BSs fills a chunk alone, and the CCP kernel's two float64 arrays of its
+# distances take about 1 GiB; far above it a campaign cannot be allocated.
+MAX_MEAN_COUNT = 1 << 26
+
 # Smallest accepted probability that the disk holds a BS: below it a
 # realization needs more than 1e5 Poisson draws on average to be nonempty.
 MIN_NONEMPTY_PROB = 1e-5
@@ -117,6 +123,11 @@ class SimConfig:
             raise ValueError(
                 f"the mean BS count lambda pi R^2 is not finite at lambda = "
                 f"{self.params.lambda_bs!r} and region_radius = {self.region_radius!r}"
+            )
+        if self.mean_count > MAX_MEAN_COUNT:
+            raise ValueError(
+                f"the mean BS count lambda pi R^2 = {self.mean_count:.6g} exceeds "
+                f"{MAX_MEAN_COUNT}: lower the density or region_radius"
             )
         nonempty = -math.expm1(-self.mean_count)
         if not nonempty >= MIN_NONEMPTY_PROB:

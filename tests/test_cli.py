@@ -150,13 +150,24 @@ class TestMomentsCommand:
         ["--gamma", "2.001", "--theta-db", "20"],
     ])
     def test_noise_free_exact_equals_closed_form(self, scenario, capsys):
-        # With no noise the closed form 1/(1 + rho_n) is exact, and the
-        # quadrature of exp(-A_n z) lands within rounding of it.
+        # With no noise both columns are 1/(1 + rho_n), with no quadrature.
         argv = ["moments", "--noise-dbm=-inf", "--n-max", "10", "--format", "json"]
         assert main(argv + scenario) == EXIT_OK
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [float(r[4]) for r in rows] == [0.0] * 10
-        assert max(float(r[3]) for r in rows) <= 1e-15
+        assert [float(r[3]) for r in rows] == [0.0] * 10
+
+    def test_overflowing_noise_term(self, capsys):
+        # theta sigma2 / p overflows: the moments are 0.0, and the error
+        # bound, which is inf / inf there, is a math error, not a NaN row.
+        argv = ["moments", "--noise-dbm", "3000", "--power-dbm=-3000", "--n-max", "3"]
+        assert main([*argv, "--method", "exact", "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [float(r[1]) for r in rows] == [0.0] * 3
+        assert main(argv) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "b_coef must be nonnegative and finite, got inf" in captured.err
 
     def test_exact_column_is_moment_sequence(self, capsys):
         argv = ["--gamma", "4", "--theta-db", "5", "--noise-dbm=-90"]
@@ -421,6 +432,14 @@ class TestSimulateCommand:
         rc = main(["simulate", "--radius-m", "1e300", "--realizations", "2", "--out", str(out)])
         assert rc == EXIT_USAGE
         assert "mean BS count lambda pi R^2 is not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unallocatable_mean_count_is_usage_error(self, tmp_path, capsys):
+        # lambda pi R^2 = 3.1e15 BSs a realization: petabytes of distances.
+        out = tmp_path / "b.csv"
+        rc = main(["simulate", "--radius-m", "1e9", "--realizations", "1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "mean BS count lambda pi R^2 = 3.14159e+15 exceeds" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_underflowing_moments_still_write_summary(self, tmp_path):
@@ -782,15 +801,26 @@ class TestPowerCommand:
         assert "loglog_slope" not in doc["meta"]
         assert "reported as 0 mW" in captured.err
 
-    @pytest.mark.parametrize("scenario", [["--noise-dbm", "-3235"], ["--gamma", "1e6"]])
-    def test_underflowing_c_is_math_error(self, scenario, capsys):
-        # c underflows to 0 in these noisy scenarios: no 0 mW table.
-        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", *scenario, "--lambda-steps", "2"]
+    def test_subnormal_powers_are_reported(self, capsys):
+        # theta sigma2 is the smallest subnormal; the powers are subnormal too.
+        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--noise-dbm", "-3235",
+                "--lambda-steps", "2", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        powers = [float(row[1]) for row in json.loads(captured.out)["rows"]]
+        assert len(powers) == 2 and all(0.0 < p < 1e-300 for p in powers)
+        assert "reported as 0 mW" not in captured.err
+
+    def test_failure_names_a_requested_density(self, capsys):
+        # (c_1* pi lambda)^(-gamma/2) overflows at the first density, 1e-4;
+        # nothing is evaluated at any other density.
+        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--gamma", "1e6",
+                "--lambda-steps", "2"]
         assert main(argv) == EXIT_MATH
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "minimum power at lambda = 1.0 is not a positive finite double" in captured.err
-        assert "reported as 0 mW" not in captured.err
+        assert "minimum power at lambda = 0.0001 is not a positive finite double" in (
+            captured.err)
 
     def test_noise_free_notes_zero_power(self, capsys):
         assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",

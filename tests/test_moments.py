@@ -308,6 +308,9 @@ class TestErrorBound:
             approx_error_bound(1.0, -1.0, 4.0)
         with pytest.raises(ValueError):
             approx_error_bound(1.0, 1.0, 2.0)
+        # An infinite B would make the bound inf / inf = NaN.
+        with pytest.raises(ValueError, match="finite"):
+            approx_error_bound(1.0, math.inf, 4.0)
 
 
 class TestBigM:
@@ -399,6 +402,72 @@ class TestOneQuadraturePerSequence:
                 ref, _ = si.quad(lambda u: math.exp(-(al * u + bl * u ** (g / 2.0))),
                                  0.0, np.inf, epsabs=1e-15, epsrel=1e-13, limit=400)
                 assert abs(seq[n] - math.pi * lam * length * ref) <= DEFAULT_TOL, (g, theta, lam)
+
+
+class TestNoiseRoot:
+    """lambda, p and sigma2 reach the moments only through c_1 = noise_root."""
+
+    def test_value(self, paper_params):
+        # (theta sigma2 / p)^(2/gamma) / (pi lambda) = (1e-10)^0.4 / (pi 1e-3).
+        assert paper_params.noise_root == pytest.approx(1e-4 / (math.pi * 1e-3), rel=1e-14)
+
+    def _counted_quadrature(self, monkeypatch):
+        calls = []
+        real = moments.integrate_semi_infinite_decaying
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", counted)
+        return calls
+
+    @pytest.mark.parametrize("theta, noise", [(1.0, 0.0), (0.0, 1e-10)])
+    def test_noise_free_is_one_over_a_without_quadrature(self, theta, noise, monkeypatch):
+        calls = self._counted_quadrature(monkeypatch)
+        p = SystemParams(1e-3, 5.0, theta, 1.0, noise)
+        assert p.noise_root == 0.0
+        expected = [1.0] + [1.0 / (1.0 + rho_n(p, n)) for n in range(1, 11)]
+        assert list(moment_sequence(p, 10).values) == expected
+        assert list(moment_sequence(p, 10, method=METHOD_CLOSED_FORM).values) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("j", [-3, -1, 1, 4])
+    def test_equal_root_gives_equal_moments(self, j):
+        # gamma = 4: (lambda, p) -> (4^j lambda, 16^-j p) leaves c_1 unchanged,
+        # and every step of it is exact in binary.
+        base = SystemParams(1e-3, 4.0, 2.0, 1.0, 1e-10)
+        moved = dataclasses.replace(base, lambda_bs=4.0**j * 1e-3, power=16.0**-j)
+        assert moved.noise_root == base.noise_root
+        for method in (METHOD_EXACT, METHOD_CLOSED_FORM):
+            assert moment_sequence(moved, 10, method).values == (
+                moment_sequence(base, 10, method).values)
+
+    def test_overflowing_root_gives_zero_without_quadrature(self, monkeypatch):
+        # c_1 = 1e-4 / (pi 1e-320) overflows: mu_n is below the normal doubles.
+        calls = self._counted_quadrature(monkeypatch)
+        p = SystemParams(1e-320, 5.0, 1.0, 1.0, 1e-10)
+        assert p.noise_root == math.inf
+        assert moment_sequence(p, 3).values == (1.0, 0.0, 0.0, 0.0)
+        assert moment_approx(p, 1) == 0.0
+        assert calls == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(2.05, 20.0),
+        theta_db=st.floats(-60.0, 20.0),
+        log10_lambda=st.floats(-8.0, 0.0),
+        noise_dbm=st.floats(-200.0, -30.0),
+    )
+    def test_closed_form_never_exceeds_exact(self, gamma, theta_db, log10_lambda, noise_dbm):
+        # What makes min_power safe: the closed-form mu_2 it solves on is at
+        # most the exact one.  theta stops at 20 dB, below the 2F1's defect.
+        p = SystemParams(10.0**log10_lambda, gamma, 10.0 ** (theta_db / 10.0), 1.0,
+                         10.0 ** (noise_dbm / 10.0))
+        exact = moment_sequence(p, 10).values
+        approx = moment_sequence(p, 10, method=METHOD_CLOSED_FORM).values
+        for n in range(1, 11):
+            assert approx[n] <= exact[n] * (1.0 + DEFAULT_TOL), n
 
 
 class TestRhoMemo:

@@ -1,11 +1,14 @@
 """Markov-bound power scaling law."""
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from metadist.moments import SystemParams, moment_approx, rho_n
-from metadist.scaling import InfeasibleQosError, QosSpec, min_power, power_at
+from metadist.scaling import (
+    InfeasibleQosError, QosSpec, max_noise_root, min_power, power_at,
+)
 
 
 class TestQosSpec:
@@ -95,7 +98,45 @@ class TestMinPower:
 
 
 class TestPowerAt:
+    PARAMS = SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
+
     @pytest.mark.parametrize("c", [0.0, float("inf"), float("nan")])
     def test_needs_a_positive_finite_power(self, c):
         with pytest.raises(ValueError, match="not a positive finite double"):
-            power_at(c, 1e-3, 5.0)
+            power_at(c, 1e-3, self.PARAMS)
+
+    def test_noise_free_is_zero_at_any_root(self):
+        for params in (SystemParams(1e-3, 5.0, 0.0, 1.0, 1e-10),
+                       SystemParams(1e-3, 5.0, 1.0, 1.0, 0.0)):
+            assert power_at(float("nan"), 1e300, params) == 0.0
+
+    def test_inverts_the_noise_root(self):
+        # The scenario at p(lambda) has noise root c_1 at lambda.
+        for lam in (1e-4, 1e-3, 1e-2):
+            p = power_at(0.7, lam, self.PARAMS)
+            c1 = dataclasses.replace(self.PARAMS, lambda_bs=lam, power=p).noise_root
+            assert c1 == pytest.approx(0.7, rel=1e-14)
+
+
+class TestMaxNoiseRoot:
+    QOS = QosSpec(x_rel=0.3, epsilon=0.7)
+
+    def test_closed_form_mu2_meets_the_target(self):
+        for g, theta in ((2.5, 0.1), (4.0, 1.0), (5.0, 1.0), (8.0, 10.0)):
+            base = SystemParams(1e-3, g, theta, 1.0, 1e-10)
+            c1 = max_noise_root(base, self.QOS)
+            p = power_at(c1, 1e-3, base)
+            assert moment_approx(dataclasses.replace(base, power=p), 2) == pytest.approx(
+                1.0 - self.QOS.epsilon + self.QOS.x_rel**2, rel=1e-13)
+
+    def test_reads_neither_density_nor_power_nor_noise(self):
+        roots = {max_noise_root(SystemParams(lam, 5.0, 1.0, p, noise), self.QOS)
+                 for lam in (1e-300, 1.0, 1e300) for p in (1e-300, 1e300)
+                 for noise in (0.0, 1e-10)}
+        assert len(roots) == 1
+
+    def test_infeasible(self):
+        with pytest.raises(InfeasibleQosError, match="unreachable"):
+            max_noise_root(SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10), QosSpec(0.9, 0.1))
+        with pytest.raises(InfeasibleQosError, match="infinite-power limit"):
+            max_noise_root(SystemParams(1e-3, 3.0, 1.0, 1.0, 1e-10), self.QOS)

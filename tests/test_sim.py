@@ -18,6 +18,7 @@ from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact, momen
 from metadist import jacobi, sim
 from metadist.sim import (
     BLOCK_SIZE,
+    MAX_MEAN_COUNT,
     MIN_NONEMPTY_PROB,
     EmpiricalMeta,
     SimConfig,
@@ -89,6 +90,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"mean BS count lambda pi R\^2 is not finite at "
                                              r"lambda = 0.001 and region_radius = 1e\+300"):
             SimConfig(params=paper_params, num_realizations=2, region_radius=1e300)
+
+    def test_unallocatable_mean_count_rejected(self, paper_params):
+        # At lambda 1e-3 the cap of 2^26 BSs is a radius of about 146 km.
+        radius = math.sqrt(MAX_MEAN_COUNT / (math.pi * 1e-3))
+        SimConfig(params=paper_params, num_realizations=1, region_radius=0.999 * radius)
+        with pytest.raises(ValueError, match=r"mean BS count lambda pi R\^2 = 3.14159e\+15 "
+                                             r"exceeds 67108864"):
+            SimConfig(params=paper_params, num_realizations=1, region_radius=1e9)
 
     def test_empirical_meta_validation(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=2)
