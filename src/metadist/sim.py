@@ -12,50 +12,49 @@ fraction is Binomial(M, CCP) / M, and a campaign samples it as such: the
 analytic CCP thinned by one binomial draw per realization.  ccp_sampled,
 which draws the fading itself, is the independent check on that law.
 
-A realization is the vector of BS distances from the user: both paths
-depend on the geometry only through it, so no angles are drawn.
+A realization is drawn as its NEAREST_BS nearest BSs.  With t = pi lambda
+r^2, the BSs of a PPP in order of distance are the arrivals t_1 < t_2 < ...
+of a unit-rate Poisson process, the cumulative sums of standard
+exponentials, and a BS lies in the disk while t <= m = lambda pi R^2.  No
+angles are drawn: the CCP depends on the distances alone.  The serving BS
+and the NEAREST_BS - 1 nearest interferers enter the CCP exactly; the BSs
+of the disk beyond t_K (K = NEAREST_BS) form a PPP on t_K < t <= m, and
+their product is replaced by its expectation, the PGFL of that PPP:
+
+    log(1/C) = (c_1 t_1)^(gamma/2) + sum_{2<=k<=K, t_k<=m} log1p(theta (t_1/t_k)^(gamma/2))
+               + delta theta^delta t_1 [F(theta (t_1/t_K)^(gamma/2)) - F(theta (t_1/m)^(gamma/2))],
+
+with c_1 = SystemParams.noise_root, delta = 2/gamma, the last term only
+where t_K < m, and F(s) = int_0^s x^-delta / (1 + x) dx.  Given its K
+nearest BSs a realization's full-disk CCP has expectation exactly this C,
+so E[C], and with it the mean of every campaign, is exact; the higher
+moments E[C^n] lose only the Jensen gap E[C_full^n] - E[C^n] >= 0 of the
+far field.  A realization costs K BSs at any density.
 
 The statistics (empirical moments and reliability) and the samples CSV work
 on the array of CCP samples alone, wherever it came from.  A campaign is
 stored as that CSV plus the JSON record of `campaign_to_dict`; the CSV and
 the CLI's moments file share one format, which read_column_csv parses.
 
-Determinism: a campaign runs in blocks of BLOCK_SIZE realizations, and
-block b draws from its own generator, seeded with (seed, b).  Realization i
-lives in block i // BLOCK_SIZE, so with the block size fixed every draw is
-reproducible bit-for-bit, and a campaign of k * BLOCK_SIZE realizations is
-the prefix of any longer campaign under the same seed (a final partial
-block draws a different stream).  draw_ppp draws the block's counts, the
-one PPP draw, and the block's CCP kernel reads them as drawn.  In sampled
-mode the block's generator then makes one binomial call, M draws for each
-realization's analytic CCP.  The geometry is drawn as in analytic mode, so
-a sampled realization sees exactly the radii of the analytic one under the
-same seed.
-The blocks run on one worker per CPU the process may run on, at most
-_MAX_WORKERS, and at most one worker per block.  A single worker is the
-calling thread, so a one-block campaign starts no thread; more workers are
-a thread pool.  Every block writes only its own samples, and no draw
-depends on which thread made it, so no sample depends on the thread count.
-No sum meets the coverage threshold, so campaigns in both modes are
-bit-reproducible across thread counts and BLAS builds.
-
-Memory: a block draws its counts first, then its squared distances and
-CCPs one chunk at a time, each chunk a fixed number of whole realizations,
-_CHUNK_POINTS over the mean count lambda pi R^2 (at least one), so a chunk
-holds about _CHUNK_POINTS points.  The distances are consecutive uniforms of
-the block's generator whatever the chunking, so the samples are those of
-one draw of the whole block.  A worker holds one chunk's distances and one
-work array of the same length: about 1 MB until the mean count passes
-_CHUNK_POINTS (lambda above about 8e-2 on the 500 m disk), then 16 B per BS
-of one realization, which MAX_MEAN_COUNT caps near 1 GiB.  A block adds its
-BLOCK_SIZE counts and CCPs, and a sampled block its BLOCK_SIZE binomial
-counts.
+Determinism: a campaign runs in blocks of BLOCK_SIZE realizations, one
+after another on the calling thread, and block b draws from its own
+generator, seeded with (seed, b).  Realization i lives in block i //
+BLOCK_SIZE, so with the block size fixed every draw is reproducible
+bit-for-bit, and a campaign of k * BLOCK_SIZE realizations is the prefix of
+any longer campaign under the same seed (a final partial block draws a
+different stream).  draw_ppp makes the block's one geometry draw, and one
+kernel call turns it into the block's CCPs.  In sampled mode the block's
+generator then makes one binomial call, M draws for each realization's
+analytic CCP.  The geometry is drawn as in analytic mode, so a sampled
+realization sees exactly the BSs of the analytic one under the same seed.
+No sum meets the coverage threshold and no thread is started, so campaigns
+in both modes are bit-reproducible across hosts' CPU counts and BLAS builds.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,21 +84,21 @@ _FADING_MODES = (FADING_ANALYTIC, FADING_SAMPLED)
 # Realizations per block: the unit of seeding and of vectorised work.
 BLOCK_SIZE = 256
 
-# Most workers a campaign runs on, whatever the host's CPU count: two is the
-# count the concurrent campaigns were measured at.
-_MAX_WORKERS = 2
+# BSs a realization draws exactly (K in the module docstring); the rest of
+# the disk enters through its PGFL.
+NEAREST_BS = 32
 
-# BS distances a chunk of a block holds on average: 512 KB per float64
-# array, so the CCP kernel's two arrays stay inside a 2 MB L2.
-_CHUNK_POINTS = 1 << 16
+# Terms of F's series (see _far_integral_parts): each term is at most half
+# the one before, so the terms left out sum to below 2^-53 of the series.
+_SERIES_TERMS = 54
 
-# Largest accepted mean BS count lambda pi R^2: a realization of this many
-# BSs fills a chunk alone, and the CCP kernel's two float64 arrays of its
-# distances take about 1 GiB; far above it a campaign cannot be allocated.
+# Largest accepted mean BS count lambda pi R^2.  A campaign's work and memory
+# do not grow with it; the cap keeps the range of disks that campaigns
+# accept as it has been.
 MAX_MEAN_COUNT = 1 << 26
 
 # Smallest accepted probability that the disk holds a BS: below it a
-# realization needs more than 1e5 Poisson draws on average to be nonempty.
+# realization needs more than 1e5 draws of its nearest BS on average.
 MIN_NONEMPTY_PROB = 1e-5
 
 
@@ -176,31 +175,6 @@ def _check_samples(samples: np.ndarray) -> None:
         raise ValueError("CCP samples must lie in [0, 1]")
 
 
-def draw_ppp(
-    config: SimConfig, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """BS counts of a block of `size` PPP realizations on the disk, none empty.
-
-    Returns (counts, redraws).  counts[k] is realization k's BS count,
-    Poisson with mean lambda pi R^2, all counts in one call; an empty
-    realization is redrawn from the same generator, and redraws counts those
-    draws.  The positions follow on the same generator: realization k owns
-    the next counts[k] uniforms of rng.random, the squared distances of its
-    BSs over R^2.  Positions uniform over the disk have P(r <= t) = (t/R)^2,
-    so those are uniform on [0, 1).  Angles are not drawn: the coverage
-    probability does not depend on them.
-    """
-    mean = config.mean_count
-    counts = rng.poisson(mean, size=size)
-    empty = np.flatnonzero(counts == 0)
-    redraws = 0
-    while empty.size:
-        redraws += empty.size
-        counts[empty] = rng.poisson(mean, size=empty.size)
-        empty = empty[counts[empty] == 0]
-    return counts, redraws
-
-
 def _nonempty(distances: np.ndarray) -> np.ndarray:
     r = np.asarray(distances, dtype=float)
     if r.size == 0:
@@ -208,29 +182,124 @@ def _nonempty(distances: np.ndarray) -> np.ndarray:
     return r
 
 
-def _ccp_rows(u: np.ndarray, counts: np.ndarray, params: SystemParams, scale: float) -> np.ndarray:
-    """Analytic CCP of every realization of a block, in one pass.
+def draw_ppp(
+    config: SimConfig, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """The NEAREST_BS nearest BSs of `size` PPP realizations on the disk, none empty.
 
-    Realization k owns the next counts[k] squared distances of u, in units
-    of scale^2 m^2, so r = scale sqrt(u) and (r0/r_i)^gamma =
-    (u0/u_i)^(gamma/2): no square root is taken.  Every count must be
-    positive.  The log-product over all BSs includes the serving one, whose
-    term is exactly log1p(theta); it is subtracted so that a tie at the
-    minimum still counts the other BS as an interferer.
+    Returns (arrivals, redraws).  Row k of the (size, NEAREST_BS) array holds
+    realization k's t_j = pi lambda r_j^2 in increasing order: the
+    cumulative sums of one `rng.standard_exponential((size, NEAREST_BS))`
+    draw.  The BSs of a row with t_j > lambda pi R^2 lie outside the disk.
+    A realization whose nearest BS lies outside has an empty disk; its first
+    exponential is redrawn from the same generator until it lies inside, and
+    redraws counts those draws.  The gaps after the first are independent of
+    it, so each row has the law of a nonempty disk's nearest BSs.
+    """
+    mean = config.mean_count
+    gaps = rng.standard_exponential((size, NEAREST_BS))
+    first = gaps[:, 0]
+    empty = np.flatnonzero(first > mean)
+    redraws = 0
+    while empty.size:
+        redraws += empty.size
+        first[empty] = rng.standard_exponential(empty.size)
+        empty = empty[first[empty] > mean]
+    return np.cumsum(gaps, axis=1, out=gaps), redraws
+
+
+@functools.lru_cache(maxsize=64)
+def _series_coefficients(delta: float) -> tuple[np.ndarray, float]:
+    """F's series coefficients and F(inf) = pi / sin(pi delta) (see _far_integral_parts).
+
+    Row 0 holds -j! / (1+delta)_j / delta, row 1 j! / (2-delta)_j / (1-delta),
+    for j < _SERIES_TERMS.
+    """
+    j = np.arange(1.0, _SERIES_TERMS)
+    out = np.empty((2, _SERIES_TERMS))
+    out[:, 0] = -1.0 / delta, 1.0 / (1.0 - delta)
+    np.cumprod(j / (j - 1.0 + np.array([[1.0 + delta], [2.0 - delta]])), axis=1, out=out[:, 1:])
+    out[:, 1:] *= out[:, :1]
+    out.setflags(write=False)
+    return out, math.pi / math.sin(math.pi * delta)
+
+
+# The powers z^j of F's series by repeated squaring: rows [start, start +
+# count) are rows [0, count) times z^start.
+_SQUARINGS = ((2, 2), (4, 4), (8, 8), (16, 16), (32, _SERIES_TERMS - 32))
+
+
+def _far_integral_parts(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """F(s) = int_0^s x^-delta / (1 + x) dx as the sum of two parts, elementwise.
+
+    For s >= 0 and 0 < delta < 1.  Up to s = 1, F is the hypergeometric
+    series in w = s / (1 + s),
+
+        F(s) = s^(1-delta) / (1 + s) sum_j j! / (2-delta)_j w^j / (1 - delta),
+
+    and above it F(inf) = pi / sin(pi delta) less the same form in 1/s,
+    s^(1-delta) / (1 + s) sum_j j! / (1+delta)_j v^j / delta, v = 1 / (1 + s).
+    Returns (offset, series): offset is 0 or F(inf), series the signed
+    series term, so that a difference of two F above s = 1 cancels F(inf)
+    exactly.  Either series has positive terms of ratio at most 1/2; the
+    powers of w or v meet both rows of coefficients in one product.  The
+    prefactor is taken from s, not from w or v, whose rounding it would
+    amplify near s = 0 or s = inf; F(0) is 0 exactly.
+    """
+    coefficients, f_inf = _series_coefficients(delta)
+    low = s <= 1.0
+    one_plus = 1.0 + s
+    z = np.where(low, s, 1.0) / one_plus
+    powers = np.empty((_SERIES_TERMS, *s.shape))
+    powers[0] = 1.0
+    powers[1] = z
+    for start, count in _SQUARINGS:
+        z = z * z
+        np.multiply(powers[:count], z, out=powers[start:start + count])
+    high, low_series = np.einsum("kj,j...->k...", coefficients, powers)
+    series = np.where(low, low_series, high)
+    series *= s ** (1.0 - delta) / one_plus
+    return np.where(low, 0.0, f_inf), series
+
+
+def _log_inv_ccp(
+    arrivals: np.ndarray, params: SystemParams, mean_count: float | None
+) -> np.ndarray:
+    """log(1/C) of each row of arrivals, the sorted t_j of its nearest BSs.
+
+    With mean_count m (the campaign), a row is the nearest BSs of a disk
+    realization as drawn by draw_ppp: the BSs past m do not interfere, and
+    where the row's last BS lies inside the disk the PGFL of the disk beyond
+    it is added (the module docstring has the formula).  With None a row is
+    a whole finite configuration.  (t_1/t_j)^(gamma/2) = (r_1/r_j)^gamma,
+    and (c_1 t_1)^(gamma/2) = theta sigma2 r_1^gamma / p.
     """
     half = 0.5 * params.gamma_pl
-    starts = np.cumsum(counts) - counts
-    u0 = np.minimum.reduceat(u, starts)
-    terms = np.repeat(u0, counts)
-    with np.errstate(invalid="ignore"):
-        np.divide(terms, u, out=terms)
-    np.fmin(terms, 1.0, out=terms)  # 0/0 for a BS on the user: the ratio is 1
-    np.power(terms, half, out=terms)
-    terms *= params.theta
-    np.log1p(terms, out=terms)
-    log_i = np.add.reduceat(terms, starts) - math.log1p(params.theta)
-    noise = params.theta * params.noise * scale**params.gamma_pl / params.power
-    return np.exp(-noise * u0**half - log_i)
+    theta = params.theta
+    nearest = arrivals[:, 0]
+    x = nearest[:, None] / arrivals[:, 1:]
+    np.fmin(x, 1.0, out=x)  # 0/0 for two BSs on the user: the ratio is 1
+    if mean_count is not None:
+        x[arrivals[:, 1:] > mean_count] = 0.0
+    np.power(x, half, out=x)
+    x *= theta
+    log_inv = np.log1p(x, out=x).sum(axis=1)
+    log_inv += (params.noise_root * nearest) ** half
+    if mean_count is None:
+        return log_inv
+    # F at theta (t_1/t_K)^(gamma/2) and at theta (t_1/m)^(gamma/2) in one
+    # call; a t_K past the disk's edge is taken as m, so the two cancel exactly.
+    s = np.empty((2, nearest.size))
+    np.minimum(arrivals[:, -1], mean_count, out=s[0])
+    s[1] = mean_count
+    np.divide(nearest, s, out=s)
+    np.power(s, half, out=s)
+    s *= theta
+    delta = 1.0 / half
+    offset, series = _far_integral_parts(s, delta)
+    far = (offset[0] - offset[1]) + (series[0] - series[1])
+    log_inv += delta * theta**delta * nearest * far
+    return log_inv
 
 
 def ccp_analytic(distances: np.ndarray, params: SystemParams) -> float:
@@ -241,10 +310,14 @@ def ccp_analytic(distances: np.ndarray, params: SystemParams) -> float:
         C = exp(-theta sigma2 r0^gamma / p) prod_i [1 + theta (r0/r_i)^gamma]^(-1),
 
     evaluated in log space so thousands of interferers cannot underflow the
-    product to zero.  This is the one-row call of the campaign kernel.
+    product to zero.  This is the campaign kernel's sorted one-row call,
+    with no far field: the distances are every BS there is.
     """
     r = _nonempty(distances)
-    return float(_ccp_rows(r * r, np.array([r.size]), params, 1.0)[0])
+    arrivals = np.sort(math.pi * params.lambda_bs * (r * r))
+    with np.errstate(invalid="ignore"):
+        log_inv = _log_inv_ccp(arrivals[None, :], params, None)[0]
+    return math.exp(-log_inv)
 
 
 def ccp_sampled(
@@ -280,13 +353,6 @@ def ccp_sampled(
     return int(np.count_nonzero(covered)) / num_draws
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_campaign(config: SimConfig) -> EmpiricalMeta:
     """Full campaign: one CCP sample per realization.
 
@@ -294,42 +360,24 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     a serving BS existing) and counted in `redraws`; the empty probability
     exp(-lambda pi R^2) is negligible at physical densities, and SimConfig
     rejects a disk that is nonempty with probability below MIN_NONEMPTY_PROB.
-    Each block, in either mode, draws its counts with draw_ppp, then its
-    squared distances and analytic CCPs with one kernel call per chunk of
-    per_chunk realizations, about _CHUNK_POINTS points.  The module
-    docstring describes the blocks' seeding and chunks, the sampled-mode
-    thinning and the workers (numpy releases the GIL in the heavy calls).
-    An exception in any block is raised here.
+    The blocks run one after another on the calling thread.  Each block, in
+    either mode, makes one draw_ppp call and one kernel call on its
+    (BLOCK_SIZE, NEAREST_BS) arrivals; a sampled block then thins its CCPs
+    with one binomial call (see the module docstring).
     """
     params = config.params
-    radius = config.region_radius
     total = config.num_realizations
     draws = config.num_channel_draws
-    sampled = config.fading_mode == FADING_SAMPLED
     samples = np.empty(total)
-    firsts = range(0, total, BLOCK_SIZE)
-    per_chunk = max(1, int(_CHUNK_POINTS // config.mean_count))
-
-    def run_block(first: int) -> int:
+    redraws = 0
+    for first in range(0, total, BLOCK_SIZE):
         rng = np.random.default_rng([config.rng_seed, first // BLOCK_SIZE])
-        counts, redraws = draw_ppp(config, min(BLOCK_SIZE, total - first), rng)
-        block = samples[first:first + counts.size]
-        for lo in range(0, counts.size, per_chunk):
-            chunk = counts[lo:lo + per_chunk]
-            block[lo:lo + per_chunk] = _ccp_rows(rng.random(chunk.sum()), chunk, params, radius)
-        if sampled:
-            block[:] = rng.binomial(draws, block) / draws
-        return redraws
-
-    workers = min(_MAX_WORKERS, _cpu_count(), len(firsts))
-    if workers == 1:
-        redraws = sum(map(run_block, firsts))
-    else:
-        # Imported here, not at module level, to keep it out of the import time.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            redraws = sum(pool.map(run_block, firsts))
+        arrivals, block_redraws = draw_ppp(config, min(BLOCK_SIZE, total - first), rng)
+        redraws += block_redraws
+        ccp = np.exp(-_log_inv_ccp(arrivals, params, config.mean_count))
+        if config.fading_mode == FADING_SAMPLED:
+            ccp = rng.binomial(draws, ccp) / draws
+        samples[first:first + ccp.size] = ccp
     return EmpiricalMeta(ccp_samples=samples, config=config, redraws=redraws)
 
 
@@ -407,6 +455,8 @@ def campaign_to_dict(emp: EmpiricalMeta) -> dict:
             "fading_mode": cfg.fading_mode,
             "num_channel_draws": cfg.num_channel_draws,
             "rng_seed": cfg.rng_seed,
+            "nearest_bs": NEAREST_BS,
+            "far_field": "pgfl",
         },
         "diagnostics": {"redraws": emp.redraws},
     }

@@ -13,16 +13,18 @@ never needs.  binom_exact is the binomial coefficient in exact rational
 arithmetic, which the exact test of the moment-to-coefficient map builds
 on, and ccp_sampled_reference sums each draw's interference over the
 other base stations one by one instead of taking a matrix-vector product.
-ccp_analytic_reference is the defining product over interferers in plain
-distances, one Python term at a time, where the simulator's kernel works on
-squared normalised distances a block of realizations at a time.
+ccp_analytic_reference (and log_inv_ccp_reference, its log) is the defining
+product over interferers in plain distances, one Python term at a time,
+where the simulator's kernel works on unit-rate arrivals a block of
+realizations at a time.
 gauss_2f1_series_reference is the Pfaff-mapped 2F1 series as one scalar
 Python loop, the form the package's chunked series must match bit for bit.
 moment_integral_mpmath is the moment integral in 30-digit arithmetic by
 mpmath's tanh-sinh rule, not the package's exp-sinh rule in doubles.
-campaign_reference draws each campaign block whole, all its positions in one
-call and all its CCPs in one kernel call, where the simulator streams a
-block through the kernel in chunks.
+disk_arrivals draws every BS of a disk realization, continuing the arrival
+process of sim.draw_ppp past its NEAREST_BS nearest BSs, and disk_ccp
+multiplies over all of them with a segmented reduction, where the simulator
+draws only the nearest BSs and takes the rest of the disk in closed form.
 """
 from __future__ import annotations
 
@@ -106,22 +108,31 @@ def binom_exact(r: float, k: int) -> Fraction:
     return out
 
 
-def ccp_analytic_reference(distances, params) -> float:
-    """C = exp(-theta sigma2 r0^gamma / p) prod_i 1 / (1 + theta (r0/r_i)^gamma).
+def log_inv_ccp_reference(distances, params) -> float:
+    """-log C = theta sigma2 r0^gamma / p + sum_i log1p(theta (r0/r_i)^gamma).
 
-    r0 is the nearest distance and the product runs over every other BS.  The
-    logs of the factors are added with `math.fsum`, so the only rounding left
-    is in each factor and in the final exp.
+    r0 is the nearest distance and the sum runs over every other BS.  The
+    terms are added with `math.fsum`, so the only rounding left is in each
+    term.
     """
     r = [float(v) for v in distances]
     serving = min(range(len(r)), key=r.__getitem__)
     r0 = r[serving]
     g = params.gamma_pl
-    logs = [-params.theta * params.noise * r0**g / params.power]
+    terms = [params.theta * params.noise * r0**g / params.power]
     for i, ri in enumerate(r):
         if i != serving:
-            logs.append(-math.log1p(params.theta * (r0 / ri) ** g))
-    return math.exp(math.fsum(logs))
+            terms.append(math.log1p(params.theta * (r0 / ri) ** g))
+    return math.fsum(terms)
+
+
+def ccp_analytic_reference(distances, params) -> float:
+    """C = exp(-theta sigma2 r0^gamma / p) prod_i 1 / (1 + theta (r0/r_i)^gamma).
+
+    The exp of -log_inv_ccp_reference: the only rounding left is in each
+    factor's log and in the final exp.
+    """
+    return math.exp(-log_inv_ccp_reference(distances, params))
 
 
 def ccp_sampled_reference(distances, params, num_draws: int, rng) -> float:
@@ -144,24 +155,59 @@ def ccp_sampled_reference(distances, params, num_draws: int, rng) -> float:
     return covered / num_draws
 
 
-def campaign_reference(config) -> np.ndarray:
-    """The samples of `sim.run_campaign(config)`, each block drawn whole.
+def disk_arrivals(config, size: int, rng) -> np.ndarray:
+    """Every BS of `size` nonempty disk realizations, as unit-rate arrivals.
 
-    Block b, on `default_rng([seed, b])`: its counts from `sim.draw_ppp`, then
-    `rng.random(counts.sum())` and one `sim._ccp_rows` call, then in sampled
-    mode one binomial call of `num_channel_draws` per realization.
+    Columns 0..NEAREST_BS-1 are `sim.draw_ppp(config, size, rng)`, the
+    nearest BSs a campaign block draws; later columns continue each row's
+    arrival process with further standard exponentials from rng until every
+    row has passed the disk's edge m = lambda pi R^2.  Row k's BSs in the
+    disk are its arrivals <= m.
     """
-    total, draws = config.num_realizations, config.num_channel_draws
-    blocks = []
-    for block, first in enumerate(range(0, total, sim.BLOCK_SIZE)):
-        rng = np.random.default_rng([config.rng_seed, block])
-        counts, _ = sim.draw_ppp(config, min(sim.BLOCK_SIZE, total - first), rng)
-        ccp = sim._ccp_rows(rng.random(counts.sum()), counts, config.params,
-                            config.region_radius)
-        if config.fading_mode == sim.FADING_SAMPLED:
-            ccp = rng.binomial(draws, ccp) / draws
-        blocks.append(ccp)
-    return np.concatenate(blocks)
+    m = config.mean_count
+    arrivals, _ = sim.draw_ppp(config, size, rng)
+    parts = [arrivals]
+    step = max(sim.NEAREST_BS, math.ceil(m))
+    while not np.all(parts[-1][:, -1] > m):
+        gaps = rng.standard_exponential((size, step))
+        parts.append(parts[-1][:, -1:] + np.cumsum(gaps, axis=1))
+    return np.concatenate(parts, axis=1)
+
+
+def disk_distances(config, rng) -> np.ndarray:
+    """BS distances in m, nearest first, of one nonempty disk realization (disk_arrivals)."""
+    arrivals = disk_arrivals(config, 1, rng)[0]
+    return config.region_radius * np.sqrt(arrivals[arrivals <= config.mean_count]
+                                          / config.mean_count)
+
+
+def disk_ccp(arrivals: np.ndarray, config) -> np.ndarray:
+    """Analytic CCP of each row of disk_arrivals, over every BS of its disk.
+
+    The simulator's full-disk kernel before it drew only the nearest BSs:
+    the squared distances over R^2 of all realizations, u = t / m for the
+    arrivals t <= m, in one flat array, realization k owning the next
+    counts[k] of them, reduced segment by segment.  The log-product over all
+    BSs of a realization includes the serving one, whose term is exactly
+    log1p(theta); it is subtracted, so that a tie at the minimum still
+    counts the other BS as an interferer.
+    """
+    params, m = config.params, config.mean_count
+    inside = arrivals <= m
+    u, counts = arrivals[inside] / m, inside.sum(axis=1)
+    half = 0.5 * params.gamma_pl
+    starts = np.cumsum(counts) - counts
+    u0 = np.minimum.reduceat(u, starts)
+    terms = np.repeat(u0, counts)
+    with np.errstate(invalid="ignore"):
+        np.divide(terms, u, out=terms)
+    np.fmin(terms, 1.0, out=terms)  # 0/0 for a BS on the user: the ratio is 1
+    np.power(terms, half, out=terms)
+    terms *= params.theta
+    np.log1p(terms, out=terms)
+    log_i = np.add.reduceat(terms, starts) - math.log1p(params.theta)
+    noise = params.theta * params.noise * config.region_radius**params.gamma_pl / params.power
+    return np.exp(-noise * u0**half - log_i)
 
 
 def jacobi_poly_explicit(alpha: float, beta: float, n: int, x: float) -> float:

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from metadist import jacobi, moments, scaling, sim
 from metadist.specfun import gauss_2f1, reg_inc_beta
 
-from oracles import beta_moments, gauss_jacobi_integral
+from oracles import beta_moments, disk_distances, gauss_jacobi_integral
 
 PAPER = moments.SystemParams(lambda_bs=1e-3, gamma_pl=5.0, theta=1.0, power=1.0,
                              noise=1e-10)
@@ -224,8 +224,7 @@ def test_criterion_8_simulator_self_consistency():
     violations = 0
     for i in range(100):
         rng = np.random.default_rng([cfg.rng_seed, i, 0])
-        counts, _ = sim.draw_ppp(cfg, 1, rng)
-        points = cfg.region_radius * np.sqrt(rng.random(counts[0]))
+        points = disk_distances(cfg, rng)
         exact_c = sim.ccp_analytic(points, PAPER)
         sampled_c = sim.ccp_sampled(points, PAPER, 700, rng)
         se = math.sqrt(exact_c * (1.0 - exact_c) / 700.0)

@@ -443,9 +443,10 @@ class TestSimulateCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_underflowing_moments_still_write_summary(self, tmp_path):
-        # At 60 dB every CCP sample is below 1e-40, so mean(c^n) underflows to 0.0.
+        # At 60 dB and gamma 2.05 every CCP sample is below 1e-140, so mean(c^n)
+        # underflows to 0.0 from n = 3 on.
         out = tmp_path / "h.csv"
-        rc = main(["simulate", "--theta-db", "60", "--gamma", "2.5", "--noise-dbm", "-120",
+        rc = main(["simulate", "--theta-db", "60", "--gamma", "2.05", "--noise-dbm", "-120",
                    "--out", str(out)])
         assert rc == EXIT_OK
         summary = json.loads((tmp_path / "h.json").read_text())

@@ -4,15 +4,17 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.stats import binom, chisquare, ks_2samp, kstest
+from scipy.integrate import quad
+from scipy.stats import binom, chisquare, expon, ks_2samp, kstest
 
 from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact, moment_sequence
 from metadist import jacobi, sim
@@ -20,6 +22,7 @@ from metadist.sim import (
     BLOCK_SIZE,
     MAX_MEAN_COUNT,
     MIN_NONEMPTY_PROB,
+    NEAREST_BS,
     EmpiricalMeta,
     SimConfig,
     ccp_analytic,
@@ -32,13 +35,27 @@ from metadist.sim import (
     write_samples_csv,
 )
 
-from oracles import campaign_reference, ccp_analytic_reference, ccp_sampled_reference
+from oracles import (
+    ccp_sampled_reference,
+    disk_arrivals,
+    disk_ccp,
+    disk_distances,
+    log_inv_ccp_reference,
+)
 
 
-def one_realization(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """BS distances in m of a one-realization block: its count, then its positions."""
-    counts, _ = draw_ppp(cfg, 1, rng)
-    return cfg.region_radius * np.sqrt(rng.random(counts[0]))
+def far_field_reference(row: np.ndarray, params: SystemParams, mean_count: float) -> float:
+    """-log of the PGFL of the disk beyond a row's last arrival, by quad in t.
+
+    int_{t_K}^{m} (1 - 1 / (1 + theta (t_1/t)^(gamma/2))) dt, 0 when t_K >= m.
+    """
+    nearest, last = row[0], row[-1]
+    if last >= mean_count:
+        return 0.0
+    half, theta = 0.5 * params.gamma_pl, params.theta
+    value, _ = quad(lambda t: 1.0 / (1.0 + (t / nearest) ** half / theta), last, mean_count,
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
 
 
 def pooled_bins(observed: np.ndarray, expected: np.ndarray, floor: float = 5.0):
@@ -110,35 +127,65 @@ class TestConfigValidation:
 
 
 class TestDrawPpp:
-    def test_mean_count(self, paper_params):
-        cfg = SimConfig(params=paper_params, num_realizations=1, rng_seed=0)
-        counts, redraws = draw_ppp(cfg, 1000, np.random.default_rng(0))
-        assert counts.size == 1000 and redraws == 0
-        mean = 1e-3 * math.pi * 500.0**2
-        sigma = math.sqrt(mean / 1000.0)
-        assert abs(np.mean(counts) - mean) <= 3.0 * sigma
+    # At lambda 1e-5 the disk holds Poisson(7.85) BSs and a row's NEAREST_BS
+    # arrivals reach past the edge, so the arrivals inside are all its BSs.
+    SPARSE = SystemParams(1e-5, 5.0, 1.0, 1.0, 1e-10)
+
+    def test_mean_count(self):
+        # A nonempty disk holds Poisson(m) BSs conditioned on at least one:
+        # mean m / (1 - exp(-m)), variance below that mean.
+        cfg = SimConfig(params=self.SPARSE, num_realizations=1)
+        arrivals, _ = draw_ppp(cfg, 2000, np.random.default_rng(0))
+        m = cfg.mean_count
+        counts = (arrivals <= m).sum(axis=1)
+        assert counts.max() < NEAREST_BS and counts.min() >= 1
+        mean = m / -math.expm1(-m)
+        assert abs(np.mean(counts) - mean) <= 3.0 * math.sqrt(mean / 2000.0)
 
     def test_points_inside_disk(self, paper_params):
+        # Rows increase, and the nearest BS of every row lies in the disk.
         cfg = SimConfig(params=paper_params, num_realizations=1)
-        r = one_realization(cfg, np.random.default_rng(3))
-        assert r.ndim == 1 and r.size > 0
+        arrivals, redraws = draw_ppp(cfg, 300, np.random.default_rng(3))
+        assert arrivals.shape == (300, NEAREST_BS) and redraws == 0
+        assert np.all(arrivals[:, 0] >= 0.0) and np.all(np.diff(arrivals, axis=1) >= 0.0)
+        assert np.all(arrivals[:, 0] <= cfg.mean_count)
+        r = disk_distances(cfg, np.random.default_rng(3))
+        assert r.ndim == 1 and r.size > NEAREST_BS
         assert np.all((r >= 0.0) & (r <= cfg.region_radius))
 
-    def test_radial_law(self, paper_params):
-        # Uniform positions on the disk: P(r <= t) = (t/R)^2.
-        cfg = SimConfig(params=paper_params, num_realizations=1)
-        r = np.concatenate([one_realization(cfg, np.random.default_rng([0, i])) for i in range(20)])
+    def test_radial_law(self):
+        # Given their count, the BSs are uniform on the disk: pooled over
+        # realizations, P(r <= t) = (t/R)^2 with r = R sqrt(t_j / m).
+        cfg = SimConfig(params=self.SPARSE, num_realizations=1)
+        arrivals, _ = draw_ppp(cfg, 2000, np.random.default_rng(1))
+        inside = arrivals[arrivals <= cfg.mean_count]
         radius = cfg.region_radius
+        r = radius * np.sqrt(inside / cfg.mean_count)
         assert r.size > 10_000
         assert kstest(r, lambda t: np.clip(t / radius, 0.0, 1.0) ** 2).pvalue > 0.01
 
+    def test_gaps_are_unit_exponentials(self, paper_params):
+        # The arrivals of a unit-rate Poisson process: the gaps after the
+        # nearest BS are standard exponentials, and the nearest one is an
+        # exponential conditioned to lie in the disk, P(t_1 <= t) =
+        # (1 - e^-t) / (1 - e^-m).
+        cfg = SimConfig(params=paper_params, num_realizations=1)
+        arrivals, _ = draw_ppp(cfg, 500, np.random.default_rng(2))
+        assert kstest(np.diff(arrivals, axis=1).ravel(), expon.cdf).pvalue > 0.01
+        sparse = SimConfig(params=SystemParams(1e-6, 5.0, 1.0, 1.0, 1e-10), num_realizations=1)
+        nearest = draw_ppp(sparse, 2000, np.random.default_rng(2))[0][:, 0]
+        m = sparse.mean_count
+        assert kstest(nearest, lambda t: np.expm1(-np.minimum(t, m)) / math.expm1(-m)).pvalue > 0.01
+
     def test_vanishing_density_gives_empty(self):
-        # The disk is empty with probability 0.9992: the block redraws its
-        # empty realizations until each holds a BS, and counts the redraws.
+        # The disk is empty with probability 0.9992: the block redraws the
+        # nearest BS of its empty realizations until each holds a BS, and
+        # counts the redraws.
         p = SystemParams(1e-9, 5.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1)
-        counts, redraws = draw_ppp(cfg, 20, np.random.default_rng(0))
-        assert counts.size == 20 and np.all(counts > 0)
+        arrivals, redraws = draw_ppp(cfg, 20, np.random.default_rng(0))
+        assert arrivals.shape == (20, NEAREST_BS)
+        assert np.all(arrivals[:, 0] <= cfg.mean_count)
         assert redraws >= 19
 
     def test_redraw_loop_ends_at_the_density_floor(self):
@@ -150,33 +197,36 @@ class TestDrawPpp:
         cfg = SimConfig(params=p, num_realizations=1)
         mean = lam * math.pi * cfg.region_radius**2
         assert MIN_NONEMPTY_PROB < -math.expm1(-mean) < 1.01 * MIN_NONEMPTY_PROB
-        counts, redraws = draw_ppp(cfg, 1, np.random.default_rng([0, 0]))
-        assert counts[0] >= 1
+        arrivals, redraws = draw_ppp(cfg, 1, np.random.default_rng([0, 0]))
+        assert arrivals[0, 0] <= mean
         rng = np.random.default_rng([0, 0])
+        first = rng.standard_exponential((1, NEAREST_BS))[0, 0]
         zeros = 0
-        while rng.poisson(mean, size=1)[0] == 0:
+        while first > mean:
             zeros += 1
+            first = rng.standard_exponential(1)[0]
         assert redraws == zeros > 0
+        assert arrivals[0, 0] == first
         with pytest.raises(ValueError, match="holds a BS with probability"):
             SimConfig(params=dataclasses.replace(p, lambda_bs=0.99 * lam), num_realizations=1)
 
     @pytest.mark.parametrize("lam", [1e-3, 1e-6])
-    def test_counts_are_the_poisson_draw(self, lam):
-        # The counts are the generator's Poisson draw, each round of redraws
-        # filling the still-empty realizations in order, and nothing else is
-        # drawn: the generator is left where the positions start.
+    def test_arrivals_are_the_exponential_draw(self, lam):
+        # The arrivals are the cumulative sums of one standard exponential
+        # draw, each round of redraws refilling the still-empty rows' first
+        # gap in order, and nothing else is drawn.
         p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1)
         drawn = np.random.default_rng(8)
-        counts, redraws = draw_ppp(cfg, 50, drawn)
+        arrivals, redraws = draw_ppp(cfg, 50, drawn)
         rng = np.random.default_rng(8)
         mean = lam * math.pi * cfg.region_radius**2
-        expected = rng.poisson(mean, size=50)
+        gaps = rng.standard_exponential((50, NEAREST_BS))
         rounds = 0
-        while (empty := expected == 0).any():
+        while (empty := gaps[:, 0] > mean).any():
             rounds += int(empty.sum())
-            expected[empty] = rng.poisson(mean, size=int(empty.sum()))
-        assert counts.tolist() == expected.tolist()
+            gaps[empty, 0] = rng.standard_exponential(int(empty.sum()))
+        assert arrivals.tolist() == np.cumsum(gaps, axis=1).tolist()
         assert redraws == rounds and (redraws > 0) == (lam < 1e-3)
         assert drawn.bit_generator.state == rng.bit_generator.state
 
@@ -215,7 +265,7 @@ class TestCcpAnalytic:
         # ~1e5-point realization: the log-space product must stay positive.
         p = SystemParams(0.13, 5.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1, region_radius=500.0)
-        r = one_realization(cfg, np.random.default_rng(1))
+        r = disk_distances(cfg, np.random.default_rng(1))
         assert len(r) > 90_000
         val = ccp_analytic(r, p)
         assert 0.0 < val <= 1.0
@@ -227,25 +277,75 @@ class TestCcpAnalytic:
     @pytest.mark.parametrize("theta", [1e-2, 1.0, 1e2, 1e4, 1e6])
     @pytest.mark.parametrize("gamma", [2.5, 4.0, 6.0])
     def test_block_kernel_matches_reference(self, theta, gamma):
-        # Five realizations of 1..30 BSs in one block, on a 50 m disk with
-        # faint noise, so that no CCP underflows even at theta = 1e6.
+        # Eight rows of nearest BSs against a disk edge m at their median last
+        # arrival, so four rows take the far field and four end outside the
+        # disk; faint noise.  The kernel's log(1/C) is the product over the
+        # BSs inside plus the PGFL of the disk beyond the last, by quad.
         p = SystemParams(1e-3, gamma, theta, 1.0, 1e-16)
-        radius = 50.0
-        sizes = np.array([1, 2, 5, 12, 30])
-        u = np.random.default_rng([4, int(gamma * 10), int(math.log10(theta) + 2)]).uniform(
-            size=int(sizes.sum())
-        )
-        got = sim._ccp_rows(u, sizes, p, radius)
-        rows = np.split(radius * np.sqrt(u), np.cumsum(sizes)[:-1])
-        expected = np.array([ccp_analytic_reference(r, p) for r in rows])
-        assert np.all(expected > 0.0)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert [ccp_analytic(r, p) for r in rows] == pytest.approx(expected, rel=1e-12)
+        cfg = SimConfig(params=p, num_realizations=1)
+        seed = [4, int(gamma * 10), int(math.log10(theta) + 2)]
+        arrivals, _ = draw_ppp(cfg, 8, np.random.default_rng(seed))
+        m = float(np.median(arrivals[:, -1]))
+        rows = [np.sqrt(row[row <= m] / (math.pi * p.lambda_bs)) for row in arrivals]
+        near = np.array([log_inv_ccp_reference(r, p) for r in rows])
+        far = np.array([far_field_reference(row, p, m) for row in arrivals])
+        assert np.count_nonzero(far) == 4
+        assert sim._log_inv_ccp(arrivals, p, m) == pytest.approx(near + far, rel=1e-12)
+        # ccp_analytic is the one-row call with no far field.
+        assert [ccp_analytic(r, p) for r in rows] == pytest.approx(np.exp(-near), rel=1e-12)
 
     def test_station_on_the_user(self):
-        # r0 = 0: the serving ratio is 0/0, read as 1; interferers see ratio 0.
+        # r0 = 0: interferers see ratio 0; a second BS on the user sees 0/0,
+        # read as ratio 1, with no warning.
         p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
         assert ccp_analytic(np.array([0.0, 30.0, 80.0]), p) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ccp_analytic(np.array([0.0, 30.0, 0.0]), p) == 0.5
+
+
+class TestFarIntegral:
+    # F(s) = int_0^s x^-delta / (1 + x) dx = s^(1-delta) / (1-delta) 2F1(1, 1-delta;
+    # 2-delta; -s), in 40-digit arithmetic by mpmath.  The series take about
+    # 9.1e-15 relative at gamma 2.01, where F(inf) = pi / sin(pi delta) is
+    # about 200 and its rounding dominates, and below 3.5e-15 elsewhere.
+    REL_TOL = 1.5e-14
+
+    @staticmethod
+    def far_integral(s, delta):
+        offset, series = sim._far_integral_parts(np.asarray(s, dtype=float), delta)
+        return offset + series
+
+    @pytest.mark.parametrize("gamma", [2.01, 2.5, 4.0, 5.0, 8.0, 20.0])
+    def test_matches_mpmath(self, gamma):
+        delta = 2.0 / gamma
+        s = np.concatenate([np.logspace(-20.0, 20.0, 81), [0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
+                                                           2.0, 6e15]])
+        with mpmath.workdps(40):
+            d = mpmath.mpf(delta)
+            expected = np.array([float(mpmath.mpf(x) ** (1 - d) / (1 - d)
+                                       * mpmath.hyp2f1(1, 1 - d, 2 - d, -mpmath.mpf(x)))
+                                 for x in s])
+        got = self.far_integral(s, delta)
+        assert np.max(np.abs(got - expected) / expected) <= self.REL_TOL
+
+    @pytest.mark.parametrize("gamma", [2.01, 4.0, 20.0])
+    def test_zero_is_exact(self, gamma):
+        # An s that underflows to 0 takes no log of zero and gives F = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.far_integral(np.zeros(3), 2.0 / gamma).tolist() == [0.0] * 3
+
+    def test_difference_above_one_cancels_the_limit(self):
+        # Two arguments above s = 1 cancel F(inf) exactly in the offsets, so
+        # a tiny difference keeps its relative accuracy.
+        delta = 2.0 / 2.01
+        (off_a, off_b), (ser_a, ser_b) = sim._far_integral_parts(np.array([1e6, 2e6]), delta)
+        assert off_a == off_b > 0.0
+        with mpmath.workdps(40):
+            d = mpmath.mpf(delta)
+            expected = float(mpmath.quad(lambda x: x**-d / (1 + x), [1e6, 2e6]))
+        assert (off_b - off_a) + (ser_b - ser_a) == pytest.approx(expected, rel=1e-13)
 
 
 class TestCcpSampled:
@@ -259,7 +359,7 @@ class TestCcpSampled:
         violations = 0
         for i in range(100):
             rng = np.random.default_rng([cfg.rng_seed, i, 0])
-            r = one_realization(cfg, rng)
+            r = disk_distances(cfg, rng)
             exact = ccp_analytic(r, paper_params)
             sampled = ccp_sampled(r, paper_params, 700, rng)
             se = math.sqrt(exact * (1.0 - exact) / 700.0)
@@ -272,7 +372,7 @@ class TestCcpSampled:
         p = SystemParams(1e-3, 5.0, theta, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1, rng_seed=42)
         for i in range(4):
-            r = one_realization(cfg, np.random.default_rng([cfg.rng_seed, i, 0]))
+            r = disk_distances(cfg, np.random.default_rng([cfg.rng_seed, i, 0]))
             got = ccp_sampled(r, p, 700, np.random.default_rng([42, i]))
             assert got == ccp_sampled_reference(r, p, 700, np.random.default_rng([42, i]))
 
@@ -313,7 +413,7 @@ class TestCcpSampled:
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1)
         draws, reps = 50, 2000
-        geometries = (one_realization(cfg, np.random.default_rng([7, i])) for i in range(20))
+        geometries = (disk_distances(cfg, np.random.default_rng([7, i])) for i in range(20))
         tested = 0
         for r in geometries:
             exact = ccp_analytic(r, p)
@@ -398,86 +498,46 @@ class TestCampaign:
         assert np.array_equal(long[: 2 * BLOCK_SIZE], short)
 
     def test_block_stream_layout(self):
-        # Block b is seeded with (seed, b) and draws its counts, then its radii.
+        # Block b is seeded with (seed, b), draws its arrivals as one
+        # standard exponential call, and makes one kernel call on them.
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=BLOCK_SIZE + 2, rng_seed=6)
         emp = run_campaign(cfg)
-        mean = p.lambda_bs * math.pi * cfg.region_radius**2
         expected = []
         for block, size in enumerate((BLOCK_SIZE, 2)):
             rng = np.random.default_rng([cfg.rng_seed, block])
-            counts = rng.poisson(mean, size=size)
-            r = cfg.region_radius * np.sqrt(rng.uniform(size=int(counts.sum())))
-            expected += [ccp_analytic_reference(x, p) for x in np.split(r, np.cumsum(counts)[:-1])]
+            arrivals = np.cumsum(rng.standard_exponential((size, NEAREST_BS)), axis=1)
+            expected += np.exp(-sim._log_inv_ccp(arrivals, p, cfg.mean_count)).tolist()
         assert emp.redraws == 0
-        assert emp.ccp_samples == pytest.approx(expected, rel=1e-12)
+        assert emp.ccp_samples.tolist() == expected
 
     def test_sampled_block_stream_layout(self, monkeypatch):
-        # The sampled twin: the block's generator draws the same counts and
-        # radii, then thins the analytic CCPs with one binomial call of M
-        # draws each, on the same generator.
+        # The sampled twin: the block's generator draws the same arrivals,
+        # then thins the analytic CCPs with one binomial call of M draws
+        # each, on the same generator.
         p = SystemParams(1e-2, 4.0, 1.0, 1.0, 1e-10)
         draws = 20
         cfg = SimConfig(params=p, num_realizations=3, fading_mode="sampled",
                         num_channel_draws=draws, rng_seed=6)
-        seen = self.spy_calls(monkeypatch, "_ccp_rows")
+        seen = self.spy_calls(monkeypatch, "_log_inv_ccp")
         emp = run_campaign(cfg)
         analytic = run_campaign(SimConfig(params=p, num_realizations=3, rng_seed=6))
         rng = np.random.default_rng([cfg.rng_seed, 0])
-        counts, redraws = draw_ppp(cfg, 3, rng)
-        u = rng.random(counts.sum())
+        arrivals, redraws = draw_ppp(cfg, 3, rng)
         expected = rng.binomial(draws, analytic.ccp_samples) / draws
         assert redraws == emp.redraws == 0
         assert emp.ccp_samples.tolist() == expected.tolist()
-        # The radii the sampled block saw are the analytic campaign's under
-        # the same seed, bit for bit.
-        ((u_sampled, *_), _), ((u_analytic, *_), _) = seen
-        assert u_sampled.tobytes() == u_analytic.tobytes() == u.tobytes()
-
-    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
-    @pytest.mark.parametrize("lam, realizations", [
-        # About 2M points in each full block: about 32 chunks of 8 realizations.
-        (1e-2, 2 * BLOCK_SIZE + 3),
-        # About 78,500 points per realization: each is a chunk of its own.
-        (1e-1, 3),
-    ])
-    def test_chunks_draw_the_whole_block_stream(self, mode, lam, realizations):
-        p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=realizations, fading_mode=mode,
-                        num_channel_draws=20, rng_seed=7)
-        assert np.array_equal(run_campaign(cfg).ccp_samples, campaign_reference(cfg))
-
-    @pytest.mark.parametrize("lam, realizations, per_chunk", [
-        # About 785 BSs per realization: chunks of 83, then a block's rest.
-        (1e-3, BLOCK_SIZE + 37, 83),
-        (1e-2, BLOCK_SIZE + 37, 8),
-        # About 78,500 BSs per realization, more than a chunk's share.
-        (1e-1, 3, 1),
-    ])
-    def test_chunks_hold_a_fixed_number_of_realizations(
-        self, lam, realizations, per_chunk, monkeypatch
-    ):
-        p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=realizations, rng_seed=7)
-        mean = lam * math.pi * cfg.region_radius**2
-        assert per_chunk == max(1, sim._CHUNK_POINTS // mean)
-        # One worker runs the blocks in order, so the calls come block by block.
-        self.force_workers(monkeypatch, 1)
-        seen = self.spy_calls(monkeypatch, "_ccp_rows")
-        run_campaign(cfg)
-        expected = []
-        for first in range(0, realizations, BLOCK_SIZE):
-            size = min(BLOCK_SIZE, realizations - first)
-            full, rest = divmod(size, per_chunk)
-            expected += [per_chunk] * full + [rest] * (rest > 0)
-        assert [counts.size for (_, counts, *_), _ in seen] == expected
-        for (u, counts, *_), _ in seen:
-            assert u.size == counts.sum()
+        # The BSs the sampled block saw are the analytic campaign's under the
+        # same seed, bit for bit.
+        ((a_sampled, *_), _), ((a_analytic, *_), _) = seen
+        assert a_sampled.tobytes() == a_analytic.tobytes() == arrivals.tobytes()
 
     @pytest.mark.parametrize("lam", [1e-2, 3e-2])
     def test_campaign_memory_does_not_grow_with_density(self, lam):
-        # A block drawn whole held 16 B per BS of its 256 realizations: a
-        # traced peak of 62.6 MiB and 184 MiB here.  A chunk holds 1 MB.
+        # A block holds its (256, NEAREST_BS) arrivals, a work array of the
+        # same size and F's (54, 2, 256) powers: about 0.4 MiB at any
+        # density.  Drawn whole, a block held 16 B per BS of its 256
+        # realizations (63 MiB and 184 MiB here).
         p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=2 * BLOCK_SIZE, rng_seed=1)
         tracemalloc.start()
@@ -486,18 +546,10 @@ class TestCampaign:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2**20
 
-    # Three blocks, the last one partial, so every worker count splits them
-    # differently: one worker takes all three, two share them, four are
-    # capped at one worker per block.
-    CONCURRENT_REALIZATIONS = 2 * BLOCK_SIZE + 37
-
-    @staticmethod
-    def force_workers(monkeypatch, workers):
-        """Run campaigns on `workers` threads (fewer if there are fewer blocks)."""
-        monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(sim, "_MAX_WORKERS", workers)
+    # Five blocks, the last one partial.
+    CONCURRENT_REALIZATIONS = 4 * BLOCK_SIZE + 37
 
     @staticmethod
     def spy_calls(monkeypatch, name):
@@ -514,125 +566,133 @@ class TestCampaign:
         return calls
 
     @staticmethod
-    def spy_threads(monkeypatch, name, delay=0.0):
-        """Patch sim.<name> to record the thread of each call; returns the set."""
+    def spy_threads(monkeypatch, name):
+        """Patch sim.<name> to record (thread, active thread count) of each call."""
         inner = getattr(sim, name)
-        threads = set()
+        seen = set()
 
         def spy(*args):
-            threads.add(threading.get_ident())
-            time.sleep(delay)
+            seen.add((threading.get_ident(), threading.active_count()))
             return inner(*args)
 
         monkeypatch.setattr(sim, name, spy)
-        return threads
+        return seen
 
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
-    def test_samples_independent_of_worker_count(self, mode, monkeypatch):
+    def test_samples_independent_of_worker_count(self, mode):
+        # Campaigns hold no shared state: the same campaign run at once on
+        # 1, 2 or 4 caller threads gives the bytes of a lone run.  A short
+        # switch interval interleaves the threads often.
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
                         fading_mode=mode, num_channel_draws=20, rng_seed=11)
-        # One worker is the calling thread; more are pool threads, at most
-        # one per block.
-        threads = self.spy_threads(monkeypatch, "draw_ppp")
-        runs = {}
-        # A short switch interval interleaves the worker threads often, so a
-        # task writing outside its own samples would show as changed samples.
+        lone = run_campaign(cfg).ccp_samples.tobytes()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 4):
-                self.force_workers(monkeypatch, workers)
-                threads.clear()
-                runs[workers] = run_campaign(cfg).ccp_samples
-                if workers == 1:
-                    assert threads == {threading.get_ident()}
-                else:
-                    assert threading.get_ident() not in threads
-                    assert len(threads) <= min(workers, 3)
+                runs = [None] * workers
+
+                def run(k):
+                    runs[k] = run_campaign(cfg).ccp_samples.tobytes()
+
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                    assert not t.is_alive()
+                assert runs == [lone] * workers
         finally:
             sys.setswitchinterval(interval)
-        assert runs[1].tobytes() == runs[2].tobytes() == runs[4].tobytes()
 
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
     def test_one_block_runs_on_the_caller(self, mode, monkeypatch):
-        # One block needs one worker whatever the CPU count, and one worker
-        # is the calling thread.
-        self.force_workers(monkeypatch, 4)
         threads = self.spy_threads(monkeypatch, "draw_ppp")
+        before = threading.active_count()
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         run_campaign(SimConfig(params=p, num_realizations=10, fading_mode=mode, rng_seed=3))
-        assert threads == {threading.get_ident()}
+        assert threads == {(threading.get_ident(), before)}
 
     def test_worker_count_capped_on_many_cpus(self, monkeypatch):
-        monkeypatch.setattr(sim, "_cpu_count", lambda: 16)
-        # Every block waits a little, so an uncapped pool would have started
-        # a thread for each of the eight blocks before any block finished.
-        threads = self.spy_threads(monkeypatch, "draw_ppp", delay=0.01)
+        # However many CPUs the process may run on, every block of a
+        # campaign runs on the calling thread and no thread is started.
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        threads = self.spy_threads(monkeypatch, "draw_ppp")
+        before = threading.active_count()
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         run_campaign(SimConfig(params=p, num_realizations=8 * BLOCK_SIZE, rng_seed=5))
-        assert 1 <= len(threads) <= sim._MAX_WORKERS
+        assert threads == {(threading.get_ident(), before)}
 
-    def test_redraws_summed_over_concurrent_blocks(self, monkeypatch):
+    def test_redraws_summed_over_concurrent_blocks(self):
         # About 92% of realizations are empty at first draw at this density.
+        # Each campaign sums its own blocks' redraws, also while two campaigns
+        # run at once on two caller threads.
         p = SystemParams(1e-7, 5.0, 1.0, 1.0, 0.0)
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS, rng_seed=4)
-        expected = sum(
+        per_block = [
             draw_ppp(cfg, min(BLOCK_SIZE, cfg.num_realizations - first),
                      np.random.default_rng([cfg.rng_seed, block]))[1]
             for block, first in enumerate(range(0, cfg.num_realizations, BLOCK_SIZE))
-        )
-        assert expected > 0
-        runs = {}
-        for workers in (1, 2, 4):
-            self.force_workers(monkeypatch, workers)
-            runs[workers] = run_campaign(cfg)
-            assert runs[workers].redraws == expected
-        assert runs[1].ccp_samples.tobytes() == runs[4].ccp_samples.tobytes()
+        ]
+        assert min(per_block) > 0
+        redraws = []
+        threads = [threading.Thread(target=lambda: redraws.append(run_campaign(cfg).redraws))
+                   for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+        assert redraws == [sum(per_block)] * 2
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_block_exception_is_raised(self, workers, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 2, 4])
+    def test_block_exception_is_raised(self, block, monkeypatch):
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        fresh_block_2 = np.random.default_rng([2, 2]).bit_generator.state
+        fresh = np.random.default_rng([2, block]).bit_generator.state
         draw_ppp_inner = sim.draw_ppp
 
         def failing(config, size, rng):
-            if rng.bit_generator.state == fresh_block_2:
-                raise RuntimeError("block 2 failed")
+            if rng.bit_generator.state == fresh:
+                raise RuntimeError(f"block {block} failed")
             return draw_ppp_inner(config, size, rng)
 
         monkeypatch.setattr(sim, "draw_ppp", failing)
-        self.force_workers(monkeypatch, workers)
         for mode in ("analytic", "sampled"):
             cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
                             fading_mode=mode, num_channel_draws=20, rng_seed=2)
-            with pytest.raises(RuntimeError, match="block 2 failed"):
+            with pytest.raises(RuntimeError, match=f"block {block} failed"):
                 run_campaign(cfg)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sampled_part_exception_is_raised(self, workers, monkeypatch):
-        # Block 2 (the only one of 37 realizations) hands its binomial thinning
-        # a CCP above 1, so only the sampled part of that block raises.
+    @pytest.mark.parametrize("block", [1, 2, 4])
+    def test_sampled_part_exception_is_raised(self, block, monkeypatch):
+        # The kernel hands one block's binomial thinning a CCP above 1, so
+        # only the sampled part of that block raises.
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
                         fading_mode="sampled", num_channel_draws=20, rng_seed=2)
-        last_size = self.CONCURRENT_REALIZATIONS - 2 * BLOCK_SIZE
-        ccp_rows_inner = sim._ccp_rows
+        kernel = sim._log_inv_ccp
+        calls = []
 
-        def corrupt(u, counts, params, scale):
-            ccp = ccp_rows_inner(u, counts, params, scale)
-            if counts.size == last_size:
-                ccp[0] = 2.0
-            return ccp
+        def corrupt(arrivals, params, mean_count):
+            log_inv = kernel(arrivals, params, mean_count)
+            if len(calls) == block:
+                log_inv[0] = -1.0
+            calls.append(arrivals.shape[0])
+            return log_inv
 
-        monkeypatch.setattr(sim, "_ccp_rows", corrupt)
-        self.force_workers(monkeypatch, workers)
+        monkeypatch.setattr(sim, "_log_inv_ccp", corrupt)
         with pytest.raises(ValueError, match="p > 1"):
             run_campaign(cfg)
+        assert len(calls) == block + 1
         # The analytic campaign runs every block through and only its result
         # check rejects the sample.
+        calls.clear()
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             run_campaign(dataclasses.replace(cfg, fading_mode="analytic"))
+        assert calls == [BLOCK_SIZE] * 4 + [37]
 
     def test_edge_effects_negligible_at_500m(self, paper_params):
         base = run_campaign(
@@ -652,6 +712,43 @@ class TestCampaign:
         d = float(ks_2samp(a.ccp_samples, b.ccp_samples).statistic)
         crit_99 = 1.628 * math.sqrt(2.0 / 5000.0)
         assert d < crit_99
+
+
+class TestFarField:
+    # Paired against the full disk: oracles.disk_arrivals continues each
+    # campaign row's arrivals past its NEAREST_BS nearest BSs until the edge,
+    # so both see the same nearest BSs.  At lambda 1e-4 the disk holds about
+    # 79 BSs, and the far field is about half of them.
+    REALIZATIONS = 20_000
+    # E[C_full^n] - E[C_K^n] >= 0 is the far field's Jensen gap.  Over these
+    # cases it is at most 1.2e-3 of mu_n (gamma 2.05, 0 dB) where the paired
+    # standard error is small; at 40 dB and gamma <= 2.5 a few realizations
+    # carry the moments and the standard error dominates.
+    JENSEN_MARGIN = 2e-3
+
+    @pytest.mark.parametrize("theta_db", [-20.0, 0.0, 40.0])
+    @pytest.mark.parametrize("gamma", [2.05, 2.5, 5.0])
+    def test_campaign_is_the_mean_of_the_full_disk(self, gamma, theta_db):
+        p = SystemParams(1e-4, gamma, 10.0 ** (theta_db / 10.0), 1.0, 1e-10)
+        n = self.REALIZATIONS
+        cfg = SimConfig(params=p, num_realizations=n, rng_seed=3)
+        nearest = run_campaign(cfg).ccp_samples
+        full = np.concatenate([
+            disk_ccp(disk_arrivals(cfg, min(BLOCK_SIZE, n - first),
+                                   np.random.default_rng([cfg.rng_seed, block])), cfg)
+            for block, first in enumerate(range(0, n, BLOCK_SIZE))
+        ])
+        powers = np.arange(1, 11)[:, None]
+        diff = full**powers - nearest**powers
+        gap = diff.mean(axis=1)
+        se = diff.std(axis=1, ddof=1) / math.sqrt(n)
+        mu = np.mean(full**powers, axis=1)
+        # E[C_full | nearest BSs] = C_K: the paired mean difference is 0.
+        assert abs(gap[0]) <= 3.0 * se[0]
+        # mu_2..mu_10: the gap is nonnegative and at most the margin, each
+        # up to 3 paired standard errors.
+        assert np.all(gap[1:] >= -3.0 * se[1:])
+        assert np.all(gap[1:] <= self.JENSEN_MARGIN * mu[1:] + 3.0 * se[1:])
 
 
 class TestReconstructionInDkwBand:
