@@ -15,7 +15,7 @@ which draws the fading itself, is the independent check on that law.
 A realization is drawn as its NEAREST_BS nearest BSs.  With t = pi lambda
 r^2, the BSs of a PPP in order of distance are the arrivals t_1 < t_2 < ...
 of a unit-rate Poisson process, the cumulative sums of standard
-exponentials, and a BS lies in the disk while t <= m = lambda pi R^2.  No
+exponentials, and a BS lies in the disk if t <= m = lambda pi R^2.  No
 angles are drawn: the CCP depends on the distances alone.  The serving BS
 and the NEAREST_BS - 1 nearest interferers enter the CCP exactly; the BSs
 of the disk beyond t_K (K = NEAREST_BS) form a PPP on t_K < t <= m, and
@@ -42,11 +42,13 @@ generator, seeded with (seed, b).  Realization i lives in block i //
 BLOCK_SIZE, so with the block size fixed every draw is reproducible
 bit-for-bit, and a campaign of k * BLOCK_SIZE realizations is the prefix of
 any longer campaign under the same seed (a final partial block draws a
-different stream).  draw_ppp makes the block's one geometry draw, and one
-kernel call turns it into the block's CCPs.  In sampled mode the block's
-generator then makes one binomial call, M draws for each realization's
-analytic CCP.  The geometry is drawn as in analytic mode, so a sampled
-realization sees exactly the BSs of the analytic one under the same seed.
+different stream).  draw_ppp makes the block's one geometry draw and, if
+any of the block's disks is empty at first draw, one `random` call for the
+nearest BSs of those disks; one kernel call turns the draw into the block's
+CCPs.  In sampled mode the block's generator then makes one binomial call,
+M draws for each realization's analytic CCP.  The geometry is drawn as in
+analytic mode, so a sampled realization sees exactly the BSs of the
+analytic one under the same seed.
 No sum meets the coverage threshold and no thread is started, so campaigns
 in both modes are bit-reproducible across hosts' CPU counts and BLAS builds.
 """
@@ -92,15 +94,6 @@ NEAREST_BS = 32
 # the one before, so the terms left out sum to below 2^-53 of the series.
 _SERIES_TERMS = 54
 
-# Largest accepted mean BS count lambda pi R^2.  A campaign's work and memory
-# do not grow with it; the cap keeps the range of disks that campaigns
-# accept as it has been.
-MAX_MEAN_COUNT = 1 << 26
-
-# Smallest accepted probability that the disk holds a BS: below it a
-# realization needs more than 1e5 draws of its nearest BS on average.
-MIN_NONEMPTY_PROB = 1e-5
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -118,21 +111,12 @@ class SimConfig:
             raise ValueError(
                 f"region_radius must be positive and finite, got {self.region_radius}"
             )
-        if not self.mean_count < math.inf:
+        mean = self.mean_count
+        if not 0.0 < mean < math.inf:
             raise ValueError(
-                f"the mean BS count lambda pi R^2 is not finite at lambda = "
+                f"the mean BS count lambda pi R^2 is not "
+                f"{'positive' if mean == 0.0 else 'finite'} at lambda = "
                 f"{self.params.lambda_bs!r} and region_radius = {self.region_radius!r}"
-            )
-        if self.mean_count > MAX_MEAN_COUNT:
-            raise ValueError(
-                f"the mean BS count lambda pi R^2 = {self.mean_count:.6g} exceeds "
-                f"{MAX_MEAN_COUNT}: lower the density or region_radius"
-            )
-        nonempty = -math.expm1(-self.mean_count)
-        if not nonempty >= MIN_NONEMPTY_PROB:
-            raise ValueError(
-                f"the disk holds a BS with probability {nonempty:.3g}, below "
-                f"{MIN_NONEMPTY_PROB:g}: raise the density or region_radius"
             )
         if self.num_realizations < 1:
             raise ValueError(f"need at least one realization, got {self.num_realizations}")
@@ -190,22 +174,20 @@ def draw_ppp(
     Returns (arrivals, redraws).  Row k of the (size, NEAREST_BS) array holds
     realization k's t_j = pi lambda r_j^2 in increasing order: the
     cumulative sums of one `rng.standard_exponential((size, NEAREST_BS))`
-    draw.  The BSs of a row with t_j > lambda pi R^2 lie outside the disk.
-    A realization whose nearest BS lies outside has an empty disk; its first
-    exponential is redrawn from the same generator until it lies inside, and
-    redraws counts those draws.  The gaps after the first are independent of
-    it, so each row has the law of a nonempty disk's nearest BSs.
+    draw.  The BSs of a row with t_j > m = lambda pi R^2 lie outside the
+    disk.  A realization whose nearest BS lies outside has an empty disk;
+    its first gap is replaced once by an exponential conditioned on t_1 <= m,
+    -log1p(u expm1(-m)) with u from one `rng.random(k)` call for the k empty
+    rows, and redraws counts those rows.  The gaps after the first are
+    independent of it, so each row has the law of a nonempty disk's nearest
+    BSs.
     """
     mean = config.mean_count
     gaps = rng.standard_exponential((size, NEAREST_BS))
-    first = gaps[:, 0]
-    empty = np.flatnonzero(first > mean)
-    redraws = 0
-    while empty.size:
-        redraws += empty.size
-        first[empty] = rng.standard_exponential(empty.size)
-        empty = empty[first[empty] > mean]
-    return np.cumsum(gaps, axis=1, out=gaps), redraws
+    empty = np.flatnonzero(gaps[:, 0] > mean)
+    if empty.size:
+        gaps[empty, 0] = -np.log1p(rng.random(empty.size) * math.expm1(-mean))
+    return np.cumsum(gaps, axis=1, out=gaps), empty.size
 
 
 @functools.lru_cache(maxsize=64)
@@ -262,37 +244,35 @@ def _far_integral_parts(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.nda
     return np.where(low, 0.0, f_inf), series
 
 
-def _log_inv_ccp(
-    arrivals: np.ndarray, params: SystemParams, mean_count: float | None
-) -> np.ndarray:
+def _log_inv_ccp(arrivals: np.ndarray, params: SystemParams, edge: float) -> np.ndarray:
     """log(1/C) of each row of arrivals, the sorted t_j of its nearest BSs.
 
-    With mean_count m (the campaign), a row is the nearest BSs of a disk
-    realization as drawn by draw_ppp: the BSs past m do not interfere, and
-    where the row's last BS lies inside the disk the PGFL of the disk beyond
-    it is added (the module docstring has the formula).  With None a row is
-    a whole finite configuration.  (t_1/t_j)^(gamma/2) = (r_1/r_j)^gamma,
-    and (c_1 t_1)^(gamma/2) = theta sigma2 r_1^gamma / p.
+    A row is the nearest BSs of a disk realization whose edge is at t = edge
+    (m = lambda pi R^2 for a campaign's draw_ppp rows): the BSs past the edge
+    do not interfere, and where the row's last BS lies inside the disk the
+    PGFL of the disk beyond it is added (the module docstring has the
+    formula).  A finite configuration is the disk whose edge is its farthest
+    BS, so its far field is exactly 0.  (t_1/t_j)^(gamma/2) =
+    (r_1/r_j)^gamma, and (c_1 t_1)^(gamma/2) = theta sigma2 r_1^gamma / p.
     """
     half = 0.5 * params.gamma_pl
     theta = params.theta
     nearest = arrivals[:, 0]
     x = nearest[:, None] / arrivals[:, 1:]
     np.fmin(x, 1.0, out=x)  # 0/0 for two BSs on the user: the ratio is 1
-    if mean_count is not None:
-        x[arrivals[:, 1:] > mean_count] = 0.0
+    x[arrivals[:, 1:] > edge] = 0.0
     np.power(x, half, out=x)
     x *= theta
     log_inv = np.log1p(x, out=x).sum(axis=1)
     log_inv += (params.noise_root * nearest) ** half
-    if mean_count is None:
-        return log_inv
-    # F at theta (t_1/t_K)^(gamma/2) and at theta (t_1/m)^(gamma/2) in one
-    # call; a t_K past the disk's edge is taken as m, so the two cancel exactly.
+    # F at theta (t_1/t_K)^(gamma/2) and at theta (t_1/m)^(gamma/2), m the
+    # edge, in one call; a t_K at or past the edge is taken as m, so the two
+    # cancel exactly.
     s = np.empty((2, nearest.size))
-    np.minimum(arrivals[:, -1], mean_count, out=s[0])
-    s[1] = mean_count
+    np.minimum(arrivals[:, -1], edge, out=s[0])
+    s[1] = edge
     np.divide(nearest, s, out=s)
+    np.fmin(s, 1.0, out=s)  # 0/0 for every BS on the user: the ratio is 1
     np.power(s, half, out=s)
     s *= theta
     delta = 1.0 / half
@@ -310,13 +290,14 @@ def ccp_analytic(distances: np.ndarray, params: SystemParams) -> float:
         C = exp(-theta sigma2 r0^gamma / p) prod_i [1 + theta (r0/r_i)^gamma]^(-1),
 
     evaluated in log space so thousands of interferers cannot underflow the
-    product to zero.  This is the campaign kernel's sorted one-row call,
-    with no far field: the distances are every BS there is.
+    product to zero.  This is the campaign kernel's sorted one-row call on
+    the disk whose edge is the farthest BS, so the far field is exactly 0:
+    the distances are every BS there is.
     """
     r = _nonempty(distances)
     arrivals = np.sort(math.pi * params.lambda_bs * (r * r))
     with np.errstate(invalid="ignore"):
-        log_inv = _log_inv_ccp(arrivals[None, :], params, None)[0]
+        log_inv = _log_inv_ccp(arrivals[None, :], params, arrivals[-1])[0]
     return math.exp(-log_inv)
 
 
@@ -356,14 +337,14 @@ def ccp_sampled(
 def run_campaign(config: SimConfig) -> EmpiricalMeta:
     """Full campaign: one CCP sample per realization.
 
-    Realizations with no BS in the disk are redrawn (the model conditions on
-    a serving BS existing) and counted in `redraws`; the empty probability
-    exp(-lambda pi R^2) is negligible at physical densities, and SimConfig
-    rejects a disk that is nonempty with probability below MIN_NONEMPTY_PROB.
-    The blocks run one after another on the calling thread.  Each block, in
-    either mode, makes one draw_ppp call and one kernel call on its
-    (BLOCK_SIZE, NEAREST_BS) arrivals; a sampled block then thins its CCPs
-    with one binomial call (see the module docstring).
+    The model conditions on a serving BS existing: a realization whose disk
+    is empty at first draw takes its nearest BS from the law conditioned on
+    a nonempty disk, and `redraws` counts those realizations (see draw_ppp);
+    the empty probability exp(-lambda pi R^2) is negligible at physical
+    densities.  The blocks run one after another on the calling thread.
+    Each block, in either mode, makes one draw_ppp call and one kernel call
+    on its (BLOCK_SIZE, NEAREST_BS) arrivals; a sampled block then thins its
+    CCPs with one binomial call (see the module docstring).
     """
     params = config.params
     total = config.num_realizations

@@ -420,11 +420,26 @@ class TestSimulateCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_almost_surely_empty_disk_is_usage_error(self, tmp_path, capsys):
+        # lambda pi R^2 underflows to 0: no disk holds a BS.
         out = tmp_path / "z.csv"
-        rc = main(["simulate", "--lambda", "1e-15", "--realizations", "1", "--out", str(out)])
+        rc = main(["simulate", "--lambda", "1e-200", "--radius-m", "1e-200",
+                   "--realizations", "1", "--out", str(out)])
         assert rc == EXIT_USAGE
-        assert "probability" in capsys.readouterr().err
+        assert "mean BS count lambda pi R^2 is not positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_almost_empty_disk_runs(self, tmp_path):
+        # Every disk is empty at first draw, and each realization draws its
+        # nearest BS once more, inside the disk.
+        out = tmp_path / "z.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--lambda", "1e-15", "--realizations", "300",
+                       "--out", str(out)])
+        assert rc == EXIT_OK
+        summary = json.loads((tmp_path / "z.json").read_text())
+        assert summary["diagnostics"]["redraws"] == 300
+        assert len(sim.read_samples_csv(out)) == 300
 
     def test_infinite_mean_count_is_usage_error(self, tmp_path, capsys):
         # lambda pi R^2 overflows to inf at R = 1e300.
@@ -434,13 +449,16 @@ class TestSimulateCommand:
         assert "mean BS count lambda pi R^2 is not finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_unallocatable_mean_count_is_usage_error(self, tmp_path, capsys):
-        # lambda pi R^2 = 3.1e15 BSs a realization: petabytes of distances.
+    def test_huge_mean_count_runs(self, tmp_path):
+        # lambda pi R^2 = 3.1e15 BSs a disk, of which a realization draws its
+        # NEAREST_BS nearest.
         out = tmp_path / "b.csv"
-        rc = main(["simulate", "--radius-m", "1e9", "--realizations", "1", "--out", str(out)])
-        assert rc == EXIT_USAGE
-        assert "mean BS count lambda pi R^2 = 3.14159e+15 exceeds" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--radius-m", "1e9", "--realizations", "1",
+                       "--out", str(out)])
+        assert rc == EXIT_OK
+        assert len(sim.read_samples_csv(out)) == 1
 
     def test_underflowing_moments_still_write_summary(self, tmp_path):
         # At 60 dB and gamma 2.05 every CCP sample is below 1e-140, so mean(c^n)

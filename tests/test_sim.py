@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import io
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -20,8 +19,6 @@ from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact, momen
 from metadist import jacobi, sim
 from metadist.sim import (
     BLOCK_SIZE,
-    MAX_MEAN_COUNT,
-    MIN_NONEMPTY_PROB,
     NEAREST_BS,
     EmpiricalMeta,
     SimConfig,
@@ -90,17 +87,12 @@ class TestConfigValidation:
             SimConfig(params=paper_params, num_realizations=1, region_radius=math.inf)
 
     def test_almost_surely_empty_disk_rejected(self):
-        # The floor is on P(disk nonempty) = 1 - exp(-lambda pi R^2).
-        def config(lam, radius=500.0):
-            p = SystemParams(lam, 5.0, 1.0, 1.0, 0.0)
-            return SimConfig(params=p, num_realizations=1, region_radius=radius)
-
-        per_lambda = math.pi * 500.0**2
-        config(2.0 * MIN_NONEMPTY_PROB / per_lambda)
-        for lam in (0.5 * MIN_NONEMPTY_PROB / per_lambda, 1e-12, 1e-15):
-            with pytest.raises(ValueError, match="probability"):
-                config(lam)
-        config(1e-12, radius=1e4)
+        # lambda pi R^2 underflows to 0 although lambda and R are positive:
+        # the disk is empty with probability 1, so no nearest BS can be drawn.
+        p = SystemParams(1e-200, 5.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"mean BS count lambda pi R\^2 is not positive at "
+                                             r"lambda = 1e-200 and region_radius = 1e-200"):
+            SimConfig(params=p, num_realizations=1, region_radius=1e-200)
 
     def test_non_finite_mean_count_rejected(self, paper_params):
         # lambda pi R^2 overflows although lambda and R are finite.
@@ -108,13 +100,15 @@ class TestConfigValidation:
                                              r"lambda = 0.001 and region_radius = 1e\+300"):
             SimConfig(params=paper_params, num_realizations=2, region_radius=1e300)
 
-    def test_unallocatable_mean_count_rejected(self, paper_params):
-        # At lambda 1e-3 the cap of 2^26 BSs is a radius of about 146 km.
-        radius = math.sqrt(MAX_MEAN_COUNT / (math.pi * 1e-3))
-        SimConfig(params=paper_params, num_realizations=1, region_radius=0.999 * radius)
-        with pytest.raises(ValueError, match=r"mean BS count lambda pi R\^2 = 3.14159e\+15 "
-                                             r"exceeds 67108864"):
-            SimConfig(params=paper_params, num_realizations=1, region_radius=1e9)
+    def test_huge_mean_count_accepted(self, paper_params):
+        # lambda pi R^2 = 3.1e15 BSs: a realization still draws only its
+        # NEAREST_BS nearest, and the far field runs to the edge.
+        cfg = SimConfig(params=paper_params, num_realizations=3, region_radius=1e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emp = run_campaign(cfg)
+        assert emp.redraws == 0
+        assert np.all((emp.ccp_samples > 0.0) & (emp.ccp_samples <= 1.0))
 
     def test_empirical_meta_validation(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=2)
@@ -169,65 +163,49 @@ class TestDrawPpp:
         # nearest BS are standard exponentials, and the nearest one is an
         # exponential conditioned to lie in the disk, P(t_1 <= t) =
         # (1 - e^-t) / (1 - e^-m).
+        # At lambda 1e-12 every disk is empty at first draw, so every t_1
+        # comes from the conditioned draw.
         cfg = SimConfig(params=paper_params, num_realizations=1)
         arrivals, _ = draw_ppp(cfg, 500, np.random.default_rng(2))
         assert kstest(np.diff(arrivals, axis=1).ravel(), expon.cdf).pvalue > 0.01
-        sparse = SimConfig(params=SystemParams(1e-6, 5.0, 1.0, 1.0, 1e-10), num_realizations=1)
-        nearest = draw_ppp(sparse, 2000, np.random.default_rng(2))[0][:, 0]
-        m = sparse.mean_count
-        assert kstest(nearest, lambda t: np.expm1(-np.minimum(t, m)) / math.expm1(-m)).pvalue > 0.01
+        for lam in (1e-6, 1e-12):
+            sparse = SimConfig(params=SystemParams(lam, 5.0, 1.0, 1.0, 1e-10), num_realizations=1)
+            arrivals, redraws = draw_ppp(sparse, 2000, np.random.default_rng(2))
+            assert redraws == 2000 if lam == 1e-12 else 0 < redraws < 2000
+            assert kstest(np.diff(arrivals, axis=1).ravel(), expon.cdf).pvalue > 0.01
+            m = sparse.mean_count
+            assert kstest(arrivals[:, 0],
+                          lambda t: np.expm1(-np.minimum(t, m)) / math.expm1(-m)).pvalue > 0.01
 
     def test_vanishing_density_gives_empty(self):
-        # The disk is empty with probability 0.9992: the block redraws the
-        # nearest BS of its empty realizations until each holds a BS, and
-        # counts the redraws.
+        # The disk is empty with probability 0.9992: the block draws the
+        # nearest BS of each empty realization once more, inside the disk,
+        # and counts those realizations.
         p = SystemParams(1e-9, 5.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1)
         arrivals, redraws = draw_ppp(cfg, 20, np.random.default_rng(0))
         assert arrivals.shape == (20, NEAREST_BS)
         assert np.all(arrivals[:, 0] <= cfg.mean_count)
-        assert redraws >= 19
+        assert 19 <= redraws <= 20
 
-    def test_redraw_loop_ends_at_the_density_floor(self):
-        # The redraw loop has no cap: SimConfig bounds it in expectation by
-        # rejecting disks that hold a BS with probability below
-        # MIN_NONEMPTY_PROB.  Here that probability is 1.001e-5.
-        lam = 1.2745e-11
-        p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=1)
-        mean = lam * math.pi * cfg.region_radius**2
-        assert MIN_NONEMPTY_PROB < -math.expm1(-mean) < 1.01 * MIN_NONEMPTY_PROB
-        arrivals, redraws = draw_ppp(cfg, 1, np.random.default_rng([0, 0]))
-        assert arrivals[0, 0] <= mean
-        rng = np.random.default_rng([0, 0])
-        first = rng.standard_exponential((1, NEAREST_BS))[0, 0]
-        zeros = 0
-        while first > mean:
-            zeros += 1
-            first = rng.standard_exponential(1)[0]
-        assert redraws == zeros > 0
-        assert arrivals[0, 0] == first
-        with pytest.raises(ValueError, match="holds a BS with probability"):
-            SimConfig(params=dataclasses.replace(p, lambda_bs=0.99 * lam), num_realizations=1)
-
-    @pytest.mark.parametrize("lam", [1e-3, 1e-6])
+    @pytest.mark.parametrize("lam", [1e-3, 1e-6, 1e-12])
     def test_arrivals_are_the_exponential_draw(self, lam):
         # The arrivals are the cumulative sums of one standard exponential
-        # draw, each round of redraws refilling the still-empty rows' first
-        # gap in order, and nothing else is drawn.
+        # draw whose k empty rows take their first gap, in order, from one
+        # random(k) call as -log1p(u expm1(-m)), and nothing else is drawn.
         p = SystemParams(lam, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=1)
         drawn = np.random.default_rng(8)
         arrivals, redraws = draw_ppp(cfg, 50, drawn)
         rng = np.random.default_rng(8)
-        mean = lam * math.pi * cfg.region_radius**2
+        mean = cfg.mean_count
         gaps = rng.standard_exponential((50, NEAREST_BS))
-        rounds = 0
-        while (empty := gaps[:, 0] > mean).any():
-            rounds += int(empty.sum())
-            gaps[empty, 0] = rng.standard_exponential(int(empty.sum()))
+        empty = gaps[:, 0] > mean
+        k = int(empty.sum())
+        if k:
+            gaps[empty, 0] = -np.log1p(rng.random(k) * math.expm1(-mean))
         assert arrivals.tolist() == np.cumsum(gaps, axis=1).tolist()
-        assert redraws == rounds and (redraws > 0) == (lam < 1e-3)
+        assert redraws == k and (k > 0) == (lam < 1e-3) and (k == 50) == (lam == 1e-12)
         assert drawn.bit_generator.state == rng.bit_generator.state
 
     def test_deterministic_under_seed(self, paper_params):
@@ -302,6 +280,8 @@ class TestCcpAnalytic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ccp_analytic(np.array([0.0, 30.0, 0.0]), p) == 0.5
+            # Every BS on the user: the far field's ratio is 0/0 too.
+            assert ccp_analytic(np.zeros(3), p) == 0.25
 
 
 class TestFarIntegral:
@@ -461,6 +441,19 @@ class TestCampaign:
         assert len(emp.ccp_samples) == 2
         assert np.all((emp.ccp_samples > 0.0) & (emp.ccp_samples <= 1.0))
 
+    @pytest.mark.parametrize("lam", [1e-12, 1e-15])
+    def test_almost_empty_disk_is_one_uniform_bs(self, lam):
+        # Every disk is empty at first draw (m = 7.9e-7 or 7.9e-10), and a
+        # nonempty disk holds one BS, uniform on it, up to O(m).  So r^4 =
+        # R^4 U^2 and C = exp(-a U^2) with a = theta sigma2 R^4 / p = 1:
+        # P(C <= c) = 1 - sqrt(-log(c) / a).
+        p = SystemParams(lam, 4.0, 1.0, 1.0, 1.6e-11)
+        emp = run_campaign(SimConfig(params=p, num_realizations=2000, rng_seed=9))
+        assert emp.redraws == 2000
+        a = p.theta * p.noise * 500.0**4 / p.power
+        law = lambda c: 1.0 - np.sqrt(np.clip(-np.log(c) / a, 0.0, 1.0))
+        assert kstest(emp.ccp_samples, law).pvalue > 0.01
+
     def test_redraws_counted_across_block_boundary(self):
         p = SystemParams(1e-9, 5.0, 1.0, 1.0, 0.0)
         one = run_campaign(SimConfig(params=p, num_realizations=BLOCK_SIZE, rng_seed=0))
@@ -608,33 +601,27 @@ class TestCampaign:
 
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
     def test_one_block_runs_on_the_caller(self, mode, monkeypatch):
+        # Every block of a campaign, one or eight, runs on the calling thread
+        # and no thread is started.
         threads = self.spy_threads(monkeypatch, "draw_ppp")
         before = threading.active_count()
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        run_campaign(SimConfig(params=p, num_realizations=10, fading_mode=mode, rng_seed=3))
-        assert threads == {(threading.get_ident(), before)}
-
-    def test_worker_count_capped_on_many_cpus(self, monkeypatch):
-        # However many CPUs the process may run on, every block of a
-        # campaign runs on the calling thread and no thread is started.
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
-        monkeypatch.setattr(os, "cpu_count", lambda: 16)
-        threads = self.spy_threads(monkeypatch, "draw_ppp")
-        before = threading.active_count()
-        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        run_campaign(SimConfig(params=p, num_realizations=8 * BLOCK_SIZE, rng_seed=5))
+        for total in (10, 8 * BLOCK_SIZE):
+            run_campaign(SimConfig(params=p, num_realizations=total, fading_mode=mode,
+                                   num_channel_draws=20, rng_seed=3))
         assert threads == {(threading.get_ident(), before)}
 
     def test_redraws_summed_over_concurrent_blocks(self):
         # About 92% of realizations are empty at first draw at this density.
-        # Each campaign sums its own blocks' redraws, also while two campaigns
-        # run at once on two caller threads.
+        # Each campaign counts them over its own blocks, also while two
+        # campaigns run at once on two caller threads.
         p = SystemParams(1e-7, 5.0, 1.0, 1.0, 0.0)
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS, rng_seed=4)
         per_block = [
-            draw_ppp(cfg, min(BLOCK_SIZE, cfg.num_realizations - first),
-                     np.random.default_rng([cfg.rng_seed, block]))[1]
+            np.count_nonzero(
+                np.random.default_rng([cfg.rng_seed, block]).standard_exponential(
+                    (min(BLOCK_SIZE, cfg.num_realizations - first), NEAREST_BS))[:, 0]
+                > cfg.mean_count)
             for block, first in enumerate(range(0, cfg.num_realizations, BLOCK_SIZE))
         ]
         assert min(per_block) > 0
@@ -649,35 +636,17 @@ class TestCampaign:
         assert redraws == [sum(per_block)] * 2
 
     @pytest.mark.parametrize("block", [1, 2, 4])
-    def test_block_exception_is_raised(self, block, monkeypatch):
-        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        fresh = np.random.default_rng([2, block]).bit_generator.state
-        draw_ppp_inner = sim.draw_ppp
-
-        def failing(config, size, rng):
-            if rng.bit_generator.state == fresh:
-                raise RuntimeError(f"block {block} failed")
-            return draw_ppp_inner(config, size, rng)
-
-        monkeypatch.setattr(sim, "draw_ppp", failing)
-        for mode in ("analytic", "sampled"):
-            cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
-                            fading_mode=mode, num_channel_draws=20, rng_seed=2)
-            with pytest.raises(RuntimeError, match=f"block {block} failed"):
-                run_campaign(cfg)
-
-    @pytest.mark.parametrize("block", [1, 2, 4])
     def test_sampled_part_exception_is_raised(self, block, monkeypatch):
         # The kernel hands one block's binomial thinning a CCP above 1, so
-        # only the sampled part of that block raises.
+        # the sampled part of that block raises and no later block runs.
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
                         fading_mode="sampled", num_channel_draws=20, rng_seed=2)
         kernel = sim._log_inv_ccp
         calls = []
 
-        def corrupt(arrivals, params, mean_count):
-            log_inv = kernel(arrivals, params, mean_count)
+        def corrupt(arrivals, params, edge):
+            log_inv = kernel(arrivals, params, edge)
             if len(calls) == block:
                 log_inv[0] = -1.0
             calls.append(arrivals.shape[0])
