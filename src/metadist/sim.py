@@ -92,7 +92,11 @@ NEAREST_BS = 32
 
 # Terms of F's series (see _far_integral_parts): each term is at most half
 # the one before, so the terms left out sum to below 2^-53 of the series.
+# _far_integral_parts stops earlier, at the first squaring length J whose
+# z^J is below _NEGLIGIBLE_POWER: every term from J on is then below half an
+# ulp of the running sum, so the sum in j order is the same float.
 _SERIES_TERMS = 54
+_NEGLIGIBLE_POWER = 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -227,6 +231,17 @@ def _far_integral_parts(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.nda
     powers of w or v meet both rows of coefficients in one product.  The
     prefactor is taken from s, not from w or v, whose rounding it would
     amplify near s = 0 or s = inf; F(0) is 0 exactly.
+
+    The table holds the first J powers only, J the first length of the
+    squaring ladder 2, 4, ..., 32, 54 at which every z^J is below 2^-54
+    (z <= 1/2 is w or v).  The cut keeps the floats: the product sums the
+    terms in j order, the first is c_0 exactly, the terms share c_0's sign
+    and |c_j| <= |c_0|, and every power from row J on is at most z^J, a
+    rounded product of floats <= 1 with z^J or a square of it.  So each term
+    left out is at most |c_0| 2^-54, below half an ulp of a running sum of
+    magnitude >= |c_0|, and adding it would leave the sum unchanged.  A
+    campaign block at gamma 4 takes J = 8 at -20 dB and 16 at 0 dB; from
+    about 20 dB the table is full.
     """
     coefficients, f_inf = _series_coefficients(delta)
     low = s <= 1.0
@@ -235,10 +250,14 @@ def _far_integral_parts(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.nda
     powers = np.empty((_SERIES_TERMS, *s.shape))
     powers[0] = 1.0
     powers[1] = z
+    terms = 2
     for start, count in _SQUARINGS:
         z = z * z
-        np.multiply(powers[:count], z, out=powers[start:start + count])
-    high, low_series = np.einsum("kj,j...->k...", coefficients, powers)
+        if z.max() < _NEGLIGIBLE_POWER:
+            break
+        terms = start + count
+        np.multiply(powers[:count], z, out=powers[start:terms])
+    high, low_series = np.einsum("kj,j...->k...", coefficients[:, :terms], powers[:terms])
     series = np.where(low, low_series, high)
     series *= s ** (1.0 - delta) / one_plus
     return np.where(low, 0.0, f_inf), series
@@ -292,10 +311,18 @@ def ccp_analytic(distances: np.ndarray, params: SystemParams) -> float:
     evaluated in log space so thousands of interferers cannot underflow the
     product to zero.  This is the campaign kernel's sorted one-row call on
     the disk whose edge is the farthest BS, so the far field is exactly 0:
-    the distances are every BS there is.
+    the distances are every BS there is.  Raises ValueError when an arrival
+    pi lambda r^2 is not finite: a NaN or infinite distance, or one whose
+    arrival overflows.
     """
     r = _nonempty(distances)
-    arrivals = np.sort(math.pi * params.lambda_bs * (r * r))
+    with np.errstate(over="ignore"):
+        arrivals = math.pi * params.lambda_bs * (r * r)
+    bad = np.flatnonzero(~np.isfinite(arrivals))
+    if bad.size:
+        raise ValueError(f"arrival pi lambda r^2 = {float(arrivals[bad[0]])!r} is not "
+                         f"finite at distance r = {float(r[bad[0]])!r}")
+    arrivals.sort()
     with np.errstate(invalid="ignore"):
         log_inv = _log_inv_ccp(arrivals[None, :], params, arrivals[-1])[0]
     return math.exp(-log_inv)
@@ -363,17 +390,42 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
 
 
 def empirical_moments(samples: np.ndarray, max_n: int) -> MomentSequence:
-    """Sample moments mu_hat_n = mean(c^n) of CCP samples c, for n = 0..max_n."""
+    """Sample moments mu_hat_n = mean(c^n) of CCP samples c, for n = 0..max_n.
+
+    The floats are np.mean(samples**n)'s.  From n = 2 on, c^n is computed
+    only where |c| >= 2^(-1080/n), into a zeroed buffer: below that bound
+    |c^n| < 2^-1080, under half the smallest subnormal 2^-1075, so `**`
+    rounds it to 0.0 anyway, and skipping it skips libm pow's underflow
+    path, some 40 times slower per element.  n = 2 is numpy's square and
+    n > 2 its power, the ufuncs `**` takes.
+    """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    values = tuple(float(np.mean(samples**n)) for n in range(max_n + 1))
-    return MomentSequence(values=values, method=METHOD_EMPIRICAL)
+    c = np.asarray(samples, dtype=float)
+    values = [float(np.mean(c**n)) for n in range(min(max_n, 1) + 1)]
+    magnitude = np.abs(c)
+    for n in range(2, max_n + 1):
+        significant = magnitude >= 2.0 ** (-1080.0 / n)
+        powers = np.zeros_like(c)
+        if n == 2:
+            np.square(c, out=powers, where=significant)
+        else:
+            np.power(c, n, out=powers, where=significant)
+        values.append(float(np.mean(powers)))
+    return MomentSequence(values=tuple(values), method=METHOD_EMPIRICAL)
 
 
 def empirical_reliability(samples: np.ndarray, x) -> float | np.ndarray:
-    """Fraction of CCP samples strictly above x; scalar or ndarray x."""
+    """Fraction of CCP samples strictly above x; scalar or ndarray x.
+
+    The count above each x is N less the samples <= x, found in one sorted
+    copy by searchsorted, and divided by N: the same float as the mean of
+    the comparisons `samples > x`, for samples without NaN.  A NaN x has no
+    sample above it.
+    """
     xs = np.asarray(x, dtype=float)
-    result = np.mean(samples > xs[..., None], axis=-1)
+    total = len(samples)
+    result = (total - np.searchsorted(np.sort(samples), xs, side="right")) / total
     return float(result) if xs.ndim == 0 else result
 
 
@@ -383,9 +435,9 @@ def write_samples_csv(samples: np.ndarray, path: str | Path) -> None:
     The bytes are csv.writer's (CRLF line ends, no quoting: a float's repr
     holds no delimiter), written in one call.
     """
-    rows = "".join(f"{value!r}\r\n" for value in np.asarray(samples, dtype=float).tolist())
+    rows = "\r\n".join(["ccp", *map(repr, np.asarray(samples, dtype=float).tolist())])
     with open(path, "w", newline="") as fh:
-        fh.write("ccp\r\n" + rows)
+        fh.write(rows + "\r\n")
 
 
 def read_column_csv(path: str | Path, header: str, wrong_header: str) -> list[float]:

@@ -21,6 +21,8 @@ gauss_2f1_series_reference is the Pfaff-mapped 2F1 series as one scalar
 Python loop, the form the package's chunked series must match bit for bit.
 moment_integral_mpmath is the moment integral in 30-digit arithmetic by
 mpmath's tanh-sinh rule, not the package's exp-sinh rule in doubles.
+far_integral_parts_full evaluates the far field's series with every one of
+its terms, where the simulator stops at the last one that can change the sum.
 disk_arrivals draws every BS of a disk realization, continuing the arrival
 process of sim.draw_ppp past its NEAREST_BS nearest BSs, and disk_ccp
 multiplies over all of them with a segmented reduction, where the simulator
@@ -153,6 +155,28 @@ def ccp_sampled_reference(distances, params, num_draws: int, rng) -> float:
         signal = received.pop(serving)
         covered += signal > params.theta * (math.fsum(received) + params.noise)
     return covered / num_draws
+
+
+def far_integral_parts_full(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """sim._far_integral_parts with all sim._SERIES_TERMS rows of its power table.
+
+    The same coefficients, powers by the same squarings and the same
+    product, but no row is left out, however small z^j has become.
+    """
+    coefficients, f_inf = sim._series_coefficients(delta)
+    low = s <= 1.0
+    one_plus = 1.0 + s
+    z = np.where(low, s, 1.0) / one_plus
+    powers = np.empty((sim._SERIES_TERMS, *s.shape))
+    powers[0] = 1.0
+    powers[1] = z
+    for start, count in ((2, 2), (4, 4), (8, 8), (16, 16), (32, sim._SERIES_TERMS - 32)):
+        z = z * z
+        np.multiply(powers[:count], z, out=powers[start:start + count])
+    high, low_series = np.einsum("kj,j...->k...", coefficients, powers)
+    series = np.where(low, low_series, high)
+    series *= s ** (1.0 - delta) / one_plus
+    return np.where(low, 0.0, f_inf), series
 
 
 def disk_arrivals(config, size: int, rng) -> np.ndarray:

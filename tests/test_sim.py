@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -37,6 +38,7 @@ from oracles import (
     disk_arrivals,
     disk_ccp,
     disk_distances,
+    far_integral_parts_full,
     log_inv_ccp_reference,
 )
 
@@ -252,6 +254,17 @@ class TestCcpAnalytic:
         with pytest.raises(ValueError):
             ccp_analytic(np.empty(0), paper_params)
 
+    @pytest.mark.parametrize("r", [1e200, math.inf, math.nan])
+    def test_non_finite_arrival_rejected(self, r, paper_params):
+        # pi lambda r^2 overflows at r = 1e200 and lambda 1e-3; an infinite
+        # or NaN distance has no arrival either.  The error names the distance,
+        # alone or among finite ones, and no overflow warning comes first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for distances in ([r], [40.0, r, 90.0]):
+                with pytest.raises(ValueError, match=re.escape(f"r = {r!r}")):
+                    ccp_analytic(np.array(distances), paper_params)
+
     @pytest.mark.parametrize("theta", [1e-2, 1.0, 1e2, 1e4, 1e6])
     @pytest.mark.parametrize("gamma", [2.5, 4.0, 6.0])
     def test_block_kernel_matches_reference(self, theta, gamma):
@@ -285,6 +298,9 @@ class TestCcpAnalytic:
 
 
 class TestFarIntegral:
+    # Lengths at which the power table may stop (see sim._far_integral_parts).
+    LADDER = (2, 4, 8, 16, 32, sim._SERIES_TERMS)
+
     # F(s) = int_0^s x^-delta / (1 + x) dx = s^(1-delta) / (1-delta) 2F1(1, 1-delta;
     # 2-delta; -s), in 40-digit arithmetic by mpmath.  The series take about
     # 9.1e-15 relative at gamma 2.01, where F(inf) = pi / sin(pi delta) is
@@ -315,6 +331,37 @@ class TestFarIntegral:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert self.far_integral(np.zeros(3), 2.0 / gamma).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("gamma", [2.01, 2.5, 4.0, 5.0, 8.0, 20.0])
+    def test_cut_table_is_the_full_table(self, gamma):
+        # The table stops at the first ladder length J with every z^J < 2^-54;
+        # the rows it leaves out cannot change a float of the sums.  One s per
+        # call, so that each takes its own J, and the grid reaches every J.
+        delta = 2.0 / gamma
+        s = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 601), np.logspace(-9.0, 1.0, 201),
+                            [1.0 - 1e-12, 1.0, 1.0 + 1e-12]])
+        z = np.where(s <= 1.0, s / (1.0 + s), 1.0 / (1.0 + s))
+        cuts = {next(j for j in self.LADDER if j == self.LADDER[-1] or x**j < 2.0**-54)
+                for x in z.tolist()}
+        assert cuts == set(self.LADDER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in s:
+                (offset, series), (full_offset, full_series) = (
+                    parts(np.array([x]), delta)
+                    for parts in (sim._far_integral_parts, far_integral_parts_full))
+                assert offset == full_offset and series == full_series
+
+    @pytest.mark.parametrize("theta_db", [-60.0, 0.0, 60.0])
+    @pytest.mark.parametrize("gamma", [2.05, 4.0])
+    def test_kernel_blocks_match_the_full_table(self, gamma, theta_db, monkeypatch):
+        # A campaign block's log(1/C) is the same float with the 54-row table.
+        p = SystemParams(1e-3, gamma, 10.0 ** (theta_db / 10.0), 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=BLOCK_SIZE)
+        arrivals, _ = draw_ppp(cfg, BLOCK_SIZE, np.random.default_rng([35, int(theta_db) + 60]))
+        got = sim._log_inv_ccp(arrivals, p, cfg.mean_count)
+        monkeypatch.setattr(sim, "_far_integral_parts", far_integral_parts_full)
+        assert np.array_equal(sim._log_inv_ccp(arrivals, p, cfg.mean_count), got)
 
     def test_difference_above_one_cancels_the_limit(self):
         # Two arguments above s = 1 cancel F(inf) exactly in the offsets, so
@@ -762,6 +809,41 @@ class TestEmpiricalStatistics:
         seq = empirical_moments(np.array([1e-200, 3e-200, 0.0]), 3)
         assert seq[1] == pytest.approx(4e-200 / 3.0)
         assert seq.values[2:] == (0.0, 0.0)
+
+    def test_moments_are_the_means_of_the_powers(self):
+        # c^n is computed only where it can be nonzero, yet every float is
+        # mean(c**n)'s: on samples whose c^n spans the band [2^-1080, 2^-1022]
+        # and the bound's neighbours for each n, with 0.0, the smallest
+        # subnormal and ordinary CCPs; on each n's band alone; and on 0.0 and
+        # 5e-324 alone.
+        n_max = 12
+        bands = [np.concatenate([2.0 ** (np.linspace(-1084.0, -1018.0, 23) / n),
+                                 np.nextafter(2.0 ** (-1080.0 / n), [0.0, 1.0])])
+                 for n in range(2, n_max + 1)]
+        rng = np.random.default_rng(35)
+        everything = np.concatenate([*bands, [0.0, 5e-324, 1.0], rng.random(50),
+                                     rng.random(50) ** 400])
+        for samples in [everything, *bands, np.array([0.0, 5e-324])]:
+            expected = tuple(float(np.mean(samples**n)) for n in range(n_max + 1))
+            assert empirical_moments(samples, n_max).values == expected
+        assert empirical_moments(np.array([5e-324]), 3).values == (1.0, 5e-324, 0.0, 0.0)
+
+    def test_reliability_is_the_mean_of_the_comparisons(self):
+        # One sort and a search give the comparison matrix's mean, as floats:
+        # tied samples, the ties themselves and -0.0 as x, NaN x, x outside
+        # [0, 1], and 2-D x.
+        rng = np.random.default_rng(36)
+        samples = rng.integers(0, 5, 203) / 4.0
+        grids = [np.array([0.0, -0.0, 0.25, 0.5, 0.75, 1.0]), np.array([np.nan, 0.3, np.nan]),
+                 np.array([-1.0, 2.0, -np.inf, np.inf, 5e-324, 1.0 - 2.0**-53]),
+                 rng.random((3, 4)), np.linspace(0.0, 1.0, 101)]
+        for xs in grids:
+            got = empirical_reliability(samples, xs)
+            expected = np.mean(samples > xs[..., None], axis=-1)
+            assert got.shape == xs.shape and np.array_equal(got, expected)
+        for x in (0.5, math.nan, -1.0, 2.0):
+            got = empirical_reliability(samples, x)
+            assert type(got) is float and got == float(np.mean(samples > x))
 
     def test_hand_arithmetic(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=2)
