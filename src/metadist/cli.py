@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo campaign; writes samples CSV + summary JSON")
     _add_scenario_args(p)
-    p.add_argument("--radius-m", type=float, default=sim.SimConfig.region_radius)
+    p.add_argument("--radius-m", type=float, default=sim.SimConfig.region_radius,
+                   help="radius of the disk of BSs, in m; inf is the infinite plane")
     p.add_argument("--realizations", type=int, default=5000)
     p.add_argument("--mode", choices=(sim.FADING_ANALYTIC, sim.FADING_SAMPLED),
                    default=sim.SimConfig.fading_mode)

@@ -258,7 +258,7 @@ def eval_pdf(dist: ReconstructedDistribution, x):
     reported unmodified so the artifact stays honest for diagnostics.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both
         raise ValueError("pdf is defined on the open interval (0, 1)")
     vals = _weighted_series(dist.basis.alpha, dist.basis.beta, dist.coefficients, arr)
     return float(vals[0]) if np.asarray(x).ndim == 0 else vals
@@ -294,7 +294,7 @@ def eval_cdf(dist: ReconstructedDistribution, x):
 
 def _series_cdf(dist: ReconstructedDistribution, arr: np.ndarray) -> np.ndarray:
     """eval_cdf's series at every point of arr, computed afresh."""
-    if np.any((arr < 0.0) | (arr > 1.0)):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
         raise ValueError("cdf is defined on [0, 1]")
     basis = dist.basis
     a, b = basis.alpha, basis.beta

@@ -29,7 +29,8 @@ where t_K < m, and F(s) = int_0^s x^-delta / (1 + x) dx.  Given its K
 nearest BSs a realization's full-disk CCP has expectation exactly this C,
 so E[C], and with it the mean of every campaign, is exact; the higher
 moments E[C^n] lose only the Jensen gap E[C_full^n] - E[C^n] >= 0 of the
-far field.  A realization costs K BSs at any density.
+far field.  A realization costs K BSs at any density.  On the plane (R =
+inf) no BS is masked and the edge term is F(0) = 0.
 
 The statistics (empirical moments and reliability) and the samples CSV work
 on the array of CCP samples alone, wherever it came from.  A campaign is
@@ -101,7 +102,7 @@ _NEGLIGIBLE_POWER = 2.0**-54
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Campaign definition: scenario, observation disk, scale, and seeding."""
+    """Campaign definition: scenario, disk radius (inf: the plane), scale, seeding."""
 
     params: SystemParams
     num_realizations: int
@@ -111,17 +112,12 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.region_radius < math.inf:
-            raise ValueError(
-                f"region_radius must be positive and finite, got {self.region_radius}"
-            )
-        mean = self.mean_count
-        if not 0.0 < mean < math.inf:
-            raise ValueError(
-                f"the mean BS count lambda pi R^2 is not "
-                f"{'positive' if mean == 0.0 else 'finite'} at lambda = "
-                f"{self.params.lambda_bs!r} and region_radius = {self.region_radius!r}"
-            )
+        if not self.region_radius > 0.0:
+            raise ValueError(f"region_radius must be positive, got {self.region_radius}")
+        if not self.mean_count > 0.0:
+            raise ValueError(f"the mean BS count lambda pi R^2 is not positive at lambda = "
+                             f"{self.params.lambda_bs!r} and region_radius = "
+                             f"{self.region_radius!r}")
         if self.num_realizations < 1:
             raise ValueError(f"need at least one realization, got {self.num_realizations}")
         if self.num_channel_draws < 1:
@@ -133,7 +129,7 @@ class SimConfig:
 
     @property
     def mean_count(self) -> float:
-        """Mean BS count of a realization, lambda pi R^2."""
+        """Mean BS count of a realization, lambda pi R^2; inf on the plane."""
         return self.params.lambda_bs * math.pi * self.region_radius * self.region_radius
 
 
@@ -163,10 +159,13 @@ def _check_samples(samples: np.ndarray) -> None:
         raise ValueError("CCP samples must lie in [0, 1]")
 
 
-def _nonempty(distances: np.ndarray) -> np.ndarray:
+def _check_distances(distances: np.ndarray) -> np.ndarray:
     r = np.asarray(distances, dtype=float)
     if r.size == 0:
         raise ValueError("empty realization: no base station to serve the user")
+    bad = np.flatnonzero(~((r >= 0.0) & (r < math.inf)))  # NaN fails both
+    if bad.size:
+        raise ValueError(f"BS distances must be finite and >= 0, got r = {float(r[bad[0]])!r}")
     return r
 
 
@@ -184,7 +183,7 @@ def draw_ppp(
     -log1p(u expm1(-m)) with u from one `rng.random(k)` call for the k empty
     rows, and redraws counts those rows.  The gaps after the first are
     independent of it, so each row has the law of a nonempty disk's nearest
-    BSs.
+    BSs.  On the plane (m = inf) no row is empty and redraws is 0.
     """
     mean = config.mean_count
     gaps = rng.standard_exponential((size, NEAREST_BS))
@@ -270,8 +269,8 @@ def _log_inv_ccp(arrivals: np.ndarray, params: SystemParams, edge: float) -> np.
     (m = lambda pi R^2 for a campaign's draw_ppp rows): the BSs past the edge
     do not interfere, and where the row's last BS lies inside the disk the
     PGFL of the disk beyond it is added (the module docstring has the
-    formula).  A finite configuration is the disk whose edge is its farthest
-    BS, so its far field is exactly 0.  (t_1/t_j)^(gamma/2) =
+    formula).  At edge = inf, the plane, no BS is masked and the edge term is
+    F(0) = 0.  (t_1/t_j)^(gamma/2) =
     (r_1/r_j)^gamma, and (c_1 t_1)^(gamma/2) = theta sigma2 r_1^gamma / p.
     """
     half = 0.5 * params.gamma_pl
@@ -311,11 +310,10 @@ def ccp_analytic(distances: np.ndarray, params: SystemParams) -> float:
     evaluated in log space so thousands of interferers cannot underflow the
     product to zero.  This is the campaign kernel's sorted one-row call on
     the disk whose edge is the farthest BS, so the far field is exactly 0:
-    the distances are every BS there is.  Raises ValueError when an arrival
-    pi lambda r^2 is not finite: a NaN or infinite distance, or one whose
-    arrival overflows.
+    the distances are every BS there is.  It raises ValueError on a distance
+    that is NaN, infinite or negative, or whose arrival pi lambda r^2 overflows.
     """
-    r = _nonempty(distances)
+    r = _check_distances(distances)
     with np.errstate(over="ignore"):
         arrivals = math.pi * params.lambda_bs * (r * r)
     bad = np.flatnonzero(~np.isfinite(arrivals))
@@ -351,7 +349,7 @@ def ccp_sampled(
     """
     if num_draws < 1:
         raise ValueError(f"need at least one channel draw, got {num_draws}")
-    r = _nonempty(distances)
+    r = _check_distances(distances)
     serving = int(np.argmin(r))
     weights = params.power * r ** -params.gamma_pl
     w0 = weights[serving]
@@ -365,13 +363,13 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
     """Full campaign: one CCP sample per realization.
 
     The model conditions on a serving BS existing: a realization whose disk
-    is empty at first draw takes its nearest BS from the law conditioned on
-    a nonempty disk, and `redraws` counts those realizations (see draw_ppp);
-    the empty probability exp(-lambda pi R^2) is negligible at physical
-    densities.  The blocks run one after another on the calling thread.
-    Each block, in either mode, makes one draw_ppp call and one kernel call
-    on its (BLOCK_SIZE, NEAREST_BS) arrivals; a sampled block then thins its
-    CCPs with one binomial call (see the module docstring).
+    is empty at first draw (probability exp(-lambda pi R^2), 0 on the plane)
+    takes its nearest BS from the law conditioned on a nonempty disk, and
+    `redraws` counts those realizations (see draw_ppp).  The blocks run one
+    after another on the calling thread.  Each block, in either mode, makes
+    one draw_ppp call and one kernel call on its (BLOCK_SIZE, NEAREST_BS)
+    arrivals; a sampled block then thins its CCPs with one binomial call
+    (see the module docstring).
     """
     params = config.params
     total = config.num_realizations
@@ -484,7 +482,7 @@ def campaign_to_dict(emp: EmpiricalMeta) -> dict:
         "scenario": scenario_to_dict(cfg.params),
         "config": {
             "num_realizations": cfg.num_realizations,
-            "region_radius_m": cfg.region_radius,
+            "region_radius_m": cfg.region_radius if cfg.region_radius < math.inf else None,
             "fading_mode": cfg.fading_mode,
             "num_channel_draws": cfg.num_channel_draws,
             "rng_seed": cfg.rng_seed,

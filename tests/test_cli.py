@@ -411,6 +411,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--realizations", "0"),
         ("--radius-m", "0"),
+        ("--radius-m", "nan"),
         ("--channel-draws", "0"),
         ("--seed", "-1"),
     ])
@@ -441,13 +442,19 @@ class TestSimulateCommand:
         assert summary["diagnostics"]["redraws"] == 300
         assert len(sim.read_samples_csv(out)) == 300
 
-    def test_infinite_mean_count_is_usage_error(self, tmp_path, capsys):
-        # lambda pi R^2 overflows to inf at R = 1e300.
-        out = tmp_path / "r.csv"
-        rc = main(["simulate", "--radius-m", "1e300", "--realizations", "2", "--out", str(out)])
-        assert rc == EXIT_USAGE
-        assert "mean BS count lambda pi R^2 is not finite" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+    def test_infinite_mean_count_is_the_plane(self, tmp_path):
+        # lambda pi R^2 overflows to inf at R = 1e300: the same samples as
+        # R = inf, the infinite plane, whose radius the summary writes as null.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for radius in ("inf", "1e300"):
+                assert main(["simulate", "--radius-m", radius, "--realizations", "600",
+                             "--seed", "3", "--out", str(tmp_path / f"{radius}.csv")]) == EXIT_OK
+        assert (tmp_path / "inf.csv").read_bytes() == (tmp_path / "1e300.csv").read_bytes()
+        plane, wide = (json.loads((tmp_path / f"{r}.json").read_text()) for r in ("inf", "1e300"))
+        assert plane["config"]["region_radius_m"] is None
+        assert wide["config"]["region_radius_m"] == 1e300
+        assert plane["diagnostics"] == wide["diagnostics"] == {"redraws": 0}
 
     def test_huge_mean_count_runs(self, tmp_path):
         # lambda pi R^2 = 3.1e15 BSs a disk, of which a realization draws its
@@ -650,7 +657,7 @@ class TestNonFiniteInputs:
         ["moments", "--lambda", "nan"],
         ["reconstruct", "--theta-db", "inf"],
         ["simulate", "--gamma", "inf"],
-        ["simulate", "--radius-m", "inf"],
+        ["simulate", "--lambda", "inf"],
         ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--lambda-max", "inf"],
         ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--lambda-min", "inf"],
         # Finite dB values whose linear value overflows to inf.

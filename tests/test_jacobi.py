@@ -310,6 +310,10 @@ class TestPdf:
             eval_pdf(dist, 0.0)
         with pytest.raises(ValueError):
             eval_pdf(dist, 1.0)
+        # NaN, alone or among points inside, is no point of (0, 1) either.
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match=r"pdf is defined on the open interval \(0, 1\)"):
+                eval_pdf(dist, x)
 
 
 class TestCdf:
@@ -365,6 +369,9 @@ class TestCdf:
             eval_cdf(dist, -0.01)
         with pytest.raises(ValueError):
             eval_cdf(dist, 1.01)
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match=r"cdf is defined on \[0, 1\]"):
+                eval_cdf(dist, x)
 
 
 class TestCdfMemo:

@@ -85,8 +85,8 @@ class TestConfigValidation:
             SimConfig(params=paper_params, num_realizations=1, fading_mode="psychic")
         with pytest.raises(ValueError):
             SimConfig(params=paper_params, num_realizations=1, rng_seed=-1)
-        with pytest.raises(ValueError, match="finite"):
-            SimConfig(params=paper_params, num_realizations=1, region_radius=math.inf)
+        with pytest.raises(ValueError, match="region_radius must be positive, got nan"):
+            SimConfig(params=paper_params, num_realizations=1, region_radius=math.nan)
 
     def test_almost_surely_empty_disk_rejected(self):
         # lambda pi R^2 underflows to 0 although lambda and R are positive:
@@ -96,11 +96,19 @@ class TestConfigValidation:
                                              r"lambda = 1e-200 and region_radius = 1e-200"):
             SimConfig(params=p, num_realizations=1, region_radius=1e-200)
 
-    def test_non_finite_mean_count_rejected(self, paper_params):
-        # lambda pi R^2 overflows although lambda and R are finite.
-        with pytest.raises(ValueError, match=r"mean BS count lambda pi R\^2 is not finite at "
-                                             r"lambda = 0.001 and region_radius = 1e\+300"):
-            SimConfig(params=paper_params, num_realizations=2, region_radius=1e300)
+    def test_overflowing_mean_count_is_the_plane(self, paper_params):
+        # lambda pi R^2 overflows to inf at R = 1e300 and at R = 1e200 (lambda
+        # 1e-3): the same campaign as R = inf, the infinite plane, in both
+        # modes, with no empty disk and no warning.
+        for mode in ("analytic", "sampled"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs = [run_campaign(SimConfig(params=paper_params, num_realizations=600,
+                                               region_radius=radius, fading_mode=mode,
+                                               rng_seed=3))
+                        for radius in (math.inf, 1e300, 1e200)]
+            assert [emp.redraws for emp in runs] == [0, 0, 0]
+            assert len({emp.ccp_samples.tobytes() for emp in runs}) == 1
 
     def test_huge_mean_count_accepted(self, paper_params):
         # lambda pi R^2 = 3.1e15 BSs: a realization still draws only its
@@ -210,6 +218,20 @@ class TestDrawPpp:
         assert redraws == k and (k > 0) == (lam < 1e-3) and (k == 50) == (lam == 1e-12)
         assert drawn.bit_generator.state == rng.bit_generator.state
 
+    def test_plane_has_no_empty_row(self):
+        # On the plane (m = inf) the arrivals are the cumulative sums of the
+        # one standard exponential draw, even at lambda 1e-12, where every
+        # 500 m disk is empty at first draw.
+        p = SystemParams(1e-12, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=1, region_radius=math.inf)
+        drawn = np.random.default_rng(8)
+        arrivals, redraws = draw_ppp(cfg, 50, drawn)
+        rng = np.random.default_rng(8)
+        assert arrivals.tolist() == np.cumsum(rng.standard_exponential((50, NEAREST_BS)),
+                                              axis=1).tolist()
+        assert redraws == 0
+        assert drawn.bit_generator.state == rng.bit_generator.state
+
     def test_deterministic_under_seed(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1)
         a = draw_ppp(cfg, 3, np.random.default_rng(11))
@@ -284,6 +306,20 @@ class TestCcpAnalytic:
         assert sim._log_inv_ccp(arrivals, p, m) == pytest.approx(near + far, rel=1e-12)
         # ccp_analytic is the one-row call with no far field.
         assert [ccp_analytic(r, p) for r in rows] == pytest.approx(np.exp(-near), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("gamma", [2.5, 4.0])
+    def test_plane_kernel_matches_reference(self, theta, gamma):
+        # At edge = inf no BS is masked and the far field runs to infinity:
+        # the quad of the PGFL from each row's last arrival on.
+        p = SystemParams(1e-3, gamma, theta, 1.0, 1e-16)
+        cfg = SimConfig(params=p, num_realizations=1, region_radius=math.inf)
+        arrivals, _ = draw_ppp(cfg, 8, np.random.default_rng([5, int(gamma * 10)]))
+        rows = [np.sqrt(row / (math.pi * p.lambda_bs)) for row in arrivals]
+        near = np.array([log_inv_ccp_reference(r, p) for r in rows])
+        far = np.array([far_field_reference(row, p, math.inf) for row in arrivals])
+        assert np.all(far > 0.0)
+        assert sim._log_inv_ccp(arrivals, p, math.inf) == pytest.approx(near + far, rel=1e-12)
 
     def test_station_on_the_user(self):
         # r0 = 0: interferers see ratio 0; a second BS on the user sees 0/0,
@@ -376,6 +412,18 @@ class TestFarIntegral:
 
 
 class TestCcpSampled:
+    @pytest.mark.parametrize("distances", [[math.nan, 10.0], [10.0, math.inf], [math.inf],
+                                           [-5.0, 10.0]])
+    def test_bad_distance_rejected_as_in_ccp_analytic(self, distances, paper_params):
+        # No BS lies at a NaN, infinite or negative distance (squaring -5
+        # would place one at 5 m); both functions name the first bad one.
+        r = np.array(distances)
+        bad = next(d for d in distances if not 0.0 <= d < math.inf)
+        with pytest.raises(ValueError, match=re.escape(f"got r = {bad!r}")):
+            ccp_sampled(r, paper_params, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=re.escape(f"r = {bad!r}")):
+            ccp_analytic(r, paper_params)
+
     def test_zero_threshold(self):
         p = SystemParams(1e-3, 5.0, 0.0, 1.0, 1e-10)
         r = np.array([10.0, 30.0])
@@ -767,6 +815,25 @@ class TestFarField:
         assert np.all(gap[1:] <= self.JENSEN_MARGIN * mu[1:] + 3.0 * se[1:])
 
 
+class TestPlaneMoments:
+    # A plane campaign (R = inf) samples the law the package's moments
+    # describe: its mean of C is exact, and its means of C^2 and C^3 lose
+    # only the far field's Jensen gap.  The 500 m disk reads mu_1 +53
+    # standard errors high at gamma 2.5 and 0 dB, and +132 at gamma 2.2.
+    @pytest.mark.parametrize("gamma, theta_db", [(2.2, 0.0), (2.5, 0.0), (3.0, 0.0),
+                                                 (3.0, 10.0), (3.5, 0.0)])
+    def test_campaign_moments_are_the_planes(self, gamma, theta_db):
+        p = SystemParams(1e-3, gamma, 10.0 ** (theta_db / 10.0), 1.0, 1e-13)
+        n = 200_000
+        samples = run_campaign(SimConfig(params=p, num_realizations=n, region_radius=math.inf,
+                                         rng_seed=7)).ccp_samples
+        powers = samples ** np.arange(1, 4)[:, None]
+        se = powers.std(axis=1, ddof=1) / math.sqrt(n)
+        mu = np.array(moment_sequence(p, 3).values[1:])
+        margin = TestFarField.JENSEN_MARGIN * mu * np.array([0.0, 1.0, 1.0])
+        assert np.all(np.abs(powers.mean(axis=1) - mu) <= 4.0 * se + margin)
+
+
 class TestReconstructionInDkwBand:
     # With probability 1 - a, the empirical CDF of n samples is within
     # sqrt(ln(2/a) / (2n)) of the true CDF everywhere (Dvoretzky-Kiefer-
@@ -775,21 +842,31 @@ class TestReconstructionInDkwBand:
     # error, up to 4.8e-3 at these gammas against the exact noise-free law,
     # so the bound adds a margin of 5e-3.  The interval keeps clear of the
     # endpoint singularities, where the truncation error is larger.  Below
-    # gamma 4 the 500 m disk biases the campaign away from the plane's law.
+    # gamma 4 the 500 m disk biases the campaign away from the plane's law
+    # (by 0.081 at gamma 2.5 and 0 dB), so those cases run on the plane.
+    N = 100_000
+    BAND = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * N))
     TRUNCATION_MARGIN = 5e-3
+
+    def max_gap(self, gamma: float, theta_db: float, radius: float) -> float:
+        """max |F_FJ - F_emp| on the interval, F_emp from a campaign on `radius`."""
+        p = SystemParams(1e-3, gamma, 10.0 ** (theta_db / 10.0), 1.0, 1e-10)
+        xs = np.linspace(0.05, 0.95, 181)
+        cdf = jacobi.eval_cdf(jacobi.reconstruct(moment_sequence(p, 10), order=10), xs)
+        samples = np.sort(run_campaign(SimConfig(params=p, num_realizations=self.N,
+                                                 region_radius=radius,
+                                                 rng_seed=0)).ccp_samples)
+        empirical = np.searchsorted(samples, xs, side="right") / self.N
+        return float(np.max(np.abs(cdf - empirical)))
 
     @pytest.mark.parametrize("gamma, theta_db", [(4.0, 0.0), (5.0, 0.0), (4.0, 10.0),
                                                  (5.0, -10.0)])
     def test_order_10_cdf_within_the_band(self, gamma, theta_db):
-        p = SystemParams(1e-3, gamma, 10.0 ** (theta_db / 10.0), 1.0, 1e-10)
-        xs = np.linspace(0.05, 0.95, 181)
-        cdf = jacobi.eval_cdf(jacobi.reconstruct(moment_sequence(p, 10), order=10), xs)
-        n = 100_000
-        samples = np.sort(run_campaign(SimConfig(params=p, num_realizations=n,
-                                                 rng_seed=0)).ccp_samples)
-        empirical = np.searchsorted(samples, xs, side="right") / n
-        band = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
-        assert np.max(np.abs(cdf - empirical)) <= band + self.TRUNCATION_MARGIN
+        assert self.max_gap(gamma, theta_db, 500.0) <= self.BAND + self.TRUNCATION_MARGIN
+
+    @pytest.mark.parametrize("gamma, theta_db", [(2.5, 0.0), (3.0, 0.0), (3.0, 10.0)])
+    def test_order_10_cdf_of_the_plane_within_the_band(self, gamma, theta_db):
+        assert self.max_gap(gamma, theta_db, math.inf) <= self.BAND + self.TRUNCATION_MARGIN
 
 
 class TestEmpiricalStatistics:
