@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -334,8 +335,11 @@ def ccp_sampled(
 ) -> float:
     """Fraction of i.i.d. Rayleigh channel draws with SINR above threshold.
 
-    A draw is covered when S > theta (I + sigma2), which needs no division:
-    a lone noise-free BS (I + sigma2 = 0) covers every draw.
+    A draw is covered when S > theta (I + sigma2), taken relative to the
+    serving BS's mean power p r0^-gamma: g_0 > theta sum_i g_i w_i + theta
+    sigma2 r0^gamma / p with w_i = min(r0 / r_i, 1)^gamma, the kernel's
+    rule, so a BS on the user (0/0) weighs 1, as the serving one would.  A
+    lone noise-free BS covers every draw, and so does theta = 0.
 
     The exponential gains are one (num_draws, N) matrix, 8 * num_draws * N
     bytes, the same draws as `rng.exponential(1.0, size=(num_draws, N))`.
@@ -351,11 +355,18 @@ def ccp_sampled(
         raise ValueError(f"need at least one channel draw, got {num_draws}")
     r = _check_distances(distances)
     serving = int(np.argmin(r))
-    weights = params.power * r ** -params.gamma_pl
-    w0 = weights[serving]
+    r0 = r[serving]
+    gamma = params.gamma_pl
+    # r0 = 0 makes 0/0, a ratio of 1.  The noise term theta sigma2 r0^gamma
+    # / p is taken as (c r0)^gamma, as the kernel takes (c_1 t_1)^(gamma/2):
+    # 0 when theta or sigma2 is 0, inf (no draw clears it) past the doubles.
+    root = (params.theta * params.noise / params.power) ** (1.0 / gamma)
+    with np.errstate(invalid="ignore", over="ignore"):
+        weights = np.fmin(r0 / r, 1.0) ** gamma
+        noise = (root * r0) ** gamma
     weights[serving] = 0.0
     gains = rng.standard_exponential((num_draws, r.size))
-    covered = gains[:, serving] * w0 > params.theta * (gains @ weights + params.noise)
+    covered = gains[:, serving] > params.theta * (gains @ weights) + noise
     return int(np.count_nonzero(covered)) / num_draws
 
 
@@ -438,28 +449,43 @@ def write_samples_csv(samples: np.ndarray, path: str | Path) -> None:
         fh.write(rows + "\r\n")
 
 
-def read_column_csv(path: str | Path, header: str, wrong_header: str) -> list[float]:
-    """Floats in the first field of each non-empty row below a `header` row.
+def read_column_csv(path: str | Path, header: str, wrong_header: str) -> np.ndarray:
+    """Float64 array of the first field of each non-empty row below a `header` row.
 
-    csv.reader splits the rows, so LF and CRLF files, quoted fields and extra
-    columns read alike.  A wrong header raises ValueError(f"{path}: {wrong_header}").
+    csv.reader reads the header row; one np.loadtxt call parses the body in
+    C, into the doubles `float` gives (numpy also rejects the digit
+    separators of `1_0`).  LF and CRLF files, quoted fields and extra
+    columns read alike, and `#` is no comment.  A wrong header raises
+    ValueError(f"{path}: {wrong_header}"), a field that is not a number
+    ValueError(f"{path}: {numpy's message}"), which quotes the field; its
+    row counts from 0 at the first non-empty row below the header.  A file
+    with no row below the header reads as an empty array.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
+        first = next(csv.reader(fh), None)
         if not first or first[0] != header:
             raise ValueError(f"{path}: {wrong_header}")
-        return [float(row[0]) for row in reader if row]
+        # np.loadtxt warns on no data, so it starts at the first non-empty row.
+        for line in fh:
+            if line.strip("\r\n"):
+                break
+        else:
+            return np.empty(0)
+        try:
+            return np.loadtxt(itertools.chain([line], fh), delimiter=",", usecols=0,
+                              quotechar='"', comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def read_samples_csv(path: str | Path) -> np.ndarray:
     """Read a samples file written by write_samples_csv, via read_column_csv.
 
-    Raises ValueError on a missing `ccp` header, no samples, or a sample
-    outside [0, 1] (NaN included).
+    Raises ValueError on a missing `ccp` header, a field that is not a
+    number, no samples, or a sample outside [0, 1] (NaN included).
     """
     not_ccp = "not a CCP samples file (missing 'ccp' header)"
-    samples = np.array(read_column_csv(path, "ccp", not_ccp))
+    samples = read_column_csv(path, "ccp", not_ccp)
     _check_samples(samples)
     return samples
 

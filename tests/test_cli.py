@@ -622,13 +622,18 @@ class TestInputFiles:
         assert list(read(path)) == [1.0, 0.5, 0.25, 0.125]
 
     def test_header_only(self, kind, tmp_path):
+        # A blank row is no row; numpy's "input contained no data" warning
+        # must not escape either, nor any other.
         read, header, _ = _INPUT_FILES[kind]
         path = tmp_path / "in.csv"
-        path.write_text(f"{header}\n")
+        path.write_text(f"{header}\n\n")
         message = {"samples": "need at least one realization, got 0",
                    "moments": "moment sequence must contain at least mu_0"}[kind]
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            read(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                read(path)
+        assert caught == []
 
     def test_wrong_header(self, kind, tmp_path):
         read, header, message = _INPUT_FILES[kind]
@@ -644,7 +649,18 @@ class TestInputFiles:
         path.write_text(f"{header}\n1\nabc\n")
         with pytest.raises(ValueError) as info:
             read(path)
-        assert str(info.value) == "could not convert string to float: 'abc'"
+        assert str(info.value) == (
+            f"{path}: could not convert string 'abc' to float64 at row 1, column 1.")
+
+    def test_digit_separator_rejected(self, kind, tmp_path):
+        # float("1_0") is 10.0; numpy's parser takes no digit separators.
+        read, header, _ = _INPUT_FILES[kind]
+        path = tmp_path / "in.csv"
+        path.write_text(f"{header}\n1\n1_0\n")
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == (
+            f"{path}: could not convert string '1_0' to float64 at row 1, column 1.")
 
 
 class TestNonFiniteInputs:

@@ -480,6 +480,32 @@ class TestCcpSampled:
         assert got == 1.0
         assert ccp_sampled_reference(r, p, 500, np.random.default_rng(8)) == 1.0
 
+    def test_two_stations_on_the_user(self, paper_params):
+        # Equal powers: a draw is covered when g_0 > theta g_1, with
+        # probability 1 / (1 + theta), ccp_analytic's value.
+        draws = 20_000
+        exact = 1.0 / (1.0 + paper_params.theta)
+        assert ccp_analytic(np.array([0.0, 0.0]), paper_params) == exact
+        got = ccp_sampled(np.array([0.0, 0.0]), paper_params, draws, np.random.default_rng(9))
+        assert abs(got - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / draws)
+
+    def test_station_on_the_user_covers_every_draw(self, paper_params):
+        r = np.array([0.0, 30.0])
+        assert ccp_sampled(r, paper_params, 700, np.random.default_rng(9)) == 1.0
+
+    def test_far_stations(self):
+        # r0^gamma overflows a double.  Without noise only r0 / r1 = 1/2
+        # matters, covered with probability 1 / (1 + 2^-5); with noise no
+        # draw clears theta = 1, and every draw clears theta = 0.
+        r = np.array([1e100, 2e100])
+        draws = 20_000
+        exact = 1.0 / (1.0 + 2.0**-5)
+        rng = np.random.default_rng(9)
+        got = ccp_sampled(r, SystemParams(1e-3, 5.0, 1.0, 1.0, 0.0), draws, rng)
+        assert abs(got - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / draws)
+        assert ccp_sampled(r, SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10), 700, rng) == 0.0
+        assert ccp_sampled(r, SystemParams(1e-3, 5.0, 0.0, 1.0, 1e-10), 700, rng) == 1.0
+
     def test_law_is_binomial_of_the_analytic_ccp(self):
         # Given the geometry a Rayleigh draw is covered with probability
         # exactly the analytic CCP, so M draws cover Binomial(M, CCP) of them.
@@ -977,3 +1003,49 @@ class TestSerialization:
         path.write_text(content)
         with pytest.raises(ValueError):
             read_samples_csv(path)
+
+    def test_random_doubles_round_trip_bit_for_bit(self, tmp_path):
+        # Uniform bit patterns: every exponent, subnormals and -0.0 included.
+        bits = np.random.default_rng(11).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        path = tmp_path / "doubles.csv"
+        write_samples_csv(values, path)
+        back = sim.read_column_csv(path, "ccp", "no ccp header")
+        assert back.dtype == np.float64
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    def test_tiny_ccps_round_trip_bit_for_bit(self, tmp_path):
+        # `simulate --theta-db 60 --gamma 2.05`: every CCP is below 1e-140,
+        # and those that are not 0.0 reach down into the subnormals.
+        p = SystemParams(1e-3, 2.05, 1e6, 1.0, 1e-10)
+        samples = run_campaign(SimConfig(params=p, num_realizations=5000)).ccp_samples
+        assert 0.0 < samples[samples > 0.0].min() < sys.float_info.min
+        assert samples.max() < 1e-140
+        path = tmp_path / "samples.csv"
+        write_samples_csv(samples, path)
+        assert read_samples_csv(path).tobytes() == samples.tobytes()
+
+    @pytest.mark.parametrize("field", ["0.5#", "#0.5", "0.5 # note"])
+    def test_hash_is_no_comment(self, tmp_path, field):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"ccp\n0.25\n{field}\n")
+        with pytest.raises(ValueError) as info:
+            read_samples_csv(path)
+        assert str(info.value) == (
+            f"{path}: could not convert string '{field}' to float64 at row 1, column 1.")
+
+    def test_read_memory_is_about_the_array(self, tmp_path):
+        # A list of 200,000 Python floats and its copy into an array peaked
+        # at about 5 times the array's 1.6 MB.
+        samples = np.random.default_rng(12).random(200_000)
+        path = tmp_path / "samples.csv"
+        write_samples_csv(samples, path)
+        tracemalloc.start()
+        try:
+            back = read_samples_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, samples)
+        assert peak < 3 * samples.nbytes
