@@ -46,10 +46,11 @@ any longer campaign under the same seed (a final partial block draws a
 different stream).  draw_ppp makes the block's one geometry draw and, if
 any of the block's disks is empty at first draw, one `random` call for the
 nearest BSs of those disks; one kernel call turns the draw into the block's
-CCPs.  In sampled mode the block's generator then makes one binomial call,
-M draws for each realization's analytic CCP.  The geometry is drawn as in
-analytic mode, so a sampled realization sees exactly the BSs of the
-analytic one under the same seed.
+CCPs, taking each ratio t_1/t_j and t_1/m once in one (BLOCK_SIZE,
+NEAREST_BS + 1) array.  In sampled mode the block's generator then makes
+one binomial call, M draws for each realization's analytic CCP.  The
+geometry is drawn as in analytic mode, so a sampled realization sees
+exactly the BSs of the analytic one under the same seed.
 No sum meets the coverage threshold and no thread is started, so campaigns
 in both modes are bit-reproducible across hosts' CPU counts and BLAS builds.
 """
@@ -227,40 +228,46 @@ def _far_integral_parts(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.nda
     s^(1-delta) / (1 + s) sum_j j! / (1+delta)_j v^j / delta, v = 1 / (1 + s).
     Returns (offset, series): offset is 0 or F(inf), series the signed
     series term, so that a difference of two F above s = 1 cancels F(inf)
-    exactly.  Either series has positive terms of ratio at most 1/2; the
-    powers of w or v meet both rows of coefficients in one product.  The
+    exactly.  Either series has positive terms of ratio at most 1/2.  One
+    z = min(s, 1) / (1 + s) is w up to s = 1 and v above; its powers meet
+    both rows of coefficients in one product, whose s > 1 row replaces the
+    other where s > 1, and the offset is F(inf) times (s > 1).  The
     prefactor is taken from s, not from w or v, whose rounding it would
     amplify near s = 0 or s = inf; F(0) is 0 exactly.
 
     The table holds the first J powers only, J the first length of the
     squaring ladder 2, 4, ..., 32, 54 at which every z^J is below 2^-54
-    (z <= 1/2 is w or v).  The cut keeps the floats: the product sums the
-    terms in j order, the first is c_0 exactly, the terms share c_0's sign
-    and |c_j| <= |c_0|, and every power from row J on is at most z^J, a
-    rounded product of floats <= 1 with z^J or a square of it.  So each term
-    left out is at most |c_0| 2^-54, below half an ulp of a running sum of
-    magnitude >= |c_0|, and adding it would leave the sum unchanged.  A
-    campaign block at gamma 4 takes J = 8 at -20 dB and 16 at 0 dB; from
-    about 20 dB the table is full.
+    (z <= 1/2).  J is chosen once, from the largest z of the call: a
+    rounded square is monotone, so squaring the largest z as the table
+    squares every z gives the largest z^J.  The cut keeps the floats: the
+    product sums the terms in j order, the first is c_0 exactly, the terms
+    share c_0's sign and |c_j| <= |c_0|, and every power from row J on is at
+    most z^J, a rounded product of floats <= 1 with z^J or a square of it.
+    So each term left out is at most |c_0| 2^-54, below half an ulp of a
+    running sum of magnitude >= |c_0|, and adding it would leave the sum
+    unchanged.  A campaign block at gamma 4 takes J = 8 at -20 dB and 16 at
+    0 dB; from about 20 dB the table is full.
     """
     coefficients, f_inf = _series_coefficients(delta)
-    low = s <= 1.0
     one_plus = 1.0 + s
-    z = np.where(low, s, 1.0) / one_plus
+    z = np.fmin(s, 1.0) / one_plus
+    largest = z.max()
     powers = np.empty((_SERIES_TERMS, *s.shape))
     powers[0] = 1.0
     powers[1] = z
     terms = 2
     for start, count in _SQUARINGS:
-        z = z * z
-        if z.max() < _NEGLIGIBLE_POWER:
+        largest *= largest
+        if largest < _NEGLIGIBLE_POWER:
             break
+        z = z * z
         terms = start + count
         np.multiply(powers[:count], z, out=powers[start:terms])
-    high, low_series = np.einsum("kj,j...->k...", coefficients[:, :terms], powers[:terms])
-    series = np.where(low, low_series, high)
+    high_series, series = np.einsum("kj,j...->k...", coefficients[:, :terms], powers[:terms])
+    high = s > 1.0
+    np.copyto(series, high_series, where=high)
     series *= s ** (1.0 - delta) / one_plus
-    return np.where(low, 0.0, f_inf), series
+    return high * f_inf, series
 
 
 def _log_inv_ccp(arrivals: np.ndarray, params: SystemParams, edge: float) -> np.ndarray:
@@ -271,32 +278,36 @@ def _log_inv_ccp(arrivals: np.ndarray, params: SystemParams, edge: float) -> np.
     do not interfere, and where the row's last BS lies inside the disk the
     PGFL of the disk beyond it is added (the module docstring has the
     formula).  At edge = inf, the plane, no BS is masked and the edge term is
-    F(0) = 0.  (t_1/t_j)^(gamma/2) =
-    (r_1/r_j)^gamma, and (c_1 t_1)^(gamma/2) = theta sigma2 r_1^gamma / p.
+    F(0) = 0.  (t_1/t_j)^(gamma/2) = (r_1/r_j)^gamma, and (c_1 t_1)^(gamma/2)
+    = theta sigma2 r_1^gamma / p.
+
+    Every ratio is taken once, in one (N, K+1) array for N rows of K
+    arrivals: column j-1 holds s_j = theta min(t_1/t_j, 1)^(gamma/2), j = 1..K,
+    and column K holds s_m, the same at the edge.  The last two columns are
+    F's arguments, s_K taken as s_m where t_K lies past the edge, copied to
+    the contiguous (2, N) pair F's table is laid out for.  Then columns
+    1..K-1, the interferers, are zeroed past the edge and summed through
+    log1p, which runs over the whole array in one contiguous pass.
     """
     half = 0.5 * params.gamma_pl
     theta = params.theta
     nearest = arrivals[:, 0]
-    x = nearest[:, None] / arrivals[:, 1:]
-    np.fmin(x, 1.0, out=x)  # 0/0 for two BSs on the user: the ratio is 1
-    x[arrivals[:, 1:] > edge] = 0.0
-    np.power(x, half, out=x)
-    x *= theta
-    log_inv = np.log1p(x, out=x).sum(axis=1)
-    log_inv += (params.noise_root * nearest) ** half
-    # F at theta (t_1/t_K)^(gamma/2) and at theta (t_1/m)^(gamma/2), m the
-    # edge, in one call; a t_K at or past the edge is taken as m, so the two
-    # cancel exactly.
-    s = np.empty((2, nearest.size))
-    np.minimum(arrivals[:, -1], edge, out=s[0])
-    s[1] = edge
-    np.divide(nearest, s, out=s)
-    np.fmin(s, 1.0, out=s)  # 0/0 for every BS on the user: the ratio is 1
+    s = np.empty((nearest.size, arrivals.shape[1] + 1))
+    s[:, :-1] = arrivals
+    s[:, -1] = edge
+    np.divide(nearest[:, None], s, out=s)
+    np.fmin(s, 1.0, out=s)  # 0/0 for BSs on the user: the ratio is 1
     np.power(s, half, out=s)
     s *= theta
+    # F at s_K and at s_m in one call; a t_K past the edge is taken as m, so
+    # the two cancel exactly.
+    np.copyto(s[:, -2], s[:, -1], where=arrivals[:, -1] > edge)
     delta = 1.0 / half
-    offset, series = _far_integral_parts(s, delta)
+    offset, series = _far_integral_parts(s[:, -2:].T.copy(), delta)
     far = (offset[0] - offset[1]) + (series[0] - series[1])
+    s[:, 1:-1][arrivals[:, 1:] > edge] = 0.0  # BSs past the edge do not interfere
+    log_inv = np.log1p(s, out=s)[:, 1:-1].sum(axis=1)
+    log_inv += (params.noise_root * nearest) ** half
     log_inv += delta * theta**delta * nearest * far
     return log_inv
 

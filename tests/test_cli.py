@@ -5,8 +5,10 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import hyp2f1
 
 from metadist import cli, moments, sim
 from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, main, mw_to_dbm
@@ -873,3 +875,57 @@ class TestPowerCommand:
         assert "loglog_slope" not in doc["meta"]
         assert "reported as 0 mW" in captured.err
         assert "slope" not in captured.err
+
+
+class TestKnownWrongOutputs:
+    """Outputs that are wrong today (ROADMAP item 7), pinned as strict xfails.
+
+    Each states what a right answer is; the change that mends one makes it
+    pass, and with it fail, until that change deletes its marker.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="the 2F1 series stops at its term cap from about "
+                                           "28 dB (ROADMAP item 1)")
+    def test_noise_free_moments_at_28_db(self, capsys):
+        # The reconstruction's CDF reads 1.16 at x = 0.75 today.
+        argv = ["reconstruct", "--theta-db", "28", "--noise-dbm=-inf", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        got = json.loads(capsys.readouterr().out)["meta"]["moments"]
+        theta = db_to_linear(28.0)
+        expected = [1.0 / hyp2f1(n, -0.4, 0.6, -theta) for n in range(1, len(got))]
+        assert got[1:] == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.xfail(strict=True, reason="the coefficient map's rounding swamps the default "
+                                           "order when the law sits near x = 1 (ROADMAP item 3)")
+    def test_cdf_stays_in_the_unit_interval_at_minus_30_db(self, capsys):
+        # The CDF reads -6.1e6 at x = 0.99 today.
+        rc = main(["reconstruct", "--gamma", "4.05", "--theta-db", "-30", "--format", "json"])
+        if rc != EXIT_MATH:
+            assert rc == EXIT_OK
+            cdf = [float(row[2]) for row in json.loads(capsys.readouterr().out)["rows"]]
+            assert all(-1e-6 <= value <= 1.0 + 1e-6 for value in cdf)
+
+    @pytest.mark.xfail(strict=True, reason="the exp-sinh rule cannot resolve the integrand's "
+                                           "cliff at t = 1/c (exits 3 today)")
+    def test_moments_at_gamma_1e6(self, capsys):
+        rc = main(["moments", "--gamma", "1e6", "--n-max", "3", "--format", "json"])
+        captured = capsys.readouterr()
+        if rc == EXIT_USAGE:
+            assert "gamma" in captured.err
+            return
+        assert rc == EXIT_OK
+        got = [float(row[1]) for row in json.loads(captured.out)["rows"]]
+        # mu_n = int_0^inf exp(-(a_n t + (c_n t)^(gamma/2))) dt, a_n = 1 + rho_n
+        # and c_n = n^(2/gamma) c_1, split at t = 1/c_n; past (1 + 100/gamma)
+        # / c_n the integrand is below exp(-e^50).
+        p = _default_scenario()
+        with mpmath.workdps(30):
+            g, d = mpmath.mpf(1e6), 2 / mpmath.mpf(1e6)
+            c_1 = (mpmath.mpf(p.theta) * p.noise / p.power) ** d / (mpmath.pi * p.lambda_bs)
+            expected = []
+            for n in (1, 2, 3):
+                a, c = mpmath.hyp2f1(n, -d, 1 - d, -p.theta), n**d * c_1
+                expected.append(float(mpmath.quad(
+                    lambda t: mpmath.exp(-(a * t + (c * t) ** (g / 2))),
+                    [0, 1 / c, (1 + 100 / g) / c])))
+        assert got == pytest.approx(expected, rel=1e-10)

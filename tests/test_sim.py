@@ -388,16 +388,66 @@ class TestFarIntegral:
                     for parts in (sim._far_integral_parts, far_integral_parts_full))
                 assert offset == full_offset and series == full_series
 
+    @pytest.mark.parametrize("gamma", [2.01, 4.0, 20.0])
+    @pytest.mark.parametrize("rung", [1, 2, 3, 4, 5])
+    def test_largest_z_sets_the_table_of_the_call(self, gamma, rung):
+        # One table length serves a whole call.  Many tiny z of both branches,
+        # which alone stop at J = 2, share a call with one s whose z lies at
+        # the rung's threshold (where z squared `rung` times first falls below
+        # 2^-54) or one float either side of it, on either branch.
+        delta = 2.0 / gamma
+        tiny = np.concatenate([[0.0], np.logspace(-300.0, -20.0, 29),
+                               np.logspace(20.0, 300.0, 29)])
+
+        def below(s, squarings):
+            # Every z of s, squared elementwise, below 2^-54.
+            z = np.fmin(s, 1.0) / (1.0 + s)
+            for _ in range(squarings):
+                z = z * z
+            return bool(np.all(z < 2.0**-54))
+
+        def table_length(s):
+            return next((j for i, j in enumerate(self.LADDER[:-1], 1) if below(s, i)),
+                        self.LADDER[-1])
+
+        lengths = set()
+        # Below s = 1, z = s / (1 + s) rises with s; above it, z = 1 / (1 + s)
+        # falls.  Bisect the bit patterns of s for the two adjacent floats
+        # between which z squared `rung` times crosses 2^-54.
+        for lo, hi in ((1e-300, 1.0), (1.0, 1e300)):
+            lo_bits, hi_bits = np.array([lo, hi]).view(np.int64).tolist()
+            side = below(np.array([lo]), rung)
+            while hi_bits - lo_bits > 1:
+                mid = (lo_bits + hi_bits) // 2
+                if below(np.array([mid]).view(np.float64), rung) == side:
+                    lo_bits = mid
+                else:
+                    hi_bits = mid
+            edge = np.array([lo_bits - 1, lo_bits, hi_bits, hi_bits + 1]).view(np.float64)
+            for x in edge:
+                s = np.insert(tiny, tiny.size // 2, x)
+                lengths.add(table_length(s))
+                got = sim._far_integral_parts(s, delta)
+                full = far_integral_parts_full(s, delta)
+                assert np.array_equal(got[0], full[0]) and np.array_equal(got[1], full[1])
+        assert lengths == set(self.LADDER[rung - 1:rung + 1])
+
     @pytest.mark.parametrize("theta_db", [-60.0, 0.0, 60.0])
     @pytest.mark.parametrize("gamma", [2.05, 4.0])
     def test_kernel_blocks_match_the_full_table(self, gamma, theta_db, monkeypatch):
-        # A campaign block's log(1/C) is the same float with the 54-row table.
+        # A campaign block's log(1/C) is the same float with the 54-row table:
+        # on the default disk (mean count 785, where no t_K passes the edge),
+        # at the block's median t_K (half the rows end past it, take s_m for
+        # s_K and mask their BSs past it) and on the plane.
         p = SystemParams(1e-3, gamma, 10.0 ** (theta_db / 10.0), 1.0, 1e-10)
         cfg = SimConfig(params=p, num_realizations=BLOCK_SIZE)
         arrivals, _ = draw_ppp(cfg, BLOCK_SIZE, np.random.default_rng([35, int(theta_db) + 60]))
-        got = sim._log_inv_ccp(arrivals, p, cfg.mean_count)
+        edges = (cfg.mean_count, float(np.median(arrivals[:, -1])), math.inf)
+        assert [np.count_nonzero(arrivals[:, -1] > m) for m in edges] == [0, BLOCK_SIZE // 2, 0]
+        got = [sim._log_inv_ccp(arrivals, p, m) for m in edges]
         monkeypatch.setattr(sim, "_far_integral_parts", far_integral_parts_full)
-        assert np.array_equal(sim._log_inv_ccp(arrivals, p, cfg.mean_count), got)
+        for m, log_inv in zip(edges, got):
+            assert np.array_equal(sim._log_inv_ccp(arrivals, p, m), log_inv)
 
     def test_difference_above_one_cancels_the_limit(self):
         # Two arguments above s = 1 cancel F(inf) exactly in the offsets, so
