@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import DEFAULT_TOL, integrate_semi_infinite_decaying
+from .quadrature import integrate_semi_infinite_decaying
 from .specfun import gauss_2f1
 
 __all__ = [
@@ -188,7 +188,8 @@ def rho_n(params: SystemParams, n: int) -> float:
     """Interference scaling rho_n = 2F1(n, -2/gamma; 1-2/gamma; -theta) - 1.
 
     rho_n >= 0 for every scenario, so a 2F1 below 1 (or NaN) is a failed
-    evaluation and raises ValueError; it is not memoised.  The 2F1 runs once
+    evaluation and raises ValueError; it is not memoised.  n < 1 raises
+    ValueError here, for coeffs and both moments too.  The 2F1 runs once
     per n and params object; later calls read its memo.
     """
     if n < 1:
@@ -205,8 +206,6 @@ def rho_n(params: SystemParams, n: int) -> float:
 
 def coeffs(params: SystemParams, n: int) -> IntegralCoeffs:
     """A_n = pi lambda (1 + rho_n) > 0 and B_n = n theta sigma2 / p >= 0 (the z-form)."""
-    if n < 1:
-        raise ValueError(f"coeffs requires n >= 1, got {n}")
     a_coef = math.pi * params.lambda_bs * (1.0 + rho_n(params, n))
     b_coef = n * params.theta * params.noise / params.power
     return IntegralCoeffs(a_coef=a_coef, b_coef=b_coef)
@@ -217,23 +216,22 @@ def _t_coeffs(params: SystemParams, n: int) -> tuple[float, float]:
     return 1.0 + rho_n(params, n), n ** (2.0 / params.gamma_pl) * params.noise_root
 
 
-def moment_exact(params: SystemParams, n: int, tol: float = DEFAULT_TOL) -> float:
-    """mu_n by quadrature of the moment integral, to relative tolerance tol.
+def moment_exact(params: SystemParams, n: int) -> float:
+    """mu_n by quadrature of the moment integral (see _moments_exact).
 
     A noise-free scenario (c_1 = 0) gives 1 / (1 + rho_n) exactly.
     """
-    if n < 1:
-        raise ValueError(f"moment_exact requires n >= 1, got {n}")
-    return float(_moments_exact(params, [n], tol)[0])
+    return float(_moments_exact(params, [n])[0])
 
 
-def _moments_exact(params: SystemParams, ns, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _moments_exact(params: SystemParams, ns) -> np.ndarray:
     """mu_n for each n in ns: one quadrature in t, one integrand row per n.
 
     Row n decays on the length 1 / (a_n + c_n); the rule is scaled to the
-    geometric mean of these lengths over the rows, and each row meets tol
-    relative to its own mu_n.  c_1 = 0 (theta = 0 or sigma2 = 0) gives
-    mu_n = 1 / a_n exactly, and no quadrature runs.  A c_n that overflows
+    geometric mean of these lengths over the rows, and each row meets the
+    engine's default tolerance, quadrature.DEFAULT_TOL, relative to its own
+    mu_n.  c_1 = 0 (theta = 0 or sigma2 = 0) gives mu_n = 1 / a_n exactly,
+    and no quadrature runs.  A c_n that overflows
     gives 0.0: mu_n <= Gamma(1 + 2/gamma) / c_n lies below the normal doubles.
     """
     a, c = np.array([_t_coeffs(params, n) for n in ns]).reshape(-1, 2).T
@@ -248,7 +246,7 @@ def _moments_exact(params: SystemParams, ns, tol: float = DEFAULT_TOL) -> np.nda
                 return np.exp(-(a * t + (c * t) ** half_g))
 
         scale = float(np.exp(-np.log(a + c).mean()))
-        mu[rows] = integrate_semi_infinite_decaying(integrand, scale, tol).value
+        mu[rows] = integrate_semi_infinite_decaying(integrand, scale).value
     return mu
 
 
@@ -257,8 +255,6 @@ def moment_approx(params: SystemParams, n: int) -> float:
 
     Exact when c_1 = 0 (theta = 0 or noise = 0) and in the gamma -> 2 limit.
     """
-    if n < 1:
-        raise ValueError(f"moment_approx requires n >= 1, got {n}")
     a, c = _t_coeffs(params, n)
     g = params.gamma_pl
     return 1.0 / (a + g * c / (2.0 * math.gamma(2.0 / g)))

@@ -76,13 +76,15 @@ def integrate_semi_infinite_decaying(
     """Integrate f over [0, inf) to relative tolerance tol in every row.
 
     scale is the length on which f decays, e.g. 1 / (A + B^(2/gamma)) for
-    the moment integrand.  The error estimate is |I_h - I_2h|, where I_2h
-    sums every other node of the same rule.  While a row's estimate exceeds
-    tol |I_h| the step is halved, evaluating f only at the new midpoints:
-    I_{h/2} = I_h / 2 + (h/2) * (sum over the midpoints).  A row whose value
-    and estimate are both 0 meets any tolerance.  A non-finite result, or an
-    estimate still above tol |I_h| after the last halving, raises
-    QuadratureError.
+    the moment integrand in z (the z-form of moments.coeffs).  Its one
+    caller, moments._moments_exact, integrates in t and passes the geometric
+    mean of 1 / (a_n + c_n) over its rows.  The error estimate is
+    |I_h - I_2h|, where I_2h sums every other node of the same rule.  While
+    a row's estimate exceeds tol |I_h| the step is halved, evaluating f only
+    at the new midpoints: I_{h/2} = I_h / 2 + (h/2) * (sum over the
+    midpoints).  A row whose value and estimate are both 0 meets any
+    tolerance.  A non-finite result, or an estimate still above tol |I_h|
+    after the last halving, raises QuadratureError.
     """
     if not scale > 0.0:
         raise ValueError(f"scale must be positive, got {scale}")

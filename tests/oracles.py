@@ -20,7 +20,9 @@ realizations at a time.
 gauss_2f1_series_reference is the Pfaff-mapped 2F1 series as one scalar
 Python loop, the form the package's chunked series must match bit for bit.
 moment_integral_mpmath is the moment integral in 30-digit arithmetic by
-mpmath's tanh-sinh rule, not the package's exp-sinh rule in doubles.
+mpmath's tanh-sinh rule, not the package's exp-sinh rule in doubles;
+one_plus_rho_scipy is 1 + rho_n from scipy's hyp2f1, not the package's
+2F1 series, and moment_mpmath feeds both to mu_n = pi lambda I(A_n, B_n).
 far_integral_parts_full evaluates the far field's series with every one of
 its terms, where the simulator stops at the last one that can change the sum.
 disk_arrivals draws every BS of a disk realization, continuing the arrival
@@ -36,7 +38,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import binom, roots_jacobi
+from scipy.special import binom, hyp2f1, roots_jacobi
 
 from metadist import sim
 
@@ -304,3 +306,21 @@ def moment_integral_mpmath(a_coef: float, b_coef: float, gamma_pl: float) -> flo
         if not error <= 1e-20 * value:
             raise ArithmeticError(f"mpmath error estimate {error} for value {value}")
         return float(value)
+
+
+def one_plus_rho_scipy(params, n: int) -> float:
+    """1 + rho_n = 2F1(n, -2/gamma; 1 - 2/gamma; -theta) by scipy.special.hyp2f1."""
+    d = 2.0 / params.gamma_pl
+    return float(hyp2f1(n, -d, 1.0 - d, -params.theta))
+
+
+def moment_mpmath(params, n: int) -> float:
+    """mu_n = pi lambda I(A_n, B_n) by moment_integral_mpmath.
+
+    A_n = pi lambda (1 + rho_n) from one_plus_rho_scipy and
+    B_n = n theta sigma2 / p: none of the package's numerics run.
+    """
+    scale = math.pi * params.lambda_bs
+    b_coef = n * params.theta * params.noise / params.power
+    return scale * moment_integral_mpmath(scale * one_plus_rho_scipy(params, n), b_coef,
+                                          params.gamma_pl)

@@ -15,7 +15,9 @@ from scipy.special import hyp2f1
 from metadist import jacobi, moments, scaling, sim
 from metadist.specfun import reg_inc_beta
 
-from oracles import beta_moments, disk_distances, gauss_jacobi_integral
+from oracles import (
+    beta_moments, disk_distances, gauss_jacobi_integral, moment_mpmath, one_plus_rho_scipy,
+)
 
 PAPER = moments.SystemParams(lambda_bs=1e-3, gamma_pl=5.0, theta=1.0, power=1.0,
                              noise=1e-10)
@@ -162,16 +164,17 @@ def test_criterion_6_moment_approximation_sweep():
     errors = {1: [], 2: []}
     means = []
     noiseless_ok = True
+    # The exact moments and the noise-free 1 / (1 + rho_n) come from scipy's
+    # 2F1 and mpmath (oracles), so only the closed form is the package's.
     for tdb in thetas_db:
         theta = 10.0 ** (tdb / 10.0)
         params = moments.SystemParams(1e-3, 3.0, theta, 1.0, 1e-10)
-        mu1 = moments.moment_exact(params, 1, 1e-13)
-        means.append(mu1)
-        noiseless = 1.0 / (1.0 + moments.rho_n(params, 1))
-        noiseless_ok = noiseless_ok and noiseless >= mu1 - 1e-12
+        exact = {n: moment_mpmath(params, n) for n in (1, 2)}
+        means.append(exact[1])
+        noiseless = 1.0 / one_plus_rho_scipy(params, 1)
+        noiseless_ok = noiseless_ok and noiseless >= exact[1] - 1e-12
         for n in (1, 2):
-            exact = moments.moment_exact(params, n, 1e-13)
-            errors[n].append(abs(exact - moments.moment_approx(params, n)))
+            errors[n].append(abs(exact[n] - moments.moment_approx(params, n)))
     knee_db = float(thetas_db[int(np.argmin(np.abs(np.array(means) - 0.5)))])
     peaks_ok = True
     details = []
@@ -221,7 +224,7 @@ def test_criterion_8_simulator_self_consistency():
     seq = sim.empirical_moments(emp.ccp_samples, 2)
     devs = []
     for n in (1, 2):
-        exact = moments.moment_exact(PAPER, n, 1e-12)
+        exact = moments.moment_exact(PAPER, n)
         se = float(np.std(emp.ccp_samples**n, ddof=1)) / math.sqrt(float(len(emp.ccp_samples)))
         devs.append(abs(seq[n] - exact) / se)
     moments_ok = all(d <= 3.0 for d in devs)

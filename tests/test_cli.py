@@ -125,6 +125,17 @@ class TestMomentsCommand:
         for row in rows:
             assert abs(float(row[1]) - float(row[2])) <= 1e-4
 
+    def test_error_bound_at_a_tiny_density(self, capsys):
+        # c_1 is about 3.2e145 at lambda 1e-150, so c_n^(gamma/2) is past the
+        # doubles: the bound must stay in the z-form A_n, B_n to be finite.
+        argv = ["moments", "--lambda", "1e-150", "--n-max", "2", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            bound = float(row[4])
+            assert math.isfinite(bound) and bound > 0.0 and bound >= float(row[3])
+
     def test_invalid_gamma_is_usage_error(self):
         assert main(["moments", "--gamma", "1.5"]) == EXIT_USAGE
 

@@ -29,11 +29,12 @@ from metadist.moments import (
 from metadist.quadrature import DEFAULT_TOL
 from metadist.scaling import QosSpec, min_power
 
-from oracles import beta_moments, max_exp_neg_f, rho_quadrature
+from oracles import (
+    beta_moments, max_exp_neg_f, moment_mpmath, one_plus_rho_scipy, rho_quadrature,
+)
 
-# Regression constant: mu_1 at the reference scenario, frozen from this
-# module's own quadrature at tol 1e-12 and cross-validated below against
-# scipy.integrate.quad.
+# Regression constant: mu_1 at the reference scenario, frozen from the
+# package's quadrature and cross-validated below against scipy.integrate.quad.
 MU1_REFERENCE = 0.663205883062099
 
 
@@ -107,6 +108,12 @@ class TestRho:
     def test_requires_positive_n(self, paper_params):
         with pytest.raises(ValueError):
             rho_n(paper_params, 0)
+
+    @pytest.mark.parametrize("function", [coeffs, moment_exact, moment_approx])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_functions_of_n_require_positive_n(self, paper_params, function, n):
+        with pytest.raises(ValueError, match="requires n >= 1"):
+            function(paper_params, n)
 
     def test_2f1_below_one_raises(self):
         # The 2F1 series returns 1.6e-25 here; rho_n >= 0 for every scenario.
@@ -182,23 +189,24 @@ class TestMomentExact:
     def test_noiseless_closed_form(self):
         p = SystemParams(1e-3, 5.0, 1.0, 1.0, 0.0)
         for n in (1, 3, 6):
-            assert moment_exact(p, n, 1e-12) == pytest.approx(
-                1.0 / (1.0 + rho_n(p, n)), abs=1e-11
+            assert moment_exact(p, n) == pytest.approx(
+                1.0 / one_plus_rho_scipy(p, n), abs=1e-11
             )
 
     def test_reference_regression_value(self, paper_params):
-        assert moment_exact(paper_params, 1, 1e-12) == pytest.approx(
+        assert moment_exact(paper_params, 1) == pytest.approx(
             MU1_REFERENCE, abs=1e-9
         )
 
     def test_against_scipy_quad(self, paper_params):
-        c = coeffs(paper_params, 1)
         scale = math.pi * paper_params.lambda_bs
+        # A_1 from scipy's 2F1, and B_1 = theta sigma2 / p = 1e-10.
+        a_coef = scale * one_plus_rho_scipy(paper_params, 1)
         ref, _ = si.quad(
-            lambda z: math.exp(-(c.a_coef * z + c.b_coef * z**2.5)),
+            lambda z: math.exp(-(a_coef * z + 1e-10 * z**2.5)),
             0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
         )
-        assert moment_exact(paper_params, 1, 1e-12) == pytest.approx(
+        assert moment_exact(paper_params, 1) == pytest.approx(
             scale * ref, abs=1e-10
         )
 
@@ -215,11 +223,12 @@ class TestMomentApprox:
     def test_noiseless_equals_exact(self):
         p = SystemParams(1e-3, 5.0, 1.0, 1.0, 0.0)
         for n in (1, 2, 5):
-            assert moment_approx(p, n) == pytest.approx(moment_exact(p, n, 1e-12), abs=1e-11)
+            assert moment_approx(p, n) == pytest.approx(1.0 / one_plus_rho_scipy(p, n),
+                                                        abs=1e-11)
 
     def test_gamma_near_two_limit(self):
         p = SystemParams(1e-3, 2.01, 1.0, 1.0, 1e-10)
-        assert moment_approx(p, 1) == pytest.approx(moment_exact(p, 1, 1e-12), abs=1e-4)
+        assert moment_approx(p, 1) == pytest.approx(moment_mpmath(p, 1), abs=1e-4)
 
     def test_monotone_nonincreasing_in_n(self, paper_params):
         exact = [moment_exact(paper_params, n) for n in range(1, 11)]
@@ -229,7 +238,7 @@ class TestMomentApprox:
 
     def test_hausdorff_forward_differences(self, paper_params):
         # Complete monotonicity diagnostic: (-1)^k Delta^k mu_n >= 0.
-        mu = [1.0] + [moment_exact(paper_params, n, 1e-12) for n in range(1, 11)]
+        mu = [1.0] + [moment_exact(paper_params, n) for n in range(1, 11)]
         diffs = np.array(mu)
         for k in range(1, 5):
             diffs = np.diff(diffs)
@@ -285,7 +294,8 @@ class TestErrorBound:
 
     def test_moment_bound_property(self, paper_params):
         # |mu_exact - mu_approx| <= pi lambda * bound(A_n, B_n, gamma), a grid
-        # that also exercises gamma = 3 where noise matters most.
+        # that also exercises gamma = 3 where noise matters most.  A_n is
+        # scipy's, and mu_exact is mpmath's (oracles.moment_mpmath).
         scenarios = [
             paper_params,
             SystemParams(1e-3, 3.0, 1.0, 1.0, 1e-10),
@@ -294,11 +304,12 @@ class TestErrorBound:
         ]
         for p in scenarios:
             for n in (1, 2, 5):
-                c = coeffs(p, n)
-                bound = math.pi * p.lambda_bs * approx_error_bound(
-                    c.a_coef, c.b_coef, p.gamma_pl
+                scale = math.pi * p.lambda_bs
+                bound = scale * approx_error_bound(
+                    scale * one_plus_rho_scipy(p, n), n * p.theta * p.noise / p.power,
+                    p.gamma_pl,
                 )
-                diff = abs(moment_exact(p, n, 1e-12) - moment_approx(p, n))
+                diff = abs(moment_mpmath(p, n) - moment_approx(p, n))
                 assert diff <= bound + 1e-12
 
     def test_invalid_args(self):
@@ -427,9 +438,11 @@ class TestNoiseRoot:
         calls = self._counted_quadrature(monkeypatch)
         p = SystemParams(1e-3, 5.0, theta, 1.0, noise)
         assert p.noise_root == 0.0
-        expected = [1.0] + [1.0 / (1.0 + rho_n(p, n)) for n in range(1, 11)]
-        assert list(moment_sequence(p, 10).values) == expected
-        assert list(moment_sequence(p, 10, method=METHOD_CLOSED_FORM).values) == expected
+        # Both methods take 1 / a_n, bit for bit; scipy's 2F1 is the reference.
+        exact = moment_sequence(p, 10).values
+        assert moment_sequence(p, 10, method=METHOD_CLOSED_FORM).values == exact
+        expected = [1.0] + [1.0 / one_plus_rho_scipy(p, n) for n in range(1, 11)]
+        assert list(exact) == pytest.approx(expected, rel=1e-14, abs=0.0)
         assert calls == []
 
     @pytest.mark.parametrize("j", [-3, -1, 1, 4])

@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from metadist.moments import SystemParams, moment_approx, rho_n
+from metadist.moments import SystemParams, moment_approx
 from metadist.scaling import (
     InfeasibleQosError, QosSpec, max_noise_root, min_power, power_at,
 )
+
+from oracles import one_plus_rho_scipy
 
 
 class TestQosSpec:
@@ -69,7 +71,7 @@ class TestMinPower:
     def test_infeasible_interference_limit(self):
         # gamma = 3, theta = 1: mu_2 can never exceed 1/(1+rho_2) ~ 0.24.
         base = SystemParams(1e-3, 3.0, 1.0, 1.0, 1e-10)
-        limit = 1.0 / (1.0 + rho_n(base, 2))
+        limit = 1.0 / one_plus_rho_scipy(base, 2)
         assert limit < 0.39
         with pytest.raises(InfeasibleQosError):
             min_power(base, QosSpec(x_rel=0.3, epsilon=0.7))

@@ -599,7 +599,7 @@ class TestCampaign:
 
     def test_mean_matches_first_moment(self, paper_params):
         emp = run_campaign(SimConfig(params=paper_params, num_realizations=2000, rng_seed=5))
-        mu1 = moment_exact(paper_params, 1, 1e-12)
+        mu1 = moment_exact(paper_params, 1)
         se = float(np.std(emp.ccp_samples, ddof=1)) / math.sqrt(2000.0)
         assert abs(float(np.mean(emp.ccp_samples)) - mu1) <= 3.0 * se
 
