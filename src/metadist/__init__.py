@@ -15,7 +15,6 @@ from .jacobi import (
     eval_cdf,
     eval_pdf,
     fourier_jacobi_coeffs,
-    jacobi_poly,
     meta_reliability,
     moment_match_basis,
     norm_h,
@@ -81,7 +80,6 @@ __all__ = [
     "fourier_jacobi_coeffs",
     "gauss_2f1",
     "integrate_semi_infinite_decaying",
-    "jacobi_poly",
     "meta_reliability",
     "min_power",
     "moment_approx",

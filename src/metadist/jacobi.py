@@ -35,7 +35,6 @@ __all__ = [
     "ReconstructedDistribution",
     "ConvergenceReport",
     "DegenerateMomentsError",
-    "jacobi_poly",
     "norm_h",
     "fourier_jacobi_coeffs",
     "moment_match_basis",
@@ -129,18 +128,6 @@ def _jacobi_all(alpha: float, beta: float, order: int, x: np.ndarray) -> np.ndar
         c5 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)
         out[k] = (c2 * (c3 * t + c4) * out[k - 1] - c5 * out[k - 2]) / c1
     return out
-
-
-def jacobi_poly(alpha: float, beta: float, n: int, x):
-    """Shifted Jacobi polynomial P_n^(alpha,beta) on [0, 1].
-
-    Accepts a scalar or ndarray x and mirrors the input shape.
-    """
-    if n < 0:
-        raise ValueError(f"polynomial degree must be nonnegative, got {n}")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = _jacobi_all(alpha, beta, n, arr)[n]
-    return float(vals[0]) if np.asarray(x).ndim == 0 else vals
 
 
 def norm_h(alpha: float, beta: float, n: int) -> float:

@@ -25,7 +25,8 @@ their product is replaced by its expectation, the PGFL of that PPP:
                + delta theta^delta t_1 [F(theta (t_1/t_K)^(gamma/2)) - F(theta (t_1/m)^(gamma/2))],
 
 with c_1 = SystemParams.noise_root, delta = 2/gamma, the last term only
-where t_K < m, and F(s) = int_0^s x^-delta / (1 + x) dx.  Given its K
+where t_K < m, and F(s) = int_0^s x^-delta / (1 + x) dx, which
+specfun.far_integral_parts evaluates as a positive-term series.  Given its K
 nearest BSs a realization's full-disk CCP has expectation exactly this C,
 so E[C], and with it the mean of every campaign, is exact; the higher
 moments E[C^n] lose only the Jensen gap E[C_full^n] - E[C^n] >= 0 of the
@@ -57,7 +58,6 @@ in both modes are bit-reproducible across hosts' CPU counts and BLAS builds.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,6 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .moments import METHOD_EMPIRICAL, MomentSequence, SystemParams
+from .specfun import far_integral_parts
 
 __all__ = [
     "SimConfig",
@@ -92,14 +93,6 @@ BLOCK_SIZE = 256
 # BSs a realization draws exactly (K in the module docstring); the rest of
 # the disk enters through its PGFL.
 NEAREST_BS = 32
-
-# Terms of F's series (see _far_integral_parts): each term is at most half
-# the one before, so the terms left out sum to below 2^-53 of the series.
-# _far_integral_parts stops earlier, at the first squaring length J whose
-# z^J is below _NEGLIGIBLE_POWER: every term from J on is then below half an
-# ulp of the running sum, so the sum in j order is the same float.
-_SERIES_TERMS = 54
-_NEGLIGIBLE_POWER = 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -195,81 +188,6 @@ def draw_ppp(
     return np.cumsum(gaps, axis=1, out=gaps), empty.size
 
 
-@functools.lru_cache(maxsize=64)
-def _series_coefficients(delta: float) -> tuple[np.ndarray, float]:
-    """F's series coefficients and F(inf) = pi / sin(pi delta) (see _far_integral_parts).
-
-    Row 0 holds -j! / (1+delta)_j / delta, row 1 j! / (2-delta)_j / (1-delta),
-    for j < _SERIES_TERMS.
-    """
-    j = np.arange(1.0, _SERIES_TERMS)
-    out = np.empty((2, _SERIES_TERMS))
-    out[:, 0] = -1.0 / delta, 1.0 / (1.0 - delta)
-    np.cumprod(j / (j - 1.0 + np.array([[1.0 + delta], [2.0 - delta]])), axis=1, out=out[:, 1:])
-    out[:, 1:] *= out[:, :1]
-    out.setflags(write=False)
-    return out, math.pi / math.sin(math.pi * delta)
-
-
-# The powers z^j of F's series by repeated squaring: rows [start, start +
-# count) are rows [0, count) times z^start.
-_SQUARINGS = ((2, 2), (4, 4), (8, 8), (16, 16), (32, _SERIES_TERMS - 32))
-
-
-def _far_integral_parts(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """F(s) = int_0^s x^-delta / (1 + x) dx as the sum of two parts, elementwise.
-
-    For s >= 0 and 0 < delta < 1.  Up to s = 1, F is the hypergeometric
-    series in w = s / (1 + s),
-
-        F(s) = s^(1-delta) / (1 + s) sum_j j! / (2-delta)_j w^j / (1 - delta),
-
-    and above it F(inf) = pi / sin(pi delta) less the same form in 1/s,
-    s^(1-delta) / (1 + s) sum_j j! / (1+delta)_j v^j / delta, v = 1 / (1 + s).
-    Returns (offset, series): offset is 0 or F(inf), series the signed
-    series term, so that a difference of two F above s = 1 cancels F(inf)
-    exactly.  Either series has positive terms of ratio at most 1/2.  One
-    z = min(s, 1) / (1 + s) is w up to s = 1 and v above; its powers meet
-    both rows of coefficients in one product, whose s > 1 row replaces the
-    other where s > 1, and the offset is F(inf) times (s > 1).  The
-    prefactor is taken from s, not from w or v, whose rounding it would
-    amplify near s = 0 or s = inf; F(0) is 0 exactly.
-
-    The table holds the first J powers only, J the first length of the
-    squaring ladder 2, 4, ..., 32, 54 at which every z^J is below 2^-54
-    (z <= 1/2).  J is chosen once, from the largest z of the call: a
-    rounded square is monotone, so squaring the largest z as the table
-    squares every z gives the largest z^J.  The cut keeps the floats: the
-    product sums the terms in j order, the first is c_0 exactly, the terms
-    share c_0's sign and |c_j| <= |c_0|, and every power from row J on is at
-    most z^J, a rounded product of floats <= 1 with z^J or a square of it.
-    So each term left out is at most |c_0| 2^-54, below half an ulp of a
-    running sum of magnitude >= |c_0|, and adding it would leave the sum
-    unchanged.  A campaign block at gamma 4 takes J = 8 at -20 dB and 16 at
-    0 dB; from about 20 dB the table is full.
-    """
-    coefficients, f_inf = _series_coefficients(delta)
-    one_plus = 1.0 + s
-    z = np.fmin(s, 1.0) / one_plus
-    largest = z.max()
-    powers = np.empty((_SERIES_TERMS, *s.shape))
-    powers[0] = 1.0
-    powers[1] = z
-    terms = 2
-    for start, count in _SQUARINGS:
-        largest *= largest
-        if largest < _NEGLIGIBLE_POWER:
-            break
-        z = z * z
-        terms = start + count
-        np.multiply(powers[:count], z, out=powers[start:terms])
-    high_series, series = np.einsum("kj,j...->k...", coefficients[:, :terms], powers[:terms])
-    high = s > 1.0
-    np.copyto(series, high_series, where=high)
-    series *= s ** (1.0 - delta) / one_plus
-    return high * f_inf, series
-
-
 def _log_inv_ccp(arrivals: np.ndarray, params: SystemParams, edge: float) -> np.ndarray:
     """log(1/C) of each row of arrivals, the sorted t_j of its nearest BSs.
 
@@ -303,7 +221,7 @@ def _log_inv_ccp(arrivals: np.ndarray, params: SystemParams, edge: float) -> np.
     # the two cancel exactly.
     np.copyto(s[:, -2], s[:, -1], where=arrivals[:, -1] > edge)
     delta = 1.0 / half
-    offset, series = _far_integral_parts(s[:, -2:].T.copy(), delta)
+    offset, series = far_integral_parts(s[:, -2:].T.copy(), delta)
     far = (offset[0] - offset[1]) + (series[0] - series[1])
     s[:, 1:-1][arrivals[:, 1:] > edge] = 0.0  # BSs past the edge do not interfere
     log_inv = np.log1p(s, out=s)[:, 1:-1].sum(axis=1)

@@ -1,18 +1,19 @@
 """Special functions used throughout the toolkit.
 
 Everything here is a pure function: the Gauss hypergeometric function 2F1
-(restricted to non-positive real argument) over Python floats, and the
-regularized incomplete beta function over a scalar or ndarray x.  Gamma and
-log-gamma come straight from `math`.  The 2F1 restriction is deliberate:
-the only regime the rest of the package needs is z = -theta with
-theta >= 0.
+(restricted to non-positive real argument) over Python floats, the
+regularized incomplete beta function over a scalar or ndarray x, and the
+far-field integral F(s) = int_0^s x^-delta / (1 + x) dx over an ndarray s.
+Gamma and log-gamma come straight from `math`.  The 2F1 restriction is
+deliberate: the only regime the rest of the package needs is z = -theta
+with theta >= 0.
 
 The 2F1 series sums a short scalar prefix in a Python loop, which is all a
 low threshold needs, and continues in numpy chunks whose sequential
 accumulates round exactly as that loop would: the result is the same float
 as summing every term in Python.  Its 10,000-term cap still returns
-silently; ROADMAP's first correctness item replaces the series with the
-incomplete beta.
+silently; ROADMAP's first correctness item computes every 1 + rho_n from F
+by a recurrence of positive terms instead.
 
 The incomplete beta's continued fraction runs over all lanes of x at once,
 two partial numerators per step (its even contraction) as a three-term
@@ -21,14 +22,22 @@ recurrence renormalised every step.  Its coefficients are tabulated per
 slowest lane needs.  Each lane freezes in the step its own convergence
 test passes, so an array call gives every element the float a scalar call
 would.
+
+F is a series of positive terms in z = min(s, 1) / (1 + s) <= 1/2, with
+F(inf) = pi / sin(pi delta) split off above s = 1.  Its coefficients are
+cached per delta, its powers of z built by repeated squaring, and a call
+keeps only as many powers as its largest z needs to reach the same floats
+(see far_integral_parts).  The simulator's far field sums it.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 __all__ = [
+    "far_integral_parts",
     "gauss_2f1",
     "reg_inc_beta",
 ]
@@ -40,6 +49,14 @@ _SERIES_FIRST_CHUNK = 1024
 _CF_RTOL = 1e-16
 _CF_MAX_STEPS = 500
 _CF_FIRST_STOP = 16
+
+# Terms of F's series (see far_integral_parts): each term is at most half
+# the one before, so the terms left out sum to below 2^-53 of the series.
+# far_integral_parts stops earlier, at the first squaring length J whose
+# z^J is below _NEGLIGIBLE_POWER: every term from J on is then below half an
+# ulp of the running sum, so the sum in j order is the same float.
+_F_TERMS = 54
+_NEGLIGIBLE_POWER = 2.0**-54
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
@@ -235,3 +252,78 @@ def reg_inc_beta(x, a: float, b: float):
     part = front * frac / np.where(swap, b, a)
     out[inner] = np.where(swap, 1.0 - part, part)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=64)
+def _series_coefficients(delta: float) -> tuple[np.ndarray, float]:
+    """F's series coefficients and F(inf) = pi / sin(pi delta) (see far_integral_parts).
+
+    Row 0 holds -j! / (1+delta)_j / delta, row 1 j! / (2-delta)_j / (1-delta),
+    for j < _F_TERMS.
+    """
+    j = np.arange(1.0, _F_TERMS)
+    out = np.empty((2, _F_TERMS))
+    out[:, 0] = -1.0 / delta, 1.0 / (1.0 - delta)
+    np.cumprod(j / (j - 1.0 + np.array([[1.0 + delta], [2.0 - delta]])), axis=1, out=out[:, 1:])
+    out[:, 1:] *= out[:, :1]
+    out.setflags(write=False)
+    return out, math.pi / math.sin(math.pi * delta)
+
+
+# The powers z^j of F's series by repeated squaring: rows [start, start +
+# count) are rows [0, count) times z^start.
+_SQUARINGS = ((2, 2), (4, 4), (8, 8), (16, 16), (32, _F_TERMS - 32))
+
+
+def far_integral_parts(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """F(s) = int_0^s x^-delta / (1 + x) dx as the sum of two parts, elementwise.
+
+    For s >= 0 and 0 < delta < 1.  Up to s = 1, F is the hypergeometric
+    series in w = s / (1 + s),
+
+        F(s) = s^(1-delta) / (1 + s) sum_j j! / (2-delta)_j w^j / (1 - delta),
+
+    and above it F(inf) = pi / sin(pi delta) less the same form in 1/s,
+    s^(1-delta) / (1 + s) sum_j j! / (1+delta)_j v^j / delta, v = 1 / (1 + s).
+    Returns (offset, series): offset is 0 or F(inf), series the signed
+    series term, so that a difference of two F above s = 1 cancels F(inf)
+    exactly.  Either series has positive terms of ratio at most 1/2.  One
+    z = min(s, 1) / (1 + s) is w up to s = 1 and v above; its powers meet
+    both rows of coefficients in one product, whose s > 1 row replaces the
+    other where s > 1, and the offset is F(inf) times (s > 1).  The
+    prefactor is taken from s, not from w or v, whose rounding it would
+    amplify near s = 0 or s = inf; F(0) is 0 exactly.
+
+    The table holds the first J powers only, J the first length of the
+    squaring ladder 2, 4, ..., 32, 54 at which every z^J is below 2^-54
+    (z <= 1/2).  J is chosen once, from the largest z of the call: a
+    rounded square is monotone, so squaring the largest z as the table
+    squares every z gives the largest z^J.  The cut keeps the floats: the
+    product sums the terms in j order, the first is c_0 exactly, the terms
+    share c_0's sign and |c_j| <= |c_0|, and every power from row J on is at
+    most z^J, a rounded product of floats <= 1 with z^J or a square of it.
+    So each term left out is at most |c_0| 2^-54, below half an ulp of a
+    running sum of magnitude >= |c_0|, and adding it would leave the sum
+    unchanged.  A campaign block at gamma 4 takes J = 8 at -20 dB and 16 at
+    0 dB; from about 20 dB the table is full.
+    """
+    coefficients, f_inf = _series_coefficients(delta)
+    one_plus = 1.0 + s
+    z = np.fmin(s, 1.0) / one_plus
+    largest = z.max()
+    powers = np.empty((_F_TERMS, *s.shape))
+    powers[0] = 1.0
+    powers[1] = z
+    terms = 2
+    for start, count in _SQUARINGS:
+        largest *= largest
+        if largest < _NEGLIGIBLE_POWER:
+            break
+        z = z * z
+        terms = start + count
+        np.multiply(powers[:count], z, out=powers[start:terms])
+    high_series, series = np.einsum("kj,j...->k...", coefficients[:, :terms], powers[:terms])
+    high = s > 1.0
+    np.copyto(series, high_series, where=high)
+    series *= s ** (1.0 - delta) / one_plus
+    return high * f_inf, series

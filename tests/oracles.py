@@ -24,7 +24,10 @@ mpmath's tanh-sinh rule, not the package's exp-sinh rule in doubles;
 one_plus_rho_scipy is 1 + rho_n from scipy's hyp2f1, not the package's
 2F1 series, and moment_mpmath feeds both to mu_n = pi lambda I(A_n, B_n).
 far_integral_parts_full evaluates the far field's series with every one of
-its terms, where the simulator stops at the last one that can change the sum.
+its terms, where specfun.far_integral_parts stops at the last one that can
+change the sum.  jacobi_poly is no oracle: it reads one degree of the
+package's Jacobi recurrence, which jacobi_poly_explicit and
+gauss_jacobi_integral check.
 disk_arrivals draws every BS of a disk realization, continuing the arrival
 process of sim.draw_ppp past its NEAREST_BS nearest BSs, and disk_ccp
 multiplies over all of them with a segmented reduction, where the simulator
@@ -40,7 +43,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import binom, hyp2f1, roots_jacobi
 
-from metadist import sim
+from metadist import jacobi, sim, specfun
 
 
 def rho_quadrature(n: int, gamma_pl: float, theta: float, tol: float = 1e-11) -> float:
@@ -160,19 +163,19 @@ def ccp_sampled_reference(distances, params, num_draws: int, rng) -> float:
 
 
 def far_integral_parts_full(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """sim._far_integral_parts with all sim._SERIES_TERMS rows of its power table.
+    """specfun.far_integral_parts with all specfun._F_TERMS rows of its power table.
 
     The same coefficients, powers by the same squarings and the same
     product, but no row is left out, however small z^j has become.
     """
-    coefficients, f_inf = sim._series_coefficients(delta)
+    coefficients, f_inf = specfun._series_coefficients(delta)
     low = s <= 1.0
     one_plus = 1.0 + s
     z = np.where(low, s, 1.0) / one_plus
-    powers = np.empty((sim._SERIES_TERMS, *s.shape))
+    powers = np.empty((specfun._F_TERMS, *s.shape))
     powers[0] = 1.0
     powers[1] = z
-    for start, count in ((2, 2), (4, 4), (8, 8), (16, 16), (32, sim._SERIES_TERMS - 32)):
+    for start, count in ((2, 2), (4, 4), (8, 8), (16, 16), (32, specfun._F_TERMS - 32)):
         z = z * z
         np.multiply(powers[:count], z, out=powers[start:start + count])
     high, low_series = np.einsum("kj,j...->k...", coefficients, powers)
@@ -249,6 +252,18 @@ def jacobi_poly_explicit(alpha: float, beta: float, n: int, x: float) -> float:
     return math.fsum(terms)
 
 
+def jacobi_poly(alpha: float, beta: float, n: int, x):
+    """Shifted Jacobi polynomial P_n^(alpha,beta) on [0, 1] by the package's recurrence.
+
+    Row n of jacobi._jacobi_all, the polynomials the reconstruction
+    evaluates: a float for a scalar x, an ndarray of x's shape for an
+    ndarray.  This is the code under test, not an oracle;
+    jacobi_poly_explicit and gauss_jacobi_integral check it.
+    """
+    vals = jacobi._jacobi_all(alpha, beta, n, np.asarray(x, dtype=float))[n]
+    return float(vals) if vals.ndim == 0 else vals
+
+
 def beta_moments(p: float, q: float, n_max: int) -> tuple[float, ...]:
     """Raw moments of Beta(p, q): mu_n = prod_k (p+k)/(p+q+k) for k < n."""
     values = [1.0]
@@ -293,15 +308,24 @@ def moment_integral_mpmath(a_coef: float, b_coef: float, gamma_pl: float) -> flo
     """int_0^inf exp(-(A z + B z^(gamma/2))) dz by mpmath at 30 digits.
 
     mpmath's tanh-sinh rule on [0, L/100, L, 100 L, inf], where
-    L = 1/(A + B^(2/gamma)) is the length on which the integrand decays;
-    raises if mpmath's own error estimate exceeds 1e-20 of the value.
+    L = 1/(A + B^(2/gamma)) is the length on which the integrand decays.
+    With noise (B > 0) the rule also breaks at the cliff z_c = B^(-2/gamma),
+    where B z^(gamma/2) = 1, and at z_c (1 -+ 2/gamma), about where that
+    term is 1/e and e: for a steep path loss the integrand falls from
+    exp(-A z) to 0 over that width, which no panel of the coarse grid
+    resolves.  Raises if mpmath's own error estimate exceeds 1e-20 of the
+    value.
     """
     with mpmath.workdps(30):
         a, b, half_g = mpmath.mpf(a_coef), mpmath.mpf(b_coef), mpmath.mpf(gamma_pl) / 2
         length = 1 / (a + b ** (1 / half_g))
+        points = {0, length / 100, length, 100 * length}
+        if b > 0:
+            cliff = b ** (-1 / half_g)
+            points |= {cliff * (1 - 1 / half_g), cliff, cliff * (1 + 1 / half_g)}
         value, error = mpmath.quad(
             lambda z: mpmath.exp(-(a * z + b * z**half_g)),
-            [0, length / 100, length, 100 * length, mpmath.inf], error=True,
+            [*sorted(points), mpmath.inf], error=True,
         )
         if not error <= 1e-20 * value:
             raise ArithmeticError(f"mpmath error estimate {error} for value {value}")

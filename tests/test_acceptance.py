@@ -16,7 +16,8 @@ from metadist import jacobi, moments, scaling, sim
 from metadist.specfun import reg_inc_beta
 
 from oracles import (
-    beta_moments, disk_distances, gauss_jacobi_integral, moment_mpmath, one_plus_rho_scipy,
+    beta_moments, disk_distances, gauss_jacobi_integral, jacobi_poly, moment_mpmath,
+    one_plus_rho_scipy,
 )
 
 PAPER = moments.SystemParams(lambda_bs=1e-3, gamma_pl=5.0, theta=1.0, power=1.0,
@@ -92,7 +93,7 @@ def test_criterion_3_jacobi_machinery():
     for al, be in ORTHO_BASES:
         for m in range(13):
             for n in range(m, 13):
-                f = lambda x: jacobi.jacobi_poly(al, be, m, x) * jacobi.jacobi_poly(al, be, n, x)
+                f = lambda x: jacobi_poly(al, be, m, x) * jacobi_poly(al, be, n, x)
                 val = gauss_jacobi_integral(f, al, be)
                 expected = jacobi.norm_h(al, be, n) if m == n else 0.0
                 worst_orth = max(worst_orth, abs(val - expected))
@@ -103,13 +104,13 @@ def test_criterion_3_jacobi_machinery():
     for al, be in ORTHO_BASES:
         for n in range(1, 9):
             for x in (0.2, 0.5, 0.8):
-                f = lambda t: (1.0 - t) ** al * jacobi.jacobi_poly(al, be, n, t)
+                f = lambda t: (1.0 - t) ** al * jacobi_poly(al, be, n, t)
                 lhs = quad(f, 0.0, x, weight="alg", wvar=(be, 0.0), epsabs=1e-10, epsrel=0.0)[0]
                 rhs = (
                     -(1.0 / n)
                     * (1.0 - x) ** (al + 1.0)
                     * x ** (be + 1.0)
-                    * jacobi.jacobi_poly(al + 1.0, be + 1.0, n - 1, x)
+                    * jacobi_poly(al + 1.0, be + 1.0, n - 1, x)
                 )
                 worst_rodrigues = max(worst_rodrigues, abs(lhs - rhs))
     ok = worst_orth <= 1e-8 and worst_legendre <= 1e-12 and worst_rodrigues <= 1e-8

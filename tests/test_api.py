@@ -49,7 +49,6 @@ PACKAGE_NAMES = [
     "fourier_jacobi_coeffs",
     "gauss_2f1",
     "integrate_semi_infinite_decaying",
-    "jacobi_poly",
     "meta_reliability",
     "min_power",
     "moment_approx",
@@ -72,7 +71,7 @@ def test_every_exported_name_resolves(name):
 
 
 def test_package_exports_exactly_these_names():
-    assert len(PACKAGE_NAMES) == 39
+    assert len(PACKAGE_NAMES) == 38
     assert metadist.__all__ == PACKAGE_NAMES
 
 
@@ -86,7 +85,6 @@ POINTWISE = {
     "eval_cdf": lambda x: metadist.eval_cdf(_beta_dist(), x),
     "eval_pdf": lambda x: metadist.eval_pdf(_beta_dist(), x),
     "meta_reliability": lambda x: metadist.meta_reliability(_beta_dist(), x),
-    "jacobi_poly": lambda x: metadist.jacobi_poly(0.5, 1.5, 3, x),
     "reg_inc_beta": lambda x: metadist.reg_inc_beta(x, 2.0, 3.0),
     "empirical_reliability": lambda x: metadist.empirical_reliability(
         np.array([0.1, 0.5, 0.9]), x),

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.stats import binom, chisquare, expon, ks_2samp, kstest
 
 from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact, moment_sequence
-from metadist import jacobi, sim
+from metadist import jacobi, sim, specfun
 from metadist.sim import (
     BLOCK_SIZE,
     NEAREST_BS,
@@ -334,8 +334,8 @@ class TestCcpAnalytic:
 
 
 class TestFarIntegral:
-    # Lengths at which the power table may stop (see sim._far_integral_parts).
-    LADDER = (2, 4, 8, 16, 32, sim._SERIES_TERMS)
+    # Lengths at which the power table may stop (see specfun.far_integral_parts).
+    LADDER = (2, 4, 8, 16, 32, specfun._F_TERMS)
 
     # F(s) = int_0^s x^-delta / (1 + x) dx = s^(1-delta) / (1-delta) 2F1(1, 1-delta;
     # 2-delta; -s), in 40-digit arithmetic by mpmath.  The series take about
@@ -345,7 +345,7 @@ class TestFarIntegral:
 
     @staticmethod
     def far_integral(s, delta):
-        offset, series = sim._far_integral_parts(np.asarray(s, dtype=float), delta)
+        offset, series = specfun.far_integral_parts(np.asarray(s, dtype=float), delta)
         return offset + series
 
     @pytest.mark.parametrize("gamma", [2.01, 2.5, 4.0, 5.0, 8.0, 20.0])
@@ -385,7 +385,7 @@ class TestFarIntegral:
             for x in s:
                 (offset, series), (full_offset, full_series) = (
                     parts(np.array([x]), delta)
-                    for parts in (sim._far_integral_parts, far_integral_parts_full))
+                    for parts in (specfun.far_integral_parts, far_integral_parts_full))
                 assert offset == full_offset and series == full_series
 
     @pytest.mark.parametrize("gamma", [2.01, 4.0, 20.0])
@@ -427,7 +427,7 @@ class TestFarIntegral:
             for x in edge:
                 s = np.insert(tiny, tiny.size // 2, x)
                 lengths.add(table_length(s))
-                got = sim._far_integral_parts(s, delta)
+                got = specfun.far_integral_parts(s, delta)
                 full = far_integral_parts_full(s, delta)
                 assert np.array_equal(got[0], full[0]) and np.array_equal(got[1], full[1])
         assert lengths == set(self.LADDER[rung - 1:rung + 1])
@@ -445,7 +445,7 @@ class TestFarIntegral:
         edges = (cfg.mean_count, float(np.median(arrivals[:, -1])), math.inf)
         assert [np.count_nonzero(arrivals[:, -1] > m) for m in edges] == [0, BLOCK_SIZE // 2, 0]
         got = [sim._log_inv_ccp(arrivals, p, m) for m in edges]
-        monkeypatch.setattr(sim, "_far_integral_parts", far_integral_parts_full)
+        monkeypatch.setattr(sim, "far_integral_parts", far_integral_parts_full)
         for m, log_inv in zip(edges, got):
             assert np.array_equal(sim._log_inv_ccp(arrivals, p, m), log_inv)
 
@@ -453,7 +453,7 @@ class TestFarIntegral:
         # Two arguments above s = 1 cancel F(inf) exactly in the offsets, so
         # a tiny difference keeps its relative accuracy.
         delta = 2.0 / 2.01
-        (off_a, off_b), (ser_a, ser_b) = sim._far_integral_parts(np.array([1e6, 2e6]), delta)
+        (off_a, off_b), (ser_a, ser_b) = specfun.far_integral_parts(np.array([1e6, 2e6]), delta)
         assert off_a == off_b > 0.0
         with mpmath.workdps(40):
             d = mpmath.mpf(delta)
