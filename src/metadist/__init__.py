@@ -17,7 +17,6 @@ from .jacobi import (
     fourier_jacobi_coeffs,
     meta_reliability,
     moment_match_basis,
-    norm_h,
     reconstruct,
 )
 from .moments import (
@@ -25,18 +24,13 @@ from .moments import (
     MomentSequence,
     SystemParams,
     approx_error_bound,
-    big_m_constant,
     coeffs,
     moment_approx,
     moment_exact,
     moment_sequence,
     rho_n,
 )
-from .quadrature import (
-    QuadratureError,
-    QuadResult,
-    integrate_semi_infinite_decaying,
-)
+from .quadrature import QuadratureError
 from .scaling import InfeasibleQosError, QosSpec, min_power
 from .sim import (
     EmpiricalMeta,
@@ -48,7 +42,6 @@ from .sim import (
     empirical_reliability,
     run_campaign,
 )
-from .specfun import gauss_2f1, reg_inc_beta
 
 __version__ = "0.1.0"
 
@@ -61,13 +54,11 @@ __all__ = [
     "JacobiBasis",
     "MomentSequence",
     "QosSpec",
-    "QuadResult",
     "QuadratureError",
     "ReconstructedDistribution",
     "SimConfig",
     "SystemParams",
     "approx_error_bound",
-    "big_m_constant",
     "ccp_analytic",
     "ccp_sampled",
     "coeffs",
@@ -78,17 +69,13 @@ __all__ = [
     "eval_cdf",
     "eval_pdf",
     "fourier_jacobi_coeffs",
-    "gauss_2f1",
-    "integrate_semi_infinite_decaying",
     "meta_reliability",
     "min_power",
     "moment_approx",
     "moment_exact",
     "moment_match_basis",
     "moment_sequence",
-    "norm_h",
     "reconstruct",
-    "reg_inc_beta",
     "rho_n",
     "run_campaign",
 ]

@@ -56,12 +56,12 @@ def _add_scenario_args(parser: argparse.ArgumentParser, *, density_and_power: bo
     grp.add_argument("--gamma", type=float, default=5.0,
                      help="path-loss exponent, > 2 (default 5)")
     grp.add_argument("--theta-db", type=float, default=0.0,
-                     help="SINR threshold in dB (default 0 dB; -inf for theta=0)")
+                     help="SINR threshold in dB (default 0 dB; --theta-db=-inf for theta=0)")
     if density_and_power:
         grp.add_argument("--power-dbm", type=float, default=0.0,
                          help="transmit power in dBm (default 0 dBm = 1 mW)")
     grp.add_argument("--noise-dbm", type=float, default=-100.0,
-                     help="noise power in dBm (default -100 dBm)")
+                     help="noise power in dBm (default -100 dBm; --noise-dbm=-inf for no noise)")
 
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:

@@ -305,6 +305,13 @@ def approx_error_bound(a_coef: float, b_coef: float, gamma_pl: float) -> float:
 
     Note this bounds the unscaled integral: multiply by pi lambda to compare
     against moment values.
+
+    The bound is the paper's. It is exact in its limits (B = 0, gamma -> 2)
+    but vacuous above about gamma 8, where the Gamma(gamma/2) term grows
+    without limit while |mu - mu_approx| stays below 1. At lambda 1e-3,
+    0 dB and -100 dBm, pi lambda times the bound on mu_1 is 0.023 at
+    gamma 5, 0.93 at gamma 8, 7.3 at gamma 10 and 9.7e4 at gamma 20.
+    ROADMAP item 13 plans a certified error column.
     """
     if not a_coef > 0.0:
         raise ValueError(f"a_coef must be positive, got {a_coef}")

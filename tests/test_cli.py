@@ -64,6 +64,15 @@ class TestArgumentParsing:
         assert main(["--help"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: metadist")
 
+    @pytest.mark.parametrize("flag", ["--theta-db", "--noise-dbm"])
+    def test_help_names_the_equals_form_of_minus_inf(self, flag, monkeypatch, capsys):
+        # argparse reads a separate "-inf" as an option, not as the flag's value.
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main(["moments", "--help"]) == EXIT_OK
+        assert f"{flag}=-inf" in capsys.readouterr().out
+        assert main(["moments", flag, "-inf"]) == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
         built = []
         real = cli.build_parser
