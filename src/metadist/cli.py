@@ -91,32 +91,30 @@ def _linear_flag(args: argparse.Namespace, flag: str) -> float:
     return value
 
 
-def _emit_table(
-    columns: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    meta: dict[str, Any],
-    args: argparse.Namespace,
-) -> None:
-    """CSV table (+ JSON sidecar when writing to a file) or one JSON document."""
+def _emit_table(table: dict[str, Sequence[Any]], meta: dict[str, Any],
+                args: argparse.Namespace) -> None:
+    """CSV table (+ JSON sidecar when writing to a file) or one JSON document.
+
+    `table` maps each column name, in header order, to its cells.  An int or
+    str cell is written as is, any other as repr(float(cell)).
+    """
+    rows = [[v if isinstance(v, (int, str)) else repr(float(v)) for v in row]
+            for row in zip(*table.values())]
     if args.out is None:
         stream = contextlib.nullcontext(sys.stdout)
     else:
         stream = open(args.out, "w", newline="")
     with stream as fh:
         if args.format == "json":
-            doc = {"columns": list(columns), "rows": [list(r) for r in rows], "meta": meta}
+            doc = {"columns": list(table), "rows": rows, "meta": meta}
             fh.write(json.dumps(doc, indent=2) + "\n")
             return
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(table)
         writer.writerows(rows)
     if args.out is not None:
         sidecar = args.out.with_suffix(args.out.suffix + ".meta.json")
         sidecar.write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
@@ -126,7 +124,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
     if args.method != "approx":
         table["mu_exact"] = moments.moment_sequence(params, args.n_max).values[1:]
     if args.method != "exact":
-        table["mu_approx"] = [moments.moment_approx(params, n) for n in ns]
+        table["mu_approx"] = moments.moment_sequence(
+            params, args.n_max, method=moments.METHOD_CLOSED_FORM).values[1:]
     if args.method == "both":
         table["abs_diff"] = [abs(mu - ap) for mu, ap in zip(table["mu_exact"], table["mu_approx"])]
         table["error_bound"] = [
@@ -134,8 +133,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
             * moments.approx_error_bound(c.a_coef, c.b_coef, params.gamma_pl)
             for c in (moments.coeffs(params, n) for n in ns)
         ]
-    rows = [[n, *map(_fmt, values)] for n, *values in zip(*table.values())]
-    _emit_table(list(table), rows, {"scenario": sim.scenario_to_dict(params)}, args)
+    _emit_table(table, {"scenario": sim.scenario_to_dict(params)}, args)
     return EXIT_OK
 
 
@@ -167,8 +165,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     # The endpoint PDF can be singular (alpha or beta < 0); leave it blank.
     interior = (xs > 0.0) & (xs < 1.0)
     pdf = np.full(xs.shape, "", dtype=object)
-    pdf[interior] = [_fmt(v) for v in jacobi.eval_pdf(dist, xs[interior])]
-    rows = [[_fmt(x), p, _fmt(c), _fmt(r)] for x, p, c, r in zip(xs, pdf, cdf, rel)]
+    pdf[interior] = jacobi.eval_pdf(dist, xs[interior])
     report = jacobi.convergence_diagnostic(dist)
     meta = {
         "basis": {"alpha": dist.basis.alpha, "beta": dist.basis.beta,
@@ -179,7 +176,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "moments": list(dist.source_moments.values),
         "moment_method": dist.source_moments.method,
     }
-    _emit_table(("x", "pdf", "cdf", "reliability"), rows, meta, args)
+    _emit_table({"x": xs, "pdf": pdf, "cdf": cdf, "reliability": rel}, meta, args)
     return EXIT_OK
 
 
@@ -220,11 +217,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # Leading series term alone: the moment-matched beta approximation.
         beta_rel = 1.0 - reg_inc_beta(xs, b + 1.0, a + 1.0)
         fj_rel = jacobi.meta_reliability(dist, xs)
-    rows = [
-        [_fmt(x), _fmt(er), _fmt(br), _fmt(fr),
-         _fmt(abs(br - er) / er), _fmt(abs(fr - er) / er)]
-        for x, er, br, fr in zip(xs, emp_rel, beta_rel, fj_rel)
-    ]
     meta = {
         "scenario": sim.scenario_to_dict(params),
         "order": args.order,
@@ -232,10 +224,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "empirical_moments": list(sim.empirical_moments(samples, 10).values),
         "num_samples": len(samples),
     }
-    _emit_table(
-        ("x", "empirical_rel", "beta_rel", "fj_rel", "relerr_beta", "relerr_fj"),
-        rows, meta, args,
-    )
+    table = {
+        "x": xs, "empirical_rel": emp_rel, "beta_rel": beta_rel, "fj_rel": fj_rel,
+        "relerr_beta": np.abs(beta_rel - emp_rel) / emp_rel,
+        "relerr_fj": np.abs(fj_rel - emp_rel) / emp_rel,
+    }
+    _emit_table(table, meta, args)
     return EXIT_OK
 
 
@@ -258,8 +252,8 @@ def cmd_power(args: argparse.Namespace) -> int:
         meta["loglog_slope"] = slope
         print(f"fitted log-log slope: {slope:.9f} (expected {-args.gamma / 2})",
               file=sys.stderr)
-    rows = [[_fmt(lam), _fmt(p), _fmt(mw_to_dbm(p))] for lam, p in zip(lams, powers)]
-    _emit_table(("lambda", "p_mw", "p_dbm"), rows, meta, args)
+    table = {"lambda": lams, "p_mw": powers, "p_dbm": [mw_to_dbm(p) for p in powers]}
+    _emit_table(table, meta, args)
     return EXIT_OK
 
 

@@ -70,7 +70,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     which sends z in (-inf, 0] to w = z/(z-1) in [0, 1) where the series
     converges.  Summation stops once a term contributes less than 1e-16
     relatively, with a hard cap of 10,000 terms that returns the partial
-    sum without raising (see ROADMAP, the incomplete-beta item).
+    sum without raising (see ROADMAP item 1, which takes every 1 + rho_n
+    from the recurrence on F, far_integral_parts, instead).
 
     The first 128 terms are summed in a Python loop; the rest in numpy
     chunks of 1024, 2048, ... terms.  A chunk's term ratios are multiplied

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import mpmath
@@ -198,6 +199,22 @@ class TestMomentsCommand:
         rows = json.loads(capsys.readouterr().out)["rows"]
         params = SystemParams(1e-3, 4.0, db_to_linear(5.0), 1.0, db_to_linear(-90.0))
         assert [float(r[1]) for r in rows] == list(moment_sequence(params, 10).values[1:])
+
+    def test_closed_form_column_is_a_moment_sequence(self, capsys):
+        # At 29 dB the 2F1 series' defect makes the closed-form mu_10 exceed
+        # mu_9, which no law on [0, 1] allows: the column is nonincreasing,
+        # or the run exits 3 and names the pair.
+        argv = ["moments", "--method", "approx", "--gamma", "2.05", "--theta-db", "29",
+                "--lambda", "1e-8", "--noise-dbm", "-200", "--format", "json"]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        if rc == EXIT_MATH:
+            assert captured.out == ""
+            assert re.search(r"moments must be nonincreasing: mu_\d+=\S+ > mu_\d+=", captured.err)
+            return
+        assert rc == EXIT_OK
+        mu = [float(row[1]) for row in json.loads(captured.out)["rows"]]
+        assert all(b <= a for a, b in zip(mu, mu[1:]))
 
     @pytest.mark.parametrize("method", ["exact", "approx", "both"])
     def test_one_gauss_2f1_call_per_n(self, method, monkeypatch):
@@ -895,6 +912,57 @@ class TestPowerCommand:
         assert "loglog_slope" not in doc["meta"]
         assert "reported as 0 mW" in captured.err
         assert "slope" not in captured.err
+
+
+# Each table's argv (the compare samples file is written first) and an identity
+# that ties its columns to their labels.
+_TABLES = {
+    "moments": (["moments", "--n-max", "4"],
+                lambda c: c["abs_diff"] == [abs(e - a) for e, a in
+                                            zip(c["mu_exact"], c["mu_approx"])]),
+    "reconstruct": (["reconstruct", "--order", "4", "--grid-points", "6"],
+                    lambda c: c["reliability"] == [min(max(1.0 - f, 0.0), 1.0) for f in c["cdf"]]),
+    "compare": (["compare", "--samples", "{samples}", "--order", "4"],
+                lambda c: all(c[f"relerr_{k}"] == [abs(m - e) / e for m, e in
+                                                   zip(c[f"{k}_rel"], c["empirical_rel"])]
+                              for k in ("beta", "fj"))),
+    "power": (["power", "--x-rel", "0.3", "--epsilon", "0.7", "--lambda-steps", "3"],
+              lambda c: c["p_dbm"] == [mw_to_dbm(p) for p in c["p_mw"]]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TABLES))
+def test_csv_and_json_tables_hold_the_same_cells(command, tmp_path, capsys):
+    """One table, two forms: the same header and cell strings in each.
+
+    n is an int in JSON, an endpoint PDF is blank, and every other cell is
+    the shortest repr of a double.
+    """
+    samples = tmp_path / "s.csv"
+    sim.write_samples_csv(np.random.default_rng(4).beta(3.0, 1.5, 200), samples)
+    template, labels_hold = _TABLES[command]
+    argv = [a.format(samples=samples) for a in template]
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    header, rows = _read_csv(out)
+    capsys.readouterr()
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["columns"] == header
+    assert doc["meta"] == json.loads((tmp_path / "t.csv.meta.json").read_text())
+    assert [[str(v) for v in row] for row in doc["rows"]] == rows
+    columns = {}
+    for name, cells in zip(header, zip(*doc["rows"])):
+        if name == "n":
+            assert [type(v) for v in cells] == [int] * len(cells)
+            continue
+        if name == "pdf":
+            ends = [x in (0.0, 1.0) for x in columns["x"]]
+            assert [v == "" for v in cells] == ends
+            cells = [v for v, end in zip(cells, ends) if not end]
+        assert all(type(v) is str and v == repr(float(v)) for v in cells)
+        columns[name] = [float(v) for v in cells]
+    assert labels_hold(columns)
 
 
 class TestKnownWrongOutputs:

@@ -93,6 +93,10 @@ class TestNormH:
     def test_direct_substitution_case(self):
         assert norm_h(1.0, 0.0, 1) == pytest.approx(0.25, rel=1e-12)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="norm_h requires n >= 0, got -1"):
+            norm_h(0.0, 0.0, -1)
+
     def test_against_quadrature(self):
         for al, be in [(0.3, 1.7), (1.0, 0.0)]:
             for n in (1, 4, 8):
@@ -160,6 +164,11 @@ class TestCoefficients:
         seq = MomentSequence((1.0, 0.6, 0.4), METHOD_EMPIRICAL)
         with pytest.raises(ValueError):
             fourier_jacobi_coeffs(seq, JacobiBasis(0.0, 0.0, 5))
+
+    @pytest.mark.parametrize("values", [(1.0,), (1.0, 0.6)])
+    def test_moment_matching_needs_two_moments(self, values):
+        with pytest.raises(ValueError, match="moment matching needs mu_1 and mu_2"):
+            reconstruct(MomentSequence(values, METHOD_EMPIRICAL), order=0)
 
 
 # Scenarios (lambda, gamma, theta dB, noise dBm) whose moment-matched bases

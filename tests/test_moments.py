@@ -340,6 +340,11 @@ class TestBigM:
     def test_gamma_to_two_limit(self):
         assert big_m_constant(2.0 + 1e-9) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("gamma", [2.0, 1.5, math.nan])
+    def test_requires_gamma_above_two(self, gamma):
+        with pytest.raises(ValueError, match="requires gamma_pl > 2"):
+            big_m_constant(gamma)
+
     def test_at_least_one(self):
         for g in np.linspace(2.01, 12.0, 25):
             assert big_m_constant(float(g)) >= 1.0
@@ -352,6 +357,10 @@ class TestMomentSequenceBuilder:
             assert seq.method == method
             assert len(seq) == 6
             assert seq[0] == 1.0
+
+    def test_negative_n_max_rejected(self, paper_params):
+        with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
+            moment_sequence(paper_params, -1)
 
     def test_empirical_not_computable(self, paper_params):
         with pytest.raises(ValueError):

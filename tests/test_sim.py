@@ -479,6 +479,11 @@ class TestCcpSampled:
         r = np.array([10.0, 30.0])
         assert ccp_sampled(r, p, 100, np.random.default_rng(0)) == 1.0
 
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_no_draws_rejected(self, draws, paper_params):
+        with pytest.raises(ValueError, match=f"need at least one channel draw, got {draws}"):
+            ccp_sampled(np.array([10.0, 30.0]), paper_params, draws, np.random.default_rng(0))
+
     def test_binomial_concentration_vs_analytic(self, paper_params):
         cfg = SimConfig(params=paper_params, num_realizations=1, rng_seed=42)
         violations = 0
@@ -956,6 +961,10 @@ class TestEmpiricalStatistics:
     def test_all_zeros(self):
         seq = empirical_moments(np.zeros(2), 2)
         assert seq.values == (1.0, 0.0, 0.0)
+
+    def test_negative_max_n_rejected(self):
+        with pytest.raises(ValueError, match="max_n must be nonnegative, got -1"):
+            empirical_moments(np.array([0.5]), -1)
 
     def test_underflowing_samples(self):
         # c^2 of every sample underflows, so the sample means from mu_2 on are 0.0.
