@@ -171,10 +171,11 @@ class MomentSequence:
             raise ValueError(f"mu_0 must equal 1, got {self.values[0]}")
         for n, v in enumerate(self.values):
             if not 0.0 <= v <= 1.0 + 1e-12:
-                raise ValueError(f"mu_{n}={v} outside [0, 1]")
+                raise ValueError(f"{self.method} moments: mu_{n}={v} outside [0, 1]")
             if n > 0 and v > self.values[n - 1] + _MONOTONE_SLACK:
                 raise ValueError(
-                    f"moments must be nonincreasing: mu_{n}={v} > mu_{n-1}={self.values[n-1]}"
+                    f"{self.method} moments must be nonincreasing: "
+                    f"mu_{n}={v} > mu_{n-1}={self.values[n-1]}"
                 )
 
     def __len__(self) -> int:

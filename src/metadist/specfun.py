@@ -11,9 +11,10 @@ with theta >= 0.
 The 2F1 series sums a short scalar prefix in a Python loop, which is all a
 low threshold needs, and continues in numpy chunks whose sequential
 accumulates round exactly as that loop would: the result is the same float
-as summing every term in Python.  Its 10,000-term cap still returns
-silently; ROADMAP's first correctness item computes every 1 + rho_n from F
-by a recurrence of positive terms instead.
+as summing every term in Python.  The chunks' ratio factors that do not
+depend on the order n are cached for the last gamma.  Its 10,000-term cap
+still returns silently; ROADMAP's first correctness item computes every
+1 + rho_n from F by a recurrence of positive terms instead.
 
 The incomplete beta's continued fraction runs over all lanes of x at once,
 two partial numerators per step (its even contraction) as a three-term
@@ -46,6 +47,8 @@ _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 10_000
 _SERIES_PREFIX_TERMS = 128
 _SERIES_FIRST_CHUNK = 1024
+# k of every term past the prefix; each chunk of gauss_2f1 is a slice of it.
+_SERIES_K = np.arange(_SERIES_PREFIX_TERMS, _SERIES_MAX_TERMS, dtype=float)
 _CF_RTOL = 1e-16
 _CF_MAX_STEPS = 500
 _CF_FIRST_STOP = 16
@@ -77,7 +80,9 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     chunks of 1024, 2048, ... terms.  A chunk's term ratios are multiplied
     onto the carried term, and its terms added onto the carried total, by
     sequential accumulates, so each partial sum is the float the loop would
-    produce and the result does not depend on the chunking.
+    produce and the result does not depend on the chunking.  The ratios'
+    factors b2 + k and (c + k)(k + 1) do not depend on a; the last (b2, c)
+    pair's are cached, so the orders of one scenario build them once.
     """
     if z > 0.0:
         raise ValueError(f"gauss_2f1 supports z <= 0 only, got z={z}")
@@ -102,14 +107,20 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     # Overflow to inf stays silent, as it is for the Python floats above; a
     # chunk also computes the terms past its stop, which are never read.
     with np.errstate(all="ignore"):
+        upper, lower = _series_factors(b2, c)
         while start < _SERIES_MAX_TERMS:
-            k = np.arange(start, min(start + size, _SERIES_MAX_TERMS), dtype=float)
-            terms = (a + k) * (b2 + k) / ((c + k) * (k + 1.0)) * w
+            chunk = slice(start - _SERIES_PREFIX_TERMS,
+                          min(start + size, _SERIES_MAX_TERMS) - _SERIES_PREFIX_TERMS)
+            # The loop's ((a + k)(b2 + k)) / ((c + k)(k + 1)) w, op for op.
+            terms = a + _SERIES_K[chunk]
+            terms *= upper[chunk]
+            terms /= lower[chunk]
+            terms *= w
             terms[0] *= term
-            terms = np.multiply.accumulate(terms)
+            np.multiply.accumulate(terms, out=terms)
             totals = terms.copy()
             totals[0] += total
-            totals = np.add.accumulate(totals)
+            np.add.accumulate(totals, out=totals)
             stop = np.abs(terms) <= _SERIES_RTOL * np.abs(totals)
             first = int(stop.argmax())
             if stop[first]:
@@ -117,6 +128,16 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
             term, total = terms[-1], totals[-1]
             start, size = start + size, 2 * size
     return prefactor * float(total)
+
+
+@functools.lru_cache(maxsize=1)
+def _series_factors(b2: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The term ratios' factors that do not depend on a: b2 + k and (c + k)(k + 1).
+
+    Tabulated over _SERIES_K.  The orders n of one scenario share one
+    (b2, c), so the one cached pair serves all of their chunks.
+    """
+    return b2 + _SERIES_K, (c + _SERIES_K) * (_SERIES_K + 1.0)
 
 
 def _cf_coefficients(

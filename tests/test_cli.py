@@ -200,21 +200,40 @@ class TestMomentsCommand:
         params = SystemParams(1e-3, 4.0, db_to_linear(5.0), 1.0, db_to_linear(-90.0))
         assert [float(r[1]) for r in rows] == list(moment_sequence(params, 10).values[1:])
 
+    # At 29 dB the 2F1 series' defect makes mu_10 exceed mu_9 in both
+    # columns, which no law on [0, 1] allows.
+    _DEFECT_ARGV = ["--gamma", "2.05", "--theta-db", "29", "--lambda", "1e-8",
+                    "--noise-dbm", "-200", "--format", "json"]
+
     def test_closed_form_column_is_a_moment_sequence(self, capsys):
-        # At 29 dB the 2F1 series' defect makes the closed-form mu_10 exceed
-        # mu_9, which no law on [0, 1] allows: the column is nonincreasing,
-        # or the run exits 3 and names the pair.
-        argv = ["moments", "--method", "approx", "--gamma", "2.05", "--theta-db", "29",
-                "--lambda", "1e-8", "--noise-dbm", "-200", "--format", "json"]
-        rc = main(argv)
+        # The column is nonincreasing, or the run exits 3 and names the
+        # column's method and the pair.
+        rc = main(["moments", "--method", "approx", *self._DEFECT_ARGV])
         captured = capsys.readouterr()
         if rc == EXIT_MATH:
             assert captured.out == ""
-            assert re.search(r"moments must be nonincreasing: mu_\d+=\S+ > mu_\d+=", captured.err)
+            assert re.search(r"^error: closed_form moments must be nonincreasing: "
+                             r"mu_\d+=\S+ > mu_\d+=", captured.err)
             return
         assert rc == EXIT_OK
         mu = [float(row[1]) for row in json.loads(captured.out)["rows"]]
         assert all(b <= a for a, b in zip(mu, mu[1:]))
+
+    def test_both_names_the_column_that_failed(self, capsys):
+        # `--method both` builds the exact column first, so a failure there
+        # names exact_quadrature, not the closed form that fails the same way.
+        rc = main(["moments", "--method", "both", *self._DEFECT_ARGV])
+        captured = capsys.readouterr()
+        if rc == EXIT_MATH:
+            assert captured.out == ""
+            assert re.search(r"^error: exact_quadrature moments must be nonincreasing: "
+                             r"mu_\d+=\S+ > mu_\d+=", captured.err)
+            return
+        assert rc == EXIT_OK
+        rows = json.loads(captured.out)["rows"]
+        for col in (1, 2):
+            mu = [float(row[col]) for row in rows]
+            assert all(b <= a for a, b in zip(mu, mu[1:]))
 
     @pytest.mark.parametrize("method", ["exact", "approx", "both"])
     def test_one_gauss_2f1_call_per_n(self, method, monkeypatch):

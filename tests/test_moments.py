@@ -72,14 +72,18 @@ class TestMomentSequence:
             MomentSequence((0.9, 0.6), METHOD_EXACT)
 
     def test_monotonicity_enforced(self):
-        with pytest.raises(ValueError):
+        # The message names the sequence's method, so a CLI user can tell
+        # which column failed.
+        with pytest.raises(ValueError, match=r"^exact_quadrature moments must be nonincreasing"):
             MomentSequence((1.0, 0.4, 0.6), METHOD_EXACT)
+        with pytest.raises(ValueError, match=r"^closed_form moments must be nonincreasing"):
+            MomentSequence((1.0, 0.4, 0.6), METHOD_CLOSED_FORM)
 
     def test_range_enforced(self):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^exact_quadrature moments: mu_1=-0.1 outside \[0, 1\]"):
             MomentSequence((1.0, -0.1), METHOD_EXACT)
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            MomentSequence((1.0, 1.0 + 1e-9), METHOD_EXACT)
+        with pytest.raises(ValueError, match=r"^empirical moments: mu_1=\S+ outside \[0, 1\]"):
+            MomentSequence((1.0, 1.0 + 1e-9), METHOD_EMPIRICAL)
 
     def test_zero_moments_valid(self):
         # A sample mean of c^n underflows to 0.0 when every sample is tiny.

@@ -162,6 +162,51 @@ class TestGauss2F1BitIdentical:
         assert _stop_term(*args) is None
         assert _same_float(gauss_2f1(*args), gauss_2f1_series_reference(*args))
 
+    # The chunks read the ratio factors of the last (b2, c) pair from a
+    # one-entry cache; these cases replace that pair, reuse it and bring back
+    # an evicted one.  Every series below runs past the prefix.
+    @staticmethod
+    def _rho_args(n, gamma, theta_db):
+        return (float(n), -2.0 / gamma, 1.0 - 2.0 / gamma, -(10.0 ** (theta_db / 10.0)))
+
+    def test_alternating_gammas_replace_the_cached_pair(self):
+        specfun._series_factors.cache_clear()
+        for i in range(8):
+            args = self._rho_args(1 + i, (2.5, 4.5)[i % 2], 20.0 + i)
+            assert _same_float(gauss_2f1(*args), gauss_2f1_series_reference(*args)), args
+        assert specfun._series_factors.cache_info().misses == 8
+
+    def test_a_gamma_that_comes_back(self):
+        specfun._series_factors.cache_clear()
+        first = self._rho_args(3, 3.0, 24.0)
+        got = gauss_2f1(*first)
+        for g in (4.0, 5.0, 6.0):
+            args = self._rho_args(3, g, 24.0)
+            assert _same_float(gauss_2f1(*args), gauss_2f1_series_reference(*args)), args
+        again = gauss_2f1(*first)
+        assert _same_float(again, got)
+        assert _same_float(again, gauss_2f1_series_reference(*first))
+        assert specfun._series_factors.cache_info().misses == 5
+
+    @pytest.mark.parametrize(
+        ("args", "stop"),
+        [
+            ((1.0, -0.4, 0.6, -2.993), specfun._SERIES_PREFIX_TERMS),
+            ((1.0, -0.4, 0.6, -32.55), specfun._SERIES_PREFIX_TERMS + specfun._SERIES_FIRST_CHUNK),
+            ((10.0, -0.4, 0.6, -1e4), None),
+        ],
+    )
+    def test_cold_and_warm_cache(self, args, stop):
+        # Just past the prefix, at the 1,152-term chunk boundary and at the
+        # 10,000-term cap: first with another gamma's pair cached, then with
+        # its own, then after the other gamma has replaced it again.
+        assert _stop_term(*args) == stop
+        other = self._rho_args(2, 3.0, 30.0)
+        want = gauss_2f1_series_reference(*args)
+        for call in (other, args, args, other, args):
+            expected = want if call is args else gauss_2f1_series_reference(*call)
+            assert _same_float(gauss_2f1(*call), expected), call
+
     def test_nan_overflow_and_terminating(self):
         for args in [
             (1.0, -0.4, 0.6, math.nan),
