@@ -1,7 +1,8 @@
 """Meta-distribution toolkit for downlink Poisson cellular networks.
 
 Computes moments of the conditional coverage probability (exact quadrature
-and a closed-form approximation with a proven error bound), reconstructs the
+and a closed-form approximation with the paper's error bound, which is
+vacuous above about gamma 8), reconstructs the
 full meta distribution from those moments by Fourier-Jacobi expansion,
 validates everything against a Monte Carlo point-process simulator, and
 derives the minimum-power scaling law implied by the second moment.

@@ -19,8 +19,12 @@ c_1 = (theta sigma2 / p)^(2/gamma) / (pi lambda) (SystemParams.noise_root)
 is the one place where lambda, p and sigma2 meet.  Scenarios with equal
 gamma, theta and c_1 have equal moments.
 
-The module provides the exact moments (double-exponential quadrature of
-the t-integral: mu_1..mu_N are the rows of one integrand on one shared set
+Integrating by parts against W = U^delta / c_n, U ~ Exp(1), delta = 2/gamma,
+whose survival function is exp(-(c_n t)^(gamma/2)), gives the u-form
+mu_n = (1/a_n) int_0^inf e^-u (-expm1(-r_n u^delta)) du, r_n = a_n / c_n:
+the cliff at t = 1/c_n becomes the weight e^-u, on the unit scale for
+every row and gamma.  The module provides the exact moments (quadrature
+of the u-form: mu_1..mu_N are the rows of one integrand on one shared set
 of abscissae, and c_1 = 0 gives mu_n = 1 / a_n exactly), a closed-form
 approximation
 
@@ -226,10 +230,9 @@ def moment_exact(params: SystemParams, n: int) -> float:
 
 
 def _moments_exact(params: SystemParams, ns) -> np.ndarray:
-    """mu_n for each n in ns: one quadrature in t, one integrand row per n.
+    """mu_n for each n in ns: one quadrature in u, one integrand row per n.
 
-    Row n decays on the length 1 / (a_n + c_n); the rule is scaled to the
-    geometric mean of these lengths over the rows, and each row meets the
+    Every row decays on the unit scale, with no scale hint, and meets the
     engine's default tolerance, quadrature.DEFAULT_TOL, relative to its own
     mu_n.  c_1 = 0 (theta = 0 or sigma2 = 0) gives mu_n = 1 / a_n exactly,
     and no quadrature runs.  A c_n that overflows
@@ -239,15 +242,15 @@ def _moments_exact(params: SystemParams, ns) -> np.ndarray:
     mu = np.where(c == 0.0, 1.0 / a, 0.0)
     rows = (0.0 < c) & (c < math.inf)
     if rows.any():
-        a, c, half_g = a[rows, None], c[rows, None], params.gamma_pl / 2.0
+        a, c, delta = a[rows], c[rows], 2.0 / params.gamma_pl
 
-        def integrand(t: np.ndarray) -> np.ndarray:
-            # Far out in the tail (c t)^(gamma/2) may overflow to inf; exp gives 0.
+        def integrand(u: np.ndarray) -> np.ndarray:
+            # r_n = a_n / c_n or r_n u^delta may overflow: -expm1(-inf) = 1 is the exact limit.
             with np.errstate(over="ignore"):
-                return np.exp(-(a * t + (c * t) ** half_g))
+                ru = (a / c)[:, None] * u**delta
+            return np.exp(-u) * -np.expm1(-ru)
 
-        scale = float(np.exp(-np.log(a + c).mean()))
-        mu[rows] = integrate_semi_infinite_decaying(integrand, scale).value
+        mu[rows] = integrate_semi_infinite_decaying(integrand).value / a
     return mu
 
 
@@ -304,6 +307,8 @@ def approx_error_bound(a_coef: float, b_coef: float, gamma_pl: float) -> float:
         (gamma M / 2K) [ B^(2/gamma) / (Gamma(2/gamma) K)
                          + Gamma(gamma/2) (B^(2/gamma) / K)^(gamma/2) ].
 
+    The second term is exp(lgamma(gamma/2) + (gamma/2) log(B^(2/gamma)/K)),
+    0 when B = 0, so the bound is inf exactly where it exceeds the doubles.
     Note this bounds the unscaled integral: multiply by pi lambda to compare
     against moment values.
 
@@ -325,5 +330,6 @@ def approx_error_bound(a_coef: float, b_coef: float, gamma_pl: float) -> float:
     b_pow = b_coef ** (2.0 / g)
     k = a_coef + g * b_pow / (2.0 * gamma_2g)
     m = big_m_constant(g)
-    bracket = b_pow / (gamma_2g * k) + math.gamma(g / 2.0) * (b_pow / k) ** (g / 2.0)
-    return g * m / (2.0 * k) * bracket
+    with np.errstate(divide="ignore", over="ignore"):
+        second = np.exp(math.lgamma(g / 2.0) + g / 2.0 * np.log(b_pow / k))
+    return float(g * m / (2.0 * k) * (b_pow / (gamma_2g * k) + second))

@@ -1,14 +1,13 @@
 """Double-exponential quadrature of the exact moment integrals.
 
-The package integrates one kind of function: the moment integrand
-exp(-(A z + B z^(gamma/2))) over [0, inf), with a branch point at z = 0
-and decay at least like exp(-A z).  The engine is the exp-sinh trapezoid
-rule of Takahasi and Mori (1974): z = scale * exp((pi/2) sinh u) maps
+The package integrates one kind of function: the moment integrand in its
+Weibull form e^-z (-expm1(-r z^delta)) over [0, inf) (see moments), with
+a branch point at z = 0 and decay like e^-z.  The engine is the exp-sinh
+trapezoid rule of Takahasi and Mori (1974): z = exp((pi/2) sinh u) maps
 u in R onto (0, inf), and the transformed integrand decays double
 exponentially at both ends of the u-axis, so a trapezoid sum on the fixed
 window u in [-4.5, 3.5] converges geometrically in 1/h whatever the power
-of z at 0.  `scale` is where the integrand's mass sits; a hint off by a
-few decades only costs halvings of the step.
+of z at 0.  The rule has no scale: every row decays on the unit scale.
 
 An integrand is evaluated on one 1-D ndarray of abscissae per call and may
 return one row of values, shape (m,), or several rows, shape (rows, m): the
@@ -70,15 +69,11 @@ class QuadResult:
 
 def integrate_semi_infinite_decaying(
     f: Callable[[np.ndarray], np.ndarray],
-    scale: float,
     tol: float = DEFAULT_TOL,
 ) -> QuadResult:
     """Integrate f over [0, inf) to relative tolerance tol in every row.
 
-    scale is the length on which f decays, e.g. 1 / (A + B^(2/gamma)) for
-    the moment integrand in z (the z-form of moments.coeffs).  Its one
-    caller, moments._moments_exact, integrates in t and passes the geometric
-    mean of 1 / (a_n + c_n) over its rows.  The error estimate is
+    f should decay on the unit scale (see moments).  The error estimate is
     |I_h - I_2h|, where I_2h sums every other node of the same rule.  While
     a row's estimate exceeds tol |I_h| the step is halved, evaluating f only
     at the new midpoints: I_{h/2} = I_h / 2 + (h/2) * (sum over the
@@ -86,12 +81,10 @@ def integrate_semi_infinite_decaying(
     tolerance.  A non-finite result, or an estimate still above tol |I_h|
     after the last halving, raises QuadratureError.
     """
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
-    fw = f(scale * _X) * (scale * _W)
+    fw = f(_X) * _W
     h, halvings, evaluations = _H, 0, _X.size
     value = h * fw.sum(axis=-1)
     error = np.abs(value - 2.0 * h * fw[..., ::2].sum(axis=-1))
@@ -102,7 +95,7 @@ def integrate_semi_infinite_decaying(
         x, w = _nodes(_U_LO + h * (np.arange(evaluations - 1) + 0.5))
         h, halvings, evaluations = 0.5 * h, halvings + 1, evaluations + x.size
         previous = value
-        value = 0.5 * previous + h * (f(scale * x) * (scale * w)).sum(axis=-1)
+        value = 0.5 * previous + h * (f(x) * w).sum(axis=-1)
         error = np.abs(value - previous)
 
     if not (np.isfinite(value).all() and (error <= tol * np.abs(value)).all()):

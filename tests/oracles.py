@@ -23,6 +23,8 @@ moment_integral_mpmath is the moment integral in 30-digit arithmetic by
 mpmath's tanh-sinh rule, not the package's exp-sinh rule in doubles;
 one_plus_rho_scipy is 1 + rho_n from scipy's hyp2f1, not the package's
 2F1 series, and moment_mpmath feeds both to mu_n = pi lambda I(A_n, B_n).
+moment_t_mpmath is the same moment in the t-form, the package's variable
+before its Weibull substitution, split at the cliff t = 1/c_n.
 far_integral_parts_full evaluates the far field's series with every one of
 its terms, where specfun.far_integral_parts stops at the last one that can
 change the sum.  jacobi_poly is no oracle: it reads one degree of the
@@ -326,6 +328,37 @@ def moment_integral_mpmath(a_coef: float, b_coef: float, gamma_pl: float) -> flo
         value, error = mpmath.quad(
             lambda z: mpmath.exp(-(a * z + b * z**half_g)),
             [*sorted(points), mpmath.inf], error=True,
+        )
+        if not error <= 1e-20 * value:
+            raise ArithmeticError(f"mpmath error estimate {error} for value {value}")
+        return float(value)
+
+
+def moment_t_mpmath(params, n: int) -> float:
+    """mu_n = int_0^inf exp(-(a_n t + (c_n t)^(gamma/2))) dt by mpmath at 30 digits.
+
+    The t-form of the moment integral, split at L/100, L and 100 L for
+    L = 1/(a_n + c_n) and, with noise (c_n > 0), at the cliff t = 1/c_n.
+    With noise the rule stops at (1 + 100/gamma) / c_n: past it,
+    exp(-(c_n t)^(gamma/2)) integrates to below e^-50 of mu_n, and at a
+    steep path loss mpmath would spend minutes on its exp.
+    a_n = 1 + rho_n is one_plus_rho_scipy's and c_n = n^(2/gamma) c_1 is
+    taken in mpmath from theta sigma2 / p and lambda.  Raises if mpmath's
+    own error estimate exceeds 1e-20 of the value.
+    """
+    with mpmath.workdps(30):
+        g = mpmath.mpf(params.gamma_pl)
+        a = mpmath.mpf(one_plus_rho_scipy(params, n))
+        c = (n * mpmath.mpf(params.theta) * params.noise / params.power) ** (2 / g) / (
+            mpmath.pi * params.lambda_bs)
+        length = 1 / (a + c)
+        points, end = {length / 100, length, 100 * length}, mpmath.inf
+        if c > 0:
+            points.add(1 / c)
+            end = (1 + 100 / g) / c
+        value, error = mpmath.quad(
+            lambda t: mpmath.exp(-(a * t + (c * t) ** (g / 2))),
+            [0, *sorted(t for t in points if t < end), end], error=True,
         )
         if not error <= 1e-20 * value:
             raise ArithmeticError(f"mpmath error estimate {error} for value {value}")

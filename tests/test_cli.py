@@ -17,6 +17,7 @@ from metadist.jacobi import (
     JacobiBasis, eval_cdf, eval_pdf, fourier_jacobi_coeffs, meta_reliability, reconstruct,
 )
 from metadist.moments import SystemParams, moment_sequence
+from metadist.quadrature import DEFAULT_TOL
 from metadist.scaling import QosSpec, min_power
 from metadist.sim import SimConfig, campaign_to_dict, empirical_reliability, run_campaign
 from metadist.specfun import reg_inc_beta
@@ -145,6 +146,26 @@ class TestMomentsCommand:
         for row in rows:
             bound = float(row[4])
             assert math.isfinite(bound) and bound > 0.0 and bound >= float(row[3])
+
+    def test_subnormal_noise_root_without_warning(self, capsys):
+        # c_1 is about 4.5e-309, below the normal doubles, so r_n = a_n / c_n
+        # overflows to inf, where the Weibull form's -expm1(-inf) = 1 is the
+        # exact limit.  The expected values come from the t-form quadrature.
+        argv = ["moments", "--method", "exact", "--n-max", "3", "--noise-dbm", "-3000",
+                "--theta-db", "-60", "--gamma", "2.001", "--lambda", "100", "--format", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        got = [float(row[1]) for row in json.loads(capsys.readouterr().out)["rows"]]
+        expected = [0.9980039920169628, 0.9960159362579528, 0.9940357852941926]
+        assert got == pytest.approx(expected, rel=DEFAULT_TOL)
+
+    def test_error_bound_is_inf_past_the_doubles(self, capsys):
+        # Gamma(gamma/2) overflows above gamma 343.2; the bound's second term
+        # is taken in logs and reads inf where it exceeds the doubles.
+        assert main(["moments", "--gamma", "1e6", "--n-max", "3", "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row[4] for row in rows] == ["inf"] * 3
 
     def test_invalid_gamma_is_usage_error(self):
         assert main(["moments", "--gamma", "1.5"]) == EXIT_USAGE
@@ -1012,8 +1033,6 @@ class TestKnownWrongOutputs:
             cdf = [float(row[2]) for row in json.loads(capsys.readouterr().out)["rows"]]
             assert all(-1e-6 <= value <= 1.0 + 1e-6 for value in cdf)
 
-    @pytest.mark.xfail(strict=True, reason="the exp-sinh rule cannot resolve the integrand's "
-                                           "cliff at t = 1/c (exits 3 today)")
     def test_moments_at_gamma_1e6(self, capsys):
         rc = main(["moments", "--gamma", "1e6", "--n-max", "3", "--format", "json"])
         captured = capsys.readouterr()

@@ -291,6 +291,19 @@ class TestErrorBound:
         i = si.quad(lambda z: math.exp(-(z + z * z)), 0.0, np.inf, epsabs=1e-12, epsrel=0.0)[0]
         assert abs(i - 1.0 / k) <= approx_error_bound(1.0, 1.0, 4.0)
 
+    def test_inf_only_past_the_doubles(self):
+        # Gamma(gamma/2) alone overflows above gamma 343.2.  The bound reads
+        # inf where its second term exceeds the doubles; below that it is
+        # the product formula, and a large A keeps it finite at any gamma.
+        g = 300.0
+        k = 1.0 + g / (2.0 * math.gamma(2.0 / g))
+        expected = (g * big_m_constant(g) / (2.0 * k)) * (
+            1.0 / (math.gamma(2.0 / g) * k) + math.gamma(g / 2.0) * (1.0 / k) ** (g / 2.0)
+        )
+        assert approx_error_bound(1.0, 1.0, g) == pytest.approx(expected, rel=1e-12)
+        assert approx_error_bound(1e-3, 1.0, 400.0) == math.inf
+        assert 0.0 < approx_error_bound(1e9, 1.0, 1e6) < 1e-9
+
     def test_vanishes_for_large_a(self):
         bounds = [approx_error_bound(a, 1.0, 3.0) for a in (1e3, 1e6, 1e9)]
         assert bounds[0] < 1e-5
