@@ -232,11 +232,12 @@ def moment_exact(params: SystemParams, n: int) -> float:
 def _moments_exact(params: SystemParams, ns) -> np.ndarray:
     """mu_n for each n in ns: one quadrature in u, one integrand row per n.
 
-    Every row decays on the unit scale, with no scale hint, and meets the
-    engine's default tolerance, quadrature.DEFAULT_TOL, relative to its own
-    mu_n.  c_1 = 0 (theta = 0 or sigma2 = 0) gives mu_n = 1 / a_n exactly,
-    and no quadrature runs.  A c_n that overflows
-    gives 0.0: mu_n <= Gamma(1 + 2/gamma) / c_n lies below the normal doubles.
+    Every row decays on the unit scale, with no scale hint, and takes the
+    engine's one fixed 321-node rule, with no refinement: its error
+    estimate is checked against quadrature.DEFAULT_TOL relative to the
+    row's own mu_n.  c_1 = 0 (theta = 0 or sigma2 = 0) gives mu_n = 1 / a_n
+    exactly, and no quadrature runs.  A c_n that overflows gives 0.0:
+    mu_n <= Gamma(1 + 2/gamma) / c_n lies below the normal doubles.
     """
     a, c = np.array([_t_coeffs(params, n) for n in ns]).reshape(-1, 2).T
     mu = np.where(c == 0.0, 1.0 / a, 0.0)

@@ -19,12 +19,11 @@ where the simulator's kernel works on unit-rate arrivals a block of
 realizations at a time.
 gauss_2f1_series_reference is the Pfaff-mapped 2F1 series as one scalar
 Python loop, the form the package's chunked series must match bit for bit.
-moment_integral_mpmath is the moment integral in 30-digit arithmetic by
-mpmath's tanh-sinh rule, not the package's exp-sinh rule in doubles;
-one_plus_rho_scipy is 1 + rho_n from scipy's hyp2f1, not the package's
-2F1 series, and moment_mpmath feeds both to mu_n = pi lambda I(A_n, B_n).
-moment_t_mpmath is the same moment in the t-form, the package's variable
-before its Weibull substitution, split at the cliff t = 1/c_n.
+moment_t_mpmath is the one oracle of the moment integral: mu_n in
+30-digit arithmetic by mpmath's tanh-sinh rule, not the package's exp-sinh
+rule in doubles, in the t-form, the package's variable before its Weibull
+substitution, split at the cliff t = 1/c_n.  Its a_n is one_plus_rho_scipy,
+1 + rho_n from scipy's hyp2f1, not the package's 2F1 series.
 far_integral_parts_full evaluates the far field's series with every one of
 its terms, where specfun.far_integral_parts stops at the last one that can
 change the sum.  jacobi_poly is no oracle: it reads one degree of the
@@ -306,34 +305,6 @@ def max_exp_neg_f(gamma_pl: float, b_coef: float) -> float:
     return math.exp(-f(0.5 * (a + b)))
 
 
-def moment_integral_mpmath(a_coef: float, b_coef: float, gamma_pl: float) -> float:
-    """int_0^inf exp(-(A z + B z^(gamma/2))) dz by mpmath at 30 digits.
-
-    mpmath's tanh-sinh rule on [0, L/100, L, 100 L, inf], where
-    L = 1/(A + B^(2/gamma)) is the length on which the integrand decays.
-    With noise (B > 0) the rule also breaks at the cliff z_c = B^(-2/gamma),
-    where B z^(gamma/2) = 1, and at z_c (1 -+ 2/gamma), about where that
-    term is 1/e and e: for a steep path loss the integrand falls from
-    exp(-A z) to 0 over that width, which no panel of the coarse grid
-    resolves.  Raises if mpmath's own error estimate exceeds 1e-20 of the
-    value.
-    """
-    with mpmath.workdps(30):
-        a, b, half_g = mpmath.mpf(a_coef), mpmath.mpf(b_coef), mpmath.mpf(gamma_pl) / 2
-        length = 1 / (a + b ** (1 / half_g))
-        points = {0, length / 100, length, 100 * length}
-        if b > 0:
-            cliff = b ** (-1 / half_g)
-            points |= {cliff * (1 - 1 / half_g), cliff, cliff * (1 + 1 / half_g)}
-        value, error = mpmath.quad(
-            lambda z: mpmath.exp(-(a * z + b * z**half_g)),
-            [*sorted(points), mpmath.inf], error=True,
-        )
-        if not error <= 1e-20 * value:
-            raise ArithmeticError(f"mpmath error estimate {error} for value {value}")
-        return float(value)
-
-
 def moment_t_mpmath(params, n: int) -> float:
     """mu_n = int_0^inf exp(-(a_n t + (c_n t)^(gamma/2))) dt by mpmath at 30 digits.
 
@@ -369,15 +340,3 @@ def one_plus_rho_scipy(params, n: int) -> float:
     """1 + rho_n = 2F1(n, -2/gamma; 1 - 2/gamma; -theta) by scipy.special.hyp2f1."""
     d = 2.0 / params.gamma_pl
     return float(hyp2f1(n, -d, 1.0 - d, -params.theta))
-
-
-def moment_mpmath(params, n: int) -> float:
-    """mu_n = pi lambda I(A_n, B_n) by moment_integral_mpmath.
-
-    A_n = pi lambda (1 + rho_n) from one_plus_rho_scipy and
-    B_n = n theta sigma2 / p: none of the package's numerics run.
-    """
-    scale = math.pi * params.lambda_bs
-    b_coef = n * params.theta * params.noise / params.power
-    return scale * moment_integral_mpmath(scale * one_plus_rho_scipy(params, n), b_coef,
-                                          params.gamma_pl)

@@ -16,7 +16,7 @@ from metadist import jacobi, moments, scaling, sim
 from metadist.specfun import reg_inc_beta
 
 from oracles import (
-    beta_moments, disk_distances, gauss_jacobi_integral, jacobi_poly, moment_mpmath,
+    beta_moments, disk_distances, gauss_jacobi_integral, jacobi_poly, moment_t_mpmath,
     one_plus_rho_scipy,
 )
 
@@ -170,7 +170,7 @@ def test_criterion_6_moment_approximation_sweep():
     for tdb in thetas_db:
         theta = 10.0 ** (tdb / 10.0)
         params = moments.SystemParams(1e-3, 3.0, theta, 1.0, 1e-10)
-        exact = {n: moment_mpmath(params, n) for n in (1, 2)}
+        exact = {n: moment_t_mpmath(params, n) for n in (1, 2)}
         means.append(exact[1])
         noiseless = 1.0 / one_plus_rho_scipy(params, 1)
         noiseless_ok = noiseless_ok and noiseless >= exact[1] - 1e-12

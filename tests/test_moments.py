@@ -30,7 +30,7 @@ from metadist.quadrature import DEFAULT_TOL
 from metadist.scaling import QosSpec, min_power
 
 from oracles import (
-    beta_moments, max_exp_neg_f, moment_mpmath, one_plus_rho_scipy, rho_quadrature,
+    beta_moments, max_exp_neg_f, moment_t_mpmath, one_plus_rho_scipy, rho_quadrature,
 )
 
 # Regression constant: mu_1 at the reference scenario, frozen from the
@@ -232,7 +232,7 @@ class TestMomentApprox:
 
     def test_gamma_near_two_limit(self):
         p = SystemParams(1e-3, 2.01, 1.0, 1.0, 1e-10)
-        assert moment_approx(p, 1) == pytest.approx(moment_mpmath(p, 1), abs=1e-4)
+        assert moment_approx(p, 1) == pytest.approx(moment_t_mpmath(p, 1), abs=1e-4)
 
     def test_monotone_nonincreasing_in_n(self, paper_params):
         exact = [moment_exact(paper_params, n) for n in range(1, 11)]
@@ -312,7 +312,7 @@ class TestErrorBound:
     def test_moment_bound_property(self, paper_params):
         # |mu_exact - mu_approx| <= pi lambda * bound(A_n, B_n, gamma), a grid
         # that also exercises gamma = 3 where noise matters most.  A_n is
-        # scipy's, and mu_exact is mpmath's (oracles.moment_mpmath).
+        # scipy's, and mu_exact is mpmath's (oracles.moment_t_mpmath).
         scenarios = [
             paper_params,
             SystemParams(1e-3, 3.0, 1.0, 1.0, 1e-10),
@@ -326,7 +326,7 @@ class TestErrorBound:
                     scale * one_plus_rho_scipy(p, n), n * p.theta * p.noise / p.power,
                     p.gamma_pl,
                 )
-                diff = abs(moment_mpmath(p, n) - moment_approx(p, n))
+                diff = abs(moment_t_mpmath(p, n) - moment_approx(p, n))
                 assert diff <= bound + 1e-12
 
     def test_invalid_args(self):
