@@ -8,12 +8,14 @@ Gamma and log-gamma come straight from `math`.  The 2F1 restriction is
 deliberate: the only regime the rest of the package needs is z = -theta
 with theta >= 0.
 
-The 2F1 series sums a short scalar prefix in a Python loop, which is all a
-low threshold needs, and continues in numpy chunks whose sequential
-accumulates round exactly as that loop would: the result is the same float
-as summing every term in Python.  The chunks' ratio factors that do not
-depend on the order n are cached for the last gamma.  Its 10,000-term cap
-still returns silently; ROADMAP's first correctness item computes every
+The 2F1 series is sized from its own decay rate w = z/(z-1): a series
+that w^64 brings below its tolerance, all a low threshold needs, is summed
+in a Python loop, and a longer one in numpy chunks, the first covering 1.5
+times the terms w^k needs to fall below the tolerance.  Each chunk's
+sequential accumulates round exactly as the loop would, so the result is
+the same float whatever the chunking.  The chunks' ratio factors that do
+not depend on the order n are cached for the last gamma.  Its 10,000-term
+cap still returns silently; ROADMAP's first correctness item computes every
 1 + rho_n from F by a recurrence of positive terms instead.
 
 The incomplete beta's continued fraction runs over all lanes of x at once,
@@ -45,10 +47,14 @@ __all__ = [
 
 _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 10_000
-_SERIES_PREFIX_TERMS = 128
-_SERIES_FIRST_CHUNK = 1024
-# k of every term past the prefix; each chunk of gauss_2f1 is a slice of it.
-_SERIES_K = np.arange(_SERIES_PREFIX_TERMS, _SERIES_MAX_TERMS, dtype=float)
+# A series is short when w^64 is at most the tolerance.  A short series runs
+# up to 128 terms in Python, room for the orders' polynomial growth (n = 10
+# at 0 dB stops on term 84); a numpy chunk is sized at least 64 terms.
+_SERIES_SHORT_TERMS = 64
+_SERIES_SHORT_W = _SERIES_RTOL ** (1.0 / _SERIES_SHORT_TERMS)
+_SERIES_PYTHON_TERMS = 128
+# k of every term; each chunk of gauss_2f1 is a slice of it.
+_SERIES_K = np.arange(_SERIES_MAX_TERMS, dtype=float)
 _CF_RTOL = 1e-16
 _CF_MAX_STEPS = 500
 _CF_FIRST_STOP = 16
@@ -76,13 +82,17 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     sum without raising (see ROADMAP item 1, which takes every 1 + rho_n
     from the recurrence on F, far_integral_parts, instead).
 
-    The first 128 terms are summed in a Python loop; the rest in numpy
-    chunks of 1024, 2048, ... terms.  A chunk's term ratios are multiplied
-    onto the carried term, and its terms added onto the carried total, by
-    sequential accumulates, so each partial sum is the float the loop would
-    produce and the result does not depend on the chunking.  The ratios'
-    factors b2 + k and (c + k)(k + 1) do not depend on a; the last (b2, c)
-    pair's are cached, so the orders of one scenario build them once.
+    The series is sized from w.  Where w^64 <= 1e-16 (theta up to about
+    1.1 dB) up to 128 terms are summed in a Python loop; any longer series
+    runs in numpy chunks, the first of 1.5 times log(1e-16) / log(w) terms
+    (at least 64) and each later one twice the last, none past the cap.
+    That estimate is where w^k falls below the tolerance; it is the cap when
+    w is NaN or rounds to 1.0 (theta >= 2^53).  A chunk's term ratios are
+    multiplied onto the carried term, and its terms added onto the carried
+    total, by sequential accumulates, so each partial sum is the float the
+    loop would produce and the result does not depend on the chunking.  The
+    ratios' factors b2 + k and (c + k)(k + 1) do not depend on a; the last
+    (b2, c) pair's are cached, so the orders of one scenario build them once.
     """
     if z > 0.0:
         raise ValueError(f"gauss_2f1 supports z <= 0 only, got z={z}")
@@ -97,20 +107,23 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     term = 1.0
     total = 1.0
-    for k in range(_SERIES_PREFIX_TERMS):
-        term *= (a + k) * (b2 + k) / ((c + k) * (k + 1.0)) * w
-        total += term
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            return prefactor * total
+    start = 0
+    if w <= _SERIES_SHORT_W:
+        for k in range(_SERIES_PYTHON_TERMS):
+            term *= (a + k) * (b2 + k) / ((c + k) * (k + 1.0)) * w
+            total += term
+            if abs(term) <= _SERIES_RTOL * abs(total):
+                return prefactor * total
+        start = _SERIES_PYTHON_TERMS
 
-    start, size = _SERIES_PREFIX_TERMS, _SERIES_FIRST_CHUNK
+    needed = math.log(_SERIES_RTOL) / math.log(w) if 0.0 < w < 1.0 else _SERIES_MAX_TERMS
+    size = int(max(1.5 * needed, _SERIES_SHORT_TERMS))
     # Overflow to inf stays silent, as it is for the Python floats above; a
     # chunk also computes the terms past its stop, which are never read.
     with np.errstate(all="ignore"):
         upper, lower = _series_factors(b2, c)
         while start < _SERIES_MAX_TERMS:
-            chunk = slice(start - _SERIES_PREFIX_TERMS,
-                          min(start + size, _SERIES_MAX_TERMS) - _SERIES_PREFIX_TERMS)
+            chunk = slice(start, min(start + size, _SERIES_MAX_TERMS))
             # The loop's ((a + k)(b2 + k)) / ((c + k)(k + 1)) w, op for op.
             terms = a + _SERIES_K[chunk]
             terms *= upper[chunk]

@@ -141,18 +141,27 @@ class TestGauss2F1BitIdentical:
         assert _same_float(gauss_2f1(a, b, c, z), want)
 
     @pytest.mark.parametrize(
-        ("theta", "stop"),
+        ("args", "stop"),
         [
-            (2.965, specfun._SERIES_PREFIX_TERMS - 1),
-            (2.993, specfun._SERIES_PREFIX_TERMS),
-            (32.52, specfun._SERIES_PREFIX_TERMS + specfun._SERIES_FIRST_CHUNK - 1),
-            (32.55, specfun._SERIES_PREFIX_TERMS + specfun._SERIES_FIRST_CHUNK),
+            # Short series (w^64 <= 1e-16): the last Python term and the
+            # first term of the numpy chunk that follows it.
+            ((20.0, -0.4, 0.6, -1.24), specfun._SERIES_PYTHON_TERMS - 1),
+            ((20.0, -0.4, 0.6, -1.25), specfun._SERIES_PYTHON_TERMS),
+            # Long series, all in numpy: w = 2/3 estimates 90.9 terms, so the
+            # first chunk holds 136 and this series stops on its last.
+            ((8.0, -0.4, 0.6, -2.0), 135),
+            # w = 41/42 estimates 1,528.9 terms, a first chunk of 2,293: this
+            # series stops on the first term of the second chunk.
+            ((9.0, -0.4, 0.6, -41.0), 2293),
+            # Series that carry terms large enough to move the sum across a
+            # boundary: 128 Python terms, then a numpy chunk of 79 that holds
+            # the stop; and chunks of 136, 272 and 544, the stop in the third.
+            ((60.0, -0.4, 0.6, -1.0), 184),
+            ((200.0, -0.4, 0.6, -2.0), 733),
         ],
     )
-    def test_stops_either_side_of_a_boundary(self, theta, stop):
-        # 2F1(1, -0.4; 0.6; -theta): gamma 5, n 1.  The last prefix term,
-        # the first chunk term, and the last and first terms of two chunks.
-        args = (1.0, -0.4, 0.6, -theta)
+    def test_stops_either_side_of_a_boundary(self, args, stop):
+        # Gamma 5, so b = -0.4 and c = 0.6; n = 8 to 200.
         assert _stop_term(*args) == stop
         assert _same_float(gauss_2f1(*args), gauss_2f1_series_reference(*args))
 
@@ -164,7 +173,7 @@ class TestGauss2F1BitIdentical:
 
     # The chunks read the ratio factors of the last (b2, c) pair from a
     # one-entry cache; these cases replace that pair, reuse it and bring back
-    # an evicted one.  Every series below runs past the prefix.
+    # an evicted one.  Every series below runs in numpy.
     @staticmethod
     def _rho_args(n, gamma, theta_db):
         return (float(n), -2.0 / gamma, 1.0 - 2.0 / gamma, -(10.0 ** (theta_db / 10.0)))
@@ -191,15 +200,15 @@ class TestGauss2F1BitIdentical:
     @pytest.mark.parametrize(
         ("args", "stop"),
         [
-            ((1.0, -0.4, 0.6, -2.993), specfun._SERIES_PREFIX_TERMS),
-            ((1.0, -0.4, 0.6, -32.55), specfun._SERIES_PREFIX_TERMS + specfun._SERIES_FIRST_CHUNK),
+            ((20.0, -0.4, 0.6, -1.25), specfun._SERIES_PYTHON_TERMS),
+            ((9.0, -0.4, 0.6, -41.0), 2293),
             ((10.0, -0.4, 0.6, -1e4), None),
         ],
     )
     def test_cold_and_warm_cache(self, args, stop):
-        # Just past the prefix, at the 1,152-term chunk boundary and at the
-        # 10,000-term cap: first with another gamma's pair cached, then with
-        # its own, then after the other gamma has replaced it again.
+        # Just past the Python loop, on the first term of a second chunk and
+        # at the 10,000-term cap: first with another gamma's pair cached,
+        # then with its own, then after the other gamma has replaced it again.
         assert _stop_term(*args) == stop
         other = self._rho_args(2, 3.0, 30.0)
         want = gauss_2f1_series_reference(*args)
@@ -208,11 +217,18 @@ class TestGauss2F1BitIdentical:
             assert _same_float(gauss_2f1(*call), expected), call
 
     def test_nan_overflow_and_terminating(self):
+        # z = -inf makes w = z/(z-1) NaN and z = -1e17 makes it round to
+        # 1.0: both size the first chunk as the cap.  c - b = -4.2 gives
+        # terms that change sign.
+        assert 1e17 / (1e17 + 1.0) == 1.0
         for args in [
             (1.0, -0.4, 0.6, math.nan),
             (400.0, 300.0, 1.5, -1e6),
             (0.0, -0.5, 0.5, -1.0),
             (-3.0, 2.0, 1.5, -1e6),
+            (1.0, -0.4, 0.6, -math.inf),
+            (1.0, -0.4, 0.6, -1e17),
+            (2.0, 5.7, 1.5, -50.0),
         ]:
             assert _same_float(gauss_2f1(*args), gauss_2f1_series_reference(*args)), args
 
