@@ -140,7 +140,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def _load_moment_file(path: Path) -> moments.MomentSequence:
     values = sim.read_column_csv(path, "mu", "expected a one-column CSV with 'mu' header")
     seq = moments.MomentSequence(values=values, method=moments.METHOD_EMPIRICAL)
-    moments.check_hausdorff(seq.values)
+    seq.check_hausdorff()
     return seq
 
 

@@ -15,9 +15,11 @@ familiar beta approximation and the rest a systematic refinement of it.
 Polynomials are evaluated by the three-term recurrence (the explicit
 binomial-sum form cancels badly beyond n ~ 15 and lives in the tests as an
 oracle).  The map from moments to coefficients is one function,
-fourier_jacobi_coeffs, whose nested sums are exact compensated sums since
-the alternating sums lose roughly a digit per order.  The PDF and the CDF's
-correction term are one weighted series, w(x) sum_k c_k P_k(x), in two bases.
+fourier_jacobi_coeffs, which reads the modified moments E[C^l (1-C)^m]
+from MomentSequence.difference; its nested sums are exact compensated sums
+since the alternating sums lose roughly a digit per order.  The PDF and the
+CDF's correction term are one weighted series, w(x) sum_k c_k P_k(x), in
+two bases.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import MomentSequence, moment_difference
+from .moments import MomentSequence
 from .specfun import reg_inc_beta
 
 __all__ = [
@@ -164,14 +166,13 @@ def fourier_jacobi_coeffs(
     a_0 is 1/h_0 for any proper moment sequence (mu_0 = 1).  The weights
     C(r, l) are the running products prod_{j<l} (r-j)/(j+1), valid for every
     real r; one that overflows raises ValueError.  Each difference
-    E[C^l (1-C)^(n-l)] (moments.moment_difference) and each sum over l is one
+    E[C^l (1-C)^(n-l)] (MomentSequence.difference) and each sum over l is one
     math.fsum: the terms cancel far below their size.
     """
-    mu = moments.values
-    if len(mu) <= basis.order:
+    if len(moments) <= basis.order:
         raise ValueError(
             f"reconstruction of order {basis.order} needs moments up to "
-            f"mu_{basis.order}, got {len(mu) - 1}"
+            f"mu_{basis.order}, got {len(moments) - 1}"
         )
     a, b = basis.alpha, basis.beta
     coeff = []
@@ -184,7 +185,7 @@ def fourier_jacobi_coeffs(
         if not all(map(math.isfinite, weights)):
             raise ValueError(f"basis (alpha={a}, beta={b}): the binomial weights of a_{n} overflow")
         inner = math.fsum(
-            w * ((-1.0) ** (n - ell) * moment_difference(mu, ell, n - ell))
+            w * ((-1.0) ** (n - ell) * moments.difference(ell, n - ell))
             for ell, w in enumerate(weights)
         )
         h_n = norm_h(a, b, n)
@@ -205,9 +206,10 @@ def moment_match_basis(mu1: float, mu2: float, order: int = DEFAULT_ORDER) -> Ja
     """
     if not 0.0 < mu1 < 1.0:
         raise DegenerateMomentsError(f"mu1 must lie strictly in (0, 1), got {mu1}")
-    if mu2 <= mu1 * mu1 + 1e-14:
+    # mu1 (1 - mu1) is the largest variance a law on [0, 1] with mean mu1 has.
+    if mu2 - mu1 * mu1 <= 1e-14 * mu1 * (1.0 - mu1):
         raise DegenerateMomentsError(
-            f"zero-variance moments (mu2={mu2} <= mu1^2={mu1 * mu1}): "
+            f"zero-variance moments (mu2={mu2}, mu1^2={mu1 * mu1}): "
             "a point mass has no beta-matched basis"
         )
     if mu2 >= mu1:

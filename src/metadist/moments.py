@@ -38,6 +38,10 @@ A SystemParams object memoises 1 + rho_n per n, so the exact moments, the
 closed form, the bound and the power law evaluate each 2F1 once per
 scenario object.  A new object, including one from dataclasses.replace,
 starts with an empty memo.
+
+A MomentSequence holds mu_0..mu_N and takes their differences
+E[C^l (1-C)^m] itself (MomentSequence.difference): its Hausdorff check and
+the Fourier-Jacobi map (jacobi.fourier_jacobi_coeffs) read them there.
 """
 from __future__ import annotations
 
@@ -73,29 +77,6 @@ _METHODS = (METHOD_EXACT, METHOD_CLOSED_FORM, METHOD_EMPIRICAL)
 # Moments are means of a [0,1] variable, hence nonincreasing in n; allow
 # this much slack for quadrature / floating-point jitter when validating.
 _MONOTONE_SLACK = 1e-9
-
-
-def moment_difference(mu, n: int, k: int) -> float:
-    """E[C^n (1-C)^k] = sum_j (-1)^j C(k, j) mu_{n+j}, one correctly rounded math.fsum."""
-    return math.fsum(math.comb(k, j) * (-1.0) ** j * mu[n + j] for j in range(k + 1))
-
-
-def check_hausdorff(mu) -> None:
-    """Raise ValueError unless mu_0..mu_N are moments of a law on [0, 1].
-
-    Every difference E[C^n (1-C)^k] (moment_difference), with k >= 1 and
-    n + k <= N, must be nonnegative.  The monotonicity slack (k = 1) lets
-    each value be off by half of it, which moves a k-th difference by up to
-    2^(k-1) times the slack: that is the margin allowed.
-    """
-    for k in range(1, len(mu)):
-        for n in range(len(mu) - k):
-            diff = moment_difference(mu, n, k)
-            if not diff >= -(2.0 ** (k - 1)) * _MONOTONE_SLACK:
-                raise ValueError(
-                    f"not the moments of a law on [0, 1]: the difference "
-                    f"E[C^n (1-C)^k] at k={k}, n={n} is {diff:.6g} < 0"
-                )
 
 
 @dataclass(frozen=True)
@@ -187,6 +168,28 @@ class MomentSequence:
 
     def __getitem__(self, n: int) -> float:
         return self.values[n]
+
+    def difference(self, l: int, m: int) -> float:
+        """E[C^l (1-C)^m] = sum_j (-1)^j C(m, j) mu_{l+j}, one correctly rounded math.fsum."""
+        mu = self.values
+        return math.fsum(math.comb(m, j) * (-1.0) ** j * mu[l + j] for j in range(m + 1))
+
+    def check_hausdorff(self) -> None:
+        """Raise ValueError unless mu_0..mu_N are moments of a law on [0, 1].
+
+        Every difference E[C^n (1-C)^k] (difference(n, k)), with k >= 1 and
+        n + k <= N, must be nonnegative.  The monotonicity slack (k = 1) lets
+        each value be off by half of it, which moves a k-th difference by up to
+        2^(k-1) times the slack: that is the margin allowed.
+        """
+        for k in range(1, len(self)):
+            for n in range(len(self) - k):
+                diff = self.difference(n, k)
+                if not diff >= -(2.0 ** (k - 1)) * _MONOTONE_SLACK:
+                    raise ValueError(
+                        f"not the moments of a law on [0, 1]: the difference "
+                        f"E[C^n (1-C)^k] at k={k}, n={n} is {diff:.6g} < 0"
+                    )
 
 
 def rho_n(params: SystemParams, n: int) -> float:

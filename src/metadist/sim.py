@@ -44,11 +44,11 @@ generator, seeded with (seed, b).  Realization i lives in block i //
 BLOCK_SIZE, so with the block size fixed every draw is reproducible
 bit-for-bit, and a campaign of k * BLOCK_SIZE realizations is the prefix of
 any longer campaign under the same seed (a final partial block draws a
-different stream).  draw_ppp makes the block's one geometry draw and, if
-any of the block's disks is empty at first draw, one `random` call for the
-nearest BSs of those disks; one kernel call turns the draw into the block's
-CCPs, taking each ratio t_1/t_j and t_1/m once in one (BLOCK_SIZE,
-NEAREST_BS + 1) array.  In sampled mode the block's generator then makes
+different stream).  draw_ppp makes the block's one geometry draw and one
+`random` call for the nearest BSs of the disks empty at first draw (with
+none empty it draws nothing and leaves the generator's state as it was);
+one kernel call turns the draw into the block's CCPs, taking each ratio
+t_1/t_j and t_1/m once in one (BLOCK_SIZE, NEAREST_BS + 1) array.  In sampled mode the block's generator then makes
 one binomial call, M draws for each realization's analytic CCP.  The
 geometry is drawn as in analytic mode, so a sampled realization sees
 exactly the BSs of the analytic one under the same seed.
@@ -183,8 +183,7 @@ def draw_ppp(
     mean = config.mean_count
     gaps = rng.standard_exponential((size, NEAREST_BS))
     empty = np.flatnonzero(gaps[:, 0] > mean)
-    if empty.size:
-        gaps[empty, 0] = -np.log1p(rng.random(empty.size) * math.expm1(-mean))
+    gaps[empty, 0] = -np.log1p(rng.random(empty.size) * math.expm1(-mean))
     return np.cumsum(gaps, axis=1, out=gaps), empty.size
 
 

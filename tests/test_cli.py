@@ -323,6 +323,38 @@ class TestReconstructCommand:
         assert captured.out == ""
         assert "k=2, n=2" in captured.err
 
+    def test_campaign_moments_round_trip(self, tmp_path):
+        # Sample moments pass the Hausdorff check and the coefficient map.
+        assert main(["simulate", "--realizations", "2000", "--seed", "3",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        mfile = tmp_path / "mu.csv"
+        summary = json.loads((tmp_path / "s.json").read_text())
+        self._write_moment_file(mfile, summary["empirical_moments"])
+        out = tmp_path / "rec.csv"
+        assert main(["reconstruct", "--moments-file", str(mfile), "--grid-points", "5",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        assert float(rows[0][2]) == 0.0 and float(rows[-1][2]) == 1.0
+        meta = json.loads((tmp_path / "rec.csv.meta.json").read_text())
+        assert meta["moment_method"] == "empirical"
+
+    def test_tiny_moments_keep_their_basis(self, tmp_path):
+        # mu_1 is 4.6e-15 and mu_2 - mu_1^2 2.3e-15: below 1e-14, yet half the
+        # largest variance a law on [0, 1] with this mean can have.
+        out = tmp_path / "rec.csv"
+        assert main(["reconstruct", "--gamma", "2.05", "--lambda", "1e-8", "--noise-dbm", "70",
+                     "--grid-points", "3", "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        assert float(rows[0][2]) == 0.0 and float(rows[-1][2]) == 1.0
+
+    def test_beta_rounding_to_minus_one_names_beta(self, capsys):
+        # At 100 dBm beta + 1 is about 1e-17, so beta rounds to -1.0.
+        assert main(["reconstruct", "--gamma", "2.05", "--lambda", "1e-8", "--noise-dbm", "100",
+                     "--grid-points", "3"]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: beta must be finite and exceed -1, got -1.0\n"
+
     def test_explicit_basis(self, tmp_path):
         out = tmp_path / "rec.csv"
         rc = main([

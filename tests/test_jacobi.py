@@ -233,6 +233,15 @@ class TestMomentMatching:
     def test_point_mass_rejected(self):
         with pytest.raises(DegenerateMomentsError):
             moment_match_basis(0.5, 0.25)
+        with pytest.raises(DegenerateMomentsError, match="zero-variance"):
+            moment_match_basis(1e-13, 1e-13 * 1e-13)
+
+    def test_tiny_mean_keeps_its_variance(self):
+        # Beta(0.5, 5e12): mu2 = 3 mu1^2, about 3e-26, far below an absolute 1e-14.
+        mu = beta_moments(0.5, 5e12, 2)
+        basis = moment_match_basis(mu[1], mu[2], order=0)
+        assert basis.beta == pytest.approx(-0.5, rel=1e-9)
+        assert basis.alpha == pytest.approx(5e12 - 1.0, rel=1e-9)
 
     def test_bad_mu1_rejected(self):
         with pytest.raises(DegenerateMomentsError):

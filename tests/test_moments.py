@@ -19,7 +19,6 @@ from metadist.moments import (
     SystemParams,
     approx_error_bound,
     big_m_constant,
-    check_hausdorff,
     coeffs,
     moment_approx,
     moment_exact,
@@ -128,32 +127,34 @@ class TestRho:
 
 class TestHausdorff:
     def test_beta_moments_pass(self):
-        check_hausdorff(beta_moments(2.7, 1.3, 20))
+        MomentSequence(beta_moments(2.7, 1.3, 20), METHOD_EMPIRICAL).check_hausdorff()
 
     def test_point_mass_contradiction_fails(self):
         # mu_2 - 2 mu_3 + mu_4 = E[C^2 (1-C)^2] = -0.1.
+        seq = MomentSequence((1.0, 0.5, 0.3, 0.2, 0.0), METHOD_EMPIRICAL)
         with pytest.raises(ValueError, match="k=2, n=2 is -0.1 <"):
-            check_hausdorff((1.0, 0.5, 0.3, 0.2, 0.0))
+            seq.check_hausdorff()
 
     def test_slack_doubles_with_k(self):
-        check_hausdorff((1.0, 0.5, 0.5 + 0.9e-9))
-        with pytest.raises(ValueError, match="k=1, n=1"):
-            check_hausdorff((1.0, 0.5, 0.5 + 1.1e-9))
+        MomentSequence((1.0, 0.5, 0.5 + 0.9e-9), METHOD_EMPIRICAL).check_hausdorff()
+        # A first difference below -1e-9 is a rising pair, which no sequence holds.
+        with pytest.raises(ValueError, match="must be nonincreasing"):
+            MomentSequence((1.0, 0.5, 0.5 + 1.1e-9), METHOD_EMPIRICAL)
         # E[(1-C)^2] = mu_0 - 2 mu_1 + mu_2 may reach -2e-9 but not below.
-        check_hausdorff((1.0, 0.5 + 0.9e-9, 0.0))
+        MomentSequence((1.0, 0.5 + 0.9e-9, 0.0), METHOD_EMPIRICAL).check_hausdorff()
         with pytest.raises(ValueError, match="k=2, n=0"):
-            check_hausdorff((1.0, 0.5 + 1.1e-9, 0.0))
+            MomentSequence((1.0, 0.5 + 1.1e-9, 0.0), METHOD_EMPIRICAL).check_hausdorff()
 
     def test_difference_is_the_beta_law_value(self):
         # For Beta(a, b), E[C^n (1-C)^k] = B(a+n, b+k) / B(a, b).
         a, b = 2.7, 1.3
-        mu = beta_moments(a, b, 12)
+        seq = MomentSequence(beta_moments(a, b, 12), METHOD_EMPIRICAL)
         log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         for n in range(7):
             for k in range(6):
                 exact = math.exp(math.lgamma(a + n) + math.lgamma(b + k)
                                  - math.lgamma(a + b + n + k) - log_norm)
-                assert moments.moment_difference(mu, n, k) == pytest.approx(exact, rel=1e-10)
+                assert seq.difference(n, k) == pytest.approx(exact, rel=1e-10)
 
     @pytest.mark.parametrize("method", [METHOD_EXACT, METHOD_CLOSED_FORM])
     def test_scenario_moments_pass(self, method):
@@ -162,7 +163,7 @@ class TestHausdorff:
             p = SystemParams(10.0 ** rng.uniform(-4.0, -2.0), rng.uniform(2.5, 6.0),
                              10.0 ** rng.uniform(-2.0, 2.0), 1.0,
                              10.0 ** rng.uniform(-12.0, -8.0))
-            check_hausdorff(moment_sequence(p, 20, method).values)
+            moment_sequence(p, 20, method).check_hausdorff()
 
 
 class TestCoeffs:
