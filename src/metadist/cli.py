@@ -198,6 +198,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_campaign(samples: Path, params: moments.SystemParams) -> None:
+    """Raise ValueError if the campaign beside `samples` has another scenario.
+
+    The campaign record is the summary `simulate` writes, the samples path
+    with suffix `.json`; its `scenario` object must equal the flags'
+    `sim.scenario_to_dict`, field by field.  With no record there, nothing
+    is checked.  A record that cannot be read raises OSError.
+    """
+    record = samples.with_suffix(".json")
+    try:
+        text = record.read_bytes()
+    except FileNotFoundError:
+        return
+    expected = sim.scenario_to_dict(params)
+    try:
+        scenario = json.loads(text)["scenario"]
+        recorded = {field: scenario[field] for field in expected}
+    except (ValueError, KeyError, TypeError):
+        raise ValueError(f"{record}: not a campaign record (no 'scenario' object "
+                         f"with {', '.join(expected)})") from None
+    for field, value in expected.items():
+        if recorded[field] != value:
+            raise ValueError(f"{record}: the campaign has {field} = {recorded[field]!r}, "
+                             f"the flags give {value!r}; pass the campaign's scenario")
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     params = args.params
     samples = sim.read_samples_csv(args.samples)
@@ -298,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="empirical vs beta vs Fourier-Jacobi reliability")
     _add_scenario_args(p)
     _add_output_args(p)
-    p.add_argument("--samples", type=Path, required=True, help="samples CSV from simulate")
+    p.add_argument("--samples", type=Path, required=True,
+                   help="samples CSV from simulate; the scenario flags must match the "
+                        "'scenario' of its .json record, if there is one")
     p.add_argument("--order", type=int, default=jacobi.DEFAULT_ORDER)
 
     p = sub.add_parser("power", help="minimum power vs density (scaling law)")
@@ -335,6 +363,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
         if args.command in ("reconstruct", "compare"):
             jacobi.check_order(args.order)
+        if args.command == "compare":
+            _check_campaign(args.samples, args.params)
         if args.command == "reconstruct":
             if args.grid_points < 1:
                 raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
@@ -363,6 +393,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         # Looked up at call time, so a patched cmd_<command> is the one run.
         return globals()[f"cmd_{args.command}"](args)

@@ -329,25 +329,24 @@ def run_campaign(config: SimConfig) -> EmpiricalMeta:
 def empirical_moments(samples: np.ndarray, max_n: int) -> MomentSequence:
     """Sample moments mu_hat_n = mean(c^n) of CCP samples c, for n = 0..max_n.
 
-    The floats are np.mean(samples**n)'s.  From n = 2 on, c^n is computed
-    only where |c| >= 2^(-1080/n), into a zeroed buffer: below that bound
-    |c^n| < 2^-1080, under half the smallest subnormal 2^-1075, so `**`
-    rounds it to 0.0 anyway, and skipping it skips libm pow's underflow
-    path, some 40 times slower per element.  n = 2 is numpy's square and
-    n > 2 its power, the ufuncs `**` takes.
+    The floats are np.mean(samples**n)'s, by one rule: mu_0 is 1.0, and for
+    each n >= 1, np.power(c, n) fills a zeroed buffer wherever |c| is not
+    below 2^(-1080/n) (NaN included), and mu_n is its mean.  Below the
+    bound |c^n| < 2^-1080, under half the smallest subnormal 2^-1075, so
+    `**` rounds it to 0.0 anyway, and skipping it skips libm pow's
+    underflow path, some 40 times slower per element.  At n = 1 the bound
+    rounds to 0.0, so every sample is kept.  Empty samples raise ValueError.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     c = np.asarray(samples, dtype=float)
-    values = [float(np.mean(c**n)) for n in range(min(max_n, 1) + 1)]
+    if c.size == 0:
+        raise ValueError("empirical moments need at least one sample")
     magnitude = np.abs(c)
-    for n in range(2, max_n + 1):
-        significant = magnitude >= 2.0 ** (-1080.0 / n)
+    values = [1.0]
+    for n in range(1, max_n + 1):
         powers = np.zeros_like(c)
-        if n == 2:
-            np.square(c, out=powers, where=significant)
-        else:
-            np.power(c, n, out=powers, where=significant)
+        np.power(c, n, out=powers, where=~(magnitude < 2.0 ** (-1080.0 / n)))
         values.append(float(np.mean(powers)))
     return MomentSequence(values=tuple(values), method=METHOD_EMPIRICAL)
 

@@ -706,6 +706,72 @@ class TestCompareCommand:
         assert rc == EXIT_IO
 
 
+class TestCompareChecksTheCampaign:
+    """compare reads the scenario of simulate's record beside the samples."""
+
+    @pytest.fixture
+    def samples(self, tmp_path):
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", "--realizations", "50", "--seed", "3",
+                     "--out", str(samples)]) == EXIT_OK
+        return samples
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lambda", "2e-3", "lambda_bs"), ("--gamma", "3", "gamma_pl"),
+        ("--theta-db", "3", "theta"), ("--power-dbm", "10", "power_mw"),
+        ("--noise-dbm", "-90", "noise_mw"),
+    ])
+    def test_each_mismatched_field_is_usage_error(self, samples, flag, value, field, capsys):
+        capsys.readouterr()
+        out = samples.parent / "cmp.csv"
+        assert main(["compare", flag, value, "--samples", str(samples),
+                     "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {samples.with_suffix('.json')}: the campaign "
+                                       f"has {field} = ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_matching_campaign_gives_the_bytes_of_no_record(self, samples):
+        # With the flags the campaign was run with, the check changes nothing.
+        argv = ["compare", "--samples", str(samples), "--order", "4"]
+        assert main([*argv, "--out", str(samples.parent / "a.csv")]) == EXIT_OK
+        samples.with_suffix(".json").unlink()
+        assert main([*argv, "--out", str(samples.parent / "b.csv")]) == EXIT_OK
+        for name in ("{}.csv", "{}.csv.meta.json"):
+            a, b = (samples.parent / name.format(k) for k in "ab")
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_no_record_checks_nothing(self, tmp_path):
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", "--gamma", "3", "--realizations", "50", "--out",
+                     str(samples)]) == EXIT_OK
+        samples.with_suffix(".json").unlink()
+        assert main(["compare", "--samples", str(samples), "--order", "0"]) == EXIT_OK
+
+    @pytest.mark.parametrize("content", ["{", "[1, 2]", '{"config": {}}', '{"scenario": 3}',
+                                         '{"scenario": {"gamma_pl": 5.0}}', "\xff"])
+    def test_malformed_record_is_usage_error(self, samples, content, capsys):
+        record = samples.with_suffix(".json")
+        record.write_bytes(content.encode("latin-1"))
+        capsys.readouterr()
+        assert main(["compare", "--samples", str(samples)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {record}: not a campaign record (no 'scenario' "
+                                "object with lambda_bs, gamma_pl, theta, power_mw, noise_mw)\n")
+
+    def test_unreadable_record_is_io_error(self, tmp_path, capsys):
+        samples = tmp_path / "s.csv"
+        sim.write_samples_csv(np.array([0.2, 0.5]), samples)
+        samples.with_suffix(".json").mkdir()
+        assert main(["compare", "--samples", str(samples)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "s.json" in captured.err
+
+
 # The CLI's two input files, one value per row under a header naming the column:
 # each reader's header and its message for a wrong header.
 _INPUT_FILES = {

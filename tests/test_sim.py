@@ -972,12 +972,14 @@ class TestEmpiricalStatistics:
         assert seq[1] == pytest.approx(4e-200 / 3.0)
         assert seq.values[2:] == (0.0, 0.0)
 
-    def test_moments_are_the_means_of_the_powers(self):
+    def test_moments_are_the_means_of_the_powers(self, paper_params):
         # c^n is computed only where it can be nonzero, yet every float is
         # mean(c**n)'s: on samples whose c^n spans the band [2^-1080, 2^-1022]
         # and the bound's neighbours for each n, with 0.0, the smallest
-        # subnormal and ordinary CCPs; on each n's band alone; and on 0.0 and
-        # 5e-324 alone.
+        # subnormal and ordinary CCPs; on each n's band alone; on 0.0 and
+        # 5e-324 alone; and on two campaigns to n = 20, the reference
+        # scenario and gamma 2.05 at 20 dB, where c^10 of most samples is
+        # below the normal range.
         n_max = 12
         bands = [np.concatenate([2.0 ** (np.linspace(-1084.0, -1018.0, 23) / n),
                                  np.nextafter(2.0 ** (-1080.0 / n), [0.0, 1.0])])
@@ -989,6 +991,25 @@ class TestEmpiricalStatistics:
             expected = tuple(float(np.mean(samples**n)) for n in range(n_max + 1))
             assert empirical_moments(samples, n_max).values == expected
         assert empirical_moments(np.array([5e-324]), 3).values == (1.0, 5e-324, 0.0, 0.0)
+        steep = SystemParams(lambda_bs=1e-3, gamma_pl=2.05, theta=100.0, power=1.0,
+                             noise=1e-12)
+        for params in (paper_params, steep):
+            samples = run_campaign(SimConfig(params=params, num_realizations=5000,
+                                             rng_seed=7)).ccp_samples
+            expected = tuple(float(np.mean(samples**n)) for n in range(21))
+            assert empirical_moments(samples, 20).values == expected
+        assert np.mean(samples**10 < 2.0**-1022) > 0.5
+
+    @pytest.mark.parametrize("samples", [np.empty(0), np.empty((0, 3))])
+    @pytest.mark.parametrize("max_n", [0, 3])
+    def test_empty_samples_rejected(self, samples, max_n):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            empirical_moments(samples, max_n)
+
+    def test_nan_sample_makes_a_nan_mean(self):
+        # As mean(c**n) is NaN, so is mu_1, which the sequence rejects.
+        with pytest.raises(ValueError, match="mu_1=nan"):
+            empirical_moments(np.array([0.5, math.nan, 1e-300]), 4)
 
     def test_reliability_is_the_mean_of_the_comparisons(self):
         # One sort and a search give the comparison matrix's mean, as floats:
