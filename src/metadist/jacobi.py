@@ -16,10 +16,16 @@ Polynomials are evaluated by the three-term recurrence (the explicit
 binomial-sum form cancels badly beyond n ~ 15 and lives in the tests as an
 oracle).  The map from moments to coefficients is one function,
 fourier_jacobi_coeffs, which reads the modified moments E[C^l (1-C)^m]
-from MomentSequence.difference; its nested sums are exact compensated sums
-since the alternating sums lose roughly a digit per order.  The PDF and the
-CDF's correction term are one weighted series, w(x) sum_k c_k P_k(x), in
-two bases.
+from MomentSequence.difference.  The alternating sums lose roughly a digit
+per order, so each nested sum is one correctly rounded math.fsum; its terms
+are rounded products, so the map itself still rounds.  Each a_n lies within
+2 eps T_n / |h_n| of the exact sum over the same doubles, T_n being the sum
+of the terms' magnitudes (tests: TestCoefficientMapExact).  Against the map
+taken in 40 digits from the same moments and basis, that moves the CDF by
+1e-12 to 3e-9 at order 10 and by 3e-5 to 3e-2 at order 20 (gamma 3-5,
+theta -10..10 dB, lambda 1e-3, -100 dBm).  The PDF and the CDF's
+correction term are one weighted series, w(x) sum_k c_k P_k(x), in two
+bases.
 """
 from __future__ import annotations
 

@@ -239,12 +239,13 @@ def _moments_exact(params: SystemParams, ns) -> np.ndarray:
     engine's one fixed 321-node rule, with no refinement: its error
     estimate is checked against quadrature.DEFAULT_TOL relative to the
     row's own mu_n.  c_1 = 0 (theta = 0 or sigma2 = 0) gives mu_n = 1 / a_n
-    exactly, and no quadrature runs.  A c_n that overflows gives 0.0:
-    mu_n <= Gamma(1 + 2/gamma) / c_n lies below the normal doubles.
+    exactly, and no quadrature runs.  A c_n that overflows is one more row:
+    r_n = a_n / inf = 0 makes its integrand 0, so the rule returns 0.0, and
+    the true mu_n <= Gamma(1 + 2/gamma) / c_n lies below the normal doubles.
     """
     a, c = np.array([_t_coeffs(params, n) for n in ns]).reshape(-1, 2).T
-    mu = np.where(c == 0.0, 1.0 / a, 0.0)
-    rows = (0.0 < c) & (c < math.inf)
+    mu = 1.0 / a
+    rows = c > 0.0
     if rows.any():
         a, c, delta = a[rows], c[rows], 2.0 / params.gamma_pl
 

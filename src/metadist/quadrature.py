@@ -11,12 +11,12 @@ the power of z at 0.  The rule has no scale and no refinement: its 321
 abscissae are fixed, every row decays on the unit scale, and each result
 carries an error estimate that is checked, not acted on.
 
-An integrand is evaluated on one 1-D ndarray of abscissae per call and may
-return one row of values, shape (m,), or several rows, shape (rows, m): the
-moments mu_1..mu_N are N rows on the same abscissae.  A one-row integrand
-gets a float value and error estimate; a multi-row one gets arrays of
-shape (rows,).  The tolerance is relative to each row's own value, so a
-moment of 1e-6 is resolved to the same significant digits as one near 1.
+An integrand is evaluated on one 1-D ndarray of abscissae per call and
+returns rows of values, shape (rows, m); shape (m,) is one row.  The
+moments mu_1..mu_N are N rows on the same abscissae.  The value and error
+estimate are always arrays of shape (rows,), one entry per row.  The
+tolerance is relative to each row's own value, so a moment of 1e-6 is
+resolved to the same significant digits as one near 1.
 """
 from __future__ import annotations
 
@@ -53,13 +53,13 @@ class QuadratureError(RuntimeError):
 class QuadResult:
     """Integral value with the rule's a-posteriori error estimate.
 
-    value and abs_error_estimate are floats for a one-row integrand and
-    arrays of shape (rows,) otherwise; evaluations counts abscissae, once
-    for all rows, and is always the rule's 321.
+    value and abs_error_estimate are arrays of shape (rows,), one entry per
+    integrand row, a one-row integrand included; evaluations counts
+    abscissae, once for all rows, and is always the rule's 321.
     """
 
-    value: float | np.ndarray
-    abs_error_estimate: float | np.ndarray
+    value: np.ndarray
+    abs_error_estimate: np.ndarray
     evaluations: int
 
 
@@ -72,12 +72,10 @@ def integrate_semi_infinite_decaying(f: Callable[[np.ndarray], np.ndarray]) -> Q
     both 0 passes.  A non-finite value, or an estimate above
     DEFAULT_TOL |I_h| in any row, raises QuadratureError.
     """
-    fw = f(_X) * _W
-    value = _H * fw.sum(axis=-1)
-    error = np.abs(value - 2.0 * _H * fw[..., ::2].sum(axis=-1))
+    fw = np.atleast_2d(f(_X)) * _W
+    value = _H * fw.sum(axis=1)
+    error = np.abs(value - 2.0 * _H * fw[:, ::2].sum(axis=1))
     if not (np.isfinite(value).all() and (error <= DEFAULT_TOL * np.abs(value)).all()):
         raise QuadratureError(f"error estimate {np.max(error):g} above the relative "
                               f"tolerance {DEFAULT_TOL:g} on the {_X.size}-node rule")
-    if fw.ndim == 1:
-        value, error = float(value), float(error)
     return QuadResult(value=value, abs_error_estimate=error, evaluations=_X.size)

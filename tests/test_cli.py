@@ -633,6 +633,31 @@ class TestCompareCommand:
         expected_beta = [1.0 - reg_inc_beta(x, b + 1.0, a + 1.0) for x in xs]
         np.testing.assert_allclose(beta_rel, expected_beta, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("gamma, theta_db", [
+        ("5", "0"), ("3", "10"), ("4", "-10"), ("2.5", "20"),
+    ])
+    def test_beta_column_is_the_order_zero_series(self, tmp_path, gamma, theta_db):
+        # beta_rel, 1 - I_x(beta+1, alpha+1), is the order-0 Fourier-Jacobi
+        # series in the sidecar's basis, repr for repr: the same values could
+        # come from meta_reliability's own incomplete beta.
+        flags = ["--gamma", gamma, "--theta-db", theta_db]
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", *flags, "--realizations", "2000", "--seed", "3",
+                     "--out", str(samples)]) == EXIT_OK
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", *flags, "--samples", str(samples),
+                     "--out", str(out)]) == EXIT_OK
+        header, rows = _read_csv(out)
+        meta = json.loads((tmp_path / "cmp.csv.meta.json").read_text())
+        params = SystemParams(1e-3, float(gamma), db_to_linear(float(theta_db)),
+                              1.0, db_to_linear(-100.0))
+        basis = JacobiBasis(meta["basis"]["alpha"], meta["basis"]["beta"], 0)
+        dist = fourier_jacobi_coeffs(moment_sequence(params, 0), basis)
+        xs = np.array([float(row[0]) for row in rows])
+        column = [row[header.index("beta_rel")] for row in rows]
+        assert len(column) > 0
+        assert column == [repr(v) for v in meta_reliability(dist, xs).tolist()]
+
     @pytest.mark.parametrize("value", ["-1", "21"])
     def test_invalid_order_is_usage_error(self, tmp_path, value, capsys):
         samples = tmp_path / "s.csv"

@@ -483,14 +483,24 @@ class TestNoiseRoot:
             assert moment_sequence(moved, 10, method).values == (
                 moment_sequence(base, 10, method).values)
 
-    def test_overflowing_root_gives_zero_without_quadrature(self, monkeypatch):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_root_gives_zero(self):
         # c_1 = 1e-4 / (pi 1e-320) overflows: mu_n is below the normal doubles.
-        calls = self._counted_quadrature(monkeypatch)
+        # Each c_n = inf is a row with r_n = a_n / inf = 0, whose integrand the
+        # rule sums to exactly 0.0.
         p = SystemParams(1e-320, 5.0, 1.0, 1.0, 1e-10)
         assert p.noise_root == math.inf
         assert moment_sequence(p, 3).values == (1.0, 0.0, 0.0, 0.0)
         assert moment_approx(p, 1) == 0.0
-        assert calls == []
+        # c_1 = 1e-4 / (pi 3.2e-313) is about 1e308: c_n = n^0.4 c_1 is finite
+        # up to n = 4 and overflows from n = 5, all rows of one engine call.
+        p = SystemParams(3.2e-313, 5.0, 1.0, 1.0, 1e-10)
+        values = moment_sequence(p, 10).values
+        assert [repr(v) for v in values[1:5]] == [
+            "8.91974877070748e-309", "6.759905490436034e-309",
+            "5.747832722944616e-309", "5.123050369949243e-309",
+        ]
+        assert values[5:] == (0.0,) * 6
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -508,6 +518,37 @@ class TestNoiseRoot:
         approx = moment_sequence(p, 10, method=METHOD_CLOSED_FORM).values
         for n in range(1, 11):
             assert approx[n] <= exact[n] * (1.0 + DEFAULT_TOL), n
+
+
+class TestEnvelope:
+    """mu_approx <= mu_n <= min(1/a_n, Gamma(1 + 2/gamma) / c_n), checked without mpmath.
+
+    In the t-form mu_n = int_0^inf e^(-a_n t) e^(-(c_n t)^(gamma/2)) dt, each
+    factor is at most 1, which gives 1/a_n and Gamma(1 + 2/gamma) / c_n.  The
+    paper's closed form 1 / (a_n + c_n / Gamma(1 + 2/gamma)) replaces the
+    Weibull survival by the exponential of the same integral; the two cross
+    once, so against the decreasing weight e^(-a_n t) the closed form is a
+    lower bound.
+    """
+
+    def test_closed_form_and_exact_within_the_envelope(self):
+        # gamma log-uniform in [2.01, 20], theta -20..20 dB (below the 2F1's
+        # defect), lambda 1e-6..1e-1 per m^2, noise -150..-50 dBm at p = 1 mW.
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            g = math.exp(rng.uniform(math.log(2.01), math.log(20.0)))
+            theta = 10.0 ** (rng.uniform(-20.0, 20.0) / 10.0)
+            lam = 10.0 ** rng.uniform(-6.0, -1.0)
+            noise = 10.0 ** (rng.uniform(-150.0, -50.0) / 10.0)
+            p = SystemParams(lam, g, theta, 1.0, noise)
+            exact = moment_sequence(p, 10).values
+            gamma_c = math.gamma(1.0 + 2.0 / g)
+            for n in range(1, 11):
+                a_n = 1.0 + rho_n(p, n)
+                c_n = n ** (2.0 / g) * p.noise_root
+                case = (g, theta, lam, noise, n)
+                assert moment_approx(p, n) <= exact[n] * (1.0 + 1e-12), case
+                assert exact[n] <= min(1.0 / a_n, gamma_c / c_n) * (1.0 + 1e-12), case
 
 
 class TestRhoMemo:
