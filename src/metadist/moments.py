@@ -263,10 +263,16 @@ def moment_approx(params: SystemParams, n: int) -> float:
     """Closed-form approximation 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))) of mu_n.
 
     Exact when c_1 = 0 (theta = 0 or noise = 0) and in the gamma -> 2 limit.
+    gamma / (2 Gamma(2/gamma)) = 1 / G with G = Gamma(1 + 2/gamma) <= 1, and
+    the value is taken as G / (a_n G + c_n): gamma c_n would overflow once
+    c_n passes 1.8e308 / gamma, while a_n G + c_n stays finite for every
+    finite c_n.  c_n = 0 keeps 1 / a_n, bit for bit.
     """
     a, c = _t_coeffs(params, n)
-    g = params.gamma_pl
-    return 1.0 / (a + g * c / (2.0 * math.gamma(2.0 / g)))
+    if c == 0.0:
+        return 1.0 / a
+    g1 = math.gamma(1.0 + 2.0 / params.gamma_pl)
+    return g1 / (a * g1 + c)
 
 
 def moment_sequence(

@@ -256,6 +256,58 @@ class TestMomentsCommand:
             mu = [float(row[col]) for row in rows]
             assert all(b <= a for a, b in zip(mu, mu[1:]))
 
+    @pytest.mark.parametrize("argv, n_max, positive", [
+        # 28 dB runs the capped 2F1 series as one numpy chunk of 10,000 terms.
+        (["--theta-db", "28", "--n-max", "10"], 10, 10),
+        # Twenty orders meet the tolerance on the base rule's 321 integrand
+        # evaluations.
+        (["--lambda", "4e-4", "--gamma", "11.5", "--theta-db", "2", "--noise-dbm", "-190",
+          "--n-max", "20"], 20, 20),
+        # Moments of about 1e-7.
+        (["--lambda", "1e-8", "--gamma", "8", "--noise-dbm", "-30"], 10, 10),
+        # mu_1 is 1.8e-6 at the edge of the range.
+        (["--lambda", "2e-9", "--gamma", "19.9", "--theta-db", "-33", "--noise-dbm", "-213.6",
+          "--n-max", "10"], 10, 10),
+        # c_n is finite up to n = 4 and overflows from n = 5: mu_1..mu_4 are
+        # subnormal but positive in both columns, and an overflowing row is 0.0.
+        (["--lambda", "3.2e-313", "--n-max", "10"], 10, 4),
+    ], ids=["28-db", "gamma-11.5-n-20", "tiny-moments", "gamma-19.9", "overflowing-root"])
+    def test_range_edges_print_the_library_columns(self, argv, n_max, positive, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["moments", *argv, "--format", "json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        s = doc["meta"]["scenario"]
+        params = SystemParams(s["lambda_bs"], s["gamma_pl"], s["theta"], s["power_mw"],
+                              s["noise_mw"])
+        rows = doc["rows"]
+        assert len(rows) == n_max
+        exact = moment_sequence(params, n_max).values[1:]
+        approx = [moments.moment_approx(params, n) for n in range(1, n_max + 1)]
+        assert [row[1] for row in rows] == [repr(v) for v in exact]
+        assert [row[2] for row in rows] == [repr(v) for v in approx]
+        for column in (exact, approx):
+            assert all(v > 0.0 for v in column[:positive])
+            assert list(column[positive:]) == [0.0] * (n_max - positive)
+
+    def test_both_exits_math_at_29_db(self, capsys):
+        # The 2F1 defect pin: until ROADMAP item 1 mends the series, mu_10
+        # exceeds mu_9 here and the exact column, built first, is named.
+        assert main(["moments", "--method", "both", *self._DEFECT_ARGV]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"^error: exact_quadrature moments must be nonincreasing: "
+                         r"mu_10=\S+ > mu_9=", captured.err)
+
+    def test_2f1_below_one_at_170_db_exits_math(self, capsys):
+        # At 170 dB w = z/(z-1) rounds to 1.0, so the 2F1 series is sized as
+        # its cap; its partial sum puts 1 + rho_1 below 1 (ROADMAP item 1).
+        assert main(["moments", "--theta-db", "170", "--n-max", "1"]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == (
+            "error: 1 + rho_1 must be at least 1, got 4.2351779530289e-12")
+
     @pytest.mark.parametrize("method", ["exact", "approx", "both"])
     def test_one_gauss_2f1_call_per_n(self, method, monkeypatch):
         calls = []
@@ -496,15 +548,19 @@ class TestSimulateCommand:
         assert len(summary["reliability_grid"]["x"]) == 101
 
     def test_summary_is_campaign_record(self, tmp_path):
-        out = tmp_path / "c.csv"
-        rc = main(["simulate", "--realizations", "100", "--seed", "4", "--out", str(out)])
-        assert rc == EXIT_OK
-        summary = json.loads((tmp_path / "c.json").read_text())
-        assert list(summary) == ["scenario", "config", "diagnostics",
-                                 "empirical_moments", "reliability_grid"]
-        cfg = SimConfig(params=_default_scenario(), num_realizations=100, rng_seed=4)
-        record = campaign_to_dict(run_campaign(cfg))
-        assert {key: summary[key] for key in record} == record
+        for flags, fading in (([], {}), (["--mode", "sampled", "--channel-draws", "50"],
+                                         {"fading_mode": "sampled", "num_channel_draws": 50})):
+            out = tmp_path / "c.csv"
+            rc = main(["simulate", *flags, "--realizations", "100", "--seed", "4",
+                       "--out", str(out)])
+            assert rc == EXIT_OK
+            summary = json.loads((tmp_path / "c.json").read_text())
+            assert list(summary) == ["scenario", "config", "diagnostics",
+                                     "empirical_moments", "reliability_grid"]
+            cfg = SimConfig(params=_default_scenario(), num_realizations=100, rng_seed=4,
+                            **fading)
+            record = campaign_to_dict(run_campaign(cfg))
+            assert {key: summary[key] for key in record} == record
 
     def test_campaign_defaults_are_sim_configs(self, tmp_path):
         args = cli.build_parser().parse_args(["simulate", "--out", "s.csv"])
@@ -556,16 +612,19 @@ class TestSimulateCommand:
     def test_infinite_mean_count_is_the_plane(self, tmp_path):
         # lambda pi R^2 overflows to inf at R = 1e300: the same samples as
         # R = inf, the infinite plane, whose radius the summary writes as null.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for radius in ("inf", "1e300"):
-                assert main(["simulate", "--radius-m", radius, "--realizations", "600",
-                             "--seed", "3", "--out", str(tmp_path / f"{radius}.csv")]) == EXIT_OK
-        assert (tmp_path / "inf.csv").read_bytes() == (tmp_path / "1e300.csv").read_bytes()
-        plane, wide = (json.loads((tmp_path / f"{r}.json").read_text()) for r in ("inf", "1e300"))
-        assert plane["config"]["region_radius_m"] is None
-        assert wide["config"]["region_radius_m"] == 1e300
-        assert plane["diagnostics"] == wide["diagnostics"] == {"redraws": 0}
+        for mode in ("analytic", "sampled"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for radius in ("inf", "1e300"):
+                    assert main(["simulate", "--mode", mode, "--radius-m", radius,
+                                 "--realizations", "600", "--seed", "3",
+                                 "--out", str(tmp_path / f"{radius}.csv")]) == EXIT_OK
+            assert (tmp_path / "inf.csv").read_bytes() == (tmp_path / "1e300.csv").read_bytes()
+            plane, wide = (json.loads((tmp_path / f"{r}.json").read_text())
+                           for r in ("inf", "1e300"))
+            assert plane["config"]["region_radius_m"] is None
+            assert wide["config"]["region_radius_m"] == 1e300
+            assert plane["diagnostics"] == wide["diagnostics"] == {"redraws": 0}
 
     def test_huge_mean_count_runs(self, tmp_path):
         # lambda pi R^2 = 3.1e15 BSs a disk, of which a realization draws its
@@ -587,6 +646,34 @@ class TestSimulateCommand:
         assert rc == EXIT_OK
         summary = json.loads((tmp_path / "h.json").read_text())
         assert summary["empirical_moments"][-1] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--gamma", "20", "--theta-db=-60", "--lambda", "1e-8"],
+        ["--gamma", "2.01", "--theta-db", "60"],
+        ["--gamma", "20", "--theta-db=-60", "--lambda", "1e-8", "--radius-m", "inf"],
+        ["--gamma", "2.01", "--theta-db", "60", "--radius-m", "inf"],
+    ], ids=["underflow-disk", "far-above-one-disk", "underflow-plane", "far-above-one-plane"])
+    def test_far_field_edges_run(self, argv, tmp_path):
+        # At gamma 20 and -60 dB the far field's arguments underflow to 0, and
+        # at gamma 2.01 and 60 dB they run far above 1; neither may overflow,
+        # divide by zero or make NaN, on the disk or on the plane, where the
+        # edge term is F(0).
+        out = tmp_path / "f.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", *argv, "--out", str(out)]) == EXIT_OK
+        assert len(sim.read_samples_csv(out)) == 5000
+
+    def test_zero_threshold_samples_are_one(self, tmp_path):
+        # theta = 0 over two blocks: every CCP is exactly 1, and no kernel
+        # step may overflow or make NaN.
+        out = tmp_path / "t0.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--theta-db=-inf", "--realizations", "300",
+                         "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().split()
+        assert rows[0] == "ccp" and rows[1:] == ["1.0"] * 300
 
     def test_json_out_would_overwrite_samples(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -687,12 +774,20 @@ class TestCompareCommand:
         fj_rel = np.array([float(row[3]) for row in rows])
         np.testing.assert_allclose(fj_rel, beta_rel, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("content", ["ccp\n", "ccp\n0.5\n1.5\n", "ccp\n-0.1\n"])
-    def test_invalid_samples_is_math_error(self, tmp_path, content, capsys):
+    @pytest.mark.parametrize("content, message", [
+        ("ccp\n", "need at least one realization, got 0"),
+        ("ccp\n0.5\n1.5\n", "CCP samples must lie in [0, 1]"),
+        ("ccp\n-0.1\n", "CCP samples must lie in [0, 1]"),
+    ], ids=["ccp\n", "ccp\n0.5\n1.5\n", "ccp\n-0.1\n"])
+    def test_invalid_samples_is_math_error(self, tmp_path, content, message, capsys):
         samples = tmp_path / "s.csv"
         samples.write_text(content)
-        assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
-        assert capsys.readouterr().out == ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_blank_first_line_is_math_error(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"
@@ -725,6 +820,21 @@ class TestCompareCommand:
             assert float(row[3]) == 1.0
             assert float(row[4]) == 0.0
             assert float(row[5]) == 0.0
+
+    def test_underflowing_sample_powers(self, tmp_path):
+        # At 20 dB and gamma 2.05, c^10 of 84 % of the samples is below the
+        # normal range: the sample moments skip pow on those that round to 0,
+        # and neither command may warn.
+        flags = ["--theta-db", "20", "--gamma", "2.05", "--noise-dbm", "-120"]
+        samples, out = tmp_path / "uf.csv", tmp_path / "ufc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", *flags, "--out", str(samples)]) == EXIT_OK
+            assert main(["compare", *flags, "--samples", str(samples),
+                         "--out", str(out)]) == EXIT_OK
+        recorded = json.loads((tmp_path / "uf.json").read_text())["empirical_moments"]
+        meta = json.loads((tmp_path / "ufc.csv.meta.json").read_text())
+        assert meta["empirical_moments"] == recorded
 
     def test_missing_samples_is_io_error(self, tmp_path):
         rc = main(["compare", "--samples", str(tmp_path / "absent.csv")])
@@ -816,12 +926,38 @@ class TestInputFiles:
         "{h}\n1\n\n0.5\n0.25\n0.125\n\n",
         '{h}\n1\n0.5\n"0.25"\n0.125\n',
         "{h},note\n1,a\n0.5,b\n0.25,c\n0.125,d\n",
-    ], ids=["lf", "crlf", "blank-line", "quoted", "extra-column"])
+        '"{h}",note\r\n1,a\r\n\r\n0.5,b\r\n0.25,c\r\n0.125,d\r\n',
+    ], ids=["lf", "crlf", "blank-line", "quoted", "extra-column", "mixed"])
     def test_layouts_read_the_same_values(self, kind, body, tmp_path):
         read, header, _ = _INPUT_FILES[kind]
         path = tmp_path / "in.csv"
         path.write_bytes(body.format(h=header).encode())
-        assert list(read(path)) == [1.0, 0.5, 0.25, 0.125]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(read(path)) == [1.0, 0.5, 0.25, 0.125]
+
+    def test_mixed_layout_runs_through_the_cli(self, kind, tmp_path, capsys):
+        # The subcommand that reads each file prints the same table for the
+        # mixed layout (quoted header, extra column, CRLF, blank row) as for LF.
+        argv, values = {
+            "samples": (["compare", "--samples"], ["0.2", "0.5", "0.7", "0.9"]),
+            "moments": (["reconstruct", "--order", "4", "--grid-points", "5", "--moments-file"],
+                        ["1", "0.6", "0.45", "0.36", "0.3"]),
+        }[kind]
+        header = _INPUT_FILES[kind][1]
+        lf, mixed = tmp_path / "lf.csv", tmp_path / "mixed.csv"
+        lf.write_text("".join(f"{line}\n" for line in [header, *values]))
+        rows = [f"{v},{chr(ord('a') + i)}" for i, v in enumerate(values)]
+        mixed.write_bytes("\r\n".join([f'"{header}",note', rows[0], "", *rows[1:], ""]).encode())
+        outputs = []
+        for path in (lf, mixed):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*argv, str(path)]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1] != ""
 
     def test_header_only(self, kind, tmp_path):
         # A blank row is no row; numpy's "input contained no data" warning

@@ -501,6 +501,12 @@ class TestNoiseRoot:
             "5.747832722944616e-309", "5.123050369949243e-309",
         ]
         assert values[5:] == (0.0,) * 6
+        # The closed form takes the same subnormals where gamma c_n would
+        # overflow, and 0.0 where c_n does.
+        approx = moment_sequence(p, 10, method=METHOD_CLOSED_FORM).values
+        for n in range(1, 5):
+            assert approx[n] == pytest.approx(values[n], rel=1e-12, abs=0.0), n
+        assert approx[5:] == (0.0,) * 6
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
