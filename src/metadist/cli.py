@@ -229,7 +229,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     samples = sim.read_samples_csv(args.samples)
     xs = np.linspace(0.01, 0.99, 99)
     emp_rel = sim.empirical_reliability(samples, xs)
-    keep = emp_rel >= 0.02
+    floor = 0.02
+    keep = emp_rel >= floor
+    if not keep.any():
+        top = int(np.argmax(emp_rel))
+        print(f"empty table: no grid point has empirical reliability >= {floor}; "
+              f"the largest is {emp_rel[top]:.6g} at x = {xs[top]:.6g}", file=sys.stderr)
     xs, emp_rel = xs[keep], emp_rel[keep]
     if params.theta == 0.0:
         # Degenerate scenario: the CCP is identically 1 (point mass), so the

@@ -23,16 +23,18 @@ Integrating by parts against W = U^delta / c_n, U ~ Exp(1), delta = 2/gamma,
 whose survival function is exp(-(c_n t)^(gamma/2)), gives the u-form
 mu_n = (1/a_n) int_0^inf e^-u (-expm1(-r_n u^delta)) du, r_n = a_n / c_n:
 the cliff at t = 1/c_n becomes the weight e^-u, on the unit scale for
-every row and gamma.  The module provides the exact moments (quadrature
-of the u-form: mu_1..mu_N are the rows of one integrand on one shared set
-of abscissae, and c_1 = 0 gives mu_n = 1 / a_n exactly), a closed-form
-approximation
+every row and gamma.  One row function (_moments) takes the rows
+(a_n, c_n) for every requested n and gives either the exact moments
+(quadrature of the u-form: mu_1..mu_N are the rows of one integrand on one
+shared set of abscissae) or the closed-form approximation
 
-    mu_n ~= 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))),
+    mu_n ~= 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))).
 
-and an analytic bound on the approximation error, in the z-form
-coefficients A_n, B_n (coeffs), that is exact in the limits theta = 0,
-sigma2 = 0, or gamma -> 2.
+Under both methods c_n = 0 gives mu_n = 1 / a_n exactly; moment_exact and
+moment_approx are its one-row calls, moment_sequence its many-row call.
+The module also gives an analytic bound on the approximation error, in the
+z-form coefficients A_n, B_n (coeffs), that is exact in the limits theta =
+0, sigma2 = 0, or gamma -> 2.
 
 A SystemParams object memoises 1 + rho_n per n, so the exact moments, the
 closed form, the bound and the power law evaluate each 2F1 once per
@@ -219,35 +221,57 @@ def coeffs(params: SystemParams, n: int) -> IntegralCoeffs:
     return IntegralCoeffs(a_coef=a_coef, b_coef=b_coef)
 
 
-def _t_coeffs(params: SystemParams, n: int) -> tuple[float, float]:
-    """a_n = 1 + rho_n and c_n = n^(2/gamma) c_1 of the t-integral."""
-    return 1.0 + rho_n(params, n), n ** (2.0 / params.gamma_pl) * params.noise_root
-
-
 def moment_exact(params: SystemParams, n: int) -> float:
-    """mu_n by quadrature of the moment integral (see _moments_exact).
+    """mu_n by quadrature of the moment integral (see _moments).
 
     A noise-free scenario (c_1 = 0) gives 1 / (1 + rho_n) exactly.
     """
-    return float(_moments_exact(params, [n])[0])
+    return float(_moments(params, [n], METHOD_EXACT)[0])
 
 
-def _moments_exact(params: SystemParams, ns) -> np.ndarray:
-    """mu_n for each n in ns: one quadrature in u, one integrand row per n.
+def moment_approx(params: SystemParams, n: int) -> float:
+    """Closed-form approximation 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))) of mu_n.
 
+    Exact when c_1 = 0 (theta = 0 or noise = 0) and in the gamma -> 2 limit.
+    The value is the closed-form row of _moments.
+    """
+    return float(_moments(params, [n], METHOD_CLOSED_FORM)[0])
+
+
+def _moments(params: SystemParams, ns, method: str) -> np.ndarray:
+    """mu_n for each n in ns by `method`: the rows a_n = 1 + rho_n, c_n = n^(2/gamma) c_1.
+
+    Every row starts from mu_n = 1 / a_n, which is exact for c_n = 0 (theta
+    = 0 or sigma2 = 0) under both methods; only the rows with c_n > 0 are
+    filled in.  Each c_n is a Python float product, which gives inf where
+    c_n overflows (numpy's multiply would warn).
+
+    The closed form 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))) is taken as
+    G / (a_n G + c_n) with G = Gamma(1 + 2/gamma) <= 1: gamma c_n would
+    overflow once c_n passes 1.8e308 / gamma, while a_n G + c_n stays finite
+    for every finite c_n.
+
+    The exact moments are one quadrature in u, one integrand row per n.
     Every row decays on the unit scale, with no scale hint, and takes the
     engine's one fixed 321-node rule, with no refinement: its error
     estimate is checked against quadrature.DEFAULT_TOL relative to the
-    row's own mu_n.  c_1 = 0 (theta = 0 or sigma2 = 0) gives mu_n = 1 / a_n
-    exactly, and no quadrature runs.  A c_n that overflows is one more row:
-    r_n = a_n / inf = 0 makes its integrand 0, so the rule returns 0.0, and
-    the true mu_n <= Gamma(1 + 2/gamma) / c_n lies below the normal doubles.
+    row's own mu_n.  A c_n that overflows is one more row: r_n = a_n / inf
+    = 0 makes its integrand 0, so the rule returns 0.0, and the true mu_n
+    <= Gamma(1 + 2/gamma) / c_n lies below the normal doubles.
     """
-    a, c = np.array([_t_coeffs(params, n) for n in ns]).reshape(-1, 2).T
+    if method not in (METHOD_EXACT, METHOD_CLOSED_FORM):
+        raise ValueError(f"moment_sequence cannot compute method {method!r}")
+    delta = 2.0 / params.gamma_pl
+    a, c = np.array(
+        [(1.0 + rho_n(params, n), n**delta * params.noise_root) for n in ns]
+    ).reshape(-1, 2).T
     mu = 1.0 / a
     rows = c > 0.0
-    if rows.any():
-        a, c, delta = a[rows], c[rows], 2.0 / params.gamma_pl
+    a, c = a[rows], c[rows]
+    if method == METHOD_CLOSED_FORM:
+        g1 = math.gamma(1.0 + delta)
+        mu[rows] = g1 / (a * g1 + c)
+    elif rows.any():
 
         def integrand(u: np.ndarray) -> np.ndarray:
             # r_n = a_n / c_n or r_n u^delta may overflow: -expm1(-inf) = 1 is the exact limit.
@@ -259,22 +283,6 @@ def _moments_exact(params: SystemParams, ns) -> np.ndarray:
     return mu
 
 
-def moment_approx(params: SystemParams, n: int) -> float:
-    """Closed-form approximation 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))) of mu_n.
-
-    Exact when c_1 = 0 (theta = 0 or noise = 0) and in the gamma -> 2 limit.
-    gamma / (2 Gamma(2/gamma)) = 1 / G with G = Gamma(1 + 2/gamma) <= 1, and
-    the value is taken as G / (a_n G + c_n): gamma c_n would overflow once
-    c_n passes 1.8e308 / gamma, while a_n G + c_n stays finite for every
-    finite c_n.  c_n = 0 keeps 1 / a_n, bit for bit.
-    """
-    a, c = _t_coeffs(params, n)
-    if c == 0.0:
-        return 1.0 / a
-    g1 = math.gamma(1.0 + 2.0 / params.gamma_pl)
-    return g1 / (a * g1 + c)
-
-
 def moment_sequence(
     params: SystemParams,
     n_max: int,
@@ -282,17 +290,12 @@ def moment_sequence(
 ) -> MomentSequence:
     """mu_0..mu_n_max with the requested provenance (exact or closed form).
 
-    The exact moments come from one quadrature call for all n.
+    Both methods take one _moments call for all n; the exact one makes one
+    quadrature call.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    ns = range(1, n_max + 1)
-    if method == METHOD_EXACT:
-        values = [1.0] + _moments_exact(params, ns).tolist()
-    elif method == METHOD_CLOSED_FORM:
-        values = [1.0] + [moment_approx(params, n) for n in ns]
-    else:
-        raise ValueError(f"moment_sequence cannot compute method {method!r}")
+    values = [1.0] + _moments(params, range(1, n_max + 1), method).tolist()
     return MomentSequence(values=tuple(values), method=method)
 
 

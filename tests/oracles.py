@@ -13,10 +13,9 @@ never needs.  binom_exact is the binomial coefficient in exact rational
 arithmetic, which the exact test of the moment-to-coefficient map builds
 on, and ccp_sampled_reference sums each draw's interference over the
 other base stations one by one instead of taking a matrix-vector product.
-ccp_analytic_reference (and log_inv_ccp_reference, its log) is the defining
-product over interferers in plain distances, one Python term at a time,
-where the simulator's kernel works on unit-rate arrivals a block of
-realizations at a time.
+log_inv_ccp_reference is -log of the defining product over interferers
+in plain distances, one Python term at a time, where the simulator's
+kernel works on unit-rate arrivals a block of realizations at a time.
 gauss_2f1_series_reference is the Pfaff-mapped 2F1 series as one scalar
 Python loop, the form the package's chunked series must match bit for bit.
 moment_t_mpmath is the one oracle of the moment integral: mu_n in
@@ -132,15 +131,6 @@ def log_inv_ccp_reference(distances, params) -> float:
         if i != serving:
             terms.append(math.log1p(params.theta * (r0 / ri) ** g))
     return math.fsum(terms)
-
-
-def ccp_analytic_reference(distances, params) -> float:
-    """C = exp(-theta sigma2 r0^gamma / p) prod_i 1 / (1 + theta (r0/r_i)^gamma).
-
-    The exp of -log_inv_ccp_reference: the only rounding left is in each
-    factor's log and in the final exp.
-    """
-    return math.exp(-log_inv_ccp_reference(distances, params))
 
 
 def ccp_sampled_reference(distances, params, num_draws: int, rng) -> float:

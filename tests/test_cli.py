@@ -821,20 +821,29 @@ class TestCompareCommand:
             assert float(row[4]) == 0.0
             assert float(row[5]) == 0.0
 
-    def test_underflowing_sample_powers(self, tmp_path):
+    def test_underflowing_sample_powers(self, tmp_path, capsys):
         # At 20 dB and gamma 2.05, c^10 of 84 % of the samples is below the
         # normal range: the sample moments skip pow on those that round to 0,
-        # and neither command may warn.
+        # and neither command may warn.  No grid point reaches the 0.02
+        # reliability floor, so the table is its header and stderr says why.
         flags = ["--theta-db", "20", "--gamma", "2.05", "--noise-dbm", "-120"]
         samples, out = tmp_path / "uf.csv", tmp_path / "ufc.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["simulate", *flags, "--out", str(samples)]) == EXIT_OK
+            capsys.readouterr()
             assert main(["compare", *flags, "--samples", str(samples),
                          "--out", str(out)]) == EXIT_OK
         recorded = json.loads((tmp_path / "uf.json").read_text())["empirical_moments"]
         meta = json.loads((tmp_path / "ufc.csv.meta.json").read_text())
         assert meta["empirical_moments"] == recorded
+        assert out.read_text().splitlines() == [
+            "x,empirical_rel,beta_rel,fj_rel,relerr_beta,relerr_fj"]
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"empty table: no grid point has empirical reliability "
+                             r">= 0\.02; the largest is (\S+) at x = 0\.01\n", err)
+        assert match, err
+        assert 0.0 < float(match[1]) < 0.02
 
     def test_missing_samples_is_io_error(self, tmp_path):
         rc = main(["compare", "--samples", str(tmp_path / "absent.csv")])

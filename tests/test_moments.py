@@ -370,11 +370,25 @@ class TestBigM:
 
 class TestMomentSequenceBuilder:
     def test_methods_and_shape(self, paper_params):
-        for method in (METHOD_EXACT, METHOD_CLOSED_FORM):
-            seq = moment_sequence(paper_params, 5, method=method)
-            assert seq.method == method
-            assert len(seq) == 6
-            assert seq[0] == 1.0
+        # Each row of a sequence is its one-row call, as a Python float: at
+        # lambda 3.2e-313 c_n is finite for some rows and inf for others, and
+        # the benchmark builds lambda as a numpy scalar.
+        scenarios = [
+            paper_params,
+            SystemParams(3.2e-313, 5, 1, 1, 1e-10),
+            SystemParams(1e-3, 5, 1, 1, 0.0),
+            SystemParams(np.float64(1e-3), 5, 1, 1, 1e-10),
+        ]
+        for p in scenarios:
+            for method, one_row in ((METHOD_EXACT, moment_exact),
+                                    (METHOD_CLOSED_FORM, moment_approx)):
+                seq = moment_sequence(p, 10, method=method)
+                assert seq.method == method
+                assert len(seq) == 11
+                assert seq[0] == 1.0
+                for n in range(1, 11):
+                    assert type(seq.values[n]) is float
+                    assert repr(one_row(p, n)) == repr(seq.values[n]), (p, method, n)
 
     def test_negative_n_max_rejected(self, paper_params):
         with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
@@ -386,7 +400,7 @@ class TestMomentSequenceBuilder:
 
 
 class TestOneQuadraturePerSequence:
-    """The exact mu_1..mu_N are the rows of one engine call."""
+    """The exact mu_1..mu_N are the rows of one engine call; the closed form makes none."""
 
     def test_one_engine_call(self, paper_params, monkeypatch):
         calls = []
@@ -398,6 +412,8 @@ class TestOneQuadraturePerSequence:
 
         monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", spy)
         moment_sequence(paper_params, 10)
+        assert len(calls) == 1
+        moment_sequence(paper_params, 10, method=METHOD_CLOSED_FORM)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("theta_db, gamma, noise", [

@@ -219,7 +219,7 @@ class TestMomentRange:
         # noise 0 or -250..-10 dBm at p = 1 mW, n_max 1..40.  a_n =
         # 2F1(n, -2/g; 1-2/g; -theta) from scipy and c_n = (n theta
         # sigma2 / p)^(2/g) / (pi lambda) go to the engine directly, one row
-        # per n, in the Weibull form that moments._moments_exact integrates:
+        # per n, in the Weibull form that moments._moments integrates:
         # mu_n = (1/a_n) times the integral of e^-u (-expm1(-r_n u^(2/g))),
         # r_n = a_n / c_n.  Every row's estimate is within 1e-14 of its
         # value, and rows 1 and n_max are checked against the t-form.
