@@ -30,6 +30,7 @@ bases.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -73,7 +74,10 @@ def check_order(order: int) -> None:
 
 @dataclass(frozen=True)
 class JacobiBasis:
-    """Shift parameters and truncation order of the reconstruction basis."""
+    """Shift parameters and truncation order of the reconstruction basis.
+
+    alpha and beta are stored as Python floats and order as a Python int.
+    """
 
     alpha: float
     beta: float
@@ -85,6 +89,9 @@ class JacobiBasis:
         if not -1.0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and exceed -1, got {self.beta}")
         check_order(self.order)
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "order", operator.index(self.order))
         if self.order > _ORDER_PRECISION_WARN:
             warnings.warn(
                 f"truncation order {self.order} > {_ORDER_PRECISION_WARN}: "

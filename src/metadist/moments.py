@@ -85,6 +85,8 @@ _MONOTONE_SLACK = 1e-9
 class SystemParams:
     """Physical scenario, all quantities linear (mW, per m^2, meters) and finite.
 
+    Every field is stored as a Python float, whatever real type is passed.
+
     Attributes:
         lambda_bs: base-station density per m^2.
         gamma_pl: path-loss exponent; must exceed 2 for the moment integral
@@ -118,6 +120,8 @@ class SystemParams:
             raise ValueError(f"power must be positive, got {self.power}")
         if not self.noise >= 0.0:
             raise ValueError(f"noise must be nonnegative, got {self.noise}")
+        for name in ("lambda_bs", "gamma_pl", "theta", "power", "noise"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def noise_root(self) -> float:
@@ -243,8 +247,9 @@ def _moments(params: SystemParams, ns, method: str) -> np.ndarray:
 
     Every row starts from mu_n = 1 / a_n, which is exact for c_n = 0 (theta
     = 0 or sigma2 = 0) under both methods; only the rows with c_n > 0 are
-    filled in.  Each c_n is a Python float product, which gives inf where
-    c_n overflows (numpy's multiply would warn).
+    filled in.  Each c_n is a Python float product, since SystemParams stores
+    Python floats, which gives inf where c_n overflows (numpy's multiply
+    would warn).
 
     The closed form 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))) is taken as
     G / (a_n G + c_n) with G = Gamma(1 + 2/gamma) <= 1: gamma c_n would

@@ -35,7 +35,7 @@ class InfeasibleQosError(ValueError):
 
 @dataclass(frozen=True)
 class QosSpec:
-    """Reliability target: P(C > x_rel) >= 1 - epsilon."""
+    """Reliability target: P(C > x_rel) >= 1 - epsilon, both stored as Python floats."""
 
     x_rel: float
     epsilon: float
@@ -45,6 +45,8 @@ class QosSpec:
             raise ValueError(f"x_rel must lie in (0, 1), got {self.x_rel}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        object.__setattr__(self, "x_rel", float(self.x_rel))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
 def max_noise_root(params: SystemParams, qos: QosSpec) -> float:

@@ -60,6 +60,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,7 +98,10 @@ NEAREST_BS = 32
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Campaign definition: scenario, disk radius (inf: the plane), scale, seeding."""
+    """Campaign definition: scenario, disk radius (inf: the plane), scale, seeding.
+
+    region_radius is stored as a Python float and the counts as Python ints.
+    """
 
     params: SystemParams
     num_realizations: int
@@ -109,6 +113,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.region_radius > 0.0:
             raise ValueError(f"region_radius must be positive, got {self.region_radius}")
+        object.__setattr__(self, "region_radius", float(self.region_radius))
         if not self.mean_count > 0.0:
             raise ValueError(f"the mean BS count lambda pi R^2 is not positive at lambda = "
                              f"{self.params.lambda_bs!r} and region_radius = "
@@ -121,6 +126,8 @@ class SimConfig:
             raise ValueError(f"unknown fading_mode {self.fading_mode!r}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
+        for name in ("num_realizations", "num_channel_draws", "rng_seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
     @property
     def mean_count(self) -> float:

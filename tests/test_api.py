@@ -1,14 +1,17 @@
 """The public surface: every exported name resolves, the package exports
 exactly the names below, none of them a numerical engine, and the pointwise
 functions return a float for a scalar x and an ndarray of x's shape for an
-ndarray."""
+ndarray.  The value types store builtin float and int whatever numpy scalar
+they are given."""
+import dataclasses
 import importlib
+import json
 
 import numpy as np
 import pytest
 
 import metadist
-from metadist.moments import METHOD_EMPIRICAL
+from metadist.moments import METHOD_CLOSED_FORM, METHOD_EMPIRICAL, METHOD_EXACT
 from oracles import beta_moments
 
 MODULES = [
@@ -102,3 +105,68 @@ def test_scalar_gives_float_and_array_gives_same_shape(name):
     x = np.array([[0.2, 0.4, 0.6], [0.3, 0.5, 0.7]])
     out = f(x)
     assert type(out) is np.ndarray and out.shape == x.shape
+
+
+_REFERENCE = metadist.SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
+
+
+def _params(real, integer):
+    return metadist.SystemParams(real(1e-3), integer(5), real(1.0), integer(1), real(1e-10))
+
+
+def _config(real, integer):
+    return metadist.SimConfig(_params(real, integer), integer(10), region_radius=real(320.0),
+                              num_channel_draws=integer(7), rng_seed=integer(3))
+
+
+def _moments_output(params):
+    return repr([metadist.moment_sequence(params, 10, method=method).values
+                 for method in (METHOD_EXACT, METHOD_CLOSED_FORM)]
+                + [json.dumps(metadist.sim.scenario_to_dict(params))])
+
+
+def _campaign_output(config):
+    emp = metadist.run_campaign(config)
+    return repr([json.dumps(metadist.sim.campaign_to_dict(emp)), emp.ccp_samples.tobytes()])
+
+
+def _reconstruction_output(basis):
+    dist = metadist.fourier_jacobi_coeffs(metadist.moment_sequence(_REFERENCE, 10), basis)
+    return repr([dist.coefficients, metadist.eval_cdf(dist, np.linspace(0.0, 1.0, 11)).tolist()])
+
+
+# Each value type built from real(v) for its real fields and integer(k) for
+# its integral ones, and the repr of what the pipeline makes of it.
+VALUE_TYPES = {
+    "SystemParams": (_params, _moments_output),
+    "SimConfig": (_config, _campaign_output),
+    "QosSpec": (lambda real, integer: metadist.QosSpec(real(0.3), real(0.7)),
+                lambda qos: repr(metadist.min_power(_REFERENCE, qos))),
+    "JacobiBasis": (lambda real, integer: metadist.JacobiBasis(real(1.7), real(0.3), integer(10)),
+                    _reconstruction_output),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_store_builtin_numbers(name, dtype):
+    """numpy reals and np.int64 integers are stored as float and int, and give
+    exactly what their values widened to Python numbers give."""
+    build, output = VALUE_TYPES[name]
+    obj = build(dtype, np.int64)
+    declared = {"float": float, "int": int}
+    numeric = [f for f in dataclasses.fields(obj) if f.type in declared]
+    assert numeric
+    assert [f.name for f in numeric if type(getattr(obj, f.name)) is not declared[f.type]] == []
+    widened = build(lambda v: float(dtype(v)), int)
+    assert obj == widened
+    assert output(obj) == output(widened)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: metadist.SimConfig(_REFERENCE, num_realizations=10.0),
+    lambda: metadist.JacobiBasis(alpha=0, beta=0, order=2.0),
+])
+def test_non_integral_count_is_type_error(build):
+    with pytest.raises(TypeError):
+        build()

@@ -372,12 +372,14 @@ class TestMomentSequenceBuilder:
     def test_methods_and_shape(self, paper_params):
         # Each row of a sequence is its one-row call, as a Python float: at
         # lambda 3.2e-313 c_n is finite for some rows and inf for others, and
-        # the benchmark builds lambda as a numpy scalar.
+        # the benchmark builds lambda as a numpy scalar, whose c_n overflows
+        # silently too.
         scenarios = [
             paper_params,
             SystemParams(3.2e-313, 5, 1, 1, 1e-10),
             SystemParams(1e-3, 5, 1, 1, 0.0),
             SystemParams(np.float64(1e-3), 5, 1, 1, 1e-10),
+            SystemParams(np.float64(3.2e-313), 5, 1, 1, 1e-10),
         ]
         for p in scenarios:
             for method, one_row in ((METHOD_EXACT, moment_exact),
