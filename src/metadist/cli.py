@@ -37,7 +37,7 @@ EXIT_IO = 4
 def db_to_linear(db: float) -> float:
     """dB ratio to linear (dBm to mW); -inf dB maps to 0, beyond the doubles to inf."""
     try:
-        return 10.0 ** (db / 10.0)
+        return 10.0 ** (float(db) / 10.0)
     except OverflowError:
         return math.inf
 

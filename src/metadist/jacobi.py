@@ -154,7 +154,7 @@ def norm_h(alpha: float, beta: float, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"norm_h requires n >= 0, got {n}")
-    a, b = alpha, beta
+    a, b, n = float(alpha), float(beta), operator.index(n)
     if n == 0:
         return math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
     log_h = (
@@ -219,6 +219,7 @@ def moment_match_basis(mu1: float, mu2: float, order: int = DEFAULT_ORDER) -> Ja
     """
     if not 0.0 < mu1 < 1.0:
         raise DegenerateMomentsError(f"mu1 must lie strictly in (0, 1), got {mu1}")
+    mu1, mu2 = float(mu1), float(mu2)
     # mu1 (1 - mu1) is the largest variance a law on [0, 1] with mean mu1 has.
     if mu2 - mu1 * mu1 <= 1e-14 * mu1 * (1.0 - mu1):
         raise DegenerateMomentsError(

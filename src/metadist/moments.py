@@ -48,6 +48,7 @@ the Fourier-Jacobi map (jacobi.fourier_jacobi_coeffs) read them there.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,10 +133,17 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class IntegralCoeffs:
-    """Coefficients A_n > 0, B_n >= 0 of the moment integral for one n (see coeffs)."""
+    """Coefficients A_n > 0, B_n >= 0 of the moment integral for one n (see coeffs).
+
+    Both fields are stored as Python floats, whatever real type is passed.
+    """
 
     a_coef: float
     b_coef: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a_coef", float(self.a_coef))
+        object.__setattr__(self, "b_coef", float(self.b_coef))
 
 
 @dataclass(frozen=True)
@@ -247,9 +255,9 @@ def _moments(params: SystemParams, ns, method: str) -> np.ndarray:
 
     Every row starts from mu_n = 1 / a_n, which is exact for c_n = 0 (theta
     = 0 or sigma2 = 0) under both methods; only the rows with c_n > 0 are
-    filled in.  Each c_n is a Python float product, since SystemParams stores
-    Python floats, which gives inf where c_n overflows (numpy's multiply
-    would warn).
+    filled in.  Each n is read with operator.index, so each c_n is a Python
+    float product (SystemParams stores Python floats), which gives inf where
+    c_n overflows (numpy's multiply would warn).
 
     The closed form 1 / (a_n + gamma c_n / (2 Gamma(2/gamma))) is taken as
     G / (a_n G + c_n) with G = Gamma(1 + 2/gamma) <= 1: gamma c_n would
@@ -266,6 +274,7 @@ def _moments(params: SystemParams, ns, method: str) -> np.ndarray:
     """
     if method not in (METHOD_EXACT, METHOD_CLOSED_FORM):
         raise ValueError(f"moment_sequence cannot compute method {method!r}")
+    ns = [operator.index(n) for n in ns]
     delta = 2.0 / params.gamma_pl
     a, c = np.array(
         [(1.0 + rho_n(params, n), n**delta * params.noise_root) for n in ns]
@@ -312,7 +321,7 @@ def big_m_constant(gamma_pl: float) -> float:
     """
     if not gamma_pl > 2.0:
         raise ValueError(f"big_m_constant requires gamma_pl > 2, got {gamma_pl}")
-    g = gamma_pl
+    g = float(gamma_pl)
     min_f = (1.0 - g / 2.0) / math.gamma(2.0 / g) ** (g / (g - 2.0))
     return math.exp(-min_f)
 
@@ -344,7 +353,7 @@ def approx_error_bound(a_coef: float, b_coef: float, gamma_pl: float) -> float:
         raise ValueError(f"b_coef must be nonnegative and finite, got {b_coef}")
     if not gamma_pl > 2.0:
         raise ValueError(f"gamma_pl must exceed 2, got {gamma_pl}")
-    g = gamma_pl
+    a_coef, b_coef, g = float(a_coef), float(b_coef), float(gamma_pl)
     gamma_2g = math.gamma(2.0 / g)
     b_pow = b_coef ** (2.0 / g)
     k = a_coef + g * b_pow / (2.0 * gamma_2g)

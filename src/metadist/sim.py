@@ -288,6 +288,7 @@ def ccp_sampled(
     """
     if num_draws < 1:
         raise ValueError(f"need at least one channel draw, got {num_draws}")
+    num_draws = operator.index(num_draws)
     r = _check_distances(distances)
     serving = int(np.argmin(r))
     r0 = r[serving]

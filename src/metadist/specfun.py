@@ -98,6 +98,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
         raise ValueError(f"gauss_2f1 supports z <= 0 only, got z={z}")
     if c <= 0.0 and c == math.floor(c):
         raise ValueError(f"gauss_2f1 undefined for non-positive integer c={c}")
+    a, b, c, z = float(a), float(b), float(c), float(z)
     if z == 0.0:
         return 1.0
 
@@ -265,6 +266,7 @@ def reg_inc_beta(x, a: float, b: float):
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+    a, b = float(a), float(b)
     arr = np.asarray(x, dtype=float)
     bad = ~((arr >= 0.0) & (arr <= 1.0))
     if bad.any():
@@ -342,6 +344,7 @@ def far_integral_parts(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndar
     unchanged.  A campaign block at gamma 4 takes J = 8 at -20 dB and 16 at
     0 dB; from about 20 dB the table is full.
     """
+    delta = float(delta)
     coefficients, f_inf = _series_coefficients(delta)
     one_plus = 1.0 + s
     z = np.fmin(s, 1.0) / one_plus

@@ -545,14 +545,21 @@ class TestNoiseRoot:
 
 
 class TestEnvelope:
-    """mu_approx <= mu_n <= min(1/a_n, Gamma(1 + 2/gamma) / c_n), checked without mpmath.
+    """mu_approx <= mu_n <= min(1/a_n, Gamma(1 + 2/gamma) / c_n), and two Jensen
+    lower bounds below mu_n.
 
     In the t-form mu_n = int_0^inf e^(-a_n t) e^(-(c_n t)^(gamma/2)) dt, each
     factor is at most 1, which gives 1/a_n and Gamma(1 + 2/gamma) / c_n.  The
     paper's closed form 1 / (a_n + c_n / Gamma(1 + 2/gamma)) replaces the
     Weibull survival by the exponential of the same integral; the two cross
     once, so against the decreasing weight e^(-a_n t) the closed form is a
-    lower bound.
+    lower bound.  Jensen's inequality for the convex exp(-x), with T ~
+    Exp(a_n) and with s = (c_n t)^(gamma/2), gives
+
+        L1 = (1/a_n) exp(-Gamma(1 + gamma/2) (c_n/a_n)^(gamma/2)),
+        L2 = (G/c_n) exp(-(a_n/c_n) Gamma(2 delta) / Gamma(delta)),
+
+    with delta = 2/gamma and G = Gamma(1 + delta).
     """
 
     def test_closed_form_and_exact_within_the_envelope(self):
@@ -573,6 +580,34 @@ class TestEnvelope:
                 case = (g, theta, lam, noise, n)
                 assert moment_approx(p, n) <= exact[n] * (1.0 + 1e-12), case
                 assert exact[n] <= min(1.0 / a_n, gamma_c / c_n) * (1.0 + 1e-12), case
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(2.0 + 1e-9, 20.0),
+        theta_db=st.floats(-20.0, 20.0),
+        noise_dbm=st.floats(-150.0, -50.0),
+        n=st.sampled_from([1, 2, 5, 10]),
+    )
+    def test_envelope_against_mpmath(self, gamma, theta_db, noise_dbm, n):
+        # mu from mpmath and scipy's 2F1 alone; c_n and every power from logs.
+        # gamma starts just above 2: scipy's hyp2f1 returns inf once 1 - 2/gamma
+        # falls below about 5e-14, where the package's 2F1 and mpmath agree.
+        theta, noise = 10.0 ** (theta_db / 10.0), 10.0 ** (noise_dbm / 10.0)
+        p = SystemParams(1e-3, gamma, theta, 1.0, noise)
+        mu = moment_t_mpmath(p, n)
+        delta = 2.0 / gamma
+        log_a = math.log(one_plus_rho_scipy(p, n))
+        log_c = delta * math.log(n * theta * noise / p.power) - math.log(math.pi * p.lambda_bs)
+        upper = min(math.exp(-log_a), math.exp(math.lgamma(1.0 + delta) - log_c))
+        l1 = math.exp(-log_a - math.exp(math.lgamma(1.0 + gamma / 2.0)
+                                        + gamma / 2.0 * (log_c - log_a)))
+        l2 = math.exp(math.lgamma(1.0 + delta) - log_c - math.exp(
+            log_a - log_c + math.lgamma(2.0 * delta) - math.lgamma(delta)))
+        slack = 1.0 + 1e-12
+        assert moment_approx(p, n) <= mu * slack
+        assert mu <= upper * slack
+        assert max(l1, l2) <= mu * slack
+        assert abs(moment_exact(p, n) - mu) <= DEFAULT_TOL * mu
 
 
 class TestRhoMemo:
