@@ -211,11 +211,13 @@ def rho_n(params: SystemParams, n: int) -> float:
 
     rho_n >= 0 for every scenario, so a 2F1 below 1 (or NaN) is a failed
     evaluation and raises ValueError; it is not memoised.  n < 1 raises
-    ValueError here, for coeffs and both moments too.  The 2F1 runs once
-    per n and params object; later calls read its memo.
+    ValueError here, for coeffs and both moments too, and a non-integral n
+    TypeError.  The 2F1 runs once per n and params object; later calls read
+    its memo.
     """
     if n < 1:
         raise ValueError(f"rho_n requires n >= 1, got {n}")
+    n = operator.index(n)
     memo = params._one_plus_rho
     if n not in memo:
         g = params.gamma_pl

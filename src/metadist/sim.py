@@ -365,10 +365,12 @@ def empirical_reliability(samples: np.ndarray, x) -> float | np.ndarray:
     The count above each x is N less the samples <= x, found in one sorted
     copy by searchsorted, and divided by N: the same float as the mean of
     the comparisons `samples > x`, for samples without NaN.  A NaN x has no
-    sample above it.
+    sample above it.  Empty samples raise ValueError.
     """
     xs = np.asarray(x, dtype=float)
     total = len(samples)
+    if total == 0:
+        raise ValueError("reliability estimates need at least one sample")
     result = (total - np.searchsorted(np.sort(samples), xs, side="right")) / total
     return float(result) if xs.ndim == 0 else result
 

@@ -8,21 +8,27 @@ exact product formula, max_exp_neg_f maximizes by grid search plus
 golden-section refinement rather than using the closed-form minimum, and
 jacobi_poly_explicit sums the binomial form of the polynomial, with
 scipy's binomial coefficients, instead of running the three-term recurrence.
-rising_factorial is the plain Pochhammer product, which the package itself
-never needs.  binom_exact is the binomial coefficient in exact rational
-arithmetic, which the exact test of the moment-to-coefficient map builds
-on, and ccp_sampled_reference sums each draw's interference over the
-other base stations one by one instead of taking a matrix-vector product.
+binom_exact is the binomial coefficient in exact rational arithmetic, which
+the exact test of the moment-to-coefficient map builds on, and
+ccp_sampled_reference sums each draw's interference over the other base
+stations one by one instead of taking a matrix-vector product.
 log_inv_ccp_reference is -log of the defining product over interferers
 in plain distances, one Python term at a time, where the simulator's
 kernel works on unit-rate arrivals a block of realizations at a time.
 gauss_2f1_series_reference is the Pfaff-mapped 2F1 series as one scalar
 Python loop, the form the package's chunked series must match bit for bit.
-moment_t_mpmath is the one oracle of the moment integral: mu_n in
+
+The moments have three oracles here, and no test module evaluates
+1 + rho_n or an exact mu_n itself.  one_plus_rho_scipy is 1 + rho_n from
+scipy's hyp2f1, not the package's 2F1 series; where scipy's value is not
+finite (1 - 2/gamma below about 5e-14) it is mpmath's hyp2f1 at 30 digits.
+moment_t_mpmath is the one mpmath oracle of the moment integral: mu_n in
 30-digit arithmetic by mpmath's tanh-sinh rule, not the package's exp-sinh
 rule in doubles, in the t-form, the package's variable before its Weibull
-substitution, split at the cliff t = 1/c_n.  Its a_n is one_plus_rho_scipy,
-1 + rho_n from scipy's hyp2f1, not the package's 2F1 series.
+substitution, split at the cliff t = 1/c_n.  moment_quad is the same
+integral in doubles by scipy's quad, in the z-form.  Each scales its
+variable to the length on which the integrand decays, and both take a_n
+from one_plus_rho_scipy.
 far_integral_parts_full evaluates the far field's series with every one of
 its terms, where specfun.far_integral_parts stops at the last one that can
 change the sum.  jacobi_poly is no oracle: it reads one degree of the
@@ -95,16 +101,6 @@ def gauss_2f1_series_reference(a: float, b: float, c: float, z: float) -> float:
         if abs(term) <= 1e-16 * abs(total):
             break
     return prefactor * total
-
-
-def rising_factorial(a: float, n: int) -> float:
-    """Pochhammer symbol (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0:
-        raise ValueError(f"rising_factorial requires n >= 0, got {n}")
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
 
 
 def binom_exact(r: float, k: int) -> Fraction:
@@ -298,14 +294,17 @@ def max_exp_neg_f(gamma_pl: float, b_coef: float) -> float:
 def moment_t_mpmath(params, n: int) -> float:
     """mu_n = int_0^inf exp(-(a_n t + (c_n t)^(gamma/2))) dt by mpmath at 30 digits.
 
-    The t-form of the moment integral, split at L/100, L and 100 L for
-    L = 1/(a_n + c_n) and, with noise (c_n > 0), at the cliff t = 1/c_n.
-    With noise the rule stops at (1 + 100/gamma) / c_n: past it,
-    exp(-(c_n t)^(gamma/2)) integrates to below e^-50 of mu_n, and at a
-    steep path loss mpmath would spend minutes on its exp.
-    a_n = 1 + rho_n is one_plus_rho_scipy's and c_n = n^(2/gamma) c_1 is
-    taken in mpmath from theta sigma2 / p and lambda.  Raises if mpmath's
-    own error estimate exceeds 1e-20 of the value.
+    The t-form of the moment integral, taken in u = t / L for L = 1/(a_n +
+    c_n), the length on which its integrand decays.  The integral in u is
+    of order 1, so mpmath's error estimate, whose floor is absolute (about
+    1e-35), stays relative when mu_n is as small as 2e-16 (gamma one ulp
+    above 2).  The rule is split at u = 1/100, 1 and 100 and, with noise
+    (c_n > 0), at the cliff t = 1/c_n.  With noise it stops at t = (1 +
+    100/gamma) / c_n: past it, exp(-(c_n t)^(gamma/2)) integrates to below
+    e^-50 of mu_n, and at a steep path loss mpmath would spend minutes on
+    its exp.  a_n = 1 + rho_n is one_plus_rho_scipy's and c_n = n^(2/gamma)
+    c_1 is taken in mpmath from theta sigma2 / p and lambda.  Raises if
+    mpmath's own error estimate exceeds 1e-20 of the value.
     """
     with mpmath.workdps(30):
         g = mpmath.mpf(params.gamma_pl)
@@ -313,20 +312,47 @@ def moment_t_mpmath(params, n: int) -> float:
         c = (n * mpmath.mpf(params.theta) * params.noise / params.power) ** (2 / g) / (
             mpmath.pi * params.lambda_bs)
         length = 1 / (a + c)
-        points, end = {length / 100, length, 100 * length}, mpmath.inf
+        al, cl = a * length, c * length
+        points, end = {mpmath.mpf(1) / 100, mpmath.mpf(1), mpmath.mpf(100)}, mpmath.inf
         if c > 0:
-            points.add(1 / c)
-            end = (1 + 100 / g) / c
+            points.add(1 / cl)
+            end = (1 + 100 / g) / cl
         value, error = mpmath.quad(
-            lambda t: mpmath.exp(-(a * t + (c * t) ** (g / 2))),
-            [0, *sorted(t for t in points if t < end), end], error=True,
+            lambda u: mpmath.exp(-(al * u + (cl * u) ** (g / 2))),
+            [0, *sorted(u for u in points if u < end), end], error=True,
         )
         if not error <= 1e-20 * value:
             raise ArithmeticError(f"mpmath error estimate {error} for value {value}")
-        return float(value)
+        return float(length * value)
+
+
+def moment_quad(params, n: int) -> float:
+    """mu_n = pi lambda int_0^inf exp(-(A_n z + B_n z^(gamma/2))) dz by scipy's quad.
+
+    A_n = pi lambda a_n, with a_n from one_plus_rho_scipy, and B_n = n theta
+    sigma2 / p.  The rule runs in u = z / L, L = 1 / (A_n + B_n^(2/gamma)),
+    the length on which the integrand decays, so the integral in u is of
+    order 1.
+    """
+    g, scale = params.gamma_pl, math.pi * params.lambda_bs
+    a_coef = scale * one_plus_rho_scipy(params, n)
+    b_coef = n * params.theta * params.noise / params.power
+    length = 1.0 / (a_coef + b_coef ** (2.0 / g))
+    al, bl = a_coef * length, b_coef * length ** (g / 2.0)
+    value, _ = quad(lambda u: math.exp(-(al * u + bl * u ** (g / 2.0))), 0.0, math.inf,
+                    epsabs=1e-15, epsrel=1e-13, limit=400)
+    return scale * length * value
 
 
 def one_plus_rho_scipy(params, n: int) -> float:
-    """1 + rho_n = 2F1(n, -2/gamma; 1 - 2/gamma; -theta) by scipy.special.hyp2f1."""
+    """1 + rho_n = 2F1(n, -2/gamma; 1 - 2/gamma; -theta) by scipy.special.hyp2f1.
+
+    scipy's float wherever it is finite.  It returns inf once 1 - 2/gamma
+    falls below about 5e-14; there the value is mpmath's hyp2f1 at 30 digits.
+    """
     d = 2.0 / params.gamma_pl
-    return float(hyp2f1(n, -d, 1.0 - d, -params.theta))
+    value = float(hyp2f1(n, -d, 1.0 - d, -params.theta))
+    if math.isfinite(value):
+        return value
+    with mpmath.workdps(30):
+        return float(mpmath.hyp2f1(n, -d, 1.0 - d, -params.theta))

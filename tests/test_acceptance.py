@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import hyp2f1
 
 from metadist import jacobi, moments, scaling, sim
 from metadist.specfun import reg_inc_beta
@@ -45,14 +44,14 @@ def test_criterion_1_moment_exactness_limits():
         worst_zero = max(worst_zero, abs(moments.moment_exact(params, 1) - 1.0),
                          abs(moments.moment_approx(params, 1) - 1.0))
     # A noise-free moment is 1 / (1 + rho_n), and 1 + rho_n is the package's
-    # own 2F1 series, so the reference is scipy's hyp2f1 (theta <= 10 dB, where
-    # the two agree to about 1e-15).
+    # own 2F1 series, so the reference is scipy's (one_plus_rho_scipy; theta
+    # <= 10 dB, where the two agree to about 1e-15).
     worst_noiseless = 0.0
     for g in (3.0, 4.0, 5.0):
         for theta in (0.1, 1.0, 10.0):
             params = moments.SystemParams(1e-3, g, theta, 1.0, 0.0)
             for n in range(1, 11):
-                closed = 1.0 / hyp2f1(n, -2.0 / g, 1.0 - 2.0 / g, -theta)
+                closed = 1.0 / one_plus_rho_scipy(params, n)
                 worst_noiseless = max(
                     worst_noiseless,
                     abs(moments.moment_exact(params, n) - closed),

@@ -238,6 +238,8 @@ def test_functions_read_numpy_scalars_as_builtin_numbers(name, dtype):
     lambda: metadist.JacobiBasis(alpha=0, beta=0, order=2.0),
     lambda: metadist.moment_exact(_REFERENCE, 2.0),
     lambda: metadist.moment_approx(_REFERENCE, 2.0),
+    lambda: metadist.rho_n(_REFERENCE, 2.5),
+    lambda: metadist.coeffs(_REFERENCE, 2.5),
     lambda: metadist.jacobi.norm_h(0.0, 0.0, 2.0),
     lambda: metadist.ccp_sampled(_DISTANCES, _REFERENCE, 700.0, np.random.default_rng(5)),
 ])

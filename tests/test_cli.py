@@ -6,10 +6,8 @@ import math
 import re
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
-from scipy.special import hyp2f1
 
 from metadist import cli, moments, sim
 from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, main, mw_to_dbm
@@ -22,7 +20,7 @@ from metadist.scaling import QosSpec, min_power
 from metadist.sim import SimConfig, campaign_to_dict, empirical_reliability, run_campaign
 from metadist.specfun import reg_inc_beta
 
-from oracles import beta_moments
+from oracles import beta_moments, moment_t_mpmath, one_plus_rho_scipy
 
 
 def _read_csv(path):
@@ -1287,8 +1285,8 @@ class TestKnownWrongOutputs:
         argv = ["reconstruct", "--theta-db", "28", "--noise-dbm=-inf", "--format", "json"]
         assert main(argv) == EXIT_OK
         got = json.loads(capsys.readouterr().out)["meta"]["moments"]
-        theta = db_to_linear(28.0)
-        expected = [1.0 / hyp2f1(n, -0.4, 0.6, -theta) for n in range(1, len(got))]
+        p = dataclasses.replace(_default_scenario(), theta=db_to_linear(28.0), noise=0.0)
+        expected = [1.0 / one_plus_rho_scipy(p, n) for n in range(1, len(got))]
         assert got[1:] == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.xfail(strict=True, reason="the coefficient map's rounding swamps the default "
@@ -1309,17 +1307,6 @@ class TestKnownWrongOutputs:
             return
         assert rc == EXIT_OK
         got = [float(row[1]) for row in json.loads(captured.out)["rows"]]
-        # mu_n = int_0^inf exp(-(a_n t + (c_n t)^(gamma/2))) dt, a_n = 1 + rho_n
-        # and c_n = n^(2/gamma) c_1, split at t = 1/c_n; past (1 + 100/gamma)
-        # / c_n the integrand is below exp(-e^50).
-        p = _default_scenario()
-        with mpmath.workdps(30):
-            g, d = mpmath.mpf(1e6), 2 / mpmath.mpf(1e6)
-            c_1 = (mpmath.mpf(p.theta) * p.noise / p.power) ** d / (mpmath.pi * p.lambda_bs)
-            expected = []
-            for n in (1, 2, 3):
-                a, c = mpmath.hyp2f1(n, -d, 1 - d, -p.theta), n**d * c_1
-                expected.append(float(mpmath.quad(
-                    lambda t: mpmath.exp(-(a * t + (c * t) ** (g / 2))),
-                    [0, 1 / c, (1 + 100 / g) / c])))
+        p = dataclasses.replace(_default_scenario(), gamma_pl=1e6)
+        expected = [moment_t_mpmath(p, n) for n in (1, 2, 3)]
         assert got == pytest.approx(expected, rel=1e-10)

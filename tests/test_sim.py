@@ -1001,10 +1001,14 @@ class TestEmpiricalStatistics:
         assert np.mean(samples**10 < 2.0**-1022) > 0.5
 
     @pytest.mark.parametrize("samples", [np.empty(0), np.empty((0, 3))])
-    @pytest.mark.parametrize("max_n", [0, 3])
-    def test_empty_samples_rejected(self, samples, max_n):
+    @pytest.mark.parametrize("statistic", [
+        pytest.param(lambda c: empirical_moments(c, 0), id="0"),
+        pytest.param(lambda c: empirical_moments(c, 3), id="3"),
+        pytest.param(lambda c: empirical_reliability(c, 0.5), id="reliability"),
+    ])
+    def test_empty_samples_rejected(self, samples, statistic):
         with pytest.raises(ValueError, match="need at least one sample"):
-            empirical_moments(samples, max_n)
+            statistic(samples)
 
     def test_nan_sample_makes_a_nan_mean(self):
         # As mean(c**n) is NaN, so is mu_1, which the sequence rejects.
