@@ -291,12 +291,14 @@ def reg_inc_beta(x, a: float, b: float):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def _series_coefficients(delta: float) -> tuple[np.ndarray, float]:
     """F's series coefficients and F(inf) = pi / sin(pi delta) (see far_integral_parts).
 
     Row 0 holds -j! / (1+delta)_j / delta, row 1 j! / (2-delta)_j / (1-delta),
-    for j < _F_TERMS.
+    for j < _F_TERMS.  The blocks of one campaign share one delta = 2/gamma,
+    and a new scenario brings a new one, so the one cached entry is the only
+    one ever read again.
     """
     j = np.arange(1.0, _F_TERMS)
     out = np.empty((2, _F_TERMS))

@@ -2,15 +2,20 @@
 exactly the names below, none of them a numerical engine, and the pointwise
 functions return a float for a scalar x and an ndarray of x's shape for an
 ndarray.  The value types store, and the public functions read, builtin
-float and int whatever numpy scalar they are given."""
+float and int whatever numpy scalar they are given.  README's examples run
+as written."""
 import dataclasses
 import importlib
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
 
 import metadist
+from metadist.cli import EXIT_OK, main
 from metadist.moments import METHOD_CLOSED_FORM, METHOD_EMPIRICAL, METHOD_EXACT
 from oracles import beta_moments
 
@@ -246,3 +251,23 @@ def test_functions_read_numpy_scalars_as_builtin_numbers(name, dtype):
 def test_non_integral_count_is_type_error(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # Each python block runs on its own, under the suite's RuntimeWarning
+    # filter.  The metadist lines of the command-line block run in order in
+    # one directory, so compare reads the samples that simulate wrote.
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
+    shell = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    argvs = [shlex.split(line)[1:] for line in shell.splitlines() if line.startswith("metadist ")]
+    assert {argv[0] for argv in argvs} == {"moments", "reconstruct", "simulate", "compare", "power"}
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        assert main(argv) == EXIT_OK, argv
+    assert (tmp_path / "samples.csv").stat().st_size > 0
+    assert (tmp_path / "recon.csv.meta.json").stat().st_size > 0

@@ -33,6 +33,7 @@ from oracles import (
     jacobi_poly,
     jacobi_poly_explicit,
 )
+from spies import spy
 
 BASES = [(0.0, 0.0), (-0.4354, 0.1118), (0.3, 1.7), (2.0, 0.5)]
 
@@ -391,14 +392,7 @@ class TestCdfMemo:
 
     @pytest.fixture
     def inc_beta_calls(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return reg_inc_beta(*args)
-
-        monkeypatch.setattr(jacobi, "reg_inc_beta", counted)
-        return calls
+        return spy(monkeypatch, jacobi, "reg_inc_beta")
 
     def test_reliability_after_cdf_is_one_incomplete_beta(self, inc_beta_calls):
         dist = _beta_27_13_distribution()

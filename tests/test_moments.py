@@ -31,6 +31,7 @@ from oracles import (
     beta_moments, max_exp_neg_f, moment_quad, moment_t_mpmath, one_plus_rho_scipy,
     rho_quadrature,
 )
+from spies import spy
 
 # Regression constant: mu_1 at the reference scenario, frozen from the
 # package's quadrature; test_each_moment_against_scipy checks the same float
@@ -394,14 +395,7 @@ class TestOneQuadraturePerSequence:
     """The exact mu_1..mu_N are the rows of one engine call; the closed form makes none."""
 
     def test_one_engine_call(self, paper_params, monkeypatch):
-        calls = []
-        real = moments.integrate_semi_infinite_decaying
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", spy)
+        calls = spy(monkeypatch, moments, "integrate_semi_infinite_decaying")
         moment_sequence(paper_params, 10)
         assert len(calls) == 1
         moment_sequence(paper_params, 10, method=METHOD_CLOSED_FORM)
@@ -444,20 +438,9 @@ class TestNoiseRoot:
         # (theta sigma2 / p)^(2/gamma) / (pi lambda) = (1e-10)^0.4 / (pi 1e-3).
         assert paper_params.noise_root == pytest.approx(1e-4 / (math.pi * 1e-3), rel=1e-14)
 
-    def _counted_quadrature(self, monkeypatch):
-        calls = []
-        real = moments.integrate_semi_infinite_decaying
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", counted)
-        return calls
-
     @pytest.mark.parametrize("theta, noise", [(1.0, 0.0), (0.0, 1e-10)])
     def test_noise_free_is_one_over_a_without_quadrature(self, theta, noise, monkeypatch):
-        calls = self._counted_quadrature(monkeypatch)
+        calls = spy(monkeypatch, moments, "integrate_semi_infinite_decaying")
         p = SystemParams(1e-3, 5.0, theta, 1.0, noise)
         assert p.noise_root == 0.0
         # Both methods take 1 / a_n, bit for bit; scipy's 2F1 is the reference.
@@ -592,19 +575,8 @@ class TestRhoMemo:
 
     SCENARIO = (1e-3, 5.0, 1.0, 1.0, 1e-10)
 
-    def _counted(self, monkeypatch):
-        calls = []
-        real = moments.gauss_2f1
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(moments, "gauss_2f1", counted)
-        return calls
-
     def test_one_call_per_order(self, monkeypatch):
-        calls = self._counted(monkeypatch)
+        calls = spy(monkeypatch, moments, "gauss_2f1")
         p = SystemParams(*self.SCENARIO)
         moment_sequence(p, 10)
         moment_sequence(p, 10, method=METHOD_CLOSED_FORM)
@@ -629,7 +601,7 @@ class TestRhoMemo:
     def test_replace_starts_empty(self, monkeypatch):
         p = SystemParams(*self.SCENARIO)
         rho_n(p, 2)
-        calls = self._counted(monkeypatch)
+        calls = spy(monkeypatch, moments, "gauss_2f1")
         rho_n(dataclasses.replace(p, lambda_bs=2e-3), 2)
         rho_n(dataclasses.replace(p), 2)
         assert len(calls) == 2

@@ -16,6 +16,7 @@ from metadist.quadrature import (
 )
 
 from oracles import moment_t_mpmath, one_plus_rho_scipy
+from spies import spy
 
 
 class TestFinite:
@@ -143,16 +144,10 @@ class TestLevels:
         assert integrate_semi_infinite_decaying(self.OSCILLATING).evaluations == 321
 
     def test_moment_evaluation_count(self, paper_params, monkeypatch):
-        results = []
-
-        def spy(*args, **kwargs):
-            results.append(integrate_semi_infinite_decaying(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(moments, "integrate_semi_infinite_decaying", spy)
+        calls = spy(monkeypatch, moments, "integrate_semi_infinite_decaying")
         moments.moment_exact(paper_params, 1)
         moments.moment_sequence(paper_params, 10)
-        assert [r.evaluations for r in results] == [321, 321]
+        assert [r.evaluations for _, r in calls] == [321, 321]
 
 
 class TestRows:
@@ -302,14 +297,8 @@ class TestMomentRange:
         a_1 = 1.0 + moments.rho_n(moments.SystemParams(1.0, g, 1.0, 1.0, 1e-10), 1)
         lam = 1e-10 ** (2.0 / g) * 10.0**log_r / (math.pi * a_1)
         p = moments.SystemParams(lam, g, 1.0, 1.0, 1e-10)
-        results = []
-
-        def spy(*args, **kwargs):
-            results.append(integrate_semi_infinite_decaying(*args, **kwargs))
-            return results[-1]
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(moments, "integrate_semi_infinite_decaying", spy)
+            calls = spy(mp, moments, "integrate_semi_infinite_decaying")
             mu = moments.moment_exact(p, 1)
-        assert [r.evaluations for r in results] == [321]
+        assert [r.evaluations for _, r in calls] == [321]
         assert abs(mu / moment_t_mpmath(p, 1) - 1.0) <= 1e-13, (g, p.lambda_bs)

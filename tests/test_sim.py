@@ -41,6 +41,7 @@ from oracles import (
     far_integral_parts_full,
     log_inv_ccp_reference,
 )
+from spies import spy
 
 
 def far_field_reference(row: np.ndarray, params: SystemParams, mean_count: float) -> float:
@@ -688,7 +689,7 @@ class TestCampaign:
         draws = 20
         cfg = SimConfig(params=p, num_realizations=3, fading_mode="sampled",
                         num_channel_draws=draws, rng_seed=6)
-        seen = self.spy_calls(monkeypatch, "_log_inv_ccp")
+        seen = spy(monkeypatch, sim, "_log_inv_ccp")
         emp = run_campaign(cfg)
         analytic = run_campaign(SimConfig(params=p, num_realizations=3, rng_seed=6))
         rng = np.random.default_rng([cfg.rng_seed, 0])
@@ -721,30 +722,16 @@ class TestCampaign:
     CONCURRENT_REALIZATIONS = 4 * BLOCK_SIZE + 37
 
     @staticmethod
-    def spy_calls(monkeypatch, name):
-        """Patch sim.<name> to record (args, result) of each call; returns the list."""
-        inner = getattr(sim, name)
-        calls = []
-
-        def spy(*args):
-            result = inner(*args)
-            calls.append((args, result))
-            return result
-
-        monkeypatch.setattr(sim, name, spy)
-        return calls
-
-    @staticmethod
     def spy_threads(monkeypatch, name):
         """Patch sim.<name> to record (thread, active thread count) of each call."""
         inner = getattr(sim, name)
         seen = set()
 
-        def spy(*args):
+        def record(*args):
             seen.add((threading.get_ident(), threading.active_count()))
             return inner(*args)
 
-        monkeypatch.setattr(sim, name, spy)
+        monkeypatch.setattr(sim, name, record)
         return seen
 
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
