@@ -221,7 +221,13 @@ def moment_match_basis(mu1: float, mu2: float, order: int = DEFAULT_ORDER) -> Ja
         raise DegenerateMomentsError(f"mu1 must lie strictly in (0, 1), got {mu1}")
     mu1, mu2 = float(mu1), float(mu2)
     # mu1 (1 - mu1) is the largest variance a law on [0, 1] with mean mu1 has.
-    if mu2 - mu1 * mu1 <= 1e-14 * mu1 * (1.0 - mu1):
+    var, tol = mu2 - mu1 * mu1, 1e-14 * mu1 * (1.0 - mu1)
+    if var < -tol:
+        raise DegenerateMomentsError(
+            f"mu2={mu2} lies below mu1^2={mu1 * mu1}: a negative variance, so these "
+            "are not the moments of a law on [0, 1]"
+        )
+    if var <= tol:
         raise DegenerateMomentsError(
             f"zero-variance moments (mu2={mu2}, mu1^2={mu1 * mu1}): "
             "a point mass has no beta-matched basis"
@@ -230,7 +236,7 @@ def moment_match_basis(mu1: float, mu2: float, order: int = DEFAULT_ORDER) -> Ja
         raise DegenerateMomentsError(
             f"invalid [0,1] moments: mu2={mu2} must be below mu1={mu1}"
         )
-    alpha1 = (mu1 - mu2) * (1.0 - mu1) / (mu2 - mu1 * mu1)
+    alpha1 = (mu1 - mu2) * (1.0 - mu1) / var
     beta1 = alpha1 * mu1 / (1.0 - mu1)
     return JacobiBasis(alpha=alpha1 - 1.0, beta=beta1 - 1.0, order=order)
 

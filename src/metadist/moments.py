@@ -189,10 +189,12 @@ class MomentSequence:
         return math.fsum(math.comb(m, j) * (-1.0) ** j * mu[l + j] for j in range(m + 1))
 
     def check_hausdorff(self) -> None:
-        """Raise ValueError unless mu_0..mu_N are moments of a law on [0, 1].
+        """Raise ValueError if mu_0..mu_N cannot be moments of a law on [0, 1].
 
         Every difference E[C^n (1-C)^k] (difference(n, k)), with k >= 1 and
-        n + k <= N, must be nonnegative.  The monotonicity slack (k = 1) lets
+        n + k <= N, must be nonnegative.  The differences are necessary, not
+        sufficient: mu = (1, 0.5, 0.2) passes, yet its variance
+        mu_2 - mu_1^2 is negative (moment matching rejects it).  The monotonicity slack (k = 1) lets
         each value be off by half of it, which moves a k-th difference by up to
         2^(k-1) times the slack: that is the margin allowed.
         """

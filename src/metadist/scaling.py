@@ -15,7 +15,10 @@ which involves neither lambda nor p.  Solving c_1 = c_1* for the power gives
     p(lambda) = theta sigma2 (c_1* pi lambda)^(-gamma/2),
 
 i.e. the minimum power that holds the QoS constant falls off as the -gamma/2
-power of the base-station density.  max_noise_root solves for c_1* once,
+power of the base-station density.  A target equal to the p -> inf limit
+1 / (1 + rho_2) gives c_1* = 0: a noise-free scenario (theta = 0 or
+sigma2 = 0) meets it at any power, and a noisy one at none, since
+p(lambda) is then infinite.  max_noise_root solves for c_1* once,
 and power_at evaluates p(lambda) with its range check; min_power and the
 CLI's power sweep both call the two.
 """
@@ -57,7 +60,7 @@ def max_noise_root(params: SystemParams, qos: QosSpec) -> float:
     Raises:
         InfeasibleQosError: the target 1 - eps + x^2 exceeds 1 (the Markov
             bound can never certify it) or exceeds the p -> inf moment limit
-            1 / (1 + rho_2).
+            1 / (1 + rho_2).  A target equal to that limit gives 0.0.
     """
     target = 1.0 - qos.epsilon + qos.x_rel**2
     if target > 1.0:
@@ -67,7 +70,7 @@ def max_noise_root(params: SystemParams, qos: QosSpec) -> float:
         )
     rho2 = rho_n(params, 2)
     bracket = 1.0 - target * (1.0 + rho2)
-    if bracket <= 0.0:
+    if bracket < 0.0:
         raise InfeasibleQosError(
             f"required mu_2 = {target:.6g} exceeds the infinite-power limit "
             f"1/(1+rho_2) = {1.0 / (1.0 + rho2):.6g}"

@@ -13,6 +13,11 @@ settings.load_profile("metadist")
 # theta = 0 dB, p = 0 dBm (1 mW), sigma^2 = -100 dBm (1e-10 mW).
 PAPER_SCENARIO = dict(lambda_bs=1e-3, gamma_pl=5.0, theta=1.0, power=1.0, noise=1e-10)
 
+# Jacobi bases (alpha, beta): the Legendre case, a matched-type basis
+# (negative alpha, like real reconstructions) and two asymmetric
+# positive-weight pairs.
+BASES = [(0.0, 0.0), (-0.4354, 0.1118), (0.3, 1.7), (2.0, 0.5)]
+
 
 @pytest.fixture(scope="session")
 def paper_params() -> SystemParams:

@@ -5,6 +5,7 @@ them on success) and asserts both the stated tolerance and the runtime
 budget.  Monte Carlo criteria follow a fixed-seed protocol so the whole gate
 is deterministic.
 """
+import dataclasses
 import math
 import time
 
@@ -14,17 +15,11 @@ from scipy.integrate import quad
 from metadist import jacobi, moments, scaling, sim
 from metadist.specfun import reg_inc_beta
 
+from conftest import BASES
 from oracles import (
     beta_moments, disk_distances, gauss_jacobi_integral, jacobi_poly, moment_t_mpmath,
     one_plus_rho_scipy,
 )
-
-PAPER = moments.SystemParams(lambda_bs=1e-3, gamma_pl=5.0, theta=1.0, power=1.0,
-                             noise=1e-10)
-
-# Matched-type basis (negative alpha, like real reconstructions) plus the
-# Legendre case required explicitly and two asymmetric positive-weight pairs.
-ORTHO_BASES = [(0.0, 0.0), (-0.4354, 0.1118), (0.3, 1.7), (2.0, 0.5)]
 
 
 def _finish(num: int, name: str, t0: float, budget: float, ok: bool, detail: str):
@@ -89,7 +84,7 @@ def test_criterion_2_error_bound_soundness():
 def test_criterion_3_jacobi_machinery():
     t0 = time.perf_counter()
     worst_orth = 0.0
-    for al, be in ORTHO_BASES:
+    for al, be in BASES:
         for m in range(13):
             for n in range(m, 13):
                 f = lambda x: jacobi_poly(al, be, m, x) * jacobi_poly(al, be, n, x)
@@ -100,7 +95,7 @@ def test_criterion_3_jacobi_machinery():
         abs(jacobi.norm_h(0.0, 0.0, n) - 1.0 / (2.0 * n + 1.0)) for n in range(13)
     )
     worst_rodrigues = 0.0
-    for al, be in ORTHO_BASES:
+    for al, be in BASES:
         for n in range(1, 9):
             for x in (0.2, 0.5, 0.8):
                 f = lambda t: (1.0 - t) ** al * jacobi_poly(al, be, n, t)
@@ -134,12 +129,12 @@ def test_criterion_4_beta_round_trip():
             f"cdf dev {worst_cdf:.2e} (<=1e-6)")
 
 
-def test_criterion_5_reliability_curve_reproduction():
+def test_criterion_5_reliability_curve_reproduction(paper_params):
     t0 = time.perf_counter()
-    seq = moments.moment_sequence(PAPER, 10)
+    seq = moments.moment_sequence(paper_params, 10)
     dist = jacobi.reconstruct(seq, order=10)
     basis = dist.basis
-    emp = sim.run_campaign(sim.SimConfig(params=PAPER, num_realizations=100_000,
+    emp = sim.run_campaign(sim.SimConfig(params=paper_params, num_realizations=100_000,
                                          rng_seed=42))
     xs = np.linspace(0.05, 0.95, 19)
     emp_rel = sim.empirical_reliability(emp.ccp_samples, xs)
@@ -188,7 +183,7 @@ def test_criterion_6_moment_approximation_sweep():
             f"noiseless mean bounds noisy mean: {noiseless_ok}")
 
 
-def test_criterion_7_power_scaling_law():
+def test_criterion_7_power_scaling_law(paper_params):
     t0 = time.perf_counter()
     qos_sweep = scaling.QosSpec(x_rel=0.2, epsilon=0.5)
     worst_slope = 0.0
@@ -202,8 +197,8 @@ def test_criterion_7_power_scaling_law():
         slope = float(np.polyfit(np.log(lams), np.log(powers), 1)[0])
         worst_slope = max(worst_slope, abs(slope + g / 2.0))
     qos = scaling.QosSpec(x_rel=0.3, epsilon=0.7)
-    p_min = scaling.min_power(PAPER, qos)
-    tuned = moments.SystemParams(1e-3, 5.0, 1.0, p_min, 1e-10)
+    p_min = scaling.min_power(paper_params, qos)
+    tuned = dataclasses.replace(paper_params, power=p_min)
     mu2 = moments.moment_approx(tuned, 2)
     target = 1.0 - qos.epsilon + qos.x_rel**2
     inversion_dev = abs(mu2 - target) / target
@@ -217,14 +212,14 @@ def test_criterion_7_power_scaling_law():
             f"empirical P(C>x) = {reliability:.3f} >= {1.0 - qos.epsilon:.2f}")
 
 
-def test_criterion_8_simulator_self_consistency():
+def test_criterion_8_simulator_self_consistency(paper_params):
     t0 = time.perf_counter()
-    cfg = sim.SimConfig(params=PAPER, num_realizations=5000, rng_seed=42)
+    cfg = sim.SimConfig(params=paper_params, num_realizations=5000, rng_seed=42)
     emp = sim.run_campaign(cfg)
     seq = sim.empirical_moments(emp.ccp_samples, 2)
     devs = []
     for n in (1, 2):
-        exact = moments.moment_exact(PAPER, n)
+        exact = moments.moment_exact(paper_params, n)
         se = float(np.std(emp.ccp_samples**n, ddof=1)) / math.sqrt(float(len(emp.ccp_samples)))
         devs.append(abs(seq[n] - exact) / se)
     moments_ok = all(d <= 3.0 for d in devs)
@@ -232,8 +227,8 @@ def test_criterion_8_simulator_self_consistency():
     for i in range(100):
         rng = np.random.default_rng([cfg.rng_seed, i, 0])
         points = disk_distances(cfg, rng)
-        exact_c = sim.ccp_analytic(points, PAPER)
-        sampled_c = sim.ccp_sampled(points, PAPER, 700, rng)
+        exact_c = sim.ccp_analytic(points, paper_params)
+        sampled_c = sim.ccp_sampled(points, paper_params, 700, rng)
         se = math.sqrt(exact_c * (1.0 - exact_c) / 700.0)
         if abs(sampled_c - exact_c) > 4.0 * se:
             violations += 1

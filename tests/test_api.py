@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import metadist
-from metadist.cli import EXIT_OK, main
+from metadist.cli import EXIT_OK
 from metadist.moments import METHOD_CLOSED_FORM, METHOD_EMPIRICAL, METHOD_EXACT
+from clirun import run
+from conftest import PAPER_SCENARIO
 from oracles import beta_moments
 
 MODULES = [
@@ -112,7 +114,7 @@ def test_scalar_gives_float_and_array_gives_same_shape(name):
     assert type(out) is np.ndarray and out.shape == x.shape
 
 
-_REFERENCE = metadist.SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
+_REFERENCE = metadist.SystemParams(**PAPER_SCENARIO)
 
 
 def _params(real, integer):
@@ -268,6 +270,6 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     assert {argv[0] for argv in argvs} == {"moments", "reconstruct", "simulate", "compare", "power"}
     monkeypatch.chdir(tmp_path)
     for argv in argvs:
-        assert main(argv) == EXIT_OK, argv
+        assert run(*argv).code == EXIT_OK, argv
     assert (tmp_path / "samples.csv").stat().st_size > 0
     assert (tmp_path / "recon.csv.meta.json").stat().st_size > 0

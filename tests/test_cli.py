@@ -1,7 +1,5 @@
 """CLI behaviour: unit conversion, table output, exit codes, file round trips."""
-import csv
 import dataclasses
-import json
 import math
 import re
 import warnings
@@ -10,7 +8,7 @@ import numpy as np
 import pytest
 
 from metadist import cli, moments, sim
-from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, main, mw_to_dbm
+from metadist.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, db_to_linear, mw_to_dbm
 from metadist.jacobi import (
     JacobiBasis, eval_cdf, eval_pdf, fourier_jacobi_coeffs, meta_reliability, reconstruct,
 )
@@ -20,20 +18,14 @@ from metadist.scaling import QosSpec, min_power
 from metadist.sim import SimConfig, campaign_to_dict, empirical_reliability, run_campaign
 from metadist.specfun import reg_inc_beta
 
+from clirun import run
 from oracles import beta_moments, moment_t_mpmath, one_plus_rho_scipy
 from spies import spy
 
 
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
-
-
-def _default_scenario():
-    """The scenario the CLI's default flags describe."""
-    return SystemParams(lambda_bs=1e-3, gamma_pl=5.0, theta=db_to_linear(0.0),
-                        power=db_to_linear(0.0), noise=db_to_linear(-100.0))
+def _simulate(samples, *flags):
+    """simulate with `flags`, writing to `samples`: its samples and campaign record."""
+    return run("simulate", *flags, "--out", samples).table()
 
 
 class TestUnitConversions:
@@ -55,33 +47,30 @@ class TestArgumentParsing:
         ["moments", "--n-max", "x"],
         [],
     ])
-    def test_parse_error_returns_usage_code(self, argv, capsys):
-        assert main(argv) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error:" in captured.err
+    def test_parse_error_returns_usage_code(self, argv):
+        assert "error:" in run(*argv).error(EXIT_USAGE)
 
-    def test_help_returns_ok(self, capsys):
-        assert main(["--help"]) == EXIT_OK
-        assert capsys.readouterr().out.startswith("usage: metadist")
+    def test_help_returns_ok(self):
+        r = run("--help")
+        assert r.code == EXIT_OK and r.out.startswith("usage: metadist")
 
     @pytest.mark.parametrize("flag", ["--theta-db", "--noise-dbm"])
-    def test_help_names_the_equals_form_of_minus_inf(self, flag, monkeypatch, capsys):
+    def test_help_names_the_equals_form_of_minus_inf(self, flag, monkeypatch):
         # argparse reads a separate "-inf" as an option, not as the flag's value.
         monkeypatch.setenv("COLUMNS", "200")
-        assert main(["moments", "--help"]) == EXIT_OK
-        assert f"{flag}=-inf" in capsys.readouterr().out
-        assert main(["moments", flag, "-inf"]) == EXIT_USAGE
-        assert "expected one argument" in capsys.readouterr().err
+        r = run("moments", "--help")
+        assert r.code == EXIT_OK and f"{flag}=-inf" in r.out
+        r = run("moments", flag, "-inf")
+        assert r.code == EXIT_USAGE and "expected one argument" in r.err
 
-    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+    def test_parser_is_built_once_per_process(self, monkeypatch):
         real = cli.build_parser
         built = spy(monkeypatch, cli, "build_parser")
         cli._parser.cache_clear()
         try:
             for _ in range(3):
-                assert main(["moments", "--method", "bogus"]) == EXIT_USAGE
-            assert main(["--help"]) == EXIT_OK
+                assert run("moments", "--method", "bogus").code == EXIT_USAGE
+            assert run("--help").code == EXIT_OK
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
@@ -95,57 +84,42 @@ class TestArgumentParsing:
             assert getattr(power, name) == getattr(mom, name)
         assert (power.gamma, power.theta_db, power.noise_dbm) == (5.0, 0.0, -100.0)
 
-    def test_subcommand_is_looked_up_at_call_time(self, monkeypatch, capsys):
+    def test_subcommand_is_looked_up_at_call_time(self, monkeypatch):
         # The cached parser must not pin the cmd_* function of its first call.
         argv = ["power", "--x-rel", "0.2", "--epsilon", "0.5", "--gamma", "4", "--theta-db", "-10",
                 "--lambda-steps", "1"]
-        assert main(argv) == EXIT_OK
+        assert run(*argv).code == EXIT_OK
         calls = []
         monkeypatch.setattr(cli, "cmd_power", lambda args: calls.append(args.command) or 7)
-        assert main(argv) == 7
+        assert run(*argv).code == 7
         assert calls == ["power"]
 
 
 class TestMomentsCommand:
     def test_zero_threshold_all_ones(self, tmp_path):
-        out = tmp_path / "m.csv"
-        rc = main(["moments", "--theta-db=-inf", "--n-max", "4", "--out", str(out)])
-        assert rc == EXIT_OK
-        header, rows = _read_csv(out)
-        assert header == ["n", "mu_exact", "mu_approx", "abs_diff", "error_bound"]
-        for row in rows:
-            assert float(row[1]) == pytest.approx(1.0, abs=1e-10)
-            assert float(row[2]) == pytest.approx(1.0, abs=1e-10)
+        t = run("moments", "--theta-db=-inf", "--n-max", "4", "--out", tmp_path / "m.csv").table()
+        assert list(t.columns) == ["n", "mu_exact", "mu_approx", "abs_diff", "error_bound"]
+        for name in ("mu_exact", "mu_approx"):
+            assert t.floats(name) == pytest.approx([1.0] * 4, abs=1e-10)
 
     def test_diff_within_bound(self, tmp_path):
-        out = tmp_path / "m.csv"
-        rc = main(["moments", "--n-max", "10", "--out", str(out)])
-        assert rc == EXIT_OK
-        _, rows = _read_csv(out)
-        assert len(rows) == 10
-        for row in rows:
-            assert float(row[3]) <= float(row[4])
+        t = run("moments", "--n-max", "10", "--out", tmp_path / "m.csv").table()
+        assert len(t["n"]) == 10
+        assert all(d <= b for d, b in zip(t.floats("abs_diff"), t.floats("error_bound")))
 
     def test_gamma_near_two(self, tmp_path):
-        out = tmp_path / "m.csv"
-        rc = main(["moments", "--gamma", "2.01", "--n-max", "3", "--out", str(out)])
-        assert rc == EXIT_OK
-        _, rows = _read_csv(out)
-        for row in rows:
-            assert abs(float(row[1]) - float(row[2])) <= 1e-4
+        t = run("moments", "--gamma", "2.01", "--n-max", "3", "--out", tmp_path / "m.csv").table()
+        assert all(abs(e - a) <= 1e-4 for e, a in zip(t.floats("mu_exact"), t.floats("mu_approx")))
 
-    def test_error_bound_at_a_tiny_density(self, capsys):
+    def test_error_bound_at_a_tiny_density(self):
         # c_1 is about 3.2e145 at lambda 1e-150, so c_n^(gamma/2) is past the
         # doubles: the bound must stay in the z-form A_n, B_n to be finite.
-        argv = ["moments", "--lambda", "1e-150", "--n-max", "2", "--format", "json"]
-        assert main(argv) == EXIT_OK
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        assert len(rows) == 2
-        for row in rows:
-            bound = float(row[4])
-            assert math.isfinite(bound) and bound > 0.0 and bound >= float(row[3])
+        t = run("moments", "--lambda", "1e-150", "--n-max", "2", "--format", "json").table()
+        assert len(t["n"]) == 2
+        for bound, diff in zip(t.floats("error_bound"), t.floats("abs_diff")):
+            assert math.isfinite(bound) and bound > 0.0 and bound >= diff
 
-    def test_subnormal_noise_root_without_warning(self, capsys):
+    def test_subnormal_noise_root_without_warning(self):
         # c_1 is about 4.5e-309, below the normal doubles, so r_n = a_n / c_n
         # overflows to inf, where the Weibull form's -expm1(-inf) = 1 is the
         # exact limit.  The expected values come from the t-form quadrature.
@@ -153,105 +127,84 @@ class TestMomentsCommand:
                 "--theta-db", "-60", "--gamma", "2.001", "--lambda", "100", "--format", "json"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(argv) == EXIT_OK
-        got = [float(row[1]) for row in json.loads(capsys.readouterr().out)["rows"]]
+            t = run(*argv).table()
         expected = [0.9980039920169628, 0.9960159362579528, 0.9940357852941926]
-        assert got == pytest.approx(expected, rel=DEFAULT_TOL)
+        assert t.floats("mu_exact") == pytest.approx(expected, rel=DEFAULT_TOL)
 
-    def test_error_bound_is_inf_past_the_doubles(self, capsys):
+    def test_error_bound_is_inf_past_the_doubles(self):
         # Gamma(gamma/2) overflows above gamma 343.2; the bound's second term
         # is taken in logs and reads inf where it exceeds the doubles.
-        assert main(["moments", "--gamma", "1e6", "--n-max", "3", "--format", "json"]) == EXIT_OK
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        assert [row[4] for row in rows] == ["inf"] * 3
+        t = run("moments", "--gamma", "1e6", "--n-max", "3", "--format", "json").table()
+        assert t["error_bound"] == ["inf"] * 3
 
     def test_invalid_gamma_is_usage_error(self):
-        assert main(["moments", "--gamma", "1.5"]) == EXIT_USAGE
+        assert run("moments", "--gamma", "1.5").code == EXIT_USAGE
 
     @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_invalid_n_max_is_usage_error(self, value, capsys):
-        assert main(["moments", "--n-max", value]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""
+    def test_invalid_n_max_is_usage_error(self, value):
+        run("moments", "--n-max", value).error(EXIT_USAGE)
 
-    def test_json_format(self, capsys):
-        rc = main(["moments", "--n-max", "2", "--format", "json"])
-        assert rc == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["columns"][0] == "n"
-        assert len(doc["rows"]) == 2
+    def test_json_format(self):
+        t = run("moments", "--n-max", "2", "--format", "json").table()
+        assert list(t.columns)[0] == "n"
+        assert len(t["n"]) == 2
 
     def test_method_selection(self, tmp_path):
-        out = tmp_path / "m.csv"
-        assert main(["moments", "--method", "exact", "--n-max", "2", "--out", str(out)]) == EXIT_OK
-        header, _ = _read_csv(out)
-        assert header == ["n", "mu_exact"]
+        argv = ["moments", "--method", "exact", "--n-max", "2", "--out", tmp_path / "m.csv"]
+        assert list(run(*argv).table().columns) == ["n", "mu_exact"]
 
     @pytest.mark.parametrize("scenario", [
         [],
         ["--gamma", "3", "--theta-db=-10"],
         ["--gamma", "2.001", "--theta-db", "20"],
     ])
-    def test_noise_free_exact_equals_closed_form(self, scenario, capsys):
+    def test_noise_free_exact_equals_closed_form(self, scenario):
         # With no noise both columns are 1/(1 + rho_n), with no quadrature.
         argv = ["moments", "--noise-dbm=-inf", "--n-max", "10", "--format", "json"]
-        assert main(argv + scenario) == EXIT_OK
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        assert [float(r[4]) for r in rows] == [0.0] * 10
-        assert [float(r[3]) for r in rows] == [0.0] * 10
+        t = run(*argv, *scenario).table()
+        assert t.floats("error_bound") == [0.0] * 10
+        assert t.floats("abs_diff") == [0.0] * 10
 
-    def test_overflowing_noise_term(self, capsys):
+    def test_overflowing_noise_term(self):
         # theta sigma2 / p overflows: the moments are 0.0, and the error
         # bound, which is inf / inf there, is a math error, not a NaN row.
         argv = ["moments", "--noise-dbm", "3000", "--power-dbm=-3000", "--n-max", "3"]
-        assert main([*argv, "--method", "exact", "--format", "json"]) == EXIT_OK
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        assert [float(r[1]) for r in rows] == [0.0] * 3
-        assert main(argv) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "b_coef must be nonnegative and finite, got inf" in captured.err
+        t = run(*argv, "--method", "exact", "--format", "json").table()
+        assert t.floats("mu_exact") == [0.0] * 3
+        assert "b_coef must be nonnegative and finite, got inf" in run(*argv).error(EXIT_MATH)
 
-    def test_exact_column_is_moment_sequence(self, capsys):
+    def test_exact_column_is_moment_sequence(self):
         argv = ["--gamma", "4", "--theta-db", "5", "--noise-dbm=-90"]
-        assert main(["moments", *argv, "--n-max", "10", "--method", "exact",
-                     "--format", "json"]) == EXIT_OK
-        rows = json.loads(capsys.readouterr().out)["rows"]
+        t = run("moments", *argv, "--n-max", "10", "--method", "exact", "--format", "json").table()
         params = SystemParams(1e-3, 4.0, db_to_linear(5.0), 1.0, db_to_linear(-90.0))
-        assert [float(r[1]) for r in rows] == list(moment_sequence(params, 10).values[1:])
+        assert t.floats("mu_exact") == list(moment_sequence(params, 10).values[1:])
 
     # At 29 dB the 2F1 series' defect makes mu_10 exceed mu_9 in both
     # columns, which no law on [0, 1] allows.
     _DEFECT_ARGV = ["--gamma", "2.05", "--theta-db", "29", "--lambda", "1e-8",
                     "--noise-dbm", "-200", "--format", "json"]
 
-    def test_closed_form_column_is_a_moment_sequence(self, capsys):
+    def test_closed_form_column_is_a_moment_sequence(self):
         # The column is nonincreasing, or the run exits 3 and names the
         # column's method and the pair.
-        rc = main(["moments", "--method", "approx", *self._DEFECT_ARGV])
-        captured = capsys.readouterr()
-        if rc == EXIT_MATH:
-            assert captured.out == ""
+        r = run("moments", "--method", "approx", *self._DEFECT_ARGV)
+        if r.code == EXIT_MATH:
             assert re.search(r"^error: closed_form moments must be nonincreasing: "
-                             r"mu_\d+=\S+ > mu_\d+=", captured.err)
+                             r"mu_\d+=\S+ > mu_\d+=", r.error(EXIT_MATH))
             return
-        assert rc == EXIT_OK
-        mu = [float(row[1]) for row in json.loads(captured.out)["rows"]]
+        mu = r.table().floats("mu_approx")
         assert all(b <= a for a, b in zip(mu, mu[1:]))
 
-    def test_both_names_the_column_that_failed(self, capsys):
+    def test_both_names_the_column_that_failed(self):
         # `--method both` builds the exact column first, so a failure there
         # names exact_quadrature, not the closed form that fails the same way.
-        rc = main(["moments", "--method", "both", *self._DEFECT_ARGV])
-        captured = capsys.readouterr()
-        if rc == EXIT_MATH:
-            assert captured.out == ""
+        r = run("moments", "--method", "both", *self._DEFECT_ARGV)
+        if r.code == EXIT_MATH:
             assert re.search(r"^error: exact_quadrature moments must be nonincreasing: "
-                             r"mu_\d+=\S+ > mu_\d+=", captured.err)
+                             r"mu_\d+=\S+ > mu_\d+=", r.error(EXIT_MATH))
             return
-        assert rc == EXIT_OK
-        rows = json.loads(captured.out)["rows"]
-        for col in (1, 2):
-            mu = [float(row[col]) for row in rows]
+        for name in ("mu_exact", "mu_approx"):
+            mu = r.table().floats(name)
             assert all(b <= a for a, b in zip(mu, mu[1:]))
 
     @pytest.mark.parametrize("argv, n_max, positive", [
@@ -270,153 +223,121 @@ class TestMomentsCommand:
         # subnormal but positive in both columns, and an overflowing row is 0.0.
         (["--lambda", "3.2e-313", "--n-max", "10"], 10, 4),
     ], ids=["28-db", "gamma-11.5-n-20", "tiny-moments", "gamma-19.9", "overflowing-root"])
-    def test_range_edges_print_the_library_columns(self, argv, n_max, positive, capsys):
+    def test_range_edges_print_the_library_columns(self, argv, n_max, positive):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["moments", *argv, "--format", "json"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        s = doc["meta"]["scenario"]
+            t = run("moments", *argv, "--format", "json").table()
+        s = t.meta["scenario"]
         params = SystemParams(s["lambda_bs"], s["gamma_pl"], s["theta"], s["power_mw"],
                               s["noise_mw"])
-        rows = doc["rows"]
-        assert len(rows) == n_max
+        assert len(t["n"]) == n_max
         exact = moment_sequence(params, n_max).values[1:]
         approx = [moments.moment_approx(params, n) for n in range(1, n_max + 1)]
-        assert [row[1] for row in rows] == [repr(v) for v in exact]
-        assert [row[2] for row in rows] == [repr(v) for v in approx]
+        assert t["mu_exact"] == [repr(v) for v in exact]
+        assert t["mu_approx"] == [repr(v) for v in approx]
         for column in (exact, approx):
             assert all(v > 0.0 for v in column[:positive])
             assert list(column[positive:]) == [0.0] * (n_max - positive)
 
-    def test_both_exits_math_at_29_db(self, capsys):
+    def test_both_exits_math_at_29_db(self):
         # The 2F1 defect pin: until ROADMAP item 1 mends the series, mu_10
         # exceeds mu_9 here and the exact column, built first, is named.
-        assert main(["moments", "--method", "both", *self._DEFECT_ARGV]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
+        err = run("moments", "--method", "both", *self._DEFECT_ARGV).error(EXIT_MATH)
         assert re.search(r"^error: exact_quadrature moments must be nonincreasing: "
-                         r"mu_10=\S+ > mu_9=", captured.err)
+                         r"mu_10=\S+ > mu_9=", err)
 
-    def test_2f1_below_one_at_170_db_exits_math(self, capsys):
+    def test_2f1_below_one_at_170_db_exits_math(self):
         # At 170 dB w = z/(z-1) rounds to 1.0, so the 2F1 series is sized as
         # its cap; its partial sum puts 1 + rho_1 below 1 (ROADMAP item 1).
-        assert main(["moments", "--theta-db", "170", "--n-max", "1"]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[0] == (
+        err = run("moments", "--theta-db", "170", "--n-max", "1").error(EXIT_MATH)
+        assert err.splitlines()[0] == (
             "error: 1 + rho_1 must be at least 1, got 4.2351779530289e-12")
 
     @pytest.mark.parametrize("method", ["exact", "approx", "both"])
     def test_one_gauss_2f1_call_per_n(self, method, monkeypatch):
         calls = spy(monkeypatch, moments, "gauss_2f1")
-        assert main(["moments", "--n-max", "10", "--method", method]) == EXIT_OK
+        assert run("moments", "--n-max", "10", "--method", method).code == EXIT_OK
         assert len(calls) == 10
         assert len(set(calls)) == 10
 
 
 class TestReconstructCommand:
     def _write_moment_file(self, path, values):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mu"])
-            for v in values:
-                writer.writerow([repr(v)])
+        path.write_text("".join(f"{line}\r\n" for line in ["mu", *map(repr, values)]))
 
     def test_beta_moment_file(self, tmp_path):
         mfile = tmp_path / "mu.csv"
         self._write_moment_file(mfile, beta_moments(2.7, 1.3, 10))
-        out = tmp_path / "rec.csv"
-        rc = main([
-            "reconstruct", "--moments-file", str(mfile), "--order", "10",
-            "--grid-points", "21", "--out", str(out),
-        ])
-        assert rc == EXIT_OK
-        _, rows = _read_csv(out)
-        assert float(rows[0][3]) == 1.0  # x = 0: reliability 1
-        assert float(rows[-1][3]) == 0.0  # x = 1: reliability 0
-        for row in rows:
-            x = float(row[0])
-            expected = 1.0 - reg_inc_beta(x, 2.7, 1.3)
-            assert float(row[3]) == pytest.approx(expected, abs=1e-8)
-        meta = json.loads((tmp_path / "rec.csv.meta.json").read_text())
-        assert meta["basis"]["order"] == 10
-        assert not meta["convergence"]["warning"]
+        t = run("reconstruct", "--moments-file", mfile, "--order", "10",
+                "--grid-points", "21", "--out", tmp_path / "rec.csv").table()
+        rel = t.floats("reliability")
+        assert rel[0] == 1.0  # x = 0: reliability 1
+        assert rel[-1] == 0.0  # x = 1: reliability 0
+        expected = [1.0 - reg_inc_beta(x, 2.7, 1.3) for x in t.floats("x")]
+        assert rel == pytest.approx(expected, abs=1e-8)
+        assert t.meta["basis"]["order"] == 10
+        assert not t.meta["convergence"]["warning"]
 
     def test_degenerate_moments_exit(self, tmp_path):
         mfile = tmp_path / "mu.csv"
         self._write_moment_file(mfile, [1.0] * 11)
-        rc = main(["reconstruct", "--moments-file", str(mfile), "--order", "10"])
-        assert rc == EXIT_MATH
+        assert run("reconstruct", "--moments-file", mfile, "--order", "10").code == EXIT_MATH
 
-    def test_blank_first_line_is_math_error(self, tmp_path, capsys):
+    def test_negative_variance_is_not_a_point_mass(self, tmp_path):
+        # Every difference with n + k <= 2 is >= 0, yet mu_2 - mu_1^2 = -0.05.
+        mfile = tmp_path / "mu.csv"
+        self._write_moment_file(mfile, [1.0, 0.5, 0.2])
+        err = run("reconstruct", "--moments-file", mfile).error(EXIT_MATH)
+        assert err == ("error: mu2=0.2 lies below mu1^2=0.25: a negative variance, so these "
+                       "are not the moments of a law on [0, 1]\n")
+
+    def test_blank_first_line_is_math_error(self, tmp_path):
         mfile = tmp_path / "mu.csv"
         mfile.write_text("\nmu\n1.0\n0.5\n")
-        assert main(["reconstruct", "--moments-file", str(mfile)]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert run("reconstruct", "--moments-file", mfile).error(EXIT_MATH).startswith("error:")
 
-    def test_non_hausdorff_moment_file_exits_math(self, tmp_path, capsys):
+    def test_non_hausdorff_moment_file_exits_math(self, tmp_path):
         # Monotone and in [0, 1], yet E[C^2 (1-C)^2] = mu_2 - 2 mu_3 + mu_4 = -0.1.
         mfile = tmp_path / "mu.csv"
         self._write_moment_file(mfile, [1.0, 0.5, 0.3, 0.2, 0.0])
-        assert main(["reconstruct", "--moments-file", str(mfile), "--order", "4",
-                     "--grid-points", "5"]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "k=2, n=2" in captured.err
+        r = run("reconstruct", "--moments-file", mfile, "--order", "4", "--grid-points", "5")
+        assert "k=2, n=2" in r.error(EXIT_MATH)
 
     def test_campaign_moments_round_trip(self, tmp_path):
         # Sample moments pass the Hausdorff check and the coefficient map.
-        assert main(["simulate", "--realizations", "2000", "--seed", "3",
-                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        record = _simulate(tmp_path / "s.csv", "--realizations", "2000", "--seed", "3").meta
         mfile = tmp_path / "mu.csv"
-        summary = json.loads((tmp_path / "s.json").read_text())
-        self._write_moment_file(mfile, summary["empirical_moments"])
-        out = tmp_path / "rec.csv"
-        assert main(["reconstruct", "--moments-file", str(mfile), "--grid-points", "5",
-                     "--out", str(out)]) == EXIT_OK
-        _, rows = _read_csv(out)
-        assert float(rows[0][2]) == 0.0 and float(rows[-1][2]) == 1.0
-        meta = json.loads((tmp_path / "rec.csv.meta.json").read_text())
-        assert meta["moment_method"] == "empirical"
+        self._write_moment_file(mfile, record["empirical_moments"])
+        t = run("reconstruct", "--moments-file", mfile, "--grid-points", "5",
+                "--out", tmp_path / "rec.csv").table()
+        cdf = t.floats("cdf")
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert t.meta["moment_method"] == "empirical"
 
     def test_tiny_moments_keep_their_basis(self, tmp_path):
         # mu_1 is 4.6e-15 and mu_2 - mu_1^2 2.3e-15: below 1e-14, yet half the
         # largest variance a law on [0, 1] with this mean can have.
-        out = tmp_path / "rec.csv"
-        assert main(["reconstruct", "--gamma", "2.05", "--lambda", "1e-8", "--noise-dbm", "70",
-                     "--grid-points", "3", "--out", str(out)]) == EXIT_OK
-        _, rows = _read_csv(out)
-        assert float(rows[0][2]) == 0.0 and float(rows[-1][2]) == 1.0
+        cdf = run("reconstruct", "--gamma", "2.05", "--lambda", "1e-8", "--noise-dbm", "70",
+                  "--grid-points", "3", "--out", tmp_path / "rec.csv").table().floats("cdf")
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
 
-    def test_beta_rounding_to_minus_one_names_beta(self, capsys):
+    def test_beta_rounding_to_minus_one_names_beta(self):
         # At 100 dBm beta + 1 is about 1e-17, so beta rounds to -1.0.
-        assert main(["reconstruct", "--gamma", "2.05", "--lambda", "1e-8", "--noise-dbm", "100",
-                     "--grid-points", "3"]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: beta must be finite and exceed -1, got -1.0\n"
+        r = run("reconstruct", "--gamma", "2.05", "--lambda", "1e-8", "--noise-dbm", "100",
+                "--grid-points", "3")
+        assert r.error(EXIT_MATH) == "error: beta must be finite and exceed -1, got -1.0\n"
 
-    def test_explicit_basis(self, tmp_path):
-        out = tmp_path / "rec.csv"
-        rc = main([
-            "reconstruct", "--order", "6", "--alpha", "0.0", "--beta", "0.0",
-            "--grid-points", "11", "--out", str(out),
-        ])
-        assert rc == EXIT_OK
-        meta = json.loads((tmp_path / "rec.csv.meta.json").read_text())
-        assert meta["basis"] == {"alpha": 0.0, "beta": 0.0, "order": 6}
-        _, rows = _read_csv(out)
-        xs = np.array([float(row[0]) for row in rows])
-        cdf = np.array([float(row[2]) for row in rows])
-        dist = fourier_jacobi_coeffs(moment_sequence(_default_scenario(), 6),
-                                     JacobiBasis(0.0, 0.0, 6))
-        np.testing.assert_allclose(cdf, eval_cdf(dist, xs), rtol=0.0, atol=1e-12)
+    def test_explicit_basis(self, tmp_path, paper_params):
+        t = run("reconstruct", "--order", "6", "--alpha", "0.0", "--beta", "0.0",
+                "--grid-points", "11", "--out", tmp_path / "rec.csv").table()
+        assert t.meta["basis"] == {"alpha": 0.0, "beta": 0.0, "order": 6}
+        dist = fourier_jacobi_coeffs(moment_sequence(paper_params, 6), JacobiBasis(0.0, 0.0, 6))
+        np.testing.assert_allclose(t.floats("cdf"), eval_cdf(dist, np.array(t.floats("x"))),
+                                   rtol=0.0, atol=1e-12)
 
     def test_explicit_basis_requires_parameters(self):
         # --basis is not an option: the basis is --alpha and --beta together.
-        assert main(["reconstruct", "--basis", "explicit"]) == EXIT_USAGE
+        assert run("reconstruct", "--basis", "explicit").code == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
         ["--alpha", "0.5"],
@@ -426,22 +347,19 @@ class TestReconstructCommand:
         ["--alpha", "0", "--beta", "inf"],
         ["--basis", "explicit", "--alpha", "0", "--beta", "0"],
     ])
-    def test_invalid_basis_is_usage_error_before_any_moment(self, argv, monkeypatch, capsys):
+    def test_invalid_basis_is_usage_error_before_any_moment(self, argv, monkeypatch):
         def no_moments(*args, **kwargs):
             raise AssertionError("a moment was computed")
 
         monkeypatch.setattr(moments, "moment_sequence", no_moments)
-        assert main(["reconstruct", "--grid-points", "3", *argv]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""
+        run("reconstruct", "--grid-points", "3", *argv).error(EXIT_USAGE)
 
-    def test_overflowing_basis_names_the_coefficient(self, capsys):
+    def test_overflowing_basis_names_the_coefficient(self):
         # C(2 + 1e300, 2) overflows float64: a_2's binomial weights are infinite.
-        assert main(["reconstruct", "--alpha", "1e300", "--beta", "0", "--order", "3",
-                     "--grid-points", "3"]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: basis (alpha=1e+300, beta=0.0): "
-                                "the binomial weights of a_2 overflow\n")
+        r = run("reconstruct", "--alpha", "1e300", "--beta", "0", "--order", "3",
+                "--grid-points", "3")
+        assert r.error(EXIT_MATH) == ("error: basis (alpha=1e+300, beta=0.0): "
+                                      "the binomial weights of a_2 overflow\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--grid-points", "-3"),
@@ -449,21 +367,17 @@ class TestReconstructCommand:
         ("--order", "-1"),
         ("--order", "21"),
     ])
-    def test_invalid_grid_or_order_is_usage_error(self, flag, value, capsys):
-        assert main(["reconstruct", flag, value]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""
+    def test_invalid_grid_or_order_is_usage_error(self, flag, value):
+        run("reconstruct", flag, value).error(EXIT_USAGE)
 
     @pytest.mark.parametrize("command", ["reconstruct", "compare"])
-    def test_order_above_the_cap_prints_the_basis_message(self, command, tmp_path, capsys):
+    def test_order_above_the_cap_prints_the_basis_message(self, command, tmp_path):
         with pytest.raises(ValueError) as raised:
             JacobiBasis(0.0, 0.0, 21)
         argv = [command, "--order", "21"]
         if command == "compare":
-            argv += ["--samples", str(tmp_path / "s.csv")]
-        assert main(argv) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {raised.value}\n"
+            argv += ["--samples", tmp_path / "s.csv"]
+        assert run(*argv).error(EXIT_USAGE) == f"error: {raised.value}\n"
 
     @pytest.mark.parametrize("basis, message", [
         # e^(alpha n) overflows from a_13 on.
@@ -475,95 +389,68 @@ class TestReconstructCommand:
         (["--alpha", "1e10", "--beta", "1e10", "--order", "2"],
          "basis (alpha=10000000000.0, beta=10000000000.0): the norm h_0 underflows to 0"),
     ])
-    def test_extreme_basis_names_its_failure(self, basis, message, capsys):
+    def test_extreme_basis_names_its_failure(self, basis, message):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # order 20's precision warning
-            assert main(["reconstruct", *basis, "--grid-points", "3"]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+            r = run("reconstruct", *basis, "--grid-points", "3")
+        assert r.error(EXIT_MATH) == f"error: {message}\n"
 
     @pytest.mark.parametrize("order", ["0", "1"])
-    def test_low_order_succeeds(self, order, capsys):
-        assert main(["reconstruct", "--order", order, "--grid-points", "3"]) == EXIT_OK
-        assert len(capsys.readouterr().out.splitlines()) == 4
+    def test_low_order_succeeds(self, order):
+        assert len(run("reconstruct", "--order", order, "--grid-points", "3").table()["x"]) == 3
 
     def test_order_zero_is_matched_beta(self, tmp_path):
-        out = tmp_path / "rec.csv"
-        rc = main(["reconstruct", "--order", "0", "--grid-points", "21", "--out", str(out)])
-        assert rc == EXIT_OK
-        _, rows = _read_csv(out)
-        basis = json.loads((tmp_path / "rec.csv.meta.json").read_text())["basis"]
-        xs = np.array([float(row[0]) for row in rows])
-        cdf = np.array([float(row[2]) for row in rows])
-        expected = reg_inc_beta(xs, basis["beta"] + 1.0, basis["alpha"] + 1.0)
-        np.testing.assert_allclose(cdf, expected, rtol=0.0, atol=1e-12)
+        t = run("reconstruct", "--order", "0", "--grid-points", "21",
+                "--out", tmp_path / "rec.csv").table()
+        basis = t.meta["basis"]
+        expected = reg_inc_beta(np.array(t.floats("x")), basis["beta"] + 1.0, basis["alpha"] + 1.0)
+        np.testing.assert_allclose(t.floats("cdf"), expected, rtol=0.0, atol=1e-12)
 
-    def test_pdf_column_is_eval_pdf(self, tmp_path):
-        out = tmp_path / "rec.csv"
-        rc = main(["reconstruct", "--order", "10", "--grid-points", "41", "--out", str(out)])
-        assert rc == EXIT_OK
-        _, rows = _read_csv(out)
-        assert rows[0][0] == "0.0" and rows[0][1] == ""
-        assert rows[-1][0] == "1.0" and rows[-1][1] == ""
-        xs = np.array([float(row[0]) for row in rows[1:-1]])
-        pdf = np.array([float(row[1]) for row in rows[1:-1]])
-        dist = reconstruct(moment_sequence(_default_scenario(), 10), order=10)
-        np.testing.assert_allclose(pdf, eval_pdf(dist, xs), rtol=1e-12, atol=0.0)
+    def test_pdf_column_is_eval_pdf(self, tmp_path, paper_params):
+        t = run("reconstruct", "--order", "10", "--grid-points", "41",
+                "--out", tmp_path / "rec.csv").table()
+        x, pdf = t["x"], t["pdf"]
+        assert (x[0], pdf[0], x[-1], pdf[-1]) == ("0.0", "", "1.0", "")
+        xs = np.array([float(v) for v in x[1:-1]])
+        dist = reconstruct(moment_sequence(paper_params, 10), order=10)
+        np.testing.assert_allclose([float(v) for v in pdf[1:-1]], eval_pdf(dist, xs),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestSimulateCommand:
     def test_deterministic_output_files(self, tmp_path):
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        for out in (out_a, out_b):
-            rc = main([
-                "simulate", "--realizations", "200", "--seed", "9", "--out", str(out),
-            ])
-            assert rc == EXIT_OK
-        assert out_a.read_bytes() == out_b.read_bytes()
-        sum_a = json.loads((tmp_path / "a.json").read_text())
-        sum_b = json.loads((tmp_path / "b.json").read_text())
-        assert sum_a == sum_b
+        a, b = (_simulate(tmp_path / f"{k}.csv", "--realizations", "200", "--seed", "9")
+                for k in "ab")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert a.meta == b.meta
 
     def test_summary_contents(self, tmp_path):
-        out = tmp_path / "c.csv"
-        rc = main([
-            "simulate", "--realizations", "100", "--seed", "4", "--out", str(out),
-        ])
-        assert rc == EXIT_OK
-        summary = json.loads((tmp_path / "c.json").read_text())
+        summary = _simulate(tmp_path / "c.csv", "--realizations", "100", "--seed", "4").meta
         assert summary["config"]["num_realizations"] == 100
         assert len(summary["empirical_moments"]) == 11
         assert summary["empirical_moments"][0] == 1.0
         assert len(summary["reliability_grid"]["x"]) == 101
 
-    def test_summary_is_campaign_record(self, tmp_path):
+    def test_summary_is_campaign_record(self, tmp_path, paper_params):
         for flags, fading in (([], {}), (["--mode", "sampled", "--channel-draws", "50"],
                                          {"fading_mode": "sampled", "num_channel_draws": 50})):
-            out = tmp_path / "c.csv"
-            rc = main(["simulate", *flags, "--realizations", "100", "--seed", "4",
-                       "--out", str(out)])
-            assert rc == EXIT_OK
-            summary = json.loads((tmp_path / "c.json").read_text())
+            summary = _simulate(tmp_path / "c.csv", *flags, "--realizations", "100",
+                                "--seed", "4").meta
             assert list(summary) == ["scenario", "config", "diagnostics",
                                      "empirical_moments", "reliability_grid"]
-            cfg = SimConfig(params=_default_scenario(), num_realizations=100, rng_seed=4,
-                            **fading)
+            cfg = SimConfig(params=paper_params, num_realizations=100, rng_seed=4, **fading)
             record = campaign_to_dict(run_campaign(cfg))
             assert {key: summary[key] for key in record} == record
 
-    def test_campaign_defaults_are_sim_configs(self, tmp_path):
+    def test_campaign_defaults_are_sim_configs(self, tmp_path, paper_params):
         args = cli.build_parser().parse_args(["simulate", "--out", "s.csv"])
         field = {f.name: f.default for f in dataclasses.fields(SimConfig)}
         assert args.radius_m == field["region_radius"]
         assert args.mode == field["fading_mode"]
         assert args.channel_draws == field["num_channel_draws"]
         assert args.seed == field["rng_seed"]
-        out = tmp_path / "f.csv"
-        assert main(["simulate", "--out", str(out)]) == EXIT_OK
-        summary = json.loads((tmp_path / "f.json").read_text())
-        cfg = SimConfig(params=_default_scenario(), num_realizations=5000)
+        summary = _simulate(tmp_path / "f.csv").meta
+        cfg = SimConfig(params=paper_params, num_realizations=5000)
         assert summary["config"] == campaign_to_dict(run_campaign(cfg))["config"]
 
     @pytest.mark.parametrize("flag, value", [
@@ -574,31 +461,26 @@ class TestSimulateCommand:
         ("--seed", "-1"),
     ])
     def test_invalid_campaign_is_usage_error(self, tmp_path, flag, value):
-        out = tmp_path / "s.csv"
-        assert main(["simulate", flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert run("simulate", flag, value, "--out", tmp_path / "s.csv").code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
-    def test_almost_surely_empty_disk_is_usage_error(self, tmp_path, capsys):
+    def test_almost_surely_empty_disk_is_usage_error(self, tmp_path):
         # lambda pi R^2 underflows to 0: no disk holds a BS.
-        out = tmp_path / "z.csv"
-        rc = main(["simulate", "--lambda", "1e-200", "--radius-m", "1e-200",
-                   "--realizations", "1", "--out", str(out)])
-        assert rc == EXIT_USAGE
-        assert "mean BS count lambda pi R^2 is not positive" in capsys.readouterr().err
+        r = run("simulate", "--lambda", "1e-200", "--radius-m", "1e-200",
+                "--realizations", "1", "--out", tmp_path / "z.csv")
+        assert r.code == EXIT_USAGE
+        assert "mean BS count lambda pi R^2 is not positive" in r.err
         assert list(tmp_path.iterdir()) == []
 
     def test_almost_empty_disk_runs(self, tmp_path):
         # Every disk is empty at first draw, and each realization draws its
         # nearest BS once more, inside the disk.
-        out = tmp_path / "z.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["simulate", "--lambda", "1e-15", "--realizations", "300",
-                       "--out", str(out)])
-        assert rc == EXIT_OK
-        summary = json.loads((tmp_path / "z.json").read_text())
-        assert summary["diagnostics"]["redraws"] == 300
-        assert len(sim.read_samples_csv(out)) == 300
+            t = _simulate(tmp_path / "z.csv", "--lambda", "1e-15", "--realizations", "300")
+        assert t.meta["diagnostics"]["redraws"] == 300
+        ccp = t.floats("ccp")
+        assert len(ccp) == 300 and all(0.0 <= c <= 1.0 for c in ccp)
 
     def test_infinite_mean_count_is_the_plane(self, tmp_path):
         # lambda pi R^2 overflows to inf at R = 1e300: the same samples as
@@ -606,13 +488,10 @@ class TestSimulateCommand:
         for mode in ("analytic", "sampled"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                for radius in ("inf", "1e300"):
-                    assert main(["simulate", "--mode", mode, "--radius-m", radius,
-                                 "--realizations", "600", "--seed", "3",
-                                 "--out", str(tmp_path / f"{radius}.csv")]) == EXIT_OK
+                plane, wide = [_simulate(tmp_path / f"{radius}.csv", "--mode", mode,
+                                         "--radius-m", radius, "--realizations", "600",
+                                         "--seed", "3").meta for radius in ("inf", "1e300")]
             assert (tmp_path / "inf.csv").read_bytes() == (tmp_path / "1e300.csv").read_bytes()
-            plane, wide = (json.loads((tmp_path / f"{r}.json").read_text())
-                           for r in ("inf", "1e300"))
             assert plane["config"]["region_radius_m"] is None
             assert wide["config"]["region_radius_m"] == 1e300
             assert plane["diagnostics"] == wide["diagnostics"] == {"redraws": 0}
@@ -620,22 +499,17 @@ class TestSimulateCommand:
     def test_huge_mean_count_runs(self, tmp_path):
         # lambda pi R^2 = 3.1e15 BSs a disk, of which a realization draws its
         # NEAREST_BS nearest.
-        out = tmp_path / "b.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["simulate", "--radius-m", "1e9", "--realizations", "1",
-                       "--out", str(out)])
-        assert rc == EXIT_OK
-        assert len(sim.read_samples_csv(out)) == 1
+            t = _simulate(tmp_path / "b.csv", "--radius-m", "1e9", "--realizations", "1")
+        ccp = t.floats("ccp")
+        assert len(ccp) == 1 and 0.0 <= ccp[0] <= 1.0
 
     def test_underflowing_moments_still_write_summary(self, tmp_path):
         # At 60 dB and gamma 2.05 every CCP sample is below 1e-140, so mean(c^n)
         # underflows to 0.0 from n = 3 on.
-        out = tmp_path / "h.csv"
-        rc = main(["simulate", "--theta-db", "60", "--gamma", "2.05", "--noise-dbm", "-120",
-                   "--out", str(out)])
-        assert rc == EXIT_OK
-        summary = json.loads((tmp_path / "h.json").read_text())
+        summary = _simulate(tmp_path / "h.csv", "--theta-db", "60", "--gamma", "2.05",
+                            "--noise-dbm", "-120").meta
         assert summary["empirical_moments"][-1] == 0.0
 
     @pytest.mark.parametrize("argv", [
@@ -649,67 +523,54 @@ class TestSimulateCommand:
         # at gamma 2.01 and 60 dB they run far above 1; neither may overflow,
         # divide by zero or make NaN, on the disk or on the plane, where the
         # edge term is F(0).
-        out = tmp_path / "f.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["simulate", *argv, "--out", str(out)]) == EXIT_OK
-        assert len(sim.read_samples_csv(out)) == 5000
+            ccp = _simulate(tmp_path / "f.csv", *argv).floats("ccp")
+        assert len(ccp) == 5000 and all(0.0 <= c <= 1.0 for c in ccp)
 
     def test_zero_threshold_samples_are_one(self, tmp_path):
         # theta = 0 over two blocks: every CCP is exactly 1, and no kernel
         # step may overflow or make NaN.
-        out = tmp_path / "t0.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["simulate", "--theta-db=-inf", "--realizations", "300",
-                         "--out", str(out)]) == EXIT_OK
-        rows = out.read_text().split()
-        assert rows[0] == "ccp" and rows[1:] == ["1.0"] * 300
+            t = _simulate(tmp_path / "t0.csv", "--theta-db=-inf", "--realizations", "300")
+        assert t.columns == {"ccp": ["1.0"] * 300}
 
-    def test_json_out_would_overwrite_samples(self, tmp_path, capsys):
-        out = tmp_path / "s.json"
-        assert main(["simulate", "--realizations", "5", "--out", str(out)]) == EXIT_USAGE
+    def test_json_out_would_overwrite_samples(self, tmp_path):
+        r = run("simulate", "--realizations", "5", "--out", tmp_path / "s.json")
+        assert r.code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
-        assert "wrote" not in capsys.readouterr().err
+        assert "wrote" not in r.err
 
 
 class TestCompareCommand:
     def test_round_trip_moments(self, tmp_path):
         samples = tmp_path / "s.csv"
-        assert main(["simulate", "--realizations", "300", "--seed", "2",
-                     "--out", str(samples)]) == EXIT_OK
-        recorded = json.loads((tmp_path / "s.json").read_text())["empirical_moments"]
-        out = tmp_path / "cmp.csv"
-        assert main(["compare", "--samples", str(samples), "--order", "8",
-                     "--out", str(out)]) == EXIT_OK
-        meta = json.loads((tmp_path / "cmp.csv.meta.json").read_text())
-        assert len(meta["empirical_moments"]) == len(recorded)
-        for a, b in zip(meta["empirical_moments"], recorded):
-            assert abs(a - b) <= 1e-12
+        recorded = _simulate(samples, "--realizations", "300", "--seed", "2").meta
+        meta = run("compare", "--samples", samples, "--order", "8",
+                   "--out", tmp_path / "cmp.csv").table().meta
+        assert meta["empirical_moments"] == pytest.approx(recorded["empirical_moments"],
+                                                          rel=0.0, abs=1e-12)
 
-    def test_columns_match_library(self, tmp_path):
+    def test_columns_match_library(self, tmp_path, paper_params):
         samples = tmp_path / "s.csv"
-        assert main(["simulate", "--realizations", "300", "--seed", "2",
-                     "--out", str(samples)]) == EXIT_OK
-        out = tmp_path / "cmp.csv"
-        assert main(["compare", "--samples", str(samples), "--order", "8",
-                     "--out", str(out)]) == EXIT_OK
-        _, rows = _read_csv(out)
-        cols = np.array([[float(v) for v in row] for row in rows])
-        xs, emp_rel, beta_rel, fj_rel = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+        _simulate(samples, "--realizations", "300", "--seed", "2")
+        t = run("compare", "--samples", samples, "--order", "8",
+                "--out", tmp_path / "cmp.csv").table()
+        xs = np.array(t.floats("x"))
         # The printed grid is the 0.01..0.99 grid where the empirical curve is >= 0.02.
         grid = np.linspace(0.01, 0.99, 99)
-        cfg = SimConfig(params=_default_scenario(), num_realizations=300, rng_seed=2)
+        cfg = SimConfig(params=paper_params, num_realizations=300, rng_seed=2)
         grid_rel = empirical_reliability(run_campaign(cfg).ccp_samples, grid)
         np.testing.assert_array_equal(xs, grid[grid_rel >= 0.02])
-        np.testing.assert_array_equal(emp_rel, grid_rel[grid_rel >= 0.02])
-        dist = reconstruct(moment_sequence(_default_scenario(), 8), order=8)
+        np.testing.assert_array_equal(t.floats("empirical_rel"), grid_rel[grid_rel >= 0.02])
+        dist = reconstruct(moment_sequence(paper_params, 8), order=8)
         a, b = dist.basis.alpha, dist.basis.beta
-        meta = json.loads((tmp_path / "cmp.csv.meta.json").read_text())
-        assert meta["basis"] == {"alpha": a, "beta": b}
-        np.testing.assert_allclose(fj_rel, meta_reliability(dist, xs), rtol=1e-12, atol=0.0)
+        assert t.meta["basis"] == {"alpha": a, "beta": b}
+        np.testing.assert_allclose(t.floats("fj_rel"), meta_reliability(dist, xs),
+                                   rtol=1e-12, atol=0.0)
         expected_beta = [1.0 - reg_inc_beta(x, b + 1.0, a + 1.0) for x in xs]
-        np.testing.assert_allclose(beta_rel, expected_beta, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(t.floats("beta_rel"), expected_beta, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("gamma, theta_db", [
         ("5", "0"), ("3", "10"), ("4", "-10"), ("2.5", "20"),
@@ -720,125 +581,95 @@ class TestCompareCommand:
         # come from meta_reliability's own incomplete beta.
         flags = ["--gamma", gamma, "--theta-db", theta_db]
         samples = tmp_path / "s.csv"
-        assert main(["simulate", *flags, "--realizations", "2000", "--seed", "3",
-                     "--out", str(samples)]) == EXIT_OK
-        out = tmp_path / "cmp.csv"
-        assert main(["compare", *flags, "--samples", str(samples),
-                     "--out", str(out)]) == EXIT_OK
-        header, rows = _read_csv(out)
-        meta = json.loads((tmp_path / "cmp.csv.meta.json").read_text())
+        _simulate(samples, *flags, "--realizations", "2000", "--seed", "3")
+        t = run("compare", *flags, "--samples", samples, "--out", tmp_path / "cmp.csv").table()
         params = SystemParams(1e-3, float(gamma), db_to_linear(float(theta_db)),
                               1.0, db_to_linear(-100.0))
-        basis = JacobiBasis(meta["basis"]["alpha"], meta["basis"]["beta"], 0)
+        basis = JacobiBasis(t.meta["basis"]["alpha"], t.meta["basis"]["beta"], 0)
         dist = fourier_jacobi_coeffs(moment_sequence(params, 0), basis)
-        xs = np.array([float(row[0]) for row in rows])
-        column = [row[header.index("beta_rel")] for row in rows]
-        assert len(column) > 0
-        assert column == [repr(v) for v in meta_reliability(dist, xs).tolist()]
+        xs = np.array(t.floats("x"))
+        assert len(t["beta_rel"]) > 0
+        assert t["beta_rel"] == [repr(v) for v in meta_reliability(dist, xs).tolist()]
 
     @pytest.mark.parametrize("value", ["-1", "21"])
-    def test_invalid_order_is_usage_error(self, tmp_path, value, capsys):
+    def test_invalid_order_is_usage_error(self, tmp_path, value):
         samples = tmp_path / "s.csv"
-        assert main(["simulate", "--realizations", "20", "--out", str(samples)]) == EXIT_OK
-        assert main(["compare", "--samples", str(samples), "--order", value]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""
+        _simulate(samples, "--realizations", "20")
+        run("compare", "--samples", samples, "--order", value).error(EXIT_USAGE)
 
     @pytest.mark.parametrize("order", ["0", "1"])
     def test_low_order_succeeds(self, tmp_path, order):
         samples = tmp_path / "s.csv"
-        assert main(["simulate", "--realizations", "50", "--out", str(samples)]) == EXIT_OK
-        out = tmp_path / "cmp.csv"
-        assert main(["compare", "--samples", str(samples), "--order", order,
-                     "--out", str(out)]) == EXIT_OK
-        _, rows = _read_csv(out)
-        assert len(rows) > 0
+        _simulate(samples, "--realizations", "50")
+        t = run("compare", "--samples", samples, "--order", order,
+                "--out", tmp_path / "cmp.csv").table()
+        assert len(t["x"]) > 0
 
     def test_order_zero_fj_is_beta(self, tmp_path):
         samples = tmp_path / "s.csv"
-        assert main(["simulate", "--realizations", "300", "--seed", "2",
-                     "--out", str(samples)]) == EXIT_OK
-        out = tmp_path / "cmp.csv"
-        assert main(["compare", "--samples", str(samples), "--order", "0",
-                     "--out", str(out)]) == EXIT_OK
-        _, rows = _read_csv(out)
-        beta_rel = np.array([float(row[2]) for row in rows])
-        fj_rel = np.array([float(row[3]) for row in rows])
-        np.testing.assert_allclose(fj_rel, beta_rel, rtol=0.0, atol=1e-12)
+        _simulate(samples, "--realizations", "300", "--seed", "2")
+        t = run("compare", "--samples", samples, "--order", "0",
+                "--out", tmp_path / "cmp.csv").table()
+        np.testing.assert_allclose(t.floats("fj_rel"), t.floats("beta_rel"), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("content, message", [
         ("ccp\n", "need at least one realization, got 0"),
         ("ccp\n0.5\n1.5\n", "CCP samples must lie in [0, 1]"),
         ("ccp\n-0.1\n", "CCP samples must lie in [0, 1]"),
     ], ids=["ccp\n", "ccp\n0.5\n1.5\n", "ccp\n-0.1\n"])
-    def test_invalid_samples_is_math_error(self, tmp_path, content, message, capsys):
+    def test_invalid_samples_is_math_error(self, tmp_path, content, message):
         samples = tmp_path / "s.csv"
         samples.write_text(content)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+            r = run("compare", "--samples", samples)
+        assert r.error(EXIT_MATH) == f"error: {message}\n"
 
-    def test_blank_first_line_is_math_error(self, tmp_path, capsys):
+    def test_blank_first_line_is_math_error(self, tmp_path):
         samples = tmp_path / "s.csv"
         samples.write_text("\nccp\n0.5\n")
-        assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert run("compare", "--samples", samples).error(EXIT_MATH).startswith("error:")
 
-    def test_nan_sample_is_reported_as_such(self, tmp_path, capsys):
+    def test_nan_sample_is_reported_as_such(self, tmp_path):
         samples = tmp_path / "s.csv"
         samples.write_text("ccp\n0.5\nnan\n0.7\n")
-        assert main(["compare", "--samples", str(samples)]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "CCP samples must lie in [0, 1]" in captured.err
+        assert "CCP samples must lie in [0, 1]" in run("compare", "--samples", samples).error(
+            EXIT_MATH)
 
     def test_zero_threshold_degenerate(self, tmp_path):
         samples = tmp_path / "s.csv"
-        assert main(["simulate", "--theta-db=-inf", "--realizations", "50",
-                     "--seed", "1", "--out", str(samples)]) == EXIT_OK
-        out = tmp_path / "cmp.csv"
-        assert main(["compare", "--theta-db=-inf", "--samples", str(samples),
-                     "--out", str(out)]) == EXIT_OK
-        _, rows = _read_csv(out)
-        assert len(rows) > 0
-        for row in rows:
-            assert float(row[1]) == 1.0
-            assert float(row[2]) == 1.0
-            assert float(row[3]) == 1.0
-            assert float(row[4]) == 0.0
-            assert float(row[5]) == 0.0
+        _simulate(samples, "--theta-db=-inf", "--realizations", "50", "--seed", "1")
+        t = run("compare", "--theta-db=-inf", "--samples", samples,
+                "--out", tmp_path / "cmp.csv").table()
+        n = len(t["x"])
+        assert n > 0
+        for name in ("empirical_rel", "beta_rel", "fj_rel"):
+            assert t.floats(name) == [1.0] * n
+        for name in ("relerr_beta", "relerr_fj"):
+            assert t.floats(name) == [0.0] * n
 
-    def test_underflowing_sample_powers(self, tmp_path, capsys):
+    def test_underflowing_sample_powers(self, tmp_path):
         # At 20 dB and gamma 2.05, c^10 of 84 % of the samples is below the
         # normal range: the sample moments skip pow on those that round to 0,
         # and neither command may warn.  No grid point reaches the 0.02
         # reliability floor, so the table is its header and stderr says why.
         flags = ["--theta-db", "20", "--gamma", "2.05", "--noise-dbm", "-120"]
-        samples, out = tmp_path / "uf.csv", tmp_path / "ufc.csv"
+        samples = tmp_path / "uf.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["simulate", *flags, "--out", str(samples)]) == EXIT_OK
-            capsys.readouterr()
-            assert main(["compare", *flags, "--samples", str(samples),
-                         "--out", str(out)]) == EXIT_OK
-        recorded = json.loads((tmp_path / "uf.json").read_text())["empirical_moments"]
-        meta = json.loads((tmp_path / "ufc.csv.meta.json").read_text())
-        assert meta["empirical_moments"] == recorded
-        assert out.read_text().splitlines() == [
-            "x,empirical_rel,beta_rel,fj_rel,relerr_beta,relerr_fj"]
-        err = capsys.readouterr().err
+            recorded = _simulate(samples, *flags).meta["empirical_moments"]
+            r = run("compare", *flags, "--samples", samples, "--out", tmp_path / "ufc.csv")
+        t = r.table()
+        assert t.meta["empirical_moments"] == recorded
+        assert list(t.columns.items()) == [(name, []) for name in (
+            "x", "empirical_rel", "beta_rel", "fj_rel", "relerr_beta", "relerr_fj")]
         match = re.fullmatch(r"empty table: no grid point has empirical reliability "
-                             r">= 0\.02; the largest is (\S+) at x = 0\.01\n", err)
-        assert match, err
+                             r">= 0\.02; the largest is (\S+) at x = 0\.01\n", r.err)
+        assert match, r.err
         assert 0.0 < float(match[1]) < 0.02
 
     def test_missing_samples_is_io_error(self, tmp_path):
-        rc = main(["compare", "--samples", str(tmp_path / "absent.csv")])
-        assert rc == EXIT_IO
+        assert run("compare", "--samples", tmp_path / "absent.csv").code == EXIT_IO
 
 
 class TestCompareChecksTheCampaign:
@@ -846,65 +677,53 @@ class TestCompareChecksTheCampaign:
 
     @pytest.fixture
     def samples(self, tmp_path):
-        samples = tmp_path / "s.csv"
-        assert main(["simulate", "--realizations", "50", "--seed", "3",
-                     "--out", str(samples)]) == EXIT_OK
-        return samples
+        _simulate(tmp_path / "s.csv", "--realizations", "50", "--seed", "3")
+        return tmp_path / "s.csv"
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--lambda", "2e-3", "lambda_bs"), ("--gamma", "3", "gamma_pl"),
         ("--theta-db", "3", "theta"), ("--power-dbm", "10", "power_mw"),
         ("--noise-dbm", "-90", "noise_mw"),
     ])
-    def test_each_mismatched_field_is_usage_error(self, samples, flag, value, field, capsys):
-        capsys.readouterr()
+    def test_each_mismatched_field_is_usage_error(self, samples, flag, value, field):
         out = samples.parent / "cmp.csv"
-        assert main(["compare", flag, value, "--samples", str(samples),
-                     "--out", str(out)]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {samples.with_suffix('.json')}: the campaign "
-                                       f"has {field} = ")
-        assert captured.err.count("\n") == 1
+        err = run("compare", flag, value, "--samples", samples, "--out", out).error(EXIT_USAGE)
+        assert err.startswith(f"error: {samples.with_suffix('.json')}: the campaign "
+                              f"has {field} = ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_matching_campaign_gives_the_bytes_of_no_record(self, samples):
         # With the flags the campaign was run with, the check changes nothing.
-        argv = ["compare", "--samples", str(samples), "--order", "4"]
-        assert main([*argv, "--out", str(samples.parent / "a.csv")]) == EXIT_OK
+        argv = ["compare", "--samples", samples, "--order", "4"]
+        assert run(*argv, "--out", samples.parent / "a.csv").code == EXIT_OK
         samples.with_suffix(".json").unlink()
-        assert main([*argv, "--out", str(samples.parent / "b.csv")]) == EXIT_OK
+        assert run(*argv, "--out", samples.parent / "b.csv").code == EXIT_OK
         for name in ("{}.csv", "{}.csv.meta.json"):
             a, b = (samples.parent / name.format(k) for k in "ab")
             assert a.read_bytes() == b.read_bytes()
 
     def test_no_record_checks_nothing(self, tmp_path):
         samples = tmp_path / "s.csv"
-        assert main(["simulate", "--gamma", "3", "--realizations", "50", "--out",
-                     str(samples)]) == EXIT_OK
+        _simulate(samples, "--gamma", "3", "--realizations", "50")
         samples.with_suffix(".json").unlink()
-        assert main(["compare", "--samples", str(samples), "--order", "0"]) == EXIT_OK
+        assert run("compare", "--samples", samples, "--order", "0").code == EXIT_OK
 
     @pytest.mark.parametrize("content", ["{", "[1, 2]", '{"config": {}}', '{"scenario": 3}',
                                          '{"scenario": {"gamma_pl": 5.0}}', "\xff"])
-    def test_malformed_record_is_usage_error(self, samples, content, capsys):
+    def test_malformed_record_is_usage_error(self, samples, content):
         record = samples.with_suffix(".json")
         record.write_bytes(content.encode("latin-1"))
-        capsys.readouterr()
-        assert main(["compare", "--samples", str(samples)]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: {record}: not a campaign record (no 'scenario' "
-                                "object with lambda_bs, gamma_pl, theta, power_mw, noise_mw)\n")
+        assert run("compare", "--samples", samples).error(EXIT_USAGE) == (
+            f"error: {record}: not a campaign record (no 'scenario' "
+            "object with lambda_bs, gamma_pl, theta, power_mw, noise_mw)\n")
 
-    def test_unreadable_record_is_io_error(self, tmp_path, capsys):
+    def test_unreadable_record_is_io_error(self, tmp_path):
         samples = tmp_path / "s.csv"
         sim.write_samples_csv(np.array([0.2, 0.5]), samples)
         samples.with_suffix(".json").mkdir()
-        assert main(["compare", "--samples", str(samples)]) == EXIT_IO
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and "s.json" in captured.err
+        err = run("compare", "--samples", samples).error(EXIT_IO)
+        assert err.startswith("error:") and "s.json" in err
 
 
 # The CLI's two input files, one value per row under a header naming the column:
@@ -936,7 +755,7 @@ class TestInputFiles:
             warnings.simplefilter("error")
             assert list(read(path)) == [1.0, 0.5, 0.25, 0.125]
 
-    def test_mixed_layout_runs_through_the_cli(self, kind, tmp_path, capsys):
+    def test_mixed_layout_runs_through_the_cli(self, kind, tmp_path):
         # The subcommand that reads each file prints the same table for the
         # mixed layout (quoted header, extra column, CRLF, blank row) as for LF.
         argv, values = {
@@ -953,10 +772,9 @@ class TestInputFiles:
         for path in (lf, mixed):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert main([*argv, str(path)]) == EXIT_OK
-            captured = capsys.readouterr()
-            assert captured.err == ""
-            outputs.append(captured.out)
+                r = run(*argv, path)
+            assert (r.code, r.err) == (EXIT_OK, "")
+            outputs.append(r.out)
         assert outputs[0] == outputs[1] != ""
 
     def test_header_only(self, kind, tmp_path):
@@ -1019,13 +837,10 @@ class TestNonFiniteInputs:
         ["moments", "--power-dbm", "4000"],
         ["moments", "--noise-dbm", "4000"],
     ])
-    def test_usage_error(self, argv, tmp_path, capsys):
+    def test_usage_error(self, argv, tmp_path):
         if argv[0] == "simulate":
-            argv = argv + ["--out", str(tmp_path / "s.csv")]
-        assert main(argv) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "finite" in captured.err
+            argv = argv + ["--out", tmp_path / "s.csv"]
+        assert "finite" in run(*argv).error(EXIT_USAGE)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1033,84 +848,70 @@ class TestDbFlags:
     FLAGS = ["--theta-db", "--power-dbm", "--noise-dbm"]
 
     @pytest.mark.parametrize("flag", FLAGS)
-    def test_underflow_to_zero_is_usage_error(self, flag, capsys):
+    def test_underflow_to_zero_is_usage_error(self, flag):
         # 10^-325 is below the smallest positive double; only -inf asks for 0.
-        assert main(["moments", flag, "-3250", "--n-max", "1"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
+        assert run("moments", flag, "-3250", "--n-max", "1").error(EXIT_USAGE) == (
             f"error: {flag} -3250.0 is 0 in linear units; only {flag}=-inf means 0\n")
 
     def test_beyond_the_doubles_is_inf(self):
         assert db_to_linear(4000.0) == math.inf
         assert db_to_linear(-4000.0) == 0.0
 
-    def test_subnormal_noise_is_kept(self, capsys):
+    def test_subnormal_noise_is_kept(self):
         # -3220 dBm is a subnormal but positive noise power: a noisy scenario.
-        assert main(["moments", "--noise-dbm", "-3220", "--n-max", "1", "--format", "json"]) == (
-            EXIT_OK)
-        assert json.loads(capsys.readouterr().out)["meta"]["scenario"]["noise_mw"] > 0.0
+        t = run("moments", "--noise-dbm", "-3220", "--n-max", "1", "--format", "json").table()
+        assert t.meta["scenario"]["noise_mw"] > 0.0
 
 
 class TestPowerCommand:
     def test_slope_in_meta(self, tmp_path):
-        out = tmp_path / "p.csv"
-        rc = main([
-            "power", "--x-rel", "0.2", "--epsilon", "0.5", "--gamma", "4",
-            "--theta-db", "-10", "--out", str(out),
-        ])
-        assert rc == EXIT_OK
-        meta = json.loads((tmp_path / "p.csv.meta.json").read_text())
-        assert abs(meta["loglog_slope"] + 2.0) <= 1e-6
-        _, rows = _read_csv(out)
-        assert len(rows) == 9
-        p0 = float(rows[0][1])
-        assert float(rows[0][2]) == pytest.approx(10.0 * math.log10(p0), rel=1e-12)
+        t = run("power", "--x-rel", "0.2", "--epsilon", "0.5", "--gamma", "4",
+                "--theta-db", "-10", "--out", tmp_path / "p.csv").table()
+        assert abs(t.meta["loglog_slope"] + 2.0) <= 1e-6
+        assert len(t["lambda"]) == 9
+        p0 = t.floats("p_mw")[0]
+        assert t.floats("p_dbm")[0] == pytest.approx(10.0 * math.log10(p0), rel=1e-12)
 
     def test_gamma_five_slope(self, tmp_path):
-        out = tmp_path / "p.csv"
-        rc = main([
-            "power", "--x-rel", "0.2", "--epsilon", "0.5", "--gamma", "5",
-            "--theta-db", "-10", "--out", str(out),
-        ])
-        assert rc == EXIT_OK
-        meta = json.loads((tmp_path / "p.csv.meta.json").read_text())
-        assert abs(meta["loglog_slope"] + 2.5) <= 1e-6
+        t = run("power", "--x-rel", "0.2", "--epsilon", "0.5", "--gamma", "5",
+                "--theta-db", "-10", "--out", tmp_path / "p.csv").table()
+        assert abs(t.meta["loglog_slope"] + 2.5) <= 1e-6
 
-    def test_one_2f1_per_run(self, monkeypatch, capsys):
+    def test_one_2f1_per_run(self, monkeypatch, paper_params):
         # rho_2 does not depend on lambda: p = c lambda^(-gamma/2) with c
         # solved once, and every row is still that density's min_power.
         calls = spy(monkeypatch, moments, "gauss_2f1")
-        assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
-                     "--format", "json"]) == EXIT_OK
+        t = run("power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
+                "--format", "json").table()
         assert len(calls) == 1
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        assert len(rows) == 9
-        params = dataclasses.replace(_default_scenario(), theta=db_to_linear(-10.0))
+        assert len(t["lambda"]) == 9
+        params = dataclasses.replace(paper_params, theta=db_to_linear(-10.0))
         qos = QosSpec(x_rel=0.2, epsilon=0.5)
-        for lam, p_mw, _ in rows:
-            scenario = dataclasses.replace(params, lambda_bs=float(lam))
-            assert float(p_mw) == min_power(scenario, qos)
+        for lam, p_mw in zip(t.floats("lambda"), t.floats("p_mw")):
+            assert p_mw == min_power(dataclasses.replace(params, lambda_bs=lam), qos)
 
     def test_infeasible_exit(self):
-        rc = main(["power", "--x-rel", "0.9", "--epsilon", "0.05", "--gamma", "5",
-                   "--theta-db", "10"])
-        assert rc == EXIT_MATH
+        assert run("power", "--x-rel", "0.9", "--epsilon", "0.05", "--gamma", "5",
+                   "--theta-db", "10").code == EXIT_MATH
+
+    def test_target_at_the_noise_free_limit_is_met(self):
+        # At theta = 0, mu_2 is 1 at every power: the target 1 - eps + x^2 = 1
+        # equals the limit 1/(1 + rho_2) and is met, at 0 mW.
+        r = run("power", "--x-rel", "0.5", "--epsilon", "0.25", "--theta-db=-inf")
+        assert r.table().floats("p_mw") == [0.0] * 9
+        assert "reported as 0 mW" in r.err
 
     @pytest.mark.parametrize("theta_db", ["50", "60"])
-    def test_failed_2f1_exits_math(self, theta_db, capsys):
+    def test_failed_2f1_exits_math(self, theta_db):
         # 1 + rho_2 is 185 at 50 dB and 465 at 60 dB, so the target is
         # infeasible; the 2F1 series returns values below 1 there.
-        assert main(["power", "--x-rel", "0.3", "--epsilon", "0.7",
-                     "--theta-db", theta_db]) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "rho_2" in captured.err
+        r = run("power", "--x-rel", "0.3", "--epsilon", "0.7", "--theta-db", theta_db)
+        assert "rho_2" in r.error(EXIT_MATH)
 
     def test_invalid_qos_is_usage_error(self):
-        assert main(["power", "--x-rel", "1.5", "--epsilon", "0.5"]) == EXIT_USAGE
-        assert main(["power", "--x-rel", "0.5", "--epsilon", "0.5",
-                     "--gamma", "2.0"]) == EXIT_USAGE
+        assert run("power", "--x-rel", "1.5", "--epsilon", "0.5").code == EXIT_USAGE
+        assert run("power", "--x-rel", "0.5", "--epsilon", "0.5",
+                   "--gamma", "2.0").code == EXIT_USAGE
 
     @pytest.mark.parametrize("flag, value", [
         ("--lambda-max", "-1"),
@@ -1120,31 +921,28 @@ class TestPowerCommand:
         ("--lambda-min", "nan"),
         ("--lambda-steps", "0"),
     ])
-    def test_invalid_sweep_is_usage_error(self, flag, value, capsys):
-        assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", flag, value]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""
+    def test_invalid_sweep_is_usage_error(self, flag, value):
+        run("power", "--x-rel", "0.2", "--epsilon", "0.5", flag, value).error(EXIT_USAGE)
 
-    def test_single_step_has_no_slope_and_no_zero_note(self, capsys):
-        assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
-                     "--lambda-steps", "1", "--format", "json"]) == EXIT_OK
-        captured = capsys.readouterr()
-        doc = json.loads(captured.out)
-        assert len(doc["rows"]) == 1 and float(doc["rows"][0][1]) > 0.0
-        assert "loglog_slope" not in doc["meta"]
-        assert captured.err == ""
+    def test_single_step_has_no_slope_and_no_zero_note(self):
+        r = run("power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
+                "--lambda-steps", "1", "--format", "json")
+        t = r.table()
+        assert len(t["p_mw"]) == 1 and t.floats("p_mw")[0] > 0.0
+        assert "loglog_slope" not in t.meta
+        assert r.err == ""
 
-    def test_equal_densities_have_no_slope(self, capsys):
+    def test_equal_densities_have_no_slope(self):
         argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--lambda-min", "1e-2",
                 "--lambda-max", "1e-2", "--lambda-steps", "3", "--format", "json"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(argv) == EXIT_OK
+            r = run(*argv)
         assert caught == []
-        captured = capsys.readouterr()
-        doc = json.loads(captured.out)
-        assert len(doc["rows"]) == 3
-        assert "loglog_slope" not in doc["meta"]
-        assert "slope" not in captured.err
+        t = r.table()
+        assert len(t["lambda"]) == 3
+        assert "loglog_slope" not in t.meta
+        assert "slope" not in r.err
 
     @pytest.mark.parametrize("sweep, density", [
         # lambda^(-gamma/2) underflows to 0 from the fifth of nine densities on.
@@ -1153,62 +951,52 @@ class TestPowerCommand:
         # lambda^(-gamma/2) overflows.
         (["--lambda-min", "1e-300"], "1e-300"),
     ])
-    def test_power_beyond_the_doubles_is_math_error(self, sweep, density, capsys):
-        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", *sweep]
+    def test_power_beyond_the_doubles_is_math_error(self, sweep, density):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(argv) == EXIT_MATH
+            r = run("power", "--x-rel", "0.3", "--epsilon", "0.7", *sweep)
         assert caught == []
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"minimum power at lambda = {density} is not a positive finite double" in (
-            captured.err)
-        assert "reported as 0 mW" not in captured.err
+        err = r.error(EXIT_MATH)
+        assert f"minimum power at lambda = {density} is not a positive finite double" in err
+        assert "reported as 0 mW" not in err
 
-    def test_noise_free_at_extreme_densities_notes_zero_power(self, capsys):
+    def test_noise_free_at_extreme_densities_notes_zero_power(self):
         argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--noise-dbm=-inf",
                 "--lambda-min", "1e-300", "--lambda-max", "1e300", "--format", "json"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(argv) == EXIT_OK
+            r = run(*argv)
         assert caught == []
-        captured = capsys.readouterr()
-        doc = json.loads(captured.out)
-        assert len(doc["rows"]) == 9
-        assert all(row[1:] == ["0.0", "-inf"] for row in doc["rows"])
-        assert "loglog_slope" not in doc["meta"]
-        assert "reported as 0 mW" in captured.err
+        t = r.table()
+        assert len(t["lambda"]) == 9
+        assert t["p_mw"] == ["0.0"] * 9 and t["p_dbm"] == ["-inf"] * 9
+        assert "loglog_slope" not in t.meta
+        assert "reported as 0 mW" in r.err
 
-    def test_subnormal_powers_are_reported(self, capsys):
+    def test_subnormal_powers_are_reported(self):
         # theta sigma2 is the smallest subnormal; the powers are subnormal too.
-        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--noise-dbm", "-3235",
-                "--lambda-steps", "2", "--format", "json"]
-        assert main(argv) == EXIT_OK
-        captured = capsys.readouterr()
-        powers = [float(row[1]) for row in json.loads(captured.out)["rows"]]
+        r = run("power", "--x-rel", "0.3", "--epsilon", "0.7", "--noise-dbm", "-3235",
+                "--lambda-steps", "2", "--format", "json")
+        powers = r.table().floats("p_mw")
         assert len(powers) == 2 and all(0.0 < p < 1e-300 for p in powers)
-        assert "reported as 0 mW" not in captured.err
+        assert "reported as 0 mW" not in r.err
 
-    def test_failure_names_a_requested_density(self, capsys):
+    def test_failure_names_a_requested_density(self):
         # (c_1* pi lambda)^(-gamma/2) overflows at the first density, 1e-4;
         # nothing is evaluated at any other density.
-        argv = ["power", "--x-rel", "0.3", "--epsilon", "0.7", "--gamma", "1e6",
-                "--lambda-steps", "2"]
-        assert main(argv) == EXIT_MATH
-        captured = capsys.readouterr()
-        assert captured.out == ""
+        r = run("power", "--x-rel", "0.3", "--epsilon", "0.7", "--gamma", "1e6",
+                "--lambda-steps", "2")
         assert "minimum power at lambda = 0.0001 is not a positive finite double" in (
-            captured.err)
+            r.error(EXIT_MATH))
 
-    def test_noise_free_notes_zero_power(self, capsys):
-        assert main(["power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
-                     "--noise-dbm=-inf", "--format", "json"]) == EXIT_OK
-        captured = capsys.readouterr()
-        doc = json.loads(captured.out)
-        assert all(float(row[1]) == 0.0 for row in doc["rows"])
-        assert "loglog_slope" not in doc["meta"]
-        assert "reported as 0 mW" in captured.err
-        assert "slope" not in captured.err
+    def test_noise_free_notes_zero_power(self):
+        r = run("power", "--x-rel", "0.2", "--epsilon", "0.5", "--theta-db", "-10",
+                "--noise-dbm=-inf", "--format", "json")
+        t = r.table()
+        assert all(p == 0.0 for p in t.floats("p_mw"))
+        assert "loglog_slope" not in t.meta
+        assert "reported as 0 mW" in r.err
+        assert "slope" not in r.err
 
 
 # Each table's argv (the compare samples file is written first) and an identity
@@ -1229,7 +1017,7 @@ _TABLES = {
 
 
 @pytest.mark.parametrize("command", sorted(_TABLES))
-def test_csv_and_json_tables_hold_the_same_cells(command, tmp_path, capsys):
+def test_csv_and_json_tables_hold_the_same_cells(command, tmp_path):
     """One table, two forms: the same header and cell strings in each.
 
     n is an int in JSON, an endpoint PDF is blank, and every other cell is
@@ -1239,17 +1027,14 @@ def test_csv_and_json_tables_hold_the_same_cells(command, tmp_path, capsys):
     sim.write_samples_csv(np.random.default_rng(4).beta(3.0, 1.5, 200), samples)
     template, labels_hold = _TABLES[command]
     argv = [a.format(samples=samples) for a in template]
-    out = tmp_path / "t.csv"
-    assert main([*argv, "--out", str(out)]) == EXIT_OK
-    header, rows = _read_csv(out)
-    capsys.readouterr()
-    assert main([*argv, "--format", "json"]) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["columns"] == header
-    assert doc["meta"] == json.loads((tmp_path / "t.csv.meta.json").read_text())
-    assert [[str(v) for v in row] for row in doc["rows"]] == rows
+    written = run(*argv, "--out", tmp_path / "t.csv").table()
+    doc = run(*argv, "--format", "json").table()
+    assert list(doc.columns) == list(written.columns)
+    assert doc.meta == written.meta
+    assert {name: [str(v) for v in cells] for name, cells in doc.columns.items()} == (
+        written.columns)
     columns = {}
-    for name, cells in zip(header, zip(*doc["rows"])):
+    for name, cells in doc.columns.items():
         if name == "n":
             assert [type(v) for v in cells] == [int] * len(cells)
             continue
@@ -1270,32 +1055,28 @@ class TestKnownWrongOutputs:
     one stays here, unmarked, as the check that keeps it right.
     """
 
-    @pytest.mark.xfail(strict=True, reason="the 2F1 series stops at its term cap from about "
-                                           "28 dB (ROADMAP item 1)")
-    def test_noise_free_moments_at_28_db(self, capsys):
+    @pytest.mark.xfail(reason="the 2F1 series stops at its term cap from about "
+                              "28 dB (ROADMAP item 1)")
+    def test_noise_free_moments_at_28_db(self, paper_params):
         # The reconstruction's CDF reads 1.16 at x = 0.75 today.
         argv = ["reconstruct", "--theta-db", "28", "--noise-dbm=-inf", "--format", "json"]
-        assert main(argv) == EXIT_OK
-        got = json.loads(capsys.readouterr().out)["meta"]["moments"]
-        p = dataclasses.replace(_default_scenario(), theta=db_to_linear(28.0), noise=0.0)
+        got = run(*argv).table().meta["moments"]
+        p = dataclasses.replace(paper_params, theta=db_to_linear(28.0), noise=0.0)
         expected = [1.0 / one_plus_rho_scipy(p, n) for n in range(1, len(got))]
         assert got[1:] == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.xfail(strict=True, reason="the coefficient map's rounding swamps the default "
-                                           "order when the law sits near x = 1 (ROADMAP item 3)")
-    def test_cdf_stays_in_the_unit_interval_at_minus_30_db(self, capsys):
+    @pytest.mark.xfail(reason="the coefficient map's rounding swamps the default "
+                              "order when the law sits near x = 1 (ROADMAP item 3)")
+    def test_cdf_stays_in_the_unit_interval_at_minus_30_db(self):
         # Today the CDF reads about -1e7 at x = 0.99, where the PDF reads
         # about 1e9; the figures move with the last bits of the moments.
-        rc = main(["reconstruct", "--gamma", "4.05", "--theta-db", "-30", "--format", "json"])
-        if rc != EXIT_MATH:
-            assert rc == EXIT_OK
-            cdf = [float(row[2]) for row in json.loads(capsys.readouterr().out)["rows"]]
-            assert all(-1e-6 <= value <= 1.0 + 1e-6 for value in cdf)
+        r = run("reconstruct", "--gamma", "4.05", "--theta-db", "-30", "--format", "json")
+        if r.code != EXIT_MATH:
+            assert all(-1e-6 <= value <= 1.0 + 1e-6 for value in r.table().floats("cdf"))
 
-    def test_moments_at_gamma_1e6(self, capsys):
+    def test_moments_at_gamma_1e6(self, paper_params):
         # Mended: the moments stay exact where Gamma(gamma/2) overflows.
-        assert main(["moments", "--gamma", "1e6", "--n-max", "3", "--format", "json"]) == EXIT_OK
-        got = [float(row[1]) for row in json.loads(capsys.readouterr().out)["rows"]]
-        p = dataclasses.replace(_default_scenario(), gamma_pl=1e6)
+        t = run("moments", "--gamma", "1e6", "--n-max", "3", "--format", "json").table()
+        p = dataclasses.replace(paper_params, gamma_pl=1e6)
         expected = [moment_t_mpmath(p, n) for n in (1, 2, 3)]
-        assert got == pytest.approx(expected, rel=1e-10)
+        assert t.floats("mu_exact") == pytest.approx(expected, rel=1e-10)

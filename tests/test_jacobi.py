@@ -26,6 +26,7 @@ from metadist.jacobi import (
 from metadist.moments import METHOD_EMPIRICAL, MomentSequence, SystemParams, moment_sequence
 from metadist.specfun import reg_inc_beta
 
+from conftest import BASES
 from oracles import (
     beta_moments,
     binom_exact,
@@ -34,8 +35,6 @@ from oracles import (
     jacobi_poly_explicit,
 )
 from spies import spy
-
-BASES = [(0.0, 0.0), (-0.4354, 0.1118), (0.3, 1.7), (2.0, 0.5)]
 
 
 def _beta_27_13_distribution(order=10):
@@ -121,34 +120,12 @@ class TestOrthogonality:
                 assert val == pytest.approx(expected, abs=2e-7)
 
 
-class TestRodriguesAntiderivative:
-    def test_identity(self):
-        for al, be in BASES:
-            for n in range(1, 9):
-                for x in (0.2, 0.5, 0.8):
-                    # weight="alg" carries t^be on [0, x], so quad sees no singularity.
-                    f = lambda t: (1 - t) ** al * jacobi_poly(al, be, n, t)
-                    lhs = quad(f, 0.0, x, weight="alg", wvar=(be, 0.0),
-                               epsabs=1e-11, epsrel=0.0)[0]
-                    rhs = (
-                        -(1.0 / n)
-                        * (1.0 - x) ** (al + 1.0)
-                        * x ** (be + 1.0)
-                        * jacobi_poly(al + 1.0, be + 1.0, n - 1, x)
-                    )
-                    assert lhs == pytest.approx(rhs, abs=1e-8)
-
-
 class TestCoefficients:
     def test_a0_is_inverse_h0(self):
         seq = MomentSequence(beta_moments(2.0, 3.0, 4), METHOD_EMPIRICAL)
         for al, be in BASES:
             dist = fourier_jacobi_coeffs(seq, JacobiBasis(al, be, 4))
             assert dist.coefficients[0] == pytest.approx(1.0 / norm_h(al, be, 0), rel=1e-12)
-
-    def test_beta_moments_kill_corrections(self):
-        dist = _beta_27_13_distribution()
-        assert max(abs(c) for c in dist.coefficients[1:]) < 1e-8
 
     def test_matched_basis_zeroes_first_two(self, paper_params):
         seq = moment_sequence(paper_params, 10)
@@ -245,6 +222,11 @@ class TestMomentMatching:
             moment_match_basis(1.0, 0.5)
         with pytest.raises(DegenerateMomentsError):
             moment_match_basis(0.0, 0.0)
+
+    def test_negative_variance_rejected(self):
+        # mu = 1, 0.5, 0.2 passes every difference with n + k <= 2.
+        with pytest.raises(DegenerateMomentsError, match=r"mu2=0.2 lies below mu1\^2=0.25"):
+            moment_match_basis(0.5, 0.2)
 
     def test_mu2_above_mu1_rejected(self):
         with pytest.raises(DegenerateMomentsError):
@@ -361,9 +343,9 @@ class TestCdf:
             num = (eval_cdf(dist, x + h) - eval_cdf(dist, x - h)) / (2.0 * h)
             assert num == pytest.approx(eval_pdf(dist, x), abs=1e-7)
 
-    def test_monotone_on_poisson_grid(self):
+    def test_monotone_on_poisson_grid(self, paper_params):
         scenarios = [
-            SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10),
+            paper_params,
             SystemParams(1e-3, 3.0, 1.0, 1.0, 1e-10),
             SystemParams(1e-3, 4.0, 0.1, 1.0, 1e-10),
             SystemParams(5e-3, 5.0, 10.0, 1.0, 1e-10),

@@ -27,6 +27,7 @@ from metadist.moments import (
 from metadist.quadrature import DEFAULT_TOL
 from metadist.scaling import QosSpec, min_power
 
+from conftest import PAPER_SCENARIO
 from oracles import (
     beta_moments, max_exp_neg_f, moment_quad, moment_t_mpmath, one_plus_rho_scipy,
     rho_quadrature,
@@ -97,7 +98,7 @@ class TestMomentSequence:
 
 
 class TestRho:
-    def test_zero_threshold(self, paper_params):
+    def test_zero_threshold(self):
         p = SystemParams(1e-3, 5.0, 0.0, 1.0, 1e-10)
         for n in (1, 4, 9):
             assert rho_n(p, n) == 0.0
@@ -106,9 +107,8 @@ class TestRho:
         p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
         assert rho_n(p, 1) == pytest.approx(math.pi / 4.0, rel=1e-12)
 
-    def test_oracle_gamma5(self):
-        p = SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
-        assert rho_n(p, 3) == pytest.approx(rho_quadrature(3, 5.0, 1.0), rel=1e-8)
+    def test_oracle_gamma5(self, paper_params):
+        assert rho_n(paper_params, 3) == pytest.approx(rho_quadrature(3, 5.0, 1.0), rel=1e-8)
 
     def test_requires_positive_n(self, paper_params):
         with pytest.raises(ValueError):
@@ -571,13 +571,15 @@ class TestEnvelope:
 
 
 class TestRhoMemo:
-    """Each 2F1 runs once per order and SystemParams object."""
+    """Each 2F1 runs once per order and SystemParams object.
 
-    SCENARIO = (1e-3, 5.0, 1.0, 1.0, 1e-10)
+    Each test builds its own objects: the shared paper_params fixture's memo
+    fills up across tests.
+    """
 
     def test_one_call_per_order(self, monkeypatch):
         calls = spy(monkeypatch, moments, "gauss_2f1")
-        p = SystemParams(*self.SCENARIO)
+        p = SystemParams(**PAPER_SCENARIO)
         moment_sequence(p, 10)
         moment_sequence(p, 10, method=METHOD_CLOSED_FORM)
         for n in range(1, 11):
@@ -586,11 +588,11 @@ class TestRhoMemo:
         assert len(calls) == 10
         assert len(set(calls)) == 10
         # An equal but separate object computes its own.
-        coeffs(SystemParams(*self.SCENARIO), 1)
+        coeffs(SystemParams(**PAPER_SCENARIO), 1)
         assert len(calls) == 11
 
     def test_memo_is_not_part_of_the_scenario(self):
-        p, fresh = SystemParams(*self.SCENARIO), SystemParams(*self.SCENARIO)
+        p, fresh = SystemParams(**PAPER_SCENARIO), SystemParams(**PAPER_SCENARIO)
         moment_sequence(p, 4)
         assert p == fresh
         assert hash(p) == hash(fresh)
@@ -599,7 +601,7 @@ class TestRhoMemo:
         )
 
     def test_replace_starts_empty(self, monkeypatch):
-        p = SystemParams(*self.SCENARIO)
+        p = SystemParams(**PAPER_SCENARIO)
         rho_n(p, 2)
         calls = spy(monkeypatch, moments, "gauss_2f1")
         rho_n(dataclasses.replace(p, lambda_bs=2e-3), 2)

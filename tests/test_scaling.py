@@ -44,29 +44,25 @@ class TestMinPower:
             slope = float(np.polyfit(np.log(lams), np.log(ps), 1)[0])
             assert abs(slope + g / 2.0) <= 1e-9
 
-    def test_inversion_consistency(self):
+    def test_inversion_consistency(self, paper_params):
         # moment_approx at the returned power must hit mu_2 = 1 - eps + x^2.
         qos = QosSpec(x_rel=0.3, epsilon=0.7)
-        base = SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
-        p = min_power(base, qos)
-        mu2 = moment_approx(SystemParams(1e-3, 5.0, 1.0, p, 1e-10), 2)
+        p = min_power(paper_params, qos)
+        mu2 = moment_approx(dataclasses.replace(paper_params, power=p), 2)
         target = 1.0 - qos.epsilon + qos.x_rel**2
         assert abs(mu2 - target) / target <= 1e-9
 
-    def test_monotone_in_epsilon(self):
-        base = SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
-        ps = [min_power(base, QosSpec(0.3, eps)) for eps in (0.6, 0.7, 0.8, 0.9)]
+    def test_monotone_in_epsilon(self, paper_params):
+        ps = [min_power(paper_params, QosSpec(0.3, eps)) for eps in (0.6, 0.7, 0.8, 0.9)]
         assert all(a >= b for a, b in zip(ps, ps[1:]))
 
-    def test_monotone_in_x_rel(self):
-        base = SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
-        ps = [min_power(base, QosSpec(x, 0.7)) for x in (0.05, 0.15, 0.3, 0.45)]
+    def test_monotone_in_x_rel(self, paper_params):
+        ps = [min_power(paper_params, QosSpec(x, 0.7)) for x in (0.05, 0.15, 0.3, 0.45)]
         assert all(a <= b for a, b in zip(ps, ps[1:]))
 
-    def test_infeasible_unit_target(self):
-        base = SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
+    def test_infeasible_unit_target(self, paper_params):
         with pytest.raises(InfeasibleQosError):
-            min_power(base, QosSpec(x_rel=0.9, epsilon=0.1))
+            min_power(paper_params, QosSpec(x_rel=0.9, epsilon=0.1))
 
     def test_infeasible_interference_limit(self):
         # gamma = 3, theta = 1: mu_2 can never exceed 1/(1+rho_2) ~ 0.24.
@@ -80,6 +76,9 @@ class TestMinPower:
         qos = QosSpec(x_rel=0.3, epsilon=0.7)
         assert min_power(SystemParams(1e-3, 5.0, 1.0, 1.0, 0.0), qos) == 0.0
         assert min_power(SystemParams(1e-3, 5.0, 0.0, 1.0, 1e-10), qos) == 0.0
+        # At theta = 0 the limit 1/(1 + rho_2) is 1, and so is the target
+        # 1 - eps + x^2 here: mu_2 = 1 at any power meets it.
+        assert min_power(SystemParams(1e-3, 5, 0.0, 1, 1e-10), QosSpec(0.5, 0.25)) == 0.0
 
     def test_noise_free_still_checks_feasibility(self):
         with pytest.raises(InfeasibleQosError):
@@ -100,23 +99,21 @@ class TestMinPower:
 
 
 class TestPowerAt:
-    PARAMS = SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10)
-
     @pytest.mark.parametrize("c", [0.0, float("inf"), float("nan")])
-    def test_needs_a_positive_finite_power(self, c):
+    def test_needs_a_positive_finite_power(self, c, paper_params):
         with pytest.raises(ValueError, match="not a positive finite double"):
-            power_at(c, 1e-3, self.PARAMS)
+            power_at(c, 1e-3, paper_params)
 
     def test_noise_free_is_zero_at_any_root(self):
         for params in (SystemParams(1e-3, 5.0, 0.0, 1.0, 1e-10),
                        SystemParams(1e-3, 5.0, 1.0, 1.0, 0.0)):
             assert power_at(float("nan"), 1e300, params) == 0.0
 
-    def test_inverts_the_noise_root(self):
+    def test_inverts_the_noise_root(self, paper_params):
         # The scenario at p(lambda) has noise root c_1 at lambda.
         for lam in (1e-4, 1e-3, 1e-2):
-            p = power_at(0.7, lam, self.PARAMS)
-            c1 = dataclasses.replace(self.PARAMS, lambda_bs=lam, power=p).noise_root
+            p = power_at(0.7, lam, paper_params)
+            c1 = dataclasses.replace(paper_params, lambda_bs=lam, power=p).noise_root
             assert c1 == pytest.approx(0.7, rel=1e-14)
 
 
@@ -137,8 +134,8 @@ class TestMaxNoiseRoot:
                  for noise in (0.0, 1e-10)}
         assert len(roots) == 1
 
-    def test_infeasible(self):
+    def test_infeasible(self, paper_params):
         with pytest.raises(InfeasibleQosError, match="unreachable"):
-            max_noise_root(SystemParams(1e-3, 5.0, 1.0, 1.0, 1e-10), QosSpec(0.9, 0.1))
+            max_noise_root(paper_params, QosSpec(0.9, 0.1))
         with pytest.raises(InfeasibleQosError, match="infinite-power limit"):
             max_noise_root(SystemParams(1e-3, 3.0, 1.0, 1.0, 1e-10), self.QOS)
