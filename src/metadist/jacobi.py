@@ -12,15 +12,17 @@ alone.  Choosing (alpha, beta) by matching the beta distribution to mu_1 and
 mu_2 zeroes the first two correction terms, making the leading term the
 familiar beta approximation and the rest a systematic refinement of it.
 
-Polynomials are evaluated by the three-term recurrence (the explicit
+A series is summed by Clenshaw's backward recurrence on the polynomials'
+three-term recurrence, with no table of the polynomials (the explicit
 binomial-sum form cancels badly beyond n ~ 15 and lives in the tests as an
 oracle).  The map from moments to coefficients is one function,
 fourier_jacobi_coeffs, which reads the modified moments E[C^l (1-C)^m]
-from MomentSequence.difference.  The alternating sums lose roughly a digit
-per order, so each nested sum is one correctly rounded math.fsum; its terms
-are rounded products, so the map itself still rounds.  Each a_n lies within
-2 eps T_n / |h_n| of the exact sum over the same doubles, T_n being the sum
-of the terms' magnitudes (tests: TestCoefficientMapExact).  Against the map
+from one triangle, MomentSequence.differences.  The alternating sums lose
+roughly a digit per order, so each nested sum is one correctly rounded
+math.fsum; its terms are rounded products, so the map itself still rounds.
+Each a_n lies within 2 eps T_n / |h_n| of the exact sum over the same
+doubles, T_n being the sum of the terms' magnitudes (tests:
+TestCoefficientMapExact).  Against the map
 taken in 40 digits from the same moments and basis, that moves the CDF by
 1e-12 to 3e-9 at order 10 and by 3e-5 to 3e-2 at order 20 (gamma 3-5,
 theta -10..10 dB, lambda 1e-3, -100 dBm).  The PDF and the CDF's
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import MomentSequence
+from .moments import MomentSequence, negative_variance_message
 from .specfun import reg_inc_beta
 
 __all__ = [
@@ -123,28 +125,6 @@ class ConvergenceReport:
     warning: bool
 
 
-def _jacobi_all(alpha: float, beta: float, order: int, x: np.ndarray) -> np.ndarray:
-    """All shifted Jacobi polynomials P_0..P_order at x, shape (order+1, len(x)).
-
-    Three-term recurrence on the canonical interval via t = 2x - 1.
-    """
-    t = 2.0 * np.asarray(x, dtype=float) - 1.0
-    out = np.empty((order + 1,) + t.shape)
-    out[0] = 1.0
-    if order == 0:
-        return out
-    ab = alpha + beta
-    out[1] = 0.5 * ((alpha - beta) + (ab + 2.0) * t)
-    for k in range(2, order + 1):
-        c1 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
-        c2 = 2.0 * k + ab - 1.0
-        c3 = (2.0 * k + ab) * (2.0 * k + ab - 2.0)
-        c4 = alpha * alpha - beta * beta
-        c5 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)
-        out[k] = (c2 * (c3 * t + c4) * out[k - 1] - c5 * out[k - 2]) / c1
-    return out
-
-
 def norm_h(alpha: float, beta: float, n: int) -> float:
     """Orthogonality normalization h_n = int_0^1 P_n^2 w dx.
 
@@ -179,8 +159,8 @@ def fourier_jacobi_coeffs(
     a_0 is 1/h_0 for any proper moment sequence (mu_0 = 1).  The weights
     C(r, l) are the running products prod_{j<l} (r-j)/(j+1), valid for every
     real r; one that overflows raises ValueError.  Each difference
-    E[C^l (1-C)^(n-l)] (MomentSequence.difference) and each sum over l is one
-    math.fsum: the terms cancel far below their size.
+    E[C^l (1-C)^(n-l)] (one triangle, MomentSequence.differences) and each sum
+    over l is one math.fsum: the terms cancel far below their size.
     """
     if len(moments) <= basis.order:
         raise ValueError(
@@ -188,6 +168,7 @@ def fourier_jacobi_coeffs(
             f"mu_{basis.order}, got {len(moments) - 1}"
         )
     a, b = basis.alpha, basis.beta
+    diffs = moments.differences(basis.order)
     coeff = []
     for n in range(basis.order + 1):
         c_a, c_b = [1.0], [1.0]
@@ -198,7 +179,7 @@ def fourier_jacobi_coeffs(
         if not all(map(math.isfinite, weights)):
             raise ValueError(f"basis (alpha={a}, beta={b}): the binomial weights of a_{n} overflow")
         inner = math.fsum(
-            w * ((-1.0) ** (n - ell) * moments.difference(ell, n - ell))
+            w * ((-1.0) ** (n - ell) * diffs[ell][n - ell])
             for ell, w in enumerate(weights)
         )
         h_n = norm_h(a, b, n)
@@ -223,10 +204,7 @@ def moment_match_basis(mu1: float, mu2: float, order: int = DEFAULT_ORDER) -> Ja
     # mu1 (1 - mu1) is the largest variance a law on [0, 1] with mean mu1 has.
     var, tol = mu2 - mu1 * mu1, 1e-14 * mu1 * (1.0 - mu1)
     if var < -tol:
-        raise DegenerateMomentsError(
-            f"mu2={mu2} lies below mu1^2={mu1 * mu1}: a negative variance, so these "
-            "are not the moments of a law on [0, 1]"
-        )
+        raise DegenerateMomentsError(negative_variance_message(mu1, mu2))
     if var <= tol:
         raise DegenerateMomentsError(
             f"zero-variance moments (mu2={mu2}, mu1^2={mu1 * mu1}): "
@@ -255,9 +233,49 @@ def reconstruct(
 
 
 def _weighted_series(alpha: float, beta: float, c, x: np.ndarray) -> np.ndarray:
-    """(1-x)^alpha x^beta sum_k c_k P_k^(alpha,beta)(x) at every point of x."""
-    polys = _jacobi_all(alpha, beta, len(c) - 1, x)
-    return (1.0 - x) ** alpha * x**beta * np.tensordot(c, polys, axes=1)
+    """(1-x)^alpha x^beta sum_k c_k P_k^(alpha,beta)(x) at every point of x.
+
+    Clenshaw's backward recurrence on t = 2x - 1: with the three-term
+    recurrence P_k = s_k (t + d_k) P_(k-1) - e_k P_(k-2) for k >= 2,
+
+        y_k = c_k + s_(k+1) (t + d_(k+1)) y_(k+1) - e_(k+2) y_(k+2)
+
+    for k = N..1 from y_(N+1) = y_(N+2) = 0, and the sum is
+    c_0 + y_1 P_1 - e_2 y_2.  s, d and e are taken once per call.
+    """
+    order = len(c) - 1
+    t = 2.0 * x - 1.0
+    ab = alpha + beta
+    s, d, e = [], [], []
+    for k in range(2, order + 2):
+        c1 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
+        c3 = (2.0 * k + ab) * (2.0 * k + ab - 2.0)
+        s.append((2.0 * k + ab - 1.0) * c3 / c1)
+        d.append((alpha * alpha - beta * beta) / c3)
+        e.append(2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab) / c1)
+    total = np.full_like(t, c[0])
+    if order >= 1:
+        # y1, y2 hold y_(k+1), y_(k+2); s[i], d[i] and e[i] belong to k = i + 2.
+        y1, y2, tmp = np.full_like(t, c[order]), np.zeros_like(t), np.empty_like(t)
+        for k in range(order - 1, 0, -1):
+            np.add(t, d[k - 1], out=tmp)
+            tmp *= y1
+            tmp *= s[k - 1]
+            y2 *= -e[k]
+            y2 += tmp
+            y2 += c[k]
+            y1, y2 = y2, y1
+        # P_1 = ((alpha - beta) + (ab + 2) t) / 2.
+        np.multiply(t, 0.5 * (ab + 2.0), out=tmp)
+        tmp += 0.5 * (alpha - beta)
+        tmp *= y1
+        total += tmp
+        y2 *= e[0]
+        total -= y2
+    weight = (1.0 - x) ** alpha
+    weight *= x**beta
+    total *= weight
+    return total
 
 
 def eval_pdf(dist: ReconstructedDistribution, x):

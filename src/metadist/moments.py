@@ -41,9 +41,10 @@ closed form, the bound and the power law evaluate each 2F1 once per
 scenario object.  A new object, including one from dataclasses.replace,
 starts with an empty memo.
 
-A MomentSequence holds mu_0..mu_N and takes their differences
-E[C^l (1-C)^m] itself (MomentSequence.difference): its Hausdorff check and
-the Fourier-Jacobi map (jacobi.fourier_jacobi_coeffs) read them there.
+A MomentSequence holds mu_0..mu_N and takes the triangle of their
+differences E[C^l (1-C)^m], l + m <= n, itself (MomentSequence.differences):
+its Hausdorff check and the Fourier-Jacobi map
+(jacobi.fourier_jacobi_coeffs) each read one triangle.
 """
 from __future__ import annotations
 
@@ -183,29 +184,54 @@ class MomentSequence:
     def __getitem__(self, n: int) -> float:
         return self.values[n]
 
-    def difference(self, l: int, m: int) -> float:
-        """E[C^l (1-C)^m] = sum_j (-1)^j C(m, j) mu_{l+j}, one correctly rounded math.fsum."""
+    def differences(self, n: int) -> list[list[float]]:
+        """The triangle d[l][m] = E[C^l (1-C)^m], l + m <= n <= N.
+
+        Each entry is sum_j (-1)^j C(m, j) mu_{l+j}, one correctly rounded
+        math.fsum; the signed binomials of each m are built once.
+        """
+        if not 0 <= n < len(self):
+            raise ValueError(f"differences up to order {n} need mu_0..mu_{n}, "
+                             f"got mu_0..mu_{len(self) - 1}")
         mu = self.values
-        return math.fsum(math.comb(m, j) * (-1.0) ** j * mu[l + j] for j in range(m + 1))
+        # Row m from row m-1 by Pascal's rule, exact in floats (C(20, 10) < 2^53).
+        signed = [[1.0]]
+        for _ in range(n):
+            prev = signed[-1]
+            signed.append([1.0, *map(operator.sub, prev[1:], prev), -prev[-1]])
+        return [[math.fsum(map(operator.mul, s, mu[l:])) for s in signed[:n + 1 - l]]
+                for l in range(n + 1)]
 
     def check_hausdorff(self) -> None:
         """Raise ValueError if mu_0..mu_N cannot be moments of a law on [0, 1].
 
-        Every difference E[C^n (1-C)^k] (difference(n, k)), with k >= 1 and
-        n + k <= N, must be nonnegative.  The differences are necessary, not
-        sufficient: mu = (1, 0.5, 0.2) passes, yet its variance
-        mu_2 - mu_1^2 is negative (moment matching rejects it).  The monotonicity slack (k = 1) lets
-        each value be off by half of it, which moves a k-th difference by up to
-        2^(k-1) times the slack: that is the margin allowed.
+        Every difference E[C^n (1-C)^k] (differences(N)[n][k]), with k >= 1
+        and n + k <= N, must be nonnegative, and then so must the variance
+        mu_2 - mu_1^2 (the order-1 Hankel condition).  These are necessary,
+        not sufficient: the higher Hankel determinants are not checked.  The
+        monotonicity slack (k = 1) lets each value be off by half of it,
+        which moves a k-th difference by up to 2^(k-1) times the slack: that
+        is the margin allowed.  It moves the variance by up to (1 + 2 mu_1)/2
+        times the slack, within the k = 2 margin, which the variance takes.
         """
+        diffs = self.differences(len(self) - 1)
         for k in range(1, len(self)):
             for n in range(len(self) - k):
-                diff = self.difference(n, k)
-                if not diff >= -(2.0 ** (k - 1)) * _MONOTONE_SLACK:
+                if not diffs[n][k] >= -(2.0 ** (k - 1)) * _MONOTONE_SLACK:
                     raise ValueError(
                         f"not the moments of a law on [0, 1]: the difference "
-                        f"E[C^n (1-C)^k] at k={k}, n={n} is {diff:.6g} < 0"
+                        f"E[C^n (1-C)^k] at k={k}, n={n} is {diffs[n][k]:.6g} < 0"
                     )
+        if len(self) > 2:
+            mu1, mu2 = self.values[1], self.values[2]
+            if not mu2 - mu1 * mu1 >= -2.0 * _MONOTONE_SLACK:
+                raise ValueError(negative_variance_message(mu1, mu2))
+
+
+def negative_variance_message(mu1: float, mu2: float) -> str:
+    """check_hausdorff's and moment matching's error text for mu2 < mu1^2."""
+    return (f"mu2={mu2} lies below mu1^2={mu1 * mu1}: a negative variance, so these "
+            "are not the moments of a law on [0, 1]")
 
 
 def rho_n(params: SystemParams, n: int) -> float:

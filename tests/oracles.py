@@ -31,9 +31,9 @@ variable to the length on which the integrand decays, and both take a_n
 from one_plus_rho_scipy.
 far_integral_parts_full evaluates the far field's series with every one of
 its terms, where specfun.far_integral_parts stops at the last one that can
-change the sum.  jacobi_poly is no oracle: it reads one degree of the
-package's Jacobi recurrence, which jacobi_poly_explicit and
-gauss_jacobi_integral check.
+change the sum.  jacobi_poly is scipy's eval_jacobi on [0, 1], not the
+package's Clenshaw series, which the tests check against it and against
+jacobi_poly_explicit.
 disk_arrivals draws every BS of a disk realization, continuing the arrival
 process of sim.draw_ppp past its NEAREST_BS nearest BSs, and disk_ccp
 multiplies over all of them with a segmented reduction, where the simulator
@@ -47,9 +47,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import binom, hyp2f1, roots_jacobi
+from scipy.special import binom, eval_jacobi, hyp2f1, roots_jacobi
 
-from metadist import jacobi, sim, specfun
+from metadist import sim, specfun
 
 
 def rho_quadrature(n: int, gamma_pl: float, theta: float, tol: float = 1e-11) -> float:
@@ -240,14 +240,13 @@ def jacobi_poly_explicit(alpha: float, beta: float, n: int, x: float) -> float:
 
 
 def jacobi_poly(alpha: float, beta: float, n: int, x):
-    """Shifted Jacobi polynomial P_n^(alpha,beta) on [0, 1] by the package's recurrence.
+    """Shifted Jacobi polynomial P_n^(alpha,beta) on [0, 1] by scipy's eval_jacobi.
 
-    Row n of jacobi._jacobi_all, the polynomials the reconstruction
-    evaluates: a float for a scalar x, an ndarray of x's shape for an
-    ndarray.  This is the code under test, not an oracle;
-    jacobi_poly_explicit and gauss_jacobi_integral check it.
+    P_n^(alpha,beta)(2x - 1) on the canonical interval, orthogonal under
+    (1-x)^alpha x^beta on [0, 1]: a float for a scalar x, an ndarray of x's
+    shape for an ndarray.
     """
-    vals = jacobi._jacobi_all(alpha, beta, n, np.asarray(x, dtype=float))[n]
+    vals = eval_jacobi(n, alpha, beta, 2.0 * np.asarray(x, dtype=float) - 1.0)
     return float(vals) if vals.ndim == 0 else vals
 
 

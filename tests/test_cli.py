@@ -291,6 +291,15 @@ class TestReconstructCommand:
         assert err == ("error: mu2=0.2 lies below mu1^2=0.25: a negative variance, so these "
                        "are not the moments of a law on [0, 1]\n")
 
+    def test_negative_variance_exits_in_an_explicit_basis(self, tmp_path):
+        # No moment matching runs here: the Hausdorff check names the variance.
+        mfile = tmp_path / "mu.csv"
+        self._write_moment_file(mfile, [1.0, 0.5, 0.2])
+        err = run("reconstruct", "--moments-file", mfile, "--order", "2", "--alpha", "0",
+                  "--beta", "0", "--grid-points", "5").error(EXIT_MATH)
+        assert err == ("error: mu2=0.2 lies below mu1^2=0.25: a negative variance, so these "
+                       "are not the moments of a law on [0, 1]\n")
+
     def test_blank_first_line_is_math_error(self, tmp_path):
         mfile = tmp_path / "mu.csv"
         mfile.write_text("\nmu\n1.0\n0.5\n")

@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import poch
 
 from metadist import jacobi
 from metadist.jacobi import (
@@ -43,36 +42,74 @@ def _beta_27_13_distribution(order=10):
     return fourier_jacobi_coeffs(seq, basis)
 
 
+def _series(al, be, c, x):
+    return jacobi._weighted_series(al, be, c, np.asarray(x, dtype=float))
+
+
+def _weight(al, be, x):
+    return (1.0 - x) ** al * x**be
+
+
+def _unit(n):
+    return [0.0] * n + [1.0]
+
+
+# Interior points: a weight with a negative exponent is infinite at its end.
+INTERIOR = np.linspace(0.0, 1.0, 1001)[1:-1]
+
+
 class TestJacobiPoly:
+    """The package's weighted Clenshaw series, w(x) sum_k c_k P_k(x)."""
+
     def test_degree_zero_is_one(self):
+        # P_0 = 1, so the series of c = (1,) is the weight itself.
         for al, be in BASES:
-            assert jacobi_poly(al, be, 0, 0.37) == 1.0
+            assert _series(al, be, [1.0], INTERIOR).tolist() == _weight(al, be, INTERIOR).tolist()
 
     def test_shifted_legendre_degree_one(self):
-        for x in np.linspace(0.0, 1.0, 11):
-            assert jacobi_poly(0.0, 0.0, 1, float(x)) == pytest.approx(
-                2.0 * x - 1.0, abs=1e-14
-            )
+        xs = np.linspace(0.0, 1.0, 11)
+        assert np.max(np.abs(_series(0.0, 0.0, [0.0, 1.0], xs) - (2.0 * xs - 1.0))) <= 1e-14
 
     def test_value_at_one(self):
+        # P_n(1) = (alpha+1)_n / n! and P_n(0) = (-1)^n (beta+1)_n / n!; the
+        # weight is 1 there when alpha = 0 (at x = 1) or beta = 0 (at x = 0).
         for al, be in BASES:
             for n in range(13):
-                expected = poch(al + 1.0, n) / math.factorial(n)
-                assert jacobi_poly(al, be, n, 1.0) == pytest.approx(expected, rel=1e-11)
+                at_one = _series(0.0, be, _unit(n), [1.0])[0]
+                at_zero = _series(al, 0.0, _unit(n), [0.0])[0]
+                assert at_one == pytest.approx(1.0, rel=1e-11)
+                assert at_zero == pytest.approx((-1.0) ** n, rel=1e-11)
 
     def test_recurrence_matches_explicit_sum(self):
-        xs = np.linspace(0.0, 1.0, 101)
+        xs = np.linspace(0.0, 1.0, 101)[1:-1]
         for al, be in BASES:
+            w = _weight(al, be, xs)
             for n in range(13):
-                explicit = np.array([jacobi_poly_explicit(al, be, n, float(x)) for x in xs])
-                recur = jacobi_poly(al, be, n, xs)
+                explicit = w * np.array([jacobi_poly_explicit(al, be, n, float(x)) for x in xs])
                 scale = max(1.0, float(np.max(np.abs(explicit))))
-                assert np.max(np.abs(recur - explicit)) <= 1e-10 * scale
+                assert np.max(np.abs(_series(al, be, _unit(n), xs) - explicit)) <= 1e-10 * scale
 
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(0.05, 0.95, 7)
-        vec = jacobi_poly(0.3, 1.7, 5, xs)
-        assert vec == pytest.approx([jacobi_poly(0.3, 1.7, 5, float(x)) for x in xs])
+        c = [0.4, -1.1, 0.7, 0.2, -0.3, 0.9]
+        vec = _series(0.3, 1.7, c, xs)
+        assert vec == pytest.approx([_series(0.3, 1.7, c, [x])[0] for x in xs])
+
+    # BASES plus the matched bases of sweep's ends: -20 dB (beta near 100)
+    # and 20 dB (both exponents near -1).
+    @pytest.mark.parametrize("al, be", BASES + [(-0.38, 98.2), (-0.54, -0.95)])
+    def test_matches_scipy_up_to_the_order_cap(self, al, be):
+        # Against w(x) sum_k c_k eval_jacobi(k, alpha, beta, 2x - 1), the worst
+        # error over the orders is 8.3e-14 of max |series| at (-0.38, 98.2),
+        # 3.6e-14 at (-0.54, -0.95) and 5.3e-15 or less on BASES.  A forward
+        # three-term recurrence summed the same way reads 9.3e-14 and 2.7e-14.
+        rng = np.random.default_rng(59)
+        w = _weight(al, be, INTERIOR)
+        for order in range(jacobi.ORDER_HARD_CAP + 1):
+            c = rng.standard_normal(order + 1).tolist()
+            ref = w * sum(ck * jacobi_poly(al, be, k, INTERIOR) for k, ck in enumerate(c))
+            err = np.max(np.abs(_series(al, be, c, INTERIOR) - ref))
+            assert err <= 2e-13 * np.max(np.abs(ref)), (order, err)
 
 
 class TestNormH:

@@ -142,21 +142,53 @@ class TestHausdorff:
         # A first difference below -1e-9 is a rising pair, which no sequence holds.
         with pytest.raises(ValueError, match="must be nonincreasing"):
             MomentSequence((1.0, 0.5, 0.5 + 1.1e-9), METHOD_EMPIRICAL)
-        # E[(1-C)^2] = mu_0 - 2 mu_1 + mu_2 may reach -2e-9 but not below.
-        MomentSequence((1.0, 0.5 + 0.9e-9, 0.0), METHOD_EMPIRICAL).check_hausdorff()
+        # E[(1-C)^2] = mu_0 - 2 mu_1 + mu_2 may reach -2e-9 but not below.  It
+        # is the variance plus (1 - mu_1)^2, so only mu_1 = 1 lets it dip
+        # below 0 while the variance stays within its own margin.
+        MomentSequence((1.0, 1.0, 1.0 - 1.8e-9), METHOD_EMPIRICAL).check_hausdorff()
         with pytest.raises(ValueError, match="k=2, n=0"):
-            MomentSequence((1.0, 0.5 + 1.1e-9, 0.0), METHOD_EMPIRICAL).check_hausdorff()
+            MomentSequence((1.0, 1.0, 1.0 - 2.2e-9), METHOD_EMPIRICAL).check_hausdorff()
+
+    def test_negative_variance_fails(self):
+        # Every difference with n + k <= 2 is >= 0, yet mu_2 - mu_1^2 = -0.05.
+        with pytest.raises(ValueError, match=r"^mu2=0.2 lies below mu1\^2=0.25: a negative "
+                                             r"variance, so these are not the moments"):
+            MomentSequence((1.0, 0.5, 0.2), METHOD_EMPIRICAL).check_hausdorff()
+        # mu_2 = 0 at mu_1 = 1/2 is a variance of -0.25, within every difference margin.
+        with pytest.raises(ValueError, match="negative variance"):
+            MomentSequence((1.0, 0.5 + 0.9e-9, 0.0), METHOD_EMPIRICAL).check_hausdorff()
+
+    def test_variance_margin_is_twice_the_slack(self):
+        MomentSequence((1.0, 0.5, 0.25 - 1.9e-9), METHOD_EMPIRICAL).check_hausdorff()
+        with pytest.raises(ValueError, match="negative variance"):
+            MomentSequence((1.0, 0.5, 0.25 - 2.1e-9), METHOD_EMPIRICAL).check_hausdorff()
 
     def test_difference_is_the_beta_law_value(self):
         # For Beta(a, b), E[C^n (1-C)^k] = B(a+n, b+k) / B(a, b).
         a, b = 2.7, 1.3
         seq = MomentSequence(beta_moments(a, b, 12), METHOD_EMPIRICAL)
         log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        for n in range(7):
-            for k in range(6):
+        diffs = seq.differences(12)
+        assert [len(row) for row in diffs] == list(range(13, 0, -1))
+        for n, row in enumerate(diffs):
+            for k, diff in enumerate(row):
                 exact = math.exp(math.lgamma(a + n) + math.lgamma(b + k)
                                  - math.lgamma(a + b + n + k) - log_norm)
-                assert seq.difference(n, k) == pytest.approx(exact, rel=1e-10)
+                assert diff == pytest.approx(exact, rel=1e-10)
+
+    def test_differences_are_one_fsum_per_entry(self):
+        # Each entry is the one math.fsum of C(m, j) (-1)^j mu_{l+j}, to the bit.
+        mu = moment_sequence(SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10), 20).values
+        diffs = MomentSequence(mu, METHOD_EMPIRICAL).differences(20)
+        for l, row in enumerate(diffs):
+            assert row == [math.fsum(math.comb(m, j) * (-1.0) ** j * mu[l + j]
+                                     for j in range(m + 1)) for m in range(21 - l)]
+
+    def test_differences_need_the_moments(self):
+        seq = MomentSequence((1.0, 0.5, 0.3), METHOD_EMPIRICAL)
+        assert seq.differences(0) == [[1.0]]
+        with pytest.raises(ValueError, match=r"up to order 3 need mu_0..mu_3, got mu_0..mu_2"):
+            seq.differences(3)
 
     @pytest.mark.parametrize("method", [METHOD_EXACT, METHOD_CLOSED_FORM])
     def test_scenario_moments_pass(self, method):
