@@ -207,12 +207,21 @@ class MomentSequence:
 
         Every difference E[C^n (1-C)^k] (differences(N)[n][k]), with k >= 1
         and n + k <= N, must be nonnegative, and then so must the variance
-        mu_2 - mu_1^2 (the order-1 Hankel condition).  These are necessary,
-        not sufficient: the higher Hankel determinants are not checked.  The
-        monotonicity slack (k = 1) lets each value be off by half of it,
-        which moves a k-th difference by up to 2^(k-1) times the slack: that
-        is the margin allowed.  It moves the variance by up to (1 + 2 mu_1)/2
-        times the slack, within the k = 2 margin, which the variance takes.
+        mu_2 - mu_1^2.  The monotonicity slack (k = 1) lets each value be off
+        by half of it, which moves a k-th difference by up to 2^(k-1) times
+        the slack: that is the margin allowed.  It moves the variance by up
+        to (1 + 2 mu_1)/2 times the slack, within the k = 2 margin, which the
+        variance takes.
+
+        Last, the Hankel matrices of the truncated Hausdorff problem must be
+        positive semidefinite, which no law on [0, 1] can fail: for N = 2k,
+        [E[C^(i+j)]], i, j = 0..k, and [E[C^(i+j+1) (1-C)]], i, j = 0..k-1;
+        for N = 2k+1, [E[C^(i+j+1)]] and [E[C^(i+j) (1-C)]], i, j = 0..k.
+        Up to the margins, a sequence that passes them is the moments of a
+        law on [0, 1] (the truncated Hausdorff moment problem is solvable).
+        Each entry is a value or a first difference, off by at most the
+        slack, so an m x m matrix moves by at most m times the slack in the
+        2-norm: its smallest eigenvalue may reach -m times the slack.
         """
         diffs = self.differences(len(self) - 1)
         for k in range(1, len(self)):
@@ -226,6 +235,21 @@ class MomentSequence:
             mu1, mu2 = self.values[1], self.values[2]
             if not mu2 - mu1 * mu1 >= -2.0 * _MONOTONE_SLACK:
                 raise ValueError(negative_variance_message(mu1, mu2))
+        # (s, t, m): the m x m matrix [E[C^(i+j+s) (1-C)^t]] = [diffs[i+j+s][t]].
+        half = (len(self) - 1) // 2
+        hankels = ([(1, 0, half + 1), (0, 1, half + 1)] if len(self) % 2 == 0
+                   else [(0, 0, half + 1), (1, 1, half)])
+        for s, t, m in hankels:
+            if m == 0:
+                continue
+            smallest = float(np.linalg.eigvalsh(
+                [[diffs[i + j + s][t] for j in range(m)] for i in range(m)])[0])
+            if not smallest >= -m * _MONOTONE_SLACK:
+                entry = f"C^(i+j{'+1' if s else ''}){' (1-C)' if t else ''}"
+                raise ValueError(
+                    f"not the moments of a law on [0, 1]: the Hankel matrix "
+                    f"[E[{entry}]], i, j = 0..{m - 1}, has eigenvalue {smallest:.6g} < 0"
+                )
 
 
 def negative_variance_message(mu1: float, mu2: float) -> str:

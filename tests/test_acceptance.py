@@ -34,7 +34,7 @@ def test_criterion_1_moment_exactness_limits():
     t0 = time.perf_counter()
     worst_zero = 0.0
     for g, lam, p, s2 in [(3.0, 1e-3, 1.0, 1e-10), (4.0, 1e-2, 0.5, 0.0),
-                          (5.0, 1e-4, 2.0, 1e-8)]:
+                          (5.0, 1e-4, 2.0, 1e-8), (5.0, 1e-2, 2.0, 0.0)]:
         params = moments.SystemParams(lam, g, 0.0, p, s2)
         worst_zero = max(worst_zero, abs(moments.moment_exact(params, 1) - 1.0),
                          abs(moments.moment_approx(params, 1) - 1.0))

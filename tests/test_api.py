@@ -256,8 +256,8 @@ def test_non_integral_count_is_type_error(build):
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
-    # Each python block runs on its own, under the suite's RuntimeWarning
-    # filter.  The metadist lines of the command-line block run in order in
+    # Each python block runs on its own, under the suite's warnings policy:
+    # a warning the examples let escape fails the test.  The metadist lines of the command-line block run in order in
     # one directory, so compare reads the samples that simulate wrote.
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text()

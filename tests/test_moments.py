@@ -110,11 +110,7 @@ class TestRho:
     def test_oracle_gamma5(self, paper_params):
         assert rho_n(paper_params, 3) == pytest.approx(rho_quadrature(3, 5.0, 1.0), rel=1e-8)
 
-    def test_requires_positive_n(self, paper_params):
-        with pytest.raises(ValueError):
-            rho_n(paper_params, 0)
-
-    @pytest.mark.parametrize("function", [coeffs, moment_exact, moment_approx])
+    @pytest.mark.parametrize("function", [coeffs, moment_exact, moment_approx, rho_n])
     @pytest.mark.parametrize("n", [0, -1])
     def test_functions_of_n_require_positive_n(self, paper_params, function, n):
         with pytest.raises(ValueError, match="requires n >= 1"):
@@ -162,6 +158,31 @@ class TestHausdorff:
         MomentSequence((1.0, 0.5, 0.25 - 1.9e-9), METHOD_EMPIRICAL).check_hausdorff()
         with pytest.raises(ValueError, match="negative variance"):
             MomentSequence((1.0, 0.5, 0.25 - 2.1e-9), METHOD_EMPIRICAL).check_hausdorff()
+
+    @pytest.mark.parametrize("values, hankel", [
+        # N = 4: E[C^2 (1-C)]^2 = 0.0025 exceeds E[C (1-C)] E[C^3 (1-C)] =
+        # 0.001, which Cauchy-Schwarz forbids.
+        ((1.0, 0.6, 0.5, 0.45, 0.44), r"\[E\[C\^\(i\+j\+1\) \(1-C\)\]\]"),
+        # N = 3: E[C^2]^2 = 0.16 exceeds E[C] E[C^3] = 0.15.
+        ((1.0, 0.5, 0.4, 0.3), r"\[E\[C\^\(i\+j\+1\)\]\]"),
+    ], ids=["even", "odd"])
+    def test_hankel_matrix_fails(self, values, hankel):
+        # Every difference and the variance pass.
+        with pytest.raises(ValueError, match=f"the Hankel matrix {hankel}, i, j = 0..1, has "
+                                             f"eigenvalue -0.012"):
+            MomentSequence(values, METHOD_EMPIRICAL).check_hausdorff()
+
+    @pytest.mark.parametrize("n, sign", [(4, 1.0), (3, -1.0)], ids=["even", "odd"])
+    def test_hankel_margin_is_the_size_times_the_slack(self, n, sign):
+        # The point mass at 1/2 makes one 2 x 2 Hankel matrix singular, the
+        # last for N = 4 and the first for N = 3.  Moving mu_N by sign e gives
+        # it the eigenvalue -0.8 e to first order, and leaves every difference
+        # and the variance far inside their margins.  Its margin is 2e-9.
+        mu = [0.5**j for j in range(n)]
+        last = 0.5**n
+        MomentSequence((*mu, last + sign * 2.4e-9), METHOD_EMPIRICAL).check_hausdorff()
+        with pytest.raises(ValueError, match="Hankel matrix .* has eigenvalue -2.08e-09 < 0"):
+            MomentSequence((*mu, last + sign * 2.6e-9), METHOD_EMPIRICAL).check_hausdorff()
 
     def test_difference_is_the_beta_law_value(self):
         # For Beta(a, b), E[C^n (1-C)^k] = B(a+n, b+k) / B(a, b).
@@ -220,11 +241,6 @@ class TestCoeffs:
 
 
 class TestMomentExact:
-    def test_zero_threshold_is_one(self):
-        for g, lam, p, s2 in [(3.0, 1e-3, 1.0, 1e-10), (5.0, 0.01, 2.0, 0.0)]:
-            params = SystemParams(lam, g, 0.0, p, s2)
-            assert abs(moment_exact(params, 1) - 1.0) <= 1e-10
-
     def test_noiseless_closed_form(self):
         p = SystemParams(1e-3, 5.0, 1.0, 1.0, 0.0)
         for n in (1, 3, 6):
@@ -493,7 +509,6 @@ class TestNoiseRoot:
             assert moment_sequence(moved, 10, method).values == (
                 moment_sequence(base, 10, method).values)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_root_gives_zero(self):
         # c_1 = 1e-4 / (pi 1e-320) overflows: mu_n is below the normal doubles.
         # Each c_n = inf is a row with r_n = a_n / inf = 0, whose integrand the

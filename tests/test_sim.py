@@ -1,5 +1,8 @@
-"""Point-process simulator: geometry, per-realization coverage, campaign
-determinism, and statistical agreement with the analytic moments."""
+"""Point-process simulator: geometry, per-realization coverage, campaigns
+(seeded blocks, run one after another on the calling thread, with the same
+bytes on any thread), and statistical agreement with the analytic moments.
+The far-field integral F that the kernel takes from specfun is tested in
+test_specfun."""
 import csv
 import dataclasses
 import io
@@ -8,16 +11,14 @@ import re
 import sys
 import threading
 import tracemalloc
-import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import binom, chisquare, expon, ks_2samp, kstest
 
 from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact, moment_sequence
-from metadist import jacobi, sim, specfun
+from metadist import jacobi, sim
 from metadist.sim import (
     BLOCK_SIZE,
     NEAREST_BS,
@@ -38,7 +39,6 @@ from oracles import (
     disk_arrivals,
     disk_ccp,
     disk_distances,
-    far_integral_parts_full,
     log_inv_ccp_reference,
 )
 from spies import spy
@@ -102,12 +102,10 @@ class TestConfigValidation:
         # 1e-3): the same campaign as R = inf, the infinite plane, in both
         # modes, with no empty disk and no warning.
         for mode in ("analytic", "sampled"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                runs = [run_campaign(SimConfig(params=paper_params, num_realizations=600,
-                                               region_radius=radius, fading_mode=mode,
-                                               rng_seed=3))
-                        for radius in (math.inf, 1e300, 1e200)]
+            runs = [run_campaign(SimConfig(params=paper_params, num_realizations=600,
+                                           region_radius=radius, fading_mode=mode,
+                                           rng_seed=3))
+                    for radius in (math.inf, 1e300, 1e200)]
             assert [emp.redraws for emp in runs] == [0, 0, 0]
             assert len({emp.ccp_samples.tobytes() for emp in runs}) == 1
 
@@ -115,9 +113,7 @@ class TestConfigValidation:
         # lambda pi R^2 = 3.1e15 BSs: a realization still draws only its
         # NEAREST_BS nearest, and the far field runs to the edge.
         cfg = SimConfig(params=paper_params, num_realizations=3, region_radius=1e9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            emp = run_campaign(cfg)
+        emp = run_campaign(cfg)
         assert emp.redraws == 0
         assert np.all((emp.ccp_samples > 0.0) & (emp.ccp_samples <= 1.0))
 
@@ -233,12 +229,6 @@ class TestDrawPpp:
         assert redraws == 0
         assert drawn.bit_generator.state == rng.bit_generator.state
 
-    def test_deterministic_under_seed(self, paper_params):
-        cfg = SimConfig(params=paper_params, num_realizations=1)
-        a = draw_ppp(cfg, 3, np.random.default_rng(11))
-        b = draw_ppp(cfg, 3, np.random.default_rng(11))
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-
 
 class TestCcpAnalytic:
     def test_zero_threshold(self):
@@ -282,11 +272,9 @@ class TestCcpAnalytic:
         # pi lambda r^2 overflows at r = 1e200 and lambda 1e-3; an infinite
         # or NaN distance has no arrival either.  The error names the distance,
         # alone or among finite ones, and no overflow warning comes first.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for distances in ([r], [40.0, r, 90.0]):
-                with pytest.raises(ValueError, match=re.escape(f"r = {r!r}")):
-                    ccp_analytic(np.array(distances), paper_params)
+        for distances in ([r], [40.0, r, 90.0]):
+            with pytest.raises(ValueError, match=re.escape(f"r = {r!r}")):
+                ccp_analytic(np.array(distances), paper_params)
 
     @pytest.mark.parametrize("theta", [1e-2, 1.0, 1e2, 1e4, 1e6])
     @pytest.mark.parametrize("gamma", [2.5, 4.0, 6.0])
@@ -327,139 +315,9 @@ class TestCcpAnalytic:
         # read as ratio 1, with no warning.
         p = SystemParams(1e-3, 4.0, 1.0, 1.0, 1e-10)
         assert ccp_analytic(np.array([0.0, 30.0, 80.0]), p) == 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ccp_analytic(np.array([0.0, 30.0, 0.0]), p) == 0.5
-            # Every BS on the user: the far field's ratio is 0/0 too.
-            assert ccp_analytic(np.zeros(3), p) == 0.25
-
-
-class TestFarIntegral:
-    # Lengths at which the power table may stop (see specfun.far_integral_parts).
-    LADDER = (2, 4, 8, 16, 32, specfun._F_TERMS)
-
-    # F(s) = int_0^s x^-delta / (1 + x) dx = s^(1-delta) / (1-delta) 2F1(1, 1-delta;
-    # 2-delta; -s), in 40-digit arithmetic by mpmath.  The series take about
-    # 9.1e-15 relative at gamma 2.01, where F(inf) = pi / sin(pi delta) is
-    # about 200 and its rounding dominates, and below 3.5e-15 elsewhere.
-    REL_TOL = 1.5e-14
-
-    @staticmethod
-    def far_integral(s, delta):
-        offset, series = specfun.far_integral_parts(np.asarray(s, dtype=float), delta)
-        return offset + series
-
-    @pytest.mark.parametrize("gamma", [2.01, 2.5, 4.0, 5.0, 8.0, 20.0])
-    def test_matches_mpmath(self, gamma):
-        delta = 2.0 / gamma
-        s = np.concatenate([np.logspace(-20.0, 20.0, 81), [0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
-                                                           2.0, 6e15]])
-        with mpmath.workdps(40):
-            d = mpmath.mpf(delta)
-            expected = np.array([float(mpmath.mpf(x) ** (1 - d) / (1 - d)
-                                       * mpmath.hyp2f1(1, 1 - d, 2 - d, -mpmath.mpf(x)))
-                                 for x in s])
-        got = self.far_integral(s, delta)
-        assert np.max(np.abs(got - expected) / expected) <= self.REL_TOL
-
-    @pytest.mark.parametrize("gamma", [2.01, 4.0, 20.0])
-    def test_zero_is_exact(self, gamma):
-        # An s that underflows to 0 takes no log of zero and gives F = 0.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert self.far_integral(np.zeros(3), 2.0 / gamma).tolist() == [0.0] * 3
-
-    @pytest.mark.parametrize("gamma", [2.01, 2.5, 4.0, 5.0, 8.0, 20.0])
-    def test_cut_table_is_the_full_table(self, gamma):
-        # The table stops at the first ladder length J with every z^J < 2^-54;
-        # the rows it leaves out cannot change a float of the sums.  One s per
-        # call, so that each takes its own J, and the grid reaches every J.
-        delta = 2.0 / gamma
-        s = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 601), np.logspace(-9.0, 1.0, 201),
-                            [1.0 - 1e-12, 1.0, 1.0 + 1e-12]])
-        z = np.where(s <= 1.0, s / (1.0 + s), 1.0 / (1.0 + s))
-        cuts = {next(j for j in self.LADDER if j == self.LADDER[-1] or x**j < 2.0**-54)
-                for x in z.tolist()}
-        assert cuts == set(self.LADDER)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for x in s:
-                (offset, series), (full_offset, full_series) = (
-                    parts(np.array([x]), delta)
-                    for parts in (specfun.far_integral_parts, far_integral_parts_full))
-                assert offset == full_offset and series == full_series
-
-    @pytest.mark.parametrize("gamma", [2.01, 4.0, 20.0])
-    @pytest.mark.parametrize("rung", [1, 2, 3, 4, 5])
-    def test_largest_z_sets_the_table_of_the_call(self, gamma, rung):
-        # One table length serves a whole call.  Many tiny z of both branches,
-        # which alone stop at J = 2, share a call with one s whose z lies at
-        # the rung's threshold (where z squared `rung` times first falls below
-        # 2^-54) or one float either side of it, on either branch.
-        delta = 2.0 / gamma
-        tiny = np.concatenate([[0.0], np.logspace(-300.0, -20.0, 29),
-                               np.logspace(20.0, 300.0, 29)])
-
-        def below(s, squarings):
-            # Every z of s, squared elementwise, below 2^-54.
-            z = np.fmin(s, 1.0) / (1.0 + s)
-            for _ in range(squarings):
-                z = z * z
-            return bool(np.all(z < 2.0**-54))
-
-        def table_length(s):
-            return next((j for i, j in enumerate(self.LADDER[:-1], 1) if below(s, i)),
-                        self.LADDER[-1])
-
-        lengths = set()
-        # Below s = 1, z = s / (1 + s) rises with s; above it, z = 1 / (1 + s)
-        # falls.  Bisect the bit patterns of s for the two adjacent floats
-        # between which z squared `rung` times crosses 2^-54.
-        for lo, hi in ((1e-300, 1.0), (1.0, 1e300)):
-            lo_bits, hi_bits = np.array([lo, hi]).view(np.int64).tolist()
-            side = below(np.array([lo]), rung)
-            while hi_bits - lo_bits > 1:
-                mid = (lo_bits + hi_bits) // 2
-                if below(np.array([mid]).view(np.float64), rung) == side:
-                    lo_bits = mid
-                else:
-                    hi_bits = mid
-            edge = np.array([lo_bits - 1, lo_bits, hi_bits, hi_bits + 1]).view(np.float64)
-            for x in edge:
-                s = np.insert(tiny, tiny.size // 2, x)
-                lengths.add(table_length(s))
-                got = specfun.far_integral_parts(s, delta)
-                full = far_integral_parts_full(s, delta)
-                assert np.array_equal(got[0], full[0]) and np.array_equal(got[1], full[1])
-        assert lengths == set(self.LADDER[rung - 1:rung + 1])
-
-    @pytest.mark.parametrize("theta_db", [-60.0, 0.0, 60.0])
-    @pytest.mark.parametrize("gamma", [2.05, 4.0])
-    def test_kernel_blocks_match_the_full_table(self, gamma, theta_db, monkeypatch):
-        # A campaign block's log(1/C) is the same float with the 54-row table:
-        # on the default disk (mean count 785, where no t_K passes the edge),
-        # at the block's median t_K (half the rows end past it, take s_m for
-        # s_K and mask their BSs past it) and on the plane.
-        p = SystemParams(1e-3, gamma, 10.0 ** (theta_db / 10.0), 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=BLOCK_SIZE)
-        arrivals, _ = draw_ppp(cfg, BLOCK_SIZE, np.random.default_rng([35, int(theta_db) + 60]))
-        edges = (cfg.mean_count, float(np.median(arrivals[:, -1])), math.inf)
-        assert [np.count_nonzero(arrivals[:, -1] > m) for m in edges] == [0, BLOCK_SIZE // 2, 0]
-        got = [sim._log_inv_ccp(arrivals, p, m) for m in edges]
-        monkeypatch.setattr(sim, "far_integral_parts", far_integral_parts_full)
-        for m, log_inv in zip(edges, got):
-            assert np.array_equal(sim._log_inv_ccp(arrivals, p, m), log_inv)
-
-    def test_difference_above_one_cancels_the_limit(self):
-        # Two arguments above s = 1 cancel F(inf) exactly in the offsets, so
-        # a tiny difference keeps its relative accuracy.
-        delta = 2.0 / 2.01
-        (off_a, off_b), (ser_a, ser_b) = specfun.far_integral_parts(np.array([1e6, 2e6]), delta)
-        assert off_a == off_b > 0.0
-        with mpmath.workdps(40):
-            d = mpmath.mpf(delta)
-            expected = float(mpmath.quad(lambda x: x**-d / (1 + x), [1e6, 2e6]))
-        assert (off_b - off_a) + (ser_b - ser_a) == pytest.approx(expected, rel=1e-13)
+        assert ccp_analytic(np.array([0.0, 30.0, 0.0]), p) == 0.5
+        # Every BS on the user: the far field's ratio is 0/0 too.
+        assert ccp_analytic(np.zeros(3), p) == 0.25
 
 
 class TestCcpSampled:
@@ -516,9 +374,7 @@ class TestCcpSampled:
     def test_single_station_noise_free(self):
         p = SystemParams(1e-3, 5.0, 1.0, 1.0, 0.0)
         r = np.array([100.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = ccp_sampled(r, p, 500, np.random.default_rng(8))
+        got = ccp_sampled(r, p, 500, np.random.default_rng(8))
         assert got == 1.0
         assert ccp_sampled_reference(r, p, 500, np.random.default_rng(8)) == 1.0
 
@@ -578,12 +434,6 @@ class TestCampaign:
         p = SystemParams(1e-3, 5.0, 0.0, 1.0, 1e-10)
         emp = run_campaign(SimConfig(params=p, num_realizations=40, rng_seed=3))
         assert np.all(emp.ccp_samples == 1.0)
-
-    def test_deterministic(self, paper_params):
-        cfg = SimConfig(params=paper_params, num_realizations=200, rng_seed=17)
-        a = run_campaign(cfg)
-        b = run_campaign(cfg)
-        assert np.array_equal(a.ccp_samples, b.ccp_samples)
 
     def test_mean_matches_first_moment(self, paper_params):
         emp = run_campaign(SimConfig(params=paper_params, num_realizations=2000, rng_seed=5))
@@ -700,68 +550,16 @@ class TestCampaign:
             tracemalloc.stop()
         assert peak < 2**20
 
-    # Five blocks, the last one partial.
-    CONCURRENT_REALIZATIONS = 4 * BLOCK_SIZE + 37
-
-    @staticmethod
-    def spy_threads(monkeypatch, name):
-        """Patch sim.<name> to record (thread, active thread count) of each call."""
-        inner = getattr(sim, name)
-        seen = set()
-
-        def record(*args):
-            seen.add((threading.get_ident(), threading.active_count()))
-            return inner(*args)
-
-        monkeypatch.setattr(sim, name, record)
-        return seen
-
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
-    def test_samples_independent_of_worker_count(self, mode):
-        # Campaigns hold no shared state: the same campaign run at once on
-        # 1, 2 or 4 caller threads gives the bytes of a lone run.  A short
-        # switch interval interleaves the threads often.
-        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
-                        fading_mode=mode, num_channel_draws=20, rng_seed=11)
-        lone = run_campaign(cfg).ccp_samples.tobytes()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 4):
-                runs = [None] * workers
-
-                def run(k):
-                    runs[k] = run_campaign(cfg).ccp_samples.tobytes()
-
-                threads = [threading.Thread(target=run, args=(k,)) for k in range(workers)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60.0)
-                    assert not t.is_alive()
-                assert runs == [lone] * workers
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
-    def test_one_block_runs_on_the_caller(self, mode, monkeypatch):
-        # Every block of a campaign, one or eight, runs on the calling thread
-        # and no thread is started.
-        threads = self.spy_threads(monkeypatch, "draw_ppp")
-        before = threading.active_count()
-        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        for total in (10, 8 * BLOCK_SIZE):
-            run_campaign(SimConfig(params=p, num_realizations=total, fading_mode=mode,
-                                   num_channel_draws=20, rng_seed=3))
-        assert threads == {(threading.get_ident(), before)}
-
-    def test_redraws_summed_over_concurrent_blocks(self):
-        # About 92% of realizations are empty at first draw at this density.
-        # Each campaign counts them over its own blocks, also while two
-        # campaigns run at once on two caller threads.
+    def test_concurrent_campaigns_are_the_lone_run(self, mode):
+        # Campaigns hold no shared state: four runs of one campaign at once on
+        # caller threads each give the bytes of a lone run and count the
+        # redraws of its own five blocks, the last one partial.  About 92% of
+        # realizations are empty at first draw at this density, so every
+        # block redraws.  A short switch interval interleaves the threads often.
         p = SystemParams(1e-7, 5.0, 1.0, 1.0, 0.0)
-        cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS, rng_seed=4)
+        cfg = SimConfig(params=p, num_realizations=4 * BLOCK_SIZE + 37, fading_mode=mode,
+                        num_channel_draws=20, rng_seed=4)
         per_block = [
             np.count_nonzero(
                 np.random.default_rng([cfg.rng_seed, block]).standard_exponential(
@@ -770,22 +568,53 @@ class TestCampaign:
             for block, first in enumerate(range(0, cfg.num_realizations, BLOCK_SIZE))
         ]
         assert min(per_block) > 0
-        redraws = []
-        threads = [threading.Thread(target=lambda: redraws.append(run_campaign(cfg).redraws))
-                   for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-            assert not t.is_alive()
-        assert redraws == [sum(per_block)] * 2
+        lone = run_campaign(cfg)
+        assert lone.redraws == sum(per_block)
+        runs = [None] * 4
 
-    @pytest.mark.parametrize("block", [1, 2, 4])
-    def test_sampled_part_exception_is_raised(self, block, monkeypatch):
-        # The kernel hands one block's binomial thinning a CCP above 1, so
-        # the sampled part of that block raises and no later block runs.
+        def run(k):
+            emp = run_campaign(cfg)
+            runs[k] = (emp.ccp_samples.tobytes(), emp.redraws)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [(lone.ccp_samples.tobytes(), lone.redraws)] * 4
+
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_one_block_runs_on_the_caller(self, mode, monkeypatch):
+        # Every block of a campaign, one or eight, runs on the calling thread
+        # and no thread is started.
+        draw = sim.draw_ppp
+        threads = set()
+
+        def record(*args):
+            threads.add((threading.get_ident(), threading.active_count()))
+            return draw(*args)
+
+        monkeypatch.setattr(sim, "draw_ppp", record)
+        before = threading.active_count()
         p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
-        cfg = SimConfig(params=p, num_realizations=self.CONCURRENT_REALIZATIONS,
+        for total in (10, 8 * BLOCK_SIZE):
+            run_campaign(SimConfig(params=p, num_realizations=total, fading_mode=mode,
+                                   num_channel_draws=20, rng_seed=3))
+        assert threads == {(threading.get_ident(), before)}
+
+    def test_sampled_part_exception_is_raised(self, monkeypatch):
+        # The kernel hands the binomial thinning of block 2 of five (the last
+        # one partial) a CCP above 1, so the sampled part of that block raises
+        # and no later block runs.
+        block = 2
+        p = SystemParams(1e-4, 4.0, 1.0, 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=4 * BLOCK_SIZE + 37,
                         fading_mode="sampled", num_channel_draws=20, rng_seed=2)
         kernel = sim._log_inv_ccp
         calls = []

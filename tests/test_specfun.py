@@ -3,16 +3,19 @@ integrals (dual-route: our series/continued-fraction code vs independent
 oracles)."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from metadist import specfun
+from metadist import sim, specfun
+from metadist.moments import SystemParams
+from metadist.sim import BLOCK_SIZE, SimConfig, draw_ppp
 from metadist.specfun import gauss_2f1, reg_inc_beta
 
-from oracles import gauss_2f1_series_reference, rho_quadrature
+from oracles import far_integral_parts_full, gauss_2f1_series_reference, rho_quadrature
 
 
 class TestGauss2F1:
@@ -40,10 +43,6 @@ class TestGauss2F1:
                     series = gauss_2f1(n, -2.0 / g, 1.0 - 2.0 / g, -theta) - 1.0
                     oracle = rho_quadrature(n, g, theta)
                     assert series == pytest.approx(oracle, rel=1e-8)
-
-    def test_specific_oracle_point(self):
-        oracle = rho_quadrature(2, 5.0, 1.0)
-        assert gauss_2f1(2.0, -0.4, 0.6, -1.0) == pytest.approx(1.0 + oracle, rel=1e-8)
 
     def test_against_scipy(self):
         for a in (0.5, 1.0, 4.0, 10.0):
@@ -348,3 +347,127 @@ class TestRegIncBetaArray:
             reg_inc_beta(0.5, 1e6, 1e6)
         with pytest.raises(ArithmeticError):
             reg_inc_beta(np.array([0.3, 0.5]), 1e6, 1e6)
+
+
+class TestFarIntegral:
+    # Lengths at which the power table may stop (see specfun.far_integral_parts).
+    LADDER = (2, 4, 8, 16, 32, specfun._F_TERMS)
+
+    # F(s) = int_0^s x^-delta / (1 + x) dx = s^(1-delta) / (1-delta) 2F1(1, 1-delta;
+    # 2-delta; -s), in 40-digit arithmetic by mpmath.  The series take about
+    # 9.1e-15 relative at gamma 2.01, where F(inf) = pi / sin(pi delta) is
+    # about 200 and its rounding dominates, and below 3.5e-15 elsewhere.
+    REL_TOL = 1.5e-14
+
+    @staticmethod
+    def far_integral(s, delta):
+        offset, series = specfun.far_integral_parts(np.asarray(s, dtype=float), delta)
+        return offset + series
+
+    @pytest.mark.parametrize("gamma", [2.01, 2.5, 4.0, 5.0, 8.0, 20.0])
+    def test_matches_mpmath(self, gamma):
+        delta = 2.0 / gamma
+        s = np.concatenate([np.logspace(-20.0, 20.0, 81), [0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
+                                                           2.0, 6e15]])
+        with mpmath.workdps(40):
+            d = mpmath.mpf(delta)
+            expected = np.array([float(mpmath.mpf(x) ** (1 - d) / (1 - d)
+                                       * mpmath.hyp2f1(1, 1 - d, 2 - d, -mpmath.mpf(x)))
+                                 for x in s])
+        got = self.far_integral(s, delta)
+        assert np.max(np.abs(got - expected) / expected) <= self.REL_TOL
+
+    @pytest.mark.parametrize("gamma", [2.01, 4.0, 20.0])
+    def test_zero_is_exact(self, gamma):
+        # An s that underflows to 0 takes no log of zero and gives F = 0.
+        assert self.far_integral(np.zeros(3), 2.0 / gamma).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("gamma", [2.01, 2.5, 4.0, 5.0, 8.0, 20.0])
+    def test_cut_table_is_the_full_table(self, gamma):
+        # The table stops at the first ladder length J with every z^J < 2^-54;
+        # the rows it leaves out cannot change a float of the sums.  One s per
+        # call, so that each takes its own J, and the grid reaches every J.
+        delta = 2.0 / gamma
+        s = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 601), np.logspace(-9.0, 1.0, 201),
+                            [1.0 - 1e-12, 1.0, 1.0 + 1e-12]])
+        z = np.where(s <= 1.0, s / (1.0 + s), 1.0 / (1.0 + s))
+        cuts = {next(j for j in self.LADDER if j == self.LADDER[-1] or x**j < 2.0**-54)
+                for x in z.tolist()}
+        assert cuts == set(self.LADDER)
+        for x in s:
+            (offset, series), (full_offset, full_series) = (
+                parts(np.array([x]), delta)
+                for parts in (specfun.far_integral_parts, far_integral_parts_full))
+            assert offset == full_offset and series == full_series
+
+    @pytest.mark.parametrize("gamma", [2.01, 4.0, 20.0])
+    @pytest.mark.parametrize("rung", [1, 2, 3, 4, 5])
+    def test_largest_z_sets_the_table_of_the_call(self, gamma, rung):
+        # One table length serves a whole call.  Many tiny z of both branches,
+        # which alone stop at J = 2, share a call with one s whose z lies at
+        # the rung's threshold (where z squared `rung` times first falls below
+        # 2^-54) or one float either side of it, on either branch.
+        delta = 2.0 / gamma
+        tiny = np.concatenate([[0.0], np.logspace(-300.0, -20.0, 29),
+                               np.logspace(20.0, 300.0, 29)])
+
+        def below(s, squarings):
+            # Every z of s, squared elementwise, below 2^-54.
+            z = np.fmin(s, 1.0) / (1.0 + s)
+            for _ in range(squarings):
+                z = z * z
+            return bool(np.all(z < 2.0**-54))
+
+        def table_length(s):
+            return next((j for i, j in enumerate(self.LADDER[:-1], 1) if below(s, i)),
+                        self.LADDER[-1])
+
+        lengths = set()
+        # Below s = 1, z = s / (1 + s) rises with s; above it, z = 1 / (1 + s)
+        # falls.  Bisect the bit patterns of s for the two adjacent floats
+        # between which z squared `rung` times crosses 2^-54.
+        for lo, hi in ((1e-300, 1.0), (1.0, 1e300)):
+            lo_bits, hi_bits = np.array([lo, hi]).view(np.int64).tolist()
+            side = below(np.array([lo]), rung)
+            while hi_bits - lo_bits > 1:
+                mid = (lo_bits + hi_bits) // 2
+                if below(np.array([mid]).view(np.float64), rung) == side:
+                    lo_bits = mid
+                else:
+                    hi_bits = mid
+            edge = np.array([lo_bits - 1, lo_bits, hi_bits, hi_bits + 1]).view(np.float64)
+            for x in edge:
+                s = np.insert(tiny, tiny.size // 2, x)
+                lengths.add(table_length(s))
+                got = specfun.far_integral_parts(s, delta)
+                full = far_integral_parts_full(s, delta)
+                assert np.array_equal(got[0], full[0]) and np.array_equal(got[1], full[1])
+        assert lengths == set(self.LADDER[rung - 1:rung + 1])
+
+    @pytest.mark.parametrize("theta_db", [-60.0, 0.0, 60.0])
+    @pytest.mark.parametrize("gamma", [2.05, 4.0])
+    def test_kernel_blocks_match_the_full_table(self, gamma, theta_db, monkeypatch):
+        # A campaign block's log(1/C) is the same float with the 54-row table:
+        # on the default disk (mean count 785, where no t_K passes the edge),
+        # at the block's median t_K (half the rows end past it, take s_m for
+        # s_K and mask their BSs past it) and on the plane.
+        p = SystemParams(1e-3, gamma, 10.0 ** (theta_db / 10.0), 1.0, 1e-10)
+        cfg = SimConfig(params=p, num_realizations=BLOCK_SIZE)
+        arrivals, _ = draw_ppp(cfg, BLOCK_SIZE, np.random.default_rng([35, int(theta_db) + 60]))
+        edges = (cfg.mean_count, float(np.median(arrivals[:, -1])), math.inf)
+        assert [np.count_nonzero(arrivals[:, -1] > m) for m in edges] == [0, BLOCK_SIZE // 2, 0]
+        got = [sim._log_inv_ccp(arrivals, p, m) for m in edges]
+        monkeypatch.setattr(sim, "far_integral_parts", far_integral_parts_full)
+        for m, log_inv in zip(edges, got):
+            assert np.array_equal(sim._log_inv_ccp(arrivals, p, m), log_inv)
+
+    def test_difference_above_one_cancels_the_limit(self):
+        # Two arguments above s = 1 cancel F(inf) exactly in the offsets, so
+        # a tiny difference keeps its relative accuracy.
+        delta = 2.0 / 2.01
+        (off_a, off_b), (ser_a, ser_b) = specfun.far_integral_parts(np.array([1e6, 2e6]), delta)
+        assert off_a == off_b > 0.0
+        with mpmath.workdps(40):
+            d = mpmath.mpf(delta)
+            expected = float(mpmath.quad(lambda x: x**-d / (1 + x), [1e6, 2e6]))
+        assert (off_b - off_a) + (ser_b - ser_a) == pytest.approx(expected, rel=1e-13)
