@@ -20,11 +20,10 @@ cap still returns silently; ROADMAP's first correctness item computes every
 
 The incomplete beta's continued fraction runs over all lanes of x at once,
 two partial numerators per step (its even contraction) as a three-term
-recurrence renormalised every step.  Its coefficients are tabulated per
-(a, b) pair, not per lane, a range of steps at a time as far as the
-slowest lane needs.  Each lane freezes in the step its own convergence
-test passes, so an array call gives every element the float a scalar call
-would.
+recurrence renormalised every step.  Each step computes its coefficients
+as Python floats, once for each of the two pairs (a, b) and (b, a), not
+per lane.  Each lane freezes in the step its own convergence test passes,
+so an array call gives every element the float a scalar call would.
 
 F is a series of positive terms in z = min(s, 1) / (1 + s) <= 1/2, with
 F(inf) = pi / sin(pi delta) split off above s = 1.  Its coefficients are
@@ -57,7 +56,6 @@ _SERIES_PYTHON_TERMS = 128
 _SERIES_K = np.arange(_SERIES_MAX_TERMS, dtype=float)
 _CF_RTOL = 1e-16
 _CF_MAX_STEPS = 500
-_CF_FIRST_STOP = 16
 
 # Terms of F's series (see far_integral_parts): each term is at most half
 # the one before, so the terms left out sum to below 2^-53 of the series.
@@ -154,31 +152,23 @@ def _series_factors(b2: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     return b2 + _SERIES_K, (c + _SERIES_K) * (_SERIES_K + 1.0)
 
 
-def _cf_coefficients(
-    a: np.ndarray, b: np.ndarray, first: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The even contraction's coefficients of steps m = first..stop-1.
+def _cf_step(c: float, d: float, m: int, odd: float) -> tuple[float, float, float]:
+    """Step m of the pair (c, d) in _beta_cont_frac: (p_m, q_m, d_2m+1 / x).
 
-    Returns (odd, p, q): odd[0] = d_2m+1 / x at m = first - 1, and row
-    m - first of p and q holds step m's p_m and q_m, one column per pair.
-    Every element is the same float whatever the range it is tabulated in.
+    odd is d_2m-1 / x, the third value of step m - 1.
     """
-    m = np.arange(first - 1, stop, dtype=float)[:, None]
-    # odd[i] = d_2m+1 / x at m = first - 1 + i, even[i] = d_2m / x at m = first + i.
-    odd = -(a + m) * (a + b + m) / ((a + 2.0 * m) * (a + 1.0 + 2.0 * m))
-    m = m[1:]
-    even = m * (b - m) / ((a - 1.0 + 2.0 * m) * (a + 2.0 * m))
-    return odd, even + odd[1:], even * odd[:-1]
+    even = m * (d - m) / ((c - 1.0 + 2.0 * m) * (c + 2.0 * m))
+    new = -(c + m) * (c + d + m) / ((c + 2.0 * m) * (c + 1.0 + 2.0 * m))
+    return even + new, even * odd, new
 
 
-def _beta_cont_frac(
-    a: np.ndarray, b: np.ndarray, pair: np.ndarray, x: np.ndarray
-) -> np.ndarray:
+def _beta_cont_frac(a: float, b: float, swap: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta function, lane by lane.
 
-    Lane i evaluates the fraction of the pair (a[k], b[k]), k = pair[i], at
-    x[i]; a and b hold the distinct pairs only.  Valid and rapidly
-    convergent for x < (a+1)/(a+b+2).  The fraction
+    Lane i of the 1-D x evaluates the fraction of the pair (a, b) at x[i],
+    or of (b, a) where swap[i]; a and b are finite and positive
+    (reg_inc_beta checks them).  Valid and rapidly convergent for
+    x < (a+1)/(a+b+2) of the lane's pair.  The fraction
 
         1/(1+ d_1/(1+ d_2/(1+ ...))),
         d_2m = m(b-m) x / ((a+2m-1)(a+2m)),
@@ -187,61 +177,59 @@ def _beta_cont_frac(
     is taken two partial numerators at a time (its even contraction).  The
     denominators of successive convergents then obey the three-term
     recurrence B_m = (1 + d_2m + d_2m+1) B_m-1 - d_2m d_2m-1 B_m-2, with
-    d_2m + d_2m+1 = p_m x and d_2m d_2m-1 = q_m x^2.  The coefficients p_m
-    and q_m are tabulated per pair, steps 1-15 first and then in doubling
-    ranges (16-31, 32-63, ...) only while some lane is still live, and
-    spread over the lanes each step.  The recurrence is renormalised every
-    step: w = x B_m-1 / B_m stays O(x), and the convergent h moves by
+    d_2m + d_2m+1 = p_m x and d_2m d_2m-1 = q_m x^2.  Each step computes
+    both pairs' p_m and q_m as Python floats (_cf_step), q_m from the odd
+    term of the step before, and spreads them over the lanes.  The
+    recurrence is renormalised every step: w = x B_m-1 / B_m stays O(x),
+    and the convergent h moves by
 
         h_m - h_m-1 = q_m w_m-1 w_m (h_m-1 - h_m-2),
         x / w_m = 1 + x (p_m - q_m w_m-1).
 
     A lane freezes in the first step where |h_m / h_m-1 - 1| < 1e-16.  A
     zero or non-finite denominator turns the lane's step into inf or NaN,
-    which never passes that test, so it raises with the unconverged lanes.
+    which never passes that test.  If any lane is live after 499 steps,
+    raises ArithmeticError whose one argument is the first such lane.
     """
     if not x.size:
         return np.empty_like(x)
     out = np.empty_like(x)
     live = np.ones(x.shape, dtype=bool)
     newly = np.empty_like(live)
-    den, t, ratio = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    first, stop = 1, _CF_FIRST_STOP
+    ratio = np.empty_like(x)
+    # Each step takes its p_m and q_m into the rows den and t of spread, per
+    # lane from column pair[i] of its 2 x 2 coefficients.
+    pair = swap.astype(np.intp)
+    spread = np.empty((2, x.size))
+    den, t = spread
+    # d_1 / x of each pair.
+    odd0, odd1 = -a * (a + b) / (a * (a + 1.0)), -b * (b + a) / (b * (b + 1.0))
     with np.errstate(all="ignore"):
-        odd, p_tab, q_tab = _cf_coefficients(a, b, first, stop)
-        h = 1.0 / (1.0 + odd[0].take(pair) * x)
+        h = 1.0 / (1.0 + np.array((odd0, odd1)).take(pair) * x)
         step = h.copy()
         w = x * h
-        while True:
-            for p_m, q_m in zip(p_tab, q_tab):
-                p_m.take(pair, out=den)
-                q_m.take(pair, out=t)
-                t *= w
-                den -= t
-                den *= x
-                den += 1.0
-                np.divide(x, den, out=w)
-                t *= w
-                step *= t
-                np.divide(step, h, out=ratio)
-                h += step
-                np.abs(ratio, out=ratio)
-                np.less(ratio, _CF_RTOL, out=newly)
-                newly &= live
-                if newly.any():
-                    np.copyto(out, h, where=newly)
-                    live ^= newly
-                    if not live.any():
-                        return out
-            if stop == _CF_MAX_STEPS:
-                break
-            first, stop = stop, min(2 * stop, _CF_MAX_STEPS)
-            _, p_tab, q_tab = _cf_coefficients(a, b, first, stop)
-    i = int(np.flatnonzero(live)[0])
-    raise ArithmeticError(
-        "incomplete beta continued fraction failed to converge "
-        f"(a={a[pair[i]]}, b={b[pair[i]]}, x={x[i]})"
-    )
+        for m in range(1, _CF_MAX_STEPS):
+            p0, q0, odd0 = _cf_step(a, b, m, odd0)
+            p1, q1, odd1 = _cf_step(b, a, m, odd1)
+            np.array(((p0, p1), (q0, q1))).take(pair, axis=1, out=spread)
+            t *= w
+            den -= t
+            den *= x
+            den += 1.0
+            np.divide(x, den, out=w)
+            t *= w
+            step *= t
+            np.divide(step, h, out=ratio)
+            h += step
+            np.abs(ratio, out=ratio)
+            np.less(ratio, _CF_RTOL, out=newly)
+            newly &= live
+            if newly.any():
+                np.copyto(out, h, where=newly)
+                live ^= newly
+                if not live.any():
+                    return out
+    raise ArithmeticError(int(live.argmax()))
 
 
 def reg_inc_beta(x, a: float, b: float):
@@ -254,18 +242,19 @@ def reg_inc_beta(x, a: float, b: float):
     that I_x(a,b) + I_{1-x}(b,a) = 1 holds to machine precision.  Absolute
     error <= 1e-12.
 
-    The two sides are one call of the continued fraction with two pairs,
-    (a, b) for the direct lanes and (b, a) for the swapped ones; it steps
-    the even contraction's three-term recurrence (see _beta_cont_frac), at
-    most 499 steps.
+    Both sides are one call of the continued fraction, (a, b) on the
+    direct lanes and (b, a) on the swapped ones; each step takes both
+    pairs' coefficients of the even contraction's three-term recurrence
+    (see _beta_cont_frac), at most 499 steps.
 
     Raises:
-        ValueError: a or b not positive, or any x outside [0, 1] (or NaN).
+        ValueError: a or b not in (0, inf), or any x outside [0, 1] (or NaN).
         ArithmeticError: the continued fraction fails to converge at any x
-            within 499 steps, or meets a zero or non-finite denominator.
+            within 499 steps, or meets a zero or non-finite denominator;
+            the message names a, b and the first such x.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
     a, b = float(a), float(b)
     arr = np.asarray(x, dtype=float)
     bad = ~((arr >= 0.0) & (arr <= 1.0))
@@ -283,9 +272,13 @@ def reg_inc_beta(x, a: float, b: float):
     )
     front = np.exp(ln_prefactor)
     swap = xi >= (a + 1.0) / (a + b + 2.0)
-    frac = _beta_cont_frac(
-        np.array([a, b]), np.array([b, a]), swap.astype(np.intp), np.where(swap, 1.0 - xi, xi)
-    )
+    try:
+        frac = _beta_cont_frac(a, b, swap, np.where(swap, 1.0 - xi, xi))
+    except ArithmeticError as lane:
+        raise ArithmeticError(
+            "incomplete beta continued fraction failed to converge "
+            f"(a={a}, b={b}, x={xi[lane.args[0]]})"
+        ) from None
     part = front * frac / np.where(swap, b, a)
     out[inner] = np.where(swap, 1.0 - part, part)
     return float(out) if out.ndim == 0 else out

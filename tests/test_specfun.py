@@ -2,6 +2,7 @@
 integrals (dual-route: our series/continued-fraction code vs independent
 oracles)."""
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -257,23 +258,26 @@ class TestRegIncBeta:
             reg_inc_beta(0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             reg_inc_beta(0.5, 1.0, -2.0)
+        # A non-finite parameter is rejected before any work, even where x
+        # needs no continued fraction.
+        for args in [(0.5, math.inf, 1.0), (0.0, math.inf, 1.0), (1.0, 1.0, math.inf)]:
+            with pytest.raises(ValueError):
+                reg_inc_beta(*args)
 
 
 class TestBetaContFrac:
-    def test_lanes_of_many_pairs_equal_one_pair_calls(self):
-        # The pairs of 1 + rho_n, (1 - delta, n + delta), in one call.
-        a = np.full(4, 0.6)
-        b = np.array([1.4, 2.4, 5.4, 10.4])
+    def test_lanes_of_both_pairs_equal_one_side_calls(self):
+        a, b = 0.6, 2.4
         rng = np.random.default_rng(2)
-        pair = rng.integers(0, 4, 200)
+        swap = rng.integers(0, 2, 200).astype(bool)
         x = rng.uniform(0.0, 0.12, 200)
-        vals = specfun._beta_cont_frac(a, b, pair, x)
-        for k in range(4):
-            lanes = pair == k
-            one = specfun._beta_cont_frac(a[k:k + 1], b[k:k + 1], pair[lanes] * 0, x[lanes])
+        vals = specfun._beta_cont_frac(a, b, swap, x)
+        for side, (c, d) in [(False, (a, b)), (True, (b, a))]:
+            lanes = swap == side
+            one = specfun._beta_cont_frac(a, b, np.full(lanes.sum(), side), x[lanes])
             np.testing.assert_array_equal(vals[lanes], one)
-            ref = sp.betainc(a[k], b[k], x[lanes]) * a[k] / (
-                x[lanes] ** a[k] * (1.0 - x[lanes]) ** b[k] / sp.beta(a[k], b[k]))
+            ref = sp.betainc(c, d, x[lanes]) * c / (
+                x[lanes] ** c * (1.0 - x[lanes]) ** d / sp.beta(c, d))
             np.testing.assert_allclose(one, ref, rtol=1e-12)
 
     @pytest.mark.parametrize("a, b, bad", [
@@ -283,8 +287,7 @@ class TestBetaContFrac:
     ])
     def test_zero_or_non_finite_denominator_raises(self, a, b, bad):
         with pytest.raises(ArithmeticError):
-            specfun._beta_cont_frac(np.array([a]), np.array([b]), np.zeros(2, np.intp),
-                                    np.array([0.2, bad]))
+            specfun._beta_cont_frac(a, b, np.zeros(2, bool), np.array([0.2, bad]))
 
 
 class TestRegIncBetaArray:
@@ -308,7 +311,8 @@ class TestRegIncBetaArray:
 
     def test_array_equals_scalar_calls(self):
         rng = np.random.default_rng(3)
-        for a, b in [(0.3, 0.7), (2.7, 1.3), (12.0, 40.0)]:
+        # At (2000, 2000.5) the lanes at the split take 71 steps.
+        for a, b in [(0.3, 0.7), (2.7, 1.3), (12.0, 40.0), (2000.0, 2000.5)]:
             split = (a + 1.0) / (a + b + 2.0)
             xs = np.concatenate([[0.0, 1.0, split, np.nextafter(split, 0.0)],
                                  rng.uniform(0.0, 1.0, 60), 2.0 ** -np.arange(1.0, 50.0)])
@@ -347,6 +351,12 @@ class TestRegIncBetaArray:
             reg_inc_beta(0.5, 1e6, 1e6)
         with pytest.raises(ArithmeticError):
             reg_inc_beta(np.array([0.3, 0.5]), 1e6, 1e6)
+        # The message names the caller's a, b and x on either side of the
+        # split, 2/3 at (2e6, 1e6).
+        for x in [0.6666665545556296, 0.6666665565556296]:
+            message = re.escape(f"(a=2000000.0, b=1000000.0, x={x})")
+            with pytest.raises(ArithmeticError, match=message):
+                reg_inc_beta(np.array([0.2, x]), 2e6, 1e6)
 
 
 class TestFarIntegral:
