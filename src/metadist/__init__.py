@@ -6,77 +6,67 @@ vacuous above about gamma 8), reconstructs the
 full meta distribution from those moments by Fourier-Jacobi expansion,
 validates everything against a Monte Carlo point-process simulator, and
 derives the minimum-power scaling law implied by the second moment.
+
+`import metadist` loads none of its modules.  Each exported name, and each
+module (`metadist.sim`, `metadist.specfun`, ...), is imported on first use
+and then bound here, so a caller of the moments alone never loads the
+Jacobi, simulation or scaling modules.
 """
-from .jacobi import (
-    ConvergenceReport,
-    DegenerateMomentsError,
-    JacobiBasis,
-    ReconstructedDistribution,
-    convergence_diagnostic,
-    eval_cdf,
-    eval_pdf,
-    fourier_jacobi_coeffs,
-    meta_reliability,
-    moment_match_basis,
-    reconstruct,
-)
-from .moments import (
-    IntegralCoeffs,
-    MomentSequence,
-    SystemParams,
-    approx_error_bound,
-    coeffs,
-    moment_approx,
-    moment_exact,
-    moment_sequence,
-    rho_n,
-)
-from .quadrature import QuadratureError
-from .scaling import InfeasibleQosError, QosSpec, min_power
-from .sim import (
-    EmpiricalMeta,
-    SimConfig,
-    ccp_analytic,
-    ccp_sampled,
-    draw_ppp,
-    empirical_moments,
-    empirical_reliability,
-    run_campaign,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceReport",
-    "DegenerateMomentsError",
-    "EmpiricalMeta",
-    "InfeasibleQosError",
-    "IntegralCoeffs",
-    "JacobiBasis",
-    "MomentSequence",
-    "QosSpec",
-    "QuadratureError",
-    "ReconstructedDistribution",
-    "SimConfig",
-    "SystemParams",
-    "approx_error_bound",
-    "ccp_analytic",
-    "ccp_sampled",
-    "coeffs",
-    "convergence_diagnostic",
-    "draw_ppp",
-    "empirical_moments",
-    "empirical_reliability",
-    "eval_cdf",
-    "eval_pdf",
-    "fourier_jacobi_coeffs",
-    "meta_reliability",
-    "min_power",
-    "moment_approx",
-    "moment_exact",
-    "moment_match_basis",
-    "moment_sequence",
-    "reconstruct",
-    "rho_n",
-    "run_campaign",
-]
+# Each exported name and the module that defines it.
+_MODULE_OF = {
+    "ConvergenceReport": "jacobi",
+    "DegenerateMomentsError": "jacobi",
+    "EmpiricalMeta": "sim",
+    "InfeasibleQosError": "scaling",
+    "IntegralCoeffs": "moments",
+    "JacobiBasis": "jacobi",
+    "MomentSequence": "moments",
+    "QosSpec": "scaling",
+    "QuadratureError": "quadrature",
+    "ReconstructedDistribution": "jacobi",
+    "SimConfig": "sim",
+    "SystemParams": "moments",
+    "approx_error_bound": "moments",
+    "ccp_analytic": "sim",
+    "ccp_sampled": "sim",
+    "coeffs": "moments",
+    "convergence_diagnostic": "jacobi",
+    "draw_ppp": "sim",
+    "empirical_moments": "sim",
+    "empirical_reliability": "sim",
+    "eval_cdf": "jacobi",
+    "eval_pdf": "jacobi",
+    "fourier_jacobi_coeffs": "jacobi",
+    "meta_reliability": "jacobi",
+    "min_power": "scaling",
+    "moment_approx": "moments",
+    "moment_exact": "moments",
+    "moment_match_basis": "jacobi",
+    "moment_sequence": "moments",
+    "reconstruct": "jacobi",
+    "rho_n": "moments",
+    "run_campaign": "sim",
+}
+_MODULES = ("cli", "jacobi", "moments", "quadrature", "scaling", "sim", "specfun")
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Importing a submodule binds it here; an exported name is bound below.
+    # Either way this runs once per name.
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -7,6 +7,13 @@ metadata sidecar, or as a single JSON document with --format json.
 
 Exit codes: 0 success, 2 invalid arguments, 3 infeasible or degenerate math,
 4 I/O failure.
+
+Every subcommand needs the moments (and through them the quadrature and the
+special functions); the Jacobi, simulation and scaling modules are imported
+only by the commands that use them, so `metadist moments` never loads them.
+The parser reads no default from those modules: `--order` and the campaign
+flags default to None, and main fills in jacobi.DEFAULT_ORDER and leaves the
+rest to SimConfig's own defaults.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import jacobi, moments, scaling, sim
+from . import moments
 from .quadrature import QuadratureError
 from .specfun import reg_inc_beta
 
@@ -133,11 +140,13 @@ def cmd_moments(args: argparse.Namespace) -> int:
             * moments.approx_error_bound(c.a_coef, c.b_coef, params.gamma_pl)
             for c in (moments.coeffs(params, n) for n in ns)
         ]
-    _emit_table(table, {"scenario": sim.scenario_to_dict(params)}, args)
+    _emit_table(table, {"scenario": moments.scenario_to_dict(params)}, args)
     return EXIT_OK
 
 
 def _load_moment_file(path: Path) -> moments.MomentSequence:
+    from . import sim
+
     values = sim.read_column_csv(path, "mu", "expected a one-column CSV with 'mu' header")
     seq = moments.MomentSequence(values=values, method=moments.METHOD_EMPIRICAL)
     seq.check_hausdorff()
@@ -147,6 +156,8 @@ def _load_moment_file(path: Path) -> moments.MomentSequence:
 def _reconstruction(params: moments.SystemParams, order: int, moments_file: Path | None = None,
                     basis: jacobi.JacobiBasis | None = None) -> jacobi.ReconstructedDistribution:
     """The series in `basis` if one is given, else in the moment-matched basis."""
+    from . import jacobi
+
     if moments_file is not None:
         seq = _load_moment_file(moments_file)
     else:
@@ -158,6 +169,8 @@ def _reconstruction(params: moments.SystemParams, order: int, moments_file: Path
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    from . import jacobi
+
     dist = _reconstruction(args.params, args.order, args.moments_file, args.basis)
     xs = np.linspace(0.0, 1.0, args.grid_points)
     cdf = jacobi.eval_cdf(dist, xs)
@@ -181,6 +194,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import sim
+
     emp = sim.run_campaign(args.config)
     samples = emp.ccp_samples
     sim.write_samples_csv(samples, args.out)
@@ -203,15 +218,18 @@ def _check_campaign(samples: Path, params: moments.SystemParams) -> None:
 
     The campaign record is the summary `simulate` writes, the samples path
     with suffix `.json`; its `scenario` object must equal the flags'
-    `sim.scenario_to_dict`, field by field.  With no record there, nothing
-    is checked.  A record that cannot be read raises OSError.
+    `moments.scenario_to_dict`, field by field.  With no record there, or
+    where that path is the samples file itself (`data.json`), nothing is
+    checked.  A record that cannot be read raises OSError.
     """
     record = samples.with_suffix(".json")
+    if record == samples:
+        return
     try:
         text = record.read_bytes()
     except FileNotFoundError:
         return
-    expected = sim.scenario_to_dict(params)
+    expected = moments.scenario_to_dict(params)
     try:
         scenario = json.loads(text)["scenario"]
         recorded = {field: scenario[field] for field in expected}
@@ -225,6 +243,8 @@ def _check_campaign(samples: Path, params: moments.SystemParams) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import jacobi, sim
+
     params = args.params
     samples = sim.read_samples_csv(args.samples)
     xs = np.linspace(0.01, 0.99, 99)
@@ -249,7 +269,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         beta_rel = 1.0 - reg_inc_beta(xs, b + 1.0, a + 1.0)
         fj_rel = jacobi.meta_reliability(dist, xs)
     meta = {
-        "scenario": sim.scenario_to_dict(params),
+        "scenario": moments.scenario_to_dict(params),
         "order": args.order,
         "basis": basis_meta,
         "empirical_moments": list(sim.empirical_moments(samples, 10).values),
@@ -265,6 +285,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
+    from . import scaling
+
     qos = args.qos
     lams = np.logspace(
         math.log10(args.lambda_min), math.log10(args.lambda_max), args.lambda_steps
@@ -309,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moments-file", type=Path, default=None,
                    help="one-column CSV (header 'mu') with mu_0..mu_N; "
                         "overrides the scenario moments")
-    p.add_argument("--order", type=int, default=jacobi.DEFAULT_ORDER, help="truncation order")
+    p.add_argument("--order", type=int, default=None, help="truncation order")
     p.add_argument("--alpha", type=float, help="with --beta, the Jacobi basis used instead of "
                    "moment matching; give both or neither, each finite and > -1, else exit 2")
     p.add_argument("--beta", type=float, help="the basis beta; see --alpha")
@@ -317,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo campaign; writes samples CSV + summary JSON")
     _add_scenario_args(p)
-    p.add_argument("--radius-m", type=float, default=sim.SimConfig.region_radius,
+    # Campaign flags left unset take SimConfig's defaults.
+    p.add_argument("--radius-m", type=float, default=None,
                    help="radius of the disk of BSs, in m; inf is the infinite plane")
     p.add_argument("--realizations", type=int, default=5000)
-    p.add_argument("--mode", choices=(sim.FADING_ANALYTIC, sim.FADING_SAMPLED),
-                   default=sim.SimConfig.fading_mode)
-    p.add_argument("--channel-draws", type=int, default=sim.SimConfig.num_channel_draws)
-    p.add_argument("--seed", type=int, default=sim.SimConfig.rng_seed)
+    p.add_argument("--mode", choices=("analytic", "sampled"), default=None)
+    p.add_argument("--channel-draws", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, required=True, help="samples CSV path")
 
     p = sub.add_parser("compare", help="empirical vs beta vs Fourier-Jacobi reliability")
@@ -332,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=Path, required=True,
                    help="samples CSV from simulate; the scenario flags must match the "
                         "'scenario' of its .json record, if there is one")
-    p.add_argument("--order", type=int, default=jacobi.DEFAULT_ORDER)
+    p.add_argument("--order", type=int, default=None)
 
     p = sub.add_parser("power", help="minimum power vs density (scaling law)")
     _add_scenario_args(p, density_and_power=False)
@@ -367,6 +389,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "moments" and args.n_max < 1:
             raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
         if args.command in ("reconstruct", "compare"):
+            from . import jacobi
+
+            if args.order is None:
+                args.order = jacobi.DEFAULT_ORDER
             jacobi.check_order(args.order)
         if args.command == "compare":
             _check_campaign(args.samples, args.params)
@@ -378,16 +404,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.basis = None if args.alpha is None else jacobi.JacobiBasis(
                 alpha=args.alpha, beta=args.beta, order=args.order)
         if args.command == "simulate":
+            from . import sim
+
+            given = {"region_radius": args.radius_m, "fading_mode": args.mode,
+                     "num_channel_draws": args.channel_draws, "rng_seed": args.seed}
             args.config = sim.SimConfig(
                 params=args.params, num_realizations=args.realizations,
-                region_radius=args.radius_m, fading_mode=args.mode,
-                num_channel_draws=args.channel_draws, rng_seed=args.seed,
+                **{field: value for field, value in given.items() if value is not None},
             )
             args.summary_path = args.out.with_suffix(".json")
             if args.summary_path == args.out:
                 raise ValueError(f"--out {args.out}: the summary JSON would overwrite "
                                  "the samples; use another suffix")
         if args.command == "power":
+            from . import scaling
+
             args.qos = scaling.QosSpec(x_rel=args.x_rel, epsilon=args.epsilon)
             for flag, lam in (("--lambda-min", args.lambda_min),
                               ("--lambda-max", args.lambda_max)):

@@ -59,6 +59,7 @@ from .specfun import gauss_2f1
 
 __all__ = [
     "SystemParams",
+    "scenario_to_dict",
     "MomentSequence",
     "IntegralCoeffs",
     "METHOD_EXACT",
@@ -130,6 +131,17 @@ class SystemParams:
         """c_1 = (theta sigma2 / p)^(2/gamma) / (pi lambda); 0.0 when theta or sigma2 is 0."""
         return (self.theta * self.noise / self.power) ** (2.0 / self.gamma_pl) / (
             math.pi * self.lambda_bs)
+
+
+def scenario_to_dict(params: SystemParams) -> dict:
+    """JSON-ready view of a scenario, in linear units (mW, per m^2)."""
+    return {
+        "lambda_bs": params.lambda_bs,
+        "gamma_pl": params.gamma_pl,
+        "theta": params.theta,
+        "power_mw": params.power,
+        "noise_mw": params.noise,
+    }
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .moments import METHOD_EMPIRICAL, MomentSequence, SystemParams
+from .moments import METHOD_EMPIRICAL, MomentSequence, SystemParams, scenario_to_dict
 from .specfun import far_integral_parts
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "empirical_reliability",
     "write_samples_csv",
     "read_samples_csv",
-    "scenario_to_dict",
     "campaign_to_dict",
 ]
 
@@ -425,17 +424,6 @@ def read_samples_csv(path: str | Path) -> np.ndarray:
     samples = read_column_csv(path, "ccp", not_ccp)
     _check_samples(samples)
     return samples
-
-
-def scenario_to_dict(params: SystemParams) -> dict:
-    """JSON-ready view of a scenario, in linear units (mW, per m^2)."""
-    return {
-        "lambda_bs": params.lambda_bs,
-        "gamma_pl": params.gamma_pl,
-        "theta": params.theta,
-        "power_mw": params.power,
-        "noise_mw": params.noise,
-    }
 
 
 def campaign_to_dict(emp: EmpiricalMeta) -> dict:

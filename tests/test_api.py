@@ -129,7 +129,7 @@ def _config(real, integer):
 def _moments_output(params):
     return repr([metadist.moment_sequence(params, 10, method=method).values
                  for method in (METHOD_EXACT, METHOD_CLOSED_FORM)]
-                + [json.dumps(metadist.sim.scenario_to_dict(params))])
+                + [json.dumps(metadist.moments.scenario_to_dict(params))])
 
 
 def _campaign_output(config):

@@ -452,12 +452,6 @@ class TestSimulateCommand:
             assert {key: summary[key] for key in record} == record
 
     def test_campaign_defaults_are_sim_configs(self, tmp_path, paper_params):
-        args = cli.build_parser().parse_args(["simulate", "--out", "s.csv"])
-        field = {f.name: f.default for f in dataclasses.fields(SimConfig)}
-        assert args.radius_m == field["region_radius"]
-        assert args.mode == field["fading_mode"]
-        assert args.channel_draws == field["num_channel_draws"]
-        assert args.seed == field["rng_seed"]
         summary = _simulate(tmp_path / "f.csv").meta
         cfg = SimConfig(params=paper_params, num_realizations=5000)
         assert summary["config"] == campaign_to_dict(run_campaign(cfg))["config"]
@@ -468,6 +462,7 @@ class TestSimulateCommand:
         ("--radius-m", "nan"),
         ("--channel-draws", "0"),
         ("--seed", "-1"),
+        ("--mode", "bogus"),
     ])
     def test_invalid_campaign_is_usage_error(self, tmp_path, flag, value):
         assert run("simulate", flag, value, "--out", tmp_path / "s.csv").code == EXIT_USAGE
@@ -697,6 +692,15 @@ class TestCompareChecksTheCampaign:
         for name in ("{}.csv", "{}.csv.meta.json"):
             a, b = (samples.parent / name.format(k) for k in "ab")
             assert a.read_bytes() == b.read_bytes()
+
+    def test_samples_named_like_their_record_check_nothing(self, samples):
+        # The record path of data.json is data.json itself: no record lies beside it.
+        data = samples.with_name("data.json")
+        data.write_bytes(samples.read_bytes())
+        argv = ["compare", "--order", "4", "--samples"]
+        assert run(*argv, samples, "--out", samples.parent / "a.csv").code == EXIT_OK
+        assert run(*argv, data, "--out", samples.parent / "b.csv").code == EXIT_OK
+        assert (samples.parent / "a.csv").read_bytes() == (samples.parent / "b.csv").read_bytes()
 
     def test_no_record_checks_nothing(self, tmp_path):
         samples = tmp_path / "s.csv"
