@@ -145,9 +145,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _load_moment_file(path: Path) -> moments.MomentSequence:
-    from . import sim
-
-    values = sim.read_column_csv(path, "mu", "expected a one-column CSV with 'mu' header")
+    values = moments.read_column_csv(path, "mu", "expected a one-column CSV with 'mu' header")
     seq = moments.MomentSequence(values=values, method=moments.METHOD_EMPIRICAL)
     seq.check_hausdorff()
     return seq

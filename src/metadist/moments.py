@@ -44,13 +44,17 @@ starts with an empty memo.
 A MomentSequence holds mu_0..mu_N and takes the triangle of their
 differences E[C^l (1-C)^m], l + m <= n, itself (MomentSequence.differences):
 its Hausdorff check and the Fourier-Jacobi map
-(jacobi.fourier_jacobi_coeffs) each read one triangle.
+(jacobi.fourier_jacobi_coeffs) each read one triangle.  read_column_csv
+parses the one-column CSV of the CLI's moments file and of sim's samples.
 """
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -268,6 +272,36 @@ def negative_variance_message(mu1: float, mu2: float) -> str:
     """check_hausdorff's and moment matching's error text for mu2 < mu1^2."""
     return (f"mu2={mu2} lies below mu1^2={mu1 * mu1}: a negative variance, so these "
             "are not the moments of a law on [0, 1]")
+
+
+def read_column_csv(path: str | Path, header: str, wrong_header: str) -> np.ndarray:
+    """Float64 array of the first field of each non-empty row below a `header` row.
+
+    csv.reader reads the header row; one np.loadtxt call parses the body in
+    C, into the doubles `float` gives (numpy also rejects the digit
+    separators of `1_0`).  LF and CRLF files, quoted fields and extra
+    columns read alike, and `#` is no comment.  The file is UTF-8, and a
+    byte-order mark before the header is skipped.  A wrong header raises
+    ValueError(f"{path}: {wrong_header}"), a field that is not a number
+    ValueError(f"{path}: {numpy's message}"), which quotes the field; its
+    row counts from 0 at the first non-empty row below the header.  A file
+    with no row below the header reads as an empty array.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        first = next(csv.reader(fh), None)
+        if not first or first[0] != header:
+            raise ValueError(f"{path}: {wrong_header}")
+        # np.loadtxt warns on no data, so it starts at the first non-empty row.
+        for line in fh:
+            if line.strip("\r\n"):
+                break
+        else:
+            return np.empty(0)
+        try:
+            return np.loadtxt(itertools.chain([line], fh), delimiter=",", usecols=0,
+                              quotechar='"', comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def rho_n(params: SystemParams, n: int) -> float:

@@ -36,7 +36,8 @@ inf) no BS is masked and the edge term is F(0) = 0.
 The statistics (empirical moments and reliability) and the samples CSV work
 on the array of CCP samples alone, wherever it came from.  A campaign is
 stored as that CSV plus the JSON record of `campaign_to_dict`; the CSV and
-the CLI's moments file share one format, which read_column_csv parses.
+the CLI's moments file share one format, which moments.read_column_csv
+parses.
 
 Determinism: a campaign runs in blocks of BLOCK_SIZE realizations, one
 after another on the calling thread, and block b draws from its own
@@ -57,8 +58,6 @@ in both modes are bit-reproducible across hosts' CPU counts and BLAS builds.
 """
 from __future__ import annotations
 
-import csv
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -66,7 +65,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .moments import METHOD_EMPIRICAL, MomentSequence, SystemParams, scenario_to_dict
+from .moments import (METHOD_EMPIRICAL, MomentSequence, SystemParams, read_column_csv,
+                      scenario_to_dict)
 from .specfun import far_integral_parts
 
 __all__ = [
@@ -385,43 +385,13 @@ def write_samples_csv(samples: np.ndarray, path: str | Path) -> None:
         fh.write(rows + "\r\n")
 
 
-def read_column_csv(path: str | Path, header: str, wrong_header: str) -> np.ndarray:
-    """Float64 array of the first field of each non-empty row below a `header` row.
-
-    csv.reader reads the header row; one np.loadtxt call parses the body in
-    C, into the doubles `float` gives (numpy also rejects the digit
-    separators of `1_0`).  LF and CRLF files, quoted fields and extra
-    columns read alike, and `#` is no comment.  A wrong header raises
-    ValueError(f"{path}: {wrong_header}"), a field that is not a number
-    ValueError(f"{path}: {numpy's message}"), which quotes the field; its
-    row counts from 0 at the first non-empty row below the header.  A file
-    with no row below the header reads as an empty array.
-    """
-    with open(path, newline="") as fh:
-        first = next(csv.reader(fh), None)
-        if not first or first[0] != header:
-            raise ValueError(f"{path}: {wrong_header}")
-        # np.loadtxt warns on no data, so it starts at the first non-empty row.
-        for line in fh:
-            if line.strip("\r\n"):
-                break
-        else:
-            return np.empty(0)
-        try:
-            return np.loadtxt(itertools.chain([line], fh), delimiter=",", usecols=0,
-                              quotechar='"', comments=None, ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
 def read_samples_csv(path: str | Path) -> np.ndarray:
     """Read a samples file written by write_samples_csv, via read_column_csv.
 
     Raises ValueError on a missing `ccp` header, a field that is not a
     number, no samples, or a sample outside [0, 1] (NaN included).
     """
-    not_ccp = "not a CCP samples file (missing 'ccp' header)"
-    samples = read_column_csv(path, "ccp", not_ccp)
+    samples = read_column_csv(path, "ccp", "not a CCP samples file (missing 'ccp' header)")
     _check_samples(samples)
     return samples
 

@@ -745,7 +745,8 @@ class TestInputFiles:
         '{h}\n1\n0.5\n"0.25"\n0.125\n',
         "{h},note\n1,a\n0.5,b\n0.25,c\n0.125,d\n",
         '"{h}",note\r\n1,a\r\n\r\n0.5,b\r\n0.25,c\r\n0.125,d\r\n',
-    ], ids=["lf", "crlf", "blank-line", "quoted", "extra-column", "mixed"])
+        "\ufeff{h}\r\n1\r\n0.5\r\n0.25\r\n0.125\r\n",
+    ], ids=["lf", "crlf", "blank-line", "quoted", "extra-column", "mixed", "bom"])
     def test_layouts_read_the_same_values(self, kind, body, tmp_path):
         read, header, _ = _INPUT_FILES[kind]
         path = tmp_path / "in.csv"

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.stats import binom, chisquare, expon, ks_2samp, kstest
 
 from metadist.moments import METHOD_EMPIRICAL, SystemParams, moment_exact, moment_sequence
-from metadist import jacobi, sim
+from metadist import jacobi, moments, sim
 from metadist.sim import (
     BLOCK_SIZE,
     NEAREST_BS,
@@ -893,7 +893,7 @@ class TestSerialization:
         values = values[np.isfinite(values)]
         path = tmp_path / "doubles.csv"
         write_samples_csv(values, path)
-        back = sim.read_column_csv(path, "ccp", "no ccp header")
+        back = moments.read_column_csv(path, "ccp", "no ccp header")
         assert back.dtype == np.float64
         assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
 

@@ -73,9 +73,11 @@ def test_unknown_name_is_attribute_error():
     (["reconstruct"], ["metadist.jacobi"]),
     (["simulate", "--realizations", "20", "--out", "s.csv"], ["metadist.sim"]),
     (["compare", "--samples", "c.csv"], ["metadist.jacobi", "metadist.sim"]),
+    (["reconstruct", "--moments-file", "mu.csv", "--order", "2"], ["metadist.jacobi"]),
 ])
 def test_each_subcommand_loads_only_what_it_uses(tmp_path, argv, extra):
     sim.write_samples_csv([0.2, 0.5, 0.9], tmp_path / "c.csv")
+    (tmp_path / "mu.csv").write_text("mu\n1\n0.6\n0.45\n")
     code = f"""
 import contextlib, io, metadist.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
